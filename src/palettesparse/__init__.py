@@ -33,6 +33,7 @@ from .graphcore import (
 from .nibble import (
     BudgetExceeded,
     InstanceTooLarge,
+    InvariantViolation,
     LllResult,
     ParamSchedule,
     PartialColoring,

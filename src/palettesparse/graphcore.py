@@ -294,7 +294,8 @@ def gen_bipartite(n: int, target_delta: int, seed: int) -> Graph:
         edges.add((u, v))
     g = Graph(n, sorted(edges))
     report = local_sparsity(g)
-    assert report.k_star == 0 and report.max_degree <= target_delta
+    if report.k_star or report.max_degree > target_delta:
+        raise GenerationError(f"audit failed: k_star={report.k_star}, max degree {report.max_degree}")
     return g
 
 

@@ -34,6 +34,7 @@ from .cover import (
     cover_sparsity,
 )
 from .graphcore import Graph
+from .sparsify import conflict_counts
 
 __all__ = [
     "PartialColoring",
@@ -43,6 +44,7 @@ __all__ = [
     "RoundStats",
     "wcp_round",
     "PreconditionViolation",
+    "InvariantViolation",
     "ParamSchedule",
     "ScheduleError",
     "build_schedule",
@@ -60,6 +62,10 @@ __all__ = [
 
 class PreconditionViolation(RuntimeError):
     pass
+
+
+class InvariantViolation(RuntimeError):
+    """An internal guarantee of the solver failed; a bug, not bad input."""
 
 
 class BudgetExceeded(RuntimeError):
@@ -342,7 +348,8 @@ def wcp_round(g: Graph, cov: CorrespondenceCover, p: WcpParams, seed: int):
         cv = phi.assignment.get(v)
         if cv is None:
             continue
-        assert (cu, cv) not in cov.pair_sets[(u, v)], "nibble round produced a clash"
+        if (cu, cv) in cov.pair_sets[(u, v)]:
+            raise InvariantViolation(f"nibble round colored edge {(u, v)} with clashing {(cu, cv)}")
 
     stats = RoundStats(
         int(act.sum()), int(kept.sum()), len(phi.assignment),
@@ -602,7 +609,8 @@ def brute_force(g: Graph, obj, *, max_n: int = 20):
         raise InstanceTooLarge(f"brute force guarded to n <= {max_n}, got {g.n}")
     inst = _as_instance(g, obj)
     coloring, complete = _dfs_color(inst, None)
-    assert complete
+    if not complete:
+        raise InvariantViolation("unbounded search stopped before exhausting the instance")
     return coloring
 
 
@@ -671,12 +679,8 @@ def _greedy_plain(g: Graph, lists) -> tuple[PartialColoring | None, int | None]:
     member = np.zeros((n, q + 1), dtype=np.int32)
     for v, row in enumerate(lists):
         member[v, list(row)] = 1
-    cdeg = np.zeros((n, q + 1), dtype=np.int32)
-    if g.m:
-        us, vs = g.edge_arrays()
-        np.add.at(cdeg, us, member[vs])
-        np.add.at(cdeg, vs, member[us])
-    maxc = np.where(member[:, : q or 1].astype(bool), cdeg[:, : q or 1], -1).max(axis=1) if q else np.zeros(n, np.int64)
+    cdeg = conflict_counts(*g.edge_arrays(), lists, q)
+    maxc = np.where(member[:, :q].astype(bool), cdeg, -1).max(axis=1) if q else np.zeros(n, np.int64)
     order = np.lexsort((np.arange(n), -maxc))
     assigned = np.full(n, -1, dtype=np.int64)
     nbr = [np.array(g.neighbors(v), dtype=np.int64) for v in range(n)]
@@ -760,8 +764,7 @@ def _child_seed(seed: int, *key: int) -> int:
     return int(np.random.SeedSequence(seed, spawn_key=(TAG_SOLVE, *key)).generate_state(1)[0])
 
 
-def _round_hypotheses(g: Graph, cov: CorrespondenceCover, p: WcpParams,
-                      k_bound: float) -> str | None:
+def _round_hypotheses(g: Graph, cov: CorrespondenceCover, p: WcpParams) -> str | None:
     """Check the per-round structural hypotheses; return a reason on failure.
 
     Local sparsity is not rechecked: each round's cover graph is an induced
@@ -873,7 +876,7 @@ def _nibble_stage(g: Graph, inst: _Instance, seed: int, retries: int,
         if min(sizes) >= lll_threshold * max(1, cur_cov.max_color_degree()):
             break
         p = sched.round_params(i)
-        reason = _round_hypotheses(cur_g, cur_cov, p, k0)
+        reason = _round_hypotheses(cur_g, cur_cov, p)
         if reason is not None:
             record.reason = f"round {i} hypotheses failed: {reason}"
             record.stats["rounds"] = rounds_run

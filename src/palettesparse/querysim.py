@@ -7,7 +7,8 @@ are provided: a neighbor scan (all degrees, then every neighbor slot, so
 exactly n + 2m queries get issued) and color classes (every pair of
 vertices sharing a sampled color, deduplicated, so every conflict edge is
 found because a conflicting edge lies inside some class). The auto
-strategy executes whichever of the two exact costs is smaller.
+strategy executes whichever of the two exact costs is smaller. The kernels
+of `sparsify` then test, count and prune over the discovered edges only.
 """
 
 from __future__ import annotations
@@ -25,8 +26,12 @@ from .sparsify import (
     PaletteFamily,
     SharedPalette,
     SparsifyParams,
+    _dense,
+    conflict_counts,
     packed_masks,
+    prune_by_counts,
     sample_palettes,
+    surviving_edges,
 )
 
 __all__ = [
@@ -190,27 +195,22 @@ def execute_plan(oracle: QueryOracle, plan: QueryPlan, fam: PaletteFamily):
     """
     before = oracle.total_queries
     n = plan.n
-    sets = [frozenset(row) for row in fam.sampled]
-    conflict: list[tuple[int, int]] = []
     if plan.strategy == "scan":
-        seen: set[tuple[int, int]] = set()
+        owners, found = [], []
         for v in range(n):
             d = oracle.degree(v)
             slots = min(d, plan.delta_hint) if plan.delta_hint is not None else d
-            for i in range(slots):
-                u = oracle.neighbor(v, i)
-                e = (u, v) if u < v else (v, u)
-                if e not in seen:
-                    seen.add(e)
-                    if sets[e[0]] & sets[e[1]]:
-                        conflict.append(e)
+            owners.extend([v] * slots)
+            found.extend([oracle.neighbor(v, i) for i in range(slots)])
+        ends = np.sort(np.array([owners, found], dtype=np.int64), axis=0)
+        us, vs = np.divmod(np.unique(ends[0] * n + ends[1]), n)
+        rows, q, _ = _dense(fam.sampled, fam.universe)
+        hit = surviving_edges(us, vs, packed_masks(rows, q))
+        conflict = zip(us[hit].tolist(), vs[hit].tolist())
     else:
-        for u, v in plan.pairs.tolist():
-            if oracle.pair(u, v):
-                conflict.append((u, v))
+        conflict = {(u, v) for u, v in plan.pairs.tolist() if oracle.pair(u, v)}
     issued = oracle.total_queries - before
-    sub = Graph(n, sorted(set(conflict)))
-    inst = ConflictInstance(sub, lists=ListAssignment(fam.sampled))
+    inst = ConflictInstance(Graph(n, conflict), lists=ListAssignment(fam.sampled))
     return inst, issued
 
 
@@ -242,28 +242,14 @@ def end_to_end_query_color(oracle: QueryOracle, params: SparsifyParams, seed: in
     plan = plan_queries(n, fam, strategy, delta_hint, m_hint=m_hint)
     found, issued = execute_plan(oracle, plan, fam)
 
-    q = params.q
-    counts = np.zeros((n, q), dtype=np.int32)
-    if found.graph.m:
-        member = np.zeros((n, q), dtype=np.int16)
-        for v, row in enumerate(fam.sampled):
-            member[v, list(row)] = 1
-        us, vs = found.graph.edge_arrays()
-        np.add.at(counts, us, member[vs])
-        np.add.at(counts, vs, member[us])
-    thr = params.prune_threshold
-    pruned = tuple(
-        tuple(c for c in row if counts[v, c] <= thr)
-        for v, row in enumerate(fam.sampled)
-    )
-    fam2 = PaletteFamily(fam.sampled, pruned, fam.universe)
-    keep = [frozenset(row) for row in pruned]
-    conflict = [
-        (u, v) for u, v in found.graph.edges() if keep[u] & keep[v]
-    ]
+    us, vs = found.graph.edge_arrays()
+    counts = conflict_counts(us, vs, fam.sampled, params.q)
+    pruned = prune_by_counts(fam.sampled, counts, params.prune_threshold)
+    hit = surviving_edges(us, vs, packed_masks(pruned, params.q))
     if any(len(row) == 0 for row in pruned):
         return QueryRunResult(None, issued, plan, None,
                               error="a vertex lost every sampled color in pruning")
-    res = solve(Graph(n, conflict), ListAssignment(pruned), policy=policy, seed=seed)
+    sub = Graph(n, zip(us[hit].tolist(), vs[hit].tolist()))
+    res = solve(sub, ListAssignment(pruned), policy=policy, seed=seed)
     return QueryRunResult(res.coloring, issued, plan, res,
                           error="" if res.success else "solver failed")

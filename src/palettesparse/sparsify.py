@@ -8,6 +8,10 @@ can still be monochromatic. Any proper coloring of the resulting conflict
 instance that picks colors from the pruned palettes is a proper coloring of
 the original instance, which is the whole point of the reduction.
 
+The offline, streaming and query models share three numpy kernels:
+`conflict_counts`, `prune_by_counts` and `surviving_edges`. Per-vertex
+lists reach them with their color ids ranked; covers have their own code.
+
 All logarithms are natural. Thresholds are compared with <= against the
 real-valued bound ("at most"), never rounded.
 """
@@ -17,6 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from itertools import chain, islice
 
 import numpy as np
 
@@ -34,7 +39,10 @@ __all__ = [
     "sample_palettes",
     "prune",
     "build_conflict",
+    "conflict_counts",
+    "prune_by_counts",
     "packed_masks",
+    "surviving_edges",
 ]
 
 
@@ -172,8 +180,8 @@ class PaletteFamily:
     """Sampled per-vertex palettes S(v) and, after pruning, S'(v) <= S(v).
 
     `universe` is q when every vertex sampled from the shared palette
-    0..q-1, which unlocks the vectorized code paths; None for per-vertex
-    lists or cover colors.
+    0..q-1; None for per-vertex lists or cover colors, whose ids the
+    kernels first replace by their ranks.
     """
 
     sampled: tuple[tuple[int, ...], ...]
@@ -229,46 +237,81 @@ def sample_palettes(palettes, s: int, seed: int) -> PaletteFamily:
     return PaletteFamily(tuple(sampled))
 
 
+def _flatten(rows) -> tuple[np.ndarray, np.ndarray]:
+    """Ragged rows as (their values concatenated, their lengths)."""
+    lens = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    flat = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(lens.sum()))
+    return flat, lens
+
+
+def _unflatten(flat: list, lens: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    it = iter(flat)
+    return tuple(tuple(islice(it, k)) for k in lens.tolist())
+
+
+def _dense(rows, universe: int | None):
+    """(rows over 0..q-1, q, colors): with universe None each color id is
+    replaced by its rank among the ascending distinct ids `colors`."""
+    if universe is not None:
+        return rows, universe, None
+    flat, lens = _flatten(rows)
+    colors, ranks = np.unique(flat, return_inverse=True)
+    return _unflatten(ranks.tolist(), lens), len(colors), colors
+
+
+# keys per chunk: 2**16 (0.5 MB) or n*q if larger, so each chunk's O(n*q)
+# bincount pass is paid for by its keys; all m*s keys at once cost m*s*8 bytes
+_CHUNK_KEYS = 1 << 16
+
+
+def conflict_counts(us, vs, samp, q: int) -> np.ndarray:
+    """counts[v, c] = number of edges {u, v} in the int64 arrays (us, vs)
+    with c in samp[u], for rows samp[u] of distinct colors in 0..q-1 of any
+    lengths: the keys v*q + c are bincounted a chunk of edges at a time."""
+    n = len(samp)
+    flat, lens = _flatten(samp)
+    start = np.cumsum(lens) - lens
+    heads, tails = np.concatenate((us, vs)), np.concatenate((vs, us))
+    # a tail row holding the whole palette adds one to every color of its head
+    whole = lens[tails] == q
+    degree = np.bincount(heads[whole], minlength=n)
+    heads, tails = heads[~whole], tails[~whole]
+    counts = np.zeros(n * q, dtype=np.int64)
+    step = max(1, max(_CHUNK_KEYS, n * q) // max(1, int(lens.max(initial=0))))
+    for lo in range(0, heads.size, step):
+        h, t = heads[lo : lo + step], tails[lo : lo + step]
+        k = lens[t]
+        ends = np.cumsum(k)
+        # index in flat of every color of every tail row: row start + offset
+        pos = np.repeat(start[t] - ends + k, k) + np.arange(ends[-1])
+        counts += np.bincount(np.repeat(h * q, k) + flat[pos], minlength=n * q)
+    return counts.reshape(n, q) + degree[:, None]
+
+
+def prune_by_counts(rows, counts: np.ndarray, thr: float) -> tuple[tuple[int, ...], ...]:
+    """Each row v restricted to its colors c with counts[v, c] <= thr."""
+    flat, lens = _flatten(rows)
+    owner = np.repeat(np.arange(len(rows)), lens)
+    keep = counts[owner, flat] <= thr
+    return _unflatten(flat[keep].tolist(), np.bincount(owner[keep], minlength=len(rows)))
+
+
 def packed_masks(lists, q: int) -> np.ndarray:
-    """Per-vertex color sets over universe 0..q-1 as packed uint64 rows."""
+    """Color rows over 0..q-1 as packed uint64 rows; c is bit c & 63 of word c >> 6."""
     words = max(1, (q + 63) // 64)
-    out = np.zeros((len(lists), words), dtype=np.uint64)
-    one = np.uint64(1)
-    for v, row in enumerate(lists):
-        for c in row:
-            out[v, c >> 6] |= one << np.uint64(c & 63)
-    return out
+    flat, lens = _flatten(lists)
+    member = np.zeros((len(lists), 64 * words), dtype=bool)
+    member[np.repeat(np.arange(len(lists)), lens), flat] = True
+    return np.packbits(member, axis=1, bitorder="little").view("<u8")
 
 
-def _plain_conflict_counts(g: Graph, fam: PaletteFamily) -> np.ndarray:
-    """counts[v, c] = number of neighbors u of v with c in S(u), for the
-    shared-palette case. Accumulated as bincounts over (vertex, color) keys,
-    which beats scattered adds when samples are much smaller than q."""
-    q = fam.universe
-    n = g.n
-    sizes = {len(row) for row in fam.sampled}
-    if g.m and len(sizes) == 1:
-        samp = np.array(fam.sampled, dtype=np.int64)
-        counts = np.zeros(n * q, dtype=np.int64)
-        us, vs = g.edge_arrays()
-        chunk = max(1, 4_000_000 // max(1, samp.shape[1]))
-        for lo in range(0, g.m, chunk):
-            cu = us[lo : lo + chunk]
-            cv = vs[lo : lo + chunk]
-            keys_u = (cu[:, None] * q + samp[cv]).ravel()
-            keys_v = (cv[:, None] * q + samp[cu]).ravel()
-            counts += np.bincount(keys_u, minlength=n * q)
-            counts += np.bincount(keys_v, minlength=n * q)
-        return counts.reshape(n, q).astype(np.int32)
-    member = np.zeros((n, q), dtype=np.int16)
-    for v, row in enumerate(fam.sampled):
-        member[v, list(row)] = 1
-    counts = np.zeros((n, q), dtype=np.int32)
-    if g.m:
-        us, vs = g.edge_arrays()
-        np.add.at(counts, us, member[vs])
-        np.add.at(counts, vs, member[us])
-    return counts
+def surviving_edges(us, vs, masks: np.ndarray) -> np.ndarray:
+    """Mask of the edges (us[i], vs[i]) whose `packed_masks` rows share a color."""
+    hit = np.empty(len(us), dtype=bool)
+    step = max(1, _CHUNK_KEYS // masks.shape[1])
+    for lo in range(0, len(us), step):
+        hit[lo : lo + step] = (masks[us[lo : lo + step]] & masks[vs[lo : lo + step]]).any(axis=1)
+    return hit
 
 
 def prune(subject, fam: PaletteFamily, params: SparsifyParams,
@@ -286,22 +329,12 @@ def prune(subject, fam: PaletteFamily, params: SparsifyParams,
         thr = params.prune_threshold
         if delta_ref is not None:
             thr = (1.0 + params.gamma_prime) * params.s * delta_ref / params.q
-        if fam.universe is not None:
-            counts = _plain_conflict_counts(subject, fam)
-            pruned = tuple(
-                tuple(c for c in row if counts[v, c] <= thr)
-                for v, row in enumerate(fam.sampled)
-            )
-        else:
-            member = [frozenset(row) for row in fam.sampled]
-            pruned = tuple(
-                tuple(
-                    c
-                    for c in row
-                    if sum(1 for u in subject.neighbors(v) if c in member[u]) <= thr
-                )
-                for v, row in enumerate(fam.sampled)
-            )
+        rows, q, colors = _dense(fam.sampled, fam.universe)
+        us, vs = subject.edge_arrays()
+        pruned = prune_by_counts(rows, conflict_counts(us, vs, rows, q), thr)
+        if colors is not None:
+            flat, lens = _flatten(pruned)
+            pruned = _unflatten(colors[flat].tolist(), lens)
         return PaletteFamily(fam.sampled, pruned, fam.universe)
     if isinstance(subject, CorrespondenceCover):
         d_h = delta_ref if delta_ref is not None else subject.max_color_degree()
@@ -350,18 +383,11 @@ def build_conflict(g: Graph, fam: PaletteFamily,
     """
     active = fam.active()
     if cover is None:
-        conflict = []
-        if fam.universe is not None and g.m > 4096:
-            masks = packed_masks(active, fam.universe)
-            us, vs = g.edge_arrays()
-            hit = (masks[us] & masks[vs]).any(axis=1)
-            conflict = [(int(u), int(v)) for u, v in zip(us[hit], vs[hit])]
-        else:
-            sets = [frozenset(row) for row in active]
-            for u, v in g.edges():
-                if sets[u] & sets[v]:
-                    conflict.append((u, v))
-        return ConflictInstance(Graph(g.n, conflict), lists=ListAssignment(active))
+        rows, q, _ = _dense(active, fam.universe)
+        us, vs = g.edge_arrays()
+        hit = surviving_edges(us, vs, packed_masks(rows, q))
+        sub = Graph(g.n, zip(us[hit].tolist(), vs[hit].tolist()))
+        return ConflictInstance(sub, lists=ListAssignment(active))
     keep_sets = [frozenset(row) for row in active]
     conflict = []
     matchings = {}

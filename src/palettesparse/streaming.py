@@ -2,17 +2,19 @@
 
 Palettes are sampled before the first edge arrives. An edge is stored
 exactly when the endpoint samples can collide (for covers: when its
-matching restricted to the samples is nonempty), per-(vertex, color)
-conflict counters are maintained along the way, pruning happens after the
-stream, and the retained conflict instance goes to the solver. The ledger
-uses a concrete word model: one word per id or counter, two words per
-stored edge, two per stored matching pair, n*s words for palettes and for
-counters.
+matching restricted to the samples is nonempty), pruning happens after the
+stream, and the retained conflict instance goes to the solver. Plain
+streams test retention a chunk of records at a time (`surviving_edges`)
+while the ledger advances edge by edge; the counters, sums over stored
+edges, then come from `conflict_counts`. The ledger uses a concrete word
+model: one word per id or counter, two words per stored edge, two per
+stored matching pair, n*s words for palettes and for counters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -20,7 +22,16 @@ from ._rng import TAG_PERMUTE, substream
 from .cover import CorrespondenceCover, ListAssignment
 from .graphcore import Graph
 from .nibble import PartialColoring, SolveResult, solve
-from .sparsify import PaletteFamily, SharedPalette, SparsifyParams, sample_palettes
+from .sparsify import (
+    PaletteFamily,
+    SharedPalette,
+    SparsifyParams,
+    conflict_counts,
+    packed_masks,
+    prune_by_counts,
+    sample_palettes,
+    surviving_edges,
+)
 
 __all__ = [
     "SpaceLedger",
@@ -30,6 +41,10 @@ __all__ = [
     "stream_color",
     "stream_color_correspondence",
 ]
+
+
+# plain records tested for survival per numpy chunk
+_RECORDS_PER_CHUNK = 4096
 
 
 class SpaceCapExceeded(RuntimeError):
@@ -67,7 +82,8 @@ class EdgeStream:
     """A single forward pass over edge records, in a fixed order.
 
     Plain records are (u, v); cover records are (u, v, pairs). Each edge
-    appears exactly once (the producer's contract). `lists` carries the
+    appears exactly once: `load` rejects files that break this, in-memory
+    producers keep it by construction. `lists` carries the
     per-vertex cover color lists for the correspondence case, which are
     known before the stream starts.
     """
@@ -122,12 +138,21 @@ class EdgeStream:
                     tuple(int(x) for x in fh.readline().split()) for _ in range(n)
                 )
             records = []
+            first: dict[tuple[int, int], int] = {}
             for line in fh:
                 parts = [int(x) for x in line.split()]
                 if len(parts) < 2:
                     raise ValueError(f"bad stream record: {line!r}")
+                u, v, at = parts[0], parts[1], len(records)
+                if u == v or not (0 <= u < n and 0 <= v < n):
+                    what = "is a self-loop" if u == v else f"has a vertex id outside 0..{n - 1}"
+                    raise ValueError(f"stream record {at} ({u}, {v}) {what}")
+                prev = first.setdefault((min(u, v), max(u, v)), at)
+                if prev != at:
+                    raise ValueError(
+                        f"stream record {at} ({u}, {v}) repeats the edge of record {prev}")
                 if len(parts) == 2:
-                    records.append((parts[0], parts[1]))
+                    records.append((u, v))
                 else:
                     p = parts[2]
                     if len(parts) != 3 + 2 * p:
@@ -135,7 +160,7 @@ class EdgeStream:
                     pairs = tuple(
                         (parts[3 + 2 * i], parts[4 + 2 * i]) for i in range(p)
                     )
-                    records.append((parts[0], parts[1], pairs))
+                    records.append((u, v, pairs))
         if len(records) != r:
             raise ValueError(f"header claims {r} records, file has {len(records)}")
         return cls(n, tuple(records), lists=lists)
@@ -174,79 +199,37 @@ def stream_color(stream: EdgeStream, n: int, params: SparsifyParams, seed: int,
         ledger.counter_words += n
     ledger.bump(space_cap)
 
-    samp = np.array(fam.sampled, dtype=np.int64)
-    masks = [0] * n
-    for v, row in enumerate(fam.sampled):
-        acc = 0
-        for c in row:
-            acc |= 1 << c
-        masks[v] = acc
-    # with full palettes the per-(v, c) counter is just the degree of v
-    whole_palette = s == q
-    counts = None if whole_palette else np.zeros(n * q, dtype=np.int64)
-    degrees = np.zeros(n, dtype=np.int64) if (delta_from_stream or whole_palette) else None
-
-    stored: list[tuple[int, int]] = []
-    buf_u: list[int] = []
-    buf_v: list[int] = []
-    flush_every = max(1, 2_000_000 // max(1, s))
-
-    def flush():
-        nonlocal counts
-        if buf_u:
-            bu = np.array(buf_u, dtype=np.int64)
-            bv = np.array(buf_v, dtype=np.int64)
-            keys_u = (bu[:, None] * q + samp[bv]).ravel()
-            keys_v = (bv[:, None] * q + samp[bu]).ravel()
-            counts += np.bincount(keys_u, minlength=n * q)
-            counts += np.bincount(keys_v, minlength=n * q)
-            buf_u.clear()
-            buf_v.clear()
-
-    for rec in stream.records:
-        u, v = rec[0], rec[1]
-        if degrees is not None:
-            degrees[u] += 1
-            degrees[v] += 1
-        if masks[u] & masks[v]:
-            stored.append((u, v) if u < v else (v, u))
-            ledger.stored_edges += 1
-            ledger.bump(space_cap)
-            if not whole_palette:
-                buf_u.append(u)
-                buf_v.append(v)
-                if len(buf_u) >= flush_every:
-                    flush()
-    if whole_palette:
-        counts = np.broadcast_to(degrees[:, None], (n, q))
-    else:
-        flush()
-        counts = counts.reshape(n, q)
+    masks = packed_masks(fam.sampled, q)
+    degrees = np.zeros(n, dtype=np.int64)
+    kept = [np.zeros((0, 2), dtype=np.int64)]
+    for lo in range(0, len(stream.records), _RECORDS_PER_CHUNK):
+        chunk = stream.records[lo : lo + _RECORDS_PER_CHUNK]
+        ends = np.fromiter(chain.from_iterable(chunk), dtype=np.int64,
+                           count=2 * len(chunk)).reshape(-1, 2)
+        if delta_from_stream:
+            degrees += np.bincount(ends.ravel(), minlength=n)
+        hit = ends[surviving_edges(ends[:, 0], ends[:, 1], masks)]
+        kept.append(np.sort(hit, axis=1))
+        ledger.stored_edges += len(hit)
+        if space_cap is not None and ledger.total() > space_cap:
+            # two words per stored edge: report the edge that crossed the cap
+            ledger.stored_edges -= (ledger.total() - space_cap - 1) // 2
+        ledger.bump(space_cap)
+    su, sv = np.concatenate(kept).T
+    stored = tuple(zip(su.tolist(), sv.tolist()))
 
     thr = params.prune_threshold
     if delta_from_stream:
-        observed = int(degrees.max()) if n else 0
-        thr = (1.0 + params.gamma_prime) * s * observed / q
-    pruned = tuple(
-        tuple(c for c in row if counts[v, c] <= thr)
-        for v, row in enumerate(fam.sampled)
-    )
+        thr = (1.0 + params.gamma_prime) * s * int(degrees.max(initial=0)) / q
+    pruned = prune_by_counts(fam.sampled, conflict_counts(su, sv, fam.sampled, q), thr)
     fam = PaletteFamily(fam.sampled, pruned, fam.universe)
-
-    keep_masks = [0] * n
-    for v, row in enumerate(pruned):
-        acc = 0
-        for c in row:
-            acc |= 1 << c
-        keep_masks[v] = acc
-    conflict = [(u, v) for u, v in stored if keep_masks[u] & keep_masks[v]]
-    sub = Graph(n, conflict)
-    lists = ListAssignment(pruned)
+    hit = surviving_edges(su, sv, packed_masks(pruned, q))
+    sub = Graph(n, zip(su[hit].tolist(), sv[hit].tolist()))
     if any(len(row) == 0 for row in pruned):
-        return StreamResult(None, ledger, fam, tuple(stored), None,
+        return StreamResult(None, ledger, fam, stored, None,
                             error="a vertex lost every sampled color in pruning")
-    res = solve(sub, lists, policy=policy, seed=seed)
-    return StreamResult(res.coloring, ledger, fam, tuple(stored), res,
+    res = solve(sub, ListAssignment(pruned), policy=policy, seed=seed)
+    return StreamResult(res.coloring, ledger, fam, stored, res,
                         error="" if res.success else "solver failed")
 
 

@@ -96,3 +96,42 @@ def oracle_colorable(g: Graph, obj) -> bool:
     if isinstance(obj, CorrespondenceCover):
         return bool(oracle_cover_colorings(g, obj))
     return bool(oracle_list_colorings(g, obj))
+
+
+def oracle_conflict_count(g: Graph, rows, v: int, c: int) -> int:
+    """Neighbors u of v whose row holds color c, by a loop over N(v)."""
+    return sum(1 for u in g.neighbors(v) if c in rows[u])
+
+
+def oracle_conflict_counts(g: Graph, rows, q: int) -> list[list[int]]:
+    """The full (vertex, color) table of `oracle_conflict_count` over 0..q-1."""
+    return [[oracle_conflict_count(g, rows, v, c) for c in range(q)] for v in range(g.n)]
+
+
+def oracle_prune(g: Graph, rows, thr: float) -> tuple[tuple[int, ...], ...]:
+    """Each row restricted to its colors whose conflict count is <= thr."""
+    return tuple(
+        tuple(c for c in row if oracle_conflict_count(g, rows, v, c) <= thr)
+        for v, row in enumerate(rows)
+    )
+
+
+def oracle_surviving_edges(g: Graph, rows) -> list[tuple[int, int]]:
+    """Edges whose endpoint rows share a color, by set intersection."""
+    return [(u, v) for u, v in g.edges() if set(rows[u]) & set(rows[v])]
+
+
+def oracle_stream_retention(records, rows, base_words: int, cap):
+    """Edge-at-a-time retention with a word ledger: (stored edges in stream
+    order as (min, max), peak words, space-cap message or "")."""
+    stored: list[tuple[int, int]] = []
+    total = base_words
+    if cap is not None and total > cap:
+        return stored, total, f"ledger total {total} exceeds space cap {cap}"
+    for u, v in records:
+        if set(rows[u]) & set(rows[v]):
+            stored.append((min(u, v), max(u, v)))
+            total += 2
+            if cap is not None and total > cap:
+                return stored, total, f"ledger total {total} exceeds space cap {cap}"
+    return stored, total, ""

@@ -1,10 +1,12 @@
 import pytest
 from conftest import oracle_neighborhood_edges, random_graph, rng_for
 
+from palettesparse import graphcore
 from palettesparse.graphcore import (
     GenerationError,
     Graph,
     GraphError,
+    SparsityReport,
     gen_bipartite,
     gen_locally_sparse,
     load_graph,
@@ -144,6 +146,12 @@ class TestGenerators:
         rep = local_sparsity(g)
         assert rep.k_star == 0
         assert rep.max_degree <= 12
+
+    def test_bipartite_audit_failure_raises(self, monkeypatch):
+        monkeypatch.setattr(graphcore, "local_sparsity",
+                            lambda g: SparsityReport(1, 3, (1,) * g.n))
+        with pytest.raises(GenerationError, match="k_star=1"):
+            gen_bipartite(20, 3, seed=0)
 
 
 class TestGraphFile:

@@ -17,9 +17,11 @@ from palettesparse.cover import (
     cover_sparsity,
 )
 from palettesparse.graphcore import Graph, gen_bipartite, gen_locally_sparse
+from palettesparse import nibble
 from palettesparse.nibble import (
     BudgetExceeded,
     InstanceTooLarge,
+    InvariantViolation,
     PartialColoring,
     PreconditionViolation,
     ScheduleError,
@@ -119,6 +121,17 @@ class TestWcpRound:
                     assert load <= 2 * p.d_next
             # no two kept colors correspond when both endpoints got colored
             assert verify_coloring(g, cov, phi).ok
+
+    def test_round_clash_raises(self):
+        # a cover whose clash sets disagree with its matchings: the round
+        # keeps colors by the matchings, and the check reads the clash sets
+        g = Graph(2, [(0, 1)])
+        cov = CorrespondenceCover([(0, 1, 2, 3), (4, 5, 6, 7)], {(0, 1): ((0, 4),)})
+        p = WcpParams.from_basics(eta=2.0, ell=4.0, d=1.0)
+        seed = next(t for t in range(200) if len(wcp_round(g, cov, p, seed=t)[0]) == 2)
+        cov.pair_sets[(0, 1)] = frozenset((a, b) for a in range(4) for b in range(4, 8))
+        with pytest.raises(InvariantViolation):
+            wcp_round(g, cov, p, seed=seed)
 
     def test_precondition_violation(self):
         g, cov = self._instance(13)
@@ -276,6 +289,11 @@ class TestBruteForce:
         g = Graph(21)
         with pytest.raises(InstanceTooLarge):
             brute_force(g, ListAssignment(((1,),) * 21))
+
+    def test_incomplete_search_raises(self, monkeypatch):
+        monkeypatch.setattr(nibble, "_dfs_color", lambda inst, cap: (None, False))
+        with pytest.raises(InvariantViolation):
+            brute_force(triangle(), ListAssignment(((1, 2),) * 3))
 
     def test_agrees_with_enumeration(self):
         rng = rng_for(15)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from conftest import random_graph, rng_for
 
@@ -179,6 +181,24 @@ class TestCorrespondenceStreaming:
         back = EdgeStream.load(coverp)
         assert back.lists == cov.lists
         assert back.records == EdgeStream.from_cover(g, cov).records
+
+    @pytest.mark.parametrize("record, witness", [
+        ("0 4", "record 1 (0, 4) has a vertex id outside 0..3"),
+        ("-1 2", "record 1 (-1, 2) has a vertex id outside 0..3"),
+        ("2 2", "record 1 (2, 2) is a self-loop"),
+        ("1 0", "record 1 (1, 0) repeats the edge of record 0"),
+    ])
+    def test_load_rejects_bad_records(self, tmp_path, record, witness):
+        path = tmp_path / "bad.stream"
+        path.write_text(f"4 3 0\n0 1\n{record}\n2 3\n")
+        with pytest.raises(ValueError, match=re.escape(witness)):
+            EdgeStream.load(path)
+
+    def test_load_rejects_repeated_cover_record(self, tmp_path):
+        path = tmp_path / "bad.stream"
+        path.write_text("2 2 1\n0 1\n2 3\n0 1 1 0 2\n0 1 0\n")
+        with pytest.raises(ValueError, match="record 1"):
+            EdgeStream.load(path)
 
     def test_requires_cover_lists(self):
         g = Graph(2, [(0, 1)])
