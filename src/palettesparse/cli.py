@@ -476,7 +476,7 @@ def _cmd_solve(args) -> int:
     if args.cover:
         obj = load_cover(args.cover)
     elif args.lists:
-        obj = _load_lists(args.lists)
+        obj = _load_lists(args.lists, g.n)
     else:
         print("solve needs --lists or --cover", file=sys.stderr)
         return 3
@@ -558,11 +558,20 @@ def _cmd_sweep(args) -> int:
     return result.exit_code
 
 
-def _load_lists(path) -> ListAssignment:
+def _load_lists(path, n: int) -> ListAssignment:
+    """Read a lists file for an n-vertex graph: a line 'n', then one row of
+    distinct integer color ids per vertex; ConfigError names the bad row."""
     with open(path) as fh:
-        n = int(fh.readline())
-        rows = [tuple(int(x) for x in fh.readline().split()) for _ in range(n)]
-    return ListAssignment(tuple(rows))
+        head, *rows = fh.read().splitlines() or [""]
+    if head.strip() != str(n):
+        raise ConfigError(f"lists file {path}: first line must be the vertex count {n}")
+    if len(rows) < n or any(r.strip() for r in rows[n:]):
+        raise ConfigError(f"lists file {path}: row {min(len(rows), n)} is "
+                          + ("missing" if len(rows) < n else "one too many"))
+    try:
+        return ListAssignment(tuple(tuple(map(int, r.split())) for r in rows[:n]))
+    except ValueError as e:  # a non-integer id, or CoverError naming the vertex
+        raise ConfigError(f"lists file {path}: {e}") from None
 
 
 def main(argv=None) -> int:

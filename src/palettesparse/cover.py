@@ -241,8 +241,9 @@ def c_degrees(g: Graph, obj) -> CDegreeTable:
         best = 0
         for v in range(g.n):
             row = {}
+            nbrs = g.neighbors(v).tolist()
             for c in obj.lists[v]:
-                d = sum(1 for u in g.neighbors(v) if c in member[u])
+                d = sum(1 for u in nbrs if c in member[u])
                 row[c] = d
                 if d > best:
                     best = d
@@ -265,7 +266,7 @@ def cover_sparsity(cov: CorrespondenceCover) -> int:
         for a, b in pairs:
             x, y = remap[a], remap[b]
             edges.append((min(x, y), max(x, y)))
-    h = Graph(len(ids), sorted(set(edges)))
+    h = Graph(len(ids), set(edges))
     return local_sparsity(h).k_star
 
 

@@ -1,15 +1,22 @@
 """Graph representation, locally sparse instance generators, and audits.
 
+A `Graph` is CSR arrays: row offsets `indptr` and the concatenated sorted
+neighbor rows `indices`, plus the lexicographic edge arrays. It is built
+from an edge array or any iterable of pairs in one vectorized pass
+(`check_pairs` validates ids, self-loops and repeats) and holds O(n + m)
+words; accessors are views and binary searches, not loops.
+
 A graph is *k-locally-sparse* when every vertex neighborhood induces at most
 k edges (triangle-free graphs are the k = 0 case). `local_sparsity` reports
-the exact per-vertex neighborhood edge counts, and the generators guarantee
-their output by auditing rather than by construction alone.
+the exact per-vertex neighborhood edge counts, which are per-vertex triangle
+counts, from one degree-ordered wedge count in O(n + m) memory, and the
+generators guarantee their output by auditing rather than by construction
+alone.
 """
 
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,93 +45,85 @@ class GenerationError(RuntimeError):
     """Generator could not meet the requested (delta, k) within its attempts."""
 
 
-class Graph:
-    """Undirected simple graph on vertex ids 0..n-1 with sorted adjacency.
+def check_pairs(n: int, ends: np.ndarray) -> tuple[np.ndarray, tuple[int, int] | None]:
+    """(ascending distinct keys min*n + max of the int64 (m, 2) pairs `ends`,
+    first bad pair in input order as (its index, index of the earlier pair
+    of the same edge or -1), or None). A pair is bad when an id lies outside
+    0..n-1, when it is a self-loop or when it repeats an earlier edge."""
+    u, v = ends[:, 0], ends[:, 1]
+    pair_keys = np.minimum(u, v) * n + np.maximum(u, v)
+    keys, first = np.unique(pair_keys, return_index=True)
+    repeat = np.ones(len(ends), dtype=bool)
+    repeat[first] = False
+    bad = repeat | (u < 0) | (u >= n) | (v < 0) | (v >= n) | (u == v)
+    if not bad.any():
+        return keys, None
+    i = int(bad.argmax())
+    return keys, (i, int(first[np.searchsorted(keys, pair_keys[i])]) if repeat[i] else -1)
 
-    Immutable after construction; safe to share read-only.
+
+class Graph:
+    """Undirected simple graph on vertex ids 0..n-1 in CSR form: `indptr`
+    (n + 1 offsets) and `indices` (2m ids, each row ascending), plus the
+    edges as lexicographic (u, v) arrays with u < v. Immutable: the arrays
+    are read-only, so a graph is safe to share.
     """
 
-    __slots__ = ("n", "adj", "m", "_edges_np", "_bits")
+    __slots__ = ("n", "m", "indptr", "indices", "_us", "_vs")
 
     def __init__(self, n: int, edges=()):
+        """`edges`: an (m, 2) int array or an iterable of (u, v) pairs, in
+        any order; the first bad pair in input order is reported."""
         if n < 0:
             raise GraphError(f"negative vertex count: {n}")
-        self.n = n
-        buckets: list[list[int]] = [[] for _ in range(n)]
-        seen: set[tuple[int, int]] = set()
-        for u, v in edges:
+        ends = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+        if ends.size == 0:
+            ends = np.zeros((0, 2), dtype=np.int64)
+        elif ends.dtype.kind not in "iu" or ends.ndim != 2 or ends.shape[1] != 2:
+            raise GraphError("edges must be pairs of integer vertex ids")
+        keys, bad = check_pairs(n, ends)
+        if bad is not None:
+            u, v = ends[bad[0]].tolist()
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"vertex id out of range: ({u}, {v})")
             if u == v:
                 raise GraphError(f"self-loop at {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise GraphError(f"duplicate edge {key}")
-            seen.add(key)
-            buckets[u].append(v)
-            buckets[v].append(u)
-        self.adj: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(b)) for b in buckets
-        )
-        self.m = len(seen)
-        self._edges_np = None
-        self._bits = None
-
-    @classmethod
-    def from_adjacency(cls, adj) -> "Graph":
-        """Build from an adjacency structure (validated for symmetry)."""
-        n = len(adj)
-        edges = []
-        nbr_sets = [set(a) for a in adj]
-        for u in range(n):
-            for v in adj[u]:
-                if u not in nbr_sets[v]:
-                    raise GraphError(f"asymmetric adjacency at ({u}, {v})")
-                if u < v:
-                    edges.append((u, v))
-        return cls(n, edges)
+            raise GraphError(f"duplicate edge {(min(u, v), max(u, v))}")
+        self.n = n
+        self.m = len(keys)
+        us, vs = np.divmod(keys, max(n, 1))
+        # a stable sort by head lists each row's smaller neighbors (first
+        # half, ascending u) before its larger ones (second half, ascending v)
+        heads = np.concatenate((vs, us))
+        self.indices = np.concatenate((us, vs))[np.argsort(heads, kind="stable")]
+        self.indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(heads, minlength=n), out=self.indptr[1:])
+        self._us, self._vs = us, vs
+        for a in (self.indptr, self.indices, us, vs):
+            a.flags.writeable = False
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return int(self.indptr[v + 1] - self.indptr[v])
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
+    def degrees(self) -> np.ndarray:
+        return np.diff(self.indptr)
+
+    def neighbors(self, v: int) -> np.ndarray:
+        """Read-only ascending view of the neighbors of v."""
+        return self.indices[self.indptr[v] : self.indptr[v + 1]]
 
     def has_edge(self, u: int, v: int) -> bool:
-        row = self.adj[u]
-        i = bisect_left(row, v)
-        return i < len(row) and row[i] == v
+        row = self.neighbors(u)
+        i = int(row.searchsorted(v))
+        return i < row.size and int(row[i]) == v
 
     def edges(self):
-        """Yield each edge once as (u, v) with u < v, lexicographically."""
-        for u in range(self.n):
-            for v in self.adj[u]:
-                if u < v:
-                    yield (u, v)
+        """Iterate over each edge once as (u, v) with u < v, lexicographically."""
+        return zip(self._us.tolist(), self._vs.tolist())
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Numpy (u, v) arrays of the edge list, cached."""
-        if self._edges_np is None:
-            us = np.empty(self.m, dtype=np.int64)
-            vs = np.empty(self.m, dtype=np.int64)
-            i = 0
-            for u, v in self.edges():
-                us[i] = u
-                vs[i] = v
-                i += 1
-            self._edges_np = (us, vs)
-        return self._edges_np
-
-    def neighbor_bitsets(self) -> np.ndarray:
-        """Adjacency as packed uint64 bitsets, one row per vertex (cached)."""
-        if self._bits is None:
-            words = max(1, (self.n + 63) // 64)
-            bits = np.zeros((self.n, words), dtype=np.uint64)
-            for u in range(self.n):
-                for v in self.adj[u]:
-                    bits[u, v >> 6] |= np.uint64(1) << np.uint64(v & 63)
-            self._bits = bits
-        return self._bits
+        """Read-only lexicographic (u, v) arrays of the edge list."""
+        return self._us, self._vs
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
@@ -140,79 +139,97 @@ class SparsityReport:
 
 
 def max_degree(g: Graph) -> int:
-    return max((len(a) for a in g.adj), default=0)
+    return int(g.degrees().max(initial=0))
+
+
+# wedges closed per chunk of the triangle counter: bounds its working
+# memory (a few arrays of this length) whatever the graph's size
+_WEDGES_PER_CHUNK = 1 << 16
+
+
+def _triangle_counts(n: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Triangles at each vertex of the graph with lexicographic edge arrays
+    (us, vs), in O(n + m) memory ("compact-forward", Latapy 2008).
+
+    Each edge points away from its endpoint of smaller (degree, id), so
+    every triangle is exactly one wedge of two out-edges of its lowest
+    vertex; wedges are expanded a chunk at a time and closed by a binary
+    search of the sorted keys us*n + vs.
+    """
+    deg = np.bincount(us, minlength=n) + np.bincount(vs, minlength=n)
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.lexsort((np.arange(n), deg))] = np.arange(n)
+    flip = rank[us] > rank[vs]
+    src, dst = np.where(flip, vs, us), np.where(flip, us, vs)
+    # stable by source: each out-list keeps ascending ids (see Graph)
+    order = np.argsort(src, kind="stable")
+    src, dst = src[order], dst[order]
+    # out-edge i makes a wedge with each later out-edge of its source
+    per = np.cumsum(np.bincount(src, minlength=n))[src] - np.arange(len(src)) - 1
+    cum = np.cumsum(per)
+    keys, dst_row = us * n + vs, dst * n
+    counts = np.zeros(n, dtype=np.int64)
+    lo = 0
+    while lo < len(src):
+        done = int(cum[lo] - per[lo])
+        hi = max(lo + 1, int(np.searchsorted(cum, done + _WEDGES_PER_CHUNK, side="right")))
+        k = per[lo:hi]
+        total = int(cum[hi - 1]) - done
+        if total:
+            first = np.repeat(np.arange(lo, hi), k)
+            second = first + 1 + np.arange(total) - np.repeat(np.cumsum(k) - k, k)
+            w = dst_row[first] + dst[second]
+            at = np.flatnonzero(keys[np.minimum(np.searchsorted(keys, w), len(keys) - 1)] == w)
+            tri = (src[first[at]], dst[first[at]], dst[second[at]])
+            counts += np.bincount(np.concatenate(tri), minlength=n)
+        lo = hi
+    return counts
 
 
 def local_sparsity(g: Graph) -> SparsityReport:
     """Count, for every vertex, the edges inside its neighborhood.
 
     An edge (a, b) lies inside N(v) exactly when (v, a, b) is a triangle, so
-    the counts equal per-vertex triangle counts. Small graphs use set
-    intersections; large ones a packed-bitset pass over the edge list.
+    the counts equal per-vertex triangle counts.
     """
-    n = g.n
-    if g.m == 0:
-        return SparsityReport(0, max_degree(g), tuple([0] * n))
-    if g.m <= 20000:
-        counts = [0] * n
-        nbr = [set(a) for a in g.adj]
-        for a, b in g.edges():
-            for v in nbr[a] & nbr[b]:
-                counts[v] += 1
-        per = tuple(counts)
-    else:
-        bits = g.neighbor_bitsets()
-        us, vs = g.edge_arrays()
-        twice = np.zeros(n, dtype=np.int64)
-        chunk = 65536
-        for lo in range(0, g.m, chunk):
-            cu = us[lo : lo + chunk]
-            cv = vs[lo : lo + chunk]
-            common = np.bitwise_count(bits[cu] & bits[cv]).sum(axis=1)
-            common = common.astype(np.int64)
-            np.add.at(twice, cu, common)
-            np.add.at(twice, cv, common)
-        # each triangle at v is seen from both of its v-incident edges
-        per = tuple(int(x) for x in twice // 2)
-    return SparsityReport(max(per), max_degree(g), per)
+    per = tuple(_triangle_counts(g.n, *g.edge_arrays()).tolist())
+    return SparsityReport(max(per, default=0), max_degree(g), per)
 
 
-def _degree_capped_pairing(n: int, delta: int, rng) -> set[tuple[int, int]]:
-    """Random near-delta-regular edge set: pair shuffled vertex stubs, dropping
-    self-loops and duplicates. Degrees never exceed delta."""
+def _degree_capped_pairing(n: int, delta: int, rng) -> np.ndarray:
+    """Random near-delta-regular edge set, as sorted (u, v) rows with u < v:
+    pair shuffled vertex stubs, dropping self-loops and duplicates. Degrees
+    never exceed delta."""
     if delta == 0:
-        return set()
+        return np.zeros((0, 2), dtype=np.int64)
     stubs = np.repeat(np.arange(n, dtype=np.int64), delta)
     rng.shuffle(stubs)
     if len(stubs) % 2:
         stubs = stubs[:-1]
     half = len(stubs) // 2
     a, b = stubs[:half], stubs[half:]
-    edges: set[tuple[int, int]] = set()
-    for u, v in zip(a.tolist(), b.tolist()):
-        if u == v:
-            continue
-        key = (u, v) if u < v else (v, u)
-        edges.add(key)
-    return edges
+    keep = a != b
+    keys = np.unique(np.minimum(a, b)[keep] * n + np.maximum(a, b)[keep])
+    return np.stack(np.divmod(keys, n), axis=1)
 
 
-def _repair_sparsity(n: int, edges: set[tuple[int, int]], k: int) -> set[tuple[int, int]]:
+def _repair_sparsity(n: int, edges: np.ndarray, k: int) -> np.ndarray:
     """Delete edges until every neighborhood has at most k internal edges.
 
+    `edges` holds sorted (u, v) rows with u < v, and so does the result.
     Repeatedly takes the densest neighborhood and removes the edge inside it
     that sits on the most triangles (ties broken lexicographically). Deleting
     never increases any neighborhood count, so this terminates.
     """
+    tri = _triangle_counts(n, edges[:, 0], edges[:, 1]).tolist()
+    heap = [(-tri[v], v) for v in range(n) if tri[v] > k]
+    if not heap:
+        return edges
+    alive = set(map(tuple, edges.tolist()))
     nbr = [set() for _ in range(n)]
-    for u, v in edges:
+    for u, v in alive:
         nbr[u].add(v)
         nbr[v].add(u)
-    tri = [0] * n
-    for u, v in edges:
-        for w in nbr[u] & nbr[v]:
-            tri[w] += 1
-    heap = [(-tri[v], v) for v in range(n) if tri[v] > k]
     heapq.heapify(heap)
     while heap:
         negt, v = heapq.heappop(heap)
@@ -230,7 +247,7 @@ def _repair_sparsity(n: int, edges: set[tuple[int, int]], k: int) -> set[tuple[i
                         best = (c, a, b)
         _, a, b = best
         common = nbr[a] & nbr[b]
-        edges.discard((a, b) if a < b else (b, a))
+        alive.discard((a, b) if a < b else (b, a))
         nbr[a].discard(b)
         nbr[b].discard(a)
         for w in common:
@@ -242,7 +259,7 @@ def _repair_sparsity(n: int, edges: set[tuple[int, int]], k: int) -> set[tuple[i
                 heapq.heappush(heap, (-tri[w], w))
         if tri[v] > k:
             heapq.heappush(heap, (-tri[v], v))
-    return edges
+    return np.array(sorted(alive), dtype=np.int64).reshape(-1, 2)
 
 
 def gen_locally_sparse(n: int, target_delta: int, k: int, seed: int,
@@ -262,8 +279,7 @@ def gen_locally_sparse(n: int, target_delta: int, k: int, seed: int,
     rng = substream(seed, TAG_GEN)
     for _ in range(max_attempts):
         edges = _degree_capped_pairing(n, target_delta, rng)
-        edges = _repair_sparsity(n, edges, k)
-        g = Graph(n, sorted(edges))
+        g = Graph(n, _repair_sparsity(n, edges, k))
         report = local_sparsity(g)
         if report.k_star <= k and report.max_degree <= target_delta:
             return g
@@ -289,10 +305,7 @@ def gen_bipartite(n: int, target_delta: int, seed: int) -> Graph:
     right = np.repeat(np.arange(half, n, dtype=np.int64), target_delta)
     rng.shuffle(right)
     take = min(len(left), len(right))
-    edges = set()
-    for u, v in zip(left[:take].tolist(), right[:take].tolist()):
-        edges.add((u, v))
-    g = Graph(n, sorted(edges))
+    g = Graph(n, np.stack(np.divmod(np.unique(left[:take] * n + right[:take]), n), axis=1))
     report = local_sparsity(g)
     if report.k_star or report.max_degree > target_delta:
         raise GenerationError(f"audit failed: k_star={report.k_star}, max degree {report.max_degree}")

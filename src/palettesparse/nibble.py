@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -34,7 +36,7 @@ from .cover import (
     cover_sparsity,
 )
 from .graphcore import Graph
-from .sparsify import conflict_counts
+from .sparsify import _flatten, conflict_counts
 
 __all__ = [
     "PartialColoring",
@@ -133,7 +135,10 @@ class _Instance:
             self._rev = rev
         else:
             raise TypeError(f"expected ListAssignment or CorrespondenceCover, got {type(obj)!r}")
-        self.list_sets = [frozenset(row) for row in self.lists]
+
+    @cached_property
+    def list_sets(self) -> list[frozenset[int]]:
+        return [frozenset(row) for row in self.lists]
 
     @property
     def is_cover(self) -> bool:
@@ -193,18 +198,21 @@ def verify_coloring(g: Graph, obj, phi: PartialColoring) -> VerifyResult:
     for v, c in phi.assignment.items():
         if not (0 <= v < g.n):
             return VerifyResult(False, (v,), f"vertex {v} out of range")
-        if c not in inst.list_sets[v]:
+        row = inst.lists[v]  # sorted
+        i = bisect_left(row, c)
+        if i == len(row) or row[i] != c:
             return VerifyResult(False, (v, c), f"color {c} not in the list of vertex {v}")
-    if not inst.is_cover and g.m > 4096:
-        assigned = np.full(g.n, -1, dtype=np.int64)
-        for v, c in phi.assignment.items():
-            assigned[v] = c
+    if not inst.is_cover:
+        k = len(phi.assignment)
+        at = np.fromiter(phi.assignment, dtype=np.int64, count=k)
+        colored = np.zeros(g.n, dtype=bool)
+        colored[at] = True
+        color = np.zeros(g.n, dtype=np.int64)
+        color[at] = np.fromiter(phi.assignment.values(), dtype=np.int64, count=k)
         us, vs = g.edge_arrays()
-        bad = (assigned[us] >= 0) & (assigned[us] == assigned[vs])
-        idx = np.flatnonzero(bad)
-        if idx.size:
-            i = int(idx[0])
-            u, v = int(us[i]), int(vs[i])
+        bad = np.flatnonzero(colored[us] & colored[vs] & (color[us] == color[vs]))
+        if bad.size:
+            u, v = int(us[bad[0]]), int(vs[bad[0]])
             return VerifyResult(False, (u, v), f"edge ({u}, {v}) is monochromatic")
         return VerifyResult(True)
     get = phi.assignment.get
@@ -557,6 +565,7 @@ def _dfs_color(inst: _Instance, node_cap: int | None):
     g = inst.g
     n = g.n
     order = sorted(range(n), key=lambda v: (len(inst.lists[v]), -g.degree(v), v))
+    nbrs = [g.neighbors(v).tolist() for v in range(n)]
     rank = {v: i for i, v in enumerate(order)}
     avail: list[set[int]] = [set(row) for row in inst.lists]
     assignment: dict[int, int] = {}
@@ -573,7 +582,7 @@ def _dfs_color(inst: _Instance, node_cap: int | None):
                 return None, False
             removed = []
             ok = True
-            for u in g.neighbors(v):
+            for u in nbrs[v]:
                 if rank[u] <= i:
                     continue
                 b = inst.partner(v, u, c)
@@ -626,7 +635,7 @@ def _greedy_generic(inst: _Instance):
     for v in order:
         blocked = set()
         unc = []
-        for u in g.neighbors(v):
+        for u in g.neighbors(v).tolist():
             cu = assignment.get(u)
             if cu is None:
                 unc.append(u)
@@ -653,20 +662,17 @@ def _greedy_full_palette(g: Graph, q: int):
     available color is equally unconflicted, so the rule becomes
     degree-descending order with smallest available color."""
     n = g.n
-    degs = np.array([g.degree(v) for v in range(n)], dtype=np.int64)
-    order = np.lexsort((np.arange(n), -degs))
+    order = np.lexsort((np.arange(n), -g.degrees()))
     assigned = np.full(n, -1, dtype=np.int64)
     for v in order.tolist():
+        cols = assigned[g.neighbors(v)]
         blocked = np.zeros(q, dtype=bool)
-        for u in g.neighbors(v):
-            cu = assigned[u]
-            if cu >= 0:
-                blocked[cu] = True
+        blocked[cols[cols >= 0]] = True
         free = np.flatnonzero(~blocked)
         if free.size == 0:
             return None, v
         assigned[v] = int(free[0])
-    return PartialColoring({v: int(assigned[v]) for v in range(n)}), None
+    return PartialColoring(dict(enumerate(assigned.tolist()))), None
 
 
 def _greedy_plain(g: Graph, lists) -> tuple[PartialColoring | None, int | None]:
@@ -676,37 +682,25 @@ def _greedy_plain(g: Graph, lists) -> tuple[PartialColoring | None, int | None]:
     q = max((row[-1] for row in lists if row), default=-1) + 1
     if q and all(len(row) == q for row in lists):
         return _greedy_full_palette(g, q)
-    member = np.zeros((n, q + 1), dtype=np.int32)
-    for v, row in enumerate(lists):
-        member[v, list(row)] = 1
+    flat, lens = _flatten(lists)
+    member = np.zeros((n, q), dtype=np.int32)
+    member[np.repeat(np.arange(n), lens), flat] = 1
     cdeg = conflict_counts(*g.edge_arrays(), lists, q)
-    maxc = np.where(member[:, :q].astype(bool), cdeg, -1).max(axis=1) if q else np.zeros(n, np.int64)
+    maxc = np.where(member.astype(bool), cdeg, -1).max(axis=1, initial=-1)
     order = np.lexsort((np.arange(n), -maxc))
     assigned = np.full(n, -1, dtype=np.int64)
-    nbr = [np.array(g.neighbors(v), dtype=np.int64) for v in range(n)]
     big = np.int32(2 ** 30)
     for v in order.tolist():
-        row = member[v, :q].astype(bool) if q else np.zeros(0, bool)
-        nb = nbr[v]
-        if nb.size:
-            cols = assigned[nb]
-            colored = cols >= 0
-            avail = row.copy()
-            taken = cols[colored]
-            if taken.size:
-                avail[taken] = False
-            if not avail.any():
-                return None, v
-            unc = nb[~colored]
-            score = member[unc, :q].sum(axis=0, dtype=np.int32) if unc.size else np.zeros(q, np.int32)
-            score = np.where(avail, score, big)
-            c = int(score.argmin())
-        else:
-            if not row.any():
-                return None, v
-            c = int(row.argmax())
-        assigned[v] = c
-    return PartialColoring({v: int(assigned[v]) for v in range(n)}), None
+        nb = g.neighbors(v)
+        cols = assigned[nb]
+        avail = member[v].astype(bool)
+        avail[cols[cols >= 0]] = False
+        if not avail.any():
+            return None, v
+        # fewest uncolored neighbors holding the color; ties: smallest color
+        score = member[nb[cols < 0]].sum(axis=0, dtype=np.int32)
+        assigned[v] = int(np.where(avail, score, big).argmin())
+    return PartialColoring(dict(enumerate(assigned.tolist()))), None
 
 
 def greedy_color(g: Graph, obj):

@@ -1,12 +1,14 @@
 """Non-adaptive query-model simulator with exact query counting.
 
 The oracle answers three query types about a hidden graph: the degree of a
-vertex, the i-th neighbor of a vertex, and whether a pair is an edge. A
-plan is fixed before any answer is read. Two conflict-discovery strategies
-are provided: a neighbor scan (all degrees, then every neighbor slot, so
-exactly n + 2m queries get issued) and color classes (every pair of
-vertices sharing a sampled color, deduplicated, so every conflict edge is
-found because a conflicting edge lies inside some class). The auto
+vertex, the i-th neighbor of a vertex, and whether a pair is an edge;
+`degrees` and `neighbor_prefixes` ask many of the first two at once and
+count each one they stand for. A plan is fixed before any answer is read.
+Two conflict-discovery strategies are provided: a neighbor scan (all
+degrees, then every neighbor slot, so exactly n + 2m queries get issued)
+and color classes (every pair of vertices sharing a sampled color,
+deduplicated, so every conflict edge is found because a conflicting edge
+lies inside some class). The auto
 strategy executes whichever of the two exact costs is smaller. The kernels
 of `sparsify` then test, count and prune over the discovered edges only.
 """
@@ -66,9 +68,26 @@ class QueryOracle:
         self.degree_queries += 1
         return self._g.degree(v)
 
+    def degrees(self) -> np.ndarray:
+        """The degree of every vertex: n degree queries."""
+        self.degree_queries += self.n
+        return self._g.degrees()
+
     def neighbor(self, v: int, i: int) -> int:
         self.neighbor_queries += 1
-        return self._g.adj[v][i]
+        return int(self._g.neighbors(v)[i])
+
+    def neighbor_prefixes(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Neighbor slots 0..k[v]-1 of every vertex v, for 0 <= k[v] <= deg(v),
+        as (owner, neighbor) arrays in vertex then slot order: sum(k)
+        neighbor queries."""
+        g, k = self._g, np.asarray(k, dtype=np.int64)
+        if k.shape != (g.n,) or (k < 0).any() or (k > g.degrees()).any():
+            raise ValueError("need one slot count per vertex, each within 0..deg(v)")
+        self.neighbor_queries += int(k.sum())
+        owner = np.repeat(np.arange(g.n), k)
+        slot = np.arange(owner.size) - (np.cumsum(k) - k)[owner]
+        return owner, g.indices[g.indptr[owner] + slot]
 
     def pair(self, u: int, v: int) -> bool:
         self.pair_queries += 1
@@ -196,17 +215,14 @@ def execute_plan(oracle: QueryOracle, plan: QueryPlan, fam: PaletteFamily):
     before = oracle.total_queries
     n = plan.n
     if plan.strategy == "scan":
-        owners, found = [], []
-        for v in range(n):
-            d = oracle.degree(v)
-            slots = min(d, plan.delta_hint) if plan.delta_hint is not None else d
-            owners.extend([v] * slots)
-            found.extend([oracle.neighbor(v, i) for i in range(slots)])
-        ends = np.sort(np.array([owners, found], dtype=np.int64), axis=0)
+        slots = oracle.degrees()
+        if plan.delta_hint is not None:
+            slots = np.minimum(slots, plan.delta_hint)
+        ends = np.sort(np.stack(oracle.neighbor_prefixes(slots)), axis=0)
         us, vs = np.divmod(np.unique(ends[0] * n + ends[1]), n)
         rows, q, _ = _dense(fam.sampled, fam.universe)
         hit = surviving_edges(us, vs, packed_masks(rows, q))
-        conflict = zip(us[hit].tolist(), vs[hit].tolist())
+        conflict = np.column_stack((us[hit], vs[hit]))
     else:
         conflict = {(u, v) for u, v in plan.pairs.tolist() if oracle.pair(u, v)}
     issued = oracle.total_queries - before
@@ -249,7 +265,7 @@ def end_to_end_query_color(oracle: QueryOracle, params: SparsifyParams, seed: in
     if any(len(row) == 0 for row in pruned):
         return QueryRunResult(None, issued, plan, None,
                               error="a vertex lost every sampled color in pruning")
-    sub = Graph(n, zip(us[hit].tolist(), vs[hit].tolist()))
+    sub = Graph(n, np.column_stack((us[hit], vs[hit])))
     res = solve(sub, ListAssignment(pruned), policy=policy, seed=seed)
     return QueryRunResult(res.coloring, issued, plan, res,
                           error="" if res.success else "solver failed")

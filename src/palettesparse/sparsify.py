@@ -259,33 +259,45 @@ def _dense(rows, universe: int | None):
     return _unflatten(ranks.tolist(), lens), len(colors), colors
 
 
-# keys per chunk: 2**16 (0.5 MB) or n*q if larger, so each chunk's O(n*q)
-# bincount pass is paid for by its keys; all m*s keys at once cost m*s*8 bytes
+# keys per chunk: 2**16 (0.5 MB) or n*(q+1) if larger, so each chunk's
+# O(n*q) bincount pass is paid for by its keys; all m*s keys at once cost
+# m*s*8 bytes
 _CHUNK_KEYS = 1 << 16
 
 
 def conflict_counts(us, vs, samp, q: int) -> np.ndarray:
     """counts[v, c] = number of edges {u, v} in the int64 arrays (us, vs)
     with c in samp[u], for rows samp[u] of distinct colors in 0..q-1 of any
-    lengths: the keys v*q + c are bincounted a chunk of edges at a time."""
+    lengths: the keys v*(q+1) + c are bincounted a chunk of edges at a time.
+
+    Rows are padded to one width with the spare color q, so a chunk's keys
+    cost one gather and one in-place add; few temporaries, none larger than
+    a chunk or the result, keep repeated calls from mapping fresh pages.
+    """
     n = len(samp)
     flat, lens = _flatten(samp)
-    start = np.cumsum(lens) - lens
     heads, tails = np.concatenate((us, vs)), np.concatenate((vs, us))
     # a tail row holding the whole palette adds one to every color of its head
     whole = lens[tails] == q
     degree = np.bincount(heads[whole], minlength=n)
     heads, tails = heads[~whole], tails[~whole]
-    counts = np.zeros(n * q, dtype=np.int64)
-    step = max(1, max(_CHUNK_KEYS, n * q) // max(1, int(lens.max(initial=0))))
-    for lo in range(0, heads.size, step):
-        h, t = heads[lo : lo + step], tails[lo : lo + step]
-        k = lens[t]
-        ends = np.cumsum(k)
-        # index in flat of every color of every tail row: row start + offset
-        pos = np.repeat(start[t] - ends + k, k) + np.arange(ends[-1])
-        counts += np.bincount(np.repeat(h * q, k) + flat[pos], minlength=n * q)
-    return counts.reshape(n, q) + degree[:, None]
+    width = int(lens[lens < q].max(initial=0))
+    owner = np.repeat(np.arange(n), lens)
+    slot = np.arange(flat.size) - np.repeat(np.cumsum(lens) - lens, lens)
+    part = lens[owner] < q
+    padded = np.full((n, width), q, dtype=np.int64)
+    padded[owner[part], slot[part]] = flat[part]
+    step = max(1, max(_CHUNK_KEYS, n * (q + 1)) // max(1, width))
+    for lo in range(0, max(1, heads.size), step):
+        keys = padded[tails[lo : lo + step]]
+        keys += (heads[lo : lo + step] * (q + 1))[:, None]
+        total = np.bincount(keys.ravel(), minlength=n * (q + 1))
+        if lo:
+            total += counts
+        counts = total
+    counts = counts.reshape(n, q + 1)[:, :q]
+    counts += degree[:, None]
+    return counts
 
 
 def prune_by_counts(rows, counts: np.ndarray, thr: float) -> tuple[tuple[int, ...], ...]:
@@ -386,7 +398,7 @@ def build_conflict(g: Graph, fam: PaletteFamily,
         rows, q, _ = _dense(active, fam.universe)
         us, vs = g.edge_arrays()
         hit = surviving_edges(us, vs, packed_masks(rows, q))
-        sub = Graph(g.n, zip(us[hit].tolist(), vs[hit].tolist()))
+        sub = Graph(g.n, np.column_stack((us[hit], vs[hit])))
         return ConflictInstance(sub, lists=ListAssignment(active))
     keep_sets = [frozenset(row) for row in active]
     conflict = []

@@ -20,7 +20,7 @@ import numpy as np
 
 from ._rng import TAG_PERMUTE, substream
 from .cover import CorrespondenceCover, ListAssignment
-from .graphcore import Graph
+from .graphcore import Graph, check_pairs
 from .nibble import PartialColoring, SolveResult, solve
 from .sparsify import (
     PaletteFamily,
@@ -82,15 +82,31 @@ class EdgeStream:
     """A single forward pass over edge records, in a fixed order.
 
     Plain records are (u, v); cover records are (u, v, pairs). Each edge
-    appears exactly once: `load` rejects files that break this, in-memory
-    producers keep it by construction. `lists` carries the
-    per-vertex cover color lists for the correspondence case, which are
-    known before the stream starts.
+    appears exactly once between two distinct vertices of 0..n-1: the
+    first record breaking this is rejected, naming it and, for a repeat,
+    the earlier record of the same edge. `lists` carries the per-vertex
+    cover color lists for the correspondence case, which are known before
+    the stream starts.
     """
 
     n: int
     records: tuple
     lists: tuple[tuple[int, ...], ...] | None = None
+
+    def __post_init__(self):
+        n = self.n
+        ends = np.fromiter(chain.from_iterable(rec[:2] for rec in self.records),
+                           dtype=np.int64, count=2 * len(self.records)).reshape(-1, 2)
+        bad = check_pairs(n, ends)[1]
+        if bad is not None:
+            u, v = self.records[bad[0]][:2]
+            if u == v:
+                what = "is a self-loop"
+            elif not (0 <= u < n and 0 <= v < n):
+                what = f"has a vertex id outside 0..{n - 1}"
+            else:
+                what = f"repeats the edge of record {bad[1]}"
+            raise ValueError(f"stream record {bad[0]} ({u}, {v}) {what}")
 
     @classmethod
     def from_graph(cls, g: Graph, permute_seed: int | None = None) -> "EdgeStream":
@@ -138,21 +154,12 @@ class EdgeStream:
                     tuple(int(x) for x in fh.readline().split()) for _ in range(n)
                 )
             records = []
-            first: dict[tuple[int, int], int] = {}
             for line in fh:
                 parts = [int(x) for x in line.split()]
                 if len(parts) < 2:
                     raise ValueError(f"bad stream record: {line!r}")
-                u, v, at = parts[0], parts[1], len(records)
-                if u == v or not (0 <= u < n and 0 <= v < n):
-                    what = "is a self-loop" if u == v else f"has a vertex id outside 0..{n - 1}"
-                    raise ValueError(f"stream record {at} ({u}, {v}) {what}")
-                prev = first.setdefault((min(u, v), max(u, v)), at)
-                if prev != at:
-                    raise ValueError(
-                        f"stream record {at} ({u}, {v}) repeats the edge of record {prev}")
                 if len(parts) == 2:
-                    records.append((u, v))
+                    records.append((parts[0], parts[1]))
                 else:
                     p = parts[2]
                     if len(parts) != 3 + 2 * p:
@@ -160,7 +167,7 @@ class EdgeStream:
                     pairs = tuple(
                         (parts[3 + 2 * i], parts[4 + 2 * i]) for i in range(p)
                     )
-                    records.append((u, v, pairs))
+                    records.append((parts[0], parts[1], pairs))
         if len(records) != r:
             raise ValueError(f"header claims {r} records, file has {len(records)}")
         return cls(n, tuple(records), lists=lists)
@@ -224,7 +231,7 @@ def stream_color(stream: EdgeStream, n: int, params: SparsifyParams, seed: int,
     pruned = prune_by_counts(fam.sampled, conflict_counts(su, sv, fam.sampled, q), thr)
     fam = PaletteFamily(fam.sampled, pruned, fam.universe)
     hit = surviving_edges(su, sv, packed_masks(pruned, q))
-    sub = Graph(n, zip(su[hit].tolist(), sv[hit].tolist()))
+    sub = Graph(n, np.column_stack((su[hit], sv[hit])))
     if any(len(row) == 0 for row in pruned):
         return StreamResult(None, ledger, fam, stored, None,
                             error="a vertex lost every sampled color in pruning")

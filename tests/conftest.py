@@ -55,16 +55,22 @@ def random_cover_for(rng, g: Graph, list_size: int, density: float) -> Correspon
 # independent oracles
 
 
+def oracle_adjacency(g: Graph) -> list[set[int]]:
+    """Neighbor sets built from the edge list alone."""
+    nbrs: list[set[int]] = [set() for _ in range(g.n)]
+    for u, v in g.edges():
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return nbrs
+
+
 def oracle_neighborhood_edges(g: Graph) -> list[int]:
     """Edges inside each neighborhood by direct pair enumeration."""
-    out = []
-    for v in range(g.n):
-        nbrs = g.neighbors(v)
-        count = sum(
-            1 for a, b in itertools.combinations(nbrs, 2) if g.has_edge(a, b)
-        )
-        out.append(count)
-    return out
+    nbrs = oracle_adjacency(g)
+    return [
+        sum(1 for a, b in itertools.combinations(sorted(nbrs[v]), 2) if b in nbrs[a])
+        for v in range(g.n)
+    ]
 
 
 def oracle_list_colorings(g: Graph, lists) -> list[tuple[int, ...]]:
@@ -98,20 +104,23 @@ def oracle_colorable(g: Graph, obj) -> bool:
     return bool(oracle_list_colorings(g, obj))
 
 
-def oracle_conflict_count(g: Graph, rows, v: int, c: int) -> int:
-    """Neighbors u of v whose row holds color c, by a loop over N(v)."""
-    return sum(1 for u in g.neighbors(v) if c in rows[u])
+def oracle_conflict_count(nbrs, rows, v: int, c: int) -> int:
+    """Neighbors u of v (in the `oracle_adjacency` sets) whose row holds
+    color c, by a loop over N(v)."""
+    return sum(1 for u in nbrs[v] if c in rows[u])
 
 
 def oracle_conflict_counts(g: Graph, rows, q: int) -> list[list[int]]:
     """The full (vertex, color) table of `oracle_conflict_count` over 0..q-1."""
-    return [[oracle_conflict_count(g, rows, v, c) for c in range(q)] for v in range(g.n)]
+    nbrs = oracle_adjacency(g)
+    return [[oracle_conflict_count(nbrs, rows, v, c) for c in range(q)] for v in range(g.n)]
 
 
 def oracle_prune(g: Graph, rows, thr: float) -> tuple[tuple[int, ...], ...]:
     """Each row restricted to its colors whose conflict count is <= thr."""
+    nbrs = oracle_adjacency(g)
     return tuple(
-        tuple(c for c in row if oracle_conflict_count(g, rows, v, c) <= thr)
+        tuple(c for c in row if oracle_conflict_count(nbrs, rows, v, c) <= thr)
         for v, row in enumerate(rows)
     )
 

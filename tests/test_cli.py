@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from palettesparse.cli import ConfigError, RunConfig, run, sweep_success_vs_s
+from palettesparse.cli import ConfigError, RunConfig, main, run, sweep_success_vs_s
 from palettesparse.cover import ListAssignment, random_cover, save_cover
 from palettesparse.graphcore import Graph, gen_locally_sparse, save_graph
 from palettesparse.nibble import verify_coloring
@@ -160,6 +160,21 @@ class TestCliCommands:
         assert out.returncode == 0
         rep = json.loads(report.read_text())
         assert rep["success"] and rep["coloring"]
+
+    @pytest.mark.parametrize("body, witness", [
+        ("3\n0 1\n0 1\n", "row 2 is missing"),
+        ("3\n0 1\n1 1\n0 2\n", "duplicate color in list of vertex 1"),
+        ("3\n0 1\nx\n0 2\n", "invalid literal"),
+        ("2\n0 1\n0 1\n", "first line must be the vertex count 3"),
+        ("3\n0\n1\n2\n3\n", "row 3 is one too many"),
+    ])
+    def test_solve_rejects_bad_lists_file(self, tmp_path, capsys, body, witness):
+        gpath = tmp_path / "g.txt"
+        save_graph(Graph(3, [(0, 1), (1, 2)]), gpath)
+        lists = tmp_path / "lists.txt"
+        lists.write_text(body)
+        assert main(["solve", "--graph", str(gpath), "--lists", str(lists)]) == 3
+        assert witness in capsys.readouterr().err
 
     def test_verify_cover_command(self, tmp_path):
         g = gen_locally_sparse(12, 3, 1, seed=5)

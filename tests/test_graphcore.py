@@ -1,5 +1,11 @@
+import re
+from unittest import mock
+
+import numpy as np
 import pytest
 from conftest import oracle_neighborhood_edges, random_graph, rng_for
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from palettesparse import graphcore
 from palettesparse.graphcore import (
@@ -14,6 +20,25 @@ from palettesparse.graphcore import (
     max_degree,
     save_graph,
 )
+
+
+FAST = settings(max_examples=80, deadline=None)
+
+
+def naive_graph_error(n, pairs):
+    """Message of the first bad pair, checked one pair at a time in input
+    order (range, then self-loop, then repeat), or None."""
+    seen = set()
+    for u, v in pairs:
+        if not (0 <= u < n and 0 <= v < n):
+            return f"vertex id out of range: ({u}, {v})"
+        if u == v:
+            return f"self-loop at {u}"
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            return f"duplicate edge {key}"
+        seen.add(key)
+    return None
 
 
 def K(n):
@@ -56,14 +81,24 @@ class TestLocalSparsity:
             got = list(local_sparsity(g).per_vertex_neighborhood_edges)
             assert got == oracle_neighborhood_edges(g)
 
-    def test_bitset_path_agrees_on_large_graph(self):
-        # push past the pure-python cutoff
+    def test_agrees_on_large_bipartite_graph(self):
+        # many wedge chunks, none of them closed
         g = gen_bipartite(440, 140, seed=3)
         assert g.m > 20000
         got = list(local_sparsity(g).per_vertex_neighborhood_edges)
         assert got == oracle_neighborhood_edges(g)
 
-    def test_dense_graph_uses_bitset_path(self):
+    @FAST
+    @given(st.integers(0, 12), st.integers(1, 5), st.data())
+    def test_agrees_across_wedge_chunks(self, n, budget, data):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        g = Graph(n, edges)
+        with mock.patch.object(graphcore, "_WEDGES_PER_CHUNK", budget):
+            got = local_sparsity(g).per_vertex_neighborhood_edges
+        assert list(got) == oracle_neighborhood_edges(g)
+
+    def test_agrees_on_dense_graph(self):
         rng = rng_for(17)
         g = random_graph(rng, 260, 0.65)
         assert g.m > 20000
@@ -91,19 +126,41 @@ class TestGraphValidation:
         with pytest.raises(GraphError):
             Graph(3, [(0, 3)])
 
+    @FAST
+    @given(st.integers(0, 8), st.lists(st.tuples(st.integers(-2, 9), st.integers(-2, 9)),
+                                       max_size=16), st.booleans())
+    def test_matches_naive_validator(self, n, pairs, as_array):
+        edges = np.array(pairs, dtype=np.int64).reshape(-1, 2) if as_array else pairs
+        expected = naive_graph_error(n, pairs)
+        if expected is not None:
+            with pytest.raises(GraphError, match=f"^{re.escape(expected)}$"):
+                Graph(n, edges)
+            return
+        g = Graph(n, edges)
+        rows = [sorted({b for a, b in pairs if a == u} | {a for a, b in pairs if b == u})
+                for u in range(n)]
+        assert g.m == len(pairs)
+        assert g.indptr.tolist() == [0, *np.cumsum([len(r) for r in rows]).tolist()]
+        assert g.indices.tolist() == [v for r in rows for v in r]
+        assert list(g.edges()) == sorted((min(u, v), max(u, v)) for u, v in pairs)
+        for u in range(n):
+            assert [v for v in range(n) if g.has_edge(u, v)] == rows[u]
+
+    def test_arrays_are_read_only(self):
+        g = K(3)
+        for a in (g.indptr, g.indices, g.neighbors(0), *g.edge_arrays()):
+            with pytest.raises(ValueError):
+                a[0] = 1
+
     def test_adjacency_sorted_and_symmetric(self):
         rng = rng_for(2)
         for _ in range(10):
             g = random_graph(rng, 15, 0.3)
             for u in range(g.n):
-                row = g.adj[u]
-                assert list(row) == sorted(row)
+                row = g.neighbors(u).tolist()
+                assert row == sorted(row)
                 for v in row:
-                    assert u in g.adj[v]
-
-    def test_from_adjacency_rejects_asymmetry(self):
-        with pytest.raises(GraphError):
-            Graph.from_adjacency([(1,), ()])
+                    assert u in g.neighbors(v).tolist()
 
 
 class TestGenerators:
@@ -133,7 +190,8 @@ class TestGenerators:
     def test_deterministic(self):
         a = gen_locally_sparse(30, 5, 2, seed=9)
         b = gen_locally_sparse(30, 5, 2, seed=9)
-        assert a.adj == b.adj
+        assert np.array_equal(a.indptr, b.indptr)
+        assert np.array_equal(a.indices, b.indices)
 
     def test_infeasible_rejected(self):
         with pytest.raises(GenerationError):
@@ -160,7 +218,9 @@ class TestGraphFile:
         path = tmp_path / "g.txt"
         save_graph(g, path)
         h = load_graph(path)
-        assert h.n == g.n and h.adj == g.adj
+        assert h.n == g.n
+        assert np.array_equal(h.indptr, g.indptr)
+        assert np.array_equal(h.indices, g.indices)
 
     def test_rejects_u_ge_v(self, tmp_path):
         path = tmp_path / "bad.txt"

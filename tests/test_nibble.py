@@ -339,6 +339,16 @@ class TestVerify:
             if phi.assignment[u] == phi.assignment[v]
         ]
         assert fast.ok == (not slow_edges)
+        assert fast.witness == (slow_edges[0] if slow_edges else None)
+
+    def test_negative_color_ids_on_a_large_graph(self):
+        rng = rng_for(19)
+        g = random_graph(rng, 120, 0.6)
+        lists = ListAssignment(tuple((-1, -2) for _ in range(120)))
+        phi = PartialColoring({v: -1 - (v % 2) for v in range(120)})
+        first = next((u, v) for u, v in g.edges() if (u - v) % 2 == 0)
+        res = verify_coloring(g, lists, phi)
+        assert not res.ok and res.witness == first
 
 
 class TestGreedy:

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 from conftest import random_graph, rng_for
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from palettesparse.cover import ListAssignment
 from palettesparse.graphcore import Graph, gen_bipartite, gen_locally_sparse, max_degree
@@ -105,6 +107,36 @@ class TestExecute:
             assert oracle.degree_queries == 25
             assert oracle.neighbor_queries == 2 * g.m
             assert oracle.pair_queries == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10), st.data())
+    def test_batched_scan_counts_match_per_call_loop(self, n, data):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        g = Graph(n, data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+        hint = data.draw(st.none() | st.integers(0, n))
+        loop, batched = QueryOracle(g), QueryOracle(g)
+        expected = []
+        for v in range(n):
+            d = loop.degree(v)
+            slots = d if hint is None else min(d, hint)
+            expected += [(v, loop.neighbor(v, i)) for i in range(slots)]
+        slots = batched.degrees()
+        if hint is not None:
+            slots = np.minimum(slots, hint)
+        owners, found = batched.neighbor_prefixes(slots)
+        assert list(zip(owners.tolist(), found.tolist())) == expected
+        assert batched.counts() == loop.counts()
+        if hint is not None:
+            fam = sample_palettes(SharedPalette(n, 4), 2, seed=n)
+            scan = QueryOracle(g)
+            _, issued = execute_plan(scan, plan_queries(n, fam, "scan", delta_hint=hint), fam)
+            assert scan.counts() == loop.counts() and issued == loop.total_queries
+
+    def test_neighbor_prefixes_reject_slots_beyond_the_degree(self):
+        oracle = QueryOracle(Graph(3, [(0, 1)]))
+        with pytest.raises(ValueError):
+            oracle.neighbor_prefixes(np.array([1, 2, 0]))
+        assert oracle.total_queries == 0
 
     def test_classes_issues_exactly_pair_union(self):
         g = random_graph(rng_for(7), 30, 0.25)

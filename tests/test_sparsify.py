@@ -238,7 +238,7 @@ class TestReductionSoundness:
         for trial in range(60):
             n = int(rng.integers(8, 40))
             g = random_graph(rng, n, 3.0 / n)
-            delta = max(1, max(len(a) for a in g.adj))
+            delta = max(1, max(len(g.neighbors(v)) for v in range(g.n)))
             params = derive_params(delta, n, 1, 0.5, 0.1, 1.0).with_overrides(
                 q=delta + 1, s=min(delta + 1, 4)
             )

@@ -97,7 +97,7 @@ class TestEndToEnd:
         successes = 0
         for trial in range(10):
             g = random_graph(rng, 50, 0.15)
-            delta = max(len(a) for a in g.adj)
+            delta = max(len(g.neighbors(v)) for v in range(g.n))
             params = params_for(delta, 50, delta + 1, min(delta + 1, 6))
             out = stream_color(EdgeStream.from_graph(g), g.n, params,
                                seed=trial)
@@ -193,6 +193,15 @@ class TestCorrespondenceStreaming:
         path.write_text(f"4 3 0\n0 1\n{record}\n2 3\n")
         with pytest.raises(ValueError, match=re.escape(witness)):
             EdgeStream.load(path)
+
+    @pytest.mark.parametrize("records, witness", [
+        (((0, 1), (1, 0), (1, 2)), "record 1 (1, 0) repeats the edge of record 0"),
+        (((0, 1), (2, 2)), "record 1 (2, 2) is a self-loop"),
+        (((0, 3),), "record 0 (0, 3) has a vertex id outside 0..2"),
+    ])
+    def test_in_memory_stream_rejects_bad_records(self, records, witness):
+        with pytest.raises(ValueError, match=re.escape(witness)):
+            stream_color(EdgeStream(3, records), 3, params_for(2, 3, 4, 4), seed=0)
 
     def test_load_rejects_repeated_cover_record(self, tmp_path):
         path = tmp_path / "bad.stream"
