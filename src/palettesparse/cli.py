@@ -446,13 +446,22 @@ def _cmd_verify_cover(args) -> int:
     return 0 if rep.ok else 2
 
 
+def _load_valid_cover(path, g: Graph) -> CorrespondenceCover:
+    """Read a cover file and check it against g; ConfigError gives the witness."""
+    cov = load_cover(path)
+    rep = validate_cover(g, cov)
+    if not rep.ok:
+        raise ConfigError(f"cover {path} is not a cover of the graph: {rep.witness}")
+    return cov
+
+
 def _cmd_sparsify(args) -> int:
     g = load_graph(args.graph)
+    cov = _load_valid_cover(args.cover, g) if args.cover else None
     delta = max(1, max_degree(g))
     k = max(1, local_sparsity(g).k_star)
     params = derive_params(delta, max(2, g.n), k, args.alpha, args.gamma, args.epsilon)
-    if args.cover:
-        cov = load_cover(args.cover)
+    if cov is not None:
         fam = sample_palettes(cov.lists, params.s, args.seed)
         fam = prune(cov, fam, params)
     else:
@@ -474,7 +483,7 @@ def _cmd_sparsify(args) -> int:
 def _cmd_solve(args) -> int:
     g = load_graph(args.graph)
     if args.cover:
-        obj = load_cover(args.cover)
+        obj = _load_valid_cover(args.cover, g)
     elif args.lists:
         obj = _load_lists(args.lists, g.n)
     else:
@@ -503,11 +512,11 @@ def _cmd_solve(args) -> int:
 
 def _cmd_stream(args) -> int:
     g = load_graph(args.graph)
+    cov = _load_valid_cover(args.cover, g) if args.cover else None
     delta = max(1, max_degree(g))
     k = max(1, local_sparsity(g).k_star)
     params = derive_params(delta, max(2, g.n), k, args.alpha, args.gamma, args.epsilon)
-    if args.cover:
-        cov = load_cover(args.cover)
+    if cov is not None:
         stream = EdgeStream.from_cover(g, cov, args.permute_seed)
         out = stream_color_correspondence(stream, g.n, params, args.seed)
     else:

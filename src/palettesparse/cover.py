@@ -8,12 +8,23 @@ color pairs clash. Lists embed canonically into covers by matching
 same-named colors on adjacent vertices, and every structural question
 (c-degrees, local sparsity) can be asked of the cover graph instead of the
 underlying graph.
+
+Cover colors a and b clash across uv exactly when (a, b) is one of uv's
+declared pairs. `CorrespondenceCover.arrays` holds those pairs as flat
+int64 arrays, in `matchings` order: each pair's edge (u < v) and the ranks
+of its colors among the cover's ascending distinct color ids. Every cover
+path runs on the kernels below over them (degrees, correspondents among
+picked colors, restriction, kept rows, clashes); they sit here, not beside
+the list kernels in `sparsify`, because `sparsify` imports this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, islice
+
+import numpy as np
 
 from ._rng import TAG_COVER, substream
 from .graphcore import Graph, local_sparsity
@@ -24,10 +35,16 @@ __all__ = [
     "CorrespondenceCover",
     "CoverReport",
     "CDegreeTable",
+    "CoverArrays",
     "validate_cover",
     "cover_from_lists",
     "c_degrees",
     "cover_sparsity",
+    "color_degrees",
+    "cover_rows",
+    "picked_counts",
+    "restrict_cover",
+    "clashing_pairs",
     "random_cover",
     "save_cover",
     "load_cover",
@@ -36,6 +53,25 @@ __all__ = [
 
 class CoverError(ValueError):
     pass
+
+
+def _flatten(rows) -> tuple[np.ndarray, np.ndarray]:
+    """Ragged rows as (their values concatenated, their lengths)."""
+    lens = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    flat = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(lens.sum()))
+    return flat, lens
+
+
+def _unflatten(flat: list, lens: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    it = iter(flat)
+    return tuple(tuple(islice(it, k)) for k in lens.tolist())
+
+
+def _keep_rows(flat: np.ndarray, lens: np.ndarray, keep: np.ndarray):
+    """The rows `_flatten` gave as (flat, lens), cut down to the entries
+    marked in the bool mask `keep`."""
+    owner = np.repeat(np.arange(lens.size), lens)
+    return _unflatten(flat[keep].tolist(), np.bincount(owner[keep], minlength=lens.size))
 
 
 @dataclass(frozen=True)
@@ -57,8 +93,32 @@ class ListAssignment:
     def n(self) -> int:
         return len(self.lists)
 
-    def size(self, v: int) -> int:
-        return len(self.lists[v])
+
+@dataclass(frozen=True, eq=False)
+class CoverArrays:
+    """The matched pairs of a cover as flat int64 arrays, in `matchings`
+    order: pair i joins color rank ra[i] at eu[i] to rank rb[i] at ev[i],
+    eu[i] < ev[i]. `colors` holds the ascending distinct ids of the lists
+    and the pairs, so a color's rank is its index there; `lists` and `lens`
+    are the lists as ranks, concatenated, and their lengths."""
+
+    colors: np.ndarray
+    eu: np.ndarray
+    ev: np.ndarray
+    ra: np.ndarray
+    rb: np.ndarray
+    lists: np.ndarray
+    lens: np.ndarray
+
+    def rank(self, ids) -> np.ndarray:
+        """Ranks of the color ids `ids`; CoverError names one the cover lacks."""
+        ids = np.asarray(ids, dtype=np.int64)
+        r = np.searchsorted(self.colors, ids)
+        miss = r >= self.colors.size
+        miss[~miss] = self.colors[r[~miss]] != ids[~miss]
+        if miss.any():
+            raise CoverError(f"color {int(ids[miss.argmax()])} is not a color of the cover")
+        return r
 
 
 class CorrespondenceCover:
@@ -67,7 +127,9 @@ class CorrespondenceCover:
     `lists[v]` holds globally unique color ids owned by v; `matchings` maps
     each edge (u, v) with u < v to a tuple of (color-of-u, color-of-v)
     pairs. Construction is permissive so that invalid covers can be built
-    and then diagnosed by `validate_cover`.
+    and then diagnosed by `validate_cover`. `arrays` is the encoding the
+    cover kernels read; a cover that `restrict_cover` builds starts from it
+    and only makes `matchings` when it is read.
     """
 
     def __init__(self, lists, matchings, source_color=None):
@@ -101,30 +163,94 @@ class CorrespondenceCover:
         return sum(len(row) for row in self.lists)
 
     @cached_property
-    def color_neighbors(self) -> dict[int, tuple[int, ...]]:
-        """Adjacency of the cover graph: color -> corresponding colors."""
-        nbr: dict[int, list[int]] = {c: [] for row in self.lists for c in row}
-        for pairs in self.matchings.values():
-            for a, b in pairs:
-                nbr.setdefault(a, []).append(b)
-                nbr.setdefault(b, []).append(a)
-        return {c: tuple(sorted(s)) for c, s in nbr.items()}
+    def arrays(self) -> CoverArrays:
+        per_edge = np.fromiter(map(len, self.matchings.values()), dtype=np.int64,
+                               count=len(self.matchings))
+        ends = np.fromiter(chain.from_iterable(self.matchings), dtype=np.int64,
+                           count=2 * per_edge.size).reshape(-1, 2)
+        pairs = np.fromiter(chain.from_iterable(chain.from_iterable(self.matchings.values())),
+                            dtype=np.int64, count=2 * int(per_edge.sum()))
+        flat, lens = _flatten(self.lists)
+        colors, ranks = np.unique(np.concatenate((flat, pairs)), return_inverse=True)
+        return CoverArrays(colors, np.repeat(ends[:, 0], per_edge),
+                           np.repeat(ends[:, 1], per_edge), ranks[flat.size::2],
+                           ranks[flat.size + 1::2], ranks[:flat.size], lens)
 
     @cached_property
-    def pair_sets(self) -> dict[tuple[int, int], frozenset[tuple[int, int]]]:
-        return {e: frozenset(p) for e, p in self.matchings.items()}
+    def matchings(self) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
+        # only reached by covers `restrict_cover` built; others set it in __init__
+        a = self.arrays
+        out: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for u, v, x, y in zip(a.eu.tolist(), a.ev.tolist(), a.colors[a.ra].tolist(),
+                              a.colors[a.rb].tolist()):
+            out.setdefault((u, v), []).append((x, y))
+        return {e: tuple(p) for e, p in out.items()}
 
     def max_color_degree(self) -> int:
-        return max((len(s) for s in self.color_neighbors.values()), default=0)
-
-    def matching_of(self, u: int, v: int) -> tuple[tuple[int, int], ...]:
-        """Pairs oriented as (color-of-u, color-of-v); empty for non-edges."""
-        if u < v:
-            return self.matchings.get((u, v), ())
-        return tuple((b, a) for a, b in self.matchings.get((v, u), ()))
+        return int(color_degrees(self).max(initial=0))
 
     def __repr__(self):
         return f"CorrespondenceCover(n={self.n}, colors={self.num_colors})"
+
+
+def color_degrees(cov: CorrespondenceCover) -> np.ndarray:
+    """Cover-graph degree of every color, by rank."""
+    a = cov.arrays
+    return np.bincount(np.concatenate((a.ra, a.rb)), minlength=a.colors.size)
+
+
+def cover_rows(cov: CorrespondenceCover, keep: np.ndarray):
+    """The cover's lists cut down to the colors whose rank `keep` marks."""
+    a = cov.arrays
+    return _keep_rows(a.colors[a.lists], a.lens, keep[a.lists])
+
+
+def picked_counts(cov: CorrespondenceCover, picked: np.ndarray) -> np.ndarray:
+    """For every color, by rank, its correspondents whose rank is marked in
+    the bool mask `picked`."""
+    a = cov.arrays
+    return np.bincount(np.concatenate((a.ra[picked[a.rb]], a.rb[picked[a.ra]])),
+                       minlength=a.colors.size)
+
+
+def restrict_cover(cov: CorrespondenceCover, rows, vertices=None):
+    """(the cover cut down to `rows`, its edges as an (e, 2) array).
+
+    `rows[v]` is a subset of v's list; a pair stays when both its colors
+    stay, in order, and an edge when one of its pairs does. With a bool
+    mask `vertices`, only the marked vertices stay, renumbered in order.
+    """
+    a = cov.arrays
+    rows = [tuple(sorted(row)) for row in rows]
+    flat, lens = _flatten(rows)
+    if vertices is None:
+        vertices = np.ones(len(rows), dtype=bool)
+    ranks, lens = a.rank(flat)[np.repeat(vertices, lens)], lens[vertices]
+    rows = [row for row, on in zip(rows, vertices.tolist()) if on]
+    keep = np.zeros(a.colors.size, dtype=bool)
+    keep[ranks] = True
+    hit = keep[a.ra] & keep[a.rb] & vertices[a.eu] & vertices[a.ev]
+    new_id = np.cumsum(vertices) - 1
+    eu, ev = new_id[a.eu[hit]], new_id[a.ev[hit]]
+    new_rank = np.cumsum(keep) - 1
+    sub = CorrespondenceCover.__new__(CorrespondenceCover)
+    sub.lists = tuple(rows)
+    sub.source_color = cov.source_color
+    sub.arrays = CoverArrays(a.colors[keep], eu, ev, new_rank[a.ra[hit]],
+                             new_rank[a.rb[hit]], new_rank[ranks], lens)
+    # a pair opens an edge when its edge differs from the pair before it
+    first = np.ones(eu.size, dtype=bool)
+    first[1:] = (eu[1:] != eu[:-1]) | (ev[1:] != ev[:-1])
+    return sub, np.column_stack((eu[first], ev[first]))
+
+
+def clashing_pairs(cov: CorrespondenceCover, at, ids) -> np.ndarray:
+    """Indices of the pairs (a, b) on an edge uv with u colored a and v
+    colored b, when the vertices `at` carry the cover colors `ids`."""
+    a = cov.arrays
+    chosen = np.full(cov.n, -1, dtype=np.int64)
+    chosen[np.asarray(at, dtype=np.int64)] = a.rank(ids)
+    return np.flatnonzero((chosen[a.eu] == a.ra) & (chosen[a.ev] == a.rb))
 
 
 @dataclass(frozen=True)
@@ -144,49 +270,31 @@ class CoverReport:
 def validate_cover(g: Graph, cov: CorrespondenceCover) -> CoverReport:
     """Check the cover conditions: ids partition across vertices, no matching
     edge inside a list, and per-edge pair sets are matchings on real edges."""
-    witness = None
-    cc1 = True
-    seen: dict[int, int] = {}
-    for v, row in enumerate(cov.lists):
-        for c in row:
-            if c in seen and seen[c] != v:
-                cc1 = False
-                if witness is None:
-                    witness = f"color {c} owned by vertices {seen[c]} and {v}"
-            seen.setdefault(c, v)
-
-    cc2 = True
-    cc3 = True
+    own = cov.owner  # each color's first owner
+    found = [(1, f"color {c} owned by vertices {own[c]} and {v}")  # (condition, witness)
+             for v, row in enumerate(cov.lists) for c in row if own[c] != v]
     for (u, v), pairs in cov.matchings.items():
         if not (0 <= u < g.n and 0 <= v < g.n) or not g.has_edge(u, v):
             if pairs:
-                cc3 = False
-                if witness is None:
-                    witness = f"matching on non-edge ({u}, {v})"
+                found.append((3, f"matching on non-edge ({u}, {v})"))
             continue
         lu, lv = set(cov.lists[u]), set(cov.lists[v])
         used_a: set[int] = set()
         used_b: set[int] = set()
         for a, b in pairs:
             # a pair inside one list: same id, or two ids of the same owner
-            if a == b or (
-                cov.owner.get(a) is not None and cov.owner.get(a) == cov.owner.get(b)
-            ):
-                cc2 = False
-                if witness is None:
-                    witness = f"pair ({a}, {b}) lies inside a single vertex's list"
+            if a == b or (own.get(a) is not None and own.get(a) == own.get(b)):
+                found.append((2, f"pair ({a}, {b}) lies inside a single vertex's list"))
             if a not in lu or b not in lv:
-                cc3 = False
-                if witness is None:
-                    witness = f"pair ({a}, {b}) on edge ({u}, {v}) leaves the lists"
+                found.append((3, f"pair ({a}, {b}) on edge ({u}, {v}) leaves the lists"))
                 continue
             if a in used_a or b in used_b:
-                cc3 = False
-                if witness is None:
-                    witness = f"color matched twice on edge ({u}, {v}): pair ({a}, {b})"
+                found.append((3, f"color matched twice on edge ({u}, {v}): pair ({a}, {b})"))
             used_a.add(a)
             used_b.add(b)
-    return CoverReport(cc1, cc2, cc3, witness)
+    failed = {k for k, _ in found}
+    return CoverReport(1 not in failed, 2 not in failed, 3 not in failed,
+                       found[0][1] if found else None)
 
 
 def cover_from_lists(g: Graph, l: ListAssignment) -> CorrespondenceCover:
@@ -194,30 +302,15 @@ def cover_from_lists(g: Graph, l: ListAssignment) -> CorrespondenceCover:
     adjacent vertices correspond. Proper colorings pull back both ways."""
     if l.n != g.n:
         raise CoverError(f"list assignment has {l.n} vertices, graph has {g.n}")
-    offsets = [0] * (g.n + 1)
-    for v in range(g.n):
-        offsets[v + 1] = offsets[v] + len(l.lists[v])
-    index: list[dict[int, int]] = []
-    source: dict[int, int] = {}
-    lists = []
-    for v in range(g.n):
-        row = {}
-        ids = []
-        for i, c in enumerate(l.lists[v]):
-            cid = offsets[v] + i
-            row[c] = cid
-            source[cid] = c
-            ids.append(cid)
-        index.append(row)
-        lists.append(tuple(ids))
+    names, lens = _flatten(l.lists)
+    lists = _unflatten(range(names.size), lens)  # ids in row-major order
+    index = [dict(zip(row, ids)) for row, ids in zip(l.lists, lists)]
     matchings = {}
     for u, v in g.edges():
-        shared = set(l.lists[u]) & set(l.lists[v])
+        shared = sorted(index[u].keys() & index[v].keys())
         if shared:
-            matchings[(u, v)] = tuple(
-                (index[u][c], index[v][c]) for c in sorted(shared)
-            )
-    return CorrespondenceCover(lists, matchings, source_color=source)
+            matchings[(u, v)] = tuple((index[u][c], index[v][c]) for c in shared)
+    return CorrespondenceCover(lists, matchings, source_color=dict(enumerate(names.tolist())))
 
 
 @dataclass(frozen=True)
@@ -250,23 +343,21 @@ def c_degrees(g: Graph, obj) -> CDegreeTable:
             table.append(row)
         return CDegreeTable(tuple(table), best)
     if isinstance(obj, CorrespondenceCover):
-        degs = {c: len(nbrs) for c, nbrs in obj.color_neighbors.items()}
-        table = tuple({c: degs.get(c, 0) for c in row} for row in obj.lists)
-        best = max(degs.values(), default=0)
-        return CDegreeTable(table, best, degs)
+        a = obj.arrays
+        deg = color_degrees(obj)
+        degs = dict(zip(a.colors[a.lists].tolist(), deg[a.lists].tolist()))
+        degs.update(zip(a.colors.tolist(), deg.tolist()))
+        table = tuple({c: degs[c] for c in row} for row in obj.lists)
+        return CDegreeTable(table, int(deg.max(initial=0)), degs)
     raise TypeError(f"expected ListAssignment or CorrespondenceCover, got {type(obj)!r}")
 
 
 def cover_sparsity(cov: CorrespondenceCover) -> int:
     """k_star of the cover graph: max edges inside a cover-color neighborhood."""
-    ids = sorted(cov.owner)
-    remap = {c: i for i, c in enumerate(ids)}
-    edges = []
-    for pairs in cov.matchings.values():
-        for a, b in pairs:
-            x, y = remap[a], remap[b]
-            edges.append((min(x, y), max(x, y)))
-    h = Graph(len(ids), set(edges))
+    a = cov.arrays
+    c = a.colors.size
+    keys = np.unique(np.minimum(a.ra, a.rb) * c + np.maximum(a.ra, a.rb))
+    h = Graph(c, np.column_stack(np.divmod(keys, max(c, 1))))
     return local_sparsity(h).k_star
 
 

@@ -31,12 +31,18 @@ from ._rng import TAG_LLL, TAG_SOLVE, TAG_WCP, substream
 from .cover import (
     CorrespondenceCover,
     ListAssignment,
+    _flatten,
     c_degrees,
+    clashing_pairs,
+    color_degrees,
     cover_from_lists,
+    cover_rows,
     cover_sparsity,
+    picked_counts,
+    restrict_cover,
 )
 from .graphcore import Graph
-from .sparsify import _flatten, conflict_counts
+from .sparsify import _dense, conflict_counts
 
 __all__ = [
     "PartialColoring",
@@ -88,13 +94,6 @@ class PartialColoring:
 
     assignment: dict[int, int] = field(default_factory=dict)
 
-    @property
-    def domain(self) -> set[int]:
-        return set(self.assignment)
-
-    def get(self, v: int):
-        return self.assignment.get(v)
-
     def is_total(self, n: int) -> bool:
         return len(self.assignment) == n
 
@@ -110,67 +109,65 @@ class _Instance:
     """Solver-side view: per-vertex lists plus an edge conflict relation.
 
     List mode: colors clash across an edge iff they are equal.
-    Cover mode: colors clash iff the edge's matching pairs them.
+    Cover mode: colors a, b clash across uv iff (a, b) is a declared pair of uv.
     """
 
     def __init__(self, g: Graph, obj):
-        self.g = g
-        if isinstance(obj, ListAssignment):
-            if obj.n != g.n:
-                raise ValueError("list assignment size does not match graph")
-            self.lists = obj.lists
-            self.cover = None
-            self._fwd = None
-        elif isinstance(obj, CorrespondenceCover):
-            if obj.n != g.n:
-                raise ValueError("cover size does not match graph")
-            self.lists = obj.lists
-            self.cover = obj
-            fwd: dict[tuple[int, int], dict[int, int]] = {}
-            rev: dict[tuple[int, int], dict[int, int]] = {}
-            for (u, v), pairs in obj.matchings.items():
-                fwd[(u, v)] = {a: b for a, b in pairs}
-                rev[(u, v)] = {b: a for a, b in pairs}
-            self._fwd = fwd
-            self._rev = rev
-        else:
+        if not isinstance(obj, (ListAssignment, CorrespondenceCover)):
             raise TypeError(f"expected ListAssignment or CorrespondenceCover, got {type(obj)!r}")
+        self.cover = obj if isinstance(obj, CorrespondenceCover) else None
+        if obj.n != g.n:
+            kind = "list assignment" if self.cover is None else "cover"
+            raise ValueError(f"{kind} size does not match graph")
+        self.g, self.lists = g, obj.lists
 
     @cached_property
     def list_sets(self) -> list[frozenset[int]]:
         return [frozenset(row) for row in self.lists]
 
-    @property
-    def is_cover(self) -> bool:
-        return self.cover is not None
+    @cached_property
+    def _partners(self) -> dict[tuple[int, int, int], list[int]]:
+        out: dict[tuple[int, int, int], list[int]] = {}
+        for (u, v), pairs in self.cover.matchings.items():
+            for a, b in pairs:
+                out.setdefault((u, v, a), []).append(b)
+                out.setdefault((v, u, b), []).append(a)
+        return out
 
-    def partner(self, u: int, v: int, cu: int):
-        """Color of v that clashes with color cu at u across edge uv, or None."""
+    def partners(self, u: int, v: int, cu: int):
+        """Colors of v that clash with color cu at u across edge uv."""
         if self.cover is None:
-            return cu if cu in self.list_sets[v] else None
-        if u < v:
-            return self._fwd.get((u, v), {}).get(cu)
-        return self._rev.get((v, u), {}).get(cu)
+            return (cu,) if cu in self.list_sets[v] else ()
+        return self._partners.get((u, v, cu), ())
 
     def conflicts(self, u: int, v: int, cu: int, cv: int) -> bool:
+        """Whether cu at u and cv at v clash across the edge uv, u < v."""
         if self.cover is None:
             return cu == cv
-        return self.partner(u, v, cu) == cv
+        return (cu, cv) in self.cover.matchings.get((u, v), ())
+
+    def clashing_edges(self, phi: dict[int, int]) -> list[tuple[int, int]]:
+        """The edges of g, in `g.edges()` order, whose two ends `phi` colors
+        with clashing colors."""
+        at, ids = np.array(list(phi.items()), dtype=np.int64).reshape(-1, 2).T
+        if self.cover is not None:
+            a = self.cover.arrays
+            hit = clashing_pairs(self.cover, at, ids)
+            # a pair declared on a non-edge of g clashes across no edge
+            return sorted({e for e in zip(a.eu[hit].tolist(), a.ev[hit].tolist())
+                           if self.g.has_edge(*e)})
+        colored = np.zeros(self.g.n, dtype=bool)
+        colored[at] = True
+        color = np.zeros(self.g.n, dtype=np.int64)
+        color[at] = ids
+        us, vs = self.g.edge_arrays()
+        bad = colored[us] & colored[vs] & (color[us] == color[vs])
+        return list(zip(us[bad].tolist(), vs[bad].tolist()))
 
     def max_color_degree(self) -> int:
         if self.cover is not None:
             return self.cover.max_color_degree()
         return c_degrees(self.g, ListAssignment(self.lists)).max_c_degree
-
-    def max_cdeg_per_vertex(self) -> list[int]:
-        if self.cover is not None:
-            nbrs = self.cover.color_neighbors
-            return [
-                max((len(nbrs.get(c, ())) for c in row), default=0)
-                for row in self.lists
-            ]
-        table = c_degrees(self.g, ListAssignment(self.lists)).by_vertex
-        return [max(row.values(), default=0) for row in table]
 
 
 def _as_instance(g: Graph, obj) -> _Instance:
@@ -202,29 +199,11 @@ def verify_coloring(g: Graph, obj, phi: PartialColoring) -> VerifyResult:
         i = bisect_left(row, c)
         if i == len(row) or row[i] != c:
             return VerifyResult(False, (v, c), f"color {c} not in the list of vertex {v}")
-    if not inst.is_cover:
-        k = len(phi.assignment)
-        at = np.fromiter(phi.assignment, dtype=np.int64, count=k)
-        colored = np.zeros(g.n, dtype=bool)
-        colored[at] = True
-        color = np.zeros(g.n, dtype=np.int64)
-        color[at] = np.fromiter(phi.assignment.values(), dtype=np.int64, count=k)
-        us, vs = g.edge_arrays()
-        bad = np.flatnonzero(colored[us] & colored[vs] & (color[us] == color[vs]))
-        if bad.size:
-            u, v = int(us[bad[0]]), int(vs[bad[0]])
-            return VerifyResult(False, (u, v), f"edge ({u}, {v}) is monochromatic")
-        return VerifyResult(True)
-    get = phi.assignment.get
-    for u, v in g.edges():
-        cu = get(u)
-        if cu is None:
-            continue
-        cv = get(v)
-        if cv is None:
-            continue
-        if inst.conflicts(u, v, cu, cv):
-            return VerifyResult(False, (u, v), f"edge ({u}, {v}) carries corresponding colors")
+    bad = inst.clashing_edges(phi.assignment)
+    if bad:
+        u, v = bad[0]
+        what = "carries corresponding colors" if inst.cover is not None else "is monochromatic"
+        return VerifyResult(False, (u, v), f"edge ({u}, {v}) {what}")
     return VerifyResult(True)
 
 
@@ -291,25 +270,14 @@ def wcp_round(g: Graph, cov: CorrespondenceCover, p: WcpParams, seed: int):
     Requires every color degree <= 2*d (else the equalizer probability
     leaves [0, 1]).
     """
-    colors = sorted(cov.owner)
-    pos = {c: i for i, c in enumerate(colors)}
-    N = len(colors)
-    owner = np.array([cov.owner[c] for c in colors], dtype=np.int64) if N else np.zeros(0, np.int64)
-    nbrs = cov.color_neighbors
-    deg = np.array([len(nbrs.get(c, ())) for c in colors], dtype=np.int64) if N else np.zeros(0, np.int64)
+    a = cov.arrays
+    colors, N = a.colors, a.colors.size
+    deg = color_degrees(cov)
     if N and deg.max() > 2.0 * p.d:
-        c_bad = colors[int(deg.argmax())]
+        c_bad = int(colors[int(deg.argmax())])
         raise PreconditionViolation(
             f"color {c_bad} has degree {int(deg.max())} > 2*d = {2.0 * p.d}"
         )
-    hu = []
-    hv = []
-    for pairs in cov.matchings.values():
-        for a, b in pairs:
-            hu.append(pos[a])
-            hv.append(pos[b])
-    hu = np.array(hu, dtype=np.int64)
-    hv = np.array(hv, dtype=np.int64)
 
     rng = substream(seed, TAG_WCP)
     # draw order: activations then equalizers, both over colors ascending by id
@@ -317,52 +285,27 @@ def wcp_round(g: Graph, cov: CorrespondenceCover, p: WcpParams, seed: int):
     lp = math.log1p(-p.eta / p.ell) if p.eta > 0 else 0.0
     eq_prob = np.exp((2.0 * p.d - deg) * lp) if p.eta > 0 else np.ones(N)
     eq = rng.random(N) < eq_prob
+    kept = eq & (picked_counts(cov, act) == 0)
 
-    act_nbr = np.zeros(N, dtype=bool)
-    if hu.size:
-        np.logical_or.at(act_nbr, hu, act[hv])
-        np.logical_or.at(act_nbr, hv, act[hu])
-    kept = eq & ~act_nbr
-
-    phi = PartialColoring()
-    for v, row in enumerate(cov.lists):
-        for c in row:
-            i = pos[c]
-            if act[i] and kept[i]:
-                phi.assignment[v] = c  # smallest, lists are sorted
-                break
-
-    blank = np.ones(g.n, dtype=bool)
-    for v in phi.assignment:
-        blank[v] = False
-    in_u = blank[owner] if N else np.zeros(0, bool)
-
-    ku = kept & in_u
-    cnt = np.zeros(N, dtype=np.int64)
-    if hu.size:
-        np.add.at(cnt, hu, ku[hv])
-        np.add.at(cnt, hv, ku[hu])
-    bound = 2.0 * p.d_next
-    next_lists = tuple(
-        tuple(c for c in row if kept[pos[c]] and cnt[pos[c]] <= bound)
-        for row in cov.lists
-    )
+    # each vertex takes its smallest activated kept color; lists are sorted
+    holds = cover_rows(cov, act & kept)
+    phi = PartialColoring({v: row[0] for v, row in enumerate(holds) if row})
+    in_u = np.zeros(N, dtype=bool)  # the colors of blank vertices
+    in_u[a.lists] = np.repeat([not row for row in holds], a.lens)
+    cnt = picked_counts(cov, kept & in_u)
+    next_lists = cover_rows(cov, kept & (cnt <= 2.0 * p.d_next))
 
     # two corresponding colors cannot both be kept, so the round is proper
-    for (u, v), pairs in cov.matchings.items():
-        cu = phi.assignment.get(u)
-        if cu is None:
-            continue
-        cv = phi.assignment.get(v)
-        if cv is None:
-            continue
-        if (cu, cv) in cov.pair_sets[(u, v)]:
-            raise InvariantViolation(f"nibble round colored edge {(u, v)} with clashing {(cu, cv)}")
+    bad = clashing_pairs(cov, list(phi.assignment), list(phi.assignment.values()))
+    if bad.size:
+        i = bad[0]
+        u, v = int(a.eu[i]), int(a.ev[i])
+        clash = (int(colors[a.ra[i]]), int(colors[a.rb[i]]))
+        raise InvariantViolation(f"nibble round colored edge {(u, v)} with clashing {clash}")
 
     stats = RoundStats(
         int(act.sum()), int(kept.sum()), len(phi.assignment),
-        tuple(colors[i] for i in np.flatnonzero(kept)),
-        tuple(colors[i] for i in np.flatnonzero(act)),
+        tuple(colors[kept].tolist()), tuple(colors[act].tolist()),
     )
     return phi, next_lists, stats
 
@@ -523,33 +466,29 @@ def finish_lll(g: Graph, obj, seed: int, *, threshold: float = 8.0,
     rng = substream(seed, TAG_LLL)
     phi = {v: inst.lists[v][int(rng.integers(sizes[v]))] for v in range(g.n)}
 
-    edges = list(g.edges())
-    incident: list[list[int]] = [[] for _ in range(g.n)]
-    for i, (u, v) in enumerate(edges):
-        incident[u].append(i)
-        incident[v].append(i)
+    incident: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for e in g.edges():
+        incident[e[0]].append(e)
+        incident[e[1]].append(e)
 
-    def violated(i: int) -> bool:
-        u, v = edges[i]
-        return inst.conflicts(u, v, phi[u], phi[v])
+    def violated(e: tuple[int, int]) -> bool:
+        return inst.conflicts(e[0], e[1], phi[e[0]], phi[e[1]])
 
-    heap = [i for i in range(len(edges)) if violated(i)]
-    heapq.heapify(heap)
+    heap = inst.clashing_edges(phi)  # in edge order, so already a heap
     resamples = 0
     while heap:
-        i = heapq.heappop(heap)
-        if not violated(i):
+        u, v = e = heapq.heappop(heap)
+        if not violated(e):
             continue
         if resamples >= budget:
             raise BudgetExceeded(f"exceeded {budget} resamples")
         resamples += 1
-        u, v = edges[i]
         phi[u] = inst.lists[u][int(rng.integers(sizes[u]))]
         phi[v] = inst.lists[v][int(rng.integers(sizes[v]))]
         for w in (u, v):
-            for j in incident[w]:
-                if violated(j):
-                    heapq.heappush(heap, j)
+            for f in incident[w]:
+                if violated(f):
+                    heapq.heappush(heap, f)
     coloring = PartialColoring(dict(sorted(phi.items())))
     return LllResult(coloring, resamples)
 
@@ -585,12 +524,12 @@ def _dfs_color(inst: _Instance, node_cap: int | None):
             for u in nbrs[v]:
                 if rank[u] <= i:
                     continue
-                b = inst.partner(v, u, c)
-                if b is not None and b in avail[u]:
-                    avail[u].discard(b)
-                    removed.append((u, b))
-                    if not avail[u]:
-                        ok = False
+                for b in inst.partners(v, u, c):
+                    if b in avail[u]:
+                        avail[u].discard(b)
+                        removed.append((u, b))
+                        if not avail[u]:
+                            ok = False
             if ok:
                 assignment[v] = c
                 res, complete = extend(i + 1)
@@ -628,8 +567,10 @@ def brute_force(g: Graph, obj, *, max_n: int = 20):
 
 
 def _greedy_generic(inst: _Instance):
-    g = inst.g
-    maxcdeg = inst.max_cdeg_per_vertex()
+    """The greedy rule of `greedy_color` on a cover instance."""
+    g, a = inst.g, inst.cover.arrays
+    maxcdeg = np.zeros(g.n, dtype=np.int64)
+    np.maximum.at(maxcdeg, np.repeat(np.arange(g.n), a.lens), color_degrees(inst.cover)[a.lists])
     order = sorted(range(g.n), key=lambda v: (-maxcdeg[v], v))
     assignment: dict[int, int] = {}
     for v in order:
@@ -640,14 +581,12 @@ def _greedy_generic(inst: _Instance):
             if cu is None:
                 unc.append(u)
             else:
-                b = inst.partner(u, v, cu)
-                if b is not None:
-                    blocked.add(b)
+                blocked.update(inst.partners(u, v, cu))
         best = None
         for c in inst.lists[v]:
             if c in blocked:
                 continue
-            score = sum(1 for u in unc if inst.partner(v, u, c) is not None)
+            score = sum(1 for u in unc if inst.partners(v, u, c))
             if best is None or score < best[0]:
                 best = (score, c)
         if best is None:
@@ -708,13 +647,16 @@ def greedy_color(g: Graph, obj):
     conflicting with the fewest uncolored neighbors (ties: smallest color).
     Returns (coloring | None, stuck vertex | None)."""
     inst = _as_instance(g, obj)
-    if not inst.is_cover and g.n:
-        colors = [c for row in inst.lists for c in row]
-        if colors and min(colors) >= 0:
-            q = max(colors) + 1
-            if g.m > 2048 and q <= 4 * len(colors):
-                return _greedy_plain(g, inst.lists)
-    return _greedy_generic(inst)
+    if inst.cover is not None:
+        return _greedy_generic(inst)
+    # ranks keep the order of the ids, so the coloring maps back unchanged
+    rows, _, colors = _dense(inst.lists, None)
+    coloring, stuck = _greedy_plain(g, rows)
+    if coloring is not None and colors is not None:
+        ids = colors[np.fromiter(coloring.assignment.values(), dtype=np.int64,
+                                 count=len(coloring))].tolist()
+        coloring = PartialColoring(dict(zip(coloring.assignment, ids)))
+    return coloring, stuck
 
 
 # ---------------------------------------------------------------------------
@@ -758,7 +700,18 @@ def _child_seed(seed: int, *key: int) -> int:
     return int(np.random.SeedSequence(seed, spawn_key=(TAG_SOLVE, *key)).generate_state(1)[0])
 
 
-def _round_hypotheses(g: Graph, cov: CorrespondenceCover, p: WcpParams) -> str | None:
+def _average_too_large(cov: CorrespondenceCover, ell: float, d: float,
+                       beta: float) -> np.ndarray:
+    """Per vertex: its list's average color degree exceeds
+    (2 - (1 - beta)*ell/|L(v)|)*d; false for empty lists."""
+    a = cov.arrays
+    sums = np.bincount(np.repeat(np.arange(cov.n), a.lens), minlength=cov.n,
+                       weights=color_degrees(cov)[a.lists])
+    lv = np.maximum(a.lens, 1)
+    return (a.lens > 0) & (sums / lv > (2.0 - (1.0 - beta) * ell / lv) * d + 1e-9)
+
+
+def _round_hypotheses(cov: CorrespondenceCover, p: WcpParams) -> str | None:
     """Check the per-round structural hypotheses; return a reason on failure.
 
     Local sparsity is not rechecked: each round's cover graph is an induced
@@ -768,67 +721,46 @@ def _round_hypotheses(g: Graph, cov: CorrespondenceCover, p: WcpParams) -> str |
     dmax = cov.max_color_degree()
     if dmax > 2.0 * p.d:
         return f"max color degree {dmax} > 2*d = {2 * p.d:.4g}"
-    nbrs = cov.color_neighbors
-    for v in range(g.n):
-        lv = len(cov.lists[v])
-        if not ((1.0 - p.beta) * p.ell / 2.0 <= lv <= (1.0 + p.beta) * p.ell):
-            return f"list size {lv} of vertex {v} outside the allowed band"
-        if lv:
-            avg = sum(len(nbrs.get(c, ())) for c in cov.lists[v]) / lv
-            if avg > (2.0 - (1.0 - p.beta) * p.ell / lv) * p.d + 1e-9:
-                return f"average color degree of vertex {v} too large"
+    lens = cov.arrays.lens
+    band = ~(((1.0 - p.beta) * p.ell / 2.0 <= lens) & (lens <= (1.0 + p.beta) * p.ell))
+    heavy = _average_too_large(cov, p.ell, p.d, p.beta)
+    bad = np.flatnonzero(band | heavy)
+    if bad.size:
+        v = int(bad[0])
+        if band[v]:
+            return f"list size {int(lens[v])} of vertex {v} outside the allowed band"
+        return f"average color degree of vertex {v} too large"
     return None
 
 
-def _round_conclusions(cov: CorrespondenceCover, lists, colored: set[int],
-                       ell_n: float, d_n: float, beta_n: float) -> str | None:
-    """Check the round output against next-round scales; reason on failure.
+def _round_conclusions(nxt: CorrespondenceCover, names: np.ndarray, ell_n: float,
+                       d_n: float, beta_n: float) -> str | None:
+    """Check the next round's cover, on the blank vertices whose ids are
+    `names`, against the next-round scales; reason on failure.
 
     Sparsity is omitted: the next cover graph is an induced subgraph, so it
     inherits the bound.
     """
-    remaining = [v for v in range(cov.n) if v not in colored]
-    keep_sets = [frozenset(lists[v]) for v in range(cov.n)]
-    deg: dict[int, int] = {}
-    for (u, v), pairs in cov.matchings.items():
-        if u in colored or v in colored:
-            continue
-        for a, b in pairs:
-            if a in keep_sets[u] and b in keep_sets[v]:
-                deg[a] = deg.get(a, 0) + 1
-                deg[b] = deg.get(b, 0) + 1
-    for v in remaining:
-        lv = len(lists[v])
-        if lv > (1.0 + beta_n) * ell_n:
-            return f"next list of vertex {v} too large"
-        if lv < (1.0 - beta_n) * ell_n / 2.0:
-            return f"next list of vertex {v} too small"
-    if deg and max(deg.values()) > 2.0 * d_n:
+    lens = nxt.arrays.lens
+    large = lens > (1.0 + beta_n) * ell_n
+    small = lens < (1.0 - beta_n) * ell_n / 2.0
+    bad = np.flatnonzero(large | small)
+    if bad.size:
+        v = int(bad[0])
+        return f"next list of vertex {int(names[v])} too {'large' if large[v] else 'small'}"
+    if nxt.max_color_degree() > 2.0 * d_n:
         return "next cover max degree too large"
-    for v in remaining:
-        lv = len(lists[v])
-        if lv:
-            avg = sum(deg.get(c, 0) for c in lists[v]) / lv
-            if avg > (2.0 - (1.0 - beta_n) * ell_n / lv) * d_n + 1e-9:
-                return f"next average color degree of vertex {v} too large"
+    heavy = np.flatnonzero(_average_too_large(nxt, ell_n, d_n, beta_n))
+    if heavy.size:
+        return f"next average color degree of vertex {int(names[heavy[0]])} too large"
     return None
-
-
-def _restrict_cover(cov: CorrespondenceCover, keep_sets) -> CorrespondenceCover:
-    lists = tuple(tuple(c for c in row if c in keep_sets[v]) for v, row in enumerate(cov.lists))
-    matchings = {}
-    for (u, v), pairs in cov.matchings.items():
-        kept = tuple((a, b) for a, b in pairs if a in keep_sets[u] and b in keep_sets[v])
-        if kept:
-            matchings[(u, v)] = kept
-    return CorrespondenceCover(lists, matchings, source_color=cov.source_color)
 
 
 def _nibble_stage(g: Graph, inst: _Instance, seed: int, retries: int,
                   schedule_gamma: float, schedule_epsilon: float,
                   lll_threshold: float, lll_budget: int, record: StageRecord):
     """Stage (b): schedule, rounds with re-validation and retries, finisher."""
-    if inst.is_cover:
+    if inst.cover is not None:
         cov = inst.cover
         to_source = None
     else:
@@ -856,8 +788,7 @@ def _nibble_stage(g: Graph, inst: _Instance, seed: int, retries: int,
         )
         return None
     # trim every list to the starting scale (smallest ids kept)
-    trimmed = tuple(row[:ell_t] for row in cov.lists)
-    cur_cov = _restrict_cover(cov, [frozenset(r) for r in trimmed])
+    cur_cov, _ = restrict_cover(cov, [row[:ell_t] for row in cov.lists])
     cur_g = g
     orig_of = list(range(g.n))
     assignment: dict[int, int] = {}
@@ -870,7 +801,7 @@ def _nibble_stage(g: Graph, inst: _Instance, seed: int, retries: int,
         if min(sizes) >= lll_threshold * max(1, cur_cov.max_color_degree()):
             break
         p = sched.round_params(i)
-        reason = _round_hypotheses(cur_g, cur_cov, p)
+        reason = _round_hypotheses(cur_cov, p)
         if reason is not None:
             record.reason = f"round {i} hypotheses failed: {reason}"
             record.stats["rounds"] = rounds_run
@@ -878,10 +809,11 @@ def _nibble_stage(g: Graph, inst: _Instance, seed: int, retries: int,
         committed = False
         for r in range(retries):
             phi, nxt, stats = wcp_round(cur_g, cur_cov, p, _child_seed(seed, i, r))
-            colored = set(phi.assignment)
-            reason = _round_conclusions(
-                cur_cov, nxt, colored, p.ell_next, p.d_next, p.beta_next
-            )
+            blank = np.ones(cur_g.n, dtype=bool)
+            blank[list(phi.assignment)] = False
+            names = np.flatnonzero(blank)
+            next_cov, edges = restrict_cover(cur_cov, nxt, blank)
+            reason = _round_conclusions(next_cov, names, p.ell_next, p.d_next, p.beta_next)
             if reason is None:
                 committed = True
                 break
@@ -892,23 +824,9 @@ def _nibble_stage(g: Graph, inst: _Instance, seed: int, retries: int,
         rounds_run += 1
         for v, c in phi.assignment.items():
             assignment[orig_of[v]] = c
-        remaining = [v for v in range(cur_g.n) if v not in colored]
-        remap = {v: j for j, v in enumerate(remaining)}
-        keep_sets = [frozenset(nxt[v]) for v in range(cur_g.n)]
-        new_lists = [nxt[v] for v in remaining]
-        new_matchings = {}
-        sub_edges = []
-        for (u, v), pairs in cur_cov.matchings.items():
-            if u in colored or v in colored:
-                continue
-            keptp = tuple((a, b) for a, b in pairs if a in keep_sets[u] and b in keep_sets[v])
-            if keptp:
-                e = (remap[u], remap[v])
-                new_matchings[e] = keptp
-                sub_edges.append(e)
-        orig_of = [orig_of[v] for v in remaining]
-        cur_g = Graph(len(remaining), sub_edges)
-        cur_cov = CorrespondenceCover(new_lists, new_matchings, source_color=cov.source_color)
+        orig_of = [orig_of[v] for v in names.tolist()]
+        cur_g = Graph(len(orig_of), edges)
+        cur_cov = next_cov
     record.stats["rounds"] = rounds_run
     if cur_g.n:
         try:

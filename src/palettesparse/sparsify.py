@@ -10,7 +10,9 @@ the original instance, which is the whole point of the reduction.
 
 The offline, streaming and query models share three numpy kernels:
 `conflict_counts`, `prune_by_counts` and `surviving_edges`. Per-vertex
-lists reach them with their color ids ranked; covers have their own code.
+lists reach them with their color ids ranked. Covers go through the cover
+kernels of `cover`, which read the cover's pair arrays: `restrict_cover`
+for the samples and the conflict instance, `color_degrees` for pruning.
 
 All logarithms are natural. Thresholds are compared with <= against the
 real-valued bound ("at most"), never rounded.
@@ -21,12 +23,19 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from itertools import chain, islice
 
 import numpy as np
 
 from ._rng import TAG_PALETTE, substream
-from .cover import CorrespondenceCover, ListAssignment
+from .cover import (
+    CorrespondenceCover,
+    ListAssignment,
+    _flatten,
+    _unflatten,
+    color_degrees,
+    cover_rows,
+    restrict_cover,
+)
 from .graphcore import Graph
 
 __all__ = [
@@ -237,24 +246,15 @@ def sample_palettes(palettes, s: int, seed: int) -> PaletteFamily:
     return PaletteFamily(tuple(sampled))
 
 
-def _flatten(rows) -> tuple[np.ndarray, np.ndarray]:
-    """Ragged rows as (their values concatenated, their lengths)."""
-    lens = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    flat = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(lens.sum()))
-    return flat, lens
-
-
-def _unflatten(flat: list, lens: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    it = iter(flat)
-    return tuple(tuple(islice(it, k)) for k in lens.tolist())
-
-
 def _dense(rows, universe: int | None):
     """(rows over 0..q-1, q, colors): with universe None each color id is
-    replaced by its rank among the ascending distinct ids `colors`."""
+    replaced by its rank among the ascending distinct ids `colors`; colors
+    is None when the ids already are their ranks."""
     if universe is not None:
         return rows, universe, None
     flat, lens = _flatten(rows)
+    if not flat.size or (flat.min() >= 0 and flat.max() < flat.size and np.bincount(flat).all()):
+        return rows, int(flat.max(initial=-1)) + 1, None
     colors, ranks = np.unique(flat, return_inverse=True)
     return _unflatten(ranks.tolist(), lens), len(colors), colors
 
@@ -351,18 +351,10 @@ def prune(subject, fam: PaletteFamily, params: SparsifyParams,
     if isinstance(subject, CorrespondenceCover):
         d_h = delta_ref if delta_ref is not None else subject.max_color_degree()
         thr = (1.0 + params.gamma_prime) * params.s * d_h / params.q
-        picked: set[int] = set()
-        for row in fam.sampled:
-            picked.update(row)
-        nbrs = subject.color_neighbors
-        pruned = tuple(
-            tuple(
-                c
-                for c in row
-                if sum(1 for c2 in nbrs.get(c, ()) if c2 in picked) <= thr
-            )
-            for row in fam.sampled
-        )
+        # a color's correspondents among the sampled colors are its
+        # correspondents in the cover cut down to the samples
+        sampled, _ = restrict_cover(subject, fam.sampled)
+        pruned = cover_rows(sampled, color_degrees(sampled) <= thr)
         return PaletteFamily(fam.sampled, pruned, fam.universe)
     raise TypeError(f"expected Graph or CorrespondenceCover, got {type(subject)!r}")
 
@@ -400,15 +392,5 @@ def build_conflict(g: Graph, fam: PaletteFamily,
         hit = surviving_edges(us, vs, packed_masks(rows, q))
         sub = Graph(g.n, np.column_stack((us[hit], vs[hit])))
         return ConflictInstance(sub, lists=ListAssignment(active))
-    keep_sets = [frozenset(row) for row in active]
-    conflict = []
-    matchings = {}
-    for (u, v), pairs in cover.matchings.items():
-        kept = tuple(
-            (a, b) for a, b in pairs if a in keep_sets[u] and b in keep_sets[v]
-        )
-        if kept:
-            conflict.append((u, v))
-            matchings[(u, v)] = kept
-    sub = CorrespondenceCover(active, matchings, source_color=cover.source_color)
-    return ConflictInstance(Graph(g.n, conflict), cover=sub)
+    sub, edges = restrict_cover(cover, active)
+    return ConflictInstance(Graph(g.n, edges), cover=sub)

@@ -5,10 +5,14 @@ exactly when the endpoint samples can collide (for covers: when its
 matching restricted to the samples is nonempty), pruning happens after the
 stream, and the retained conflict instance goes to the solver. Plain
 streams test retention a chunk of records at a time (`surviving_edges`)
-while the ledger advances edge by edge; the counters, sums over stored
-edges, then come from `conflict_counts`. The ledger uses a concrete word
-model: one word per id or counter, two words per stored edge, two per
-stored matching pair, n*s words for palettes and for counters.
+on the endpoint array the stream built once, while the ledger advances
+edge by edge; the counters, sums over stored edges, then come from
+`conflict_counts`. Cover streams test retention record by record; the
+stored pairs then form a cover whose `color_degrees` are the counters, and
+`restrict_cover` cuts it down to the pruned samples. The ledger uses a
+concrete word model: one word per id or counter, two words per stored
+edge, two per stored matching pair, n*s words for palettes and for
+counters.
 """
 
 from __future__ import annotations
@@ -19,7 +23,13 @@ from itertools import chain
 import numpy as np
 
 from ._rng import TAG_PERMUTE, substream
-from .cover import CorrespondenceCover, ListAssignment
+from .cover import (
+    CorrespondenceCover,
+    ListAssignment,
+    color_degrees,
+    cover_rows,
+    restrict_cover,
+)
 from .graphcore import Graph, check_pairs
 from .nibble import PartialColoring, SolveResult, solve
 from .sparsify import (
@@ -86,7 +96,8 @@ class EdgeStream:
     first record breaking this is rejected, naming it and, for a repeat,
     the earlier record of the same edge. `lists` carries the per-vertex
     cover color lists for the correspondence case, which are known before
-    the stream starts.
+    the stream starts. `ends` is the read-only (r, 2) array of the records'
+    endpoints, built once by the check.
     """
 
     n: int
@@ -97,6 +108,8 @@ class EdgeStream:
         n = self.n
         ends = np.fromiter(chain.from_iterable(rec[:2] for rec in self.records),
                            dtype=np.int64, count=2 * len(self.records)).reshape(-1, 2)
+        ends.flags.writeable = False
+        object.__setattr__(self, "ends", ends)
         bad = check_pairs(n, ends)[1]
         if bad is not None:
             u, v = self.records[bad[0]][:2]
@@ -210,9 +223,7 @@ def stream_color(stream: EdgeStream, n: int, params: SparsifyParams, seed: int,
     degrees = np.zeros(n, dtype=np.int64)
     kept = [np.zeros((0, 2), dtype=np.int64)]
     for lo in range(0, len(stream.records), _RECORDS_PER_CHUNK):
-        chunk = stream.records[lo : lo + _RECORDS_PER_CHUNK]
-        ends = np.fromiter(chain.from_iterable(chunk), dtype=np.int64,
-                           count=2 * len(chunk)).reshape(-1, 2)
+        ends = stream.ends[lo : lo + _RECORDS_PER_CHUNK]
         if delta_from_stream:
             degrees += np.bincount(ends.ravel(), minlength=n)
         hit = ends[surviving_edges(ends[:, 0], ends[:, 1], masks)]
@@ -255,7 +266,6 @@ def stream_color_correspondence(stream: EdgeStream, n: int,
     ledger.bump(space_cap)
 
     sets = [frozenset(row) for row in fam.sampled]
-    counts: dict[int, int] = {}
     stored: list[tuple[int, int, tuple]] = []
     for u, v, pairs in stream.records:
         kept = tuple(
@@ -268,26 +278,12 @@ def stream_color_correspondence(stream: EdgeStream, n: int,
             ledger.stored_edges += 1
             ledger.matching_words += 2 * len(kept)
             ledger.bump(space_cap)
-            for a, b in kept:
-                counts[a] = counts.get(a, 0) + 1
-                counts[b] = counts.get(b, 0) + 1
 
-    thr = params.prune_threshold
-    pruned = tuple(
-        tuple(c for c in row if counts.get(c, 0) <= thr)
-        for row in fam.sampled
-    )
+    held = CorrespondenceCover(fam.sampled, {(u, v): pairs for u, v, pairs in stored})
+    pruned = cover_rows(held, color_degrees(held) <= params.prune_threshold)
     fam = PaletteFamily(fam.sampled, pruned, fam.universe)
-    keep = [frozenset(row) for row in pruned]
-    matchings = {}
-    conflict = []
-    for u, v, pairs in stored:
-        kept = tuple((a, b) for a, b in pairs if a in keep[u] and b in keep[v])
-        if kept:
-            conflict.append((u, v))
-            matchings[(u, v)] = kept
-    sub = Graph(n, conflict)
-    cov = CorrespondenceCover(pruned, matchings)
+    cov, edges = restrict_cover(held, pruned)
+    sub = Graph(n, edges)
     if any(len(row) == 0 for row in pruned):
         return StreamResult(None, ledger, fam, tuple(stored), None,
                             error="a vertex lost every sampled color in pruning")

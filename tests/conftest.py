@@ -98,6 +98,17 @@ def oracle_cover_colorings(g: Graph, cov: CorrespondenceCover) -> list[tuple[int
     return out
 
 
+def oracle_color_neighbors(cov: CorrespondenceCover) -> dict[int, list[int]]:
+    """Cover-graph adjacency, color -> corresponding colors with repeats,
+    by a loop over the matchings; every list color has an entry."""
+    nbrs: dict[int, list[int]] = {c: [] for row in cov.lists for c in row}
+    for pairs in cov.matchings.values():
+        for a, b in pairs:
+            nbrs.setdefault(a, []).append(b)
+            nbrs.setdefault(b, []).append(a)
+    return nbrs
+
+
 def oracle_colorable(g: Graph, obj) -> bool:
     if isinstance(obj, CorrespondenceCover):
         return bool(oracle_cover_colorings(g, obj))
@@ -141,6 +152,80 @@ def oracle_stream_retention(records, rows, base_words: int, cap):
         if set(rows[u]) & set(rows[v]):
             stored.append((min(u, v), max(u, v)))
             total += 2
+            if cap is not None and total > cap:
+                return stored, total, f"ledger total {total} exceeds space cap {cap}"
+    return stored, total, ""
+
+
+def oracle_picked_counts(cov: CorrespondenceCover, picked) -> dict[int, int]:
+    """Per color, its correspondents (with repeats) that lie in `picked`."""
+    return {c: sum(1 for c2 in nbrs if c2 in picked)
+            for c, nbrs in oracle_color_neighbors(cov).items()}
+
+
+def oracle_cover_prune(cov: CorrespondenceCover, rows, thr: float):
+    """Each row restricted to its colors with at most thr correspondents
+    among the colors of all rows."""
+    counts = oracle_picked_counts(cov, {c for row in rows for c in row})
+    return tuple(tuple(c for c in row if counts[c] <= thr) for row in rows)
+
+
+def oracle_restrict_cover(cov: CorrespondenceCover, rows, keep_vertex=None):
+    """(lists, matchings items, edges) of the cover cut down to `rows`, on
+    the vertices keep_vertex marks (all by default), renumbered in order."""
+    n = cov.n
+    keep_vertex = [True] * n if keep_vertex is None else list(keep_vertex)
+    new_id = {}
+    for v in range(n):
+        if keep_vertex[v]:
+            new_id[v] = len(new_id)
+    sets = [set(row) for row in rows]
+    items = []
+    for (u, v), pairs in cov.matchings.items():
+        if not (keep_vertex[u] and keep_vertex[v]):
+            continue
+        kept = tuple((a, b) for a, b in pairs if a in sets[u] and b in sets[v])
+        if kept:
+            items.append(((new_id[u], new_id[v]), kept))
+    lists = tuple(tuple(sorted(rows[v])) for v in range(n) if keep_vertex[v])
+    return lists, items, [e for e, _ in items]
+
+
+def oracle_cover_clash(g: Graph, cov: CorrespondenceCover, assignment) -> tuple | None:
+    """First edge of g, in `g.edges()` order, whose colored ends carry one
+    of its declared pairs."""
+    for u, v in g.edges():
+        if u in assignment and v in assignment:
+            if (assignment[u], assignment[v]) in cov.matchings.get((u, v), ()):
+                return (u, v)
+    return None
+
+
+def oracle_cover_graph(cov: CorrespondenceCover) -> Graph:
+    """The cover graph on the colors, renumbered by ascending id."""
+    nbrs = oracle_color_neighbors(cov)
+    index = {c: i for i, c in enumerate(sorted(nbrs))}
+    edges = {(min(index[a], index[b]), max(index[a], index[b]))
+             for a, bs in nbrs.items() for b in bs}
+    return Graph(len(index), sorted(edges))
+
+
+def oracle_cover_stream_retention(records, rows, base_words: int, cap):
+    """Record-at-a-time cover retention with a word ledger: (stored records
+    as (min, max, pairs oriented min -> max), peak words, space-cap message
+    or "")."""
+    sets = [set(row) for row in rows]
+    stored = []
+    total = base_words
+    if cap is not None and total > cap:
+        return stored, total, f"ledger total {total} exceeds space cap {cap}"
+    for u, v, pairs in records:
+        kept = [(a, b) for a, b in pairs if a in sets[u] and b in sets[v]]
+        if kept:
+            if u > v:
+                u, v, kept = v, u, [(b, a) for a, b in kept]
+            stored.append((u, v, tuple(kept)))
+            total += 2 + 2 * len(kept)
             if cap is not None and total > cap:
                 return stored, total, f"ledger total {total} exceeds space cap {cap}"
     return stored, total, ""

@@ -1,0 +1,48 @@
+"""The benchmark's hooks into the package still hold.
+
+perfbench/ traces the package from outside by rebinding the functions and
+methods that `spans.TRACED` names, and runs workloads through the public
+API. A rename in the package would break it silently, so this checks the
+names and one tiny workload end to end. Run from the repository root, as
+perfbench/run.py expects.
+"""
+
+import os
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    monkeypatch.chdir(ROOT)
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    import run
+    import spans
+
+    return run, spans
+
+
+def resolve(qualname: str):
+    mod_name, *owner_path, attr = qualname.split(".")
+    owner = sys.modules[f"palettesparse.{mod_name}"]
+    for part in owner_path:
+        owner = getattr(owner, part)
+    return owner.__dict__[attr] if owner_path else getattr(owner, attr)
+
+
+def test_traced_names_resolve_and_are_restored(perfbench):
+    _, spans = perfbench
+    before = {name: resolve(name) for name in spans.TRACED}
+    with spans.Tracer():
+        wrapped = {name: resolve(name) for name in spans.TRACED}
+    assert all(wrapped[name] is not before[name] for name in spans.TRACED)
+    assert all(resolve(name) is before[name] for name in spans.TRACED)
+
+
+def test_tiny_cover_workload_is_correct(perfbench):
+    run, _ = perfbench
+    result, detail = run.run_workload("cover-finish", "tiny", 0, 0.0, True)
+    assert result["correct"] and detail["fingerprint_ok"]

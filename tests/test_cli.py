@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from palettesparse.cli import ConfigError, RunConfig, main, run, sweep_success_vs_s
-from palettesparse.cover import ListAssignment, random_cover, save_cover
+from palettesparse.cover import CorrespondenceCover, ListAssignment, random_cover, save_cover
 from palettesparse.graphcore import Graph, gen_locally_sparse, save_graph
 from palettesparse.nibble import verify_coloring
 from palettesparse.nibble import PartialColoring
@@ -185,6 +185,16 @@ class TestCliCommands:
         save_cover(cov, cpath)
         out = self._run("verify-cover", "--graph", str(gpath), "--cover", str(cpath))
         assert out.returncode == 0 and "pass" in out.stdout
+
+    @pytest.mark.parametrize("command", ["solve", "stream", "sparsify"])
+    def test_invalid_cover_file_rejected(self, tmp_path, capsys, command):
+        # color 0 is matched twice on edge (0, 1)
+        gpath = tmp_path / "g.txt"
+        save_graph(Graph(2, [(0, 1)]), gpath)
+        cpath = tmp_path / "c.txt"
+        save_cover(CorrespondenceCover([(0, 1), (4, 5)], {(0, 1): ((0, 4), (0, 5))}), cpath)
+        assert main([command, "--graph", str(gpath), "--cover", str(cpath)]) == 3
+        assert "color matched twice on edge (0, 1): pair (0, 5)" in capsys.readouterr().err
 
     def test_stream_and_queries_commands(self, tmp_path):
         g = gen_locally_sparse(25, 4, 1, seed=3)

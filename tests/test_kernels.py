@@ -1,7 +1,9 @@
 """Differential tests: the sparsification kernels against naive oracles.
 
 Stream and edge-survival chunk sizes are drawn alongside each instance, so
-records and edges fall on both sides of a chunk boundary.
+records and edges fall on both sides of a chunk boundary. Covers are drawn
+with arbitrary distinct color ids, so ranks do not follow vertex order, and
+some edges' matchings are keyed (v, u) or left empty.
 """
 
 from unittest import mock
@@ -9,8 +11,16 @@ from unittest import mock
 import numpy as np
 import pytest
 from conftest import (
+    oracle_color_neighbors,
     oracle_conflict_counts,
+    oracle_cover_clash,
+    oracle_cover_graph,
+    oracle_cover_prune,
+    oracle_cover_stream_retention,
+    oracle_neighborhood_edges,
+    oracle_picked_counts,
     oracle_prune,
+    oracle_restrict_cover,
     oracle_stream_retention,
     oracle_surviving_edges,
 )
@@ -18,7 +28,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from palettesparse import sparsify, streaming
+from palettesparse.cover import (
+    CorrespondenceCover,
+    color_degrees,
+    cover_sparsity,
+    picked_counts,
+    restrict_cover,
+)
 from palettesparse.graphcore import Graph
+from palettesparse.nibble import PartialColoring, verify_coloring
 from palettesparse.sparsify import (
     PaletteFamily,
     SharedPalette,
@@ -31,7 +49,12 @@ from palettesparse.sparsify import (
     sample_palettes,
     surviving_edges,
 )
-from palettesparse.streaming import EdgeStream, SpaceCapExceeded, stream_color
+from palettesparse.streaming import (
+    EdgeStream,
+    SpaceCapExceeded,
+    stream_color,
+    stream_color_correspondence,
+)
 
 FAST = settings(max_examples=60, deadline=None)
 
@@ -61,6 +84,143 @@ def instances(draw, max_q=10):
     q = draw(st.integers(1, max_q))
     rows = draw(rows_over(g.n, q, draw(st.booleans())))
     return g, q, rows
+
+
+@st.composite
+def covers(draw, max_n=8, min_list=0, max_list=4, valid=True):
+    """(graph, cover). Valid covers carry partial matchings; otherwise an
+    edge may declare any pairs between its two lists, a color twice too."""
+    g = draw(graphs(max_n))
+    sizes = [draw(st.integers(min_list, max_list)) for _ in range(g.n)]
+    ids = draw(st.lists(st.integers(-2 ** 40, 2 ** 40), min_size=sum(sizes),
+                        max_size=sum(sizes), unique=True))
+    lists = []
+    for k in sizes:
+        lists.append(tuple(ids[:k]))
+        ids = ids[k:]
+    matchings = {}
+    for u, v in g.edges():
+        lu, lv = lists[u], lists[v]
+        if valid:
+            k = draw(st.integers(0, min(len(lu), len(lv))))
+            pairs = list(zip(draw(st.permutations(lu))[:k], draw(st.permutations(lv))[:k]))
+        elif lu and lv:
+            pairs = draw(st.lists(st.tuples(st.sampled_from(lu), st.sampled_from(lv)),
+                                  unique=True, max_size=4))
+        else:
+            pairs = []
+        if not pairs and draw(st.booleans()):
+            continue
+        if draw(st.booleans()):
+            matchings[(v, u)] = [(b, a) for a, b in pairs]
+        else:
+            matchings[(u, v)] = pairs
+    return g, CorrespondenceCover(lists, matchings)
+
+
+@st.composite
+def subrows(draw, rows):
+    """A subset of every row, in the row's order."""
+    return [tuple(c for c in row if draw(st.booleans())) for row in rows]
+
+
+class TestCoverKernels:
+    @FAST
+    @given(st.booleans().flatmap(lambda valid: covers(valid=valid)), st.data())
+    def test_degrees_and_picked_counts(self, inst, data):
+        _, cov = inst
+        nbrs = oracle_color_neighbors(cov)
+        picked = {c for c in nbrs if data.draw(st.booleans())}
+        ids = cov.arrays.colors.tolist()
+        assert dict(zip(ids, color_degrees(cov).tolist())) == \
+            {c: len(b) for c, b in nbrs.items()}
+        assert cov.max_color_degree() == max(map(len, nbrs.values()), default=0)
+        mask = np.isin(cov.arrays.colors, list(picked))
+        assert dict(zip(ids, picked_counts(cov, mask).tolist())) == \
+            oracle_picked_counts(cov, picked)
+
+    @FAST
+    @given(covers(), st.floats(-1.0, 5.0), st.data())
+    def test_prune(self, inst, thr, data):
+        _, cov = inst
+        rows = data.draw(subrows(cov.lists))
+        params = manual_params(6, 0.1, 1.0, q=8, s=4)
+        d_ref = thr * params.q / ((1.0 + params.gamma_prime) * params.s)
+        out = prune(cov, PaletteFamily(tuple(rows)), params, delta_ref=d_ref)
+        assert out.pruned == oracle_cover_prune(
+            cov, rows, (1.0 + params.gamma_prime) * params.s * d_ref / params.q)
+
+    @FAST
+    @given(st.booleans().flatmap(lambda valid: covers(valid=valid)), st.data())
+    def test_restriction(self, inst, data):
+        g, cov = inst
+        rows = data.draw(subrows(cov.lists))
+        keep = None
+        if data.draw(st.booleans()):
+            keep = np.array([data.draw(st.booleans()) for _ in range(g.n)], dtype=bool)
+        sub, edges = restrict_cover(cov, rows, keep)
+        lists, items, want = oracle_restrict_cover(cov, rows, keep)
+        assert sub.lists == lists
+        assert list(sub.matchings.items()) == items
+        assert list(map(tuple, edges.tolist())) == want
+        # the arrays it was built from are the ones its matchings give
+        rebuilt = CorrespondenceCover(sub.lists, sub.matchings).arrays
+        for name in ("colors", "eu", "ev", "ra", "rb", "lists", "lens"):
+            assert getattr(sub.arrays, name).tolist() == getattr(rebuilt, name).tolist()
+        if keep is None:
+            conflict = build_conflict(g, PaletteFamily(tuple(rows)), cover=cov)
+            assert list(conflict.graph.edges()) == sorted(want)
+            assert list(conflict.cover.matchings.items()) == items
+
+    @FAST
+    @given(st.booleans().flatmap(lambda valid: covers(valid=valid)), st.data())
+    def test_verify_first_witness(self, inst, data):
+        g, cov = inst
+        phi = {}
+        for v, row in enumerate(cov.lists):
+            if row and data.draw(st.booleans()):
+                phi[v] = data.draw(st.sampled_from(row))
+        res = verify_coloring(g, cov, PartialColoring(phi))
+        want = oracle_cover_clash(g, cov, phi)
+        assert res.ok == (want is None)
+        assert res.witness == want
+
+    @FAST
+    @given(covers())
+    def test_cover_sparsity(self, inst):
+        _, cov = inst
+        assert cover_sparsity(cov) == max(oracle_neighborhood_edges(oracle_cover_graph(cov)),
+                                          default=0)
+
+    @FAST
+    @given(covers(max_n=7, min_list=1), st.data())
+    def test_streamed_against_offline_retention(self, inst, data):
+        g, cov = inst
+        s = data.draw(st.integers(1, min((len(r) for r in cov.lists), default=1)))
+        seed = data.draw(st.integers(0, 10 ** 6))
+        stream = EdgeStream.from_cover(g, cov, data.draw(st.integers(0, 100)))
+        flips = data.draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m))
+        stream = EdgeStream(g.n, tuple(
+            (v, u, tuple((b, a) for a, b in pairs)) if f else (u, v, pairs)
+            for (u, v, pairs), f in zip(stream.records, flips)), lists=cov.lists)
+        params = manual_params(data.draw(st.integers(1, 4)), 0.1, 1.0, q=4, s=s)
+        fam = sample_palettes(cov.lists, s, seed)
+        base = 2 * g.n * s
+        stored, peak, _ = oracle_cover_stream_retention(stream.records, fam.sampled, base, None)
+        cap = base + data.draw(st.integers(-1, peak - base + 1))
+        _, _, message = oracle_cover_stream_retention(stream.records, fam.sampled, base, cap)
+
+        out = stream_color_correspondence(stream, g.n, params, seed, policy="greedy")
+        assert list(out.stored) == stored
+        assert out.ledger.peak_words == peak
+        assert out.family.pruned == prune(cov, fam, params, delta_ref=params.delta_ref).pruned
+        offline = build_conflict(g, fam, cover=cov)
+        assert {(u, v) for u, v, _ in stored} == set(offline.graph.edges())
+        if message:
+            with pytest.raises(SpaceCapExceeded) as err:
+                stream_color_correspondence(stream, g.n, params, seed, space_cap=cap,
+                                            policy="greedy")
+            assert str(err.value) == message
 
 
 class TestConflictCounts:

@@ -1,8 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from conftest import (
+    oracle_color_neighbors,
     oracle_colorable,
     random_cover_for,
     random_graph,
@@ -36,6 +38,16 @@ from palettesparse.nibble import (
     wcp_round,
 )
 from palettesparse.nibble import _greedy_generic, _Instance
+
+
+def reference_greedy(g, lists):
+    """`_greedy_generic` on the canonical cover of a list instance, with the
+    coloring pulled back to color names: the reference for list greedy."""
+    cov = cover_from_lists(g, lists)
+    coloring, stuck = _greedy_generic(_Instance(g, cov))
+    if coloring is not None:
+        coloring = PartialColoring({v: cov.source_color[c] for v, c in coloring.assignment.items()})
+    return coloring, stuck
 
 
 def triangle():
@@ -102,7 +114,7 @@ class TestWcpRound:
         g, cov = self._instance(11)
         d = float(cov.max_color_degree())
         p = WcpParams.from_basics(eta=0.6, ell=5.0, d=d, beta=0.1)
-        nbrs = cov.color_neighbors
+        nbrs = oracle_color_neighbors(cov)
         for seed in range(25):
             phi, nxt, st = wcp_round(g, cov, p, seed=seed)
             act, kept = set(st.activated_ids), set(st.kept_ids)
@@ -123,15 +135,20 @@ class TestWcpRound:
             assert verify_coloring(g, cov, phi).ok
 
     def test_round_clash_raises(self):
-        # a cover whose clash sets disagree with its matchings: the round
-        # keeps colors by the matchings, and the check reads the clash sets
+        # a clash check that disagrees with the matchings: the round keeps
+        # colors by the matchings, and the check reads the declared pairs
+        # through `clashing_pairs`, here reporting every pair as clashing
         g = Graph(2, [(0, 1)])
         cov = CorrespondenceCover([(0, 1, 2, 3), (4, 5, 6, 7)], {(0, 1): ((0, 4),)})
         p = WcpParams.from_basics(eta=2.0, ell=4.0, d=1.0)
         seed = next(t for t in range(200) if len(wcp_round(g, cov, p, seed=t)[0]) == 2)
-        cov.pair_sets[(0, 1)] = frozenset((a, b) for a in range(4) for b in range(4, 8))
-        with pytest.raises(InvariantViolation):
-            wcp_round(g, cov, p, seed=seed)
+
+        def every_pair(cov, at, ids):
+            return np.arange(cov.arrays.eu.size)
+
+        with mock.patch.object(nibble, "clashing_pairs", every_pair):
+            with pytest.raises(InvariantViolation):
+                wcp_round(g, cov, p, seed=seed)
 
     def test_precondition_violation(self):
         g, cov = self._instance(13)
@@ -341,6 +358,16 @@ class TestVerify:
         assert fast.ok == (not slow_edges)
         assert fast.witness == (slow_edges[0] if slow_edges else None)
 
+    def test_cover_pair_sharing_a_color_still_clashes(self):
+        # color 0 is declared against both 4 and 5 on one edge (not a valid
+        # matching); every declared pair is a clash, the first one included
+        g = Graph(2, [(0, 1)])
+        cov = CorrespondenceCover([(0, 1), (4, 5)], {(0, 1): ((0, 4), (0, 5))})
+        for b in (4, 5):
+            res = verify_coloring(g, cov, PartialColoring({0: 0, 1: b}))
+            assert not res.ok and res.witness == (0, 1)
+        assert verify_coloring(g, cov, PartialColoring({0: 1, 1: 4})).ok
+
     def test_negative_color_ids_on_a_large_graph(self):
         rng = rng_for(19)
         g = random_graph(rng, 120, 0.6)
@@ -358,7 +385,7 @@ class TestGreedy:
             n = int(rng.integers(5, 40))
             g = random_graph(rng, n, 0.3)
             lists = random_lists(rng, n, 9, 4)
-            generic = _greedy_generic(_Instance(g, lists))
+            generic = reference_greedy(g, lists)
             # force the vectorized path by calling through greedy_color on a
             # large-m clone is not practical here; compare via the internal
             from palettesparse.nibble import _greedy_plain
@@ -367,6 +394,24 @@ class TestGreedy:
             assert (generic[0] is None) == (plain[0] is None)
             if generic[0] is not None:
                 assert generic[0].assignment == plain[0].assignment
+
+    def test_list_instances_with_any_ids_match_the_reference(self):
+        # greedy_color ranks list ids before the vectorized path; ranking
+        # keeps their order, so it agrees with the generic reference on
+        # negative, huge and sparse ids, and on empty lists
+        rng = rng_for(25)
+        for trial in range(20):
+            n = int(rng.integers(2, 40))
+            g = random_graph(rng, n, 0.3)
+            pool = rng.choice(2 ** 50, size=12, replace=False) - 2 ** 49
+            low = 0 if trial % 5 == 0 else 1
+            lists = ListAssignment(tuple(
+                tuple(rng.choice(pool, size=int(rng.integers(low, 5)), replace=False).tolist())
+                for _ in range(n)))
+            got = greedy_color(g, lists)
+            want = reference_greedy(g, lists)
+            assert got[1] == want[1]
+            assert (got[0] and got[0].assignment) == (want[0] and want[0].assignment)
 
     def test_full_palette_shortcut_agrees(self):
         rng = rng_for(24)
@@ -378,7 +423,7 @@ class TestGreedy:
             q = int(rng.integers(3, 8))
             lists = ListAssignment((tuple(range(q)),) * n)
             a = _greedy_full_palette(g, q)
-            b = _greedy_generic(_Instance(g, lists))
+            b = reference_greedy(g, lists)
             if a[0] is None:
                 assert b[0] is None
             else:
