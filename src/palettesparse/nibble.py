@@ -127,11 +127,12 @@ class _Instance:
 
     @cached_property
     def _partners(self) -> dict[tuple[int, int, int], list[int]]:
+        a = self.cover.arrays
         out: dict[tuple[int, int, int], list[int]] = {}
-        for (u, v), pairs in self.cover.matchings.items():
-            for a, b in pairs:
-                out.setdefault((u, v, a), []).append(b)
-                out.setdefault((v, u, b), []).append(a)
+        for u, v, x, y in zip(a.eu.tolist(), a.ev.tolist(), a.colors[a.ra].tolist(),
+                              a.colors[a.rb].tolist()):
+            out.setdefault((u, v, x), []).append(y)
+            out.setdefault((v, u, y), []).append(x)
         return out
 
     def partners(self, u: int, v: int, cu: int):
@@ -139,12 +140,6 @@ class _Instance:
         if self.cover is None:
             return (cu,) if cu in self.list_sets[v] else ()
         return self._partners.get((u, v, cu), ())
-
-    def conflicts(self, u: int, v: int, cu: int, cv: int) -> bool:
-        """Whether cu at u and cv at v clash across the edge uv, u < v."""
-        if self.cover is None:
-            return cu == cv
-        return (cu, cv) in self.cover.matchings.get((u, v), ())
 
     def clashing_edges(self, phi: dict[int, int]) -> list[tuple[int, int]]:
         """The edges of g, in `g.edges()` order, whose two ends `phi` colors
@@ -466,13 +461,8 @@ def finish_lll(g: Graph, obj, seed: int, *, threshold: float = 8.0,
     rng = substream(seed, TAG_LLL)
     phi = {v: inst.lists[v][int(rng.integers(sizes[v]))] for v in range(g.n)}
 
-    incident: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for e in g.edges():
-        incident[e[0]].append(e)
-        incident[e[1]].append(e)
-
     def violated(e: tuple[int, int]) -> bool:
-        return inst.conflicts(e[0], e[1], phi[e[0]], phi[e[1]])
+        return phi[e[1]] in inst.partners(e[0], e[1], phi[e[0]])
 
     heap = inst.clashing_edges(phi)  # in edge order, so already a heap
     resamples = 0
@@ -486,7 +476,8 @@ def finish_lll(g: Graph, obj, seed: int, *, threshold: float = 8.0,
         phi[u] = inst.lists[u][int(rng.integers(sizes[u]))]
         phi[v] = inst.lists[v][int(rng.integers(sizes[v]))]
         for w in (u, v):
-            for f in incident[w]:
+            for x in g.neighbors(w).tolist():
+                f = (min(w, x), max(w, x))
                 if violated(f):
                     heapq.heappush(heap, f)
     coloring = PartialColoring(dict(sorted(phi.items())))
@@ -596,10 +587,10 @@ def _greedy_generic(inst: _Instance):
 
 
 def _greedy_full_palette(g: Graph, q: int):
-    """Degenerate twin of `_greedy_generic` when every list is the full
-    0..q-1 palette: max c-degree collapses to the degree and every
-    available color is equally unconflicted, so the rule becomes
-    degree-descending order with smallest available color."""
+    """The greedy rule when every list holds the same q colors, as ranks
+    0..q-1: max c-degree collapses to the degree and every available color
+    is equally unconflicted, so the rule becomes degree-descending order
+    with smallest available color."""
     n = g.n
     order = np.lexsort((np.arange(n), -g.degrees()))
     assigned = np.full(n, -1, dtype=np.int64)
@@ -615,17 +606,17 @@ def _greedy_full_palette(g: Graph, q: int):
 
 
 def _greedy_plain(g: Graph, lists) -> tuple[PartialColoring | None, int | None]:
-    """Vectorized twin of `_greedy_generic` for list instances over a small
-    shared color universe. Identical ordering and tie-breaking."""
+    """The greedy rule of `greedy_color` on a list instance whose ids are
+    ranks 0..q-1, on n x q arrays of memberships and c-degrees.
+    `_greedy_generic` is its cover counterpart and the tests' reference."""
     n = g.n
     q = max((row[-1] for row in lists if row), default=-1) + 1
-    if q and all(len(row) == q for row in lists):
-        return _greedy_full_palette(g, q)
+    cdeg = conflict_counts(*g.edge_arrays(), lists, q)
     flat, lens = _flatten(lists)
     member = np.zeros((n, q), dtype=np.int32)
     member[np.repeat(np.arange(n), lens), flat] = 1
-    cdeg = conflict_counts(*g.edge_arrays(), lists, q)
-    maxc = np.where(member.astype(bool), cdeg, -1).max(axis=1, initial=-1)
+    cdeg[member == 0] = -1
+    maxc = cdeg.max(axis=1, initial=-1)
     order = np.lexsort((np.arange(n), -maxc))
     assigned = np.full(n, -1, dtype=np.int64)
     big = np.int32(2 ** 30)
@@ -642,6 +633,11 @@ def _greedy_plain(g: Graph, lists) -> tuple[PartialColoring | None, int | None]:
     return PartialColoring(dict(enumerate(assigned.tolist()))), None
 
 
+# n x q cells `_greedy_plain` may hold per list entry or edge; past that
+# the cover greedy runs the same rule in O(m * L) memory
+_DENSE_CELLS = 64
+
+
 def greedy_color(g: Graph, obj):
     """Greedy in descending max-c-degree order, picking the available color
     conflicting with the fewest uncolored neighbors (ties: smallest color).
@@ -649,13 +645,21 @@ def greedy_color(g: Graph, obj):
     inst = _as_instance(g, obj)
     if inst.cover is not None:
         return _greedy_generic(inst)
-    # ranks keep the order of the ids, so the coloring maps back unchanged
-    rows, _, colors = _dense(inst.lists, None)
-    coloring, stuck = _greedy_plain(g, rows)
-    if coloring is not None and colors is not None:
-        ids = colors[np.fromiter(coloring.assignment.values(), dtype=np.int64,
-                                 count=len(coloring))].tolist()
-        coloring = PartialColoring(dict(zip(coloring.assignment, ids)))
+    # ranks and canonical cover ids keep the ids' order: colorings map back
+    if g.n and inst.lists[0] and all(row == inst.lists[0] for row in inst.lists):
+        names = np.array(inst.lists[0], dtype=np.int64)
+        coloring, stuck = _greedy_full_palette(g, names.size)
+    else:
+        rows, q, names = _dense(inst.lists, None)
+        if g.n * q <= _DENSE_CELLS * (sum(map(len, rows)) + g.m):
+            coloring, stuck = _greedy_plain(g, rows)
+        else:
+            cov = cover_from_lists(g, ListAssignment(inst.lists))
+            names = np.array(list(cov.source_color.values()), dtype=np.int64)
+            coloring, stuck = _greedy_generic(_Instance(g, cov))
+    if coloring is not None:
+        picked = np.fromiter(coloring.assignment.values(), dtype=np.int64, count=len(coloring))
+        coloring = PartialColoring(dict(zip(coloring.assignment, names[picked].tolist())))
     return coloring, stuck
 
 

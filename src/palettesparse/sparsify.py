@@ -248,13 +248,10 @@ def sample_palettes(palettes, s: int, seed: int) -> PaletteFamily:
 
 def _dense(rows, universe: int | None):
     """(rows over 0..q-1, q, colors): with universe None each color id is
-    replaced by its rank among the ascending distinct ids `colors`; colors
-    is None when the ids already are their ranks."""
+    replaced by its rank among the ascending distinct ids `colors`."""
     if universe is not None:
         return rows, universe, None
     flat, lens = _flatten(rows)
-    if not flat.size or (flat.min() >= 0 and flat.max() < flat.size and np.bincount(flat).all()):
-        return rows, int(flat.max(initial=-1)) + 1, None
     colors, ranks = np.unique(flat, return_inverse=True)
     return _unflatten(ranks.tolist(), lens), len(colors), colors
 
@@ -280,7 +277,8 @@ def conflict_counts(us, vs, samp, q: int) -> np.ndarray:
     # a tail row holding the whole palette adds one to every color of its head
     whole = lens[tails] == q
     degree = np.bincount(heads[whole], minlength=n)
-    heads, tails = heads[~whole], tails[~whole]
+    if whole.any():
+        heads, tails = heads[~whole], tails[~whole]
     width = int(lens[lens < q].max(initial=0))
     owner = np.repeat(np.arange(n), lens)
     slot = np.arange(flat.size) - np.repeat(np.cumsum(lens) - lens, lens)

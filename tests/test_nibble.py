@@ -386,8 +386,7 @@ class TestGreedy:
             g = random_graph(rng, n, 0.3)
             lists = random_lists(rng, n, 9, 4)
             generic = reference_greedy(g, lists)
-            # force the vectorized path by calling through greedy_color on a
-            # large-m clone is not practical here; compare via the internal
+            # the dense list path, called directly on the small ids 0..8
             from palettesparse.nibble import _greedy_plain
 
             plain = _greedy_plain(g, lists.lists)
@@ -413,6 +412,47 @@ class TestGreedy:
             assert got[1] == want[1]
             assert (got[0] and got[0].assignment) == (want[0] and want[0].assignment)
 
+    def test_many_distinct_ids_take_the_cover_path(self):
+        # a few ids per list from a large pool on a sparse graph: n x q is
+        # far above the entries plus edges, so greedy_color runs the cover
+        # greedy, which agrees with the dense path on the ranked lists
+        from palettesparse.sparsify import _dense
+
+        rng = rng_for(26)
+        for _ in range(5):
+            n = 200
+            g = random_graph(rng, n, 0.01)
+            pool = rng.choice(2 ** 50, size=300, replace=False) - 2 ** 49
+            lists = ListAssignment(tuple(
+                tuple(rng.choice(pool, size=int(rng.integers(1, 4)), replace=False).tolist())
+                for _ in range(n)))
+            rows, q, names = _dense(lists.lists, None)
+            assert n * q > nibble._DENSE_CELLS * (sum(map(len, rows)) + g.m)
+            dense, stuck = nibble._greedy_plain(g, rows)
+            with mock.patch.object(nibble, "_greedy_plain", side_effect=AssertionError):
+                got, got_stuck = greedy_color(g, lists)
+            assert got_stuck == stuck
+            want = dense and {v: int(names[c]) for v, c in dense.assignment.items()}
+            assert (got and got.assignment) == want
+
+    def test_disjoint_lists_on_a_sparse_graph_stay_small(self):
+        # 1,000 vertices on a path with 8 ids each, no id shared: n x q is
+        # 8 million cells, while the entries and edges are 9,000
+        import tracemalloc
+
+        n = 1000
+        g = Graph(n, [(v, v + 1) for v in range(n - 1)])
+        lists = ListAssignment(tuple(tuple(range(8 * v, 8 * v + 8)) for v in range(n)))
+        tracemalloc.start()
+        try:
+            coloring, stuck = greedy_color(g, lists)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stuck is None
+        assert coloring.assignment == {v: 8 * v for v in range(n)}
+        assert peak < 16 * 2 ** 20
+
     def test_full_palette_shortcut_agrees(self):
         rng = rng_for(24)
         from palettesparse.nibble import _greedy_plain, _greedy_full_palette
@@ -428,6 +468,11 @@ class TestGreedy:
                 assert b[0] is None
             else:
                 assert a[0].assignment == b[0].assignment
+            # greedy_color takes this path for any q shared ids
+            same = ListAssignment((tuple(range(-5, 3 * q - 5, 3)),) * n)
+            got, want = greedy_color(g, same), reference_greedy(g, same)
+            assert got[1] == want[1]
+            assert (got[0] and got[0].assignment) == (want[0] and want[0].assignment)
 
 
 class TestSolve:
