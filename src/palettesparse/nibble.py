@@ -42,7 +42,7 @@ from .cover import (
     restrict_cover,
 )
 from .graphcore import Graph
-from .sparsify import _dense, conflict_counts
+from .sparsify import _dense, conflict_counts, directed_counts
 
 __all__ = [
     "PartialColoring",
@@ -586,54 +586,54 @@ def _greedy_generic(inst: _Instance):
     return PartialColoring(dict(sorted(assignment.items()))), None
 
 
-def _greedy_full_palette(g: Graph, q: int):
-    """The greedy rule when every list holds the same q colors, as ranks
-    0..q-1: max c-degree collapses to the degree and every available color
-    is equally unconflicted, so the rule becomes degree-descending order
-    with smallest available color."""
+def _greedy_lists(g: Graph, rows, q: int):
+    """The greedy rule of `greedy_color` on lists of ranks 0..q-1 (rows None:
+    every list is all q colors); `_greedy_generic` is the reference. Greedy
+    stops at its first stuck vertex, so v's uncolored neighbours at its turn
+    are the later ones, and every score is one `directed_counts` over the
+    forward edges. Each list, sorted by (score, color), is walked first-fit."""
     n = g.n
-    order = np.lexsort((np.arange(n), -g.degrees()))
-    assigned = np.full(n, -1, dtype=np.int64)
+    if rows is None:
+        # max c-degree is the degree, and every score ties
+        maxc = g.degrees()
+    else:
+        us, vs = g.edge_arrays()
+        # dropped before the scores are counted: one counting pass at a time
+        counts = conflict_counts(us, vs, rows, q)
+        flat, lens = _flatten(rows)
+        owner = np.repeat(np.arange(n), lens)
+        maxc = np.full(n, -1, dtype=np.int64)
+        np.maximum.at(maxc, owner, counts[owner, flat])
+        del counts
+    order = np.argsort(-maxc, kind="stable")
+    pos = np.argsort(order)
+    cands = None
+    if rows is not None:
+        forward = pos[us] < pos[vs]
+        heads, tails = np.where(forward, us, vs), np.where(forward, vs, us)
+        score = directed_counts(heads, tails, rows, q)[owner, flat]
+        # each list's entries by (score, color), lists in vertex order
+        key = (owner * n + score) * q + flat
+        cands = memoryview(np.sort(key) % q)
+        c_start = np.concatenate(([0], np.cumsum(lens))).tolist()
+    # the CSR slots of each vertex's earlier neighbours; memoryviews hand
+    # out each int as it is read, so no list of m ints is built
+    back = pos[g.indices] < np.repeat(pos, np.diff(g.indptr))
+    earlier = memoryview(g.indices[back])
+    start = np.concatenate(([0], np.cumsum(back)))[g.indptr].tolist()
+    col = [-1] * n
     for v in order.tolist():
-        cols = assigned[g.neighbors(v)]
-        blocked = np.zeros(q, dtype=bool)
-        blocked[cols[cols >= 0]] = True
-        free = np.flatnonzero(~blocked)
-        if free.size == 0:
+        blocked = {col[u] for u in earlier[start[v] : start[v + 1]]}
+        for c in range(q) if cands is None else cands[c_start[v] : c_start[v + 1]]:
+            if c not in blocked:
+                col[v] = c
+                break
+        else:
             return None, v
-        assigned[v] = int(free[0])
-    return PartialColoring(dict(enumerate(assigned.tolist()))), None
+    return PartialColoring(dict(enumerate(col))), None
 
 
-def _greedy_plain(g: Graph, lists) -> tuple[PartialColoring | None, int | None]:
-    """The greedy rule of `greedy_color` on a list instance whose ids are
-    ranks 0..q-1, on n x q arrays of memberships and c-degrees.
-    `_greedy_generic` is its cover counterpart and the tests' reference."""
-    n = g.n
-    q = max((row[-1] for row in lists if row), default=-1) + 1
-    cdeg = conflict_counts(*g.edge_arrays(), lists, q)
-    flat, lens = _flatten(lists)
-    member = np.zeros((n, q), dtype=np.int32)
-    member[np.repeat(np.arange(n), lens), flat] = 1
-    cdeg[member == 0] = -1
-    maxc = cdeg.max(axis=1, initial=-1)
-    order = np.lexsort((np.arange(n), -maxc))
-    assigned = np.full(n, -1, dtype=np.int64)
-    big = np.int32(2 ** 30)
-    for v in order.tolist():
-        nb = g.neighbors(v)
-        cols = assigned[nb]
-        avail = member[v].astype(bool)
-        avail[cols[cols >= 0]] = False
-        if not avail.any():
-            return None, v
-        # fewest uncolored neighbors holding the color; ties: smallest color
-        score = member[nb[cols < 0]].sum(axis=0, dtype=np.int32)
-        assigned[v] = int(np.where(avail, score, big).argmin())
-    return PartialColoring(dict(enumerate(assigned.tolist()))), None
-
-
-# n x q cells `_greedy_plain` may hold per list entry or edge; past that
+# n x q cells `_greedy_lists` may hold per list entry or edge; past that
 # the cover greedy runs the same rule in O(m * L) memory
 _DENSE_CELLS = 64
 
@@ -648,11 +648,11 @@ def greedy_color(g: Graph, obj):
     # ranks and canonical cover ids keep the ids' order: colorings map back
     if g.n and inst.lists[0] and all(row == inst.lists[0] for row in inst.lists):
         names = np.array(inst.lists[0], dtype=np.int64)
-        coloring, stuck = _greedy_full_palette(g, names.size)
+        coloring, stuck = _greedy_lists(g, None, names.size)
     else:
         rows, q, names = _dense(inst.lists, None)
         if g.n * q <= _DENSE_CELLS * (sum(map(len, rows)) + g.m):
-            coloring, stuck = _greedy_plain(g, rows)
+            coloring, stuck = _greedy_lists(g, rows, q)
         else:
             cov = cover_from_lists(g, ListAssignment(inst.lists))
             names = np.array(list(cov.source_color.values()), dtype=np.int64)

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
-from .cover import ListAssignment
+from .cover import ListAssignment, _flatten
 from .graphcore import Graph
 from .nibble import PartialColoring, SolveResult, solve
 from .sparsify import (
@@ -117,26 +118,16 @@ def _pair_union_size(masks: np.ndarray) -> int:
     return total
 
 
-def _pair_union(fam: PaletteFamily, n: int) -> np.ndarray:
+def _pair_union(fam: PaletteFamily) -> np.ndarray:
     """Deduplicated within-class pairs, ordered by color then lexicographic
     first occurrence."""
     classes: dict[int, list[int]] = {}
     for v, row in enumerate(fam.sampled):
         for c in row:
             classes.setdefault(c, []).append(v)
-    seen: set[int] = set()
-    out_u: list[int] = []
-    out_v: list[int] = []
-    for c in sorted(classes):
-        members = classes[c]
-        for i, u in enumerate(members):
-            for v in members[i + 1 :]:
-                key = u * n + v
-                if key not in seen:
-                    seen.add(key)
-                    out_u.append(u)
-                    out_v.append(v)
-    return np.array([out_u, out_v], dtype=np.int64).T.reshape(-1, 2)
+    # a dict keeps the first occurrence of each pair, in insertion order
+    pairs = dict.fromkeys(p for c in sorted(classes) for p in combinations(classes[c], 2))
+    return np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
 
 
 @dataclass(frozen=True)
@@ -144,7 +135,9 @@ class QueryPlan:
     """All queries fixed before any answer: a function of (n, palettes,
     strategy, hints) only. `pairs` is None for the neighbor scan, whose
     slots are implicit: n degree queries, then per vertex the neighbor
-    slots 0..delta_hint-1 of which only the first deg(v) are issued."""
+    slots 0..delta_hint-1 of which only the first deg(v) are issued.
+    `cost_classes` is the exact class cost, or None when no plan step
+    needed it (scan, or auto decided by the largest class alone)."""
 
     strategy: str
     n: int
@@ -172,37 +165,36 @@ def plan_queries(n: int, fam: PaletteFamily, strategy: str,
     membership classes are only well defined for a common palette). auto:
     compares the exact class cost against the exact scan cost n + 2m when
     m_hint is given (falling back to the n + n*delta_hint bound otherwise)
-    and plans the cheaper one.
+    and plans the cheaper one (ties: scan). The Theta(n^2) exact class count
+    runs only when the scan cost lies between max_c and sum_c of C(|V_c|, 2).
     """
     if strategy not in ("scan", "classes", "auto"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    needs_classes = strategy in ("classes", "auto")
-    if needs_classes and fam.universe is None:
+    if strategy != "scan" and fam.universe is None:
         raise UnsupportedStrategy(
             "color-class planning requires sampling from the shared palette; "
             "per-vertex lists and correspondence covers are unsupported"
         )
-    cost_scan = None
-    if delta_hint is not None:
-        cost_scan = n + n * delta_hint
+    cost_scan = None if delta_hint is None else n + n * delta_hint
     if m_hint is not None:
         cost_scan = n + 2 * m_hint
     if strategy == "scan":
         if delta_hint is None:
             raise ValueError("neighbor scan needs delta_hint")
         return QueryPlan("scan", n, delta_hint, None, cost_scan, None)
-    masks = packed_masks(fam.sampled, fam.universe)
-    cost_classes = _pair_union_size(masks)
-    if strategy == "classes":
-        return QueryPlan("classes", n, delta_hint, _pair_union(fam, n),
-                         cost_scan, cost_classes)
-    # auto: pick the strategy with the smaller exact cost (ties go to scan)
-    if delta_hint is None and m_hint is None:
-        raise ValueError("auto strategy needs delta_hint or m_hint")
-    if cost_scan is not None and cost_scan <= cost_classes:
-        return QueryPlan("scan", n, delta_hint, None, cost_scan, cost_classes)
-    return QueryPlan("classes", n, delta_hint, _pair_union(fam, n),
-                     cost_scan, cost_classes)
+    if strategy == "auto":
+        if delta_hint is None and m_hint is None:
+            raise ValueError("auto strategy needs delta_hint or m_hint")
+        sizes = np.bincount(_flatten(fam.sampled)[0], minlength=fam.universe)
+        per_class = sizes * (sizes - 1) // 2
+        if cost_scan <= per_class.max(initial=0):
+            return QueryPlan("scan", n, delta_hint, None, cost_scan, None)
+        if cost_scan <= per_class.sum():
+            cost_classes = _pair_union_size(packed_masks(fam.sampled, fam.universe))
+            if cost_scan <= cost_classes:
+                return QueryPlan("scan", n, delta_hint, None, cost_scan, cost_classes)
+    pairs = _pair_union(fam)
+    return QueryPlan("classes", n, delta_hint, pairs, cost_scan, len(pairs))
 
 
 def execute_plan(oracle: QueryOracle, plan: QueryPlan, fam: PaletteFamily):
@@ -265,7 +257,7 @@ def end_to_end_query_color(oracle: QueryOracle, params: SparsifyParams, seed: in
     if any(len(row) == 0 for row in pruned):
         return QueryRunResult(None, issued, plan, None,
                               error="a vertex lost every sampled color in pruning")
-    sub = Graph(n, np.column_stack((us[hit], vs[hit])))
+    sub = found.graph if hit.all() else Graph(n, np.column_stack((us[hit], vs[hit])))
     res = solve(sub, ListAssignment(pruned), policy=policy, seed=seed)
     return QueryRunResult(res.coloring, issued, plan, res,
                           error="" if res.success else "solver failed")

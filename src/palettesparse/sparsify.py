@@ -9,10 +9,11 @@ instance that picks colors from the pruned palettes is a proper coloring of
 the original instance, which is the whole point of the reduction.
 
 The offline, streaming and query models share three numpy kernels:
-`conflict_counts`, `prune_by_counts` and `surviving_edges`. Per-vertex
-lists reach them with their color ids ranked. Covers go through the cover
-kernels of `cover`, which read the cover's pair arrays: `restrict_cover`
-for the samples and the conflict instance, `color_degrees` for pruning.
+`conflict_counts` (over `directed_counts`), `prune_by_counts` and
+`surviving_edges`. Per-vertex lists reach them with their color ids
+ranked. Covers go through the cover kernels of `cover`, which read the
+cover's pair arrays: `restrict_cover` for the samples and the conflict
+instance, `color_degrees` for pruning.
 
 All logarithms are natural. Thresholds are compared with <= against the
 real-valued bound ("at most"), never rounded.
@@ -49,6 +50,7 @@ __all__ = [
     "prune",
     "build_conflict",
     "conflict_counts",
+    "directed_counts",
     "prune_by_counts",
     "packed_masks",
     "surviving_edges",
@@ -262,10 +264,10 @@ def _dense(rows, universe: int | None):
 _CHUNK_KEYS = 1 << 16
 
 
-def conflict_counts(us, vs, samp, q: int) -> np.ndarray:
-    """counts[v, c] = number of edges {u, v} in the int64 arrays (us, vs)
-    with c in samp[u], for rows samp[u] of distinct colors in 0..q-1 of any
-    lengths: the keys v*(q+1) + c are bincounted a chunk of edges at a time.
+def directed_counts(heads, tails, samp, q: int) -> np.ndarray:
+    """counts[h, c] = number of i with heads[i] = h and c in samp[tails[i]],
+    for int64 arrays (heads, tails) and rows of distinct colors in 0..q-1:
+    the keys h*(q+1) + c are bincounted a chunk of pairs at a time.
 
     Rows are padded to one width with the spare color q, so a chunk's keys
     cost one gather and one in-place add; few temporaries, none larger than
@@ -273,7 +275,6 @@ def conflict_counts(us, vs, samp, q: int) -> np.ndarray:
     """
     n = len(samp)
     flat, lens = _flatten(samp)
-    heads, tails = np.concatenate((us, vs)), np.concatenate((vs, us))
     # a tail row holding the whole palette adds one to every color of its head
     whole = lens[tails] == q
     degree = np.bincount(heads[whole], minlength=n)
@@ -296,6 +297,12 @@ def conflict_counts(us, vs, samp, q: int) -> np.ndarray:
     counts = counts.reshape(n, q + 1)[:, :q]
     counts += degree[:, None]
     return counts
+
+
+def conflict_counts(us, vs, samp, q: int) -> np.ndarray:
+    """counts[v, c] = number of edges {u, v} in the int64 arrays (us, vs)
+    with c in samp[u]: `directed_counts` over both directions of each edge."""
+    return directed_counts(np.concatenate((us, vs)), np.concatenate((vs, us)), samp, q)
 
 
 def prune_by_counts(rows, counts: np.ndarray, thr: float) -> tuple[tuple[int, ...], ...]:

@@ -127,6 +127,15 @@ def oracle_conflict_counts(g: Graph, rows, q: int) -> list[list[int]]:
     return [[oracle_conflict_count(nbrs, rows, v, c) for c in range(q)] for v in range(g.n)]
 
 
+def oracle_directed_counts(n: int, heads, tails, rows, q: int) -> list[list[int]]:
+    """table[h][c] = number of i with heads[i] = h and c in rows[tails[i]]."""
+    table = [[0] * q for _ in range(n)]
+    for h, t in zip(heads, tails):
+        for c in rows[t]:
+            table[h][c] += 1
+    return table
+
+
 def oracle_prune(g: Graph, rows, thr: float) -> tuple[tuple[int, ...], ...]:
     """Each row restricted to its colors whose conflict count is <= thr."""
     nbrs = oracle_adjacency(g)

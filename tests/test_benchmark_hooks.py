@@ -3,8 +3,8 @@
 perfbench/ traces the package from outside by rebinding the functions and
 methods that `spans.TRACED` names, and runs workloads through the public
 API. A rename in the package would break it silently, so this checks the
-names and one tiny workload end to end. Run from the repository root, as
-perfbench/run.py expects.
+names and every tiny workload end to end, fingerprint included. Run from
+the repository root, as perfbench/run.py expects.
 """
 
 import os
@@ -42,7 +42,9 @@ def test_traced_names_resolve_and_are_restored(perfbench):
     assert all(resolve(name) is before[name] for name in spans.TRACED)
 
 
-def test_tiny_cover_workload_is_correct(perfbench):
+@pytest.mark.parametrize("workload", ["offline-baseline", "stream-sparse", "query-scan",
+                                      "cover-finish"])
+def test_tiny_workload_is_correct(perfbench, workload):
     run, _ = perfbench
-    result, detail = run.run_workload("cover-finish", "tiny", 0, 0.0, True)
+    result, detail = run.run_workload(workload, "tiny", 0, 0.0, True)
     assert result["correct"] and detail["fingerprint_ok"]

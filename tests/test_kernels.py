@@ -17,6 +17,7 @@ from conftest import (
     oracle_cover_graph,
     oracle_cover_prune,
     oracle_cover_stream_retention,
+    oracle_directed_counts,
     oracle_neighborhood_edges,
     oracle_picked_counts,
     oracle_prune,
@@ -42,6 +43,7 @@ from palettesparse.sparsify import (
     SharedPalette,
     build_conflict,
     conflict_counts,
+    directed_counts,
     manual_params,
     packed_masks,
     prune,
@@ -252,6 +254,32 @@ class TestConflictCounts:
         counts = conflict_counts(us, vs, rows, 4)
         degrees = [g.degree(v) for v in range(5)]
         assert counts.tolist() == [[d] * 4 for d in degrees]
+
+
+class TestDirectedCounts:
+    @FAST
+    @given(st.integers(1, 8), st.integers(1, 6), st.booleans(), st.data())
+    def test_matches_oracle_across_chunks(self, n, q, ragged, data):
+        # any pairs, repeats and self pairs included; with _CHUNK_KEYS at 1 a
+        # chunk holds n*(q+1) // width pairs, so long pair lists span chunks
+        rows = data.draw(rows_over(n, q, ragged))
+        ends = st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=60)
+        pairs = data.draw(ends)
+        heads = np.array([h for h, _ in pairs], dtype=np.int64)
+        tails = np.array([t for _, t in pairs], dtype=np.int64)
+        with mock.patch.object(sparsify, "_CHUNK_KEYS", 1):
+            counts = directed_counts(heads, tails, rows, q)
+        assert counts.shape == (n, q)
+        assert counts.tolist() == oracle_directed_counts(n, heads.tolist(), tails.tolist(),
+                                                         rows, q)
+
+    @FAST
+    @given(instances())
+    def test_both_directions_sum_to_conflict_counts(self, inst):
+        g, q, rows = inst
+        us, vs = g.edge_arrays()
+        both = directed_counts(us, vs, rows, q) + directed_counts(vs, us, rows, q)
+        assert both.tolist() == conflict_counts(us, vs, rows, q).tolist()
 
 
 class TestPruneByCounts:

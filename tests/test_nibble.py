@@ -11,6 +11,8 @@ from conftest import (
     random_lists,
     rng_for,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from palettesparse.cover import (
     CorrespondenceCover,
@@ -378,7 +380,32 @@ class TestVerify:
         assert not res.ok and res.witness == first
 
 
+@st.composite
+def list_instances(draw):
+    """(graph, lists) with arbitrary ids: rows drawn from a small pool, some
+    of them empty or the whole pool, or one row shared by every vertex;
+    vertices may be isolated."""
+    n = draw(st.integers(0, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    pool = draw(st.lists(st.integers(-2 ** 40, 2 ** 40), min_size=1, max_size=6, unique=True))
+    row = st.sets(st.sampled_from(pool)).map(tuple) | st.just(tuple(pool))
+    if draw(st.booleans()):
+        rows = (draw(row),) * n
+    else:
+        rows = tuple(draw(row) for _ in range(n))
+    return Graph(n, edges), ListAssignment(rows)
+
+
 class TestGreedy:
+    @settings(max_examples=150, deadline=None)
+    @given(list_instances())
+    def test_matches_the_cover_reference(self, inst):
+        g, lists = inst
+        got, want = greedy_color(g, lists), reference_greedy(g, lists)
+        assert got[1] == want[1]
+        assert (got[0] and got[0].assignment) == (want[0] and want[0].assignment)
+
     def test_paths_agree(self):
         rng = rng_for(23)
         for _ in range(15):
@@ -386,10 +413,8 @@ class TestGreedy:
             g = random_graph(rng, n, 0.3)
             lists = random_lists(rng, n, 9, 4)
             generic = reference_greedy(g, lists)
-            # the dense list path, called directly on the small ids 0..8
-            from palettesparse.nibble import _greedy_plain
-
-            plain = _greedy_plain(g, lists.lists)
+            # the list core, called directly on the small ids 0..8
+            plain = nibble._greedy_lists(g, lists.lists, 9)
             assert (generic[0] is None) == (plain[0] is None)
             if generic[0] is not None:
                 assert generic[0].assignment == plain[0].assignment
@@ -428,8 +453,8 @@ class TestGreedy:
                 for _ in range(n)))
             rows, q, names = _dense(lists.lists, None)
             assert n * q > nibble._DENSE_CELLS * (sum(map(len, rows)) + g.m)
-            dense, stuck = nibble._greedy_plain(g, rows)
-            with mock.patch.object(nibble, "_greedy_plain", side_effect=AssertionError):
+            dense, stuck = nibble._greedy_lists(g, rows, q)
+            with mock.patch.object(nibble, "_greedy_lists", side_effect=AssertionError):
                 got, got_stuck = greedy_color(g, lists)
             assert got_stuck == stuck
             want = dense and {v: int(names[c]) for v, c in dense.assignment.items()}
@@ -455,19 +480,19 @@ class TestGreedy:
 
     def test_full_palette_shortcut_agrees(self):
         rng = rng_for(24)
-        from palettesparse.nibble import _greedy_plain, _greedy_full_palette
-
         for _ in range(10):
             n = int(rng.integers(5, 25))
             g = random_graph(rng, n, 0.4)
             q = int(rng.integers(3, 8))
             lists = ListAssignment((tuple(range(q)),) * n)
-            a = _greedy_full_palette(g, q)
+            # rows None: no per-entry scores, each row is its own candidate order
+            a = nibble._greedy_lists(g, None, q)
             b = reference_greedy(g, lists)
             if a[0] is None:
                 assert b[0] is None
             else:
                 assert a[0].assignment == b[0].assignment
+            assert nibble._greedy_lists(g, lists.lists, q) == a
             # greedy_color takes this path for any q shared ids
             same = ListAssignment((tuple(range(-5, 3 * q - 5, 3)),) * n)
             got, want = greedy_color(g, same), reference_greedy(g, same)

@@ -1,5 +1,7 @@
 import itertools
 import math
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from conftest import random_graph, rng_for
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from palettesparse import querysim
 from palettesparse.cover import ListAssignment
 from palettesparse.graphcore import Graph, gen_bipartite, gen_locally_sparse, max_degree
 from palettesparse.nibble import verify_coloring
@@ -61,6 +64,13 @@ class TestPlan:
             got = {tuple(sorted(p)) for p in plan.pairs.tolist()}
             assert got == want and plan.cost_classes == len(want)
 
+            # each pair sits where its smallest shared color's class first
+            # lists it, so the plan fingerprint pins this order
+            def first(p):
+                return min(set(fam.sampled[p[0]]) & set(fam.sampled[p[1]])), p
+
+            assert list(map(tuple, plan.pairs.tolist())) == sorted(want, key=first)
+
     def test_classes_unsupported_for_per_vertex_lists(self):
         fam = PaletteFamily(((1, 2), (3, 4)))  # no shared universe
         with pytest.raises(UnsupportedStrategy):
@@ -80,6 +90,39 @@ class TestPlan:
         a = plan_queries(30, fam, "auto", delta_hint=6, m_hint=50)
         b = plan_queries(30, fam, "auto", delta_hint=6, m_hint=50)
         assert a.fingerprint() == b.fingerprint()
+
+    def test_class_size_bounds_decide_auto_like_the_exact_count(self):
+        # below max_c C(|V_c|, 2) and above sum_c C(|V_c|, 2) the scan cost
+        # decides without the exact count; in between the exact count runs
+        rng = rng_for(9)
+        decided = Counter()
+        for trial in range(25):
+            n = int(rng.integers(2, 40))
+            q = int(rng.integers(1, 10))
+            fam = sample_palettes(SharedPalette(n, q), int(rng.integers(1, q + 1)), seed=trial)
+            sizes = Counter(c for row in fam.sampled for c in row).values()
+            low = max(math.comb(k, 2) for k in sizes)
+            high = sum(math.comb(k, 2) for k in sizes)
+            exact = len(oracle_pair_union(fam, n))
+            hint = int(rng.integers(0, n))
+            for cost in {low - 1, low, low + 1, exact, exact + 1, high, high + 1}:
+                m = (cost - n) // 2
+                if m < 0:
+                    continue
+                want = "scan" if n + 2 * m <= exact else "classes"
+                ref = plan_queries(n, fam, want, hint)
+                if low < n + 2 * m <= high:
+                    plan = plan_queries(n, fam, "auto", hint, m_hint=m)
+                    assert plan.cost_classes == exact
+                else:
+                    with mock.patch.object(querysim, "_pair_union_size",
+                                           side_effect=AssertionError):
+                        plan = plan_queries(n, fam, "auto", hint, m_hint=m)
+                    decided[plan.strategy] += 1
+                    assert plan.cost_classes == (None if want == "scan" else exact)
+                assert plan.strategy == want
+                assert plan.fingerprint() == ref.fingerprint()
+        assert decided["scan"] and decided["classes"]
 
     def test_plan_independent_of_hidden_graph(self):
         # same palettes, two very different hidden graphs: byte-identical plan
