@@ -12,6 +12,7 @@ from .cover import (
     CoverError,
     CoverReport,
     ListAssignment,
+    Rows,
     c_degrees,
     cover_from_lists,
     cover_sparsity,

@@ -16,10 +16,13 @@ import sys
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ._rng import TAG_COVER, substream
 from .cover import (
     CorrespondenceCover,
     ListAssignment,
+    Rows,
     cover_from_lists,
     load_cover,
     random_cover,
@@ -240,7 +243,7 @@ def _offline_seed(g: Graph, params: SparsifyParams, obj, cfg: RunConfig,
         fam = prune(obj, fam, params)
         conflict = build_conflict(g, fam, cover=obj)
         target = conflict.cover
-    if any(len(row) == 0 for row in fam.active()):
+    if (fam.active().lens == 0).any():
         return None, conflict.graph.m, None, "a vertex lost every sampled color", target
     res = solve(conflict.graph, target, policy=cfg.policy, seed=seed)
     err = "" if res.success else "; ".join(
@@ -361,11 +364,9 @@ def _pullback(coloring, cov: CorrespondenceCover):
 
 def _full_verify(g: Graph, params: SparsifyParams, obj, coloring):
     """Verify a coloring against the full original instance."""
-    if obj is None or isinstance(obj, ListAssignment):
-        palette = obj if obj is not None else ListAssignment(
-            tuple(tuple(range(params.q)) for _ in range(g.n))
-        )
-        return verify_coloring(g, palette, coloring)
+    if obj is None:
+        q = params.q
+        obj = ListAssignment(Rows(np.tile(np.arange(q), g.n), np.arange(0, g.n * q + 1, q)))
     return verify_coloring(g, obj, coloring)
 
 

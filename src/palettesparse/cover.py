@@ -1,4 +1,10 @@
-"""List assignments and correspondence covers.
+"""List assignments and correspondence covers, and the `Rows` they are held in.
+
+`Rows` is the one representation of per-vertex lists, palettes and stored
+stream edges across the package: flat int64 `values` plus `indptr` row
+offsets, each row ascending, the list counterpart of the CSR `Graph`.
+Kernels read the arrays; tuples of a row are made only when a caller
+indexes or iterates.
 
 A list assignment gives every vertex its own set of color names; colors with
 the same name clash across an edge. A correspondence cover generalizes this:
@@ -20,9 +26,10 @@ the list kernels in `sparsify`, because `sparsify` imports this module.
 
 from __future__ import annotations
 
+from collections.abc import Sequence, Sized
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -32,6 +39,7 @@ from .graphcore import Graph, local_sparsity
 __all__ = [
     "CoverError",
     "ListAssignment",
+    "Rows",
     "CorrespondenceCover",
     "CoverReport",
     "CDegreeTable",
@@ -55,39 +63,124 @@ class CoverError(ValueError):
     pass
 
 
-def _flatten(rows) -> tuple[np.ndarray, np.ndarray]:
-    """Ragged rows as (their values concatenated, their lengths)."""
-    lens = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    flat = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(lens.sum()))
-    return flat, lens
+def _offsets(lens: np.ndarray) -> np.ndarray:
+    """Row offsets (n + 1 of them) of rows with lengths `lens`."""
+    indptr = np.zeros(lens.size + 1, dtype=np.int64)
+    np.cumsum(lens, out=indptr[1:])
+    return indptr
 
 
-def _unflatten(flat: list, lens: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    it = iter(flat)
-    return tuple(tuple(islice(it, k)) for k in lens.tolist())
+class Rows(Sequence):
+    """Ragged rows of int64 ids, the list counterpart of the CSR `Graph`:
+    row v is values[indptr[v]:indptr[v + 1]], ascending. Read-only.
 
+    `rows[v]` and iteration give tuples made on demand, and `==` compares
+    with any sequence of rows, so a `Rows` reads like a tuple of tuples;
+    the kernels read `values`, `lens` and `owner` instead.
+    """
 
-def _keep_rows(flat: np.ndarray, lens: np.ndarray, keep: np.ndarray):
-    """The rows `_flatten` gave as (flat, lens), cut down to the entries
-    marked in the bool mask `keep`."""
-    owner = np.repeat(np.arange(lens.size), lens)
-    return _unflatten(flat[keep].tolist(), np.bincount(owner[keep], minlength=lens.size))
+    __slots__ = ("values", "indptr")
+
+    def __init__(self, values: np.ndarray, indptr: np.ndarray):
+        """Takes the int64 arrays as they are: each row must be ascending."""
+        self.values, self.indptr = values, indptr
+        values.flags.writeable = indptr.flags.writeable = False
+
+    @classmethod
+    def of(cls, rows) -> "Rows":
+        """Rows from any sequence of iterables of ids, each row sorted; a
+        `Rows` is returned as it is. Repeated ids stay (see `first_repeat`)."""
+        if isinstance(rows, Rows):
+            return rows
+        if not isinstance(rows, Sized):
+            rows = tuple(rows)
+        lens = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        values = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(lens.sum()))
+        out = cls(values, _offsets(lens))
+        owner = out.owner
+        if ((values[1:] < values[:-1]) & (owner[1:] == owner[:-1])).any():
+            # one sort by (row, id) puts every row in order
+            out = cls(values[np.lexsort((values, owner))], out.indptr)
+        return out
+
+    def first_repeat(self) -> int | None:
+        """The first row holding an id twice, or None."""
+        owner = self.owner
+        dup = (self.values[1:] == self.values[:-1]) & (owner[1:] == owner[:-1])
+        return int(owner[dup.argmax()]) if dup.any() else None
+
+    def __len__(self) -> int:
+        return self.indptr.size - 1
+
+    @property
+    def lens(self) -> np.ndarray:
+        return np.diff(self.indptr)
+
+    @property
+    def owner(self) -> np.ndarray:
+        """The row of every entry."""
+        return np.repeat(np.arange(len(self)), self.lens)
+
+    def __getitem__(self, v) -> tuple[int, ...]:
+        v = range(len(self))[v]
+        lo, hi = self.indptr[v : v + 2].tolist()
+        return tuple(self.values[lo:hi].tolist())
+
+    def __iter__(self):
+        flat, bounds = self.values.tolist(), self.indptr.tolist()
+        return (tuple(flat[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return len(other) == len(self) and all(a == tuple(b) for a, b in zip(self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def keep(self, mask: np.ndarray) -> "Rows":
+        """The rows cut down to the entries the bool mask `mask` marks."""
+        return Rows(self.values[mask], np.concatenate(([0], np.cumsum(mask)))[self.indptr])
+
+    def holds(self, at: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        """Bool mask: row at[i] holds id ids[i]. One binary search of the
+        (row, id) keys, which ascend with the entries."""
+        size = self.values.size
+        if not size:
+            return np.zeros(len(ids), dtype=bool)
+        both = np.concatenate((self.values, ids))
+        lo, hi = int(both.min()), int(both.max())
+        span = hi - lo + 1
+        if span * len(self) < 2 ** 63:
+            both -= lo
+        else:
+            # ids too far apart to sit beside the row in one int64: rank them
+            both = np.unique(both, return_inverse=True)[1]
+            span = int(both.max()) + 1
+        keys = self.owner * span + both[:size]
+        want = at * span + both[size:]
+        return keys[np.minimum(np.searchsorted(keys, want), size - 1)] == want
+
+    def relabel(self, ids: np.ndarray) -> "Rows":
+        """Every id c replaced by ids[c]; `ids` ascending keeps rows in order."""
+        return Rows(ids[self.values], self.indptr)
+
+    def __repr__(self):
+        return f"Rows(n={len(self)}, entries={self.values.size})"
 
 
 @dataclass(frozen=True)
 class ListAssignment:
-    """Per-vertex color lists; duplicates within a list are forbidden."""
+    """Per-vertex color lists, as `Rows`; duplicates within a list are forbidden."""
 
-    lists: tuple[tuple[int, ...], ...]
+    lists: Rows
 
     def __post_init__(self):
-        norm = []
-        for v, row in enumerate(self.lists):
-            row = tuple(sorted(row))
-            if len(set(row)) != len(row):
-                raise CoverError(f"duplicate color in list of vertex {v}")
-            norm.append(row)
-        object.__setattr__(self, "lists", tuple(norm))
+        rows = Rows.of(self.lists)
+        v = rows.first_repeat()
+        if v is not None:
+            raise CoverError(f"duplicate color in list of vertex {v}")
+        object.__setattr__(self, "lists", rows)
 
     @property
     def n(self) -> int:
@@ -124,7 +217,8 @@ class CoverArrays:
 class CorrespondenceCover:
     """Cover colors per vertex plus per-edge partial matchings.
 
-    `lists[v]` holds globally unique color ids owned by v; `matchings` maps
+    `lists` is a `Rows` whose row v holds the globally unique color ids
+    owned by v; `matchings` maps
     each edge (u, v) with u < v to a tuple of (color-of-u, color-of-v)
     pairs. Construction is permissive so that invalid covers can be built
     and then diagnosed by `validate_cover`. `arrays` is the encoding the
@@ -133,9 +227,7 @@ class CorrespondenceCover:
     """
 
     def __init__(self, lists, matchings, source_color=None):
-        self.lists: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(row)) for row in lists
-        )
+        self.lists = Rows.of(lists)
         self.matchings: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
         for (u, v), pairs in matchings.items():
             if u > v:
@@ -160,7 +252,7 @@ class CorrespondenceCover:
 
     @cached_property
     def num_colors(self) -> int:
-        return sum(len(row) for row in self.lists)
+        return self.lists.values.size
 
     @cached_property
     def arrays(self) -> CoverArrays:
@@ -170,11 +262,11 @@ class CorrespondenceCover:
                            count=2 * per_edge.size).reshape(-1, 2)
         pairs = np.fromiter(chain.from_iterable(chain.from_iterable(self.matchings.values())),
                             dtype=np.int64, count=2 * int(per_edge.sum()))
-        flat, lens = _flatten(self.lists)
+        flat = self.lists.values
         colors, ranks = np.unique(np.concatenate((flat, pairs)), return_inverse=True)
         return CoverArrays(colors, np.repeat(ends[:, 0], per_edge),
                            np.repeat(ends[:, 1], per_edge), ranks[flat.size::2],
-                           ranks[flat.size + 1::2], ranks[:flat.size], lens)
+                           ranks[flat.size + 1::2], ranks[:flat.size], self.lists.lens)
 
     @cached_property
     def matchings(self) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
@@ -199,10 +291,9 @@ def color_degrees(cov: CorrespondenceCover) -> np.ndarray:
     return np.bincount(np.concatenate((a.ra, a.rb)), minlength=a.colors.size)
 
 
-def cover_rows(cov: CorrespondenceCover, keep: np.ndarray):
+def cover_rows(cov: CorrespondenceCover, keep: np.ndarray) -> Rows:
     """The cover's lists cut down to the colors whose rank `keep` marks."""
-    a = cov.arrays
-    return _keep_rows(a.colors[a.lists], a.lens, keep[a.lists])
+    return cov.lists.keep(keep[cov.arrays.lists])
 
 
 def picked_counts(cov: CorrespondenceCover, picked: np.ndarray) -> np.ndarray:
@@ -221,12 +312,11 @@ def restrict_cover(cov: CorrespondenceCover, rows, vertices=None):
     mask `vertices`, only the marked vertices stay, renumbered in order.
     """
     a = cov.arrays
-    rows = [tuple(sorted(row)) for row in rows]
-    flat, lens = _flatten(rows)
+    rows = Rows.of(rows)
     if vertices is None:
         vertices = np.ones(len(rows), dtype=bool)
-    ranks, lens = a.rank(flat)[np.repeat(vertices, lens)], lens[vertices]
-    rows = [row for row, on in zip(rows, vertices.tolist()) if on]
+    on = np.repeat(vertices, rows.lens)
+    ranks = a.rank(rows.values)[on]
     keep = np.zeros(a.colors.size, dtype=bool)
     keep[ranks] = True
     hit = keep[a.ra] & keep[a.rb] & vertices[a.eu] & vertices[a.ev]
@@ -234,10 +324,10 @@ def restrict_cover(cov: CorrespondenceCover, rows, vertices=None):
     eu, ev = new_id[a.eu[hit]], new_id[a.ev[hit]]
     new_rank = np.cumsum(keep) - 1
     sub = CorrespondenceCover.__new__(CorrespondenceCover)
-    sub.lists = tuple(rows)
+    sub.lists = Rows(rows.values[on], _offsets(rows.lens[vertices]))
     sub.source_color = cov.source_color
     sub.arrays = CoverArrays(a.colors[keep], eu, ev, new_rank[a.ra[hit]],
-                             new_rank[a.rb[hit]], new_rank[ranks], lens)
+                             new_rank[a.rb[hit]], new_rank[ranks], sub.lists.lens)
     # a pair opens an edge when its edge differs from the pair before it
     first = np.ones(eu.size, dtype=bool)
     first[1:] = (eu[1:] != eu[:-1]) | (ev[1:] != ev[:-1])
@@ -302,8 +392,8 @@ def cover_from_lists(g: Graph, l: ListAssignment) -> CorrespondenceCover:
     adjacent vertices correspond. Proper colorings pull back both ways."""
     if l.n != g.n:
         raise CoverError(f"list assignment has {l.n} vertices, graph has {g.n}")
-    names, lens = _flatten(l.lists)
-    lists = _unflatten(range(names.size), lens)  # ids in row-major order
+    names = l.lists.values
+    lists = Rows(np.arange(names.size), l.lists.indptr)  # ids in row-major order
     index = [dict(zip(row, ids)) for row, ids in zip(l.lists, lists)]
     matchings = {}
     for u, v in g.edges():
@@ -368,9 +458,7 @@ def random_cover(g: Graph, list_size: int, density: float, seed: int) -> Corresp
     processed in lexicographic order from a single stream.
     """
     rng = substream(seed, TAG_COVER)
-    lists = [
-        tuple(range(v * list_size, (v + 1) * list_size)) for v in range(g.n)
-    ]
+    lists = Rows(np.arange(g.n * list_size), _offsets(np.full(g.n, list_size)))
     matchings = {}
     for u, v in g.edges():
         t = int(rng.binomial(list_size, density))

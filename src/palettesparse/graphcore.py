@@ -192,7 +192,12 @@ def local_sparsity(g: Graph) -> SparsityReport:
     An edge (a, b) lies inside N(v) exactly when (v, a, b) is a triangle, so
     the counts equal per-vertex triangle counts.
     """
-    per = tuple(_triangle_counts(g.n, *g.edge_arrays()).tolist())
+    return _sparsity_report(g, _triangle_counts(g.n, *g.edge_arrays()))
+
+
+def _sparsity_report(g: Graph, tri: np.ndarray) -> SparsityReport:
+    """The report of g, whose per-vertex triangle counts are `tri`."""
+    per = tuple(tri.tolist())
     return SparsityReport(max(per, default=0), max_degree(g), per)
 
 
@@ -213,18 +218,21 @@ def _degree_capped_pairing(n: int, delta: int, rng) -> np.ndarray:
     return np.stack(np.divmod(keys, n), axis=1)
 
 
-def _repair_sparsity(n: int, edges: np.ndarray, k: int) -> np.ndarray:
-    """Delete edges until every neighborhood has at most k internal edges.
+def _repair_sparsity(n: int, edges: np.ndarray, k: int):
+    """Delete edges until every neighborhood has at most k internal edges;
+    returns (the edges left, their per-vertex triangle counts when nothing
+    was deleted, else None).
 
     `edges` holds sorted (u, v) rows with u < v, and so does the result.
     Repeatedly takes the densest neighborhood and removes the edge inside it
     that sits on the most triangles (ties broken lexicographically). Deleting
     never increases any neighborhood count, so this terminates.
     """
-    tri = _triangle_counts(n, edges[:, 0], edges[:, 1]).tolist()
+    counts = _triangle_counts(n, edges[:, 0], edges[:, 1])
+    tri = counts.tolist()
     heap = [(-tri[v], v) for v in range(n) if tri[v] > k]
     if not heap:
-        return edges
+        return edges, counts
     alive = set(map(tuple, edges.tolist()))
     nbr = [set() for _ in range(n)]
     for u, v in alive:
@@ -259,7 +267,7 @@ def _repair_sparsity(n: int, edges: np.ndarray, k: int) -> np.ndarray:
                 heapq.heappush(heap, (-tri[w], w))
         if tri[v] > k:
             heapq.heappush(heap, (-tri[v], v))
-    return np.array(sorted(alive), dtype=np.int64).reshape(-1, 2)
+    return np.array(sorted(alive), dtype=np.int64).reshape(-1, 2), None
 
 
 def gen_locally_sparse(n: int, target_delta: int, k: int, seed: int,
@@ -268,7 +276,9 @@ def gen_locally_sparse(n: int, target_delta: int, k: int, seed: int,
 
     Strategy: degree-capped random pairing, then delete edges out of
     overfull neighborhoods until the audit passes. The returned graph is
-    audited, not assumed. Deterministic given the seed.
+    audited, not assumed: when the repair deleted nothing, its triangle
+    counts are those of the returned edge set, else they are counted anew.
+    Deterministic given the seed.
     """
     if n < 1:
         raise GenerationError(f"need n >= 1, got {n}")
@@ -278,9 +288,9 @@ def gen_locally_sparse(n: int, target_delta: int, k: int, seed: int,
         raise GenerationError(f"need k >= 0, got {k}")
     rng = substream(seed, TAG_GEN)
     for _ in range(max_attempts):
-        edges = _degree_capped_pairing(n, target_delta, rng)
-        g = Graph(n, _repair_sparsity(n, edges, k))
-        report = local_sparsity(g)
+        edges, tri = _repair_sparsity(n, _degree_capped_pairing(n, target_delta, rng), k)
+        g = Graph(n, edges)
+        report = local_sparsity(g) if tri is None else _sparsity_report(g, tri)
         if report.k_star <= k and report.max_degree <= target_delta:
             return g
     raise GenerationError(

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -31,7 +30,6 @@ from ._rng import TAG_LLL, TAG_SOLVE, TAG_WCP, substream
 from .cover import (
     CorrespondenceCover,
     ListAssignment,
-    _flatten,
     c_degrees,
     clashing_pairs,
     color_degrees,
@@ -122,10 +120,6 @@ class _Instance:
         self.g, self.lists = g, obj.lists
 
     @cached_property
-    def list_sets(self) -> list[frozenset[int]]:
-        return [frozenset(row) for row in self.lists]
-
-    @cached_property
     def _partners(self) -> dict[tuple[int, int, int], list[int]]:
         a = self.cover.arrays
         out: dict[tuple[int, int, int], list[int]] = {}
@@ -136,9 +130,10 @@ class _Instance:
         return out
 
     def partners(self, u: int, v: int, cu: int):
-        """Colors of v that clash with color cu at u across edge uv."""
+        """Colors that clash with color cu at u across edge uv; every caller
+        only asks about colors of v's list. List mode: cu itself."""
         if self.cover is None:
-            return (cu,) if cu in self.list_sets[v] else ()
+            return (cu,)
         return self._partners.get((u, v, cu), ())
 
     def clashing_edges(self, phi: dict[int, int]) -> list[tuple[int, int]]:
@@ -184,16 +179,22 @@ def verify_coloring(g: Graph, obj, phi: PartialColoring) -> VerifyResult:
     """Check list membership and non-conflict across every edge.
 
     Blank vertices are fine (a partial coloring verifies vacuously on its
-    blank part). Runs in O(n + m).
+    blank part). Membership is one binary search of the lists' (vertex,
+    color) keys (`Rows.holds`); the witness is the first bad entry of `phi`
+    in its order. Runs in O(n log n + m + list entries).
     """
     inst = _as_instance(g, obj)
-    for v, c in phi.assignment.items():
-        if not (0 <= v < g.n):
+    at = np.fromiter(phi.assignment, dtype=np.int64, count=len(phi))
+    ids = np.fromiter(phi.assignment.values(), dtype=np.int64, count=len(phi))
+    outside = (at < 0) | (at >= g.n)
+    missing = outside.copy()
+    missing[~outside] = ~inst.lists.holds(at[~outside], ids[~outside])
+    if missing.any():
+        i = int(missing.argmax())
+        v, c = int(at[i]), int(ids[i])
+        if outside[i]:
             return VerifyResult(False, (v,), f"vertex {v} out of range")
-        row = inst.lists[v]  # sorted
-        i = bisect_left(row, c)
-        if i == len(row) or row[i] != c:
-            return VerifyResult(False, (v, c), f"color {c} not in the list of vertex {v}")
+        return VerifyResult(False, (v, c), f"color {c} not in the list of vertex {v}")
     bad = inst.clashing_edges(phi.assignment)
     if bad:
         u, v = bad[0]
@@ -284,9 +285,11 @@ def wcp_round(g: Graph, cov: CorrespondenceCover, p: WcpParams, seed: int):
 
     # each vertex takes its smallest activated kept color; lists are sorted
     holds = cover_rows(cov, act & kept)
-    phi = PartialColoring({v: row[0] for v, row in enumerate(holds) if row})
+    has = holds.lens > 0
+    phi = PartialColoring(dict(zip(np.flatnonzero(has).tolist(),
+                                   holds.values[holds.indptr[:-1][has]].tolist())))
     in_u = np.zeros(N, dtype=bool)  # the colors of blank vertices
-    in_u[a.lists] = np.repeat([not row for row in holds], a.lens)
+    in_u[a.lists] = np.repeat(~has, a.lens)
     cnt = picked_counts(cov, kept & in_u)
     next_lists = cover_rows(cov, kept & (cnt <= 2.0 * p.d_next))
 
@@ -449,7 +452,7 @@ def finish_lll(g: Graph, obj, seed: int, *, threshold: float = 8.0,
     exceeding `budget` raises BudgetExceeded and indicates a caller bug.
     """
     inst = _as_instance(g, obj)
-    sizes = [len(row) for row in inst.lists]
+    sizes = inst.lists.lens.tolist()
     if g.n and min(sizes) == 0:
         raise PreconditionViolation("some vertex has an empty list")
     ell = min(sizes) if g.n else 0
@@ -459,7 +462,8 @@ def finish_lll(g: Graph, obj, seed: int, *, threshold: float = 8.0,
             f"max color degree {dmax} exceeds min list size {ell} / {threshold}"
         )
     rng = substream(seed, TAG_LLL)
-    phi = {v: inst.lists[v][int(rng.integers(sizes[v]))] for v in range(g.n)}
+    flat, start = inst.lists.values.tolist(), inst.lists.indptr.tolist()
+    phi = {v: flat[start[v] + int(rng.integers(sizes[v]))] for v in range(g.n)}
 
     def violated(e: tuple[int, int]) -> bool:
         return phi[e[1]] in inst.partners(e[0], e[1], phi[e[0]])
@@ -473,8 +477,8 @@ def finish_lll(g: Graph, obj, seed: int, *, threshold: float = 8.0,
         if resamples >= budget:
             raise BudgetExceeded(f"exceeded {budget} resamples")
         resamples += 1
-        phi[u] = inst.lists[u][int(rng.integers(sizes[u]))]
-        phi[v] = inst.lists[v][int(rng.integers(sizes[v]))]
+        phi[u] = flat[start[u] + int(rng.integers(sizes[u]))]
+        phi[v] = flat[start[v] + int(rng.integers(sizes[v]))]
         for w in (u, v):
             for x in g.neighbors(w).tolist():
                 f = (min(w, x), max(w, x))
@@ -494,7 +498,8 @@ def _dfs_color(inst: _Instance, node_cap: int | None):
     was found) within the node cap."""
     g = inst.g
     n = g.n
-    order = sorted(range(n), key=lambda v: (len(inst.lists[v]), -g.degree(v), v))
+    sizes = inst.lists.lens.tolist()
+    order = sorted(range(n), key=lambda v: (sizes[v], -g.degree(v), v))
     nbrs = [g.neighbors(v).tolist() for v in range(n)]
     rank = {v: i for i, v in enumerate(order)}
     avail: list[set[int]] = [set(row) for row in inst.lists]
@@ -533,7 +538,7 @@ def _dfs_color(inst: _Instance, node_cap: int | None):
                 avail[u].add(b)
         return False, True
 
-    if any(len(row) == 0 for row in inst.lists) and n > 0:
+    if n > 0 and min(sizes) == 0:
         return None, True
     found, complete = extend(0)
     if found:
@@ -561,8 +566,9 @@ def _greedy_generic(inst: _Instance):
     """The greedy rule of `greedy_color` on a cover instance."""
     g, a = inst.g, inst.cover.arrays
     maxcdeg = np.zeros(g.n, dtype=np.int64)
-    np.maximum.at(maxcdeg, np.repeat(np.arange(g.n), a.lens), color_degrees(inst.cover)[a.lists])
+    np.maximum.at(maxcdeg, inst.lists.owner, color_degrees(inst.cover)[a.lists])
     order = sorted(range(g.n), key=lambda v: (-maxcdeg[v], v))
+    flat, start = inst.lists.values.tolist(), inst.lists.indptr.tolist()
     assignment: dict[int, int] = {}
     for v in order:
         blocked = set()
@@ -574,7 +580,7 @@ def _greedy_generic(inst: _Instance):
             else:
                 blocked.update(inst.partners(u, v, cu))
         best = None
-        for c in inst.lists[v]:
+        for c in flat[start[v] : start[v + 1]]:
             if c in blocked:
                 continue
             score = sum(1 for u in unc if inst.partners(v, u, c))
@@ -587,7 +593,7 @@ def _greedy_generic(inst: _Instance):
 
 
 def _greedy_lists(g: Graph, rows, q: int):
-    """The greedy rule of `greedy_color` on lists of ranks 0..q-1 (rows None:
+    """The greedy rule of `greedy_color` on `Rows` of ranks 0..q-1 (rows None:
     every list is all q colors); `_greedy_generic` is the reference. Greedy
     stops at its first stuck vertex, so v's uncolored neighbours at its turn
     are the later ones, and every score is one `directed_counts` over the
@@ -600,8 +606,7 @@ def _greedy_lists(g: Graph, rows, q: int):
         us, vs = g.edge_arrays()
         # dropped before the scores are counted: one counting pass at a time
         counts = conflict_counts(us, vs, rows, q)
-        flat, lens = _flatten(rows)
-        owner = np.repeat(np.arange(n), lens)
+        flat, owner = rows.values, rows.owner
         maxc = np.full(n, -1, dtype=np.int64)
         np.maximum.at(maxc, owner, counts[owner, flat])
         del counts
@@ -615,7 +620,7 @@ def _greedy_lists(g: Graph, rows, q: int):
         # each list's entries by (score, color), lists in vertex order
         key = (owner * n + score) * q + flat
         cands = memoryview(np.sort(key) % q)
-        c_start = np.concatenate(([0], np.cumsum(lens))).tolist()
+        c_start = rows.indptr.tolist()
     # the CSR slots of each vertex's earlier neighbours; memoryviews hand
     # out each int as it is read, so no list of m ints is built
     back = pos[g.indices] < np.repeat(pos, np.diff(g.indptr))
@@ -646,18 +651,22 @@ def greedy_color(g: Graph, obj):
     if inst.cover is not None:
         return _greedy_generic(inst)
     # ranks and canonical cover ids keep the ids' order: colorings map back
-    if g.n and inst.lists[0] and all(row == inst.lists[0] for row in inst.lists):
-        names = np.array(inst.lists[0], dtype=np.int64)
+    rows, lens = inst.lists, inst.lists.lens
+    first = rows.values[: lens[0] if g.n else 0]
+    if first.size and (lens == first.size).all() and \
+            (rows.values.reshape(g.n, -1) == first).all():
+        names = first
         coloring, stuck = _greedy_lists(g, None, names.size)
     else:
-        rows, q, names = _dense(inst.lists, None)
-        if g.n * q <= _DENSE_CELLS * (sum(map(len, rows)) + g.m):
+        rows, q, names = _dense(rows, None)
+        if g.n * q <= _DENSE_CELLS * (rows.values.size + g.m):
             coloring, stuck = _greedy_lists(g, rows, q)
         else:
+            # canonical cover ids are the list entries in row-major order
+            names = inst.lists.values
             cov = cover_from_lists(g, ListAssignment(inst.lists))
-            names = np.array(list(cov.source_color.values()), dtype=np.int64)
             coloring, stuck = _greedy_generic(_Instance(g, cov))
-    if coloring is not None:
+    if coloring is not None and names is not None:
         picked = np.fromiter(coloring.assignment.values(), dtype=np.int64, count=len(coloring))
         coloring = PartialColoring(dict(zip(coloring.assignment, names[picked].tolist())))
     return coloring, stuck
@@ -709,7 +718,7 @@ def _average_too_large(cov: CorrespondenceCover, ell: float, d: float,
     """Per vertex: its list's average color degree exceeds
     (2 - (1 - beta)*ell/|L(v)|)*d; false for empty lists."""
     a = cov.arrays
-    sums = np.bincount(np.repeat(np.arange(cov.n), a.lens), minlength=cov.n,
+    sums = np.bincount(cov.lists.owner, minlength=cov.n,
                        weights=color_degrees(cov)[a.lists])
     lv = np.maximum(a.lens, 1)
     return (a.lens > 0) & (sums / lv > (2.0 - (1.0 - beta) * ell / lv) * d + 1e-9)
@@ -786,13 +795,15 @@ def _nibble_stage(g: Graph, inst: _Instance, seed: int, retries: int,
         )
         return None
     ell_t = int(math.floor(sched.ell[0]))
-    if ell_t < 1 or any(len(row) < ell_t for row in cov.lists):
+    lens = cov.lists.lens
+    if ell_t < 1 or (lens < ell_t).any():
         record.reason = (
             f"lists smaller than the schedule's starting scale {sched.ell[0]:.4g}"
         )
         return None
     # trim every list to the starting scale (smallest ids kept)
-    cur_cov, _ = restrict_cover(cov, [row[:ell_t] for row in cov.lists])
+    slot = np.arange(lens.sum()) - np.repeat(cov.lists.indptr[:-1], lens)
+    cur_cov, _ = restrict_cover(cov, cov.lists.keep(slot < ell_t))
     cur_g = g
     orig_of = list(range(g.n))
     assignment: dict[int, int] = {}
@@ -801,8 +812,7 @@ def _nibble_stage(g: Graph, inst: _Instance, seed: int, retries: int,
         if cur_g.n == 0:
             break
         # jump to the finisher as soon as its precondition already holds
-        sizes = [len(row) for row in cur_cov.lists]
-        if min(sizes) >= lll_threshold * max(1, cur_cov.max_color_degree()):
+        if cur_cov.lists.lens.min() >= lll_threshold * max(1, cur_cov.max_color_degree()):
             break
         p = sched.round_params(i)
         reason = _round_hypotheses(cur_cov, p)

@@ -21,7 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .cover import ListAssignment, _flatten
+from .cover import ListAssignment
 from .graphcore import Graph
 from .nibble import PartialColoring, SolveResult, solve
 from .sparsify import (
@@ -185,7 +185,7 @@ def plan_queries(n: int, fam: PaletteFamily, strategy: str,
     if strategy == "auto":
         if delta_hint is None and m_hint is None:
             raise ValueError("auto strategy needs delta_hint or m_hint")
-        sizes = np.bincount(_flatten(fam.sampled)[0], minlength=fam.universe)
+        sizes = np.bincount(fam.sampled.values, minlength=fam.universe)
         per_class = sizes * (sizes - 1) // 2
         if cost_scan <= per_class.max(initial=0):
             return QueryPlan("scan", n, delta_hint, None, cost_scan, None)
@@ -254,7 +254,7 @@ def end_to_end_query_color(oracle: QueryOracle, params: SparsifyParams, seed: in
     counts = conflict_counts(us, vs, fam.sampled, params.q)
     pruned = prune_by_counts(fam.sampled, counts, params.prune_threshold)
     hit = surviving_edges(us, vs, packed_masks(pruned, params.q))
-    if any(len(row) == 0 for row in pruned):
+    if (pruned.lens == 0).any():
         return QueryRunResult(None, issued, plan, None,
                               error="a vertex lost every sampled color in pruning")
     sub = found.graph if hit.all() else Graph(n, np.column_stack((us[hit], vs[hit])))

@@ -8,12 +8,13 @@ can still be monochromatic. Any proper coloring of the resulting conflict
 instance that picks colors from the pruned palettes is a proper coloring of
 the original instance, which is the whole point of the reduction.
 
-The offline, streaming and query models share three numpy kernels:
-`conflict_counts` (over `directed_counts`), `prune_by_counts` and
-`surviving_edges`. Per-vertex lists reach them with their color ids
-ranked. Covers go through the cover kernels of `cover`, which read the
-cover's pair arrays: `restrict_cover` for the samples and the conflict
-instance, `color_degrees` for pruning.
+Sampled and pruned palettes are `Rows`. The offline, streaming and query
+models share three numpy kernels over their flat arrays: `conflict_counts`
+(over `directed_counts`), `prune_by_counts` and `surviving_edges`.
+Per-vertex lists reach them with their color ids ranked, unless the ids
+already are 0..q-1. Covers go through the cover kernels of `cover`, which
+read the cover's pair arrays: `restrict_cover` for the samples and the
+conflict instance, `color_degrees` for pruning.
 
 All logarithms are natural. Thresholds are compared with <= against the
 real-valued bound ("at most"), never rounded.
@@ -31,8 +32,7 @@ from ._rng import TAG_PALETTE, substream
 from .cover import (
     CorrespondenceCover,
     ListAssignment,
-    _flatten,
-    _unflatten,
+    Rows,
     color_degrees,
     cover_rows,
     restrict_cover,
@@ -188,22 +188,28 @@ class SharedPalette:
 
 @dataclass(frozen=True)
 class PaletteFamily:
-    """Sampled per-vertex palettes S(v) and, after pruning, S'(v) <= S(v).
+    """Sampled per-vertex palettes S(v) and, after pruning, S'(v) <= S(v),
+    as `Rows` (any sequence of rows given is converted).
 
     `universe` is q when every vertex sampled from the shared palette
     0..q-1; None for per-vertex lists or cover colors, whose ids the
     kernels first replace by their ranks.
     """
 
-    sampled: tuple[tuple[int, ...], ...]
-    pruned: tuple[tuple[int, ...], ...] | None = None
+    sampled: Rows
+    pruned: Rows | None = None
     universe: int | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "sampled", Rows.of(self.sampled))
+        if self.pruned is not None:
+            object.__setattr__(self, "pruned", Rows.of(self.pruned))
 
     @property
     def n(self) -> int:
         return len(self.sampled)
 
-    def active(self) -> tuple[tuple[int, ...], ...]:
+    def active(self) -> Rows:
         return self.sampled if self.pruned is None else self.pruned
 
 
@@ -212,50 +218,48 @@ def sample_palettes(palettes, s: int, seed: int) -> PaletteFamily:
 
     `palettes` is a SharedPalette (every vertex draws from 0..q-1) or a
     per-vertex sequence of color sets. Draw order: one stream, vertices
-    ascending, each palette consumed in sorted order, so the result is a
-    deterministic function of (palettes, s, seed). `s` must be at least 1
-    and no palette may be smaller than s.
+    ascending, one `rng.choice` of s positions in each sorted palette
+    larger than s, so the result is a deterministic function of
+    (palettes, s, seed). The draws fill one (n, s) block, sorted per row
+    at the end. `s` must be at least 1 and no palette may be smaller than s.
     """
     if s < 1:
         raise PaletteTooSmall(f"sample size must be >= 1, got {s}")
-    rng = substream(seed, TAG_PALETTE)
     if isinstance(palettes, SharedPalette):
-        n, q = palettes.n, palettes.q
-        if q < s:
-            raise PaletteTooSmall(f"palette has {q} colors, need {s}")
-        sampled = []
-        full = tuple(range(q))
-        for _ in range(n):
-            if s == q:
-                sampled.append(full)
-            else:
-                idx = rng.choice(q, size=s, replace=False)
-                idx.sort()
-                sampled.append(tuple(idx.tolist()))
-        return PaletteFamily(tuple(sampled), universe=q)
-    sampled = []
-    for v, pal in enumerate(palettes):
-        pal = sorted(pal)
-        if len(pal) < s:
-            raise PaletteTooSmall(f"palette of vertex {v} has {len(pal)} colors, need {s}")
-        if len(pal) == s:
-            pick = tuple(pal)
-        else:
-            idx = rng.choice(len(pal), size=s, replace=False)
-            idx.sort()
-            pick = tuple(pal[i] for i in idx.tolist())
-        sampled.append(pick)
-    return PaletteFamily(tuple(sampled))
+        if palettes.q < s:
+            raise PaletteTooSmall(f"palette has {palettes.q} colors, need {s}")
+        n, lens, universe = palettes.n, np.full(palettes.n, palettes.q), palettes.q
+    else:
+        palettes = Rows.of(palettes)
+        n, lens, universe = len(palettes), palettes.lens, None
+        short = np.flatnonzero(lens < s)
+        if short.size:
+            v = int(short[0])
+            raise PaletteTooSmall(f"palette of vertex {v} has {int(lens[v])} colors, need {s}")
+    rng = substream(seed, TAG_PALETTE)
+    # positions inside each palette; a palette of exactly s colors draws nothing
+    block = np.tile(np.arange(s), (n, 1))
+    for v, k in enumerate(lens.tolist()):
+        if k > s:
+            block[v] = rng.choice(k, size=s, replace=False)
+    block.sort(axis=1)
+    if universe is None:
+        block = palettes.values[block + palettes.indptr[:-1, None]]
+    return PaletteFamily(Rows(block.ravel(), np.arange(0, n * s + 1, s)), universe=universe)
 
 
-def _dense(rows, universe: int | None):
+def _dense(rows: Rows, universe: int | None):
     """(rows over 0..q-1, q, colors): with universe None each color id is
-    replaced by its rank among the ascending distinct ids `colors`."""
+    replaced by its rank among the ascending distinct ids `colors`, unless
+    the ids already are all of 0..q-1 (then colors is None)."""
     if universe is not None:
         return rows, universe, None
-    flat, lens = _flatten(rows)
+    flat = rows.values
+    q = int(flat.max(initial=-1)) + 1
+    if flat.size and flat.min() >= 0 and q <= flat.size and np.bincount(flat).all():
+        return rows, q, None
     colors, ranks = np.unique(flat, return_inverse=True)
-    return _unflatten(ranks.tolist(), lens), len(colors), colors
+    return Rows(ranks, rows.indptr), colors.size, colors
 
 
 # keys per chunk: 2**16 (0.5 MB) or n*(q+1) if larger, so each chunk's
@@ -273,16 +277,16 @@ def directed_counts(heads, tails, samp, q: int) -> np.ndarray:
     cost one gather and one in-place add; few temporaries, none larger than
     a chunk or the result, keep repeated calls from mapping fresh pages.
     """
-    n = len(samp)
-    flat, lens = _flatten(samp)
+    samp = Rows.of(samp)
+    n, flat, lens = len(samp), samp.values, samp.lens
     # a tail row holding the whole palette adds one to every color of its head
     whole = lens[tails] == q
     degree = np.bincount(heads[whole], minlength=n)
     if whole.any():
         heads, tails = heads[~whole], tails[~whole]
     width = int(lens[lens < q].max(initial=0))
-    owner = np.repeat(np.arange(n), lens)
-    slot = np.arange(flat.size) - np.repeat(np.cumsum(lens) - lens, lens)
+    owner = samp.owner
+    slot = np.arange(flat.size) - np.repeat(samp.indptr[:-1], lens)
     part = lens[owner] < q
     padded = np.full((n, width), q, dtype=np.int64)
     padded[owner[part], slot[part]] = flat[part]
@@ -305,20 +309,18 @@ def conflict_counts(us, vs, samp, q: int) -> np.ndarray:
     return directed_counts(np.concatenate((us, vs)), np.concatenate((vs, us)), samp, q)
 
 
-def prune_by_counts(rows, counts: np.ndarray, thr: float) -> tuple[tuple[int, ...], ...]:
+def prune_by_counts(rows, counts: np.ndarray, thr: float) -> Rows:
     """Each row v restricted to its colors c with counts[v, c] <= thr."""
-    flat, lens = _flatten(rows)
-    owner = np.repeat(np.arange(len(rows)), lens)
-    keep = counts[owner, flat] <= thr
-    return _unflatten(flat[keep].tolist(), np.bincount(owner[keep], minlength=len(rows)))
+    rows = Rows.of(rows)
+    return rows.keep(counts[rows.owner, rows.values] <= thr)
 
 
 def packed_masks(lists, q: int) -> np.ndarray:
     """Color rows over 0..q-1 as packed uint64 rows; c is bit c & 63 of word c >> 6."""
     words = max(1, (q + 63) // 64)
-    flat, lens = _flatten(lists)
+    lists = Rows.of(lists)
     member = np.zeros((len(lists), 64 * words), dtype=bool)
-    member[np.repeat(np.arange(len(lists)), lens), flat] = True
+    member[lists.owner, lists.values] = True
     return np.packbits(member, axis=1, bitorder="little").view("<u8")
 
 
@@ -350,8 +352,7 @@ def prune(subject, fam: PaletteFamily, params: SparsifyParams,
         us, vs = subject.edge_arrays()
         pruned = prune_by_counts(rows, conflict_counts(us, vs, rows, q), thr)
         if colors is not None:
-            flat, lens = _flatten(pruned)
-            pruned = _unflatten(colors[flat].tolist(), lens)
+            pruned = pruned.relabel(colors)
         return PaletteFamily(fam.sampled, pruned, fam.universe)
     if isinstance(subject, CorrespondenceCover):
         d_h = delta_ref if delta_ref is not None else subject.max_color_degree()

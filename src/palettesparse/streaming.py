@@ -3,13 +3,14 @@
 Palettes are sampled before the first edge arrives. An edge is stored
 exactly when the endpoint samples can collide (for covers: when its
 matching restricted to the samples is nonempty), pruning happens after the
-stream, and the retained conflict instance goes to the solver. Plain
-streams test retention a chunk of records at a time (`surviving_edges`)
-on the endpoint array the stream built once, while the ledger advances
-edge by edge; the counters, sums over stored edges, then come from
-`conflict_counts`. Cover streams test retention record by record; the
-stored pairs then form a cover whose `color_degrees` are the counters, and
-`restrict_cover` cuts it down to the pruned samples. The ledger uses a
+stream, and the retained conflict instance goes to the solver. A plain
+stream holds only its (r, 2) endpoint array: retention is tested a chunk
+of records at a time (`surviving_edges`) while the ledger advances edge by
+edge, the stored edges stay an array (a `Rows` of pairs), and the
+counters, sums over stored edges, then come from `conflict_counts`. Cover
+streams test retention record by record; the stored pairs then form a
+cover whose `color_degrees` are the counters, and `restrict_cover` cuts
+it down to the pruned samples. The ledger uses a
 concrete word model: one word per id or counter, two words per stored
 edge, two per stored matching pair, n*s words for palettes and for
 counters.
@@ -17,6 +18,7 @@ counters.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
 
@@ -26,6 +28,7 @@ from ._rng import TAG_PERMUTE, substream
 from .cover import (
     CorrespondenceCover,
     ListAssignment,
+    Rows,
     color_degrees,
     cover_rows,
     restrict_cover,
@@ -87,7 +90,6 @@ class SpaceLedger:
             raise SpaceCapExceeded(f"ledger total {t} exceeds space cap {cap}")
 
 
-@dataclass(frozen=True)
 class EdgeStream:
     """A single forward pass over edge records, in a fixed order.
 
@@ -97,22 +99,25 @@ class EdgeStream:
     the earlier record of the same edge. `lists` carries the per-vertex
     cover color lists for the correspondence case, which are known before
     the stream starts. `ends` is the read-only (r, 2) array of the records'
-    endpoints, built once by the check.
+    endpoints. A plain stream keeps nothing else: reading `records` builds
+    its (u, v) tuples anew.
     """
 
-    n: int
-    records: tuple
-    lists: tuple[tuple[int, ...], ...] | None = None
-
-    def __post_init__(self):
-        n = self.n
-        ends = np.fromiter(chain.from_iterable(rec[:2] for rec in self.records),
-                           dtype=np.int64, count=2 * len(self.records)).reshape(-1, 2)
+    def __init__(self, n: int, records=(), lists=None):
+        """`records`: a sequence of record tuples, or the plain records as
+        an (r, 2) int array."""
+        if isinstance(records, np.ndarray):
+            ends, kept = records.astype(np.int64).reshape(-1, 2), None
+        else:
+            records = tuple(records)
+            ends = np.fromiter(chain.from_iterable(rec[:2] for rec in records),
+                               dtype=np.int64, count=2 * len(records)).reshape(-1, 2)
+            kept = records if any(len(rec) != 2 for rec in records) else None
         ends.flags.writeable = False
-        object.__setattr__(self, "ends", ends)
+        self.n, self.ends, self.lists, self._records = n, ends, lists, kept
         bad = check_pairs(n, ends)[1]
         if bad is not None:
-            u, v = self.records[bad[0]][:2]
+            u, v = ends[bad[0]].tolist()
             if u == v:
                 what = "is a self-loop"
             elif not (0 <= u < n and 0 <= v < n):
@@ -121,13 +126,22 @@ class EdgeStream:
                 what = f"repeats the edge of record {bad[1]}"
             raise ValueError(f"stream record {bad[0]} ({u}, {v}) {what}")
 
+    @property
+    def records(self) -> tuple:
+        if self._records is not None:
+            return self._records
+        return tuple(zip(*self.ends.T.tolist()))
+
     @classmethod
     def from_graph(cls, g: Graph, permute_seed: int | None = None) -> "EdgeStream":
-        recs = list(g.edges())
+        ends = np.column_stack(g.edge_arrays())
         if permute_seed is not None:
-            rng = substream(permute_seed, TAG_PERMUTE)
-            rng.shuffle(recs)
-        return cls(g.n, tuple(recs))
+            # shuffling the row indices draws what shuffling a list of the
+            # records draws, so the order is the list shuffle's
+            order = np.arange(g.m)
+            substream(permute_seed, TAG_PERMUTE).shuffle(order)
+            ends = ends[order]
+        return cls(g.n, ends)
 
     @classmethod
     def from_cover(cls, g: Graph, cov: CorrespondenceCover,
@@ -142,7 +156,7 @@ class EdgeStream:
         """One record per line: 'u v', with matching pairs appended as
         'u v p c c_prime ...' in the cover case. Header: 'n r [lists]'."""
         with open(path, "w") as fh:
-            fh.write(f"{self.n} {len(self.records)} {int(self.lists is not None)}\n")
+            fh.write(f"{self.n} {len(self.ends)} {int(self.lists is not None)}\n")
             if self.lists is not None:
                 for row in self.lists:
                     fh.write(" ".join(str(c) for c in row) + "\n")
@@ -188,10 +202,14 @@ class EdgeStream:
 
 @dataclass
 class StreamResult:
+    """`stored` holds the stored edges in stream order: for a plain stream
+    a `Rows` of (u, v) pairs with u < v, for a cover stream the stored
+    (u, v, pairs) records."""
+
     coloring: PartialColoring | None
     ledger: SpaceLedger
     family: PaletteFamily
-    stored: tuple
+    stored: Sequence
     solve_result: SolveResult | None
     error: str = ""
 
@@ -222,7 +240,7 @@ def stream_color(stream: EdgeStream, n: int, params: SparsifyParams, seed: int,
     masks = packed_masks(fam.sampled, q)
     degrees = np.zeros(n, dtype=np.int64)
     kept = [np.zeros((0, 2), dtype=np.int64)]
-    for lo in range(0, len(stream.records), _RECORDS_PER_CHUNK):
+    for lo in range(0, len(stream.ends), _RECORDS_PER_CHUNK):
         ends = stream.ends[lo : lo + _RECORDS_PER_CHUNK]
         if delta_from_stream:
             degrees += np.bincount(ends.ravel(), minlength=n)
@@ -233,8 +251,9 @@ def stream_color(stream: EdgeStream, n: int, params: SparsifyParams, seed: int,
             # two words per stored edge: report the edge that crossed the cap
             ledger.stored_edges -= (ledger.total() - space_cap - 1) // 2
         ledger.bump(space_cap)
-    su, sv = np.concatenate(kept).T
-    stored = tuple(zip(su.tolist(), sv.tolist()))
+    pairs = np.concatenate(kept)
+    stored = Rows(pairs.ravel(), np.arange(0, pairs.size + 1, 2))
+    su, sv = pairs.T
 
     thr = params.prune_threshold
     if delta_from_stream:
@@ -242,8 +261,8 @@ def stream_color(stream: EdgeStream, n: int, params: SparsifyParams, seed: int,
     pruned = prune_by_counts(fam.sampled, conflict_counts(su, sv, fam.sampled, q), thr)
     fam = PaletteFamily(fam.sampled, pruned, fam.universe)
     hit = surviving_edges(su, sv, packed_masks(pruned, q))
-    sub = Graph(n, np.column_stack((su[hit], sv[hit])))
-    if any(len(row) == 0 for row in pruned):
+    sub = Graph(n, pairs[hit])
+    if (pruned.lens == 0).any():
         return StreamResult(None, ledger, fam, stored, None,
                             error="a vertex lost every sampled color in pruning")
     res = solve(sub, ListAssignment(pruned), policy=policy, seed=seed)
@@ -284,7 +303,7 @@ def stream_color_correspondence(stream: EdgeStream, n: int,
     fam = PaletteFamily(fam.sampled, pruned, fam.universe)
     cov, edges = restrict_cover(held, pruned)
     sub = Graph(n, edges)
-    if any(len(row) == 0 for row in pruned):
+    if (pruned.lens == 0).any():
         return StreamResult(None, ledger, fam, tuple(stored), None,
                             error="a vertex lost every sampled color in pruning")
     res = solve(sub, cov, policy=policy, seed=seed)

@@ -238,3 +238,34 @@ def oracle_cover_stream_retention(records, rows, base_words: int, cap):
             if cap is not None and total > cap:
                 return stored, total, f"ledger total {total} exceeds space cap {cap}"
     return stored, total, ""
+
+
+def oracle_sorted_rows(rows) -> tuple[tuple[int, ...], ...]:
+    """Every row sorted, as a tuple of tuples."""
+    return tuple(tuple(sorted(row)) for row in rows)
+
+
+def oracle_first_repeat(rows) -> int | None:
+    """The first row holding an id twice, by a per-row set check."""
+    for v, row in enumerate(rows):
+        if len(set(row)) != len(row):
+            return v
+    return None
+
+
+def oracle_keep(rows, mask) -> tuple[tuple[int, ...], ...]:
+    """The sorted rows cut down to the entries `mask` marks, one flag per
+    entry in row-major order."""
+    flags = iter(mask)
+    return tuple(tuple(c for c in sorted(row) if next(flags)) for row in rows)
+
+
+def oracle_membership_witness(rows, phi) -> tuple | None:
+    """The first (v,) outside 0..len(rows)-1 or (v, c) with c not in row v,
+    in the order of the dict `phi`, by a loop over it."""
+    for v, c in phi.items():
+        if not 0 <= v < len(rows):
+            return (v,)
+        if c not in rows[v]:
+            return (v, c)
+    return None

@@ -193,6 +193,25 @@ class TestGenerators:
         assert np.array_equal(a.indptr, b.indptr)
         assert np.array_equal(a.indices, b.indices)
 
+    @pytest.mark.parametrize("k, counts", [(28, 1), (0, 2)])
+    def test_audit_reuses_the_repair_counts_only_when_nothing_was_deleted(self, k, counts):
+        # k = C(8, 2) never deletes, so the repair's triangle counts are the
+        # audit's; k = 0 deletes, and the returned graph is counted anew
+        reports = []
+
+        def spy(g, tri):
+            reports.append(real(g, tri))
+            return reports[-1]
+
+        real = graphcore._sparsity_report
+        with mock.patch.object(graphcore, "_sparsity_report", spy), \
+                mock.patch.object(graphcore, "_triangle_counts",
+                                  wraps=graphcore._triangle_counts) as tri:
+            g = gen_locally_sparse(60, 8, k, seed=3)
+        assert tri.call_count == counts
+        assert reports[-1] == local_sparsity(g)
+        assert reports[-1].per_vertex_neighborhood_edges == tuple(oracle_neighborhood_edges(g))
+
     def test_infeasible_rejected(self):
         with pytest.raises(GenerationError):
             gen_locally_sparse(5, 5, 0, seed=0)

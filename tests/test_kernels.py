@@ -1,4 +1,5 @@
-"""Differential tests: the sparsification kernels against naive oracles.
+"""Differential tests: the ragged `Rows` and the sparsification kernels
+against naive oracles.
 
 Stream and edge-survival chunk sizes are drawn alongside each instance, so
 records and edges fall on both sides of a chunk boundary. Covers are drawn
@@ -18,19 +19,26 @@ from conftest import (
     oracle_cover_prune,
     oracle_cover_stream_retention,
     oracle_directed_counts,
+    oracle_first_repeat,
+    oracle_keep,
+    oracle_membership_witness,
     oracle_neighborhood_edges,
     oracle_picked_counts,
     oracle_prune,
     oracle_restrict_cover,
+    oracle_sorted_rows,
     oracle_stream_retention,
     oracle_surviving_edges,
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from palettesparse import sparsify, streaming
 from palettesparse.cover import (
     CorrespondenceCover,
+    CoverError,
+    ListAssignment,
+    Rows,
     color_degrees,
     cover_sparsity,
     picked_counts,
@@ -124,6 +132,86 @@ def covers(draw, max_n=8, min_list=0, max_list=4, valid=True):
 def subrows(draw, rows):
     """A subset of every row, in the row's order."""
     return [tuple(c for c in row if draw(st.booleans())) for row in rows]
+
+
+@st.composite
+def ragged(draw):
+    """Rows of arbitrary ids in any order: negative ids, ids of 2**40 scale
+    or spanning all of int64, empty rows and repeated ids."""
+    ids = st.integers(-2 ** 40, 2 ** 40) | st.integers(-2 ** 63, 2 ** 63 - 1)
+    pool = draw(st.lists(ids, min_size=1, max_size=8, unique=True))
+    return [draw(st.lists(st.sampled_from(pool), max_size=6))
+            for _ in range(draw(st.integers(0, 8)))]
+
+
+class TestRows:
+    @FAST
+    @given(ragged(), ragged())
+    def test_construction_tuple_view_and_equality(self, rows, other):
+        got, want = Rows.of(rows), oracle_sorted_rows(rows)
+        assert tuple(got) == want
+        assert [got[v] for v in range(-len(rows), len(rows))] == list(want) * 2
+        assert got.lens.tolist() == [len(row) for row in rows]
+        assert got.owner.tolist() == [v for v, row in enumerate(rows) for _ in row]
+        assert got == want and want == got and got == Rows.of(want) and Rows.of(got) is got
+        assert hash(got) == hash(want)
+        same = want == oracle_sorted_rows(other)
+        assert (got == oracle_sorted_rows(other)) == same
+        assert (got == Rows.of(other)) == same
+        with pytest.raises(IndexError):
+            got[len(rows)]
+
+    @FAST
+    @given(ragged())
+    # an id ending one row and starting the next is no repeat
+    @example([[5], [7, 5], [7], [], [7, 9, 7]])
+    def test_list_assignment_names_the_first_repeat(self, rows):
+        first = oracle_first_repeat(rows)
+        if first is None:
+            assert ListAssignment(rows).lists == oracle_sorted_rows(rows)
+        else:
+            with pytest.raises(CoverError, match=f"duplicate color in list of vertex {first}$"):
+                ListAssignment(rows)
+
+    @FAST
+    @given(ragged(), st.data())
+    def test_keep_and_relabel(self, rows, data):
+        got = Rows.of(rows)
+        mask = data.draw(st.lists(st.booleans(), min_size=got.values.size,
+                                  max_size=got.values.size))
+        assert got.keep(np.array(mask, dtype=bool)) == oracle_keep(rows, mask)
+        # ranks among the distinct ids, and back
+        ids = sorted({c for row in rows for c in row})
+        rank = {c: i for i, c in enumerate(ids)}
+        ranked = Rows(np.array([rank[c] for c in got.values.tolist()], dtype=np.int64),
+                      got.indptr)
+        assert ranked == tuple(tuple(rank[c] for c in row) for row in oracle_sorted_rows(rows))
+        assert ranked.relabel(np.array(ids, dtype=np.int64)) == got
+
+    @FAST
+    @given(ragged(), st.data())
+    def test_verify_membership_matches_the_loop(self, rows, data):
+        rows = [sorted(set(row)) for row in rows]
+        pool = sorted({c for row in rows for c in row} | {0, 2 ** 62})
+        phi = data.draw(st.dictionaries(st.integers(-2, len(rows) + 1), st.sampled_from(pool),
+                                        max_size=len(rows) + 2))
+        res = verify_coloring(Graph(len(rows)), ListAssignment(rows), PartialColoring(phi))
+        want = oracle_membership_witness(rows, phi)
+        assert res.ok == (want is None)
+        assert res.witness == want
+
+    @FAST
+    @given(instances(), st.floats(-1.0, 12.0))
+    def test_kernels_read_rows(self, inst, thr):
+        g, q, rows = inst
+        # rows given out of order come out sorted
+        given_rows = Rows.of([row[::-1] for row in rows])
+        us, vs = g.edge_arrays()
+        pruned = prune_by_counts(given_rows, conflict_counts(us, vs, given_rows, q), thr)
+        assert isinstance(pruned, Rows)
+        assert pruned == oracle_prune(g, rows, thr)
+        hit = surviving_edges(us, vs, packed_masks(given_rows, q))
+        assert list(zip(us[hit].tolist(), vs[hit].tolist())) == oracle_surviving_edges(g, rows)
 
 
 class TestCoverKernels:

@@ -1,15 +1,19 @@
 import re
+import sys
+import tracemalloc
 
 import pytest
 from conftest import random_graph, rng_for
 
-from palettesparse.cover import ListAssignment, cover_from_lists
-from palettesparse.graphcore import Graph, gen_locally_sparse
+from palettesparse._rng import TAG_PERMUTE, substream
+from palettesparse.cover import ListAssignment, Rows, cover_from_lists
+from palettesparse.graphcore import Graph, gen_bipartite, gen_locally_sparse
 from palettesparse.nibble import verify_coloring
 from palettesparse.sparsify import (
     SharedPalette,
     build_conflict,
     derive_params,
+    manual_params,
     sample_palettes,
 )
 from palettesparse.streaming import (
@@ -65,6 +69,38 @@ class TestRetention:
             assert set(out.stored) == set(base.stored)
             assert out.family.pruned == base.family.pruned
             assert out.ledger == base.ledger
+
+
+class TestStreamArrays:
+    @pytest.mark.parametrize("permute_seed", [0, 1, 7])
+    def test_permutation_is_the_list_shuffle(self, permute_seed):
+        # the stream shuffles row indices; a list of the records shuffled by
+        # the same generator must come out in the same order
+        g = gen_locally_sparse(80, 6, 15, seed=4)
+        records = list(g.edges())
+        substream(permute_seed, TAG_PERMUTE).shuffle(records)
+        assert EdgeStream.from_graph(g, permute_seed).records == tuple(records)
+        assert EdgeStream.from_graph(g).records == tuple(g.edges())
+
+    def test_stream_and_pass_memory_are_arrays(self):
+        # m ~ 10^5: the stream holds its (m, 2) ends array and no record
+        # tuples (56 bytes each before their ints, 3.5 times the ends); the
+        # pass peaks within a bound set by the ends and the n*s palette block
+        g = gen_bipartite(6250, 32, seed=0)
+        params = manual_params(32, 0.1, 1.0, q=33, s=8)
+        ends_bytes, block_bytes = 16 * g.m, 8 * g.n * params.s
+        tracemalloc.start()
+        try:
+            stream = EdgeStream.from_graph(g, permute_seed=0)
+            held = tracemalloc.get_traced_memory()[0]
+            out = stream_color(stream, g.n, params, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.m > 99_000 and out.success
+        assert held < 2 * ends_bytes < g.m * sys.getsizeof((g.n - 2, g.n - 1))
+        assert peak < 16 * ends_bytes + 4 * block_bytes
+        assert isinstance(out.stored, Rows) and len(out.stored) == out.ledger.stored_edges
 
 
 class TestLedger:
