@@ -7,13 +7,11 @@ streaming model and the non-adaptive query model.
 """
 
 from .cover import (
-    CDegreeTable,
     CorrespondenceCover,
     CoverError,
     CoverReport,
     ListAssignment,
     Rows,
-    c_degrees,
     cover_from_lists,
     cover_sparsity,
     random_cover,

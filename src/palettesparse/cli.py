@@ -14,13 +14,14 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from ._rng import TAG_COVER, substream
 from .cover import (
     CorrespondenceCover,
+    CoverError,
     ListAssignment,
     Rows,
     cover_from_lists,
@@ -30,6 +31,7 @@ from .cover import (
 )
 from .graphcore import (
     Graph,
+    GraphError,
     gen_bipartite,
     gen_locally_sparse,
     load_graph,
@@ -108,26 +110,7 @@ class RunConfig:
             return cls.from_dict(json.load(fh))
 
     def to_dict(self) -> dict:
-        return {
-            "schema": self.schema,
-            "instance": self.instance,
-            "pipeline": self.pipeline,
-            "model": self.model,
-            "alpha": self.alpha,
-            "gamma": self.gamma,
-            "epsilon": self.epsilon,
-            "q_override": self.q_override,
-            "s_override": self.s_override,
-            "seeds": list(self.seeds),
-            "policy": self.policy,
-            "strategy": self.strategy,
-            "permute_seed": self.permute_seed,
-            "instance_seed": self.instance_seed,
-            "list_universe": self.list_universe,
-            "cover_size": self.cover_size,
-            "cover_density": self.cover_density,
-            "out_dir": self.out_dir,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -228,21 +211,16 @@ def _build_instance(cfg: RunConfig):
 
 def _offline_seed(g: Graph, params: SparsifyParams, obj, cfg: RunConfig,
                   seed: int) -> tuple:
-    if obj is None:
-        fam = sample_palettes(SharedPalette(g.n, params.q), params.s, seed)
-        fam = prune(g, fam, params)
-        conflict = build_conflict(g, fam)
-        target = conflict.lists
-    elif isinstance(obj, ListAssignment):
-        fam = sample_palettes(obj.lists, params.s, seed)
-        fam = prune(g, fam, params)
-        conflict = build_conflict(g, fam)
-        target = conflict.lists
-    else:
+    if isinstance(obj, CorrespondenceCover):
         fam = sample_palettes(obj.lists, params.s, seed)
         fam = prune(obj, fam, params)
         conflict = build_conflict(g, fam, cover=obj)
         target = conflict.cover
+    else:
+        palette = SharedPalette(g.n, params.q) if obj is None else obj.lists
+        fam = prune(g, sample_palettes(palette, params.s, seed), params)
+        conflict = build_conflict(g, fam)
+        target = conflict.lists
     if (fam.active().lens == 0).any():
         return None, conflict.graph.m, None, "a vertex lost every sampled color", target
     res = solve(conflict.graph, target, policy=cfg.policy, seed=seed)
@@ -653,6 +631,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
+        return 3
+    except (GraphError, CoverError, OSError) as e:
+        # a missing or malformed graph or cover file, or a file that cannot be opened
+        print(f"error: {e}", file=sys.stderr)
         return 3
 
 

@@ -34,7 +34,7 @@ from itertools import chain
 import numpy as np
 
 from ._rng import TAG_COVER, substream
-from .graphcore import Graph, local_sparsity
+from .graphcore import Graph, local_sparsity, parse_ints
 
 __all__ = [
     "CoverError",
@@ -42,11 +42,9 @@ __all__ = [
     "Rows",
     "CorrespondenceCover",
     "CoverReport",
-    "CDegreeTable",
     "CoverArrays",
     "validate_cover",
     "cover_from_lists",
-    "c_degrees",
     "cover_sparsity",
     "color_degrees",
     "cover_rows",
@@ -142,12 +140,13 @@ class Rows(Sequence):
         """The rows cut down to the entries the bool mask `mask` marks."""
         return Rows(self.values[mask], np.concatenate(([0], np.cumsum(mask)))[self.indptr])
 
-    def holds(self, at: np.ndarray, ids: np.ndarray) -> np.ndarray:
-        """Bool mask: row at[i] holds id ids[i]. One binary search of the
-        (row, id) keys, which ascend with the entries."""
+    def find(self, at: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        """The entry index of id ids[i] in row at[i], or -1 where the row
+        lacks it. One binary search of the (row, id) keys, which ascend with
+        the entries."""
         size = self.values.size
         if not size:
-            return np.zeros(len(ids), dtype=bool)
+            return np.full(len(ids), -1, dtype=np.int64)
         both = np.concatenate((self.values, ids))
         lo, hi = int(both.min()), int(both.max())
         span = hi - lo + 1
@@ -159,7 +158,12 @@ class Rows(Sequence):
             span = int(both.max()) + 1
         keys = self.owner * span + both[:size]
         want = at * span + both[size:]
-        return keys[np.minimum(np.searchsorted(keys, want), size - 1)] == want
+        pos = np.minimum(np.searchsorted(keys, want), size - 1)
+        return np.where(keys[pos] == want, pos, -1)
+
+    def holds(self, at: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        """Bool mask: row at[i] holds id ids[i] (see `find`)."""
+        return self.find(at, ids) >= 0
 
     def relabel(self, ids: np.ndarray) -> "Rows":
         """Every id c replaced by ids[c]; `ids` ascending keeps rows in order."""
@@ -218,25 +222,44 @@ class CorrespondenceCover:
     """Cover colors per vertex plus per-edge partial matchings.
 
     `lists` is a `Rows` whose row v holds the globally unique color ids
-    owned by v; `matchings` maps
-    each edge (u, v) with u < v to a tuple of (color-of-u, color-of-v)
-    pairs. Construction is permissive so that invalid covers can be built
-    and then diagnosed by `validate_cover`. `arrays` is the encoding the
-    cover kernels read; a cover that `restrict_cover` builds starts from it
-    and only makes `matchings` when it is read.
+    owned by v, and `arrays` holds the matched pairs; the cover kernels read
+    them. `matchings` maps each edge (u, v) with u < v that has a pair to
+    its (color-of-u, color-of-v) pairs, as a view of the arrays made when it
+    is read. Construction is permissive so that invalid covers can be built
+    and then diagnosed by `validate_cover`.
     """
 
     def __init__(self, lists, matchings, source_color=None):
-        self.lists = Rows.of(lists)
-        self.matchings: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+        """From a dict of pairs per edge: an edge keyed (v, u) is turned
+        round, each edge's pairs are sorted, and the dict is encoded as
+        arrays at once and not kept. `source_color` maps a cover color id
+        back to the original color name, when the cover was built from a
+        list assignment."""
+        lists = Rows.of(lists)
+        norm: dict[tuple[int, int], list[tuple[int, int]]] = {}
         for (u, v), pairs in matchings.items():
             if u > v:
-                u, v = v, u
-                pairs = [(b, a) for a, b in pairs]
-            self.matchings[(u, v)] = tuple(sorted(pairs))
-        # maps cover color id back to the original color name, when the cover
-        # was built from a list assignment
-        self.source_color: dict[int, int] | None = source_color
+                u, v, pairs = v, u, [(b, a) for a, b in pairs]
+            norm[(u, v)] = sorted(pairs)
+        per_edge = np.fromiter(map(len, norm.values()), dtype=np.int64, count=len(norm))
+        ends = np.fromiter(chain.from_iterable(norm), dtype=np.int64,
+                           count=2 * per_edge.size).reshape(-1, 2)
+        pairs = np.fromiter(chain.from_iterable(chain.from_iterable(norm.values())),
+                            dtype=np.int64, count=2 * int(per_edge.sum()))
+        flat = lists.values
+        colors, ranks = np.unique(np.concatenate((flat, pairs)), return_inverse=True)
+        self.lists, self.source_color = lists, source_color
+        self.arrays = CoverArrays(colors, np.repeat(ends[:, 0], per_edge),
+                                  np.repeat(ends[:, 1], per_edge), ranks[flat.size::2],
+                                  ranks[flat.size + 1::2], ranks[:flat.size], lists.lens)
+
+    @classmethod
+    def _of(cls, lists: Rows, arrays: CoverArrays, source_color=None) -> "CorrespondenceCover":
+        """The cover with these lists and pair arrays, taken as they are:
+        the constructor of every builder that makes the arrays itself."""
+        cov = cls.__new__(cls)
+        cov.lists, cov.arrays, cov.source_color = lists, arrays, source_color
+        return cov
 
     @property
     def n(self) -> int:
@@ -255,34 +278,26 @@ class CorrespondenceCover:
         return self.lists.values.size
 
     @cached_property
-    def arrays(self) -> CoverArrays:
-        per_edge = np.fromiter(map(len, self.matchings.values()), dtype=np.int64,
-                               count=len(self.matchings))
-        ends = np.fromiter(chain.from_iterable(self.matchings), dtype=np.int64,
-                           count=2 * per_edge.size).reshape(-1, 2)
-        pairs = np.fromiter(chain.from_iterable(chain.from_iterable(self.matchings.values())),
-                            dtype=np.int64, count=2 * int(per_edge.sum()))
-        flat = self.lists.values
-        colors, ranks = np.unique(np.concatenate((flat, pairs)), return_inverse=True)
-        return CoverArrays(colors, np.repeat(ends[:, 0], per_edge),
-                           np.repeat(ends[:, 1], per_edge), ranks[flat.size::2],
-                           ranks[flat.size + 1::2], ranks[:flat.size], self.lists.lens)
-
-    @cached_property
     def matchings(self) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
-        # only reached by covers `restrict_cover` built; others set it in __init__
         a = self.arrays
-        out: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for u, v, x, y in zip(a.eu.tolist(), a.ev.tolist(), a.colors[a.ra].tolist(),
-                              a.colors[a.rb].tolist()):
-            out.setdefault((u, v), []).append((x, y))
-        return {e: tuple(p) for e, p in out.items()}
+        first = np.flatnonzero(_edge_starts(a.eu, a.ev))
+        pairs = list(zip(a.colors[a.ra].tolist(), a.colors[a.rb].tolist()))
+        bounds = first.tolist() + [len(pairs)]
+        return {(u, v): tuple(pairs[lo:hi]) for u, v, lo, hi in
+                zip(a.eu[first].tolist(), a.ev[first].tolist(), bounds, bounds[1:])}
 
     def max_color_degree(self) -> int:
         return int(color_degrees(self).max(initial=0))
 
     def __repr__(self):
         return f"CorrespondenceCover(n={self.n}, colors={self.num_colors})"
+
+
+def _edge_starts(eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
+    """Bool mask of the pairs whose edge differs from the pair before."""
+    first = np.ones(eu.size, dtype=bool)
+    first[1:] = (eu[1:] != eu[:-1]) | (ev[1:] != ev[:-1])
+    return first
 
 
 def color_degrees(cov: CorrespondenceCover) -> np.ndarray:
@@ -323,14 +338,11 @@ def restrict_cover(cov: CorrespondenceCover, rows, vertices=None):
     new_id = np.cumsum(vertices) - 1
     eu, ev = new_id[a.eu[hit]], new_id[a.ev[hit]]
     new_rank = np.cumsum(keep) - 1
-    sub = CorrespondenceCover.__new__(CorrespondenceCover)
-    sub.lists = Rows(rows.values[on], _offsets(rows.lens[vertices]))
-    sub.source_color = cov.source_color
-    sub.arrays = CoverArrays(a.colors[keep], eu, ev, new_rank[a.ra[hit]],
-                             new_rank[a.rb[hit]], new_rank[ranks], sub.lists.lens)
-    # a pair opens an edge when its edge differs from the pair before it
-    first = np.ones(eu.size, dtype=bool)
-    first[1:] = (eu[1:] != eu[:-1]) | (ev[1:] != ev[:-1])
+    lists = Rows(rows.values[on], _offsets(rows.lens[vertices]))
+    sub = CorrespondenceCover._of(lists, CoverArrays(
+        a.colors[keep], eu, ev, new_rank[a.ra[hit]], new_rank[a.rb[hit]], new_rank[ranks],
+        lists.lens), cov.source_color)
+    first = _edge_starts(eu, ev)
     return sub, np.column_stack((eu[first], ev[first]))
 
 
@@ -358,15 +370,21 @@ class CoverReport:
 
 
 def validate_cover(g: Graph, cov: CorrespondenceCover) -> CoverReport:
-    """Check the cover conditions: ids partition across vertices, no matching
-    edge inside a list, and per-edge pair sets are matchings on real edges."""
+    """Check the cover conditions: ids partition across vertices (no list
+    holds an id twice), no matching edge inside a list, and per-edge pair
+    sets are matchings on real edges."""
     own = cov.owner  # each color's first owner
-    found = [(1, f"color {c} owned by vertices {own[c]} and {v}")  # (condition, witness)
-             for v, row in enumerate(cov.lists) for c in row if own[c] != v]
+    found = []  # (condition, witness)
+    v = cov.lists.first_repeat()
+    if v is not None:
+        row = cov.lists[v]
+        c = next(a for a, b in zip(row, row[1:]) if a == b)
+        found.append((1, f"color {c} appears twice in the list of vertex {v}"))
+    found += [(1, f"color {c} owned by vertices {own[c]} and {v}")
+              for v, row in enumerate(cov.lists) for c in row if own[c] != v]
     for (u, v), pairs in cov.matchings.items():
         if not (0 <= u < g.n and 0 <= v < g.n) or not g.has_edge(u, v):
-            if pairs:
-                found.append((3, f"matching on non-edge ({u}, {v})"))
+            found.append((3, f"matching on non-edge ({u}, {v})"))
             continue
         lu, lv = set(cov.lists[u]), set(cov.lists[v])
         used_a: set[int] = set()
@@ -389,57 +407,29 @@ def validate_cover(g: Graph, cov: CorrespondenceCover) -> CoverReport:
 
 def cover_from_lists(g: Graph, l: ListAssignment) -> CorrespondenceCover:
     """Canonical embedding of a list assignment: same-named colors on
-    adjacent vertices correspond. Proper colorings pull back both ways."""
+    adjacent vertices correspond. Proper colorings pull back both ways.
+
+    The cover ids are the list entries in row-major order, and `source_color`
+    maps each back to its name. One join of (vertex, name) keys over the
+    edges: every entry of u's list is looked up in v's (`Rows.find`), so
+    the pairs come in edge order and, on each edge, by name.
+    """
     if l.n != g.n:
         raise CoverError(f"list assignment has {l.n} vertices, graph has {g.n}")
-    names = l.lists.values
-    lists = Rows(np.arange(names.size), l.lists.indptr)  # ids in row-major order
-    index = [dict(zip(row, ids)) for row, ids in zip(l.lists, lists)]
-    matchings = {}
-    for u, v in g.edges():
-        shared = sorted(index[u].keys() & index[v].keys())
-        if shared:
-            matchings[(u, v)] = tuple((index[u][c], index[v][c]) for c in shared)
-    return CorrespondenceCover(lists, matchings, source_color=dict(enumerate(names.tolist())))
-
-
-@dataclass(frozen=True)
-class CDegreeTable:
-    """Exact c-degrees: per (vertex, color) counts plus the global maximum.
-
-    For list assignments the count of (v, c) is the number of neighbors whose
-    list also contains c. For covers it is the cover-graph degree of c, and
-    `cover_degree` carries the per-color degrees.
-    """
-
-    by_vertex: tuple[dict[int, int], ...]
-    max_c_degree: int
-    cover_degree: dict[int, int] | None = None
-
-
-def c_degrees(g: Graph, obj) -> CDegreeTable:
-    if isinstance(obj, ListAssignment):
-        member = [set(row) for row in obj.lists]
-        table = []
-        best = 0
-        for v in range(g.n):
-            row = {}
-            nbrs = g.neighbors(v).tolist()
-            for c in obj.lists[v]:
-                d = sum(1 for u in nbrs if c in member[u])
-                row[c] = d
-                if d > best:
-                    best = d
-            table.append(row)
-        return CDegreeTable(tuple(table), best)
-    if isinstance(obj, CorrespondenceCover):
-        a = obj.arrays
-        deg = color_degrees(obj)
-        degs = dict(zip(a.colors[a.lists].tolist(), deg[a.lists].tolist()))
-        degs.update(zip(a.colors.tolist(), deg.tolist()))
-        table = tuple({c: degs[c] for c in row} for row in obj.lists)
-        return CDegreeTable(table, int(deg.max(initial=0)), degs)
-    raise TypeError(f"expected ListAssignment or CorrespondenceCover, got {type(obj)!r}")
+    rows, names = l.lists, l.lists.values
+    ids = np.arange(names.size)
+    us, vs = g.edge_arrays()
+    per_edge = rows.lens[us]
+    # the entries of u's list, edge after edge
+    ra = np.arange(per_edge.sum()) + np.repeat(rows.indptr[us] - _offsets(per_edge)[:-1],
+                                               per_edge)
+    ev = np.repeat(vs, per_edge)
+    rb = rows.find(ev, names[ra])
+    hit = rb >= 0
+    arrays = CoverArrays(ids, np.repeat(us, per_edge)[hit], ev[hit], ra[hit], rb[hit], ids,
+                         rows.lens)
+    return CorrespondenceCover._of(Rows(ids, rows.indptr), arrays,
+                                   dict(enumerate(names.tolist())))
 
 
 def cover_sparsity(cov: CorrespondenceCover) -> int:
@@ -455,22 +445,30 @@ def random_cover(g: Graph, list_size: int, density: float, seed: int) -> Corresp
     """Cover with uniformly random partial matchings of the given density.
 
     Vertex v owns the id block [v*list_size, (v+1)*list_size). Edges are
-    processed in lexicographic order from a single stream.
+    processed in lexicographic order from a single stream: each draws its
+    pair count t from a binomial and, when t > 0, pairs the first t places
+    of one permutation of u's block with those of a second one of v's.
     """
     rng = substream(seed, TAG_COVER)
-    lists = Rows(np.arange(g.n * list_size), _offsets(np.full(g.n, list_size)))
-    matchings = {}
-    for u, v in g.edges():
+    ids = np.arange(g.n * list_size)
+    lists = Rows(ids, _offsets(np.full(g.n, list_size)))
+    per_edge = []
+    left, right = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for _ in range(g.m):
         t = int(rng.binomial(list_size, density))
-        if t == 0:
-            continue
-        left = rng.permutation(list_size)[:t]
-        right = rng.permutation(list_size)[:t]
-        matchings[(u, v)] = tuple(
-            (u * list_size + int(a), v * list_size + int(b))
-            for a, b in zip(left, right)
-        )
-    return CorrespondenceCover(lists, matchings)
+        per_edge.append(t)
+        if t:
+            left.append(rng.permutation(list_size)[:t])
+            right.append(rng.permutation(list_size)[:t])
+    us, vs = g.edge_arrays()
+    per_edge = np.array(per_edge, dtype=np.int64)
+    eu, ev = np.repeat(us, per_edge), np.repeat(vs, per_edge)
+    a, b = np.concatenate(left), np.concatenate(right)
+    # each edge's pairs by u's color, as the dict constructor sorts them
+    order = np.lexsort((a, np.repeat(np.arange(g.m), per_edge)))
+    arrays = CoverArrays(ids, eu, ev, eu * list_size + a[order], ev * list_size + b[order],
+                         ids, lists.lens)
+    return CorrespondenceCover._of(lists, arrays)
 
 
 def save_cover(cov: CorrespondenceCover, path) -> None:
@@ -490,18 +488,18 @@ def load_cover(path) -> CorrespondenceCover:
         header = fh.readline().split()
         if len(header) != 2:
             raise CoverError("expected header 'n q_total'")
-        n, q_total = int(header[0]), int(header[1])
+        n, q_total = parse_ints(header, CoverError)
         lists = []
         for _ in range(n):
             line = fh.readline()
             if line == "":
                 raise CoverError("truncated list section")
-            lists.append(tuple(int(x) for x in line.split()))
+            lists.append(tuple(parse_ints(line.split(), CoverError)))
         matchings = {}
         for line in fh:
             if not line.strip():
                 continue
-            parts = [int(x) for x in line.split()]
+            parts = parse_ints(line.split(), CoverError)
             if len(parts) < 3:
                 raise CoverError(f"bad matching line: {line!r}")
             u, v, p = parts[0], parts[1], parts[2]

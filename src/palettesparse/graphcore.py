@@ -330,13 +330,21 @@ def save_graph(g: Graph, path) -> None:
             fh.write(f"{u} {v}\n")
 
 
+def parse_ints(tokens: list[str], error: type[Exception]) -> list[int]:
+    """The tokens of one file line as ints; `error` names the line if one is not."""
+    try:
+        return [int(t) for t in tokens]
+    except ValueError:
+        raise error(f"non-integer token in line {' '.join(tokens)!r}") from None
+
+
 def load_graph(path) -> Graph:
     """Read the 'n m' / 'u v' format, rejecting any violation."""
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 2:
             raise GraphError("expected header 'n m'")
-        n, m = int(header[0]), int(header[1])
+        n, m = parse_ints(header, GraphError)
         edges = []
         for line in fh:
             line = line.strip()
@@ -345,7 +353,7 @@ def load_graph(path) -> Graph:
             parts = line.split()
             if len(parts) != 2:
                 raise GraphError(f"bad edge line: {line!r}")
-            u, v = int(parts[0]), int(parts[1])
+            u, v = parse_ints(parts, GraphError)
             if u >= v:
                 raise GraphError(f"edges must satisfy u < v, got {u} {v}")
             edges.append((u, v))

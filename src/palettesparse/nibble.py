@@ -30,7 +30,6 @@ from ._rng import TAG_LLL, TAG_SOLVE, TAG_WCP, substream
 from .cover import (
     CorrespondenceCover,
     ListAssignment,
-    c_degrees,
     clashing_pairs,
     color_degrees,
     cover_from_lists,
@@ -54,6 +53,7 @@ __all__ = [
     "ParamSchedule",
     "ScheduleError",
     "build_schedule",
+    "recursion_margin",
     "LllResult",
     "BudgetExceeded",
     "finish_lll",
@@ -154,10 +154,15 @@ class _Instance:
         bad = colored[us] & colored[vs] & (color[us] == color[vs])
         return list(zip(us[bad].tolist(), vs[bad].tolist()))
 
-    def max_color_degree(self) -> int:
+    @cached_property
+    def as_cover(self) -> CorrespondenceCover:
+        """The cover, or the canonical cover of the lists, built at most once."""
         if self.cover is not None:
-            return self.cover.max_color_degree()
-        return c_degrees(self.g, ListAssignment(self.lists)).max_c_degree
+            return self.cover
+        return cover_from_lists(self.g, ListAssignment(self.lists))
+
+    def max_color_degree(self) -> int:
+        return self.as_cover.max_color_degree()
 
 
 def _as_instance(g: Graph, obj) -> _Instance:
@@ -316,7 +321,7 @@ def wcp_round(g: Graph, cov: CorrespondenceCover, p: WcpParams, seed: int):
 class ParamSchedule:
     """Round-by-round (ell_i, d_i, beta_i, keep_i, uncolor_i) sequences.
 
-    i_star is the first index where d_i <= ell_i / ratio_stop (None when the
+    i_star is the first index where d_i <= ell_i / _RATIO_STOP (None when the
     iteration cap was exhausted first, which is the expected outcome at
     small d). `relations` reports which of the three structural relations
     hold numerically: ratio monotone from round 1 (R1), the list lower
@@ -364,9 +369,11 @@ def recursion_margin(gamma: float, epsilon: float) -> float:
     return gamma_prime
 
 
-def build_schedule(d: float, k: float, gamma: float, epsilon: float,
-                   *, ratio_stop: float = 100.0) -> ParamSchedule:
-    """Iterate the nibble recursion until d_i <= ell_i/ratio_stop.
+_RATIO_STOP = 100.0
+
+
+def build_schedule(d: float, k: float, gamma: float, epsilon: float) -> ParamSchedule:
+    """Iterate the nibble recursion until d_i <= ell_i/_RATIO_STOP.
 
     Starts from ell_0 = big_c*d/ln(d/sqrt(k)) with big_c = 4*(1+gamma),
     activation eta = mu/ln(d/sqrt(k)) where
@@ -397,7 +404,7 @@ def build_schedule(d: float, k: float, gamma: float, epsilon: float,
     beta = [dd[0] ** (-x)]
     i_star = None
     for i in range(i_star_bound + 1):
-        if dd[i] <= ell[i] / ratio_stop:
+        if dd[i] <= ell[i] / _RATIO_STOP:
             i_star = i
             break
         if i == i_star_bound:
@@ -440,8 +447,13 @@ class LllResult:
     resamples: int
 
 
-def finish_lll(g: Graph, obj, seed: int, *, threshold: float = 8.0,
-               budget: int = 10 ** 6) -> LllResult:
+# the finisher's default list-to-degree ratio and resample budget
+_LLL_THRESHOLD = 8.0
+_LLL_BUDGET = 10 ** 6
+
+
+def finish_lll(g: Graph, obj, seed: int, *, threshold: float = _LLL_THRESHOLD,
+               budget: int = _LLL_BUDGET) -> LllResult:
     """Complete a coloring by resampling violated constraints.
 
     Requires lists at least `threshold` times larger than the maximum color
@@ -664,8 +676,7 @@ def greedy_color(g: Graph, obj):
         else:
             # canonical cover ids are the list entries in row-major order
             names = inst.lists.values
-            cov = cover_from_lists(g, ListAssignment(inst.lists))
-            coloring, stuck = _greedy_generic(_Instance(g, cov))
+            coloring, stuck = _greedy_generic(_Instance(g, inst.as_cover))
     if coloring is not None and names is not None:
         picked = np.fromiter(coloring.assignment.values(), dtype=np.int64, count=len(coloring))
         coloring = PartialColoring(dict(zip(coloring.assignment, names[picked].tolist())))
@@ -769,16 +780,17 @@ def _round_conclusions(nxt: CorrespondenceCover, names: np.ndarray, ell_n: float
     return None
 
 
-def _nibble_stage(g: Graph, inst: _Instance, seed: int, retries: int,
-                  schedule_gamma: float, schedule_epsilon: float,
-                  lll_threshold: float, lll_budget: int, record: StageRecord):
+# tries per nibble round; backtracking's node budget and largest n
+_RETRIES = 20
+_BACKTRACK_CAP = 200_000
+_BACKTRACK_MAX_N = 30
+
+
+def _nibble_stage(g: Graph, inst: _Instance, seed: int, schedule_gamma: float,
+                  schedule_epsilon: float, record: StageRecord):
     """Stage (b): schedule, rounds with re-validation and retries, finisher."""
-    if inst.cover is not None:
-        cov = inst.cover
-        to_source = None
-    else:
-        cov = cover_from_lists(g, ListAssignment(inst.lists))
-        to_source = cov.source_color
+    cov = inst.as_cover
+    to_source = cov.source_color if inst.cover is None else None
     d0 = cov.max_color_degree()
     k0 = max(1, cover_sparsity(cov))
     if d0 < 2 or d0 <= math.sqrt(k0):
@@ -812,7 +824,7 @@ def _nibble_stage(g: Graph, inst: _Instance, seed: int, retries: int,
         if cur_g.n == 0:
             break
         # jump to the finisher as soon as its precondition already holds
-        if cur_cov.lists.lens.min() >= lll_threshold * max(1, cur_cov.max_color_degree()):
+        if cur_cov.lists.lens.min() >= _LLL_THRESHOLD * max(1, cur_cov.max_color_degree()):
             break
         p = sched.round_params(i)
         reason = _round_hypotheses(cur_cov, p)
@@ -821,7 +833,7 @@ def _nibble_stage(g: Graph, inst: _Instance, seed: int, retries: int,
             record.stats["rounds"] = rounds_run
             return None
         committed = False
-        for r in range(retries):
+        for r in range(_RETRIES):
             phi, nxt, stats = wcp_round(cur_g, cur_cov, p, _child_seed(seed, i, r))
             blank = np.ones(cur_g.n, dtype=bool)
             blank[list(phi.assignment)] = False
@@ -832,7 +844,7 @@ def _nibble_stage(g: Graph, inst: _Instance, seed: int, retries: int,
                 committed = True
                 break
         if not committed:
-            record.reason = f"round {i} conclusions failed after {retries} tries: {reason}"
+            record.reason = f"round {i} conclusions failed after {_RETRIES} tries: {reason}"
             record.stats["rounds"] = rounds_run
             return None
         rounds_run += 1
@@ -844,8 +856,7 @@ def _nibble_stage(g: Graph, inst: _Instance, seed: int, retries: int,
     record.stats["rounds"] = rounds_run
     if cur_g.n:
         try:
-            fin = finish_lll(cur_g, cur_cov, _child_seed(seed, 1 << 20),
-                             threshold=lll_threshold, budget=lll_budget)
+            fin = finish_lll(cur_g, cur_cov, _child_seed(seed, 1 << 20))
         except PreconditionViolation as e:
             record.reason = f"finisher precondition failed after rounds: {e}"
             return None
@@ -858,10 +869,7 @@ def _nibble_stage(g: Graph, inst: _Instance, seed: int, retries: int,
 
 
 def solve(g: Graph, obj, policy: str = "auto", seed: int = 0, *,
-          retries: int = 20, schedule_gamma: float = 0.1,
-          schedule_epsilon: float = 0.3, lll_threshold: float = 8.0,
-          lll_budget: int = 10 ** 6, backtrack_cap: int = 200_000,
-          backtrack_max_n: int = 30) -> SolveResult:
+          schedule_gamma: float = 0.1, schedule_epsilon: float = 0.3) -> SolveResult:
     """Fallback chain returning the first total proper coloring found.
 
     auto order: greedy, then the nibble when its schedule is admissible,
@@ -898,18 +906,14 @@ def solve(g: Graph, obj, policy: str = "auto", seed: int = 0, *,
             if rec.reason == "":
                 rec.reason = f"stuck at vertex {stuck}" if stuck is not None else "incomplete"
         elif rec.name == "nibble":
-            coloring = _nibble_stage(
-                g, inst, seed, retries, schedule_gamma, schedule_epsilon,
-                lll_threshold, lll_budget, rec,
-            )
+            coloring = _nibble_stage(g, inst, seed, schedule_gamma, schedule_epsilon, rec)
             if finalize(rec, coloring):
                 return result
             if rec.reason == "":
                 rec.reason = "nibble produced no total coloring"
         elif rec.name == "lll":
             try:
-                fin = finish_lll(g, inst, _child_seed(seed, 2 << 20),
-                                 threshold=lll_threshold, budget=lll_budget)
+                fin = finish_lll(g, inst, _child_seed(seed, 2 << 20))
                 rec.stats["resamples"] = fin.resamples
                 if finalize(rec, fin.coloring):
                     return result
@@ -918,14 +922,14 @@ def solve(g: Graph, obj, policy: str = "auto", seed: int = 0, *,
             except BudgetExceeded as e:
                 rec.reason = str(e)
         elif rec.name == "backtracking":
-            if g.n > backtrack_max_n:
+            if g.n > _BACKTRACK_MAX_N:
                 rec.reason = f"instance too large for backtracking (n={g.n})"
                 continue
-            coloring, complete = _dfs_color(inst, backtrack_cap)
+            coloring, complete = _dfs_color(inst, _BACKTRACK_CAP)
             if finalize(rec, coloring):
                 return result
             rec.reason = (
                 "search space exhausted: instance is uncolorable" if complete
-                else f"node budget {backtrack_cap} exhausted"
+                else f"node budget {_BACKTRACK_CAP} exhausted"
             )
     return result

@@ -43,9 +43,11 @@ __all__ = [
     "InvalidParameters",
     "PaletteTooSmall",
     "SparsifyParams",
+    "SharedPalette",
     "PaletteFamily",
     "ConflictInstance",
     "derive_params",
+    "manual_params",
     "sample_palettes",
     "prune",
     "build_conflict",
@@ -73,6 +75,7 @@ class SparsifyParams:
     big_c = 3*gamma_prime^(-3/2) the constant in the sample-size lower bound
     s >= delta^alpha + big_c*sqrt(ln n). When the bound meets or exceeds q
     the instance is flagged degenerate and the whole palette is sampled.
+    The pruning threshold and the flag are derived from the fields.
     """
 
     q: int
@@ -82,25 +85,27 @@ class SparsifyParams:
     epsilon: float
     gamma_prime: float
     big_c: float
-    prune_threshold: float
     delta_ref: int
-    degenerate: bool
+
+    def threshold(self, delta_ref) -> float:
+        """The pruning threshold (1 + gamma')*s*delta_ref/q."""
+        return (1.0 + self.gamma_prime) * self.s * delta_ref / self.q
+
+    @property
+    def prune_threshold(self) -> float:
+        return self.threshold(self.delta_ref)
+
+    @property
+    def degenerate(self) -> bool:
+        return self.s >= self.q
 
     def with_overrides(self, q: int | None = None, s: int | None = None,
                        delta_ref: int | None = None) -> "SparsifyParams":
-        """Replace q/s/delta_ref and recompute the threshold and the flag."""
+        """Replace q/s/delta_ref, with s capped at q."""
         q2 = self.q if q is None else q
-        d2 = self.delta_ref if delta_ref is None else delta_ref
-        s2 = self.s if s is None else s
-        s2 = min(s2, q2)
-        return replace(
-            self,
-            q=q2,
-            s=s2,
-            delta_ref=d2,
-            degenerate=s2 >= q2,
-            prune_threshold=(1.0 + self.gamma_prime) * s2 * d2 / q2,
-        )
+        s2 = min(self.s if s is None else s, q2)
+        return replace(self, q=q2, s=s2,
+                       delta_ref=self.delta_ref if delta_ref is None else delta_ref)
 
 
 def derive_params(delta: int, n: int, k: int, alpha: float, gamma: float,
@@ -134,20 +139,15 @@ def derive_params(delta: int, n: int, k: int, alpha: float, gamma: float,
     big_c = 3.0 * gamma_prime ** -1.5
     q = math.ceil(4.0 * (1.0 + gamma + epsilon) * delta / math.log(ratio))
     s_raw = delta ** alpha + big_c * math.sqrt(math.log(n)) if n > 1 else delta ** alpha
-    s = math.ceil(s_raw)
-    degenerate = s >= q
-    s = min(s, q)
     return SparsifyParams(
         q=q,
-        s=s,
+        s=min(math.ceil(s_raw), q),
         alpha=alpha,
         gamma=gamma,
         epsilon=epsilon,
         gamma_prime=gamma_prime,
         big_c=big_c,
-        prune_threshold=(1.0 + gamma_prime) * s * delta / q,
         delta_ref=delta,
-        degenerate=degenerate,
     )
 
 
@@ -163,18 +163,15 @@ def manual_params(delta: int, gamma: float, epsilon: float, q: int,
     if not (0.0 < gamma < 1.0) or epsilon <= 0.0:
         raise InvalidParameters(f"need gamma in (0,1) and epsilon > 0, got {gamma}, {epsilon}")
     gamma_prime = epsilon ** 2 / (3.0 * (1.0 + gamma))
-    s = min(s, q)
     return SparsifyParams(
         q=q,
-        s=s,
+        s=min(s, q),
         alpha=0.5,
         gamma=gamma,
         epsilon=epsilon,
         gamma_prime=gamma_prime,
         big_c=3.0 * gamma_prime ** -1.5,
-        prune_threshold=(1.0 + gamma_prime) * s * delta / q,
         delta_ref=delta,
-        degenerate=s >= q,
     )
 
 
@@ -345,9 +342,7 @@ def prune(subject, fam: PaletteFamily, params: SparsifyParams,
     Keeps a color exactly when its count is <= the real-valued threshold.
     """
     if isinstance(subject, Graph):
-        thr = params.prune_threshold
-        if delta_ref is not None:
-            thr = (1.0 + params.gamma_prime) * params.s * delta_ref / params.q
+        thr = params.threshold(params.delta_ref if delta_ref is None else delta_ref)
         rows, q, colors = _dense(fam.sampled, fam.universe)
         us, vs = subject.edge_arrays()
         pruned = prune_by_counts(rows, conflict_counts(us, vs, rows, q), thr)
@@ -355,8 +350,7 @@ def prune(subject, fam: PaletteFamily, params: SparsifyParams,
             pruned = pruned.relabel(colors)
         return PaletteFamily(fam.sampled, pruned, fam.universe)
     if isinstance(subject, CorrespondenceCover):
-        d_h = delta_ref if delta_ref is not None else subject.max_color_degree()
-        thr = (1.0 + params.gamma_prime) * params.s * d_h / params.q
+        thr = params.threshold(subject.max_color_degree() if delta_ref is None else delta_ref)
         # a color's correspondents among the sampled colors are its
         # correspondents in the cover cut down to the samples
         sampled, _ = restrict_cover(subject, fam.sampled)
@@ -377,10 +371,6 @@ class ConflictInstance:
     graph: Graph
     lists: ListAssignment | None = None
     cover: CorrespondenceCover | None = None
-
-    @property
-    def kind(self) -> str:
-        return "cover" if self.cover is not None else "list"
 
 
 def build_conflict(g: Graph, fam: PaletteFamily,

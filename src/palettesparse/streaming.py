@@ -255,9 +255,8 @@ def stream_color(stream: EdgeStream, n: int, params: SparsifyParams, seed: int,
     stored = Rows(pairs.ravel(), np.arange(0, pairs.size + 1, 2))
     su, sv = pairs.T
 
-    thr = params.prune_threshold
-    if delta_from_stream:
-        thr = (1.0 + params.gamma_prime) * s * int(degrees.max(initial=0)) / q
+    thr = params.threshold(int(degrees.max(initial=0))) if delta_from_stream \
+        else params.prune_threshold
     pruned = prune_by_counts(fam.sampled, conflict_counts(su, sv, fam.sampled, q), thr)
     fam = PaletteFamily(fam.sampled, pruned, fam.universe)
     hit = surviving_edges(su, sv, packed_masks(pruned, q))

@@ -109,6 +109,24 @@ def oracle_color_neighbors(cov: CorrespondenceCover) -> dict[int, list[int]]:
     return nbrs
 
 
+def oracle_cover_from_lists(g: Graph, l: ListAssignment) -> CorrespondenceCover:
+    """The canonical cover by a loop over the edges: ids are the list
+    entries in row-major order, and each edge pairs the ids of its shared
+    names in ascending name order."""
+    names = [c for row in l.lists for c in row]
+    index, nxt = [], 0
+    for row in l.lists:
+        index.append({c: nxt + i for i, c in enumerate(row)})
+        nxt += len(row)
+    lists = [tuple(ids.values()) for ids in index]
+    matchings = {}
+    for u, v in g.edges():
+        shared = sorted(index[u].keys() & index[v].keys())
+        if shared:
+            matchings[(u, v)] = tuple((index[u][c], index[v][c]) for c in shared)
+    return CorrespondenceCover(lists, matchings, source_color=dict(enumerate(names)))
+
+
 def oracle_colorable(g: Graph, obj) -> bool:
     if isinstance(obj, CorrespondenceCover):
         return bool(oracle_cover_colorings(g, obj))

@@ -186,6 +186,52 @@ class TestCliCommands:
         out = self._run("verify-cover", "--graph", str(gpath), "--cover", str(cpath))
         assert out.returncode == 0 and "pass" in out.stdout
 
+    def test_verify_cover_rejects_a_color_twice_in_one_list(self, tmp_path):
+        gpath = tmp_path / "g.txt"
+        save_graph(Graph(2, [(0, 1)]), gpath)
+        cpath = tmp_path / "c.txt"
+        save_cover(CorrespondenceCover([(1, 1, 2), (3, 4)], {(0, 1): [(1, 3)]}), cpath)
+        out = self._run("verify-cover", "--graph", str(gpath), "--cover", str(cpath))
+        assert out.returncode == 2
+        assert "CC1 partition: FAIL" in out.stdout
+        assert "color 1 appears twice in the list of vertex 0" in out.stdout
+
+    BAD_INPUTS = {
+        "self-loop": ("graph", "2 1\n0 0\n", "edges must satisfy u < v, got 0 0"),
+        "missing-graph": ("graph", None, "No such file"),
+        "non-integer": ("graph", "2 1\n0 x\n", "non-integer token in line '0 x'"),
+        "color-count": ("cover", "2 5\n0 1\n2 3\n", "header claims 5 colors, lists carry 4"),
+        "non-integer-cover": ("cover", "2 4\n0 1\n2 x\n", "non-integer token in line '2 x'"),
+    }
+
+    @pytest.mark.parametrize("command, fault", [
+        *((command, fault) for command in ("verify-cover", "sparsify", "solve", "stream",
+                                           "queries", "sweep")
+          for fault in ("self-loop", "missing-graph", "non-integer")),
+        *((command, fault) for command in ("verify-cover", "sparsify", "solve", "stream")
+          for fault in ("color-count", "non-integer-cover")),
+    ])
+    def test_bad_input_file_exits_3(self, tmp_path, capsys, command, fault):
+        which, body, witness = self.BAD_INPUTS[fault]
+        gpath, cpath = tmp_path / "g.txt", tmp_path / "c.txt"
+        save_graph(Graph(2, [(0, 1)]), gpath)
+        save_cover(CorrespondenceCover([(0, 1), (2, 3)], {(0, 1): ((0, 2),)}), cpath)
+        bad = gpath if which == "graph" else cpath
+        bad.unlink()
+        if body is not None:
+            bad.write_text(body)
+        if command == "sweep":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"instance": {"kind": "file", "path": str(gpath)},
+                                       "seeds": [0]}))
+            args = ["sweep", "--config", str(cfg)]
+        else:
+            args = [command, "--graph", str(gpath)]
+            if command != "queries":
+                args += ["--cover", str(cpath)]
+        assert main(args) == 3
+        assert witness in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["solve", "stream", "sparsify"])
     def test_invalid_cover_file_rejected(self, tmp_path, capsys, command):
         # color 0 is matched twice on edge (0, 1)

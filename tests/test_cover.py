@@ -12,7 +12,7 @@ from palettesparse.cover import (
     CorrespondenceCover,
     CoverError,
     ListAssignment,
-    c_degrees,
+    color_degrees,
     cover_from_lists,
     cover_sparsity,
     load_cover,
@@ -21,6 +21,7 @@ from palettesparse.cover import (
     validate_cover,
 )
 from palettesparse.graphcore import Graph, local_sparsity, max_degree
+from palettesparse.nibble import _Instance
 
 
 def edge_graph():
@@ -47,6 +48,12 @@ class TestValidateCover:
         g = Graph(3, [(0, 1)])
         cov = CorrespondenceCover([(1,), (2,), (3,)], {(0, 2): [(1, 3)]})
         assert not validate_cover(g, cov).cc3_matchings
+
+    def test_color_twice_in_one_list_is_cc1_violation(self):
+        cov = CorrespondenceCover([(1, 1, 2), (3, 4)], {(0, 1): [(1, 3)]})
+        rep = validate_cover(edge_graph(), cov)
+        assert not rep.cc1_partition and rep.cc2_lists_independent and rep.cc3_matchings
+        assert rep.witness == "color 1 appears twice in the list of vertex 0"
 
     def test_pair_inside_one_list_is_cc2_violation(self):
         cov = CorrespondenceCover([(1, 2), (3,)], {(0, 1): [(1, 2)]})
@@ -106,27 +113,31 @@ class TestCoverFromLists:
 
 
 class TestCDegrees:
+    """The c-degree of (v, c) is the number of neighbours whose list holds
+    c: the degree of v's entry for c in the canonical cover."""
+
+    @staticmethod
+    def by_entry(g, lists):
+        return color_degrees(cover_from_lists(g, ListAssignment(lists))).tolist()
+
     def test_isolated_vertex(self):
-        t = c_degrees(Graph(1), ListAssignment(((1,),)))
-        assert t.by_vertex[0][1] == 0 and t.max_c_degree == 0
+        assert self.by_entry(Graph(1), ((1,),)) == [0]
+        assert _Instance(Graph(1), ListAssignment(((1,),))).max_color_degree() == 0
 
     def test_edge_shared_lists(self):
-        t = c_degrees(edge_graph(), ListAssignment(((1, 2), (1, 2))))
-        assert t.by_vertex[0][1] == 1
+        assert self.by_entry(edge_graph(), ((1, 2), (1, 2))) == [1, 1, 1, 1]
 
     def test_star(self):
         g = Graph(4, [(0, 1), (0, 2), (0, 3)])
-        t = c_degrees(g, ListAssignment(((1,),) * 4))
-        assert t.by_vertex[0][1] == 3
-        assert all(t.by_vertex[leaf][1] == 1 for leaf in (1, 2, 3))
-        assert t.max_c_degree == 3
+        assert self.by_entry(g, ((1,),) * 4) == [3, 1, 1, 1]
+        assert _Instance(g, ListAssignment(((1,),) * 4)).max_color_degree() == 3
 
     def test_cover_degrees(self):
         g = edge_graph()
         cov = CorrespondenceCover([(1, 2), (3, 4)], {(0, 1): [(1, 3)]})
-        t = c_degrees(g, cov)
-        assert t.cover_degree == {1: 1, 2: 0, 3: 1, 4: 0}
-        assert t.max_c_degree == 1
+        assert dict(zip(cov.arrays.colors.tolist(), color_degrees(cov).tolist())) == \
+            {1: 1, 2: 0, 3: 1, 4: 0}
+        assert _Instance(g, cov).max_color_degree() == 1
 
 
 class TestCoverSparsity:

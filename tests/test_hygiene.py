@@ -1,10 +1,12 @@
 """Source-level rules for the package.
 
 Invariants raise real exceptions: `python -O` strips `assert` statements,
-so a check written as one would silently stop running.
+so a check written as one would silently stop running. The package's
+re-exports and the modules' `__all__` lists agree.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -22,3 +24,24 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name} uses assert on lines {lines}"
+
+
+def _reexports():
+    """(module, name) for every name `palettesparse/__init__.py` imports."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return [(node.module, alias.name) for node in tree.body
+            if isinstance(node, ast.ImportFrom) for alias in node.names]
+
+
+def test_reexports_are_in_their_modules_all():
+    missing = [f"{mod}.{name}" for mod, name in _reexports()
+               if name not in importlib.import_module(f"palettesparse.{mod}").__all__]
+    assert missing == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_all_names_are_bound(path):
+    module = importlib.import_module(f"palettesparse.{path.stem}"
+                                     if path.stem != "__init__" else "palettesparse")
+    unbound = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert unbound == []

@@ -14,6 +14,7 @@ import pytest
 from conftest import (
     oracle_color_neighbors,
     oracle_conflict_counts,
+    oracle_cover_from_lists,
     oracle_cover_clash,
     oracle_cover_graph,
     oracle_cover_prune,
@@ -40,12 +41,13 @@ from palettesparse.cover import (
     ListAssignment,
     Rows,
     color_degrees,
+    cover_from_lists,
     cover_sparsity,
     picked_counts,
     restrict_cover,
 )
 from palettesparse.graphcore import Graph
-from palettesparse.nibble import PartialColoring, verify_coloring
+from palettesparse.nibble import PartialColoring, _Instance, verify_coloring
 from palettesparse.sparsify import (
     PaletteFamily,
     SharedPalette,
@@ -97,9 +99,10 @@ def instances(draw, max_q=10):
 
 
 @st.composite
-def covers(draw, max_n=8, min_list=0, max_list=4, valid=True):
-    """(graph, cover). Valid covers carry partial matchings; otherwise an
-    edge may declare any pairs between its two lists, a color twice too."""
+def cover_inputs(draw, max_n=8, min_list=0, max_list=4, valid=True):
+    """(graph, lists, dict of pairs per edge). Valid covers carry partial
+    matchings; otherwise an edge may declare any pairs between its two
+    lists, a color twice too."""
     g = draw(graphs(max_n))
     sizes = [draw(st.integers(min_list, max_list)) for _ in range(g.n)]
     ids = draw(st.lists(st.integers(-2 ** 40, 2 ** 40), min_size=sum(sizes),
@@ -125,7 +128,12 @@ def covers(draw, max_n=8, min_list=0, max_list=4, valid=True):
             matchings[(v, u)] = [(b, a) for a, b in pairs]
         else:
             matchings[(u, v)] = pairs
-    return g, CorrespondenceCover(lists, matchings)
+    return g, lists, matchings
+
+
+def covers(**kwargs):
+    """(graph, cover) of `cover_inputs`."""
+    return cover_inputs(**kwargs).map(lambda t: (t[0], CorrespondenceCover(t[1], t[2])))
 
 
 @st.composite
@@ -230,6 +238,19 @@ class TestCoverKernels:
             oracle_picked_counts(cov, picked)
 
     @FAST
+    @given(st.booleans().flatmap(lambda valid: cover_inputs(valid=valid)))
+    def test_matchings_view_the_normalized_input(self, inst):
+        _, lists, matchings = inst
+        want = {}
+        for (u, v), pairs in matchings.items():
+            if u > v:
+                u, v, pairs = v, u, [(b, a) for a, b in pairs]
+            if pairs:
+                want[(u, v)] = tuple(sorted(pairs))
+        assert list(CorrespondenceCover(lists, matchings).matchings.items()) == \
+            list(want.items())
+
+    @FAST
     @given(covers(), st.floats(-1.0, 5.0), st.data())
     def test_prune(self, inst, thr, data):
         _, cov = inst
@@ -311,6 +332,29 @@ class TestCoverKernels:
                 stream_color_correspondence(stream, g.n, params, seed, space_cap=cap,
                                             policy="greedy")
             assert str(err.value) == message
+
+
+class TestCanonicalCover:
+    @FAST
+    # ids over all of int64, so `Rows.find` ranks them
+    @given(graphs(), st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=1, max_size=6,
+                              unique=True), st.data())
+    def test_join_matches_the_edge_loop(self, g, pool, data):
+        lists = ListAssignment([data.draw(st.sets(st.sampled_from(pool))) for _ in range(g.n)])
+        got, want = cover_from_lists(g, lists), oracle_cover_from_lists(g, lists)
+        assert got.lists == want.lists
+        for name in ("colors", "eu", "ev", "ra", "rb", "lists", "lens"):
+            assert getattr(got.arrays, name).tolist() == getattr(want.arrays, name).tolist()
+        assert list(got.matchings.items()) == list(want.matchings.items())
+        assert got.source_color == want.source_color
+
+    @FAST
+    @given(instances())
+    def test_max_color_degree_of_lists(self, inst):
+        g, q, rows = inst
+        table = oracle_conflict_counts(g, rows, q)
+        want = max((table[v][c] for v, row in enumerate(rows) for c in row), default=0)
+        assert _Instance(g, ListAssignment(rows)).max_color_degree() == want
 
 
 class TestConflictCounts:
