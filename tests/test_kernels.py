@@ -14,8 +14,8 @@ import pytest
 from conftest import (
     oracle_color_neighbors,
     oracle_conflict_counts,
-    oracle_cover_from_lists,
     oracle_cover_clash,
+    oracle_cover_from_lists,
     oracle_cover_graph,
     oracle_cover_prune,
     oracle_cover_stream_retention,
