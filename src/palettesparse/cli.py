@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ._rng import TAG_COVER, substream
+from ._rng import TAG_COVER, choice_rows, substream
 from .cover import (
     CorrespondenceCover,
     CoverError,
@@ -197,13 +197,14 @@ def _build_instance(cfg: RunConfig):
     if cfg.pipeline == "plain":
         return g, params, None
     if cfg.pipeline == "list":
-        universe = cfg.list_universe or 2 * params.q
+        # each vertex's list: the q ids one rng.choice(universe, q,
+        # replace=False) per vertex picks, drawn for all vertices at once
+        universe, q = cfg.list_universe or 2 * params.q, params.q
+        if universe < q:
+            raise ConfigError(f"list universe {universe} is smaller than the list size {q}")
         rng = substream(cfg.instance_seed, TAG_COVER, 99)
-        lists = ListAssignment(tuple(
-            tuple(sorted(rng.choice(universe, size=params.q, replace=False).tolist()))
-            for _ in range(g.n)
-        ))
-        return g, params, lists
+        block = choice_rows(rng, np.broadcast_to(np.int64(universe), g.n), q)
+        return g, params, ListAssignment(Rows(block.ravel(), np.arange(0, g.n * q + 1, q)))
     size = cfg.cover_size or params.q
     cov = random_cover(g, size, cfg.cover_density, cfg.instance_seed)
     return g, params, cov

@@ -248,18 +248,27 @@ class CorrespondenceCover:
                             dtype=np.int64, count=2 * int(per_edge.sum()))
         flat = lists.values
         colors, ranks = np.unique(np.concatenate((flat, pairs)), return_inverse=True)
-        self.lists, self.source_color = lists, source_color
+        self.lists, self._source = lists, source_color
         self.arrays = CoverArrays(colors, np.repeat(ends[:, 0], per_edge),
                                   np.repeat(ends[:, 1], per_edge), ranks[flat.size::2],
                                   ranks[flat.size + 1::2], ranks[:flat.size], lists.lens)
 
     @classmethod
-    def _of(cls, lists: Rows, arrays: CoverArrays, source_color=None) -> "CorrespondenceCover":
+    def _of(cls, lists: Rows, arrays: CoverArrays, source=None) -> "CorrespondenceCover":
         """The cover with these lists and pair arrays, taken as they are:
-        the constructor of every builder that makes the arrays itself."""
+        the constructor of every builder that makes the arrays itself.
+        `source` is a `source_color` dict, or an int64 array holding the
+        name of cover id c at index c."""
         cov = cls.__new__(cls)
-        cov.lists, cov.arrays, cov.source_color = lists, arrays, source_color
+        cov.lists, cov.arrays, cov._source = lists, arrays, source
         return cov
+
+    @cached_property
+    def source_color(self) -> dict[int, int] | None:
+        """Cover color id -> original color name, for a cover built from a
+        list assignment (else None); made from the names when first read."""
+        src = self._source
+        return dict(enumerate(src.tolist())) if isinstance(src, np.ndarray) else src
 
     @property
     def n(self) -> int:
@@ -341,7 +350,7 @@ def restrict_cover(cov: CorrespondenceCover, rows, vertices=None):
     lists = Rows(rows.values[on], _offsets(rows.lens[vertices]))
     sub = CorrespondenceCover._of(lists, CoverArrays(
         a.colors[keep], eu, ev, new_rank[a.ra[hit]], new_rank[a.rb[hit]], new_rank[ranks],
-        lists.lens), cov.source_color)
+        lists.lens), cov._source)
     first = _edge_starts(eu, ev)
     return sub, np.column_stack((eu[first], ev[first]))
 
@@ -410,9 +419,10 @@ def cover_from_lists(g: Graph, l: ListAssignment) -> CorrespondenceCover:
     adjacent vertices correspond. Proper colorings pull back both ways.
 
     The cover ids are the list entries in row-major order, and `source_color`
-    maps each back to its name. One join of (vertex, name) keys over the
-    edges: every entry of u's list is looked up in v's (`Rows.find`), so
-    the pairs come in edge order and, on each edge, by name.
+    maps each back to its name; that dict is made only when it is first
+    read. One join of (vertex, name) keys over the edges: every entry of
+    u's list is looked up in v's (`Rows.find`), so the pairs come in edge
+    order and, on each edge, by name.
     """
     if l.n != g.n:
         raise CoverError(f"list assignment has {l.n} vertices, graph has {g.n}")
@@ -428,8 +438,7 @@ def cover_from_lists(g: Graph, l: ListAssignment) -> CorrespondenceCover:
     hit = rb >= 0
     arrays = CoverArrays(ids, np.repeat(us, per_edge)[hit], ev[hit], ra[hit], rb[hit], ids,
                          rows.lens)
-    return CorrespondenceCover._of(Rows(ids, rows.indptr), arrays,
-                                   dict(enumerate(names.tolist())))
+    return CorrespondenceCover._of(Rows(ids, rows.indptr), arrays, names)
 
 
 def cover_sparsity(cov: CorrespondenceCover) -> int:

@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._rng import TAG_LLL, TAG_SOLVE, TAG_WCP, substream
+from ._rng import TAG_LLL, TAG_SOLVE, TAG_WCP, bounded, substream
 from .cover import (
     CorrespondenceCover,
     ListAssignment,
@@ -460,6 +460,11 @@ def finish_lll(g: Graph, obj, seed: int, *, threshold: float = _LLL_THRESHOLD,
     degree (default 8; 2 is known to suffice and is exposed as a knob).
     Assigns every vertex an independent uniform color from its list, then
     repeatedly resamples both endpoints of the lowest-indexed violated edge.
+    The first colors are the list positions one `rng.integers(size)` call
+    per vertex, vertices ascending, would draw: `_rng.bounded` takes them
+    all in one pass from the stream's 32-bit outputs, equal to numpy's
+    per-call draws, and leaves the stream where those calls would, so the
+    resamples (one `rng.integers` per endpoint) draw the same colors too.
     Under the precondition the expected number of resamples is finite;
     exceeding `budget` raises BudgetExceeded and indicates a caller bug.
     """
@@ -474,8 +479,9 @@ def finish_lll(g: Graph, obj, seed: int, *, threshold: float = _LLL_THRESHOLD,
             f"max color degree {dmax} exceeds min list size {ell} / {threshold}"
         )
     rng = substream(seed, TAG_LLL)
-    flat, start = inst.lists.values.tolist(), inst.lists.indptr.tolist()
-    phi = {v: flat[start[v] + int(rng.integers(sizes[v]))] for v in range(g.n)}
+    lists = inst.lists
+    phi = dict(enumerate(lists.values[lists.indptr[:-1] + bounded(rng, lists.lens)].tolist()))
+    flat, start = lists.values.tolist(), lists.indptr.tolist()
 
     def violated(e: tuple[int, int]) -> bool:
         return phi[e[1]] in inst.partners(e[0], e[1], phi[e[0]])
@@ -790,7 +796,6 @@ def _nibble_stage(g: Graph, inst: _Instance, seed: int, schedule_gamma: float,
                   schedule_epsilon: float, record: StageRecord):
     """Stage (b): schedule, rounds with re-validation and retries, finisher."""
     cov = inst.as_cover
-    to_source = cov.source_color if inst.cover is None else None
     d0 = cov.max_color_degree()
     k0 = max(1, cover_sparsity(cov))
     if d0 < 2 or d0 <= math.sqrt(k0):
@@ -863,8 +868,9 @@ def _nibble_stage(g: Graph, inst: _Instance, seed: int, schedule_gamma: float,
         record.stats["resamples"] = fin.resamples
         for v, c in fin.coloring.assignment.items():
             assignment[orig_of[v]] = c
-    if to_source is not None:
-        assignment = {v: to_source[c] for v, c in assignment.items()}
+    if inst.cover is None:  # pull cover colors back to list colors
+        src = cov.source_color
+        assignment = {v: src[c] for v, c in assignment.items()}
     return PartialColoring(dict(sorted(assignment.items())))
 
 

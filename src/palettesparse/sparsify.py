@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._rng import TAG_PALETTE, substream
+from ._rng import TAG_PALETTE, choice_rows, substream
 from .cover import (
     CorrespondenceCover,
     ListAssignment,
@@ -215,17 +215,20 @@ def sample_palettes(palettes, s: int, seed: int) -> PaletteFamily:
 
     `palettes` is a SharedPalette (every vertex draws from 0..q-1) or a
     per-vertex sequence of color sets. Draw order: one stream, vertices
-    ascending, one `rng.choice` of s positions in each sorted palette
-    larger than s, so the result is a deterministic function of
-    (palettes, s, seed). The draws fill one (n, s) block, sorted per row
-    at the end. `s` must be at least 1 and no palette may be smaller than s.
+    ascending, the s positions in each sorted palette larger than s that one
+    `rng.choice(k, s, replace=False)` call per vertex would pick. They are
+    replayed for all vertices at once by `_rng.choice_rows` from the
+    stream's 32-bit outputs and equal numpy's per-call draws, so the result
+    is a deterministic function of (palettes, s, seed). `s` must be at
+    least 1 and no palette may be smaller than s.
     """
     if s < 1:
         raise PaletteTooSmall(f"sample size must be >= 1, got {s}")
     if isinstance(palettes, SharedPalette):
         if palettes.q < s:
             raise PaletteTooSmall(f"palette has {palettes.q} colors, need {s}")
-        n, lens, universe = palettes.n, np.full(palettes.n, palettes.q), palettes.q
+        n, universe = palettes.n, palettes.q
+        lens = np.broadcast_to(np.int64(universe), n)
     else:
         palettes = Rows.of(palettes)
         n, lens, universe = len(palettes), palettes.lens, None
@@ -233,13 +236,7 @@ def sample_palettes(palettes, s: int, seed: int) -> PaletteFamily:
         if short.size:
             v = int(short[0])
             raise PaletteTooSmall(f"palette of vertex {v} has {int(lens[v])} colors, need {s}")
-    rng = substream(seed, TAG_PALETTE)
-    # positions inside each palette; a palette of exactly s colors draws nothing
-    block = np.tile(np.arange(s), (n, 1))
-    for v, k in enumerate(lens.tolist()):
-        if k > s:
-            block[v] = rng.choice(k, size=s, replace=False)
-    block.sort(axis=1)
+    block = choice_rows(substream(seed, TAG_PALETTE), lens, s)
     if universe is None:
         block = palettes.values[block + palettes.indptr[:-1, None]]
     return PaletteFamily(Rows(block.ravel(), np.arange(0, n * s + 1, s)), universe=universe)

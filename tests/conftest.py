@@ -10,8 +10,10 @@ import itertools
 
 import numpy as np
 
+from palettesparse._rng import TAG_PALETTE, substream
 from palettesparse.cover import CorrespondenceCover, ListAssignment
 from palettesparse.graphcore import Graph
+from palettesparse.sparsify import SharedPalette
 
 
 def rng_for(seed: int) -> np.random.Generator:
@@ -125,6 +127,22 @@ def oracle_cover_from_lists(g: Graph, l: ListAssignment) -> CorrespondenceCover:
         if shared:
             matchings[(u, v)] = tuple((index[u][c], index[v][c]) for c in shared)
     return CorrespondenceCover(lists, matchings, source_color=dict(enumerate(names)))
+
+
+def oracle_sample_palettes(palettes, s: int, seed: int) -> tuple[tuple[int, ...], ...]:
+    """The sampled rows by one `rng.choice(k, s, replace=False)` call per
+    vertex on the palette stream, vertices ascending, each picking s
+    positions of the sorted palette; a palette of exactly s colors draws
+    nothing."""
+    if isinstance(palettes, SharedPalette):
+        palettes = [range(palettes.q)] * palettes.n
+    rng = substream(seed, TAG_PALETTE)
+    out = []
+    for colors in palettes:
+        row = sorted(colors)
+        picks = rng.choice(len(row), size=s, replace=False) if len(row) > s else range(s)
+        out.append(tuple(sorted(row[i] for i in picks)))
+    return tuple(out)
 
 
 def oracle_colorable(g: Graph, obj) -> bool:

@@ -2,7 +2,9 @@
 
 Invariants raise real exceptions: `python -O` strips `assert` statements,
 so a check written as one would silently stop running. The package's
-re-exports and the modules' `__all__` lists agree.
+re-exports and the modules' `__all__` lists agree. Only `_rng` reads or
+writes a generator's raw stream and state, so the emulation of numpy's
+draws stays in one place.
 """
 
 import ast
@@ -45,3 +47,16 @@ def test_all_names_are_bound(path):
                                      if path.stem != "__init__" else "palettesparse")
     unbound = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert unbound == []
+
+
+# attributes of a numpy bit generator that reach below `Generator`'s draws
+GENERATOR_INTERNALS = {"bit_generator", "random_raw", "state"}
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "_rng.py"],
+                         ids=lambda p: p.name)
+def test_only_rng_touches_generator_internals(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in GENERATOR_INTERNALS]
+    assert lines == [], f"{path.name} reaches generator internals on lines {lines}"
