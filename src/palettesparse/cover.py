@@ -208,11 +208,18 @@ class CoverArrays:
     lens: np.ndarray
 
     def rank(self, ids) -> np.ndarray:
-        """Ranks of the color ids `ids`; CoverError names one the cover lacks."""
+        """Ranks of the color ids `ids`; CoverError names one the cover lacks.
+        When the colors are 0..C-1 (ascending and distinct, so the ends
+        tell), every id is its own rank."""
         ids = np.asarray(ids, dtype=np.int64)
-        r = np.searchsorted(self.colors, ids)
-        miss = r >= self.colors.size
-        miss[~miss] = self.colors[r[~miss]] != ids[~miss]
+        colors = self.colors
+        if colors.size and colors[0] == 0 and colors[-1] == colors.size - 1:
+            r = ids
+            miss = (ids < 0) | (ids >= colors.size)
+        else:
+            r = np.searchsorted(colors, ids)
+            miss = r >= colors.size
+            miss[~miss] = colors[r[~miss]] != ids[~miss]
         if miss.any():
             raise CoverError(f"color {int(ids[miss.argmax()])} is not a color of the cover")
         return r
@@ -273,14 +280,6 @@ class CorrespondenceCover:
     @property
     def n(self) -> int:
         return len(self.lists)
-
-    @cached_property
-    def owner(self) -> dict[int, int]:
-        own: dict[int, int] = {}
-        for v, row in enumerate(self.lists):
-            for c in row:
-                own.setdefault(c, v)
-        return own
 
     @cached_property
     def num_colors(self) -> int:
@@ -381,37 +380,80 @@ class CoverReport:
 def validate_cover(g: Graph, cov: CorrespondenceCover) -> CoverReport:
     """Check the cover conditions: ids partition across vertices (no list
     holds an id twice), no matching edge inside a list, and per-edge pair
-    sets are matchings on real edges."""
-    own = cov.owner  # each color's first owner
-    found = []  # (condition, witness)
-    v = cov.lists.first_repeat()
+    sets are matchings on real edges.
+
+    The witness is the first violation in this order: a list holding an id
+    twice; an entry, row-major, whose id an earlier vertex owns; then the
+    edges in `matchings` order, each either a matching on a non-edge or,
+    pair by pair, a pair inside one list (CC2), leaving the lists or using a
+    color an earlier pair on the edge used (CC3). A pair that leaves the
+    lists uses no color. Array operations over the entries and pairs.
+    """
+    a, lists = cov.arrays, cov.lists
+    witness = []
+    v = lists.first_repeat()
     if v is not None:
-        row = cov.lists[v]
-        c = next(a for a, b in zip(row, row[1:]) if a == b)
-        found.append((1, f"color {c} appears twice in the list of vertex {v}"))
-    found += [(1, f"color {c} owned by vertices {own[c]} and {v}")
-              for v, row in enumerate(cov.lists) for c in row if own[c] != v]
-    for (u, v), pairs in cov.matchings.items():
-        if not (0 <= u < g.n and 0 <= v < g.n) or not g.has_edge(u, v):
-            found.append((3, f"matching on non-edge ({u}, {v})"))
-            continue
-        lu, lv = set(cov.lists[u]), set(cov.lists[v])
-        used_a: set[int] = set()
-        used_b: set[int] = set()
-        for a, b in pairs:
-            # a pair inside one list: same id, or two ids of the same owner
-            if a == b or (own.get(a) is not None and own.get(a) == own.get(b)):
-                found.append((2, f"pair ({a}, {b}) lies inside a single vertex's list"))
-            if a not in lu or b not in lv:
-                found.append((3, f"pair ({a}, {b}) on edge ({u}, {v}) leaves the lists"))
-                continue
-            if a in used_a or b in used_b:
-                found.append((3, f"color matched twice on edge ({u}, {v}): pair ({a}, {b})"))
-            used_a.add(a)
-            used_b.add(b)
-    failed = {k for k, _ in found}
-    return CoverReport(1 not in failed, 2 not in failed, 3 not in failed,
-                       found[0][1] if found else None)
+        row = lists[v]
+        c = next(x for x, y in zip(row, row[1:]) if x == y)
+        witness.append(f"color {c} appears twice in the list of vertex {v}")
+    # each rank's first owner (-1 for a color of no list), and the ranks
+    # that more than one entry holds
+    rows = lists.owner
+    by_rank = np.lexsort((rows, a.lists))
+    ranks = a.lists[by_rank]
+    first = np.ones(ranks.size, dtype=bool)
+    first[1:] = ranks[1:] != ranks[:-1]
+    own = np.full(a.colors.size, -1, dtype=np.int64)
+    own[ranks[first]] = rows[by_rank[first]]
+    shared = np.zeros(a.colors.size, dtype=bool)
+    shared[ranks[~first]] = True
+    second = rows != own[a.lists]
+    if second.any():
+        i = int(second.argmax())
+        witness.append(f"color {int(lists.values[i])} owned by vertices "
+                       f"{int(own[a.lists[i]])} and {int(rows[i])}")
+    cc1 = not witness
+
+    def holds(at: np.ndarray, r: np.ndarray) -> np.ndarray:
+        # the first owner holds the color; another vertex only a shared one
+        out = own[r] == at
+        check = np.flatnonzero(shared[r] & ~out & (at >= 0) & (at < cov.n))
+        out[check] = lists.holds(at[check], a.colors[r[check]])
+        return out
+
+    eu, ev, ra, rb = a.eu, a.ev, a.ra, a.rb
+    starts = _edge_starts(eu, ev)
+    edge = np.cumsum(starts) - 1
+    u0, v0 = eu[starts], ev[starts]
+    real = (u0 >= 0) & (u0 < g.n) & (v0 >= 0) & (v0 < g.n)
+    real[real] = Rows(g.indices, g.indptr).holds(u0[real], v0[real])
+    real = real[edge]
+    inside = real & ((ra == rb) | ((own[ra] >= 0) & (own[ra] == own[rb])))
+    held = real & holds(eu, ra) & holds(ev, rb)
+    twice = np.zeros(eu.size, dtype=bool)
+    used = np.flatnonzero(held)
+    for side in (ra, rb):
+        # an edge's pairs are consecutive, so among the pairs with one color
+        # on this side, in order, a repeat on an edge follows its first use
+        order = used[np.argsort(side[used], kind="stable")]
+        twice[order[1:]] |= (side[order[1:]] == side[order[:-1]]) & \
+            (edge[order[1:]] == edge[order[:-1]])
+    non_edge = starts & ~real
+    leaves = real & ~held
+    bad = non_edge | inside | leaves | twice
+    if bad.any() and not witness:
+        i = int(bad.argmax())
+        u, v, x, y = int(eu[i]), int(ev[i]), int(a.colors[ra[i]]), int(a.colors[rb[i]])
+        if non_edge[i]:
+            witness.append(f"matching on non-edge ({u}, {v})")
+        elif inside[i]:
+            witness.append(f"pair ({x}, {y}) lies inside a single vertex's list")
+        elif leaves[i]:
+            witness.append(f"pair ({x}, {y}) on edge ({u}, {v}) leaves the lists")
+        else:
+            witness.append(f"color matched twice on edge ({u}, {v}): pair ({x}, {y})")
+    return CoverReport(cc1, not inside.any(), not (non_edge | leaves | twice).any(),
+                       witness[0] if witness else None)
 
 
 def cover_from_lists(g: Graph, l: ListAssignment) -> CorrespondenceCover:

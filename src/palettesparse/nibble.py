@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -30,6 +31,9 @@ from ._rng import TAG_LLL, TAG_SOLVE, TAG_WCP, bounded, substream
 from .cover import (
     CorrespondenceCover,
     ListAssignment,
+    Rows,
+    _edge_starts,
+    _offsets,
     clashing_pairs,
     color_degrees,
     cover_from_lists,
@@ -108,6 +112,10 @@ class _Instance:
 
     List mode: colors clash across an edge iff they are equal.
     Cover mode: colors a, b clash across uv iff (a, b) is a declared pair of uv.
+    `codes` holds every list entry as the solver compares it: its rank among
+    the cover's colors, or its id. The cover stages read `pairs`, built once
+    from `CorrespondenceCover.arrays`; a pair on a non-edge of g clashes
+    across no edge and is left out of it.
     """
 
     def __init__(self, g: Graph, obj):
@@ -118,23 +126,57 @@ class _Instance:
             kind = "list assignment" if self.cover is None else "cover"
             raise ValueError(f"{kind} size does not match graph")
         self.g, self.lists = g, obj.lists
+        self.codes = obj.lists.values if self.cover is None else obj.arrays.lists
 
     @cached_property
-    def _partners(self) -> dict[tuple[int, int, int], list[int]]:
-        a = self.cover.arrays
-        out: dict[tuple[int, int, int], list[int]] = {}
-        for u, v, x, y in zip(a.eu.tolist(), a.ev.tolist(), a.colors[a.ra].tolist(),
-                              a.colors[a.rb].tolist()):
-            out.setdefault((u, v, x), []).append(y)
-            out.setdefault((v, u, y), []).append(x)
-        return out
+    def pairs(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """(keys, heads, span): the cover's pairs on edges of g, once per
+        direction, ordered by key with one stable argsort. A pair read from
+        w to its neighbour x has key s * span + the rank of its color at w,
+        s the CSR slot of x in w's row, and head the rank of its color at x;
+        so the partners of w's color across s are the heads of one run of
+        keys. The ranks are dense already, so keys that would not fit in
+        int64 leave nothing to fall back on (`Rows.find` ranks its ids)."""
+        a, g = self.cover.arrays, self.g
+        span = a.colors.size
+        if 2 * g.m * span >= 2 ** 63:
+            raise InstanceTooLarge(f"{2 * g.m} slots x {span} colors overflow the pair keys")
+        # one slot lookup per run of pairs on one edge, each way round
+        first = np.flatnonzero(_edge_starts(a.eu, a.ev))
+        tails = np.concatenate((a.eu[first], a.ev[first]))
+        heads = np.concatenate((a.ev[first], a.eu[first]))
+        slot = np.full(tails.size, -1, dtype=np.int64)
+        ok = (tails >= 0) & (tails < g.n) & (heads >= 0) & (heads < g.n)
+        slot[ok] = Rows(g.indices, g.indptr).find(tails[ok], heads[ok])
+        run = np.diff(np.append(first, a.eu.size))
+        slot = np.repeat(slot, np.concatenate((run, run)))
+        on = slot >= 0
+        keys = slot[on] * span + np.concatenate((a.ra, a.rb))[on]
+        order = np.argsort(keys, kind="stable")
+        return keys[order], np.concatenate((a.rb, a.ra))[on][order], span
 
-    def partners(self, u: int, v: int, cu: int):
-        """Colors that clash with color cu at u across edge uv; every caller
-        only asks about colors of v's list. List mode: cu itself."""
+    @cached_property
+    def slot_row(self) -> np.ndarray:
+        """The vertex whose CSR row holds each slot of g."""
+        return np.repeat(np.arange(self.g.n), self.g.degrees())
+
+    def clashes(self, slots: np.ndarray, col: np.ndarray) -> np.ndarray:
+        """Bool mask: the two ends of CSR slot slots[i] (its row's vertex
+        and g.indices[slots[i]]) carry clashing colors, where col[v] is v's
+        color as a code."""
+        here, there = col[self.slot_row[slots]], col[self.g.indices[slots]]
         if self.cover is None:
-            return (cu,)
-        return self._partners.get((u, v, cu), ())
+            return here == there
+        keys, heads, span = self.pairs
+        want = slots * span + here
+        lo = np.searchsorted(keys, want)
+        runs = np.searchsorted(keys, want, "right") - lo
+        # every query's partners against the color across its slot
+        query = np.repeat(np.arange(runs.size), runs)
+        at = np.arange(query.size) + np.repeat(lo - np.cumsum(runs) + runs, runs)
+        out = np.zeros(runs.size, dtype=bool)
+        out[query[heads[at] == there[query]]] = True
+        return out
 
     def clashing_edges(self, phi: dict[int, int]) -> list[tuple[int, int]]:
         """The edges of g, in `g.edges()` order, whose two ends `phi` colors
@@ -465,6 +507,9 @@ def finish_lll(g: Graph, obj, seed: int, *, threshold: float = _LLL_THRESHOLD,
     all in one pass from the stream's 32-bit outputs, equal to numpy's
     per-call draws, and leaves the stream where those calls would, so the
     resamples (one `rng.integers` per endpoint) draw the same colors too.
+    Every violation test is one `_Instance.clashes` call: on all edges
+    first, then on all edges at both endpoints after each resample; an
+    edge is queued once per endpoint it is found from.
     Under the precondition the expected number of resamples is finite;
     exceeding `budget` raises BudgetExceeded and indicates a caller bug.
     """
@@ -479,31 +524,32 @@ def finish_lll(g: Graph, obj, seed: int, *, threshold: float = _LLL_THRESHOLD,
             f"max color degree {dmax} exceeds min list size {ell} / {threshold}"
         )
     rng = substream(seed, TAG_LLL)
-    lists = inst.lists
-    phi = dict(enumerate(lists.values[lists.indptr[:-1] + bounded(rng, lists.lens)].tolist()))
-    flat, start = lists.values.tolist(), lists.indptr.tolist()
-
-    def violated(e: tuple[int, int]) -> bool:
-        return phi[e[1]] in inst.partners(e[0], e[1], phi[e[0]])
-
-    heap = inst.clashing_edges(phi)  # in edge order, so already a heap
+    lists, codes, indptr = inst.lists, inst.codes, g.indptr.tolist()
+    pick = lists.indptr[:-1] + bounded(rng, lists.lens)
+    col = codes[pick]
+    start = lists.indptr.tolist()
+    # heap items (u, v, s): edge uv, u < v, at CSR slot s in either row;
+    # the violated edges come in edge order, so they already form a heap
+    row = inst.slot_row
+    fwd = np.flatnonzero(g.indices > row)
+    bad = fwd[inst.clashes(fwd, col)]
+    heap = list(zip(row[bad].tolist(), g.indices[bad].tolist(), bad.tolist()))
     resamples = 0
     while heap:
-        u, v = e = heapq.heappop(heap)
-        if not violated(e):
+        u, v, s = heapq.heappop(heap)
+        if not inst.clashes(np.array([s]), col)[0]:
             continue
         if resamples >= budget:
             raise BudgetExceeded(f"exceeded {budget} resamples")
         resamples += 1
-        phi[u] = flat[start[u] + int(rng.integers(sizes[u]))]
-        phi[v] = flat[start[v] + int(rng.integers(sizes[v]))]
-        for w in (u, v):
-            for x in g.neighbors(w).tolist():
-                f = (min(w, x), max(w, x))
-                if violated(f):
-                    heapq.heappush(heap, f)
-    coloring = PartialColoring(dict(sorted(phi.items())))
-    return LllResult(coloring, resamples)
+        for x in (u, v):
+            pick[x] = start[x] + int(rng.integers(sizes[x]))
+            col[x] = codes[pick[x]]
+        slots = np.r_[indptr[u] : indptr[u + 1], indptr[v] : indptr[v + 1]]
+        slots = slots[inst.clashes(slots, col)]
+        for w, x, s in zip(row[slots].tolist(), g.indices[slots].tolist(), slots.tolist()):
+            heapq.heappush(heap, (min(w, x), max(w, x), s))
+    return LllResult(PartialColoring(dict(enumerate(lists.values[pick].tolist()))), resamples)
 
 
 # ---------------------------------------------------------------------------
@@ -518,9 +564,21 @@ def _dfs_color(inst: _Instance, node_cap: int | None):
     n = g.n
     sizes = inst.lists.lens.tolist()
     order = sorted(range(n), key=lambda v: (sizes[v], -g.degree(v), v))
-    nbrs = [g.neighbors(v).tolist() for v in range(n)]
+    # each vertex's neighbours with their CSR slots in its row
+    nbrs = [list(zip(g.neighbors(v).tolist(), range(g.indptr[v], g.indptr[v + 1])))
+            for v in range(n)]
     rank = {v: i for i, v in enumerate(order)}
-    avail: list[set[int]] = [set(row) for row in inst.lists]
+    avail: list[set[int]] = [set(row) for row in Rows(inst.codes, inst.lists.indptr)]
+    if inst.cover is None:
+        def partners(s: int, c: int):
+            return (c,)
+    else:
+        keys, heads, span = inst.pairs
+        keys, heads = keys.tolist(), heads.tolist()
+
+        def partners(s: int, c: int):
+            k = s * span + c
+            return heads[bisect_left(keys, k) : bisect_right(keys, k)]
     assignment: dict[int, int] = {}
     nodes = 0
 
@@ -535,10 +593,10 @@ def _dfs_color(inst: _Instance, node_cap: int | None):
                 return None, False
             removed = []
             ok = True
-            for u in nbrs[v]:
+            for u, s in nbrs[v]:
                 if rank[u] <= i:
                     continue
-                for b in inst.partners(v, u, c):
+                for b in partners(s, c):
                     if b in avail[u]:
                         avail[u].discard(b)
                         removed.append((u, b))
@@ -560,6 +618,9 @@ def _dfs_color(inst: _Instance, node_cap: int | None):
         return None, True
     found, complete = extend(0)
     if found:
+        if inst.cover is not None:  # ranks back to the cover's ids
+            colors = inst.cover.arrays.colors
+            assignment = {v: int(colors[c]) for v, c in assignment.items()}
         return PartialColoring(dict(sorted(assignment.items()))), True
     return None, complete
 
@@ -581,38 +642,60 @@ def brute_force(g: Graph, obj, *, max_n: int = 20):
 
 
 def _greedy_generic(inst: _Instance):
-    """The greedy rule of `greedy_color` on a cover instance."""
-    g, a = inst.g, inst.cover.arrays
+    """The greedy rule of `greedy_color` on a cover instance, in the shape
+    of `_greedy_lists`: the uncolored neighbours at v's turn are the later
+    ones, so an entry's score is the number of later neighbours its color
+    has a partner at, one bincount over the forward runs of `pairs`. Each
+    list, sorted by (score, color), is walked first-fit; a vertex that takes
+    an entry blocks that color's partners at its later neighbours. Entries
+    stand for their id's first entry in the list, so an id held twice acts
+    once."""
+    g, a, lists = inst.g, inst.cover.arrays, inst.lists
+    owner = lists.owner
     maxcdeg = np.zeros(g.n, dtype=np.int64)
-    np.maximum.at(maxcdeg, inst.lists.owner, color_degrees(inst.cover)[a.lists])
-    order = sorted(range(g.n), key=lambda v: (-maxcdeg[v], v))
-    flat, start = inst.lists.values.tolist(), inst.lists.indptr.tolist()
-    assignment: dict[int, int] = {}
-    for v in order:
-        blocked = set()
-        unc = []
-        for u in g.neighbors(v).tolist():
-            cu = assignment.get(u)
-            if cu is None:
-                unc.append(u)
-            else:
-                blocked.update(inst.partners(u, v, cu))
-        best = None
-        for c in flat[start[v] : start[v + 1]]:
-            if c in blocked:
-                continue
-            score = sum(1 for u in unc if inst.partners(v, u, c))
-            if best is None or score < best[0]:
-                best = (score, c)
-        if best is None:
+    np.maximum.at(maxcdeg, owner, color_degrees(inst.cover)[a.lists])
+    order = np.argsort(-maxcdeg, kind="stable")
+    pos = np.argsort(order)
+    keys, heads, span = inst.pairs
+    slot = keys // span
+    tail, head = inst.slot_row[slot], g.indices[slot]
+    later = pos[head] > pos[tail]
+    keys, slot = keys[later], slot[later]
+    # the entries of each forward pair's colors at its tail and head (an
+    # id's first entry in a list), -1 where the list lacks the color
+    ranks = Rows(a.lists, lists.indptr)
+    entry = ranks.find(tail[later], keys - slot * span)
+    blocks = ranks.find(head[later], heads[later])
+    # each entry's first entry with the same rank in its list
+    repeat = np.zeros(a.lists.size, dtype=bool)
+    repeat[1:] = (a.lists[1:] == a.lists[:-1]) & (owner[1:] == owner[:-1])
+    first = np.maximum.accumulate(np.where(repeat, 0, np.arange(a.lists.size)))
+    run = np.ones(keys.size, dtype=bool)
+    run[1:] = keys[1:] != keys[:-1]
+    score = np.bincount(entry[run & (entry >= 0)], minlength=a.lists.size)[first]
+    cands = memoryview(first[np.lexsort((a.lists, score, owner))])
+    c_start = lists.indptr.tolist()
+    # the partner entries each entry blocks at later neighbours
+    keep = (entry >= 0) & (blocks >= 0)
+    blocks = memoryview(blocks[keep][np.argsort(entry[keep], kind="stable")])
+    b_start = _offsets(np.bincount(entry[keep], minlength=a.lists.size)).tolist()
+    blocked = bytearray(a.lists.size)
+    col = [0] * g.n
+    for v in order.tolist():
+        for e in cands[c_start[v] : c_start[v + 1]]:
+            if not blocked[e]:
+                col[v] = e
+                break
+        else:
             return None, v
-        assignment[v] = best[1]
-    return PartialColoring(dict(sorted(assignment.items()))), None
+        for b in blocks[b_start[e] : b_start[e + 1]]:
+            blocked[b] = 1
+    return PartialColoring(dict(enumerate(lists.values[col].tolist()))), None
 
 
 def _greedy_lists(g: Graph, rows, q: int):
     """The greedy rule of `greedy_color` on `Rows` of ranks 0..q-1 (rows None:
-    every list is all q colors); `_greedy_generic` is the reference. Greedy
+    every list is all q colors); `_greedy_generic` is its cover twin. Greedy
     stops at its first stuck vertex, so v's uncolored neighbours at its turn
     are the later ones, and every score is one `directed_counts` over the
     forward edges. Each list, sorted by (score, color), is walked first-fit."""
@@ -664,7 +747,11 @@ _DENSE_CELLS = 64
 def greedy_color(g: Graph, obj):
     """Greedy in descending max-c-degree order, picking the available color
     conflicting with the fewest uncolored neighbors (ties: smallest color).
-    Returns (coloring | None, stuck vertex | None)."""
+    Returns (coloring | None, stuck vertex | None).
+
+    A cover runs `_greedy_generic` over its pair index (`_Instance.pairs`);
+    lists run `_greedy_lists` on their ranks, or the cover rule on their
+    canonical cover when the ranks are many and the lists short."""
     inst = _as_instance(g, obj)
     if inst.cover is not None:
         return _greedy_generic(inst)

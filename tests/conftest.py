@@ -6,13 +6,16 @@ search) so they stay independent of the library's optimized code paths.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 
 import numpy as np
+from hypothesis import strategies as st
 
-from palettesparse._rng import TAG_PALETTE, substream
-from palettesparse.cover import CorrespondenceCover, ListAssignment
+from palettesparse._rng import TAG_LLL, TAG_PALETTE, substream
+from palettesparse.cover import CorrespondenceCover, CoverReport, ListAssignment, random_cover
 from palettesparse.graphcore import Graph
+from palettesparse.nibble import BudgetExceeded, PartialColoring
 from palettesparse.sparsify import SharedPalette
 
 
@@ -53,6 +56,58 @@ def random_cover_for(rng, g: Graph, list_size: int, density: float) -> Correspon
     return CorrespondenceCover(lists, matchings)
 
 
+@st.composite
+def random_covers(draw):
+    """(graph, cover) of `random_cover` on a small random graph."""
+    n = draw(st.integers(1, 12))
+    g = random_graph(rng_for(draw(st.integers(0, 2 ** 16))), n, draw(st.floats(0.1, 0.7)))
+    cov = random_cover(g, draw(st.integers(1, 6)), draw(st.floats(0.0, 1.0)),
+                       seed=draw(st.integers(0, 2 ** 16)))
+    return g, cov
+
+
+@st.composite
+def broken_covers(draw, max_n=7, max_list=4):
+    """(graph, cover): any pairs between the two lists of each edge, a
+    color twice on one edge too, plus, each by a coin flip, an id on two
+    vertices, an id twice in one list, a pair inside one list, a pair on a
+    non-edge and a pair leaving the lists. Edges are keyed either way round
+    and in any order."""
+    n = draw(st.integers(1, max_n))
+    pairs_of = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    ends = draw(st.lists(pairs_of.filter(lambda e: e[0] != e[1]), max_size=2 * n,
+                         unique_by=lambda e: (min(e), max(e))))
+    g = Graph(n, ends)
+    lists = [list(range(10 * v, 10 * v + draw(st.integers(1, max_list)))) for v in range(n)]
+    matchings = {}
+    for u, v in draw(st.permutations(list(g.edges()))):
+        pairs = draw(st.lists(st.tuples(st.sampled_from(lists[u]), st.sampled_from(lists[v])),
+                              max_size=4))
+        matchings[(u, v)] = pairs
+    flip = st.booleans()
+    if n > 1 and draw(flip):
+        lists[1].append(lists[0][0])
+    if draw(flip):
+        lists[-1].append(lists[-1][0])
+    if matchings and draw(flip):
+        (u, v), pairs = next(iter(matchings.items()))
+        pairs.insert(draw(st.integers(0, len(pairs))), (lists[u][0], lists[u][-1]))
+    free = [(u, v) for u, v in itertools.combinations(range(n), 2) if not g.has_edge(u, v)]
+    if free and draw(flip):
+        u, v = draw(st.sampled_from(free))
+        matchings[(u, v)] = [(lists[u][0], lists[v][0])]
+    if matchings and draw(flip):
+        (u, v), pairs = next(reversed(matchings.items()))
+        pairs.append((lists[u][0], 999))
+    turned = {}
+    for (u, v), pairs in matchings.items():
+        if draw(flip):
+            turned[(v, u)] = [(b, a) for a, b in pairs]
+        else:
+            turned[(u, v)] = pairs
+    return g, CorrespondenceCover([tuple(sorted(row)) for row in lists], turned)
+
+
 # --------------------------------------------------------------------------
 # independent oracles
 
@@ -86,8 +141,9 @@ def oracle_list_colorings(g: Graph, lists) -> list[tuple[int, ...]]:
 
 
 def oracle_cover_colorings(g: Graph, cov: CorrespondenceCover) -> list[tuple[int, ...]]:
-    """All proper cover colorings, by exhaustive product enumeration."""
-    pair_sets = {e: set(p) for e, p in cov.matchings.items()}
+    """All proper cover colorings, by exhaustive product enumeration; a
+    pair on a non-edge of g clashes across no edge."""
+    pair_sets = {e: set(p) for e, p in cov.matchings.items() if g.has_edge(*e)}
     out = []
     for combo in itertools.product(*cov.lists):
         ok = True
@@ -305,3 +361,120 @@ def oracle_membership_witness(rows, phi) -> tuple | None:
         if c not in rows[v]:
             return (v, c)
     return None
+
+
+def oracle_validate_cover(g: Graph, cov: CorrespondenceCover) -> CoverReport:
+    """The cover conditions by a loop over the entries and the `matchings`
+    view, with per-edge sets: every violation in the order the report
+    names its first."""
+    own: dict[int, int] = {}  # each color's first owner
+    for v, row in enumerate(cov.lists):
+        for c in row:
+            own.setdefault(c, v)
+    found = []  # (condition, witness)
+    for v, row in enumerate(cov.lists):
+        repeat = next((a for a, b in zip(row, row[1:]) if a == b), None)
+        if repeat is not None:
+            found.append((1, f"color {repeat} appears twice in the list of vertex {v}"))
+            break
+    found += [(1, f"color {c} owned by vertices {own[c]} and {v}")
+              for v, row in enumerate(cov.lists) for c in row if own[c] != v]
+    for (u, v), pairs in cov.matchings.items():
+        if not (0 <= u < g.n and 0 <= v < g.n) or not g.has_edge(u, v):
+            found.append((3, f"matching on non-edge ({u}, {v})"))
+            continue
+        lu, lv = set(cov.lists[u]), set(cov.lists[v])
+        used_a: set[int] = set()
+        used_b: set[int] = set()
+        for a, b in pairs:
+            # a pair inside one list: same id, or two ids of the same owner
+            if a == b or (own.get(a) is not None and own.get(a) == own.get(b)):
+                found.append((2, f"pair ({a}, {b}) lies inside a single vertex's list"))
+            if a not in lu or b not in lv:
+                found.append((3, f"pair ({a}, {b}) on edge ({u}, {v}) leaves the lists"))
+                continue
+            if a in used_a or b in used_b:
+                found.append((3, f"color matched twice on edge ({u}, {v}): pair ({a}, {b})"))
+            used_a.add(a)
+            used_b.add(b)
+    failed = {k for k, _ in found}
+    return CoverReport(1 not in failed, 2 not in failed, 3 not in failed,
+                       found[0][1] if found else None)
+
+
+def oracle_partners(cov: CorrespondenceCover) -> dict[tuple[int, int, int], list[int]]:
+    """(u, v, color at u) -> the colors at v it is paired with, both ways
+    round, by a loop over the `matchings` view."""
+    out: dict[tuple[int, int, int], list[int]] = {}
+    for (u, v), pairs in cov.matchings.items():
+        for x, y in pairs:
+            out.setdefault((u, v, x), []).append(y)
+            out.setdefault((v, u, y), []).append(x)
+    return out
+
+
+def _oracle_clash(obj):
+    """clash(u, cu, v, cv): colors cu at u and cv at v clash across uv."""
+    if isinstance(obj, ListAssignment):
+        return lambda u, cu, v, cv: cu == cv
+    partners = oracle_partners(obj)
+    return lambda u, cu, v, cv: cv in partners.get((u, v, cu), ())
+
+
+def oracle_finish_lll(g: Graph, obj, seed: int, budget: int):
+    """(coloring, resamples) of the resampling finisher, its precondition
+    taken as met: one `rng.integers(size)` per vertex for the first
+    colors, then the lowest violated edge of a heap resampled, u before v,
+    and every violated edge at either endpoint pushed once per endpoint."""
+    rows = obj.lists
+    clash = _oracle_clash(obj)
+    rng = substream(seed, TAG_LLL)
+    phi = {v: row[int(rng.integers(len(row)))] for v, row in enumerate(rows)}
+
+    def violated(u, v):
+        return clash(u, phi[u], v, phi[v])
+
+    heap = [e for e in g.edges() if violated(*e)]
+    resamples = 0
+    while heap:
+        u, v = heapq.heappop(heap)
+        if not violated(u, v):
+            continue
+        if resamples >= budget:
+            raise BudgetExceeded(f"exceeded {budget} resamples")
+        resamples += 1
+        for w in (u, v):
+            phi[w] = rows[w][int(rng.integers(len(rows[w])))]
+        for w in (u, v):
+            for x in g.neighbors(w).tolist():
+                if violated(w, x):
+                    heapq.heappush(heap, (min(w, x), max(w, x)))
+    return PartialColoring(phi), resamples
+
+
+def oracle_greedy_cover(g: Graph, cov: CorrespondenceCover):
+    """(coloring | None, stuck vertex | None) of the greedy rule by loops
+    over dict partners: vertices by descending max color degree, each
+    taking the unblocked color with fewest uncolored neighbours it has a
+    partner at, ties to the smallest color."""
+    partners = oracle_partners(cov)
+    degree = {c: len(nbrs) for c, nbrs in oracle_color_neighbors(cov).items()}
+    nbrs = oracle_adjacency(g)
+    maxc = [max((degree[c] for c in row), default=0) for row in cov.lists]
+    assignment: dict[int, int] = {}
+    for v in sorted(range(g.n), key=lambda v: (-maxc[v], v)):
+        blocked = set()
+        for u in nbrs[v]:
+            if u in assignment:
+                blocked.update(partners.get((u, v, assignment[u]), ()))
+        best = None
+        for c in cov.lists[v]:
+            if c in blocked:
+                continue
+            score = sum(1 for u in nbrs[v] if u not in assignment and (v, u, c) in partners)
+            if best is None or score < best[0]:
+                best = (score, c)
+        if best is None:
+            return None, v
+        assignment[v] = best[1]
+    return PartialColoring(dict(sorted(assignment.items()))), None

@@ -236,7 +236,7 @@ def test_c04_equalizer_keep_exactness(capsys):
         cov = random_cover(g, 5, 0.8, seed=inst_seed + 1)
         d = max(1.0, cov.max_color_degree() / 2)
         p = WcpParams.from_basics(eta=0.9, ell=5.0, d=d, beta=0.1)
-        hits = {c: 0 for c in sorted(cov.owner)}
+        hits = {c: 0 for c in np.unique(cov.lists.values).tolist()}
         for t in range(trials):
             _, _, st = wcp_round(g, cov, p, seed=base + t)
             for c in st.kept_ids:

@@ -1,12 +1,18 @@
+import numpy as np
 import pytest
 from conftest import (
+    broken_covers,
     oracle_cover_colorings,
     oracle_list_colorings,
+    oracle_validate_cover,
+    random_covers,
     random_cover_for,
     random_graph,
     random_lists,
     rng_for,
 )
+
+from hypothesis import given, settings
 
 from palettesparse.cover import (
     CorrespondenceCover,
@@ -66,6 +72,42 @@ class TestValidateCover:
             g = random_graph(rng, 10, 0.4)
             cov = random_cover_for(rng, g, 4, 0.6)
             assert validate_cover(g, cov).ok
+
+    def test_pair_leaving_the_lists_is_cc3_violation(self):
+        cov = CorrespondenceCover([(1, 2), (3, 4)], {(0, 1): [(1, 5)]})
+        rep = validate_cover(edge_graph(), cov)
+        assert rep.cc1_partition and not rep.cc3_matchings
+        assert rep.witness == "pair (1, 5) on edge (0, 1) leaves the lists"
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_covers() | broken_covers())
+    def test_matches_the_loop(self, inst):
+        # same flags and the same first witness, valid or broken
+        g, cov = inst
+        assert validate_cover(g, cov) == oracle_validate_cover(g, cov)
+
+
+class TestRank:
+    """`CoverArrays.rank` takes ids 0..C-1 as their own ranks and searches
+    any other colors; both raise on an id the cover lacks."""
+
+    def test_identity_colors(self):
+        arrays = random_cover(Graph(3, [(0, 1), (1, 2)]), 4, 0.5, seed=1).arrays
+        assert arrays.colors.tolist() == list(range(12))
+        assert arrays.rank([11, 0, 5]).tolist() == [11, 0, 5]
+        for bad in (-1, 12, 2 ** 40):
+            with pytest.raises(CoverError, match=f"color {bad} is not a color"):
+                arrays.rank([0, bad])
+
+    @pytest.mark.parametrize("lists", [[(5, 7), (9,)], [(0, 2), (3,)], [(-4, 0), (1,)]])
+    def test_searched_colors(self, lists):
+        arrays = CorrespondenceCover(lists, {}).arrays
+        ids = [c for row in lists for c in row]
+        assert arrays.rank(ids[::-1]).tolist() == list(range(len(ids)))[::-1]
+        lacking = sorted(set(range(min(ids) - 1, max(ids) + 2)) - set(ids))
+        for bad in lacking:
+            with pytest.raises(CoverError, match=f"color {bad} is not a color"):
+                arrays.rank(np.array([ids[0], bad]))
 
 
 class TestCoverFromLists:

@@ -4,8 +4,13 @@ from unittest import mock
 import numpy as np
 import pytest
 from conftest import (
+    broken_covers,
     oracle_color_neighbors,
     oracle_colorable,
+    oracle_cover_colorings,
+    oracle_finish_lll,
+    oracle_greedy_cover,
+    random_covers,
     random_cover_for,
     random_graph,
     random_lists,
@@ -19,6 +24,7 @@ from palettesparse.cover import (
     ListAssignment,
     cover_from_lists,
     cover_sparsity,
+    random_cover,
 )
 from palettesparse.graphcore import Graph, gen_bipartite, gen_locally_sparse
 from palettesparse import nibble
@@ -39,14 +45,13 @@ from palettesparse.nibble import (
     verify_coloring,
     wcp_round,
 )
-from palettesparse.nibble import _greedy_generic, _Instance
 
 
 def reference_greedy(g, lists):
-    """`_greedy_generic` on the canonical cover of a list instance, with the
-    coloring pulled back to color names: the reference for list greedy."""
+    """`oracle_greedy_cover` on the canonical cover of a list instance, with
+    the coloring pulled back to color names: the reference for list greedy."""
     cov = cover_from_lists(g, lists)
-    coloring, stuck = _greedy_generic(_Instance(g, cov))
+    coloring, stuck = oracle_greedy_cover(g, cov)
     if coloring is not None:
         coloring = PartialColoring({v: cov.source_color[c] for v, c in coloring.assignment.items()})
     return coloring, stuck
@@ -166,7 +171,7 @@ class TestWcpRound:
         d = max(1.0, cov.max_color_degree() / 2)
         p = WcpParams.from_basics(eta=0.9, ell=5.0, d=d, beta=0.1)
         trials = 4000
-        hits = {c: 0 for c in sorted(cov.owner)}
+        hits = {c: 0 for c in np.unique(cov.lists.values).tolist()}
         for t in range(trials):
             _, _, st = wcp_round(g, cov, p, seed=50_000 + t)
             for c in st.kept_ids:
@@ -498,6 +503,68 @@ class TestGreedy:
             got, want = greedy_color(g, same), reference_greedy(g, same)
             assert got[1] == want[1]
             assert (got[0] and got[0].assignment) == (want[0] and want[0].assignment)
+
+
+def outcome(call):
+    """What a solver call returns, or the type and text of what it raises."""
+    try:
+        return call()
+    except (BudgetExceeded, PreconditionViolation) as e:
+        return type(e), str(e)
+
+
+class TestCoverSolverAgainstOracles:
+    """The finisher, greedy and backtracking on covers read the pair arrays;
+    the oracles read dict partners made from the `matchings` view. Broken
+    covers (CC1 or CC3 violated, pairs on non-edges) are solved as given."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_covers() | broken_covers(), st.integers(0, 2 ** 16), st.integers(0, 30))
+    def test_finisher(self, inst, seed, budget):
+        g, cov = inst
+        # a tiny threshold lets every instance past the precondition
+        got = outcome(lambda: finish_lll(g, cov, seed, threshold=1e-9, budget=budget))
+        want = outcome(lambda: oracle_finish_lll(g, cov, seed, budget))
+        if isinstance(want, tuple) and isinstance(want[0], PartialColoring):
+            got = (got.coloring.assignment, got.resamples)
+            want = (want[0].assignment, want[1])
+        assert got == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_covers() | broken_covers())
+    def test_greedy(self, inst):
+        g, cov = inst
+        got, want = greedy_color(g, cov), oracle_greedy_cover(g, cov)
+        assert got[1] == want[1]
+        assert (got[0] and got[0].assignment) == (want[0] and want[0].assignment)
+
+    @settings(max_examples=100, deadline=None)
+    @given(broken_covers(max_n=6, max_list=3))
+    def test_backtracking(self, inst):
+        g, cov = inst
+        got = brute_force(g, cov)
+        proper = oracle_cover_colorings(g, cov)
+        if got is None:
+            assert proper == []
+        else:
+            assert tuple(got.assignment[v] for v in range(g.n)) in proper
+
+    @pytest.mark.parametrize("policy", ["lll", "greedy", "auto"])
+    def test_no_stage_reads_the_matchings_view(self, monkeypatch, policy):
+        g = gen_locally_sparse(40, 3, 3, seed=3)
+        ring = cycle(5)
+        # two colors matched straight across an odd cycle: uncolorable, so
+        # auto runs every stage, backtracking last
+        straight = CorrespondenceCover([(2 * v, 2 * v + 1) for v in range(5)], {
+            (u, v): [(2 * u, 2 * v), (2 * u + 1, 2 * v + 1)] for u, v in ring.edges()})
+        solvable = random_cover(g, 24, 0.1, seed=1)
+        monkeypatch.setattr(CorrespondenceCover, "matchings", property(
+            lambda cov: pytest.fail("a solver stage read CorrespondenceCover.matchings")))
+        assert solve(g, solvable, policy=policy, seed=2).success
+        res = solve(ring, straight, policy=policy, seed=2)
+        assert not res.success
+        if policy == "auto":
+            assert res.path == "greedy>nibble>lll>backtracking"
 
 
 class TestSolve:
