@@ -435,12 +435,18 @@ def _load_valid_cover(path, g: Graph) -> CorrespondenceCover:
     return cov
 
 
+def _graph_params(g: Graph, args) -> SparsifyParams:
+    """The closed-form params of g: delta its max degree and k its audited
+    local sparsity (both at least 1), alpha, gamma and epsilon from `args`."""
+    delta = max(1, max_degree(g))
+    k = max(1, local_sparsity(g).k_star)
+    return derive_params(delta, max(2, g.n), k, args.alpha, args.gamma, args.epsilon)
+
+
 def _cmd_sparsify(args) -> int:
     g = load_graph(args.graph)
     cov = _load_valid_cover(args.cover, g) if args.cover else None
-    delta = max(1, max_degree(g))
-    k = max(1, local_sparsity(g).k_star)
-    params = derive_params(delta, max(2, g.n), k, args.alpha, args.gamma, args.epsilon)
+    params = _graph_params(g, args)
     if cov is not None:
         fam = sample_palettes(cov.lists, params.s, args.seed)
         fam = prune(cov, fam, params)
@@ -493,9 +499,7 @@ def _cmd_solve(args) -> int:
 def _cmd_stream(args) -> int:
     g = load_graph(args.graph)
     cov = _load_valid_cover(args.cover, g) if args.cover else None
-    delta = max(1, max_degree(g))
-    k = max(1, local_sparsity(g).k_star)
-    params = derive_params(delta, max(2, g.n), k, args.alpha, args.gamma, args.epsilon)
+    params = _graph_params(g, args)
     if cov is not None:
         stream = EdgeStream.from_cover(g, cov, args.permute_seed)
         out = stream_color_correspondence(stream, g.n, params, args.seed)
@@ -517,12 +521,10 @@ def _cmd_stream(args) -> int:
 
 def _cmd_queries(args) -> int:
     g = load_graph(args.graph)
-    delta = max(1, max_degree(g))
-    k = max(1, local_sparsity(g).k_star)
-    params = derive_params(delta, max(2, g.n), k, args.alpha, args.gamma, args.epsilon)
+    params = _graph_params(g, args)
     oracle = QueryOracle(g)
     out = end_to_end_query_color(oracle, params, args.seed, strategy=args.strategy,
-                                 delta_hint=delta, m_hint=g.m)
+                                 delta_hint=params.delta_ref, m_hint=g.m)
     if args.out:
         with open(args.out, "w", newline="") as fh:
             w = csv.writer(fh, lineterminator="\n")

@@ -165,9 +165,10 @@ class Rows(Sequence):
         """Bool mask: row at[i] holds id ids[i] (see `find`)."""
         return self.find(at, ids) >= 0
 
-    def relabel(self, ids: np.ndarray) -> "Rows":
-        """Every id c replaced by ids[c]; `ids` ascending keeps rows in order."""
-        return Rows(ids[self.values], self.indptr)
+    def spread(self, at: np.ndarray) -> np.ndarray:
+        """The entry indices of rows at[0], at[1], ..., in turn."""
+        lens = self.lens[at]
+        return np.arange(lens.sum()) + np.repeat(self.indptr[at] - _offsets(lens)[:-1], lens)
 
     def __repr__(self):
         return f"Rows(n={len(self)}, entries={self.values.size})"
@@ -472,9 +473,7 @@ def cover_from_lists(g: Graph, l: ListAssignment) -> CorrespondenceCover:
     ids = np.arange(names.size)
     us, vs = g.edge_arrays()
     per_edge = rows.lens[us]
-    # the entries of u's list, edge after edge
-    ra = np.arange(per_edge.sum()) + np.repeat(rows.indptr[us] - _offsets(per_edge)[:-1],
-                                               per_edge)
+    ra = rows.spread(us)
     ev = np.repeat(vs, per_edge)
     rb = rows.find(ev, names[ra])
     hit = rb >= 0

@@ -43,7 +43,7 @@ from .cover import (
     restrict_cover,
 )
 from .graphcore import Graph
-from .sparsify import _dense, conflict_counts, directed_counts
+from .sparsify import conflict_counts, directed_counts
 
 __all__ = [
     "PartialColoring",
@@ -204,7 +204,10 @@ class _Instance:
         return cover_from_lists(self.g, ListAssignment(self.lists))
 
     def max_color_degree(self) -> int:
-        return self.as_cover.max_color_degree()
+        if self.cover is not None:
+            return self.cover.max_color_degree()
+        us, vs = self.g.edge_arrays()
+        return int(conflict_counts(us, vs, self.lists).max(initial=0))
 
 
 def _as_instance(g: Graph, obj) -> _Instance:
@@ -693,44 +696,43 @@ def _greedy_generic(inst: _Instance):
     return PartialColoring(dict(enumerate(lists.values[col].tolist()))), None
 
 
-def _greedy_lists(g: Graph, rows, q: int):
-    """The greedy rule of `greedy_color` on `Rows` of ranks 0..q-1 (rows None:
-    every list is all q colors); `_greedy_generic` is its cover twin. Greedy
-    stops at its first stuck vertex, so v's uncolored neighbours at its turn
-    are the later ones, and every score is one `directed_counts` over the
-    forward edges. Each list, sorted by (score, color), is walked first-fit."""
-    n = g.n
-    if rows is None:
+def _greedy_lists(g: Graph, rows: Rows):
+    """The greedy rule of `greedy_color` on list `Rows` of any ids;
+    `_greedy_generic` is its cover twin. Greedy stops at its first stuck
+    vertex, so v's uncolored neighbours at its turn are the later ones, and
+    every score is one `directed_counts` over the forward edges. Each list,
+    sorted by (score, place in the row), is walked first-fit on the ids."""
+    n, flat, lens = g.n, rows.values, rows.lens
+    first = flat[: lens[0] if n else 0]
+    shared = first.size and (lens == first.size).all() and (flat.reshape(n, -1) == first).all()
+    if shared:
         # max c-degree is the degree, and every score ties
         maxc = g.degrees()
     else:
         us, vs = g.edge_arrays()
-        # dropped before the scores are counted: one counting pass at a time
-        counts = conflict_counts(us, vs, rows, q)
-        flat, owner = rows.values, rows.owner
+        owner = rows.owner
         maxc = np.full(n, -1, dtype=np.int64)
-        np.maximum.at(maxc, owner, counts[owner, flat])
-        del counts
+        np.maximum.at(maxc, owner, conflict_counts(us, vs, rows))
     order = np.argsort(-maxc, kind="stable")
     pos = np.argsort(order)
-    cands = None
-    if rows is not None:
+    cands = flat
+    if not shared:
         forward = pos[us] < pos[vs]
         heads, tails = np.where(forward, us, vs), np.where(forward, vs, us)
-        score = directed_counts(heads, tails, rows, q)[owner, flat]
-        # each list's entries by (score, color), lists in vertex order
-        key = (owner * n + score) * q + flat
-        cands = memoryview(np.sort(key) % q)
-        c_start = rows.indptr.tolist()
+        # each list's entries by (score, place in the row), lists in vertex
+        # order: one stable sort of the (vertex, score) keys
+        score = directed_counts(heads, tails, rows)
+        cands = flat[np.argsort(owner * (score.max(initial=0) + 1) + score, kind="stable")]
+    cands, c_start = memoryview(cands), rows.indptr.tolist()
     # the CSR slots of each vertex's earlier neighbours; memoryviews hand
     # out each int as it is read, so no list of m ints is built
     back = pos[g.indices] < np.repeat(pos, np.diff(g.indptr))
     earlier = memoryview(g.indices[back])
     start = np.concatenate(([0], np.cumsum(back)))[g.indptr].tolist()
-    col = [-1] * n
+    col = [None] * n
     for v in order.tolist():
         blocked = {col[u] for u in earlier[start[v] : start[v + 1]]}
-        for c in range(q) if cands is None else cands[c_start[v] : c_start[v + 1]]:
+        for c in cands[c_start[v] : c_start[v + 1]]:
             if c not in blocked:
                 col[v] = c
                 break
@@ -739,41 +741,17 @@ def _greedy_lists(g: Graph, rows, q: int):
     return PartialColoring(dict(enumerate(col))), None
 
 
-# n x q cells `_greedy_lists` may hold per list entry or edge; past that
-# the cover greedy runs the same rule in O(m * L) memory
-_DENSE_CELLS = 64
-
-
 def greedy_color(g: Graph, obj):
     """Greedy in descending max-c-degree order, picking the available color
     conflicting with the fewest uncolored neighbors (ties: smallest color).
     Returns (coloring | None, stuck vertex | None).
 
-    A cover runs `_greedy_generic` over its pair index (`_Instance.pairs`);
-    lists run `_greedy_lists` on their ranks, or the cover rule on their
-    canonical cover when the ranks are many and the lists short."""
+    A cover runs `_greedy_generic` over its pair index (`_Instance.pairs`),
+    lists run `_greedy_lists` on their ids."""
     inst = _as_instance(g, obj)
     if inst.cover is not None:
         return _greedy_generic(inst)
-    # ranks and canonical cover ids keep the ids' order: colorings map back
-    rows, lens = inst.lists, inst.lists.lens
-    first = rows.values[: lens[0] if g.n else 0]
-    if first.size and (lens == first.size).all() and \
-            (rows.values.reshape(g.n, -1) == first).all():
-        names = first
-        coloring, stuck = _greedy_lists(g, None, names.size)
-    else:
-        rows, q, names = _dense(rows, None)
-        if g.n * q <= _DENSE_CELLS * (rows.values.size + g.m):
-            coloring, stuck = _greedy_lists(g, rows, q)
-        else:
-            # canonical cover ids are the list entries in row-major order
-            names = inst.lists.values
-            coloring, stuck = _greedy_generic(_Instance(g, inst.as_cover))
-    if coloring is not None and names is not None:
-        picked = np.fromiter(coloring.assignment.values(), dtype=np.int64, count=len(coloring))
-        coloring = PartialColoring(dict(zip(coloring.assignment, names[picked].tolist())))
-    return coloring, stuck
+    return _greedy_lists(g, inst.lists)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ and color classes (every pair of vertices sharing a sampled color,
 deduplicated, so every conflict edge is found because a conflicting edge
 lies inside some class). The auto
 strategy executes whichever of the two exact costs is smaller. The kernels
-of `sparsify` then test, count and prune over the discovered edges only.
+of `sparsify` then test (`shared_edges`), count (`conflict_counts`) and
+prune over the discovered edges only.
 """
 
 from __future__ import annotations
@@ -29,12 +30,10 @@ from .sparsify import (
     PaletteFamily,
     SharedPalette,
     SparsifyParams,
-    _dense,
+    _packed_masks,
     conflict_counts,
-    packed_masks,
-    prune_by_counts,
     sample_palettes,
-    surviving_edges,
+    shared_edges,
 )
 
 __all__ = [
@@ -190,7 +189,7 @@ def plan_queries(n: int, fam: PaletteFamily, strategy: str,
         if cost_scan <= per_class.max(initial=0):
             return QueryPlan("scan", n, delta_hint, None, cost_scan, None)
         if cost_scan <= per_class.sum():
-            cost_classes = _pair_union_size(packed_masks(fam.sampled, fam.universe))
+            cost_classes = _pair_union_size(_packed_masks(fam.sampled, fam.universe))
             if cost_scan <= cost_classes:
                 return QueryPlan("scan", n, delta_hint, None, cost_scan, cost_classes)
     pairs = _pair_union(fam)
@@ -212,8 +211,7 @@ def execute_plan(oracle: QueryOracle, plan: QueryPlan, fam: PaletteFamily):
             slots = np.minimum(slots, plan.delta_hint)
         ends = np.sort(np.stack(oracle.neighbor_prefixes(slots)), axis=0)
         us, vs = np.divmod(np.unique(ends[0] * n + ends[1]), n)
-        rows, q, _ = _dense(fam.sampled, fam.universe)
-        hit = surviving_edges(us, vs, packed_masks(rows, q))
+        hit = shared_edges(us, vs, fam.sampled, fam.universe)
         conflict = np.column_stack((us[hit], vs[hit]))
     else:
         conflict = {(u, v) for u, v in plan.pairs.tolist() if oracle.pair(u, v)}
@@ -251,9 +249,9 @@ def end_to_end_query_color(oracle: QueryOracle, params: SparsifyParams, seed: in
     found, issued = execute_plan(oracle, plan, fam)
 
     us, vs = found.graph.edge_arrays()
-    counts = conflict_counts(us, vs, fam.sampled, params.q)
-    pruned = prune_by_counts(fam.sampled, counts, params.prune_threshold)
-    hit = surviving_edges(us, vs, packed_masks(pruned, params.q))
+    counts = conflict_counts(us, vs, fam.sampled, fam.universe)
+    pruned = fam.sampled.keep(counts <= params.prune_threshold)
+    hit = shared_edges(us, vs, pruned, fam.universe)
     if (pruned.lens == 0).any():
         return QueryRunResult(None, issued, plan, None,
                               error="a vertex lost every sampled color in pruning")

@@ -9,12 +9,13 @@ instance that picks colors from the pruned palettes is a proper coloring of
 the original instance, which is the whole point of the reduction.
 
 Sampled and pruned palettes are `Rows`. The offline, streaming and query
-models share three numpy kernels over their flat arrays: `conflict_counts`
-(over `directed_counts`), `prune_by_counts` and `surviving_edges`.
-Per-vertex lists reach them with their color ids ranked, unless the ids
-already are 0..q-1. Covers go through the cover kernels of `cover`, which
-read the cover's pair arrays: `restrict_cover` for the samples and the
-conflict instance, `color_degrees` for pruning.
+models and the list greedy share three numpy kernels over `Rows` of any
+ids: `conflict_counts` (over `directed_counts`) gives one count per list
+entry and `shared_edges` one survival flag per edge; how they count (a
+table or a join, see `_TABLE_CELLS`) is theirs alone. Covers go through
+the cover kernels of `cover`, which read the cover's pair arrays:
+`restrict_cover` for the samples and the conflict instance,
+`color_degrees` for pruning.
 
 All logarithms are natural. Thresholds are compared with <= against the
 real-valued bound ("at most"), never rounded.
@@ -53,9 +54,7 @@ __all__ = [
     "build_conflict",
     "conflict_counts",
     "directed_counts",
-    "prune_by_counts",
-    "packed_masks",
-    "surviving_edges",
+    "shared_edges",
 ]
 
 
@@ -242,36 +241,46 @@ def sample_palettes(palettes, s: int, seed: int) -> PaletteFamily:
     return PaletteFamily(Rows(block.ravel(), np.arange(0, n * s + 1, s)), universe=universe)
 
 
-def _dense(rows: Rows, universe: int | None):
-    """(rows over 0..q-1, q, colors): with universe None each color id is
-    replaced by its rank among the ascending distinct ids `colors`, unless
-    the ids already are all of 0..q-1 (then colors is None)."""
-    if universe is not None:
-        return rows, universe, None
-    flat = rows.values
-    q = int(flat.max(initial=-1)) + 1
-    if flat.size and flat.min() >= 0 and q <= flat.size and np.bincount(flat).all():
-        return rows, q, None
-    colors, ranks = np.unique(flat, return_inverse=True)
-    return Rows(ranks, rows.indptr), colors.size, colors
+# Two paths answer every list kernel, chosen by size. While the n x q table
+# holds at most _TABLE_CELLS cells per list entry or pair, counts are a
+# bincount into the table and survival an AND of packed bit masks: on an
+# offline-baseline sample (n=1,500, m=35k, s=15, one Xeon core) the join
+# takes about 80 ms against 5 ms for the counts and 35 ms against 0.4 ms
+# for survival. The table is n*q, though, so past that bound each entry of one
+# end's row is looked up in the other end's row (`Rows.find`), in memory
+# linear in the entries and pairs.
+_TABLE_CELLS = 64
 
-
-# keys per chunk: 2**16 (0.5 MB) or n*(q+1) if larger, so each chunk's
-# O(n*q) bincount pass is paid for by its keys; all m*s keys at once cost
-# m*s*8 bytes
+# keys per chunk: 2**16 (0.5 MB), or more when the table or the rows are
+# larger, so each chunk's pass over them is paid for by its keys
 _CHUNK_KEYS = 1 << 16
 
 
-def directed_counts(heads, tails, samp, q: int) -> np.ndarray:
-    """counts[h, c] = number of i with heads[i] = h and c in samp[tails[i]],
-    for int64 arrays (heads, tails) and rows of distinct colors in 0..q-1:
-    the keys h*(q+1) + c are bincounted a chunk of pairs at a time.
+def _dense(rows, universe: int | None, pairs: int):
+    """(rows over 0..q-1, q, whether the n x q table fits the bound for
+    `pairs` pairs): with universe None each id is replaced by its rank
+    among the ascending distinct ids, unless the ids already are all of
+    0..q-1. Entries keep their places."""
+    rows = Rows.of(rows)
+    flat, q = rows.values, universe
+    if q is None:
+        q = int(flat.max(initial=-1)) + 1
+        if not (flat.size and flat.min() >= 0 and q <= flat.size and np.bincount(flat).all()):
+            colors, ranks = np.unique(flat, return_inverse=True)
+            rows, q = Rows(ranks, rows.indptr), colors.size
+    return rows, q, len(rows) * q <= _TABLE_CELLS * (flat.size + pairs)
+
+
+def _table_counts(heads, tails, samp: Rows, q: int) -> np.ndarray:
+    """`directed_counts` by the table: counts[h, c] = number of i with
+    heads[i] = h and c in samp[tails[i]], for rows of distinct colors in
+    0..q-1, read at the entries. The keys h*(q+1) + c are bincounted a
+    chunk of pairs at a time.
 
     Rows are padded to one width with the spare color q, so a chunk's keys
     cost one gather and one in-place add; few temporaries, none larger than
     a chunk or the result, keep repeated calls from mapping fresh pages.
     """
-    samp = Rows.of(samp)
     n, flat, lens = len(samp), samp.values, samp.lens
     # a tail row holding the whole palette adds one to every color of its head
     whole = lens[tails] == q
@@ -284,6 +293,7 @@ def directed_counts(heads, tails, samp, q: int) -> np.ndarray:
     part = lens[owner] < q
     padded = np.full((n, width), q, dtype=np.int64)
     padded[owner[part], slot[part]] = flat[part]
+    del slot, part
     step = max(1, max(_CHUNK_KEYS, n * (q + 1)) // max(1, width))
     for lo in range(0, max(1, heads.size), step):
         keys = padded[tails[lo : lo + step]]
@@ -292,37 +302,63 @@ def directed_counts(heads, tails, samp, q: int) -> np.ndarray:
         if lo:
             total += counts
         counts = total
-    counts = counts.reshape(n, q + 1)[:, :q]
-    counts += degree[:, None]
-    return counts
+    out = counts[owner * (q + 1) + flat]
+    out += degree[owner]
+    return out
 
 
-def conflict_counts(us, vs, samp, q: int) -> np.ndarray:
-    """counts[v, c] = number of edges {u, v} in the int64 arrays (us, vs)
-    with c in samp[u]: `directed_counts` over both directions of each edge."""
-    return directed_counts(np.concatenate((us, vs)), np.concatenate((vs, us)), samp, q)
-
-
-def prune_by_counts(rows, counts: np.ndarray, thr: float) -> Rows:
-    """Each row v restricted to its colors c with counts[v, c] <= thr."""
-    rows = Rows.of(rows)
-    return rows.keep(counts[rows.owner, rows.values] <= thr)
-
-
-def packed_masks(lists, q: int) -> np.ndarray:
+def _packed_masks(rows: Rows, q: int) -> np.ndarray:
     """Color rows over 0..q-1 as packed uint64 rows; c is bit c & 63 of word c >> 6."""
     words = max(1, (q + 63) // 64)
-    lists = Rows.of(lists)
-    member = np.zeros((len(lists), 64 * words), dtype=bool)
-    member[lists.owner, lists.values] = True
+    member = np.zeros((len(rows), 64 * words), dtype=bool)
+    member[rows.owner, rows.values] = True
     return np.packbits(member, axis=1, bitorder="little").view("<u8")
 
 
-def surviving_edges(us, vs, masks: np.ndarray) -> np.ndarray:
-    """Mask of the edges (us[i], vs[i]) whose `packed_masks` rows share a color."""
-    hit = np.empty(len(us), dtype=bool)
+def _joined(heads, tails, rows: Rows):
+    """Per chunk of pairs, (i, a) for every id that rows heads[i] and
+    tails[i] share, a its entry in the head row: each entry of the tail
+    row is looked up there with `Rows.find`."""
+    lens = rows.lens
+    step = max(1, max(_CHUNK_KEYS, rows.values.size) // max(1, int(lens.max(initial=0))))
+    for lo in range(0, heads.size, step):
+        at = tails[lo : lo + step]
+        i = np.repeat(np.arange(lo, lo + at.size), lens[at])
+        a = rows.find(heads[i], rows.values[rows.spread(at)])
+        yield i[a >= 0], a[a >= 0]
+
+
+def directed_counts(heads, tails, rows, universe: int | None = None) -> np.ndarray:
+    """For every entry (h, c) of `rows`, in entry order, the number of i
+    with heads[i] = h and c in rows[tails[i]], for int64 arrays (heads,
+    tails). `universe` is q when the ids are colors of 0..q-1 (else None)."""
+    rows, q, table = _dense(rows, universe, heads.size)
+    if table:
+        return _table_counts(heads, tails, rows, q)
+    counts = np.zeros(rows.values.size, dtype=np.int64)
+    for _, a in _joined(heads, tails, rows):
+        counts += np.bincount(a, minlength=counts.size)
+    return counts
+
+
+def conflict_counts(us, vs, rows, universe: int | None = None) -> np.ndarray:
+    """For every entry (v, c) of `rows`, in entry order, the number of
+    edges {u, v} in the int64 arrays (us, vs) with c in rows[u]:
+    `directed_counts` over both directions of each edge."""
+    return directed_counts(np.concatenate((us, vs)), np.concatenate((vs, us)), rows, universe)
+
+
+def shared_edges(us, vs, rows, universe: int | None = None) -> np.ndarray:
+    """Bool mask of the pairs (us[i], vs[i]) whose rows share an id."""
+    rows, q, table = _dense(rows, universe, us.size)
+    hit = np.zeros(us.size, dtype=bool)
+    if not table:
+        for i, _ in _joined(us, vs, rows):
+            hit[i] = True
+        return hit
+    masks = _packed_masks(rows, q)
     step = max(1, _CHUNK_KEYS // masks.shape[1])
-    for lo in range(0, len(us), step):
+    for lo in range(0, us.size, step):
         hit[lo : lo + step] = (masks[us[lo : lo + step]] & masks[vs[lo : lo + step]]).any(axis=1)
     return hit
 
@@ -340,11 +376,8 @@ def prune(subject, fam: PaletteFamily, params: SparsifyParams,
     """
     if isinstance(subject, Graph):
         thr = params.threshold(params.delta_ref if delta_ref is None else delta_ref)
-        rows, q, colors = _dense(fam.sampled, fam.universe)
         us, vs = subject.edge_arrays()
-        pruned = prune_by_counts(rows, conflict_counts(us, vs, rows, q), thr)
-        if colors is not None:
-            pruned = pruned.relabel(colors)
+        pruned = fam.sampled.keep(conflict_counts(us, vs, fam.sampled, fam.universe) <= thr)
         return PaletteFamily(fam.sampled, pruned, fam.universe)
     if isinstance(subject, CorrespondenceCover):
         thr = params.threshold(subject.max_color_degree() if delta_ref is None else delta_ref)
@@ -380,9 +413,8 @@ def build_conflict(g: Graph, fam: PaletteFamily,
     """
     active = fam.active()
     if cover is None:
-        rows, q, _ = _dense(active, fam.universe)
         us, vs = g.edge_arrays()
-        hit = surviving_edges(us, vs, packed_masks(rows, q))
+        hit = shared_edges(us, vs, active, fam.universe)
         sub = Graph(g.n, np.column_stack((us[hit], vs[hit])))
         return ConflictInstance(sub, lists=ListAssignment(active))
     sub, edges = restrict_cover(cover, active)

@@ -4,10 +4,12 @@ Palettes are sampled before the first edge arrives. An edge is stored
 exactly when the endpoint samples can collide (for covers: when its
 matching restricted to the samples is nonempty), pruning happens after the
 stream, and the retained conflict instance goes to the solver. A plain
-stream holds only its (r, 2) endpoint array: retention is tested a chunk
-of records at a time (`surviving_edges`) while the ledger advances edge by
-edge, the stored edges stay an array (a `Rows` of pairs), and the
-counters, sums over stored edges, then come from `conflict_counts`. Cover
+stream holds only its (r, 2) endpoint array: retention is one
+`shared_edges` call over all records, and since the ledger total only
+grows over the pass, its peak is the final total or the total at the
+stored edge that first crosses the cap. The stored edges stay an array (a
+`Rows` of pairs), and the counters, sums over stored edges, then come
+from `conflict_counts`. Cover
 streams test retention record by record; the stored pairs then form a
 cover whose `color_degrees` are the counters, and `restrict_cover` cuts
 it down to the pruned samples. The ledger uses a
@@ -40,10 +42,8 @@ from .sparsify import (
     SharedPalette,
     SparsifyParams,
     conflict_counts,
-    packed_masks,
-    prune_by_counts,
     sample_palettes,
-    surviving_edges,
+    shared_edges,
 )
 
 __all__ = [
@@ -54,10 +54,6 @@ __all__ = [
     "stream_color",
     "stream_color_correspondence",
 ]
-
-
-# plain records tested for survival per numpy chunk
-_RECORDS_PER_CHUNK = 4096
 
 
 class SpaceCapExceeded(RuntimeError):
@@ -237,29 +233,22 @@ def stream_color(stream: EdgeStream, n: int, params: SparsifyParams, seed: int,
         ledger.counter_words += n
     ledger.bump(space_cap)
 
-    masks = packed_masks(fam.sampled, q)
-    degrees = np.zeros(n, dtype=np.int64)
-    kept = [np.zeros((0, 2), dtype=np.int64)]
-    for lo in range(0, len(stream.ends), _RECORDS_PER_CHUNK):
-        ends = stream.ends[lo : lo + _RECORDS_PER_CHUNK]
-        if delta_from_stream:
-            degrees += np.bincount(ends.ravel(), minlength=n)
-        hit = ends[surviving_edges(ends[:, 0], ends[:, 1], masks)]
-        kept.append(np.sort(hit, axis=1))
-        ledger.stored_edges += len(hit)
-        if space_cap is not None and ledger.total() > space_cap:
-            # two words per stored edge: report the edge that crossed the cap
-            ledger.stored_edges -= (ledger.total() - space_cap - 1) // 2
-        ledger.bump(space_cap)
-    pairs = np.concatenate(kept)
+    ends = stream.ends
+    pairs = np.sort(ends[shared_edges(ends[:, 0], ends[:, 1], fam.sampled, q)], axis=1)
+    ledger.stored_edges = len(pairs)
+    if space_cap is not None and ledger.total() > space_cap:
+        # the total only grows over the pass, so the cap is first crossed
+        # at the stored edge that takes it past: two words per stored edge
+        ledger.stored_edges -= (ledger.total() - space_cap - 1) // 2
+    ledger.bump(space_cap)
     stored = Rows(pairs.ravel(), np.arange(0, pairs.size + 1, 2))
     su, sv = pairs.T
 
-    thr = params.threshold(int(degrees.max(initial=0))) if delta_from_stream \
-        else params.prune_threshold
-    pruned = prune_by_counts(fam.sampled, conflict_counts(su, sv, fam.sampled, q), thr)
+    delta = int(np.bincount(ends.ravel(), minlength=n).max(initial=0)) \
+        if delta_from_stream else params.delta_ref
+    pruned = fam.sampled.keep(conflict_counts(su, sv, fam.sampled, q) <= params.threshold(delta))
     fam = PaletteFamily(fam.sampled, pruned, fam.universe)
-    hit = surviving_edges(su, sv, packed_masks(pruned, q))
+    hit = shared_edges(su, sv, pruned, q)
     sub = Graph(n, pairs[hit])
     if (pruned.lens == 0).any():
         return StreamResult(None, ledger, fam, stored, None,

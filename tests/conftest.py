@@ -258,6 +258,32 @@ def oracle_stream_retention(records, rows, base_words: int, cap):
     return stored, total, ""
 
 
+def oracle_stream_ledger(records, rows, n: int, s: int, delta_from_stream: bool, cap):
+    """A plain stream's word ledger by a loop over the records: the
+    palettes and counters are charged first, then two words per stored
+    edge, and the running total is checked against `cap` after each
+    charge. ({stored_edges, palette_words, counter_words, peak_words},
+    space-cap message or "")."""
+    ledger = {"stored_edges": 0, "palette_words": n * s,
+              "counter_words": n * s + (n if delta_from_stream else 0), "peak_words": 0}
+
+    def charge() -> str:
+        total = ledger["palette_words"] + ledger["counter_words"] + 2 * ledger["stored_edges"]
+        ledger["peak_words"] = max(ledger["peak_words"], total)
+        if cap is not None and total > cap:
+            return f"ledger total {total} exceeds space cap {cap}"
+        return ""
+
+    message = charge()
+    for u, v in records:
+        if message:
+            break
+        if set(rows[u]) & set(rows[v]):
+            ledger["stored_edges"] += 1
+            message = charge()
+    return ledger, message
+
+
 def oracle_picked_counts(cov: CorrespondenceCover, picked) -> dict[int, int]:
     """Per color, its correspondents (with repeats) that lie in `picked`."""
     return {c: sum(1 for c2 in nbrs if c2 in picked)

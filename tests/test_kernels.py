@@ -1,10 +1,13 @@
 """Differential tests: the ragged `Rows` and the sparsification kernels
 against naive oracles.
 
-Stream and edge-survival chunk sizes are drawn alongside each instance, so
-records and edges fall on both sides of a chunk boundary. Covers are drawn
-with arbitrary distinct color ids, so ranks do not follow vertex order, and
-some edges' matchings are keyed (v, u) or left empty.
+Every list kernel answers by an n x q table or by a join of entries against
+rows, chosen by `sparsify._TABLE_CELLS`; the tests draw that bound as 0
+(the join) or huge (the table), so both paths meet the same oracles, and
+draw the ids as colors 0..q-1 or spread over +-2**62. Edge-survival chunk
+sizes are drawn too, so edges fall on both sides of a chunk boundary.
+Covers are drawn with arbitrary distinct color ids, so ranks do not follow
+vertex order, and some edges' matchings are keyed (v, u) or left empty.
 """
 
 from unittest import mock
@@ -28,13 +31,14 @@ from conftest import (
     oracle_prune,
     oracle_restrict_cover,
     oracle_sorted_rows,
+    oracle_stream_ledger,
     oracle_stream_retention,
     oracle_surviving_edges,
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from palettesparse import sparsify, streaming
+from palettesparse import sparsify
 from palettesparse.cover import (
     CorrespondenceCover,
     CoverError,
@@ -55,11 +59,9 @@ from palettesparse.sparsify import (
     conflict_counts,
     directed_counts,
     manual_params,
-    packed_masks,
     prune,
-    prune_by_counts,
     sample_palettes,
-    surviving_edges,
+    shared_edges,
 )
 from palettesparse.streaming import (
     EdgeStream,
@@ -96,6 +98,28 @@ def instances(draw, max_q=10):
     q = draw(st.integers(1, max_q))
     rows = draw(rows_over(g.n, q, draw(st.booleans())))
     return g, q, rows
+
+
+# the table bound: 0 sends every list kernel call through the join, a huge
+# one through the n x q table
+PATHS = st.sampled_from([0, 2 ** 62])
+
+
+@st.composite
+def far_ids(draw, q):
+    """q ascending distinct ids from +-2**62 to stand for the colors 0..q-1."""
+    return sorted(draw(st.lists(st.integers(-2 ** 62, 2 ** 62), min_size=q, max_size=q,
+                                unique=True)))
+
+
+def renamed(rows, ids):
+    """Every color c of `rows` replaced by ids[c]."""
+    return [tuple(ids[c] for c in row) for row in rows]
+
+
+def at_entries(table, rows):
+    """The cells of a (vertex, color) table at the entries of `rows`, in order."""
+    return [table[v][c] for v, row in enumerate(rows) for c in row]
 
 
 @st.composite
@@ -183,18 +207,16 @@ class TestRows:
 
     @FAST
     @given(ragged(), st.data())
-    def test_keep_and_relabel(self, rows, data):
+    def test_keep_and_spread(self, rows, data):
         got = Rows.of(rows)
         mask = data.draw(st.lists(st.booleans(), min_size=got.values.size,
                                   max_size=got.values.size))
         assert got.keep(np.array(mask, dtype=bool)) == oracle_keep(rows, mask)
-        # ranks among the distinct ids, and back
-        ids = sorted({c for row in rows for c in row})
-        rank = {c: i for i, c in enumerate(ids)}
-        ranked = Rows(np.array([rank[c] for c in got.values.tolist()], dtype=np.int64),
-                      got.indptr)
-        assert ranked == tuple(tuple(rank[c] for c in row) for row in oracle_sorted_rows(rows))
-        assert ranked.relabel(np.array(ids, dtype=np.int64)) == got
+        # the entries of any rows, a row more than once too, in turn
+        at = data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=8)) if rows else []
+        bounds = got.indptr.tolist()
+        assert got.spread(np.array(at, dtype=np.int64)).tolist() == \
+            [i for v in at for i in range(bounds[v], bounds[v + 1])]
 
     @FAST
     @given(ragged(), st.data())
@@ -209,16 +231,16 @@ class TestRows:
         assert res.witness == want
 
     @FAST
-    @given(instances(), st.floats(-1.0, 12.0))
-    def test_kernels_read_rows(self, inst, thr):
+    @given(instances(), st.floats(-1.0, 12.0), PATHS)
+    def test_kernels_read_rows(self, inst, thr, cells):
         g, q, rows = inst
         # rows given out of order come out sorted
         given_rows = Rows.of([row[::-1] for row in rows])
         us, vs = g.edge_arrays()
-        pruned = prune_by_counts(given_rows, conflict_counts(us, vs, given_rows, q), thr)
-        assert isinstance(pruned, Rows)
+        with mock.patch.object(sparsify, "_TABLE_CELLS", cells):
+            pruned = given_rows.keep(conflict_counts(us, vs, given_rows, q) <= thr)
+            hit = shared_edges(us, vs, given_rows, q)
         assert pruned == oracle_prune(g, rows, thr)
-        hit = surviving_edges(us, vs, packed_masks(given_rows, q))
         assert list(zip(us[hit].tolist(), vs[hit].tolist())) == oracle_surviving_edges(g, rows)
 
 
@@ -349,23 +371,29 @@ class TestCanonicalCover:
         assert got.source_color == want.source_color
 
     @FAST
-    @given(instances())
-    def test_max_color_degree_of_lists(self, inst):
+    @given(instances(), PATHS)
+    def test_max_color_degree_of_lists(self, inst, cells):
         g, q, rows = inst
         table = oracle_conflict_counts(g, rows, q)
         want = max((table[v][c] for v, row in enumerate(rows) for c in row), default=0)
-        assert _Instance(g, ListAssignment(rows)).max_color_degree() == want
+        with mock.patch.object(sparsify, "_TABLE_CELLS", cells):
+            assert _Instance(g, ListAssignment(rows)).max_color_degree() == want
 
 
 class TestConflictCounts:
     @FAST
-    @given(instances())
-    def test_matches_oracle(self, inst):
+    @given(instances(), PATHS, st.data())
+    def test_matches_oracle(self, inst, cells, data):
+        # one count per entry, for colors 0..q-1 with or without the
+        # universe and for the same rows over far apart ids
         g, q, rows = inst
+        far = renamed(rows, data.draw(far_ids(q)))
         us, vs = g.edge_arrays()
-        counts = conflict_counts(us, vs, rows, q)
-        assert counts.shape == (g.n, q)
-        assert counts.tolist() == oracle_conflict_counts(g, rows, q)
+        want = at_entries(oracle_conflict_counts(g, rows, q), rows)
+        with mock.patch.object(sparsify, "_TABLE_CELLS", cells):
+            assert conflict_counts(us, vs, rows, q).tolist() == want
+            assert conflict_counts(us, vs, rows).tolist() == want
+            assert conflict_counts(us, vs, far).tolist() == want
 
     @pytest.mark.parametrize("extra", [-1, 0, 1])
     def test_edge_counts_around_the_chunk(self, extra):
@@ -377,83 +405,94 @@ class TestConflictCounts:
         g = Graph(n, edges)
         rows = [(v % 2,) for v in range(n)]
         us, vs = g.edge_arrays()
-        assert conflict_counts(us, vs, rows, 2).tolist() == oracle_conflict_counts(g, rows, 2)
+        assert conflict_counts(us, vs, rows, 2).tolist() == \
+            at_entries(oracle_conflict_counts(g, rows, 2), rows)
 
     def test_full_palette_counts_are_degrees(self):
         g = Graph(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
         rows = [tuple(range(4))] * 5
         us, vs = g.edge_arrays()
-        counts = conflict_counts(us, vs, rows, 4)
-        degrees = [g.degree(v) for v in range(5)]
-        assert counts.tolist() == [[d] * 4 for d in degrees]
+        for cells in (0, 2 ** 62):
+            with mock.patch.object(sparsify, "_TABLE_CELLS", cells):
+                counts = conflict_counts(us, vs, rows, 4)
+            assert counts.tolist() == [g.degree(v) for v in range(5) for _ in range(4)]
 
 
 class TestDirectedCounts:
     @FAST
-    @given(st.integers(1, 8), st.integers(1, 6), st.booleans(), st.data())
-    def test_matches_oracle_across_chunks(self, n, q, ragged, data):
-        # any pairs, repeats and self pairs included; with _CHUNK_KEYS at 1 a
-        # chunk holds n*(q+1) // width pairs, so long pair lists span chunks
+    @given(st.integers(1, 8), st.integers(1, 6), st.booleans(), PATHS, st.data())
+    def test_matches_oracle_across_chunks(self, n, q, ragged, cells, data):
+        # any pairs, repeats and self pairs included; with _CHUNK_KEYS at 1
+        # a table chunk holds n*(q+1) // width pairs and a join chunk
+        # entries // width, so long pair lists span chunks
         rows = data.draw(rows_over(n, q, ragged))
+        far = renamed(rows, data.draw(far_ids(q)))
         ends = st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=60)
         pairs = data.draw(ends)
         heads = np.array([h for h, _ in pairs], dtype=np.int64)
         tails = np.array([t for _, t in pairs], dtype=np.int64)
-        with mock.patch.object(sparsify, "_CHUNK_KEYS", 1):
-            counts = directed_counts(heads, tails, rows, q)
-        assert counts.shape == (n, q)
-        assert counts.tolist() == oracle_directed_counts(n, heads.tolist(), tails.tolist(),
-                                                         rows, q)
+        want = at_entries(oracle_directed_counts(n, heads.tolist(), tails.tolist(), rows, q),
+                          rows)
+        with mock.patch.object(sparsify, "_CHUNK_KEYS", 1), \
+                mock.patch.object(sparsify, "_TABLE_CELLS", cells):
+            assert directed_counts(heads, tails, rows, q).tolist() == want
+            assert directed_counts(heads, tails, far).tolist() == want
 
     @FAST
-    @given(instances())
-    def test_both_directions_sum_to_conflict_counts(self, inst):
+    @given(instances(), PATHS)
+    def test_both_directions_sum_to_conflict_counts(self, inst, cells):
         g, q, rows = inst
         us, vs = g.edge_arrays()
-        both = directed_counts(us, vs, rows, q) + directed_counts(vs, us, rows, q)
-        assert both.tolist() == conflict_counts(us, vs, rows, q).tolist()
+        with mock.patch.object(sparsify, "_TABLE_CELLS", cells):
+            both = directed_counts(us, vs, rows, q) + directed_counts(vs, us, rows, q)
+            assert both.tolist() == conflict_counts(us, vs, rows, q).tolist()
 
 
 class TestPruneByCounts:
     @FAST
-    @given(instances(), st.floats(-1.0, 12.0))
-    def test_matches_oracle(self, inst, thr):
+    @given(instances(), st.floats(-1.0, 12.0), PATHS)
+    def test_matches_oracle(self, inst, thr, cells):
         g, q, rows = inst
-        us, vs = g.edge_arrays()
-        pruned = prune_by_counts(rows, conflict_counts(us, vs, rows, q), thr)
-        assert pruned == oracle_prune(g, rows, thr)
+        params = manual_params(6, 0.1, 1.0, q=8, s=4)
+        d_ref = thr * params.q / ((1.0 + params.gamma_prime) * params.s)
+        with mock.patch.object(sparsify, "_TABLE_CELLS", cells):
+            out = prune(g, PaletteFamily(tuple(rows), universe=q), params, delta_ref=d_ref)
+        assert out.pruned == oracle_prune(g, rows, params.threshold(d_ref))
 
     @FAST
-    @given(graphs(), st.lists(st.integers(-2 ** 40, 2 ** 40), min_size=1, max_size=6,
-                              unique=True), st.data())
-    def test_arbitrary_color_ids_through_prune(self, g, pool, data):
+    @given(graphs(), st.lists(st.integers(-2 ** 62, 2 ** 62), min_size=1, max_size=6,
+                              unique=True), PATHS, st.data())
+    def test_arbitrary_color_ids_through_prune(self, g, pool, cells, data):
         rows = [tuple(sorted(data.draw(st.sets(st.sampled_from(pool)))))
                 for _ in range(g.n)]
         d_ref = data.draw(st.integers(0, 6))
         params = manual_params(6, 0.1, 1.0, q=8, s=4)
-        out = prune(g, PaletteFamily(tuple(rows)), params, delta_ref=d_ref)
+        with mock.patch.object(sparsify, "_TABLE_CELLS", cells):
+            out = prune(g, PaletteFamily(tuple(rows)), params, delta_ref=d_ref)
+            conflict = build_conflict(g, out)
         thr = (1.0 + params.gamma_prime) * params.s * d_ref / params.q
         assert out.pruned == oracle_prune(g, rows, thr)
-        conflict = build_conflict(g, out)
         assert list(conflict.graph.edges()) == oracle_surviving_edges(g, out.pruned)
 
 
 class TestSurvivingEdges:
     @FAST
-    @given(graphs(), st.integers(1, 200), st.integers(1, 8), st.data())
-    def test_matches_oracle(self, g, q, chunk_keys, data):
+    @given(graphs(), st.integers(1, 200), st.integers(1, 8), PATHS, st.data())
+    def test_matches_oracle(self, g, q, chunk_keys, cells, data):
         rows = data.draw(rows_over(g.n, q, True))
+        far = renamed(rows, data.draw(far_ids(q)))
         us, vs = g.edge_arrays()
-        with mock.patch.object(sparsify, "_CHUNK_KEYS", chunk_keys):
-            hit = surviving_edges(us, vs, packed_masks(rows, q))
-        kept = list(zip(us[hit].tolist(), vs[hit].tolist()))
-        assert kept == oracle_surviving_edges(g, rows)
+        want = oracle_surviving_edges(g, rows)
+        with mock.patch.object(sparsify, "_CHUNK_KEYS", chunk_keys), \
+                mock.patch.object(sparsify, "_TABLE_CELLS", cells):
+            for hit in (shared_edges(us, vs, rows, q), shared_edges(us, vs, far)):
+                assert list(zip(us[hit].tolist(), vs[hit].tolist())) == want
 
     @FAST
     @given(st.integers(1, 200), st.data())
     def test_packed_bits(self, q, data):
         rows = data.draw(rows_over(data.draw(st.integers(0, 6)), q, True))
-        masks = packed_masks(rows, q)
+        masks = sparsify._packed_masks(Rows.of(rows), q)
         assert masks.dtype == np.uint64 and masks.shape == (len(rows), (q + 63) // 64)
         for v, row in enumerate(rows):
             bits = [c for c in range(masks.shape[1] * 64)
@@ -463,13 +502,15 @@ class TestSurvivingEdges:
     def test_edgeless_graph(self):
         g = Graph(3)
         us, vs = g.edge_arrays()
-        assert surviving_edges(us, vs, packed_masks([(0,), (0,), (1,)], 2)).size == 0
+        for cells in (0, 2 ** 62):
+            with mock.patch.object(sparsify, "_TABLE_CELLS", cells):
+                assert shared_edges(us, vs, [(0,), (0,), (1,)], 2).size == 0
 
 
 class TestStreamedAgainstOffline:
     @FAST
-    @given(graphs(max_n=10), st.integers(1, 8), st.data())
-    def test_retention_ledger_and_cap(self, g, q, data):
+    @given(graphs(max_n=10), st.integers(1, 8), PATHS, st.data())
+    def test_retention_ledger_and_cap(self, g, q, cells, data):
         s = data.draw(st.integers(1, q))
         seed = data.draw(st.integers(0, 10 ** 6))
         order = data.draw(st.permutations(range(g.m)))
@@ -480,13 +521,12 @@ class TestStreamedAgainstOffline:
         from_stream = data.draw(st.booleans())
         params = manual_params(max(1, q // 2), 0.1, 1.0, q=q, s=s)
         base = 2 * g.n * s + (g.n if from_stream else 0)
-        chunk = data.draw(st.integers(1, 5))
         fam = sample_palettes(SharedPalette(g.n, q), s, seed)
         stored, peak, _ = oracle_stream_retention(records, fam.sampled, base, None)
         cap = base + data.draw(st.integers(-1, 2 * len(stored) + 1))
         _, _, message = oracle_stream_retention(records, fam.sampled, base, cap)
 
-        with mock.patch.object(streaming, "_RECORDS_PER_CHUNK", chunk):
+        with mock.patch.object(sparsify, "_TABLE_CELLS", cells):
             out = stream_color(stream, g.n, params, seed, policy="greedy",
                                delta_from_stream=from_stream)
             if message:
@@ -502,3 +542,35 @@ class TestStreamedAgainstOffline:
         assert set(stored) == set(build_conflict(g, fam).graph.edges())
         delta_ref = max((g.degree(v) for v in range(g.n)), default=0) if from_stream else None
         assert out.family.pruned == prune(g, fam, params, delta_ref=delta_ref).pruned
+
+    @FAST
+    @given(graphs(max_n=10), st.integers(1, 8), st.booleans(), st.data())
+    def test_ledger_matches_the_record_loop(self, g, q, from_stream, data):
+        # caps just below, at and above the total after j stored edges, and
+        # one below the palettes and counters alone
+        s = data.draw(st.integers(1, q))
+        seed = data.draw(st.integers(0, 10 ** 6))
+        stream = EdgeStream.from_graph(g, data.draw(st.integers(0, 100)))
+        params = manual_params(max(1, q // 2), 0.1, 1.0, q=q, s=s)
+        rows = sample_palettes(SharedPalette(g.n, q), s, seed).sampled
+
+        def run(cap):
+            return stream_color(stream, g.n, params, seed, space_cap=cap, policy="greedy",
+                                delta_from_stream=from_stream)
+
+        def fields(ledger):
+            return {k: getattr(ledger, k) for k in
+                    ("stored_edges", "palette_words", "counter_words", "peak_words")}
+
+        full, _ = oracle_stream_ledger(stream.records, rows, g.n, s, from_stream, None)
+        assert fields(run(None).ledger) == full
+        base = full["palette_words"] + full["counter_words"]
+        total = base + 2 * data.draw(st.integers(0, full["stored_edges"]))
+        for cap in (base - 1, total - 1, total, total + 1):
+            want, message = oracle_stream_ledger(stream.records, rows, g.n, s, from_stream, cap)
+            if message:
+                with pytest.raises(SpaceCapExceeded) as err:
+                    run(cap)
+                assert str(err.value) == message
+            else:
+                assert fields(run(cap).ledger) == want

@@ -45,6 +45,7 @@ from palettesparse.nibble import (
     verify_coloring,
     wcp_round,
 )
+from palettesparse.sparsify import PaletteFamily, build_conflict, manual_params, prune
 
 
 def reference_greedy(g, lists):
@@ -419,7 +420,7 @@ class TestGreedy:
             lists = random_lists(rng, n, 9, 4)
             generic = reference_greedy(g, lists)
             # the list core, called directly on the small ids 0..8
-            plain = nibble._greedy_lists(g, lists.lists, 9)
+            plain = nibble._greedy_lists(g, lists.lists)
             assert (generic[0] is None) == (plain[0] is None)
             if generic[0] is not None:
                 assert generic[0].assignment == plain[0].assignment
@@ -442,28 +443,30 @@ class TestGreedy:
             assert got[1] == want[1]
             assert (got[0] and got[0].assignment) == (want[0] and want[0].assignment)
 
-    def test_many_distinct_ids_take_the_cover_path(self):
+    def test_many_distinct_ids_take_the_join_path(self):
         # a few ids per list from a large pool on a sparse graph: n x q is
-        # far above the entries plus edges, so greedy_color runs the cover
-        # greedy, which agrees with the dense path on the ranked lists
-        from palettesparse.sparsify import _dense
+        # far above the entries plus both directions of the edges, so the
+        # count kernels join entries against rows, and agree with the table
+        # they skip
+        from palettesparse import sparsify
 
         rng = rng_for(26)
         for _ in range(5):
             n = 200
             g = random_graph(rng, n, 0.01)
-            pool = rng.choice(2 ** 50, size=300, replace=False) - 2 ** 49
+            pool = rng.choice(2 ** 50, size=2000, replace=False) - 2 ** 49
             lists = ListAssignment(tuple(
                 tuple(rng.choice(pool, size=int(rng.integers(1, 4)), replace=False).tolist())
                 for _ in range(n)))
-            rows, q, names = _dense(lists.lists, None)
-            assert n * q > nibble._DENSE_CELLS * (sum(map(len, rows)) + g.m)
-            dense, stuck = nibble._greedy_lists(g, rows, q)
-            with mock.patch.object(nibble, "_greedy_lists", side_effect=AssertionError):
-                got, got_stuck = greedy_color(g, lists)
-            assert got_stuck == stuck
-            want = dense and {v: int(names[c]) for v, c in dense.assignment.items()}
-            assert (got and got.assignment) == want
+            q = np.unique(lists.lists.values).size
+            assert n * q > sparsify._TABLE_CELLS * (lists.lists.values.size + 2 * g.m)
+            got = greedy_color(g, lists)
+            with mock.patch.object(sparsify, "_TABLE_CELLS", 2 ** 62):
+                table = greedy_color(g, lists)
+            want = reference_greedy(g, lists)
+            assert got[1] == table[1] == want[1]
+            assert (got[0] and got[0].assignment) == (table[0] and table[0].assignment) == \
+                (want[0] and want[0].assignment)
 
     def test_disjoint_lists_on_a_sparse_graph_stay_small(self):
         # 1,000 vertices on a path with 8 ids each, no id shared: n x q is
@@ -473,15 +476,25 @@ class TestGreedy:
         n = 1000
         g = Graph(n, [(v, v + 1) for v in range(n - 1)])
         lists = ListAssignment(tuple(tuple(range(8 * v, 8 * v + 8)) for v in range(n)))
+        fam = PaletteFamily(lists.lists)
+        params = manual_params(2, 0.1, 1.0, q=8, s=8)
+        peaks = []
         tracemalloc.start()
         try:
-            coloring, stuck = greedy_color(g, lists)
-            peak = tracemalloc.get_traced_memory()[1]
+            for call in (lambda: greedy_color(g, lists), lambda: prune(g, fam, params),
+                         lambda: build_conflict(g, fam)):
+                tracemalloc.reset_peak()
+                out = call()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                del out
         finally:
             tracemalloc.stop()
+        coloring, stuck = greedy_color(g, lists)
         assert stuck is None
         assert coloring.assignment == {v: 8 * v for v in range(n)}
-        assert peak < 16 * 2 ** 20
+        assert prune(g, fam, params).pruned == lists.lists
+        assert build_conflict(g, fam).graph.m == 0
+        assert max(peaks) < 16 * 2 ** 20, peaks
 
     def test_full_palette_shortcut_agrees(self):
         rng = rng_for(24)
@@ -490,14 +503,20 @@ class TestGreedy:
             g = random_graph(rng, n, 0.4)
             q = int(rng.integers(3, 8))
             lists = ListAssignment((tuple(range(q)),) * n)
-            # rows None: no per-entry scores, each row is its own candidate order
-            a = nibble._greedy_lists(g, None, q)
+            # one shared row: no per-entry scores, each row is its own candidate order
+            a = nibble._greedy_lists(g, lists.lists)
             b = reference_greedy(g, lists)
             if a[0] is None:
                 assert b[0] is None
             else:
                 assert a[0].assignment == b[0].assignment
-            assert nibble._greedy_lists(g, lists.lists, q) == a
+            # an isolated vertex with another list comes last in the order
+            # and sends the same instance through the scored candidates
+            rows = ListAssignment(tuple(lists.lists) + ((-1,),)).lists
+            c = nibble._greedy_lists(Graph(n + 1, list(g.edges())), rows)
+            assert c[1] == a[1]
+            if a[0] is not None:
+                assert c[0].assignment == {**a[0].assignment, n: -1}
             # greedy_color takes this path for any q shared ids
             same = ListAssignment((tuple(range(-5, 3 * q - 5, 3)),) * n)
             got, want = greedy_color(g, same), reference_greedy(g, same)
