@@ -34,7 +34,7 @@ from itertools import chain
 import numpy as np
 
 from ._rng import TAG_COVER, substream
-from .graphcore import Graph, local_sparsity, parse_ints
+from .graphcore import Graph, distinct, first_seen, local_sparsity, parse_ints, ranked, stable_order
 
 __all__ = [
     "CoverError",
@@ -154,7 +154,7 @@ class Rows(Sequence):
             both -= lo
         else:
             # ids too far apart to sit beside the row in one int64: rank them
-            both = np.unique(both, return_inverse=True)[1]
+            both = ranked(both)[1]
             span = int(both.max()) + 1
         keys = self.owner * span + both[:size]
         want = at * span + both[size:]
@@ -255,7 +255,7 @@ class CorrespondenceCover:
         pairs = np.fromiter(chain.from_iterable(chain.from_iterable(norm.values())),
                             dtype=np.int64, count=2 * int(per_edge.sum()))
         flat = lists.values
-        colors, ranks = np.unique(np.concatenate((flat, pairs)), return_inverse=True)
+        colors, ranks = ranked(np.concatenate((flat, pairs)))
         self.lists, self._source = lists, source_color
         self.arrays = CoverArrays(colors, np.repeat(ends[:, 0], per_edge),
                                   np.repeat(ends[:, 1], per_edge), ranks[flat.size::2],
@@ -400,14 +400,10 @@ def validate_cover(g: Graph, cov: CorrespondenceCover) -> CoverReport:
     # each rank's first owner (-1 for a color of no list), and the ranks
     # that more than one entry holds
     rows = lists.owner
-    by_rank = np.lexsort((rows, a.lists))
-    ranks = a.lists[by_rank]
-    first = np.ones(ranks.size, dtype=bool)
-    first[1:] = ranks[1:] != ranks[:-1]
+    held, first = first_seen(a.lists)
     own = np.full(a.colors.size, -1, dtype=np.int64)
-    own[ranks[first]] = rows[by_rank[first]]
-    shared = np.zeros(a.colors.size, dtype=bool)
-    shared[ranks[~first]] = True
+    own[held] = rows[first]
+    shared = np.bincount(a.lists, minlength=a.colors.size) > 1
     second = rows != own[a.lists]
     if second.any():
         i = int(second.argmax())
@@ -436,7 +432,7 @@ def validate_cover(g: Graph, cov: CorrespondenceCover) -> CoverReport:
     for side in (ra, rb):
         # an edge's pairs are consecutive, so among the pairs with one color
         # on this side, in order, a repeat on an edge follows its first use
-        order = used[np.argsort(side[used], kind="stable")]
+        order = used[stable_order(side[used])]
         twice[order[1:]] |= (side[order[1:]] == side[order[:-1]]) & \
             (edge[order[1:]] == edge[order[:-1]])
     non_edge = starts & ~real
@@ -486,7 +482,7 @@ def cover_sparsity(cov: CorrespondenceCover) -> int:
     """k_star of the cover graph: max edges inside a cover-color neighborhood."""
     a = cov.arrays
     c = a.colors.size
-    keys = np.unique(np.minimum(a.ra, a.rb) * c + np.maximum(a.ra, a.rb))
+    keys = distinct(np.minimum(a.ra, a.rb) * c + np.maximum(a.ra, a.rb))
     h = Graph(c, np.column_stack(np.divmod(keys, max(c, 1))))
     return local_sparsity(h).k_star
 

@@ -6,6 +6,11 @@ from an edge array or any iterable of pairs in one vectorized pass
 (`check_pairs` validates ids, self-loops and repeats) and holds O(n + m)
 words; accessors are views and binary searches, not loops.
 
+Every dedupe and stable order in the package is `distinct`, `first_seen`,
+`ranked` or `stable_order`: `np.unique`'s and a stable `np.argsort`'s
+answers from one `np.sort` (of key-index packs when an order is needed),
+skipped when the keys already ascend, as edge lists mostly do.
+
 A graph is *k-locally-sparse* when every vertex neighborhood induces at most
 k edges (triangle-free graphs are the k = 0 case). `local_sparsity` reports
 the exact per-vertex neighborhood edge counts, which are per-vertex triangle
@@ -45,17 +50,78 @@ class GenerationError(RuntimeError):
     """Generator could not meet the requested (delta, k) within its attempts."""
 
 
+def _sorted(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(the 1-D int keys ascending, the stable order that sorts them): as
+    they are when they ascend, else one `np.sort` of (key - min) * N + index
+    for N int64 keys, split by one divmod, or a stable argsort past int64."""
+    size = keys.size
+    if (keys[1:] >= keys[:-1]).all():
+        return keys, np.arange(size)
+    lo = int(keys.min())
+    if keys.dtype != np.int64 or (int(keys.max()) - lo + 1) * size >= 2 ** 63:
+        order = np.argsort(keys, kind="stable")
+        return keys[order], order
+    # in place, so that few N-word temporaries are alive at once
+    packed = keys - lo
+    packed *= size
+    packed += np.arange(size)
+    packed.sort()
+    ordered, order = np.divmod(packed, size)
+    ordered += lo
+    return ordered, order
+
+
+def run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Bool mask of the entries of an ascending array that differ from the one before."""
+    start = np.ones(ordered.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=start[1:])
+    return start
+
+
+def distinct(keys: np.ndarray) -> np.ndarray:
+    """`np.unique(keys)` of 1-D int keys: one `np.sort`, skipped when they ascend."""
+    ordered = keys if (keys[1:] >= keys[:-1]).all() else np.sort(keys)
+    return ordered[run_starts(ordered)]
+
+
+def first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`np.unique(keys, return_index=True)` of 1-D int keys, by `_sorted`."""
+    ordered, order = _sorted(keys)
+    start = run_starts(ordered)
+    return ordered[start], order[start]
+
+
+def ranked(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`np.unique(keys, return_inverse=True)` of 1-D int keys, by `_sorted`;
+    int64 keys that already are all of 0..q-1 are their own ranks (not copied)."""
+    q = int(keys.max(initial=-1)) + 1
+    if keys.dtype == np.int64 and 0 < q <= keys.size and keys.min() >= 0 \
+            and np.bincount(keys).all():
+        return np.arange(q), keys
+    ordered, order = _sorted(keys)
+    start = run_starts(ordered)
+    rank = np.empty(keys.size, dtype=np.int64)
+    rank[order] = np.cumsum(start) - 1
+    return ordered[start], rank
+
+
+def stable_order(keys: np.ndarray) -> np.ndarray:
+    """`np.argsort(keys, kind="stable")` of 1-D int keys, by `_sorted`."""
+    return _sorted(keys)[1]
+
+
 def check_pairs(n: int, ends: np.ndarray) -> tuple[np.ndarray, tuple[int, int] | None]:
     """(ascending distinct keys min*n + max of the int64 (m, 2) pairs `ends`,
     first bad pair in input order as (its index, index of the earlier pair
     of the same edge or -1), or None). A pair is bad when an id lies outside
-    0..n-1, when it is a self-loop or when it repeats an earlier edge."""
-    u, v = ends[:, 0], ends[:, 1]
-    pair_keys = np.minimum(u, v) * n + np.maximum(u, v)
-    keys, first = np.unique(pair_keys, return_index=True)
+    0..n-1, when it is a self-loop or when it repeats an earlier edge.
+    Pairs already in ascending key order are not sorted (`first_seen`)."""
+    lo, hi = np.minimum(ends[:, 0], ends[:, 1]), np.maximum(ends[:, 0], ends[:, 1])
+    pair_keys = lo * n + hi
+    keys, first = first_seen(pair_keys)
     repeat = np.ones(len(ends), dtype=bool)
     repeat[first] = False
-    bad = repeat | (u < 0) | (u >= n) | (v < 0) | (v >= n) | (u == v)
+    bad = repeat | (lo < 0) | (hi >= n) | (lo == hi)
     if not bad.any():
         return keys, None
     i = int(bad.argmax())
@@ -92,12 +158,11 @@ class Graph:
         self.n = n
         self.m = len(keys)
         us, vs = np.divmod(keys, max(n, 1))
-        # a stable sort by head lists each row's smaller neighbors (first
-        # half, ascending u) before its larger ones (second half, ascending v)
-        heads = np.concatenate((vs, us))
-        self.indices = np.concatenate((us, vs))[np.argsort(heads, kind="stable")]
+        # the keys head*n + tail of both directions, sorted, are the rows in
+        # turn, each ascending; the u -> v half already is `keys`
+        self.indices = np.sort(np.concatenate((vs * n + us, keys))) % max(n, 1)
         self.indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(heads, minlength=n), out=self.indptr[1:])
+        np.cumsum(np.bincount(np.concatenate((us, vs)), minlength=n), out=self.indptr[1:])
         self._us, self._vs = us, vs
         for a in (self.indptr, self.indices, us, vs):
             a.flags.writeable = False
@@ -158,16 +223,15 @@ def _triangle_counts(n: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """
     deg = np.bincount(us, minlength=n) + np.bincount(vs, minlength=n)
     rank = np.empty(n, dtype=np.int64)
-    rank[np.lexsort((np.arange(n), deg))] = np.arange(n)
+    rank[stable_order(deg)] = np.arange(n)
     flip = rank[us] > rank[vs]
-    src, dst = np.where(flip, vs, us), np.where(flip, us, vs)
-    # stable by source: each out-list keeps ascending ids (see Graph)
-    order = np.argsort(src, kind="stable")
-    src, dst = src[order], dst[order]
+    keys = us * n + vs
+    # out-edges by source, each out-list ascending (as in Graph)
+    src, dst = np.divmod(np.sort(np.where(flip, vs * n + us, keys)), n)
     # out-edge i makes a wedge with each later out-edge of its source
     per = np.cumsum(np.bincount(src, minlength=n))[src] - np.arange(len(src)) - 1
     cum = np.cumsum(per)
-    keys, dst_row = us * n + vs, dst * n
+    dst_row = dst * n
     counts = np.zeros(n, dtype=np.int64)
     lo = 0
     while lo < len(src):
@@ -214,7 +278,7 @@ def _degree_capped_pairing(n: int, delta: int, rng) -> np.ndarray:
     half = len(stubs) // 2
     a, b = stubs[:half], stubs[half:]
     keep = a != b
-    keys = np.unique(np.minimum(a, b)[keep] * n + np.maximum(a, b)[keep])
+    keys = distinct(np.minimum(a, b)[keep] * n + np.maximum(a, b)[keep])
     return np.stack(np.divmod(keys, n), axis=1)
 
 
@@ -315,7 +379,7 @@ def gen_bipartite(n: int, target_delta: int, seed: int) -> Graph:
     right = np.repeat(np.arange(half, n, dtype=np.int64), target_delta)
     rng.shuffle(right)
     take = min(len(left), len(right))
-    g = Graph(n, np.stack(np.divmod(np.unique(left[:take] * n + right[:take]), n), axis=1))
+    g = Graph(n, np.stack(np.divmod(distinct(left[:take] * n + right[:take]), n), axis=1))
     report = local_sparsity(g)
     if report.k_star or report.max_degree > target_delta:
         raise GenerationError(f"audit failed: k_star={report.k_star}, max degree {report.max_degree}")

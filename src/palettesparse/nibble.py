@@ -42,7 +42,7 @@ from .cover import (
     picked_counts,
     restrict_cover,
 )
-from .graphcore import Graph
+from .graphcore import Graph, ranked, run_starts, stable_order
 from .sparsify import conflict_counts, directed_counts
 
 __all__ = [
@@ -131,7 +131,7 @@ class _Instance:
     @cached_property
     def pairs(self) -> tuple[np.ndarray, np.ndarray, int]:
         """(keys, heads, span): the cover's pairs on edges of g, once per
-        direction, ordered by key with one stable argsort. A pair read from
+        direction, ordered by key with one `stable_order`. A pair read from
         w to its neighbour x has key s * span + the rank of its color at w,
         s the CSR slot of x in w's row, and head the rank of its color at x;
         so the partners of w's color across s are the heads of one run of
@@ -152,7 +152,7 @@ class _Instance:
         slot = np.repeat(slot, np.concatenate((run, run)))
         on = slot >= 0
         keys = slot[on] * span + np.concatenate((a.ra, a.rb))[on]
-        order = np.argsort(keys, kind="stable")
+        order = stable_order(keys)
         return keys[order], np.concatenate((a.rb, a.ra))[on][order], span
 
     @cached_property
@@ -657,8 +657,9 @@ def _greedy_generic(inst: _Instance):
     owner = lists.owner
     maxcdeg = np.zeros(g.n, dtype=np.int64)
     np.maximum.at(maxcdeg, owner, color_degrees(inst.cover)[a.lists])
-    order = np.argsort(-maxcdeg, kind="stable")
-    pos = np.argsort(order)
+    order = stable_order(-maxcdeg)
+    pos = np.empty_like(order)
+    pos[order] = np.arange(g.n)
     keys, heads, span = inst.pairs
     slot = keys // span
     tail, head = inst.slot_row[slot], g.indices[slot]
@@ -670,17 +671,14 @@ def _greedy_generic(inst: _Instance):
     entry = ranks.find(tail[later], keys - slot * span)
     blocks = ranks.find(head[later], heads[later])
     # each entry's first entry with the same rank in its list
-    repeat = np.zeros(a.lists.size, dtype=bool)
-    repeat[1:] = (a.lists[1:] == a.lists[:-1]) & (owner[1:] == owner[:-1])
-    first = np.maximum.accumulate(np.where(repeat, 0, np.arange(a.lists.size)))
-    run = np.ones(keys.size, dtype=bool)
-    run[1:] = keys[1:] != keys[:-1]
-    score = np.bincount(entry[run & (entry >= 0)], minlength=a.lists.size)[first]
+    new = run_starts(owner * a.colors.size + a.lists)
+    first = np.maximum.accumulate(np.where(new, np.arange(a.lists.size), 0))
+    score = np.bincount(entry[run_starts(keys) & (entry >= 0)], minlength=a.lists.size)[first]
     cands = memoryview(first[np.lexsort((a.lists, score, owner))])
     c_start = lists.indptr.tolist()
     # the partner entries each entry blocks at later neighbours
     keep = (entry >= 0) & (blocks >= 0)
-    blocks = memoryview(blocks[keep][np.argsort(entry[keep], kind="stable")])
+    blocks = memoryview(blocks[keep][stable_order(entry[keep])])
     b_start = _offsets(np.bincount(entry[keep], minlength=a.lists.size)).tolist()
     blocked = bytearray(a.lists.size)
     col = [0] * g.n
@@ -711,18 +709,22 @@ def _greedy_lists(g: Graph, rows: Rows):
     else:
         us, vs = g.edge_arrays()
         owner = rows.owner
+        # the ids ranked once, for both kernels
+        ids, ranks = ranked(flat)
+        dense, q = Rows(ranks, rows.indptr), ids.size
         maxc = np.full(n, -1, dtype=np.int64)
-        np.maximum.at(maxc, owner, conflict_counts(us, vs, rows))
-    order = np.argsort(-maxc, kind="stable")
-    pos = np.argsort(order)
+        np.maximum.at(maxc, owner, conflict_counts(us, vs, dense, q))
+    order = stable_order(-maxc)
+    pos = np.empty_like(order)
+    pos[order] = np.arange(n)
     cands = flat
     if not shared:
         forward = pos[us] < pos[vs]
         heads, tails = np.where(forward, us, vs), np.where(forward, vs, us)
         # each list's entries by (score, place in the row), lists in vertex
         # order: one stable sort of the (vertex, score) keys
-        score = directed_counts(heads, tails, rows)
-        cands = flat[np.argsort(owner * (score.max(initial=0) + 1) + score, kind="stable")]
+        score = directed_counts(heads, tails, dense, q)
+        cands = flat[stable_order(owner * (score.max(initial=0) + 1) + score)]
     cands, c_start = memoryview(cands), rows.indptr.tolist()
     # the CSR slots of each vertex's earlier neighbours; memoryviews hand
     # out each int as it is read, so no list of m ints is built

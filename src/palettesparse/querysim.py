@@ -23,7 +23,7 @@ from itertools import combinations
 import numpy as np
 
 from .cover import ListAssignment
-from .graphcore import Graph
+from .graphcore import Graph, distinct
 from .nibble import PartialColoring, SolveResult, solve
 from .sparsify import (
     ConflictInstance,
@@ -206,11 +206,16 @@ def execute_plan(oracle: QueryOracle, plan: QueryPlan, fam: PaletteFamily):
     before = oracle.total_queries
     n = plan.n
     if plan.strategy == "scan":
-        slots = oracle.degrees()
-        if plan.delta_hint is not None:
-            slots = np.minimum(slots, plan.delta_hint)
-        ends = np.sort(np.stack(oracle.neighbor_prefixes(slots)), axis=0)
-        us, vs = np.divmod(np.unique(ends[0] * n + ends[1]), n)
+        degrees = oracle.degrees()
+        slots = degrees if plan.delta_hint is None else np.minimum(degrees, plan.delta_hint)
+        owner, other = oracle.neighbor_prefixes(slots)
+        if (slots == degrees).all():
+            # every edge was read from both ends, so once with owner < other
+            lower = owner < other
+            us, vs = owner[lower], other[lower]
+        else:
+            ends = np.sort(np.stack((owner, other)), axis=0)
+            us, vs = np.divmod(distinct(ends[0] * n + ends[1]), n)
         hit = shared_edges(us, vs, fam.sampled, fam.universe)
         conflict = np.column_stack((us[hit], vs[hit]))
     else:

@@ -38,7 +38,7 @@ from .cover import (
     cover_rows,
     restrict_cover,
 )
-from .graphcore import Graph
+from .graphcore import Graph, ranked
 
 __all__ = [
     "InvalidParameters",
@@ -264,10 +264,8 @@ def _dense(rows, universe: int | None, pairs: int):
     rows = Rows.of(rows)
     flat, q = rows.values, universe
     if q is None:
-        q = int(flat.max(initial=-1)) + 1
-        if not (flat.size and flat.min() >= 0 and q <= flat.size and np.bincount(flat).all()):
-            colors, ranks = np.unique(flat, return_inverse=True)
-            rows, q = Rows(ranks, rows.indptr), colors.size
+        colors, ranks = ranked(flat)
+        rows, q = Rows(ranks, rows.indptr), colors.size
     return rows, q, len(rows) * q <= _TABLE_CELLS * (flat.size + pairs)
 
 

@@ -4,7 +4,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from conftest import oracle_neighborhood_edges, random_graph, rng_for
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from palettesparse import graphcore
@@ -13,12 +13,17 @@ from palettesparse.graphcore import (
     Graph,
     GraphError,
     SparsityReport,
+    check_pairs,
+    distinct,
+    first_seen,
     gen_bipartite,
     gen_locally_sparse,
     load_graph,
     local_sparsity,
     max_degree,
+    ranked,
     save_graph,
+    stable_order,
 )
 
 
@@ -39,6 +44,78 @@ def naive_graph_error(n, pairs):
             return f"duplicate edge {key}"
         seen.add(key)
     return None
+
+
+def naive_first_bad(n, pairs):
+    """(index of the first bad pair in input order, index of the earlier
+    pair of the same edge or -1), or None: `check_pairs`' answer, one pair
+    at a time."""
+    seen = {}
+    for i, (u, v) in enumerate(pairs):
+        key = (min(u, v), max(u, v))
+        if not (0 <= u < n and 0 <= v < n) or u == v or key in seen:
+            return i, seen.get(key, -1)
+        seen[key] = i
+    return None
+
+
+# int64 keys: few values (repeats, negatives), all equal, anywhere in int64,
+# and clustered at +-2^62, where (max - min + 1) * N overflows int64 and the
+# helpers take the stable-argsort fallback
+KEYS = st.one_of(
+    st.lists(st.integers(-5, 5), max_size=40),
+    st.integers(-3, 3).flatmap(lambda k: st.lists(st.just(k), max_size=10)),
+    st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), max_size=12),
+    st.lists(st.integers(2 ** 62 - 3, 2 ** 62 + 3) | st.integers(-2 ** 62 - 3, -2 ** 62 + 3),
+             max_size=12),
+).map(lambda xs: np.array(xs, dtype=np.int64))
+
+
+def same(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+
+def assert_helpers_match_numpy(keys):
+    same([distinct(keys)], [np.unique(keys)])
+    same(first_seen(keys), np.unique(keys, return_index=True))
+    same(ranked(keys), np.unique(keys, return_inverse=True))
+    same([stable_order(keys)], [np.argsort(keys, kind="stable")])
+
+
+class TestSortHelpers:
+    @settings(max_examples=300, deadline=None)
+    @given(KEYS, st.booleans())
+    def test_match_numpy(self, keys, ascend):
+        assert_helpers_match_numpy(np.sort(keys) if ascend else keys)
+
+    @pytest.mark.parametrize("keys", [[], [7], [4, 4, 4], [3, -1, 3, -1, 0], [1, 0, 2, 1],
+                                      [2 ** 62, -2 ** 62, 0, 2 ** 62], [-2 ** 63, 2 ** 63 - 1]])
+    def test_edge_cases_match_numpy(self, keys):
+        assert_helpers_match_numpy(np.array(keys, dtype=np.int64))
+
+    @pytest.mark.parametrize("keys, fallback", [([2 ** 62, -2 ** 62, 0], True),
+                                                ([2 ** 40, -2 ** 40, 0], False)])
+    def test_stable_argsort_only_past_int64(self, keys, fallback):
+        keys = np.array(keys, dtype=np.int64)
+        for helper in (first_seen, ranked, stable_order):
+            with mock.patch.object(np, "argsort", wraps=np.argsort) as spy:
+                helper(keys)
+            assert spy.called == fallback
+
+    def test_ascending_keys_are_not_sorted(self):
+        keys = np.array([-3, 0, 0, 5, 9], dtype=np.int64)
+        want = np.unique(keys, return_index=True)
+        with mock.patch.object(np, "sort", side_effect=AssertionError("sorted")):
+            got = first_seen(keys), distinct(keys)
+        same(got[0], want)
+        same([got[1]], want[:1])
+
+    def test_dense_ids_are_their_own_ranks(self):
+        keys = np.array([1, 0, 2, 1], dtype=np.int64)
+        ids, rank = ranked(keys)
+        assert rank is keys and ids.tolist() == [0, 1, 2]
 
 
 def K(n):
@@ -128,9 +205,18 @@ class TestGraphValidation:
 
     @FAST
     @given(st.integers(0, 8), st.lists(st.tuples(st.integers(-2, 9), st.integers(-2, 9)),
-                                       max_size=16), st.booleans())
-    def test_matches_naive_validator(self, n, pairs, as_array):
+                                       max_size=16), st.booleans(), st.booleans())
+    @example(3, [(0, 1), (0, 2), (0, 2)], True, True)
+    @example(3, [(0, 1), (1, 1), (1, 2)], True, True)
+    @example(3, [(0, 1), (1, 2), (1, 3)], True, True)
+    def test_matches_naive_validator(self, n, pairs, as_array, ascending):
+        # pairs in ascending key order min*n + max skip the sort, but an
+        # out-of-range id, a self-loop or an adjacent repeat is still named
+        if ascending:
+            pairs = sorted(pairs, key=lambda p: min(p) * n + max(p))
         edges = np.array(pairs, dtype=np.int64).reshape(-1, 2) if as_array else pairs
+        ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        assert check_pairs(n, ends)[1] == naive_first_bad(n, pairs)
         expected = naive_graph_error(n, pairs)
         if expected is not None:
             with pytest.raises(GraphError, match=f"^{re.escape(expected)}$"):
@@ -145,6 +231,16 @@ class TestGraphValidation:
         assert list(g.edges()) == sorted((min(u, v), max(u, v)) for u, v in pairs)
         for u in range(n):
             assert [v for v in range(n) if g.has_edge(u, v)] == rows[u]
+
+    @FAST
+    @given(st.integers(0, 12), st.data())
+    def test_sorted_and_shuffled_input_build_the_same_arrays(self, n, data):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = sorted(data.draw(st.lists(st.sampled_from(pairs), unique=True))) if pairs else []
+        shuffled = [(v, u) if data.draw(st.booleans()) else (u, v)
+                    for u, v in data.draw(st.permutations(edges))]
+        a, b = Graph(n, np.array(edges, dtype=np.int64).reshape(-1, 2)), Graph(n, shuffled)
+        same([a.indptr, a.indices, *a.edge_arrays()], [b.indptr, b.indices, *b.edge_arrays()])
 
     def test_arrays_are_read_only(self):
         g = K(3)

@@ -4,7 +4,9 @@ Invariants raise real exceptions: `python -O` strips `assert` statements,
 so a check written as one would silently stop running. The package's
 re-exports and the modules' `__all__` lists agree. Only `_rng` reads or
 writes a generator's raw stream and state, so the emulation of numpy's
-draws stays in one place.
+draws stays in one place. Only the `graphcore` sort helpers call
+`np.unique` or sort with `kind="stable"`, so every dedupe and stable order
+takes their one-sort path.
 """
 
 import ast
@@ -60,3 +62,25 @@ def test_only_rng_touches_generator_internals(path):
     lines = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr in GENERATOR_INTERNALS]
     assert lines == [], f"{path.name} reaches generator internals on lines {lines}"
+
+
+# the graphcore functions that give np.unique's and a stable argsort's answers
+SORT_HELPERS = {"_sorted", "distinct", "first_seen", "ranked", "stable_order"}
+
+
+def _unique_or_stable(node) -> bool:
+    if isinstance(node, ast.Attribute):
+        return node.attr == "unique"
+    return isinstance(node, ast.keyword) and node.arg == "kind" and \
+        isinstance(node.value, ast.Constant) and node.value.value == "stable"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_graphcore_helpers_dedupe_or_sort_stably(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    inside = {id(node) for top in tree.body if path.name == "graphcore.py"
+              and isinstance(top, ast.FunctionDef) and top.name in SORT_HELPERS
+              for node in ast.walk(top)}
+    lines = [node.lineno for node in ast.walk(tree)
+             if _unique_or_stable(node) and id(node) not in inside]
+    assert lines == [], f"{path.name} calls np.unique or a stable sort on lines {lines}"

@@ -46,6 +46,18 @@ def oracle_pair_union(fam, n):
     return seen
 
 
+class BlindOracle:
+    """The query methods and count of a `QueryOracle`, without its hidden graph."""
+
+    def __init__(self, g):
+        self.oracle = QueryOracle(g)
+        self.degrees, self.neighbor_prefixes = self.oracle.degrees, self.oracle.neighbor_prefixes
+
+    @property
+    def total_queries(self):
+        return self.oracle.total_queries
+
+
 class TestPlan:
     def test_forced_full_palettes_query_all_pairs(self):
         n = 8
@@ -174,6 +186,22 @@ class TestExecute:
             scan = QueryOracle(g)
             _, issued = execute_plan(scan, plan_queries(n, fam, "scan", delta_hint=hint), fam)
             assert scan.counts() == loop.counts() and issued == loop.total_queries
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10), st.data())
+    def test_scan_finds_what_it_read_without_the_hidden_graph(self, n, data):
+        # the whole palette makes every read edge a conflict edge; a hint
+        # below the max degree clamps the scan, one at or above it does not
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        g = Graph(n, data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+        hint = data.draw(st.integers(0, n))
+        fam = sample_palettes(SharedPalette(n, 2), 2, seed=n)
+        blind, ref = BlindOracle(g), QueryOracle(g)
+        inst, issued = execute_plan(blind, plan_queries(n, fam, "scan", delta_hint=hint), fam)
+        owners, found = ref.neighbor_prefixes(np.minimum(ref.degrees(), hint))
+        read = {(min(u, v), max(u, v)) for u, v in zip(owners.tolist(), found.tolist())}
+        assert set(inst.graph.edges()) == read
+        assert blind.oracle.counts() == ref.counts() and issued == ref.total_queries
 
     def test_neighbor_prefixes_reject_slots_beyond_the_degree(self):
         oracle = QueryOracle(Graph(3, [(0, 1)]))
