@@ -77,12 +77,17 @@ class Rows(Sequence):
     the kernels read `values`, `lens` and `owner` instead.
     """
 
-    __slots__ = ("values", "indptr")
+    __slots__ = ("values", "indptr", "_search")
 
     def __init__(self, values: np.ndarray, indptr: np.ndarray):
         """Takes the int64 arrays as they are: each row must be ascending."""
         self.values, self.indptr = values, indptr
+        self._search = None
         values.flags.writeable = indptr.flags.writeable = False
+
+    def __reduce__(self):
+        # the search keys are rebuilt where they are used, not shipped
+        return Rows, (self.values, self.indptr)
 
     @classmethod
     def of(cls, rows) -> "Rows":
@@ -140,26 +145,47 @@ class Rows(Sequence):
         """The rows cut down to the entries the bool mask `mask` marks."""
         return Rows(self.values[mask], np.concatenate(([0], np.cumsum(mask)))[self.indptr])
 
+    def _keys(self):
+        """The search keys, built on the first search and kept: (keys, lo,
+        hi, colors). keys[i] = owner[i] * span + offset[i] ascends with the
+        entries. Normally offset is the value minus lo, for lo and hi the
+        least and greatest value, span = hi - lo + 1 and colors is None;
+        when span * n would overflow int64, offset is the value's rank among
+        colors, the ascending distinct values, and span is their number."""
+        if self._search is None:
+            values = self.values
+            lo, hi = int(values.min()), int(values.max())
+            span, colors = hi - lo + 1, None
+            if span * len(self) < 2 ** 63:
+                offset = values - lo
+            else:
+                colors, offset = ranked(values)
+                span = colors.size
+            keys = self.owner * span
+            keys += offset
+            self._search = keys, lo, hi, colors
+        return self._search
+
     def find(self, at: np.ndarray, ids: np.ndarray) -> np.ndarray:
-        """The entry index of id ids[i] in row at[i], or -1 where the row
-        lacks it. One binary search of the (row, id) keys, which ascend with
-        the entries."""
-        size = self.values.size
-        if not size:
+        """The entry index of id ids[i] in row at[i] (its first, if the row
+        holds it twice), or -1 where the row lacks it. One binary search of
+        the rows' (row, id) keys, built once per `Rows` (`_keys`): O(k log E)
+        for k lookups into E entries."""
+        if not self.values.size:
             return np.full(len(ids), -1, dtype=np.int64)
-        both = np.concatenate((self.values, ids))
-        lo, hi = int(both.min()), int(both.max())
-        span = hi - lo + 1
-        if span * len(self) < 2 ** 63:
-            both -= lo
+        keys, lo, hi, colors = self._keys()
+        if colors is None:
+            span = hi - lo + 1
+            inside = (ids >= lo) & (ids <= hi)
+            # an id outside [lo, hi] wraps here and is masked below
+            offset = ids - lo
         else:
-            # ids too far apart to sit beside the row in one int64: rank them
-            both = ranked(both)[1]
-            span = int(both.max()) + 1
-        keys = self.owner * span + both[:size]
-        want = at * span + both[size:]
-        pos = np.minimum(np.searchsorted(keys, want), size - 1)
-        return np.where(keys[pos] == want, pos, -1)
+            span = colors.size
+            offset = np.minimum(np.searchsorted(colors, ids), span - 1)
+            inside = colors[offset] == ids
+        want = at * span + offset
+        pos = np.minimum(np.searchsorted(keys, want), keys.size - 1)
+        return np.where(inside & (keys[pos] == want), pos, -1)
 
     def holds(self, at: np.ndarray, ids: np.ndarray) -> np.ndarray:
         """Bool mask: row at[i] holds id ids[i] (see `find`)."""

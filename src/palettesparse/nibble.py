@@ -136,7 +136,8 @@ class _Instance:
         s the CSR slot of x in w's row, and head the rank of its color at x;
         so the partners of w's color across s are the heads of one run of
         keys. The ranks are dense already, so keys that would not fit in
-        int64 leave nothing to fall back on (`Rows.find` ranks its ids)."""
+        int64 leave nothing to fall back on (`Rows.find` falls back on the
+        ranks of its values, found once per `Rows`)."""
         a, g = self.cover.arrays, self.g
         span = a.colors.size
         if 2 * g.m * span >= 2 ** 63:
@@ -178,10 +179,10 @@ class _Instance:
         out[query[heads[at] == there[query]]] = True
         return out
 
-    def clashing_edges(self, phi: dict[int, int]) -> list[tuple[int, int]]:
-        """The edges of g, in `g.edges()` order, whose two ends `phi` colors
-        with clashing colors."""
-        at, ids = np.array(list(phi.items()), dtype=np.int64).reshape(-1, 2).T
+    def clashing_edges(self, at: np.ndarray, ids: np.ndarray) -> list[tuple[int, int]]:
+        """The edges of g, in `g.edges()` order, whose two ends carry
+        clashing colors when the vertices `at` (int64, in range) carry the
+        colors `ids`."""
         if self.cover is not None:
             a = self.cover.arrays
             hit = clashing_pairs(self.cover, at, ids)
@@ -230,8 +231,10 @@ def verify_coloring(g: Graph, obj, phi: PartialColoring) -> VerifyResult:
 
     Blank vertices are fine (a partial coloring verifies vacuously on its
     blank part). Membership is one binary search of the lists' (vertex,
-    color) keys (`Rows.holds`); the witness is the first bad entry of `phi`
-    in its order. Runs in O(n log n + m + list entries).
+    color) keys (`Rows.holds`), which the lists build on their first
+    search and keep; the witness is the first bad entry of `phi` in its
+    order. Runs in O(k log E + n + m) for k colored vertices and E list
+    entries, plus O(E) the first time the lists are searched.
     """
     inst = _as_instance(g, obj)
     at = np.fromiter(phi.assignment, dtype=np.int64, count=len(phi))
@@ -245,7 +248,7 @@ def verify_coloring(g: Graph, obj, phi: PartialColoring) -> VerifyResult:
         if outside[i]:
             return VerifyResult(False, (v,), f"vertex {v} out of range")
         return VerifyResult(False, (v, c), f"color {c} not in the list of vertex {v}")
-    bad = inst.clashing_edges(phi.assignment)
+    bad = inst.clashing_edges(at, ids)
     if bad:
         u, v = bad[0]
         what = "carries corresponding colors" if inst.cover is not None else "is monochromatic"

@@ -109,11 +109,14 @@ class QueryOracle:
 def _pair_union_size(masks: np.ndarray) -> int:
     """Exact number of vertex pairs sharing at least one sampled color,
     without materializing the pairs."""
-    n = masks.shape[0]
+    n, words = masks.shape
     total = 0
     for u in range(n - 1):
-        hit = (masks[u + 1 :] & masks[u]).any(axis=1)
-        total += int(hit.sum())
+        # OR over the word columns of the AND with row u
+        hit = masks[u + 1 :, 0] & masks[u, 0]
+        for w in range(1, words):
+            hit |= masks[u + 1 :, w] & masks[u, w]
+        total += int(np.count_nonzero(hit))
     return total
 
 

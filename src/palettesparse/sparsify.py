@@ -269,39 +269,48 @@ def _dense(rows, universe: int | None, pairs: int):
     return rows, q, len(rows) * q <= _TABLE_CELLS * (flat.size + pairs)
 
 
-def _table_counts(heads, tails, samp: Rows, q: int) -> np.ndarray:
-    """`directed_counts` by the table: counts[h, c] = number of i with
-    heads[i] = h and c in samp[tails[i]], for rows of distinct colors in
-    0..q-1, read at the entries. The keys h*(q+1) + c are bincounted a
-    chunk of pairs at a time.
+def _table_counts(directions, samp: Rows, q: int) -> np.ndarray:
+    """`directed_counts` by the table, summed over the (heads, tails)
+    arrays of `directions`, all of one length: counts[h, c] = number of
+    pairs i with heads[i] = h and c in samp[tails[i]], for rows of distinct
+    colors in 0..q-1, read at the entries. The keys h*(q+1) + c are
+    bincounted a chunk of pairs at a time, each chunk holding the same
+    slice of every direction, so no direction is copied whole.
 
     Rows are padded to one width with the spare color q, so a chunk's keys
     cost one gather and one in-place add; few temporaries, none larger than
     a chunk or the result, keep repeated calls from mapping fresh pages.
     """
     n, flat, lens = len(samp), samp.values, samp.lens
-    # a tail row holding the whole palette adds one to every color of its head
-    whole = lens[tails] == q
-    degree = np.bincount(heads[whole], minlength=n)
-    if whole.any():
-        heads, tails = heads[~whole], tails[~whole]
-    width = int(lens[lens < q].max(initial=0))
     owner = samp.owner
+    # a tail row holding the whole palette adds one to every color of its
+    # head; when every row does, the counts are the degrees
+    whole = lens == q
+    every = whole.all()
+    degree = np.zeros(n, dtype=np.int64)
+    for heads, tails in directions:
+        degree += np.bincount(heads if every else heads[whole[tails]], minlength=n)
+    out = degree[owner]
+    size = directions[0][0].size
+    if every or not size:
+        return out
+    # whole rows are padding only, so their keys fall in the spare color
+    width = int(lens[~whole].max())
     slot = np.arange(flat.size) - np.repeat(samp.indptr[:-1], lens)
-    part = lens[owner] < q
+    part = ~whole[owner]
     padded = np.full((n, width), q, dtype=np.int64)
     padded[owner[part], slot[part]] = flat[part]
     del slot, part
-    step = max(1, max(_CHUNK_KEYS, n * (q + 1)) // max(1, width))
-    for lo in range(0, max(1, heads.size), step):
-        keys = padded[tails[lo : lo + step]]
-        keys += (heads[lo : lo + step] * (q + 1))[:, None]
+    step = max(1, max(_CHUNK_KEYS, n * (q + 1)) // (max(1, width) * len(directions)))
+    for lo in range(0, size, step):
+        heads = np.concatenate([h[lo : lo + step] for h, _ in directions])
+        keys = padded[np.concatenate([t[lo : lo + step] for _, t in directions])]
+        keys += (heads * (q + 1))[:, None]
         total = np.bincount(keys.ravel(), minlength=n * (q + 1))
         if lo:
             total += counts
         counts = total
-    out = counts[owner * (q + 1) + flat]
-    out += degree[owner]
+    out += counts[owner * (q + 1) + flat]
     return out
 
 
@@ -326,28 +335,38 @@ def _joined(heads, tails, rows: Rows):
         yield i[a >= 0], a[a >= 0]
 
 
+def _counts(directions, rows: Rows, q: int, table: bool) -> np.ndarray:
+    """`directed_counts` summed over the (heads, tails) of `directions`,
+    by the table or by the join (see `_dense`)."""
+    if table:
+        return _table_counts(directions, rows, q)
+    counts = np.zeros(rows.values.size, dtype=np.int64)
+    for heads, tails in directions:
+        for _, a in _joined(heads, tails, rows):
+            counts += np.bincount(a, minlength=counts.size)
+    return counts
+
+
 def directed_counts(heads, tails, rows, universe: int | None = None) -> np.ndarray:
     """For every entry (h, c) of `rows`, in entry order, the number of i
     with heads[i] = h and c in rows[tails[i]], for int64 arrays (heads,
     tails). `universe` is q when the ids are colors of 0..q-1 (else None)."""
-    rows, q, table = _dense(rows, universe, heads.size)
-    if table:
-        return _table_counts(heads, tails, rows, q)
-    counts = np.zeros(rows.values.size, dtype=np.int64)
-    for _, a in _joined(heads, tails, rows):
-        counts += np.bincount(a, minlength=counts.size)
-    return counts
+    return _counts([(heads, tails)], *_dense(rows, universe, heads.size))
 
 
 def conflict_counts(us, vs, rows, universe: int | None = None) -> np.ndarray:
     """For every entry (v, c) of `rows`, in entry order, the number of
     edges {u, v} in the int64 arrays (us, vs) with c in rows[u]:
-    `directed_counts` over both directions of each edge."""
-    return directed_counts(np.concatenate((us, vs)), np.concatenate((vs, us)), rows, universe)
+    `directed_counts` over u -> v and v -> u, with neither direction
+    copied whole."""
+    return _counts([(us, vs), (vs, us)], *_dense(rows, universe, 2 * us.size))
 
 
 def shared_edges(us, vs, rows, universe: int | None = None) -> np.ndarray:
-    """Bool mask of the pairs (us[i], vs[i]) whose rows share an id."""
+    """Bool mask of the pairs (us[i], vs[i]) whose rows share an id. On
+    the table path a pair survives when the OR over the 64-bit words of
+    the AND of its two bit masks is nonzero, one 1-D gather of a word
+    column per end and word, a chunk of pairs at a time."""
     rows, q, table = _dense(rows, universe, us.size)
     hit = np.zeros(us.size, dtype=bool)
     if not table:
@@ -355,9 +374,12 @@ def shared_edges(us, vs, rows, universe: int | None = None) -> np.ndarray:
             hit[i] = True
         return hit
     masks = _packed_masks(rows, q)
-    step = max(1, _CHUNK_KEYS // masks.shape[1])
-    for lo in range(0, us.size, step):
-        hit[lo : lo + step] = (masks[us[lo : lo + step]] & masks[vs[lo : lo + step]]).any(axis=1)
+    for lo in range(0, us.size, _CHUNK_KEYS):
+        u, v = us[lo : lo + _CHUNK_KEYS], vs[lo : lo + _CHUNK_KEYS]
+        both = masks[:, 0][u] & masks[:, 0][v]
+        for w in range(1, masks.shape[1]):
+            both |= masks[:, w][u] & masks[:, w][v]
+        hit[lo : lo + _CHUNK_KEYS] = both != 0
     return hit
 
 

@@ -234,7 +234,9 @@ def stream_color(stream: EdgeStream, n: int, params: SparsifyParams, seed: int,
     ledger.bump(space_cap)
 
     ends = stream.ends
-    pairs = np.sort(ends[shared_edges(ends[:, 0], ends[:, 1], fam.sampled, q)], axis=1)
+    pairs = ends[shared_edges(ends[:, 0], ends[:, 1], fam.sampled, q)]
+    su, sv = pairs.T
+    su[:], sv[:] = np.minimum(su, sv), np.maximum(su, sv)
     ledger.stored_edges = len(pairs)
     if space_cap is not None and ledger.total() > space_cap:
         # the total only grows over the pass, so the cap is first crossed
@@ -242,7 +244,6 @@ def stream_color(stream: EdgeStream, n: int, params: SparsifyParams, seed: int,
         ledger.stored_edges -= (ledger.total() - space_cap - 1) // 2
     ledger.bump(space_cap)
     stored = Rows(pairs.ravel(), np.arange(0, pairs.size + 1, 2))
-    su, sv = pairs.T
 
     delta = int(np.bincount(ends.ravel(), minlength=n).max(initial=0)) \
         if delta_from_stream else params.delta_ref

@@ -378,6 +378,16 @@ def oracle_keep(rows, mask) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(c for c in sorted(row) if next(flags)) for row in rows)
 
 
+def oracle_find(rows, at, ids) -> list[int]:
+    """For each (v, c) of zip(at, ids), the row-major index of the first
+    entry c of sorted row v, or -1 where the row lacks c, by a scan of the row."""
+    rows = oracle_sorted_rows(rows)
+    start = [0]
+    for row in rows:
+        start.append(start[-1] + len(row))
+    return [start[v] + rows[v].index(c) if c in rows[v] else -1 for v, c in zip(at, ids)]
+
+
 def oracle_membership_witness(rows, phi) -> tuple | None:
     """The first (v,) outside 0..len(rows)-1 or (v, c) with c not in row v,
     in the order of the dict `phi`, by a loop over it."""

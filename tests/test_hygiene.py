@@ -6,7 +6,8 @@ re-exports and the modules' `__all__` lists agree. Only `_rng` reads or
 writes a generator's raw stream and state, so the emulation of numpy's
 draws stays in one place. Only the `graphcore` sort helpers call
 `np.unique` or sort with `kind="stable"`, so every dedupe and stable order
-takes their one-sort path.
+takes their one-sort path. No `.any` or `.all` reduces along an `axis`:
+survival of packed bit masks ORs their word columns, 1-D, instead.
 """
 
 import ast
@@ -84,3 +85,13 @@ def test_only_graphcore_helpers_dedupe_or_sort_stably(path):
     lines = [node.lineno for node in ast.walk(tree)
              if _unique_or_stable(node) and id(node) not in inside]
     assert lines == [], f"{path.name} calls np.unique or a stable sort on lines {lines}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_any_or_all_along_an_axis(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("any", "all")
+             and any(k.arg == "axis" for k in node.keywords)]
+    assert lines == [], f"{path.name} reduces .any/.all along an axis on lines {lines}"

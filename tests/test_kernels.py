@@ -10,6 +10,8 @@ Covers are drawn with arbitrary distinct color ids, so ranks do not follow
 vertex order, and some edges' matchings are keyed (v, u) or left empty.
 """
 
+import pickle
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -23,6 +25,7 @@ from conftest import (
     oracle_cover_prune,
     oracle_cover_stream_retention,
     oracle_directed_counts,
+    oracle_find,
     oracle_first_repeat,
     oracle_keep,
     oracle_membership_witness,
@@ -176,6 +179,21 @@ def ragged(draw):
             for _ in range(draw(st.integers(0, 8)))]
 
 
+@st.composite
+def searches(draw):
+    """(`ragged` rows, calls of (row, id) lookups): ids held, repeated,
+    just below, above and between the rows' values, at the ends of int64
+    or anywhere."""
+    rows = draw(ragged())
+    values = sorted({c for row in rows for c in row})
+    near = [c + d for c in values for d in (-1, 1) if -2 ** 63 <= c + d < 2 ** 63]
+    ids = st.sampled_from(values + near + [-2 ** 63, 2 ** 63 - 1]) | \
+        st.integers(-2 ** 63, 2 ** 63 - 1)
+    size = 10 if rows else 0
+    pairs = st.tuples(st.integers(0, max(0, len(rows) - 1)), ids)
+    return rows, draw(st.lists(st.lists(pairs, max_size=size), min_size=1, max_size=3))
+
+
 class TestRows:
     @FAST
     @given(ragged(), ragged())
@@ -229,6 +247,50 @@ class TestRows:
         want = oracle_membership_witness(rows, phi)
         assert res.ok == (want is None)
         assert res.witness == want
+
+    @FAST
+    @given(searches())
+    @example(([], [[]]))
+    @example(([[], []], [[(0, 5), (1, -(2 ** 63))]]))
+    # one row spanning all of int64: the keys fall back on the ranks
+    @example(([[-(2 ** 63), 2 ** 63 - 1, 0, 0]],
+              [[(0, 0), (0, 1), (0, 2 ** 63 - 1)], [(0, -(2 ** 63)), (0, -1)]]))
+    @example(([[2 ** 40, -(2 ** 40), 2 ** 40], [7]],
+              [[(0, 2 ** 40), (1, 7), (1, 2 ** 40)], [(1, 8), (0, -(2 ** 40) - 1)]]))
+    def test_find_and_holds_match_the_loop(self, search):
+        # every call on one Rows, then again after a pickle round trip (the
+        # sweep's process pool pickles the instance), which ships no keys
+        rows, calls = search
+        got = Rows.of(rows)
+
+        def check(target):
+            for call in calls:
+                at = np.array([v for v, _ in call], dtype=np.int64)
+                ids = np.array([c for _, c in call], dtype=np.int64)
+                want = oracle_find(rows, at.tolist(), ids.tolist())
+                assert target.find(at, ids).tolist() == want
+                assert target.holds(at, ids).tolist() == [i >= 0 for i in want]
+
+        fresh = pickle.dumps(got)
+        check(got)
+        again = pickle.loads(pickle.dumps(got))
+        assert again == got and pickle.dumps(again) == fresh
+        check(again)
+
+    def test_second_verify_allocates_under_a_megabyte(self):
+        # the 2,500 x 128 palette's search keys (2.5 MB) are built once
+        n, q = 2500, 128
+        g = Graph(n, [(v, v + 1) for v in range(n - 1)])
+        full = ListAssignment(Rows(np.tile(np.arange(q), n), np.arange(0, n * q + 1, q)))
+        phi = PartialColoring({v: v % 2 * 64 + v % 64 for v in range(n)})
+        assert verify_coloring(g, full, phi).ok
+        tracemalloc.start()
+        try:
+            verify_coloring(g, full, phi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @FAST
     @given(instances(), st.floats(-1.0, 12.0), PATHS)
@@ -487,6 +549,24 @@ class TestSurvivingEdges:
                 mock.patch.object(sparsify, "_TABLE_CELLS", cells):
             for hit in (shared_edges(us, vs, rows, q), shared_edges(us, vs, far)):
                 assert list(zip(us[hit].tolist(), vs[hit].tolist())) == want
+
+    @pytest.mark.parametrize("q", [1, 63, 64, 65, 128, 129])
+    @pytest.mark.parametrize("extra", [None, -1, 1])
+    def test_word_boundaries_around_the_chunk(self, q, extra):
+        # q at the 64-bit word boundaries; m = 0 or one off a chunk of pairs
+        n = 400
+        m = 0 if extra is None else sparsify._CHUNK_KEYS + extra
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)][:m])
+        rng = np.random.default_rng(q)
+        # rows of 0-3 colors, the top word's last color among them
+        rows = [tuple(sorted(set(rng.choice([0, q - 1, *rng.integers(0, q, 2)],
+                                            rng.integers(0, 4)).tolist())))
+                for _ in range(n)]
+        us, vs = g.edge_arrays()
+        want = oracle_surviving_edges(g, rows)
+        with mock.patch.object(sparsify, "_TABLE_CELLS", 2 ** 62):
+            hit = shared_edges(us, vs, rows, q)
+        assert list(zip(us[hit].tolist(), vs[hit].tolist())) == want
 
     @FAST
     @given(st.integers(1, 200), st.data())

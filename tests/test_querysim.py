@@ -83,6 +83,15 @@ class TestPlan:
 
             assert list(map(tuple, plan.pairs.tolist())) == sorted(want, key=first)
 
+    @pytest.mark.parametrize("q", [1, 63, 64, 65, 128, 129])
+    def test_exact_class_cost_across_word_boundaries(self, q):
+        # the plan's exact class cost ORs the words of the packed masks
+        for trial in range(3):
+            fam = sample_palettes(SharedPalette(30, q), min(q, 2), seed=trial)
+            plan = plan_queries(30, fam, "classes", delta_hint=None)
+            assert querysim._pair_union_size(querysim._packed_masks(fam.sampled, q)) == \
+                len(oracle_pair_union(fam, 30)) == plan.cost_classes
+
     def test_classes_unsupported_for_per_vertex_lists(self):
         fam = PaletteFamily(((1, 2), (3, 4)))  # no shared universe
         with pytest.raises(UnsupportedStrategy):
