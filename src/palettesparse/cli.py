@@ -15,6 +15,7 @@ import json
 import sys
 import time
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -341,12 +342,16 @@ def _pullback(coloring, cov: CorrespondenceCover):
     return PartialColoring({v: src[c] for v, c in coloring.assignment.items()})
 
 
+@lru_cache(maxsize=1)
+def _full_palette(n: int, q: int) -> ListAssignment:
+    """range(q) at each of n vertices: built once per instance in a
+    process, so its search keys are built once too, not once per seed."""
+    return ListAssignment(Rows(np.tile(np.arange(q), n), np.arange(0, n * q + 1, q)))
+
+
 def _full_verify(g: Graph, params: SparsifyParams, obj, coloring):
     """Verify a coloring against the full original instance."""
-    if obj is None:
-        q = params.q
-        obj = ListAssignment(Rows(np.tile(np.arange(q), g.n), np.arange(0, g.n * q + 1, q)))
-    return verify_coloring(g, obj, coloring)
+    return verify_coloring(g, _full_palette(g.n, params.q) if obj is None else obj, coloring)
 
 
 def _write_outputs(result: SweepResult, colorings: dict[int, dict]) -> None:

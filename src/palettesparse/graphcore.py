@@ -173,6 +173,10 @@ class Graph:
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 
+    def slot_rows(self) -> np.ndarray:
+        """The vertex whose CSR row holds each slot of `indices` (ascending)."""
+        return np.repeat(np.arange(self.n), self.degrees())
+
     def neighbors(self, v: int) -> np.ndarray:
         """Read-only ascending view of the neighbors of v."""
         return self.indices[self.indptr[v] : self.indptr[v + 1]]

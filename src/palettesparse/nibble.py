@@ -43,7 +43,7 @@ from .cover import (
     restrict_cover,
 )
 from .graphcore import Graph, ranked, run_starts, stable_order
-from .sparsify import conflict_counts, directed_counts
+from .sparsify import directed_counts
 
 __all__ = [
     "PartialColoring",
@@ -159,7 +159,7 @@ class _Instance:
     @cached_property
     def slot_row(self) -> np.ndarray:
         """The vertex whose CSR row holds each slot of g."""
-        return np.repeat(np.arange(self.g.n), self.g.degrees())
+        return self.g.slot_rows()
 
     def clashes(self, slots: np.ndarray, col: np.ndarray) -> np.ndarray:
         """Bool mask: the two ends of CSR slot slots[i] (its row's vertex
@@ -207,8 +207,7 @@ class _Instance:
     def max_color_degree(self) -> int:
         if self.cover is not None:
             return self.cover.max_color_degree()
-        us, vs = self.g.edge_arrays()
-        return int(conflict_counts(us, vs, self.lists).max(initial=0))
+        return int(directed_counts(self.slot_row, self.g.indices, self.lists).max(initial=0))
 
 
 def _as_instance(g: Graph, obj) -> _Instance:
@@ -701,39 +700,39 @@ def _greedy_lists(g: Graph, rows: Rows):
     """The greedy rule of `greedy_color` on list `Rows` of any ids;
     `_greedy_generic` is its cover twin. Greedy stops at its first stuck
     vertex, so v's uncolored neighbours at its turn are the later ones, and
-    every score is one `directed_counts` over the forward edges. Each list,
-    sorted by (score, place in the row), is walked first-fit on the ids."""
+    every score is one `directed_counts` over the CSR slots to them. Each
+    list, sorted by (score, place in the row), is walked first-fit on the ids."""
     n, flat, lens = g.n, rows.values, rows.lens
+    row = g.slot_rows()
     first = flat[: lens[0] if n else 0]
     shared = first.size and (lens == first.size).all() and (flat.reshape(n, -1) == first).all()
     if shared:
         # max c-degree is the degree, and every score ties
         maxc = g.degrees()
     else:
-        us, vs = g.edge_arrays()
         owner = rows.owner
         # the ids ranked once, for both kernels
         ids, ranks = ranked(flat)
         dense, q = Rows(ranks, rows.indptr), ids.size
         maxc = np.full(n, -1, dtype=np.int64)
-        np.maximum.at(maxc, owner, conflict_counts(us, vs, dense, q))
+        np.maximum.at(maxc, owner, directed_counts(row, g.indices, dense, q))
     order = stable_order(-maxc)
     pos = np.empty_like(order)
     pos[order] = np.arange(n)
+    # the CSR slots to later neighbours (the scores'); the rest are the walk's
+    later = pos[g.indices] > pos[row]
     cands = flat
     if not shared:
-        forward = pos[us] < pos[vs]
-        heads, tails = np.where(forward, us, vs), np.where(forward, vs, us)
         # each list's entries by (score, place in the row), lists in vertex
         # order: one stable sort of the (vertex, score) keys
-        score = directed_counts(heads, tails, dense, q)
+        score = directed_counts(row[later], g.indices[later], dense, q)
         cands = flat[stable_order(owner * (score.max(initial=0) + 1) + score)]
     cands, c_start = memoryview(cands), rows.indptr.tolist()
     # the CSR slots of each vertex's earlier neighbours; memoryviews hand
     # out each int as it is read, so no list of m ints is built
-    back = pos[g.indices] < np.repeat(pos, np.diff(g.indptr))
+    back = ~later
     earlier = memoryview(g.indices[back])
-    start = np.concatenate(([0], np.cumsum(back)))[g.indptr].tolist()
+    start = _offsets(np.bincount(row[back], minlength=n)).tolist()
     col = [None] * n
     for v in order.tolist():
         blocked = {col[u] for u in earlier[start[v] : start[v + 1]]}

@@ -11,8 +11,8 @@ the original instance, which is the whole point of the reduction.
 Sampled and pruned palettes are `Rows`. The offline, streaming and query
 models and the list greedy share three numpy kernels over `Rows` of any
 ids: `conflict_counts` (over `directed_counts`) gives one count per list
-entry and `shared_edges` one survival flag per edge; how they count (a
-table or a join, see `_TABLE_CELLS`) is theirs alone. Covers go through
+entry and `shared_edges` one survival flag per edge; how they count (by
+n x q matrices or a join, see `_TABLE_CELLS`) is theirs alone. Covers go through
 the cover kernels of `cover`, which read the cover's pair arrays:
 `restrict_cover` for the samples and the conflict instance,
 `color_degrees` for pruning.
@@ -38,7 +38,7 @@ from .cover import (
     cover_rows,
     restrict_cover,
 )
-from .graphcore import Graph, ranked
+from .graphcore import Graph, ranked, stable_order
 
 __all__ = [
     "InvalidParameters",
@@ -241,23 +241,28 @@ def sample_palettes(palettes, s: int, seed: int) -> PaletteFamily:
     return PaletteFamily(Rows(block.ravel(), np.arange(0, n * s + 1, s)), universe=universe)
 
 
-# Two paths answer every list kernel, chosen by size. While the n x q table
-# holds at most _TABLE_CELLS cells per list entry or pair, counts are a
-# bincount into the table and survival an AND of packed bit masks: on an
-# offline-baseline sample (n=1,500, m=35k, s=15, one Xeon core) the join
-# takes about 80 ms against 5 ms for the counts and 35 ms against 0.4 ms
-# for survival. The table is n*q, though, so past that bound each entry of one
-# end's row is looked up in the other end's row (`Rows.find`), in memory
-# linear in the entries and pairs.
+# Two paths answer every list kernel, chosen by size. While an n x q matrix
+# holds at most _TABLE_CELLS cells per list entry or pair, counts add uint8
+# membership rows (`_lanes`) and survival is an AND of packed bit masks: on
+# an offline-baseline sample (n=1,500, m=35k, s=15, one Xeon core) the join
+# takes about 85 ms against 2-3 ms for the counts and 35 ms against 0.4 ms
+# for survival. Past that bound each entry of one end's row is looked up in
+# the other's (`Rows.find`), in memory linear in the entries and pairs. The
+# lanes add q bytes per pair where the bincount table they replaced added s
+# keys: on gen_bipartite(2500, 32), s = 8, they win 4x at q/s = 2, 3.4x at
+# 16 and 2.2x at 32, and lose 1.8x at 64 and 3x at 128. No workload or
+# acceptance test reaches q/s > 32, nor does `derive_params` at alpha = 0.5,
+# gamma = 0.1, epsilon <= 1 for delta < n, delta <= 1000 (q/s <= 31), so the
+# table is gone rather than kept as a second path.
 _TABLE_CELLS = 64
 
-# keys per chunk: 2**16 (0.5 MB), or more when the table or the rows are
-# larger, so each chunk's pass over them is paid for by its keys
+# keys per chunk of the join and of survival: 2**16 (0.5 MB), or more when
+# the rows are larger, so each chunk's pass over them is paid for by its keys
 _CHUNK_KEYS = 1 << 16
 
 
 def _dense(rows, universe: int | None, pairs: int):
-    """(rows over 0..q-1, q, whether the n x q table fits the bound for
+    """(rows over 0..q-1, q, whether the n x q matrices fit the bound for
     `pairs` pairs): with universe None each id is replaced by its rank
     among the ascending distinct ids, unless the ids already are all of
     0..q-1. Entries keep their places."""
@@ -269,48 +274,32 @@ def _dense(rows, universe: int | None, pairs: int):
     return rows, q, len(rows) * q <= _TABLE_CELLS * (flat.size + pairs)
 
 
-def _table_counts(directions, samp: Rows, q: int) -> np.ndarray:
-    """`directed_counts` by the table, summed over the (heads, tails)
-    arrays of `directions`, all of one length: counts[h, c] = number of
-    pairs i with heads[i] = h and c in samp[tails[i]], for rows of distinct
-    colors in 0..q-1, read at the entries. The keys h*(q+1) + c are
-    bincounted a chunk of pairs at a time, each chunk holding the same
-    slice of every direction, so no direction is copied whole.
-
-    Rows are padded to one width with the spare color q, so a chunk's keys
-    cost one gather and one in-place add; few temporaries, none larger than
-    a chunk or the result, keep repeated calls from mapping fresh pages.
-    """
-    n, flat, lens = len(samp), samp.values, samp.lens
-    owner = samp.owner
-    # a tail row holding the whole palette adds one to every color of its
-    # head; when every row does, the counts are the degrees
-    whole = lens == q
-    every = whole.all()
-    degree = np.zeros(n, dtype=np.int64)
-    for heads, tails in directions:
-        degree += np.bincount(heads if every else heads[whole[tails]], minlength=n)
-    out = degree[owner]
-    size = directions[0][0].size
-    if every or not size:
-        return out
-    # whole rows are padding only, so their keys fall in the spare color
-    width = int(lens[~whole].max())
-    slot = np.arange(flat.size) - np.repeat(samp.indptr[:-1], lens)
-    part = ~whole[owner]
-    padded = np.full((n, width), q, dtype=np.int64)
-    padded[owner[part], slot[part]] = flat[part]
-    del slot, part
-    step = max(1, max(_CHUNK_KEYS, n * (q + 1)) // (max(1, width) * len(directions)))
-    for lo in range(0, size, step):
-        heads = np.concatenate([h[lo : lo + step] for h, _ in directions])
-        keys = padded[np.concatenate([t[lo : lo + step] for _, t in directions])]
-        keys += (heads * (q + 1))[:, None]
-        total = np.bincount(keys.ravel(), minlength=n * (q + 1))
-        if lo:
-            total += counts
-        counts = total
-    out += counts[owner * (q + 1) + flat]
+def _lanes(heads, tails, member: np.ndarray) -> np.ndarray:
+    """acc[h] = the sum of member[tails[i]] over the i with heads[i] = h.
+    With the pairs grouped by head (sorted unless the heads ascend, as CSR
+    slots do) and the heads ranked by descending pair count, round j adds
+    the j-th tail of every head with more than j pairs as one prefix slice,
+    until no more heads are left than rounds have run; each then takes one
+    row sum, so a star costs O(sqrt(pairs)) numpy calls, not its degree.
+    acc is uint8, uint16 or int64, the first that holds every head's count."""
+    n, q = member.shape
+    per = np.bincount(heads, minlength=n)
+    if not (heads[1:] >= heads[:-1]).all():
+        tails = tails[stable_order(heads)]
+    rank = stable_order(-per)
+    base, per = (np.cumsum(per) - per)[rank], per[rank]
+    top = int(per[0])
+    acc = np.zeros((n, q), np.uint8 if top < 2 ** 8 else np.uint16 if top < 2 ** 16 else np.int64)
+    # longer[j] heads, the first ranks, have more than j pairs
+    longer = n - np.cumsum(np.bincount(per))
+    j = 0
+    while longer[j] > j:
+        acc[: longer[j]] += member.take(tails[base[: longer[j]] + j], axis=0)
+        j += 1
+    for i in range(longer[j]):
+        acc[i] += member.take(tails[base[i] + j : base[i] + per[i]], axis=0).sum(0, acc.dtype)
+    out = np.empty_like(acc)
+    out[rank] = acc
     return out
 
 
@@ -336,14 +325,27 @@ def _joined(heads, tails, rows: Rows):
 
 
 def _counts(directions, rows: Rows, q: int, table: bool) -> np.ndarray:
-    """`directed_counts` summed over the (heads, tails) of `directions`,
-    by the table or by the join (see `_dense`)."""
-    if table:
-        return _table_counts(directions, rows, q)
-    counts = np.zeros(rows.values.size, dtype=np.int64)
+    """`directed_counts` summed over the (heads, tails) of `directions`, one
+    direction at a time, by `_lanes` over the uint8 n x q `member` (row v
+    marks rows[v]) or by the join (see `_dense`). A whole-palette tail row
+    adds its head's degree instead; when every row is whole, that is all."""
+    if not table:
+        size = rows.values.size
+        return sum((np.bincount(a, minlength=size) for heads, tails in directions
+                    for _, a in _joined(heads, tails, rows)), np.zeros(size, dtype=np.int64))
+    n, owner, whole = len(rows), rows.owner, rows.lens == q
+    every = whole.all()
+    counts = sum(np.bincount(h if every else h[whole[t]], minlength=n)
+                 for h, t in directions)[owner]
+    if every:
+        return counts
+    cell = np.multiply(owner, q, out=owner)  # each entry's cell of an n x q
+    cell += rows.values                      # matrix, in place of its owner
+    member = np.zeros((n, q), dtype=np.uint8)
+    member.ravel()[cell] = 1
+    member[whole] = 0
     for heads, tails in directions:
-        for _, a in _joined(heads, tails, rows):
-            counts += np.bincount(a, minlength=counts.size)
+        counts += _lanes(heads, tails, member).ravel().take(cell)
     return counts
 
 
@@ -355,10 +357,9 @@ def directed_counts(heads, tails, rows, universe: int | None = None) -> np.ndarr
 
 
 def conflict_counts(us, vs, rows, universe: int | None = None) -> np.ndarray:
-    """For every entry (v, c) of `rows`, in entry order, the number of
-    edges {u, v} in the int64 arrays (us, vs) with c in rows[u]:
-    `directed_counts` over u -> v and v -> u, with neither direction
-    copied whole."""
+    """For every entry (v, c) of `rows`, in entry order, the number of edges
+    {u, v} in the int64 arrays (us, vs) with c in rows[u]: `directed_counts`
+    over u -> v and v -> u, with neither direction copied whole."""
     return _counts([(us, vs), (vs, us)], *_dense(rows, universe, 2 * us.size))
 
 
@@ -396,9 +397,8 @@ def prune(subject, fam: PaletteFamily, params: SparsifyParams,
     """
     if isinstance(subject, Graph):
         thr = params.threshold(params.delta_ref if delta_ref is None else delta_ref)
-        us, vs = subject.edge_arrays()
-        pruned = fam.sampled.keep(conflict_counts(us, vs, fam.sampled, fam.universe) <= thr)
-        return PaletteFamily(fam.sampled, pruned, fam.universe)
+        counts = directed_counts(subject.slot_rows(), subject.indices, fam.sampled, fam.universe)
+        return PaletteFamily(fam.sampled, fam.sampled.keep(counts <= thr), fam.universe)
     if isinstance(subject, CorrespondenceCover):
         thr = params.threshold(subject.max_color_degree() if delta_ref is None else delta_ref)
         # a color's correspondents among the sampled colors are its

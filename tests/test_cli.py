@@ -5,11 +5,13 @@ import sys
 
 import pytest
 
+from palettesparse import cli
 from palettesparse.cli import ConfigError, RunConfig, main, run, sweep_success_vs_s
 from palettesparse.cover import CorrespondenceCover, ListAssignment, random_cover, save_cover
 from palettesparse.graphcore import Graph, gen_locally_sparse, save_graph
 from palettesparse.nibble import verify_coloring
 from palettesparse.nibble import PartialColoring
+from palettesparse.sparsify import manual_params
 
 
 def base_config(**over):
@@ -90,6 +92,20 @@ class TestRun:
             res = run(cfg)
             assert len(res.rows) == 3
 
+
+    def test_plain_seeds_verify_against_one_palette(self):
+        # the range(q) palette, and so its search keys, is built once for
+        # all the seeds of a plain sweep; reasons keep their text
+        cli._full_palette.cache_clear()
+        res = run(base_config())
+        info = cli._full_palette.cache_info()
+        assert info.misses == 1 and info.hits == sum(r.success for r in res.rows) - 1
+        g = gen_locally_sparse(30, 5, 2, seed=1)
+        params = manual_params(5, 0.1, 1.0, q=6, s=4)
+        check = cli._full_verify(g, params, None, PartialColoring({3: 6}))
+        assert (check.ok, check.witness, check.reason) == \
+            (False, (3, 6), "color 6 not in the list of vertex 3")
+        assert cli._full_palette.cache_info().misses == 1
 
 class TestSweepSuccessVsS:
     def test_s_equals_q_matches_full_list_offline(self):

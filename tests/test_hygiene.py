@@ -8,6 +8,8 @@ draws stays in one place. Only the `graphcore` sort helpers call
 `np.unique` or sort with `kind="stable"`, so every dedupe and stable order
 takes their one-sort path. No `.any` or `.all` reduces along an `axis`:
 survival of packed bit masks ORs their word columns, 1-D, instead.
+`nibble` holds a `Graph` wherever it counts list entries, so it counts
+over the graph's CSR slots, whose heads ascend and need no sort.
 """
 
 import ast
@@ -95,3 +97,20 @@ def test_no_any_or_all_along_an_axis(path):
              and node.func.attr in ("any", "all")
              and any(k.arg == "axis" for k in node.keywords)]
     assert lines == [], f"{path.name} reduces .any/.all along an axis on lines {lines}"
+
+
+def _tails_from_indices(call) -> bool:
+    """The second argument of the call reads some `.indices` (CSR slots)."""
+    return len(call.args) > 1 and any(isinstance(node, ast.Attribute) and node.attr == "indices"
+                                      for node in ast.walk(call.args[1]))
+
+
+def test_nibble_counts_over_csr_slots():
+    path = PACKAGE / "nibble.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = sorted(node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.alias) and node.name == "conflict_counts"
+                   or isinstance(node, ast.Name) and node.id == "conflict_counts"
+                   or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                   and node.func.id == "directed_counts" and not _tails_from_indices(node))
+    assert lines == [], f"nibble.py counts over edge arrays on lines {lines}"

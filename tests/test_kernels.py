@@ -53,7 +53,7 @@ from palettesparse.cover import (
     picked_counts,
     restrict_cover,
 )
-from palettesparse.graphcore import Graph
+from palettesparse.graphcore import Graph, gen_bipartite
 from palettesparse.nibble import PartialColoring, _Instance, verify_coloring
 from palettesparse.sparsify import (
     PaletteFamily,
@@ -508,6 +508,85 @@ class TestDirectedCounts:
         with mock.patch.object(sparsify, "_TABLE_CELLS", cells):
             both = directed_counts(us, vs, rows, q) + directed_counts(vs, us, rows, q)
             assert both.tolist() == conflict_counts(us, vs, rows, q).tolist()
+
+
+class TestLanes:
+    """The lanes that count on the n x q path (`sparsify._lanes`) against
+    the oracle, the table bound huge so that every call takes them."""
+
+    @FAST
+    @given(st.integers(1, 8), st.integers(1, 6), st.booleans(), st.data())
+    def test_matches_oracle(self, n, q, ascending, data):
+        # ragged rows mix whole, partial and empty ones; heads without
+        # pairs, no pairs at all and one hub whose many pairs outlast the
+        # rounds (so it takes the row sum) all come up
+        rows = data.draw(rows_over(n, q, True))
+        ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        pairs = data.draw(st.lists(ends, max_size=30))
+        hub = data.draw(st.integers(0, n - 1))
+        pairs += [(hub, t) for t in data.draw(st.lists(st.integers(0, n - 1), max_size=80))]
+        pairs = sorted(pairs, key=lambda p: p[0]) if ascending else \
+            data.draw(st.permutations(pairs))
+        heads = np.array([h for h, _ in pairs], dtype=np.int64)
+        tails = np.array([t for _, t in pairs], dtype=np.int64)
+        want = at_entries(oracle_directed_counts(n, heads.tolist(), tails.tolist(), rows, q),
+                          rows)
+        with mock.patch.object(sparsify, "_TABLE_CELLS", 2 ** 62):
+            assert directed_counts(heads, tails, rows, q).tolist() == want
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.sampled_from([255, 256, 65535, 65536]), st.integers(3, 5), st.booleans(),
+           st.data())
+    def test_accumulator_width_edges(self, count, q, ascending, data):
+        # every tail row holds color 0 and is not whole (2 < q colors), so
+        # a head's count of 0 is its pair count: the largest that uint8 or
+        # uint16 holds, or one past it. 300 heads of 256 pairs overflow
+        # uint8 in the rounds, one to three heads in their row sums
+        heavy = data.draw(st.sampled_from([1, 3] + ([300] if count <= 256 else [])))
+        n = heavy + 2
+        rows = [(0,) if v % 2 else (0, 1 + v % (q - 1)) for v in range(n)]
+        heads = np.repeat(np.arange(heavy), count)
+        tails = heavy + np.arange(heads.size) % 2
+        heads, tails = np.append(heads, [heavy, heavy]), np.append(tails, [0, n - 1])
+        if not ascending:
+            order = np.random.default_rng(data.draw(st.integers(0, 2 ** 32))).permutation(
+                heads.size)
+            heads, tails = heads[order], tails[order]
+        want = at_entries(oracle_directed_counts(n, heads.tolist(), tails.tolist(), rows, q),
+                          rows)
+        with mock.patch.object(sparsify, "_TABLE_CELLS", 2 ** 62):
+            assert directed_counts(heads, tails, rows, q).tolist() == want
+        assert want[0] == count
+
+    def test_ascending_heads_are_not_sorted(self):
+        # CSR slots ascend by row: the only order the lanes ask for is the
+        # heads' rank by pair count, n long; shuffled heads are grouped by
+        # one more, as long as the pairs
+        g = gen_bipartite(200, 6, seed=3)
+        rows = sample_palettes(SharedPalette(g.n, 12), 5, seed=1).sampled
+        heads, tails = g.slot_rows(), g.indices
+        assert heads.tolist() == [v for v in range(g.n) for _ in g.neighbors(v)]
+        shuffle = np.random.default_rng(0).permutation(heads.size)
+        want = conflict_counts(*g.edge_arrays(), rows, 12).tolist()
+        for h, t, sizes in ((heads, tails, [g.n]), (heads[shuffle], tails[shuffle],
+                                                     [heads.size, g.n])):
+            with mock.patch.object(sparsify, "stable_order", wraps=sparsify.stable_order) as spy:
+                assert directed_counts(h, t, rows, 12).tolist() == want
+            assert [call.args[0].size for call in spy.call_args_list] == sizes
+
+    def test_csr_counts_peak_below_the_table(self):
+        # n = 2*10^4, 480,000 entries: the bincount table these lanes
+        # replaced peaked at 28.6 MB here, past four int64 words per entry
+        g = gen_bipartite(20_000, 16, seed=1)
+        rows = sample_palettes(SharedPalette(g.n, 33), 24, seed=0).sampled
+        heads = g.slot_rows()
+        tracemalloc.start()
+        try:
+            directed_counts(heads, g.indices, rows, 33)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 8 * rows.values.size
 
 
 class TestPruneByCounts:
