@@ -106,11 +106,19 @@ class Rows(Sequence):
             out = cls(values[np.lexsort((values, owner))], out.indptr)
         return out
 
-    def first_repeat(self) -> int | None:
-        """The first row holding an id twice, or None."""
+    def repeats(self) -> np.ndarray:
+        """Bool mask of the rows holding some id twice (next to each other,
+        as rows ascend)."""
         owner = self.owner
         dup = (self.values[1:] == self.values[:-1]) & (owner[1:] == owner[:-1])
-        return int(owner[dup.argmax()]) if dup.any() else None
+        twice = np.zeros(len(self), dtype=bool)
+        twice[owner[1:][dup]] = True
+        return twice
+
+    def first_repeat(self) -> int | None:
+        """The first row holding an id twice, or None."""
+        twice = self.repeats()
+        return int(twice.argmax()) if twice.any() else None
 
     def __len__(self) -> int:
         return self.indptr.size - 1

@@ -43,7 +43,7 @@ from .cover import (
     restrict_cover,
 )
 from .graphcore import Graph, ranked, run_starts, stable_order
-from .sparsify import directed_counts
+from .sparsify import _dense, directed_counts
 
 __all__ = [
     "PartialColoring",
@@ -696,53 +696,145 @@ def _greedy_generic(inst: _Instance):
     return PartialColoring(dict(enumerate(lists.values[col].tolist()))), None
 
 
-def _greedy_lists(g: Graph, rows: Rows):
-    """The greedy rule of `greedy_color` on list `Rows` of any ids;
-    `_greedy_generic` is its cover twin. Greedy stops at its first stuck
-    vertex, so v's uncolored neighbours at its turn are the later ones, and
-    every score is one `directed_counts` over the CSR slots to them. Each
-    list, sorted by (score, place in the row), is walked first-fit on the ids."""
-    n, flat, lens = g.n, rows.values, rows.lens
-    row = g.slot_rows()
-    first = flat[: lens[0] if n else 0]
-    shared = first.size and (lens == first.size).all() and (flat.reshape(n, -1) == first).all()
-    if shared:
-        # max c-degree is the degree, and every score ties
-        maxc = g.degrees()
-    else:
-        owner = rows.owner
-        # the ids ranked once, for both kernels
-        ids, ranks = ranked(flat)
-        dense, q = Rows(ranks, rows.indptr), ids.size
-        maxc = np.full(n, -1, dtype=np.int64)
-        np.maximum.at(maxc, owner, directed_counts(row, g.indices, dense, q))
-    order = stable_order(-maxc)
-    pos = np.empty_like(order)
-    pos[order] = np.arange(n)
-    # the CSR slots to later neighbours (the scores'); the rest are the walk's
-    later = pos[g.indices] > pos[row]
-    cands = flat
-    if not shared:
-        # each list's entries by (score, place in the row), lists in vertex
-        # order: one stable sort of the (vertex, score) keys
-        score = directed_counts(row[later], g.indices[later], dense, q)
-        cands = flat[stable_order(owner * (score.max(initial=0) + 1) + score)]
-    cands, c_start = memoryview(cands), rows.indptr.tolist()
-    # the CSR slots of each vertex's earlier neighbours; memoryviews hand
-    # out each int as it is read, so no list of m ints is built
-    back = ~later
-    earlier = memoryview(g.indices[back])
-    start = _offsets(np.bincount(row[back], minlength=n)).tolist()
-    col = [None] * n
-    for v in order.tolist():
-        blocked = {col[u] for u in earlier[start[v] : start[v + 1]]}
+def _greedy_rounds(pos, earlier: Rows, cands, indptr, q: int):
+    """(each vertex's code, how many leading places of the order hold
+    greedy's codes) of the list greedy in settling rounds. Round 0 gives
+    every vertex its first candidate; each later round gives every vertex
+    its first candidate that no earlier neighbour's code of the round
+    before blocks (code q: no color).
+
+    After a round, every vertex up to the earliest one, in the order,
+    whose code changed holds greedy's code: the first wrong vertex has an
+    earlier neighbour whose code changed. When no code changes, every
+    vertex does. Rounds go on while fewer codes change than in the round
+    before, at most n.bit_length() of them.
+
+    A vertex with b earlier neighbours takes one of its first b + 1
+    candidates, so a round reads only those windows, padded to the widest
+    with copies of their last candidate, plus a sink place. A bool
+    n x (q + 2) matrix marks the codes each vertex's earlier neighbours
+    hold: column q, no color, is marked from the start (empty lists read
+    it), and column q + 1, the sink's, never is. Each window reads its
+    marks, and its first unmarked place is one `argmin` along the rows."""
+    n, span = pos.size, q + 2
+    lens, head = np.diff(indptr), earlier.values
+    width = np.minimum(lens, earlier.lens + 1)
+    w = int(width.max(initial=0))
+    # each window place's cell of the marks, and the sink's
+    cell = np.minimum(np.arange(w + 1), np.maximum(width - 1, 0)[:, None])
+    cell += indptr[:-1, None]
+    cell = np.take(cands, cell, mode="clip")
+    cell[lens == 0] = q
+    cell[:, w] = q + 1
+    vbase = np.arange(0, n * span, span)
+    cell += vbase[:, None]
+    # a back slot's cell is its vertex's row plus its earlier neighbour's code
+    base = np.repeat(vbase, earlier.lens)
+    key = np.empty_like(base)
+    mark0 = np.zeros((n, span), dtype=bool)
+    mark0[:, q] = True
+    mark, hit = np.empty_like(mark0), np.empty(cell.shape, dtype=bool)
+    window = np.arange(0, n * (w + 1), w + 1)
+    col = np.minimum(cell[:, 0] - vbase, q)
+    changed, before = 0, n + 1
+    for _ in range(n.bit_length()):
+        np.copyto(mark, mark0)
+        # every index is in range; "wrap" lets take write `out` unbuffered
+        np.take(col, head, out=key, mode="wrap")
+        key += base
+        mark.ravel()[key] = True
+        np.take(mark, cell, out=hit, mode="wrap")
+        new = cell.ravel()[window + hit.argmin(1)]
+        new -= vbase
+        np.minimum(new, q, out=new)
+        diff = new != col
+        changed, col = np.count_nonzero(diff), new
+        if not changed or changed >= before:
+            break
+        before = changed
+    return col, int(pos[diff].min()) + 1 if changed else n
+
+
+def _greedy_walk(vertices, col: list, earlier: Rows, cands, indptr):
+    """First-fit over `vertices` in turn: v takes its first candidate that
+    none of its earlier neighbours' `col` holds. Returns the first vertex
+    left with none, or None."""
+    # memoryviews hand out each int as it is read, so no list of m ints is built
+    cands, c_start = memoryview(cands), indptr.tolist()
+    heads, start = memoryview(earlier.values), earlier.indptr.tolist()
+    for v in vertices:
+        blocked = {col[u] for u in heads[start[v] : start[v + 1]]}
         for c in cands[c_start[v] : c_start[v + 1]]:
             if c not in blocked:
                 col[v] = c
                 break
         else:
-            return None, v
-    return PartialColoring(dict(enumerate(col))), None
+            return v
+    return None
+
+
+def _greedy_lists(g: Graph, rows: Rows):
+    """The greedy rule of `greedy_color` on list `Rows` of any ids, no id
+    twice in a row; `_greedy_generic` is its cover twin. Greedy stops at
+    its first stuck vertex, so v's uncolored neighbours at its turn are the
+    later ones, and every score is one `directed_counts` over the CSR slots
+    to them. v's candidates are its list sorted by (score, place in the
+    row), and v takes the first one that none of its earlier neighbours
+    holds: first-fit on the ids' ranks.
+
+    While `sparsify._dense`'s n x q bound holds, settling rounds
+    (`_greedy_rounds`) find greedy's colors for a leading part of the
+    order, all of it when they settle; `_greedy_walk` colors the rest
+    vertex by vertex."""
+    n, lens = g.n, rows.lens
+    row = g.slot_rows()
+    # the ids ranked once, for both kernels, the rounds and the walk
+    ids, codes = ranked(rows.values)
+    q = ids.size
+    dense = Rows(codes, rows.indptr)
+    shared = q and (lens == q).all() and (codes.reshape(n, -1) == np.arange(q)).all()
+    if shared:
+        # max c-degree is the degree, and every score ties
+        maxc = g.degrees()
+    else:
+        maxc = np.full(n, -1, dtype=np.int64)
+        np.maximum.at(maxc, dense.owner, directed_counts(row, g.indices, dense, q))
+    order = stable_order(-maxc)
+    pos = np.empty_like(order)
+    pos[order] = np.arange(n)
+    # the CSR slots to later neighbours (the scores'); the rest, kept as
+    # rows, are each vertex's earlier neighbours
+    later = pos[g.indices] > pos[row]
+    del row
+    back = np.flatnonzero(~later)
+    earlier = Rows(g.indices[back], np.searchsorted(back, g.indptr))
+    del back
+    cands = codes
+    if not shared:
+        # each list's entries by (score, place in the row), lists in vertex
+        # order: one stable sort of the (vertex, score) keys, built in place
+        ahead = np.repeat(np.arange(n), g.degrees() - earlier.lens)
+        score = directed_counts(ahead, g.indices.compress(later), dense, q)
+        del ahead, later
+        key = dense.owner
+        key *= score.max(initial=0) + 1
+        key += score
+        del score
+        cands = codes[stable_order(key)]
+        del key
+    col, settled = np.full(n, q), 0
+    if q and _dense(dense, q, g.indices.size)[2]:
+        col, settled = _greedy_rounds(pos, earlier, cands, rows.indptr, q)
+    # greedy is stuck at the first vertex the rounds settle without a color
+    uncolored = np.flatnonzero(col[order[:settled]] == q)
+    if uncolored.size:
+        return None, int(order[uncolored[0]])
+    if settled < n:
+        col = col.tolist()
+        stuck = _greedy_walk(order[settled:].tolist(), col, earlier, cands, rows.indptr)
+        if stuck is not None:
+            return None, stuck
+    return PartialColoring(dict(enumerate(ids[col].tolist()))), None
 
 
 def greedy_color(g: Graph, obj):
@@ -751,7 +843,7 @@ def greedy_color(g: Graph, obj):
     Returns (coloring | None, stuck vertex | None).
 
     A cover runs `_greedy_generic` over its pair index (`_Instance.pairs`),
-    lists run `_greedy_lists` on their ids."""
+    lists run `_greedy_lists` on their ids' ranks, in settling rounds."""
     inst = _as_instance(g, obj)
     if inst.cover is not None:
         return _greedy_generic(inst)

@@ -253,7 +253,8 @@ def sample_palettes(palettes, s: int, seed: int) -> PaletteFamily:
 # 16 and 2.2x at 32, and lose 1.8x at 64 and 3x at 128. No workload or
 # acceptance test reaches q/s > 32, nor does `derive_params` at alpha = 0.5,
 # gamma = 0.1, epsilon <= 1 for delta < n, delta <= 1000 (q/s <= 31), so the
-# table is gone rather than kept as a second path.
+# table is gone rather than kept as a second path. The list greedy's settling
+# rounds (`nibble._greedy_rounds`, n x (q + 2) marks) run under the same bound.
 _TABLE_CELLS = 64
 
 # keys per chunk of the join and of survival: 2**16 (0.5 MB), or more when
@@ -324,6 +325,15 @@ def _joined(heads, tails, rows: Rows):
         yield i[a >= 0], a[a >= 0]
 
 
+def _whole(rows: Rows, q: int) -> np.ndarray:
+    """Bool mask of the rows over 0..q-1 that hold all q ids: q entries, no
+    id twice."""
+    whole = rows.lens == q
+    if whole.any():
+        whole &= ~rows.repeats()
+    return whole
+
+
 def _counts(directions, rows: Rows, q: int, table: bool) -> np.ndarray:
     """`directed_counts` summed over the (heads, tails) of `directions`, one
     direction at a time, by `_lanes` over the uint8 n x q `member` (row v
@@ -333,7 +343,7 @@ def _counts(directions, rows: Rows, q: int, table: bool) -> np.ndarray:
         size = rows.values.size
         return sum((np.bincount(a, minlength=size) for heads, tails in directions
                     for _, a in _joined(heads, tails, rows)), np.zeros(size, dtype=np.int64))
-    n, owner, whole = len(rows), rows.owner, rows.lens == q
+    n, owner, whole = len(rows), rows.owner, _whole(rows, q)
     every = whole.all()
     counts = sum(np.bincount(h if every else h[whole[t]], minlength=n)
                  for h, t in directions)[owner]
@@ -369,6 +379,9 @@ def shared_edges(us, vs, rows, universe: int | None = None) -> np.ndarray:
     the AND of its two bit masks is nonzero, one 1-D gather of a word
     column per end and word, a chunk of pairs at a time."""
     rows, q, table = _dense(rows, universe, us.size)
+    if q and _whole(rows, q).all():
+        # any two whole rows share every id
+        return np.ones(us.size, dtype=bool)
     hit = np.zeros(us.size, dtype=bool)
     if not table:
         for i, _ in _joined(us, vs, rows):

@@ -8,9 +8,10 @@ stream holds only its (r, 2) endpoint array: retention is one
 `shared_edges` call over all records, and since the ledger total only
 grows over the pass, its peak is the final total or the total at the
 stored edge that first crosses the cap. The stored edges stay an array (a
-`Rows` of pairs), and the counters, sums over stored edges, then come
-from `conflict_counts`. Cover
-streams test retention record by record; the stored pairs then form a
+`Rows` of pairs, in stream order); the counters, sums over stored edges,
+come from `directed_counts` over the CSR slots of one `Graph` of them, and
+the conflict graph is cut from its sorted edge arrays. Cover streams test
+retention record by record; the stored pairs then form a
 cover whose `color_degrees` are the counters, and `restrict_cover` cuts
 it down to the pruned samples. The ledger uses a
 concrete word model: one word per id or counter, two words per stored
@@ -41,7 +42,7 @@ from .sparsify import (
     PaletteFamily,
     SharedPalette,
     SparsifyParams,
-    conflict_counts,
+    directed_counts,
     sample_palettes,
     shared_edges,
 )
@@ -247,10 +248,17 @@ def stream_color(stream: EdgeStream, n: int, params: SparsifyParams, seed: int,
 
     delta = int(np.bincount(ends.ravel(), minlength=n).max(initial=0)) \
         if delta_from_stream else params.delta_ref
-    pruned = fam.sampled.keep(conflict_counts(su, sv, fam.sampled, q) <= params.threshold(delta))
+    # the stored pairs as a graph, counted over its CSR slots and cut down
+    # from its sorted edge arrays
+    held = Graph(n, pairs)
+    counts = directed_counts(held.slot_rows(), held.indices, fam.sampled, q)
+    pruned = fam.sampled.keep(counts <= params.threshold(delta))
     fam = PaletteFamily(fam.sampled, pruned, fam.universe)
-    hit = shared_edges(su, sv, pruned, q)
-    sub = Graph(n, pairs[hit])
+    us, vs = held.edge_arrays()
+    hit = shared_edges(us, vs, pruned, q)
+    sub = Graph(n, np.column_stack((us[hit], vs[hit])))
+    # only the conflict graph goes on to the solver
+    del held, us, vs, counts
     if (pruned.lens == 0).any():
         return StreamResult(None, ledger, fam, stored, None,
                             error="a vertex lost every sampled color in pruning")

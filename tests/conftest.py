@@ -514,3 +514,36 @@ def oracle_greedy_cover(g: Graph, cov: CorrespondenceCover):
             return None, v
         assignment[v] = best[1]
     return PartialColoring(dict(sorted(assignment.items()))), None
+
+
+def oracle_greedy_walk(g: Graph, rows):
+    """(coloring | None, stuck vertex | None) of list greedy by loops over
+    adjacency sets: vertices by descending max c-degree (an empty list
+    counts -1; ties: smaller vertex), each list sorted by how many later
+    neighbours hold the id (ties: place in the row), then one first-fit
+    walk in that order, each vertex skipping its earlier neighbours' colors."""
+    rows = [tuple(row) for row in rows]
+    n, nbrs = g.n, oracle_adjacency(g)
+    maxc = [max((sum(1 for u in nbrs[v] if c in rows[u]) for c in rows[v]), default=-1)
+            for v in range(n)]
+    order = sorted(range(n), key=lambda v: (-maxc[v], v))
+    pos = {v: i for i, v in enumerate(order)}
+    earlier = [sorted(u for u in nbrs[v] if pos[u] < pos[v]) for v in range(n)]
+    start = list(itertools.accumulate((len(e) for e in earlier), initial=0))
+    earlier = [u for e in earlier for u in e]
+    def score(v, c):
+        return sum(1 for u in nbrs[v] if pos[u] > pos[v] and c in rows[u])
+
+    cands = [sorted(row, key=lambda c: (score(v, c), row.index(c))) for v, row in enumerate(rows)]
+    c_start = list(itertools.accumulate(map(len, cands), initial=0))
+    cands = [c for row in cands for c in row]
+    col = [None] * n
+    for v in order:
+        blocked = {col[u] for u in earlier[start[v] : start[v + 1]]}
+        for c in cands[c_start[v] : c_start[v + 1]]:
+            if c not in blocked:
+                col[v] = c
+                break
+        else:
+            return None, v
+    return PartialColoring(dict(enumerate(col))), None

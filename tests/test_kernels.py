@@ -480,6 +480,40 @@ class TestConflictCounts:
             assert counts.tolist() == [g.degree(v) for v in range(5) for _ in range(4)]
 
 
+class TestRepeatedIds:
+    """A row of q entries that holds an id twice lacks another id, so it is
+    not a whole palette: a kernel that took it as one would count, or keep,
+    pairs whose rows share nothing."""
+
+    ROWS = [(1,), (0, 0)]
+
+    def test_counts_and_survival_on_both_paths(self):
+        heads, tails = np.array([0]), np.array([1])
+        for cells in (0, 2 ** 62):
+            with mock.patch.object(sparsify, "_TABLE_CELLS", cells):
+                assert directed_counts(heads, tails, self.ROWS).tolist() == [0, 0, 0]
+                assert conflict_counts(heads, tails, self.ROWS).tolist() == [0, 0, 0]
+                assert directed_counts(heads, tails, self.ROWS, 2).tolist() == [0, 0, 0]
+                assert shared_edges(heads, tails, self.ROWS).tolist() == [False]
+
+    @FAST
+    @given(st.integers(1, 8), st.integers(1, 6), st.data())
+    def test_table_counts_match_the_oracle(self, n, q, data):
+        # rows of any ids with repeats, many of them q long; every entry of
+        # an id counts the pairs whose tail row holds it
+        row = st.lists(st.integers(0, q - 1), max_size=q + 1).map(sorted).map(tuple)
+        rows = [data.draw(st.just(tuple(range(q))) | st.just((q - 1,) * q) | row)
+                for _ in range(n)]
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                   max_size=30))
+        heads = np.array([h for h, _ in pairs], dtype=np.int64)
+        tails = np.array([t for _, t in pairs], dtype=np.int64)
+        sets = [tuple(sorted(set(row))) for row in rows]
+        want = at_entries(oracle_directed_counts(n, heads.tolist(), tails.tolist(), sets, q), rows)
+        with mock.patch.object(sparsify, "_TABLE_CELLS", 2 ** 62):
+            assert directed_counts(heads, tails, rows, q).tolist() == want
+
+
 class TestDirectedCounts:
     @FAST
     @given(st.integers(1, 8), st.integers(1, 6), st.booleans(), PATHS, st.data())
@@ -657,6 +691,24 @@ class TestSurvivingEdges:
             bits = [c for c in range(masks.shape[1] * 64)
                     if int(masks[v, c >> 6]) >> (c & 63) & 1]
             assert bits == list(row)
+
+    @pytest.mark.parametrize("q", [1, 64, 65])
+    def test_whole_rows_need_no_masks(self, q):
+        # whole, partial, empty and repeated-id rows, then every row whole:
+        # with every row whole any two share an id, so no mask is built
+        g = gen_bipartite(60, 5, seed=q)
+        us, vs = g.edge_arrays()
+        whole, rng = tuple(range(q)), np.random.default_rng(q)
+        mixed = [whole, (), (0,) * q, tuple(sorted(rng.choice(q, q // 2 + 1, replace=False)))]
+        for rows in ([mixed[v % 4] for v in range(g.n)], [whole] * g.n):
+            want = oracle_surviving_edges(g, rows)
+            for cells in (0, 2 ** 62):
+                with mock.patch.object(sparsify, "_TABLE_CELLS", cells), \
+                        mock.patch.object(sparsify, "_packed_masks",
+                                          wraps=sparsify._packed_masks) as masks:
+                    hit = shared_edges(us, vs, rows, q)
+                assert list(zip(us[hit].tolist(), vs[hit].tolist())) == want
+                assert masks.called == (cells > 0 and rows[1] != whole)
 
     def test_edgeless_graph(self):
         g = Graph(3)

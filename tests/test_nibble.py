@@ -10,13 +10,14 @@ from conftest import (
     oracle_cover_colorings,
     oracle_finish_lll,
     oracle_greedy_cover,
+    oracle_greedy_walk,
     random_covers,
     random_cover_for,
     random_graph,
     random_lists,
     rng_for,
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from palettesparse.cover import (
@@ -27,7 +28,7 @@ from palettesparse.cover import (
     random_cover,
 )
 from palettesparse.graphcore import Graph, gen_bipartite, gen_locally_sparse
-from palettesparse import nibble
+from palettesparse import nibble, sparsify
 from palettesparse.nibble import (
     BudgetExceeded,
     InstanceTooLarge,
@@ -45,7 +46,15 @@ from palettesparse.nibble import (
     verify_coloring,
     wcp_round,
 )
-from palettesparse.sparsify import PaletteFamily, build_conflict, manual_params, prune
+from palettesparse.sparsify import (
+    PaletteFamily,
+    SharedPalette,
+    build_conflict,
+    manual_params,
+    prune,
+    sample_palettes,
+)
+from palettesparse.streaming import EdgeStream, stream_color
 
 
 def reference_greedy(g, lists):
@@ -386,6 +395,11 @@ class TestVerify:
         assert not res.ok and res.witness == first
 
 
+PATH = (Graph(12, [(v, v + 1) for v in range(11)]), ListAssignment(((0, 1),) * 12))
+PATH_STUCK_AT_THE_END = (Graph(13, [(v, v + 1) for v in range(12)]),
+                         ListAssignment(((0, 1),) * 12 + ((0,),)))
+
+
 @st.composite
 def list_instances(draw):
     """(graph, lists) with arbitrary ids: rows drawn from a small pool, some
@@ -411,6 +425,65 @@ class TestGreedy:
         got, want = greedy_color(g, lists), reference_greedy(g, lists)
         assert got[1] == want[1]
         assert (got[0] and got[0].assignment) == (want[0] and want[0].assignment)
+
+    @settings(max_examples=200, deadline=None)
+    @given(list_instances(), st.sampled_from([0, 2 ** 62]))
+    @example((Graph(0), ListAssignment(())), 2 ** 62)
+    @example((Graph(1), ListAssignment(((),))), 2 ** 62)
+    @example((Graph(2), ListAssignment(((7,), ()))), 2 ** 62)
+    # a path in index order with lists {0, 1}: each round settles one
+    # more vertex, so the rounds stop first and the walk finishes
+    @example(PATH, 2 ** 62)
+    # the second end of an edge with one shared id is stuck in the prefix
+    # the rounds settle
+    @example((Graph(2, [(0, 1)]), ListAssignment(((5,), (5,)))), 2 ** 62)
+    # the path plus an end whose only id its neighbour takes: stuck in the
+    # walk's suffix
+    @example(PATH_STUCK_AT_THE_END, 2 ** 62)
+    @example(PATH, 0)
+    def test_matches_the_walk(self, inst, cells):
+        # with the n x q bound at 0 no round runs and the walk colors every
+        # vertex; huge, the rounds run on every instance with an id
+        g, lists = inst
+        want = oracle_greedy_walk(g, lists.lists)
+        with mock.patch.object(sparsify, "_TABLE_CELLS", cells):
+            got = greedy_color(g, lists)
+        assert got[1] == want[1]
+        assert (got[0] and got[0].assignment) == (want[0] and want[0].assignment)
+
+    def test_rounds_leave_the_walk_nothing_on_a_sparse_stream(self):
+        # stream-sparse's regime (q = 4*delta, s = 8): the rounds settle
+        # the whole order, while on the path they stop and the walk
+        # colors a suffix
+        g = gen_bipartite(2000, 16, seed=1)
+        stream = EdgeStream.from_graph(g, permute_seed=0)
+        params = manual_params(16, 0.1, 1.5, q=64, s=8)
+        for seed in range(3):
+            with mock.patch.object(nibble, "_greedy_walk", wraps=nibble._greedy_walk) as walk:
+                out = stream_color(stream, g.n, params, seed, policy="greedy")
+            assert out.solve_result.chosen == "greedy"
+            assert walk.call_count == 0
+        with mock.patch.object(nibble, "_greedy_walk", wraps=nibble._greedy_walk) as walk:
+            coloring, stuck = greedy_color(*PATH)
+        assert stuck is None
+        assert coloring.assignment == oracle_greedy_walk(PATH[0], PATH[1].lists)[0].assignment
+        assert walk.call_count == 1 and 0 < len(walk.call_args.args[0]) < PATH[0].n
+
+    def test_peak_stays_under_six_words_per_entry(self):
+        # n = 2*10^4, 480,000 entries: before the rounds, greedy peaked at
+        # 25.3 MB here (55 bytes per entry), at its candidate sort
+        import tracemalloc
+
+        g = gen_bipartite(20_000, 16, seed=1)
+        lists = ListAssignment(sample_palettes(SharedPalette(g.n, 33), 24, seed=0).sampled)
+        tracemalloc.start()
+        try:
+            coloring, stuck = greedy_color(g, lists)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stuck is None and verify_coloring(g, lists, coloring).ok
+        assert peak < 6 * 8 * lists.lists.values.size
 
     def test_paths_agree(self):
         rng = rng_for(23)
