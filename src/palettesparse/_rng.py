@@ -33,8 +33,6 @@ TAG_SOLVE = 7
 
 # bounded draws per pass over the raw stream (each costs a few int64 temporaries)
 _CHUNK = 1 << 16
-_HALF = np.uint64(0xFFFFFFFF)
-_SHIFT = np.uint64(32)
 # Generator.choice shuffles a whole index range (the tail branch) instead of
 # Floyd's draws when k > _TAIL_K and s > k // _TAIL_RATIO
 _TAIL_K = 10000
@@ -52,48 +50,46 @@ def bounded(rng: np.random.Generator, bounds) -> np.ndarray:
 
     Bounds lie in 1..2**32, the range numpy draws from one 32-bit output;
     a bound of 1 gives 0 and uses no output, as in numpy. The outputs are
-    split from `random_raw` words with shifts and masks, so the result does
-    not depend on byte order; an output left over from one chunk (or from
-    an earlier call) goes to the next draw.
+    the `random_raw` words read as little-endian uint32 pairs, so the
+    result does not depend on byte order; an output left pending by an
+    earlier call goes to the first draw, and one left over at the end is
+    left pending for the next call.
     """
     bounds = np.asarray(bounds, dtype=np.uint64)
-    if ((bounds == 0) | (bounds > 1 << 32)).any():
+    least = bounds.min(initial=2)
+    if least == 0 or bounds.max(initial=1) > 1 << 32:
         raise ValueError("bounds must lie in 1..2**32")
-    out = np.zeros(bounds.size, dtype=np.int64)
-    if not (bounds > 1).any():
-        return out
+    live = None if least > 1 else bounds > 1
+    r = bounds if live is None else bounds.compress(live)
+    top = int(r.max(initial=0))
+    got = np.empty(r.size, dtype=np.uint64)
     bitgen = rng.bit_generator
     state = bitgen.state
-    spare = np.array([state["uinteger"]] * state["has_uint32"], dtype=np.uint64)
-    for lo in range(0, bounds.size, _CHUNK):
-        live = bounds[lo:lo + _CHUNK] > 1
-        r = bounds[lo:lo + _CHUNK][live]
-        got = np.empty(r.size, dtype=np.uint64)
-        p = 0
-        while p < r.size:
-            need = r.size - p
-            if spare.size < need:
-                words = bitgen.random_raw((need - spare.size + 1) // 2)
-                state["uinteger"] = int(words[-1] >> _SHIFT)
-                spare = np.concatenate((spare, np.empty(2 * words.size, dtype=np.uint64)))
-                fresh = spare[spare.size - 2 * words.size:]
-                np.bitwise_and(words, _HALF, out=fresh[0::2])
-                np.right_shift(words, _SHIFT, out=fresh[1::2])
-            m = spare[:need] * r[p:]
-            np.right_shift(m, _SHIFT, out=got[p:])
-            m &= _HALF
-            # an output is rejected when (u*r) mod 2**32 < 2**32 mod r, so
-            # only those with the low half below r need the remainder
-            bad = np.flatnonzero(m < r[p:])
-            bad = bad[m[bad] < np.uint64(1 << 32) % r[p:][bad]]
-            # the rejected output is spent; the redo starts at its position
-            j = int(bad[0]) if bad.size else need
-            spare = spare[j + (j < need):]
-            p += j
-        out[lo:lo + _CHUNK][live] = got
-    # an odd number of outputs used leaves the high half of the last word
-    # pending, where the next `integers` call takes it
-    bitgen.state = {**bitgen.state, "has_uint32": spare.size, "uinteger": state["uinteger"]}
+    # the outputs fetched and not used yet, in stream order
+    pool = np.array([state["uinteger"]] * state["has_uint32"], dtype=np.uint32)
+    p = 0
+    while p < r.size:
+        if not pool.size:
+            words = bitgen.random_raw((min(r.size - p, _CHUNK) + 1) // 2)
+            pool = words.astype("<u8", copy=False).view("<u4")
+            state["uinteger"] = int(pool[-1])
+        j = min(pool.size, r.size - p)
+        m = np.multiply(pool[:j], r[p:p + j], out=got[p:p + j])
+        # an output is rejected when (u*r) mod 2**32 < 2**32 mod r, so
+        # only those with the low half below the largest bound need the
+        # remainder
+        bad = np.flatnonzero(m.astype(np.uint32) < top)
+        bad = bad[(m[bad] & 0xFFFFFFFF) < np.uint64(1 << 32) % r[p:p + j][bad]]
+        # the rejected output is spent; the redo starts at its position
+        took = int(bad[0]) if bad.size else j
+        np.right_shift(m, 32, out=m)
+        pool = pool[took + (took < j):]
+        p += took
+    bitgen.state = {**bitgen.state, "has_uint32": pool.size, "uinteger": state["uinteger"]}
+    if live is None:
+        return got.view(np.int64)
+    out = np.zeros(bounds.size, dtype=np.int64)
+    out[np.flatnonzero(live)] = got
     return out
 
 
@@ -108,97 +104,80 @@ def choice_rows(rng: np.random.Generator, lens, s: int) -> np.ndarray:
     already picked and then takes k-s+t, and spends s-1 shuffle draws with
     bounds s .. 2 (rows come out sorted, so the shuffle is not replayed).
     The tail branch draws bounds k .. k-s+1 as partial Fisher-Yates swaps
-    from the end of 0..k-1.
+    from the end of 0..k-1; they leave in the last s positions the set
+    that Floyd's picks make of the same draws in reverse order (by
+    induction on the first swap), so `_floyd` replays both.
     """
     lens = np.asarray(lens, dtype=np.int64)
-    steps = np.arange(s)
     block = np.empty((lens.size, s), dtype=np.int64)
-    block[:] = steps
+    block[np.flatnonzero(lens == s)] = np.arange(s)
     per = max(1, _CHUNK // (2 * s))
     for lo in range(0, lens.size, per):
         at = lo + np.flatnonzero(lens[lo:lo + per] > s)  # the rows that draw
         if not at.size:
             continue
         k = lens[at]
-        low = k[:, None] - s
-        tail = (k > _TAIL_K) & (s > k // _TAIL_RATIO)
+        tail = np.flatnonzero((k > _TAIL_K) & (s > k // _TAIL_RATIO))
         # bounds in stream order; a bound of 1 draws nothing
-        bounds = np.ones((at.size, 2 * s - 1), dtype=np.uint64)
-        bounds[:, :s] = np.where(tail[:, None], k[:, None] - steps, low + 1 + steps)
-        bounds[~tail, s:] = s - steps[:-1]
+        bounds = np.empty((at.size, 2 * s - 1), dtype=np.uint64)
+        np.add(np.arange(s, dtype=np.uint64), (k - s + 1).astype(np.uint64)[:, None],
+               out=bounds[:, :s])
+        bounds[:, s:] = np.arange(s, 1, -1, dtype=np.uint64)
+        # a tail row draws Floyd's bounds in reverse order and no shuffle
+        bounds[tail, :s] = bounds[tail, s - 1::-1]
+        bounds[tail, s:] = 1
         vals = bounded(rng, bounds.ravel()).reshape(bounds.shape)[:, :s]
-        for pick, replay in ((~tail, _floyd), (tail, _tail)):
-            if pick.any():
-                block[at[pick]] = replay(vals[pick], low[pick])
-    block.sort(axis=1)
+        vals[tail] = vals[tail, ::-1]
+        rows = _floyd(vals, k - s)
+        rows.sort(axis=1)
+        block[at] = rows
     return block
 
 
-def _runs(vals: np.ndarray):
-    """(steps, again) for each row of `vals` sorted by (value, step):
-    steps[i, j] is the step of the j-th entry, and again[i, j] is True
-    when its value equals the one before."""
-    bits = max(1, (vals.shape[1] - 1).bit_length())
-    keys = vals << bits | np.arange(vals.shape[1])
-    keys.sort(axis=1)
-    again = np.zeros(keys.shape, dtype=bool)
-    again[:, 1:] = (keys[:, 1:] >> bits) == (keys[:, :-1] >> bits)
-    return keys & ((1 << bits) - 1), again
-
-
-def _roots(link: np.ndarray) -> np.ndarray:
-    """The step where each chain of links ends: link[i, t] is an earlier
-    step of row i, or -1 where the chain stops. Pointer jumping, so
-    O(log s) passes over the steps still linked."""
-    g, s = link.shape
-    flat = link.ravel()
-    to = np.arange(g * s)
-    at = np.flatnonzero(flat >= 0)
-    to[at] = to[at] - to[at] % s + flat[at]
+def _roots(to: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Where each chain of links ends, as a flat position: to[i] is the
+    earlier position that position i links to, or i itself where its chain
+    stops, and `at` holds the positions that link. Pointer jumping in
+    place, so O(log s) passes over the positions still linked."""
     while at.size:
-        to[at] = to[to[at]]
-        at = at[flat[to[at]] >= 0]
-    return (to % s).reshape(g, s)
+        nxt = to[to[at]]
+        to[at] = nxt
+        at = at.compress(to[nxt] != nxt)
+    return to
 
 
 def _floyd(vals: np.ndarray, low: np.ndarray) -> np.ndarray:
     """Floyd's picks from the raw draws vals[:, t] in 0..low+t. Draw t was
     already picked, and takes low+t instead, when it repeats an earlier
     draw, or when it is low+u for an earlier step u that was itself
-    already picked (and so took low+u)."""
-    g, s = vals.shape
-    rows = np.arange(g)[:, None]
-    steps, again = _runs(vals)
-    repeat = np.zeros(vals.shape, dtype=bool)
-    repeat[rows, steps] = again
-    back = vals - low
-    link = np.where((back >= 0) & (back < np.arange(s)) & ~repeat, back, -1)
-    return np.where(repeat[rows, _roots(link)], low + np.arange(s), vals)
+    already picked (and so took low+u).
 
-
-def _tail(vals: np.ndarray, low: np.ndarray) -> np.ndarray:
-    """The positions k-s..k-1 hold after step t swaps position k-1-t with
-    draw vals[:, t]. Only draws move values: step t takes the value its
-    draw's position got at the last earlier step that drew it (or that
-    position itself), and gives that position the value position k-1-t
-    held, which came the same way from the last earlier step that drew
-    k-1-t (or is k-1-t itself)."""
+    Repeats show in one sort per row of keys (value, flat position).
+    Masks select by multiplication, as a select or a mask index with a
+    random mask is several times slower, and the sort's arrays are reused
+    as they fall free. Draws lie below 2**32."""
     g, s = vals.shape
-    rows = np.arange(g)[:, None]
-    steps, again = _runs(vals)
-    # the last earlier step with the same draw
-    prev = np.full(vals.shape, -1)
-    prev[rows, steps[:, 1:]] = np.where(again[:, 1:], steps[:, :-1], -1)
-    # the last earlier step that drew k-1-t; a draw of v is made at a step
-    # no later than k-1-v, so it is the last step drawing v, unless that
-    # is step k-1-v itself
-    last = np.ones(vals.shape, dtype=bool)
-    last[:, :-1] = ~again[:, 1:]
-    v = np.take_along_axis(vals, steps, axis=1)
-    own = low + s - 1 - v
-    before = np.where(steps == own, prev[rows, steps], steps)
-    drew = np.full(vals.shape, -1)
-    hit = last & (v >= low)
-    drew[np.broadcast_to(rows, hit.shape)[hit], own[hit]] = before[hit]
-    held = low + s - 1 - _roots(drew)  # what position k-1-t holds at step t
-    return np.where(prev >= 0, held[rows, prev], vals)
+    steps = np.arange(s)
+    pos = np.arange(g * s).reshape(g, s)
+    bits = max(1, (g * s - 1).bit_length())
+    keys = np.left_shift(vals, bits)
+    keys |= pos
+    keys.sort(axis=1)
+    at = keys & ((1 << bits) - 1)  # the flat position of each sorted draw
+    np.right_shift(keys, bits, out=keys)
+    repeat = np.empty(g * s, dtype=bool)
+    repeat[at.ravel()[1:]] = keys.ravel()[1:] == keys.ravel()[:-1]
+    repeat[at[:, 0]] = False  # the first entry of a row
+    picks = np.add(low[:, None], steps, out=keys)
+    # e = low+t - vals[:, t]; with 0 < e <= t draw t is low+u for the
+    # earlier step u = t-e and links to it, unless it repeats an earlier
+    # draw, as then it was picked whatever u did
+    e = np.subtract(picks, vals, out=at)
+    linked = e <= steps
+    linked &= e > 0
+    linked &= ~repeat.reshape(g, s)
+    to = np.subtract(pos, e * linked, out=pos).ravel()
+    took = repeat[_roots(to, np.flatnonzero(linked))]
+    e *= ~took.reshape(g, s)  # a draw that took low+t keeps it
+    picks -= e
+    return picks

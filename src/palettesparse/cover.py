@@ -106,13 +106,18 @@ class Rows(Sequence):
             out = cls(values[np.lexsort((values, owner))], out.indptr)
         return out
 
+    def again(self) -> np.ndarray:
+        """Bool mask of the entries equal to the entry before in their row
+        (a row holding an id twice holds the copies next to each other)."""
+        again = np.empty(self.values.size, dtype=bool)
+        np.equal(self.values[1:], self.values[:-1], out=again[1:])
+        again[self.indptr[:-1][self.indptr[:-1] < again.size]] = False  # each row's first
+        return again
+
     def repeats(self) -> np.ndarray:
-        """Bool mask of the rows holding some id twice (next to each other,
-        as rows ascend)."""
-        owner = self.owner
-        dup = (self.values[1:] == self.values[:-1]) & (owner[1:] == owner[:-1])
+        """Bool mask of the rows holding some id twice."""
         twice = np.zeros(len(self), dtype=bool)
-        twice[owner[1:][dup]] = True
+        twice[np.searchsorted(self.indptr, np.flatnonzero(self.again()), side="right") - 1] = True
         return twice
 
     def first_repeat(self) -> int | None:
@@ -271,6 +276,8 @@ class CorrespondenceCover:
     and then diagnosed by `validate_cover`.
     """
 
+    _max_degree = None
+
     def __init__(self, lists, matchings, source_color=None):
         """From a dict of pairs per edge: an edge keyed (v, u) is turned
         round, each edge's pairs are sorted, and the dict is encoded as
@@ -330,7 +337,10 @@ class CorrespondenceCover:
                 zip(a.eu[first].tolist(), a.ev[first].tolist(), bounds, bounds[1:])}
 
     def max_color_degree(self) -> int:
-        return int(color_degrees(self).max(initial=0))
+        """The largest color degree, counted once per cover."""
+        if self._max_degree is None:
+            self._max_degree = int(color_degrees(self).max(initial=0))
+        return self._max_degree
 
     def __repr__(self):
         return f"CorrespondenceCover(n={self.n}, colors={self.num_colors})"
@@ -371,22 +381,27 @@ def restrict_cover(cov: CorrespondenceCover, rows, vertices=None):
     """
     a = cov.arrays
     rows = Rows.of(rows)
-    if vertices is None:
-        vertices = np.ones(len(rows), dtype=bool)
-    on = np.repeat(vertices, rows.lens)
-    ranks = a.rank(rows.values)[on]
+    ranks = a.rank(rows.values)
+    if vertices is not None:
+        on = np.repeat(vertices, rows.lens)
+        rows, ranks = Rows(rows.values[on], _offsets(rows.lens[vertices])), ranks[on]
     keep = np.zeros(a.colors.size, dtype=bool)
     keep[ranks] = True
-    hit = keep[a.ra] & keep[a.rb] & vertices[a.eu] & vertices[a.ev]
-    new_id = np.cumsum(vertices) - 1
-    eu, ev = new_id[a.eu[hit]], new_id[a.ev[hit]]
-    new_rank = np.cumsum(keep) - 1
-    lists = Rows(rows.values[on], _offsets(rows.lens[vertices]))
-    sub = CorrespondenceCover._of(lists, CoverArrays(
-        a.colors[keep], eu, ev, new_rank[a.ra[hit]], new_rank[a.rb[hit]], new_rank[ranks],
-        lists.lens), cov._source)
-    first = _edge_starts(eu, ev)
-    return sub, np.column_stack((eu[first], ev[first]))
+    at = np.flatnonzero(keep[a.ra] & keep[a.rb])
+    eu, ev = a.eu.take(at), a.ev.take(at)
+    if vertices is not None:
+        stay = np.flatnonzero(vertices[eu] & vertices[ev])
+        new_id = np.cumsum(vertices) - 1
+        at, eu, ev = at[stay], new_id[eu[stay]], new_id[ev[stay]]
+    # each kept color's new rank; the others are never read
+    kept = np.flatnonzero(keep)
+    new_rank = np.empty(a.colors.size, dtype=np.int64)
+    new_rank[kept] = np.arange(kept.size)
+    sub = CorrespondenceCover._of(rows, CoverArrays(
+        a.colors.take(kept), eu, ev, new_rank.take(a.ra.take(at)), new_rank.take(a.rb.take(at)),
+        new_rank.take(ranks), rows.lens), cov._source)
+    first = np.flatnonzero(_edge_starts(eu, ev))
+    return sub, np.column_stack((eu.take(first), ev.take(first)))
 
 
 def clashing_pairs(cov: CorrespondenceCover, at, ids) -> np.ndarray:

@@ -237,7 +237,8 @@ def sample_palettes(palettes, s: int, seed: int) -> PaletteFamily:
             raise PaletteTooSmall(f"palette of vertex {v} has {int(lens[v])} colors, need {s}")
     block = choice_rows(substream(seed, TAG_PALETTE), lens, s)
     if universe is None:
-        block = palettes.values[block + palettes.indptr[:-1, None]]
+        block += palettes.indptr[:-1, None]
+        block = palettes.values.take(block)
     return PaletteFamily(Rows(block.ravel(), np.arange(0, n * s + 1, s)), universe=universe)
 
 
@@ -340,9 +341,14 @@ def _counts(directions, rows: Rows, q: int, table: bool) -> np.ndarray:
     marks rows[v]) or by the join (see `_dense`). A whole-palette tail row
     adds its head's degree instead; when every row is whole, that is all."""
     if not table:
-        size = rows.values.size
-        return sum((np.bincount(a, minlength=size) for heads, tails in directions
-                    for _, a in _joined(heads, tails, rows)), np.zeros(size, dtype=np.int64))
+        # the join finds one entry per id both rows hold: rows join with
+        # repeated ids cut, and each copy takes the count of the first
+        first = ~rows.again()
+        cut = rows if first.all() else rows.keep(first)
+        size = cut.values.size
+        counts = sum((np.bincount(a, minlength=size) for heads, tails in directions
+                      for _, a in _joined(heads, tails, cut)), np.zeros(size, dtype=np.int64))
+        return counts if cut is rows else counts[np.cumsum(first) - 1]
     n, owner, whole = len(rows), rows.owner, _whole(rows, q)
     every = whole.all()
     counts = sum(np.bincount(h if every else h[whole[t]], minlength=n)

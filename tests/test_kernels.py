@@ -514,6 +514,41 @@ class TestRepeatedIds:
             assert directed_counts(heads, tails, rows, q).tolist() == want
 
 
+    def test_join_counts_an_id_once_per_tail_row(self):
+        # the tail row holds 0 twice and counts it once; the head row's
+        # two copies of 0 both take the count
+        rows = Rows.of([(0,), (0, 0)])
+        heads, tails = np.array([0]), np.array([1])
+        for cells in (0, 2 ** 62):
+            with mock.patch.object(sparsify, "_TABLE_CELLS", cells):
+                assert directed_counts(heads, tails, rows).tolist() == [1, 0, 0]
+                assert conflict_counts(heads, tails, rows).tolist() == [1, 1, 1]
+
+    @FAST
+    @given(st.integers(1, 8), st.integers(1, 6), PATHS, st.data())
+    def test_both_paths_match_the_oracle(self, n, q, cells, data):
+        # rows with repeats, on the join and on the table, with the ids as
+        # colors and spread far apart, and pairs spanning join chunks
+        row = st.lists(st.integers(0, q - 1), max_size=q + 1).map(sorted).map(tuple)
+        rows = [data.draw(row) for _ in range(n)]
+        far = renamed(rows, data.draw(far_ids(q)))
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                   max_size=30))
+        heads = np.array([h for h, _ in pairs], dtype=np.int64)
+        tails = np.array([t for _, t in pairs], dtype=np.int64)
+        sets = [tuple(sorted(set(row))) for row in rows]
+        one = oracle_directed_counts(n, heads.tolist(), tails.tolist(), sets, q)
+        other = oracle_directed_counts(n, tails.tolist(), heads.tolist(), sets, q)
+        want = at_entries(one, rows)
+        both = [x + y for x, y in zip(want, at_entries(other, rows))]
+        with mock.patch.object(sparsify, "_CHUNK_KEYS", 1), \
+                mock.patch.object(sparsify, "_TABLE_CELLS", cells):
+            assert directed_counts(heads, tails, rows, q).tolist() == want
+            assert directed_counts(heads, tails, far).tolist() == want
+            assert conflict_counts(heads, tails, rows, q).tolist() == both
+            assert conflict_counts(heads, tails, far).tolist() == both
+
+
 class TestDirectedCounts:
     @FAST
     @given(st.integers(1, 8), st.integers(1, 6), st.booleans(), PATHS, st.data())

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from palettesparse import _rng
 from palettesparse._rng import TAG_COVER, TAG_LLL, bounded, choice_rows, substream
 from palettesparse.cli import ConfigError, RunConfig, _build_instance
-from palettesparse.cover import ListAssignment
+from palettesparse.cover import ListAssignment, Rows
 from palettesparse.graphcore import Graph
 from palettesparse.nibble import finish_lll
 from palettesparse.sparsify import SharedPalette, sample_palettes
@@ -70,6 +70,36 @@ class TestBounded:
         assert bounded(rng, [1, 1, 1]).tolist() == [0, 0, 0]
         assert rng.bit_generator.state == np.random.default_rng(1).bit_generator.state
 
+    @pytest.mark.parametrize("pending", [False, True])
+    def test_outputs_are_the_low_then_high_half_of_each_word(self, pending):
+        # a bound of 2**32 takes each 32-bit output as it is
+        rng = np.random.default_rng(11)
+        if pending:  # the high half of the first word is left for the next draw
+            rng.integers(7)
+        start = rng.bit_generator.state
+        got = bounded(rng, np.full(5, 2 ** 32))
+        raw = np.random.default_rng(0)
+        raw.bit_generator.state = start
+        words = raw.bit_generator.random_raw(2 if pending else 3).tolist()
+        halves = [h for w in words for h in (w & 0xFFFFFFFF, w >> 32)]
+        assert got.tolist() == ([start["uinteger"]] * pending + halves)[:5]
+        end = rng.bit_generator.state
+        assert end["state"] == raw.bit_generator.state["state"]
+        # one output left over stays pending; the last word's high half is
+        # kept either way, as numpy keeps it
+        assert (end["has_uint32"], end["uinteger"]) == (1 - pending, words[-1] >> 32)
+
+
+@st.composite
+def mixed_rows(draw):
+    """(lens, s): rows of numpy's tail branch (k > 10000 and s > k // 50),
+    Floyd rows below and above k = 10000, and rows of exactly s, in any
+    order."""
+    s = draw(st.integers(201, 215))
+    kinds = st.one_of(st.just(s), st.integers(s + 1, s + 60), st.integers(10001, 50 * s + 49),
+                      st.integers(50 * s + 50, 50 * s + 400))
+    return draw(st.lists(kinds, min_size=1, max_size=6)), s
+
 
 @st.composite
 def palette_cases(draw):
@@ -117,6 +147,35 @@ class TestSamplePalettes:
             tracemalloc.stop()
         assert fam.n == 10 ** 5
         assert peak <= 25 * 10 ** 6
+
+    def test_memory_at_the_cover_finish_shape(self):
+        # 1,000 lists of 64 ids, s = 48: the block and the sample are
+        # 0.38 MB each, and a chunk's draws and replay add a few times that
+        lists = Rows(np.arange(64000), np.arange(0, 64001, 64))
+        tracemalloc.start()
+        try:
+            fam = sample_palettes(lists, 48, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fam.n == 1000
+        assert peak < 4 * 10 ** 6
+
+
+@FAST
+@given(mixed_rows(), st.integers(0, 2 ** 32), st.sampled_from([None, 2, 1]))
+def test_choice_rows_on_mixed_rows_from_a_pending_word(case, seed, rows_per_chunk):
+    # rows_per_chunk None puts every row in one chunk
+    lens, s = case
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got_rng.integers(7)
+    want_rng.integers(7)
+    with mock.patch.object(_rng, "_CHUNK", 2 * s * (rows_per_chunk or len(lens))):
+        block = choice_rows(got_rng, lens, s)
+    want = [sorted(want_rng.choice(k, s, replace=False).tolist()) if k > s else list(range(s))
+            for k in lens]
+    assert block.tolist() == want
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def test_choice_rows_leaves_the_stream_after_the_last_choice():
