@@ -15,7 +15,7 @@ import json
 import sys
 import time
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -232,9 +232,20 @@ def _offline_seed(g: Graph, params: SparsifyParams, obj, cfg: RunConfig,
     return res.coloring, conflict.graph.m, res, err, target
 
 
-def _run_seed(g: Graph, params: SparsifyParams, obj, config: RunConfig,
+def _stream_pass(g: Graph, obj, permute_seed):
+    """(the stream pass over g's edges with the lists or cover `obj`, a function
+    of (params, seed), the cover streamed or None): a sweep builds them once."""
+    if obj is None:
+        return partial(stream_color, EdgeStream.from_graph(g, permute_seed), g.n), None
+    cov = obj if isinstance(obj, CorrespondenceCover) else cover_from_lists(g, obj)
+    stream = EdgeStream.from_cover(g, cov, permute_seed)
+    return partial(stream_color_correspondence, stream, g.n), cov
+
+
+def _run_seed(g: Graph, params: SparsifyParams, obj, streamed, config: RunConfig,
               seed: int):
-    """One end-to-end run; returns (row, verified assignment or None)."""
+    """One end-to-end run; returns (row, verified assignment or None).
+    `streamed` is `_stream_pass`'s pair in a stream-model sweep."""
     t0 = time.perf_counter()
     coloring = None
     resource = None
@@ -248,24 +259,16 @@ def _run_seed(g: Graph, params: SparsifyParams, obj, config: RunConfig,
             )
             path = res.path if res is not None else ""
         elif config.model == "stream":
-            if obj is None:
-                stream = EdgeStream.from_graph(g, config.permute_seed)
-                out = stream_color(stream, g.n, params, seed,
-                                   policy=config.policy)
-            else:
-                cov = obj if isinstance(obj, CorrespondenceCover) \
-                    else cover_from_lists(g, obj)
-                stream = EdgeStream.from_cover(g, cov, config.permute_seed)
-                out = stream_color_correspondence(stream, g.n, params, seed,
-                                                  policy=config.policy)
+            stream_pass, cov = streamed
+            out = stream_pass(params, seed, policy=config.policy)
             coloring = out.coloring
             resource = out.ledger.peak_words
             conflict_edges = len(out.stored)
             path = out.solve_result.path if out.solve_result else ""
             error = out.error
-            if obj is not None and not isinstance(obj, CorrespondenceCover) \
-                    and coloring is not None:
-                # cover streaming colors with cover ids; map back to names
+            if cov is not obj and coloring is not None:
+                # the lists stream as their canonical cover, whose coloring
+                # uses cover ids; map back to names
                 coloring = _pullback(coloring, cov)
         else:
             if obj is not None:
@@ -315,16 +318,16 @@ def run(config: RunConfig, workers: int = 1) -> SweepResult:
     way, so the outputs are identical to a sequential run.
     """
     g, params, obj = _build_instance(config)
+    streamed = _stream_pass(g, obj, config.permute_seed) if config.model == "stream" else None
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        from functools import partial
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(
-                partial(_run_seed, g, params, obj, config), config.seeds
+                partial(_run_seed, g, params, obj, streamed, config), config.seeds
             ))
     else:
-        results = [_run_seed(g, params, obj, config, seed) for seed in config.seeds]
+        results = [_run_seed(g, params, obj, streamed, config, seed) for seed in config.seeds]
     rows = [row for row, _ in results]
     colorings = {
         row.seed: assignment for row, assignment in results if assignment is not None
@@ -505,12 +508,7 @@ def _cmd_stream(args) -> int:
     g = load_graph(args.graph)
     cov = _load_valid_cover(args.cover, g) if args.cover else None
     params = _graph_params(g, args)
-    if cov is not None:
-        stream = EdgeStream.from_cover(g, cov, args.permute_seed)
-        out = stream_color_correspondence(stream, g.n, params, args.seed)
-    else:
-        stream = EdgeStream.from_graph(g, args.permute_seed)
-        out = stream_color(stream, g.n, params, args.seed)
+    out = _stream_pass(g, cov, args.permute_seed)[0](params, args.seed)
     if args.ledger:
         with open(args.ledger, "w", newline="") as fh:
             w = csv.writer(fh, lineterminator="\n")

@@ -3,17 +3,16 @@
 Palettes are sampled before the first edge arrives. An edge is stored
 exactly when the endpoint samples can collide (for covers: when its
 matching restricted to the samples is nonempty), pruning happens after the
-stream, and the retained conflict instance goes to the solver. A plain
-stream holds only its (r, 2) endpoint array: retention is one
-`shared_edges` call over all records, and since the ledger total only
-grows over the pass, its peak is the final total or the total at the
-stored edge that first crosses the cap. The stored edges stay an array (a
-`Rows` of pairs, in stream order); the counters, sums over stored edges,
-come from `directed_counts` over the CSR slots of one `Graph` of them, and
-the conflict graph is cut from its sorted edge arrays. Cover streams test
-retention record by record; the stored pairs then form a
-cover whose `color_degrees` are the counters, and `restrict_cover` cuts
-it down to the pruned samples. The ledger uses a
+stream, and the retained conflict instance goes to the solver. Streams
+are held as arrays (endpoints and, for covers, pairs), and retention is
+array operations over all records: one `shared_edges` call, or for covers
+a search of the samples (`Rows.find`) per pair color and one bincount of
+the kept pairs per record. One closed-form ledger, `SpaceLedger.charge`,
+serves both. A plain stream's counters, sums over stored edges, come from
+`directed_counts` over the CSR slots of one `Graph` of them, and the
+conflict graph is cut from its sorted edge arrays; a cover stream's kept
+pairs form a cover whose `color_degrees` are the counters, and
+`restrict_cover` cuts it down to the pruned samples. The ledger uses a
 concrete word model: one word per id or counter, two words per stored
 edge, two per stored matching pair, n*s words for palettes and for
 counters.
@@ -21,7 +20,6 @@ counters.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
 
@@ -30,13 +28,14 @@ import numpy as np
 from ._rng import TAG_PERMUTE, substream
 from .cover import (
     CorrespondenceCover,
+    CoverArrays,
     ListAssignment,
     Rows,
     color_degrees,
     cover_rows,
     restrict_cover,
 )
-from .graphcore import Graph, check_pairs
+from .graphcore import Graph, check_pairs, ranked, stable_order
 from .nibble import PartialColoring, SolveResult, solve
 from .sparsify import (
     PaletteFamily,
@@ -79,39 +78,61 @@ class SpaceLedger:
             + self.matching_words
         )
 
-    def bump(self, cap: int | None = None) -> None:
-        t = self.total()
-        if t > self.peak_words:
-            self.peak_words = t
-        if cap is not None and t > cap:
-            raise SpaceCapExceeded(f"ledger total {t} exceeds space cap {cap}")
+    def charge(self, pair_counts: np.ndarray, cap: int | None = None) -> None:
+        """Charge the stored records, in stream order, with pair_counts[i]
+        pairs on the i-th: two words per record and two per pair. The total
+        only grows, so the peak is the final total or the total where the
+        pass stops, at the first record (or none) past the cap: one
+        `searchsorted` over the running totals finds it."""
+        stop = len(pair_counts)
+        if cap is not None:
+            totals = self.total() + np.cumsum(np.concatenate(([0], 2 + 2 * pair_counts)))
+            stop = min(stop, int(np.searchsorted(totals, cap, side="right")))
+        self.stored_edges += stop
+        self.matching_words += 2 * int(pair_counts[:stop].sum())
+        total = self.total()
+        self.peak_words = max(self.peak_words, total)
+        if cap is not None and total > cap:
+            raise SpaceCapExceeded(f"ledger total {total} exceeds space cap {cap}")
+
+
+def _shuffled(m: int, permute_seed: int | None) -> np.ndarray:
+    """The edge index at each stream position, shuffled by `permute_seed`
+    as a list of the records would be: the same draws give the same order."""
+    order = np.arange(m)
+    if permute_seed is not None:
+        substream(permute_seed, TAG_PERMUTE).shuffle(order)
+    return order
 
 
 class EdgeStream:
     """A single forward pass over edge records, in a fixed order.
 
-    Plain records are (u, v); cover records are (u, v, pairs). Each edge
-    appears exactly once between two distinct vertices of 0..n-1: the
-    first record breaking this is rejected, naming it and, for a repeat,
-    the earlier record of the same edge. `lists` carries the per-vertex
-    cover color lists for the correspondence case, which are known before
-    the stream starts. `ends` is the read-only (r, 2) array of the records'
-    endpoints. A plain stream keeps nothing else: reading `records` builds
-    its (u, v) tuples anew.
+    Plain records are (u, v); cover records are (u, v, pairs), in a stream
+    with `lists`, the per-vertex cover color lists known before it starts.
+    Each edge appears exactly once between two distinct vertices of
+    0..n-1: the first record breaking this is rejected, naming it and, for
+    a repeat, the earlier record of the same edge. The stream holds
+    read-only arrays: `ends`, the records' (r, 2) endpoints, and `pairs`,
+    the (p, 2) color ids of their pairs in stream order, each oriented as
+    its record, which `pair_record` gives. Iteration makes the tuples.
     """
 
     def __init__(self, n: int, records=(), lists=None):
         """`records`: a sequence of record tuples, or the plain records as
         an (r, 2) int array."""
         if isinstance(records, np.ndarray):
-            ends, kept = records.astype(np.int64).reshape(-1, 2), None
+            ends, matchings = records.astype(np.int64).reshape(-1, 2), ()
         else:
             records = tuple(records)
             ends = np.fromiter(chain.from_iterable(rec[:2] for rec in records),
                                dtype=np.int64, count=2 * len(records)).reshape(-1, 2)
-            kept = records if any(len(rec) != 2 for rec in records) else None
-        ends.flags.writeable = False
-        self.n, self.ends, self.lists, self._records = n, ends, lists, kept
+            matchings = [rec[2] if len(rec) > 2 else () for rec in records]
+        if lists is None and any(matchings):
+            raise ValueError("cover records need the stream's cover lists")
+        triples = [(i, *pair) for i, pairs in enumerate(matchings) for pair in pairs]
+        flat = np.array(triples, dtype=np.int64).reshape(len(triples), 3)
+        self._hold(n, ends, lists, flat[:, 0], flat[:, 1:])
         bad = check_pairs(n, ends)[1]
         if bad is not None:
             u, v = ends[bad[0]].tolist()
@@ -123,96 +144,82 @@ class EdgeStream:
                 what = f"repeats the edge of record {bad[1]}"
             raise ValueError(f"stream record {bad[0]} ({u}, {v}) {what}")
 
+    def _hold(self, n, ends, lists, pair_record, pairs) -> "EdgeStream":
+        """Takes the arrays as they are: the array builders' constructor."""
+        for a in (ends, pair_record, pairs):
+            a.flags.writeable = False
+        self.n, self.ends, self.lists = n, ends, lists
+        self.pair_record, self.pairs = pair_record, pairs
+        return self
+
+    def __len__(self) -> int:
+        return len(self.ends)
+
+    def __iter__(self):
+        """The records in turn, as tuples made anew."""
+        ends = self.ends.tolist()
+        if self.lists is None:
+            return map(tuple, ends)
+        pairs = list(map(tuple, self.pairs.tolist()))
+        bounds = np.searchsorted(self.pair_record, np.arange(len(ends) + 1)).tolist()
+        return ((u, v, tuple(pairs[lo:hi])) for (u, v), lo, hi in zip(ends, bounds, bounds[1:]))
+
     @property
     def records(self) -> tuple:
-        if self._records is not None:
-            return self._records
-        return tuple(zip(*self.ends.T.tolist()))
+        return tuple(self)
 
     @classmethod
     def from_graph(cls, g: Graph, permute_seed: int | None = None) -> "EdgeStream":
-        ends = np.column_stack(g.edge_arrays())
-        if permute_seed is not None:
-            # shuffling the row indices draws what shuffling a list of the
-            # records draws, so the order is the list shuffle's
-            order = np.arange(g.m)
-            substream(permute_seed, TAG_PERMUTE).shuffle(order)
-            ends = ends[order]
-        return cls(g.n, ends)
+        return cls(g.n, np.column_stack(g.edge_arrays())[_shuffled(g.m, permute_seed)])
 
     @classmethod
     def from_cover(cls, g: Graph, cov: CorrespondenceCover,
                    permute_seed: int | None = None) -> "EdgeStream":
-        recs = [(u, v, cov.matchings.get((u, v), ())) for u, v in g.edges()]
-        if permute_seed is not None:
-            rng = substream(permute_seed, TAG_PERMUTE)
-            rng.shuffle(recs)
-        return cls(g.n, tuple(recs), lists=cov.lists)
-
-    def save(self, path) -> None:
-        """One record per line: 'u v', with matching pairs appended as
-        'u v p c c_prime ...' in the cover case. Header: 'n r [lists]'."""
-        with open(path, "w") as fh:
-            fh.write(f"{self.n} {len(self.ends)} {int(self.lists is not None)}\n")
-            if self.lists is not None:
-                for row in self.lists:
-                    fh.write(" ".join(str(c) for c in row) + "\n")
-            for rec in self.records:
-                if len(rec) == 2:
-                    fh.write(f"{rec[0]} {rec[1]}\n")
-                else:
-                    u, v, pairs = rec
-                    flat = " ".join(f"{a} {b}" for a, b in pairs)
-                    fh.write(f"{u} {v} {len(pairs)}" + (f" {flat}" if flat else "") + "\n")
-
-    @classmethod
-    def load(cls, path) -> "EdgeStream":
-        with open(path) as fh:
-            header = fh.readline().split()
-            if len(header) != 3:
-                raise ValueError("expected stream header 'n records has_lists'")
-            n, r, has_lists = int(header[0]), int(header[1]), int(header[2])
-            lists = None
-            if has_lists:
-                lists = tuple(
-                    tuple(int(x) for x in fh.readline().split()) for _ in range(n)
-                )
-            records = []
-            for line in fh:
-                parts = [int(x) for x in line.split()]
-                if len(parts) < 2:
-                    raise ValueError(f"bad stream record: {line!r}")
-                if len(parts) == 2:
-                    records.append((parts[0], parts[1]))
-                else:
-                    p = parts[2]
-                    if len(parts) != 3 + 2 * p:
-                        raise ValueError(f"bad stream record: {line!r}")
-                    pairs = tuple(
-                        (parts[3 + 2 * i], parts[4 + 2 * i]) for i in range(p)
-                    )
-                    records.append((parts[0], parts[1], pairs))
-        if len(records) != r:
-            raise ValueError(f"header claims {r} records, file has {len(records)}")
-        return cls(n, tuple(records), lists=lists)
+        """The records (u, v, pairs) of g's edges, u < v, each with the
+        cover's pairs on it in `cov.arrays` order (none off a cover edge),
+        shuffled as `from_graph` shuffles them."""
+        order = _shuffled(g.m, permute_seed)
+        us, vs = g.edge_arrays()
+        a = cov.arrays
+        # each pair's edge among g's, whose keys u * n + v ascend; a pair on
+        # no edge of g is dropped
+        keys, want = us * g.n + vs, a.eu * g.n + a.ev
+        edge = np.searchsorted(keys, want)
+        on = (a.eu >= 0) & (a.eu < a.ev) & (a.ev < g.n) & (edge < g.m)
+        on[on] = keys[edge[on]] == want[on]
+        record = np.argsort(order)[edge[on]]
+        # grouped by record, each record's pairs in arrays order
+        sort = stable_order(record)
+        by = np.flatnonzero(on)[sort]
+        return cls.__new__(cls)._hold(g.n, np.column_stack((us, vs))[order], cov.lists,
+                                      record[sort], a.colors[np.column_stack((a.ra[by], a.rb[by]))])
 
 
 @dataclass
 class StreamResult:
-    """`stored` holds the stored edges in stream order: for a plain stream
-    a `Rows` of (u, v) pairs with u < v, for a cover stream the stored
-    (u, v, pairs) records."""
+    """`stored` holds the stored edges in stream order, u < v: a `Rows` of
+    (u, v) pairs, or a cover stream of the (u, v, kept pairs) records."""
 
     coloring: PartialColoring | None
     ledger: SpaceLedger
     family: PaletteFamily
-    stored: Sequence
+    stored: Rows | EdgeStream
     solve_result: SolveResult | None
     error: str = ""
 
     @property
     def success(self) -> bool:
         return self.coloring is not None
+
+
+def _begin(stream: EdgeStream, n: int, palettes, s: int, seed: int):
+    """(the s-samples of `palettes`, a ledger charging them and the
+    counters) for a pass over `stream`, whose n vertices are checked."""
+    if stream.n != n:
+        raise ValueError(f"stream has {stream.n} vertices, but n is {n}")
+    if stream.lists is not None and len(stream.lists) != n:
+        raise ValueError(f"stream's cover lists have {len(stream.lists)} rows, but n is {n}")
+    return sample_palettes(palettes, s, seed), SpaceLedger(palette_words=n * s, counter_words=n * s)
 
 
 def stream_color(stream: EdgeStream, n: int, params: SparsifyParams, seed: int,
@@ -227,23 +234,16 @@ def stream_color(stream: EdgeStream, n: int, params: SparsifyParams, seed: int,
     observed max degree instead of the a-priori delta (costs n extra
     counter words).
     """
-    q, s = params.q, params.s
-    fam = sample_palettes(SharedPalette(n, q), s, seed)
-    ledger = SpaceLedger(palette_words=n * s, counter_words=n * s)
+    q = params.q
+    fam, ledger = _begin(stream, n, SharedPalette(n, q), params.s, seed)
     if delta_from_stream:
         ledger.counter_words += n
-    ledger.bump(space_cap)
 
     ends = stream.ends
     pairs = ends[shared_edges(ends[:, 0], ends[:, 1], fam.sampled, q)]
     su, sv = pairs.T
     su[:], sv[:] = np.minimum(su, sv), np.maximum(su, sv)
-    ledger.stored_edges = len(pairs)
-    if space_cap is not None and ledger.total() > space_cap:
-        # the total only grows over the pass, so the cap is first crossed
-        # at the stored edge that takes it past: two words per stored edge
-        ledger.stored_edges -= (ledger.total() - space_cap - 1) // 2
-    ledger.bump(space_cap)
+    ledger.charge(np.broadcast_to(0, len(pairs)), space_cap)
     stored = Rows(pairs.ravel(), np.arange(0, pairs.size + 1, 2))
 
     delta = int(np.bincount(ends.ravel(), minlength=n).max(initial=0)) \
@@ -276,33 +276,43 @@ def stream_color_correspondence(stream: EdgeStream, n: int,
     the sampled cover subgraph."""
     if stream.lists is None:
         raise ValueError("correspondence streaming needs the stream's cover lists")
-    s = params.s
-    fam = sample_palettes(stream.lists, s, seed)
-    ledger = SpaceLedger(palette_words=n * s, counter_words=n * s)
-    ledger.bump(space_cap)
+    fam, ledger = _begin(stream, n, stream.lists, params.s, seed)
 
-    sets = [frozenset(row) for row in fam.sampled]
-    stored: list[tuple[int, int, tuple]] = []
-    for u, v, pairs in stream.records:
-        kept = tuple(
-            (a, b) for a, b in pairs if a in sets[u] and b in sets[v]
-        )
-        if kept:
-            e = (u, v) if u < v else (v, u)
-            kept_o = kept if u < v else tuple((b, a) for a, b in kept)
-            stored.append((e[0], e[1], kept_o))
-            ledger.stored_edges += 1
-            ledger.matching_words += 2 * len(kept)
-            ledger.bump(space_cap)
+    # a pair stays when both its colors are sampled at their ends: one
+    # search of the samples for its first color, and for the second where
+    # the first stays; a record is stored when one of its pairs stays
+    record, pairs, sampled = stream.pair_record, stream.pairs, fam.sampled
+    at = sampled.find(stream.ends[record, 0], pairs[:, 0])
+    kept = np.flatnonzero(at >= 0)
+    bt = sampled.find(stream.ends[record[kept], 1], pairs[kept, 1])
+    kept, bt = kept[bt >= 0], bt[bt >= 0]
+    record, at = record[kept], np.column_stack((at[kept], bt))
+    per_record = np.bincount(record, minlength=len(stream.ends))
+    held_records = np.flatnonzero(per_record)
+    ledger.charge(per_record[held_records], space_cap)
 
-    held = CorrespondenceCover(fam.sampled, {(u, v): pairs for u, v, pairs in stored})
+    # stored as u < v, the pairs turned round with their record
+    ends = stream.ends[record]
+    turn = ends[:, 0] > ends[:, 1]
+    ends[turn], at[turn] = ends[turn, ::-1], at[turn, ::-1]
+    stored = EdgeStream.__new__(EdgeStream)._hold(
+        n, np.sort(stream.ends[held_records], axis=1), sampled,
+        np.cumsum(per_record > 0)[record] - 1, sampled.values[at])
+    # the held cover's arrays, as the dict constructor builds them: edges
+    # in stream order, each edge's pairs sorted
+    colors, ranks = ranked(sampled.values)
+    ra, rb = ranks[at[:, 0]], ranks[at[:, 1]]
+    order = stable_order(ra * colors.size + rb)
+    order = order[stable_order(record[order])]
+    held = CorrespondenceCover._of(sampled, CoverArrays(
+        colors, ends[order, 0], ends[order, 1], ra[order], rb[order], ranks, sampled.lens))
     pruned = cover_rows(held, color_degrees(held) <= params.prune_threshold)
     fam = PaletteFamily(fam.sampled, pruned, fam.universe)
     cov, edges = restrict_cover(held, pruned)
     sub = Graph(n, edges)
     if (pruned.lens == 0).any():
-        return StreamResult(None, ledger, fam, tuple(stored), None,
+        return StreamResult(None, ledger, fam, stored, None,
                             error="a vertex lost every sampled color in pruning")
     res = solve(sub, cov, policy=policy, seed=seed)
-    return StreamResult(res.coloring, ledger, fam, tuple(stored), res,
+    return StreamResult(res.coloring, ledger, fam, stored, res,
                         error="" if res.success else "solver failed")

@@ -12,7 +12,7 @@ import itertools
 import numpy as np
 from hypothesis import strategies as st
 
-from palettesparse._rng import TAG_LLL, TAG_PALETTE, substream
+from palettesparse._rng import TAG_LLL, TAG_PALETTE, TAG_PERMUTE, substream
 from palettesparse.cover import CorrespondenceCover, CoverReport, ListAssignment, random_cover
 from palettesparse.graphcore import Graph
 from palettesparse.nibble import BudgetExceeded, PartialColoring
@@ -356,6 +356,15 @@ def oracle_cover_stream_retention(records, rows, base_words: int, cap):
             if cap is not None and total > cap:
                 return stored, total, f"ledger total {total} exceeds space cap {cap}"
     return stored, total, ""
+
+
+def oracle_cover_stream_records(g: Graph, cov: CorrespondenceCover, permute_seed):
+    """The cover stream's records, one per edge of g in order, each with the
+    cover's pairs on it (none off a cover edge), then list-shuffled."""
+    records = [(u, v, cov.matchings.get((u, v), ())) for u, v in g.edges()]
+    if permute_seed is not None:
+        substream(permute_seed, TAG_PERMUTE).shuffle(records)
+    return records
 
 
 def oracle_sorted_rows(rows) -> tuple[tuple[int, ...], ...]:

@@ -7,7 +7,13 @@ import pytest
 
 from palettesparse import cli
 from palettesparse.cli import ConfigError, RunConfig, main, run, sweep_success_vs_s
-from palettesparse.cover import CorrespondenceCover, ListAssignment, random_cover, save_cover
+from palettesparse.cover import (
+    CorrespondenceCover,
+    ListAssignment,
+    cover_from_lists,
+    random_cover,
+    save_cover,
+)
 from palettesparse.graphcore import Graph, gen_locally_sparse, save_graph
 from palettesparse.nibble import verify_coloring
 from palettesparse.nibble import PartialColoring
@@ -92,6 +98,19 @@ class TestRun:
             res = run(cfg)
             assert len(res.rows) == 3
 
+
+    def test_list_stream_sweep_builds_its_cover_once(self, monkeypatch):
+        # the canonical cover and its stream do not depend on the seed
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return cover_from_lists(*args)
+
+        monkeypatch.setattr(cli, "cover_from_lists", counted)
+        res = run(base_config(model="stream", pipeline="list", seeds=[0, 1, 2],
+                              q_override=None, s_override=4))
+        assert len(calls) == 1 and len(res.rows) == 3
 
     def test_plain_seeds_verify_against_one_palette(self):
         # the range(q) palette, and so its search keys, is built once for

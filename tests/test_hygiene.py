@@ -9,7 +9,9 @@ draws stays in one place. Only the `graphcore` sort helpers call
 takes their one-sort path. No `.any` or `.all` reduces along an `axis`:
 survival of packed bit masks ORs their word columns, 1-D, instead.
 `nibble` holds a `Graph` wherever it counts list entries, so it counts
-over the graph's CSR slots, whose heads ascend and need no sort.
+over the graph's CSR slots, whose heads ascend and need no sort. No
+module reads a stream's `records`: those tuples are a view for callers
+and oracles, and the package's own passes read the stream's arrays.
 """
 
 import ast
@@ -114,3 +116,11 @@ def test_nibble_counts_over_csr_slots():
                    or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                    and node.func.id == "directed_counts" and not _tails_from_indices(node))
     assert lines == [], f"nibble.py counts over edge arrays on lines {lines}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_reads_records(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "records"]
+    assert lines == [], f"{path.name} reads .records on lines {lines}"

@@ -23,6 +23,7 @@ from conftest import (
     oracle_cover_from_lists,
     oracle_cover_graph,
     oracle_cover_prune,
+    oracle_cover_stream_records,
     oracle_cover_stream_retention,
     oracle_directed_counts,
     oracle_find,
@@ -41,7 +42,7 @@ from conftest import (
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from palettesparse import sparsify
+from palettesparse import sparsify, streaming
 from palettesparse.cover import (
     CorrespondenceCover,
     CoverError,
@@ -388,16 +389,43 @@ class TestCoverKernels:
                                           default=0)
 
     @FAST
-    @given(covers(max_n=7, min_list=1), st.data())
+    @given(st.booleans().flatmap(lambda valid: covers(max_n=8, min_list=1, valid=valid)),
+           st.data())
+    def test_from_cover_records(self, inst, data):
+        # on a subgraph of the cover's graph, so some pairs lie off its edges
+        g, cov = inst
+        edges = list(g.edges())
+        sub = Graph(g.n, data.draw(st.lists(st.sampled_from(edges), unique=True)) if edges else [])
+        permute_seed = data.draw(st.none() | st.integers(0, 100))
+        stream = EdgeStream.from_cover(sub, cov, permute_seed)
+        assert list(stream.records) == oracle_cover_stream_records(sub, cov, permute_seed)
+        assert len(stream) == sub.m and stream.lists == cov.lists
+
+    @FAST
+    # n <= 2, and lists long enough for several kept pairs on an edge
+    @given(covers(max_n=2, min_list=1) | covers(max_n=7, min_list=1)
+           | covers(max_n=6, min_list=3), st.data())
     def test_streamed_against_offline_retention(self, inst, data):
+        # tuple records, some turned round, some with their pairs dropped,
+        # reversed or joined by pairs on colors outside the lists
         g, cov = inst
         s = data.draw(st.integers(1, min((len(r) for r in cov.lists), default=1)))
         seed = data.draw(st.integers(0, 10 ** 6))
         stream = EdgeStream.from_cover(g, cov, data.draw(st.integers(0, 100)))
         flips = data.draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m))
-        stream = EdgeStream(g.n, tuple(
-            (v, u, tuple((b, a) for a, b in pairs)) if f else (u, v, pairs)
-            for (u, v, pairs), f in zip(stream.records, flips)), lists=cov.lists)
+        edits = data.draw(st.lists(st.sampled_from(["keep", "drop", "reverse", "outside"]),
+                                   min_size=g.m, max_size=g.m))
+        records = []
+        for (u, v, pairs), f, edit in zip(stream.records, flips, edits):
+            if edit == "drop":
+                pairs = ()
+            elif edit == "reverse":
+                pairs = pairs[::-1]
+            elif edit == "outside":
+                pairs += ((2 ** 41, cov.lists[v][0]), (cov.lists[u][-1], -2 ** 41))
+            records.append((v, u, tuple((b, a) for a, b in pairs)) if f else (u, v, pairs))
+        stream = EdgeStream(g.n, tuple(records), lists=cov.lists)
+        cov = CorrespondenceCover(cov.lists, {(u, v): pairs for u, v, pairs in records})
         params = manual_params(data.draw(st.integers(1, 4)), 0.1, 1.0, q=4, s=s)
         fam = sample_palettes(cov.lists, s, seed)
         base = 2 * g.n * s
@@ -405,12 +433,19 @@ class TestCoverKernels:
         cap = base + data.draw(st.integers(-1, peak - base + 1))
         _, _, message = oracle_cover_stream_retention(stream.records, fam.sampled, base, cap)
 
-        out = stream_color_correspondence(stream, g.n, params, seed, policy="greedy")
+        with mock.patch.object(streaming, "restrict_cover", wraps=restrict_cover) as spy:
+            out = stream_color_correspondence(stream, g.n, params, seed, policy="greedy")
         assert list(out.stored) == stored
         assert out.ledger.peak_words == peak
         assert out.family.pruned == prune(cov, fam, params, delta_ref=params.delta_ref).pruned
         offline = build_conflict(g, fam, cover=cov)
         assert {(u, v) for u, v, _ in stored} == set(offline.graph.edges())
+        # the held cover is the one the dict constructor builds
+        held = spy.call_args[0][0]
+        want = CorrespondenceCover(fam.sampled, {(u, v): pairs for u, v, pairs in stored})
+        assert held.lists == want.lists
+        for name in ("colors", "eu", "ev", "ra", "rb", "lists", "lens"):
+            assert np.array_equal(getattr(held.arrays, name), getattr(want.arrays, name))
         if message:
             with pytest.raises(SpaceCapExceeded) as err:
                 stream_color_correspondence(stream, g.n, params, seed, space_cap=cap,

@@ -204,49 +204,45 @@ class TestCorrespondenceStreaming:
             assert len(pairs) <= params.s
         assert out.ledger.matching_words == 2 * sum(len(p) for _, _, p in out.stored)
 
-    def test_stream_file_roundtrip(self, tmp_path):
-        g = gen_locally_sparse(15, 4, 6, seed=2)
-        plainp = tmp_path / "plain.stream"
-        EdgeStream.from_graph(g, permute_seed=1).save(plainp)
-        back = EdgeStream.load(plainp)
-        assert back.records == EdgeStream.from_graph(g, permute_seed=1).records
-        full = ListAssignment(tuple(tuple(range(5)) for _ in range(g.n)))
-        cov = cover_from_lists(g, full)
-        coverp = tmp_path / "cover.stream"
-        EdgeStream.from_cover(g, cov).save(coverp)
-        back = EdgeStream.load(coverp)
-        assert back.lists == cov.lists
-        assert back.records == EdgeStream.from_cover(g, cov).records
-
-    @pytest.mark.parametrize("record, witness", [
-        ("0 4", "record 1 (0, 4) has a vertex id outside 0..3"),
-        ("-1 2", "record 1 (-1, 2) has a vertex id outside 0..3"),
-        ("2 2", "record 1 (2, 2) is a self-loop"),
-        ("1 0", "record 1 (1, 0) repeats the edge of record 0"),
-    ])
-    def test_load_rejects_bad_records(self, tmp_path, record, witness):
-        path = tmp_path / "bad.stream"
-        path.write_text(f"4 3 0\n0 1\n{record}\n2 3\n")
-        with pytest.raises(ValueError, match=re.escape(witness)):
-            EdgeStream.load(path)
-
     @pytest.mark.parametrize("records, witness", [
         (((0, 1), (1, 0), (1, 2)), "record 1 (1, 0) repeats the edge of record 0"),
         (((0, 1), (2, 2)), "record 1 (2, 2) is a self-loop"),
         (((0, 3),), "record 0 (0, 3) has a vertex id outside 0..2"),
+        (((0, 1), (-1, 2)), "record 1 (-1, 2) has a vertex id outside 0..2"),
+        (((0, 1, ((0, 2),)), (0, 1, ())), "record 1 (0, 1) repeats the edge of record 0"),
     ])
     def test_in_memory_stream_rejects_bad_records(self, records, witness):
+        # cover records come with lists: vertex v owns the colors 2v, 2v + 1
+        lists = ((0, 1), (2, 3), (4, 5)) if len(records[0]) > 2 else None
         with pytest.raises(ValueError, match=re.escape(witness)):
-            stream_color(EdgeStream(3, records), 3, params_for(2, 3, 4, 4), seed=0)
-
-    def test_load_rejects_repeated_cover_record(self, tmp_path):
-        path = tmp_path / "bad.stream"
-        path.write_text("2 2 1\n0 1\n2 3\n0 1 1 0 2\n0 1 0\n")
-        with pytest.raises(ValueError, match="record 1"):
-            EdgeStream.load(path)
+            stream_color(EdgeStream(3, records, lists), 3, params_for(2, 3, 4, 4), seed=0)
 
     def test_requires_cover_lists(self):
         g = Graph(2, [(0, 1)])
         params = params_for(4, 2, 3, 2)
         with pytest.raises(ValueError):
             stream_color_correspondence(EdgeStream.from_graph(g), 2, params, seed=0)
+        with pytest.raises(ValueError, match="cover records need the stream's cover lists"):
+            EdgeStream(2, ((0, 1, ((0, 2),)),))
+
+    @pytest.mark.parametrize("n, rows, witness", [
+        (4, None, "stream has 6 vertices, but n is 4"),
+        (8, None, "stream has 6 vertices, but n is 8"),
+        (4, 6, "stream has 6 vertices, but n is 4"),
+        (8, 6, "stream has 6 vertices, but n is 8"),
+        (6, 5, "stream's cover lists have 5 rows, but n is 6"),
+        (6, 7, "stream's cover lists have 7 rows, but n is 6"),
+    ])
+    def test_pass_rejects_a_stream_of_another_size(self, n, rows, witness):
+        # a 6-vertex stream, plain or with cover lists of `rows` rows
+        # (vertex v owning the colors 2v, 2v + 1)
+        edges = ((0, 1), (1, 2), (3, 4), (4, 5))
+        if rows is None:
+            stream, runs = EdgeStream(6, edges), (stream_color,)
+        else:
+            records = ((0, 1, ((0, 2),)),) + tuple((u, v, ()) for u, v in edges[1:])
+            lists = tuple((2 * v, 2 * v + 1) for v in range(rows))
+            stream, runs = EdgeStream(6, records, lists), (stream_color, stream_color_correspondence)
+        for run in runs:
+            with pytest.raises(ValueError, match=re.escape(witness)):
+                run(stream, n, params_for(2, n, 4, 2), seed=0)
