@@ -155,8 +155,12 @@ class Rows(Sequence):
         return hash(tuple(self))
 
     def keep(self, mask: np.ndarray) -> "Rows":
-        """The rows cut down to the entries the bool mask `mask` marks."""
-        return Rows(self.values[mask], np.concatenate(([0], np.cumsum(mask)))[self.indptr])
+        """The rows cut down to the entries the bool mask `mask` marks:
+        `self` when it marks them all."""
+        if mask.all():
+            return self
+        kept = np.flatnonzero(mask)
+        return Rows(self.values.take(kept), np.searchsorted(kept, self.indptr))
 
     def _keys(self):
         """The search keys, built on the first search and kept: (keys, lo,
@@ -184,7 +188,7 @@ class Rows(Sequence):
         holds it twice), or -1 where the row lacks it. One binary search of
         the rows' (row, id) keys, built once per `Rows` (`_keys`): O(k log E)
         for k lookups into E entries."""
-        if not self.values.size:
+        if not (self.values.size and len(ids)):
             return np.full(len(ids), -1, dtype=np.int64)
         keys, lo, hi, colors = self._keys()
         if colors is None:
@@ -406,11 +410,14 @@ def restrict_cover(cov: CorrespondenceCover, rows, vertices=None):
 
 def clashing_pairs(cov: CorrespondenceCover, at, ids) -> np.ndarray:
     """Indices of the pairs (a, b) on an edge uv with u colored a and v
-    colored b, when the vertices `at` carry the cover colors `ids`."""
+    colored b, when the vertices `at` (in 0..n-1) carry the cover colors
+    `ids`. A pair with an end outside 0..n-1 clashes across no edge."""
     a = cov.arrays
-    chosen = np.full(cov.n, -1, dtype=np.int64)
+    # ends past n - 1 read chosen[n], no vertex's; as eu <= ev, only eu can be < 0
+    chosen = np.full(cov.n + 1, -1, dtype=np.int64)
     chosen[np.asarray(at, dtype=np.int64)] = a.rank(ids)
-    return np.flatnonzero((chosen[a.eu] == a.ra) & (chosen[a.ev] == a.rb))
+    return np.flatnonzero((chosen.take(a.eu, mode="clip") == a.ra)
+                          & (chosen.take(a.ev, mode="clip") == a.rb) & (a.eu >= 0))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ A `Graph` is CSR arrays: row offsets `indptr` and the concatenated sorted
 neighbor rows `indices`, plus the lexicographic edge arrays. It is built
 from an edge array or any iterable of pairs in one vectorized pass
 (`check_pairs` validates ids, self-loops and repeats) and holds O(n + m)
-words; accessors are views and binary searches, not loops.
+words; accessors are views and binary searches, not loops. A subgraph is
+cut from its parent's edge arrays (`keep`) and not validated again.
 
 Every dedupe and stable order in the package is `distinct`, `first_seen`,
 `ranked` or `stable_order`: `np.unique`'s and a stable `np.argsort`'s
@@ -155,9 +156,12 @@ class Graph:
             if u == v:
                 raise GraphError(f"self-loop at {u}")
             raise GraphError(f"duplicate edge {(min(u, v), max(u, v))}")
-        self.n = n
-        self.m = len(keys)
-        us, vs = np.divmod(keys, max(n, 1))
+        self._hold(n, keys, *np.divmod(keys, max(n, 1)))
+
+    def _hold(self, n: int, keys: np.ndarray, us: np.ndarray, vs: np.ndarray) -> "Graph":
+        """The CSR rows of the lexicographic edges (us, vs), u < v, with keys
+        u*n + v: the arrays are taken as they are, not validated."""
+        self.n, self.m = n, keys.size
         # the keys head*n + tail of both directions, sorted, are the rows in
         # turn, each ascending; the u -> v half already is `keys`
         self.indices = np.sort(np.concatenate((vs * n + us, keys))) % max(n, 1)
@@ -166,6 +170,16 @@ class Graph:
         self._us, self._vs = us, vs
         for a in (self.indptr, self.indices, us, vs):
             a.flags.writeable = False
+        return self
+
+    def keep(self, mask: np.ndarray) -> "Graph":
+        """The subgraph of the edges that the bool mask `mask` marks, one
+        flag per edge in `edges()` order: `self` when it marks them all."""
+        if mask.all():
+            return self
+        kept = np.flatnonzero(mask)
+        us, vs = self._us.take(kept), self._vs.take(kept)
+        return Graph.__new__(Graph)._hold(self.n, us * self.n + vs, us, vs)
 
     def degree(self, v: int) -> int:
         return int(self.indptr[v + 1] - self.indptr[v])

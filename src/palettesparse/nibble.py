@@ -186,9 +186,10 @@ class _Instance:
         if self.cover is not None:
             a = self.cover.arrays
             hit = clashing_pairs(self.cover, at, ids)
+            us, vs = a.eu[hit], a.ev[hit]
             # a pair declared on a non-edge of g clashes across no edge
-            return sorted({e for e in zip(a.eu[hit].tolist(), a.ev[hit].tolist())
-                           if self.g.has_edge(*e)})
+            real = Rows(self.g.indices, self.g.indptr).holds(us, vs)
+            return sorted(set(zip(us[real].tolist(), vs[real].tolist())))
         colored = np.zeros(self.g.n, dtype=bool)
         colored[at] = True
         color = np.zeros(self.g.n, dtype=np.int64)

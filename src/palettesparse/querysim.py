@@ -8,10 +8,10 @@ Two conflict-discovery strategies are provided: a neighbor scan (all
 degrees, then every neighbor slot, so exactly n + 2m queries get issued)
 and color classes (every pair of vertices sharing a sampled color,
 deduplicated, so every conflict edge is found because a conflicting edge
-lies inside some class). The auto
-strategy executes whichever of the two exact costs is smaller. The kernels
-of `sparsify` then test (`shared_edges`), count (`conflict_counts`) and
-prune over the discovered edges only.
+lies inside some class). The auto strategy executes whichever of the two
+exact costs is smaller. The discovered edges then go through the offline
+reduction of `sparsify` (`prune`, then `build_conflict`) as a graph of
+their own, so pruning counts over them only.
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ from .sparsify import (
     SharedPalette,
     SparsifyParams,
     _packed_masks,
-    conflict_counts,
+    build_conflict,
+    prune,
     sample_palettes,
     shared_edges,
 )
@@ -256,14 +257,11 @@ def end_to_end_query_color(oracle: QueryOracle, params: SparsifyParams, seed: in
     plan = plan_queries(n, fam, strategy, delta_hint, m_hint=m_hint)
     found, issued = execute_plan(oracle, plan, fam)
 
-    us, vs = found.graph.edge_arrays()
-    counts = conflict_counts(us, vs, fam.sampled, fam.universe)
-    pruned = fam.sampled.keep(counts <= params.prune_threshold)
-    hit = shared_edges(us, vs, pruned, fam.universe)
-    if (pruned.lens == 0).any():
+    fam = prune(found.graph, fam, params)
+    if (fam.pruned.lens == 0).any():
         return QueryRunResult(None, issued, plan, None,
                               error="a vertex lost every sampled color in pruning")
-    sub = found.graph if hit.all() else Graph(n, np.column_stack((us[hit], vs[hit])))
-    res = solve(sub, ListAssignment(pruned), policy=policy, seed=seed)
+    conflict = build_conflict(found.graph, fam)
+    res = solve(conflict.graph, conflict.lists, policy=policy, seed=seed)
     return QueryRunResult(res.coloring, issued, plan, res,
                           error="" if res.success else "solver failed")

@@ -9,12 +9,14 @@ instance that picks colors from the pruned palettes is a proper coloring of
 the original instance, which is the whole point of the reduction.
 
 Sampled and pruned palettes are `Rows`. The offline, streaming and query
-models and the list greedy share three numpy kernels over `Rows` of any
-ids: `conflict_counts` (over `directed_counts`) gives one count per list
-entry and `shared_edges` one survival flag per edge; how they count (by
-n x q matrices or a join, see `_TABLE_CELLS`) is theirs alone. Covers go through
-the cover kernels of `cover`, which read the cover's pair arrays:
-`restrict_cover` for the samples and the conflict instance,
+models all run `prune` and `build_conflict` on the `Graph` of the edges
+they see (all, stored or discovered), over two numpy kernels on `Rows` of
+any ids that the list greedy shares: `directed_counts` gives one count per
+list entry over a graph's CSR slots, and `shared_edges` one survival flag
+per edge, by which the conflict graph is cut (`Graph.keep`); how they count
+(by n x q matrices or a join, see `_TABLE_CELLS`) is theirs alone. Covers
+go through the cover kernels of `cover`, which read the cover's pair
+arrays: `restrict_cover` for the samples and the conflict instance,
 `color_degrees` for pruning.
 
 All logarithms are natural. Thresholds are compared with <= against the
@@ -52,7 +54,6 @@ __all__ = [
     "sample_palettes",
     "prune",
     "build_conflict",
-    "conflict_counts",
     "directed_counts",
     "shared_edges",
 ]
@@ -335,24 +336,26 @@ def _whole(rows: Rows, q: int) -> np.ndarray:
     return whole
 
 
-def _counts(directions, rows: Rows, q: int, table: bool) -> np.ndarray:
-    """`directed_counts` summed over the (heads, tails) of `directions`, one
-    direction at a time, by `_lanes` over the uint8 n x q `member` (row v
-    marks rows[v]) or by the join (see `_dense`). A whole-palette tail row
+def directed_counts(heads, tails, rows, universe: int | None = None) -> np.ndarray:
+    """For every entry (h, c) of `rows`, in entry order, the number of i
+    with heads[i] = h and c in rows[tails[i]], for int64 arrays (heads,
+    tails). `universe` is q when the ids are colors of 0..q-1 (else None).
+    Counts add by `_lanes` over the uint8 n x q `member` (row v marks
+    rows[v]) or come from the join (see `_dense`). A whole-palette tail row
     adds its head's degree instead; when every row is whole, that is all."""
+    rows, q, table = _dense(rows, universe, heads.size)
     if not table:
         # the join finds one entry per id both rows hold: rows join with
         # repeated ids cut, and each copy takes the count of the first
         first = ~rows.again()
-        cut = rows if first.all() else rows.keep(first)
-        size = cut.values.size
-        counts = sum((np.bincount(a, minlength=size) for heads, tails in directions
-                      for _, a in _joined(heads, tails, cut)), np.zeros(size, dtype=np.int64))
+        cut = rows.keep(first)
+        counts = np.zeros(cut.values.size, dtype=np.int64)
+        for _, a in _joined(heads, tails, cut):
+            counts += np.bincount(a, minlength=counts.size)
         return counts if cut is rows else counts[np.cumsum(first) - 1]
     n, owner, whole = len(rows), rows.owner, _whole(rows, q)
     every = whole.all()
-    counts = sum(np.bincount(h if every else h[whole[t]], minlength=n)
-                 for h, t in directions)[owner]
+    counts = np.bincount(heads if every else heads[whole[tails]], minlength=n)[owner]
     if every:
         return counts
     cell = np.multiply(owner, q, out=owner)  # each entry's cell of an n x q
@@ -360,23 +363,8 @@ def _counts(directions, rows: Rows, q: int, table: bool) -> np.ndarray:
     member = np.zeros((n, q), dtype=np.uint8)
     member.ravel()[cell] = 1
     member[whole] = 0
-    for heads, tails in directions:
-        counts += _lanes(heads, tails, member).ravel().take(cell)
+    counts += _lanes(heads, tails, member).ravel().take(cell)
     return counts
-
-
-def directed_counts(heads, tails, rows, universe: int | None = None) -> np.ndarray:
-    """For every entry (h, c) of `rows`, in entry order, the number of i
-    with heads[i] = h and c in rows[tails[i]], for int64 arrays (heads,
-    tails). `universe` is q when the ids are colors of 0..q-1 (else None)."""
-    return _counts([(heads, tails)], *_dense(rows, universe, heads.size))
-
-
-def conflict_counts(us, vs, rows, universe: int | None = None) -> np.ndarray:
-    """For every entry (v, c) of `rows`, in entry order, the number of edges
-    {u, v} in the int64 arrays (us, vs) with c in rows[u]: `directed_counts`
-    over u -> v and v -> u, with neither direction copied whole."""
-    return _counts([(us, vs), (vs, us)], *_dense(rows, universe, 2 * us.size))
 
 
 def shared_edges(us, vs, rows, universe: int | None = None) -> np.ndarray:
@@ -452,9 +440,7 @@ def build_conflict(g: Graph, fam: PaletteFamily,
     """
     active = fam.active()
     if cover is None:
-        us, vs = g.edge_arrays()
-        hit = shared_edges(us, vs, active, fam.universe)
-        sub = Graph(g.n, np.column_stack((us[hit], vs[hit])))
+        sub = g.keep(shared_edges(*g.edge_arrays(), active, fam.universe))
         return ConflictInstance(sub, lists=ListAssignment(active))
     sub, edges = restrict_cover(cover, active)
     return ConflictInstance(Graph(g.n, edges), cover=sub)

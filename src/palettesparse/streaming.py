@@ -8,14 +8,13 @@ are held as arrays (endpoints and, for covers, pairs), and retention is
 array operations over all records: one `shared_edges` call, or for covers
 a search of the samples (`Rows.find`) per pair color and one bincount of
 the kept pairs per record. One closed-form ledger, `SpaceLedger.charge`,
-serves both. A plain stream's counters, sums over stored edges, come from
-`directed_counts` over the CSR slots of one `Graph` of them, and the
-conflict graph is cut from its sorted edge arrays; a cover stream's kept
-pairs form a cover whose `color_degrees` are the counters, and
-`restrict_cover` cuts it down to the pruned samples. The ledger uses a
-concrete word model: one word per id or counter, two words per stored
-edge, two per stored matching pair, n*s words for palettes and for
-counters.
+serves both. A plain stream runs the offline reduction, `sparsify.prune`
+and `sparsify.build_conflict`, on one `Graph` of its stored edges: its
+counters are sums over them. A cover stream's kept pairs form a cover
+whose `color_degrees` are the counters, and `restrict_cover` cuts it down
+to the pruned samples. The ledger uses a concrete word model: one word
+per id or counter, two words per stored edge, two per stored matching
+pair, n*s words for palettes and for counters.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from ._rng import TAG_PERMUTE, substream
 from .cover import (
     CorrespondenceCover,
     CoverArrays,
-    ListAssignment,
     Rows,
     color_degrees,
     cover_rows,
@@ -41,7 +39,8 @@ from .sparsify import (
     PaletteFamily,
     SharedPalette,
     SparsifyParams,
-    directed_counts,
+    build_conflict,
+    prune,
     sample_palettes,
     shared_edges,
 )
@@ -234,13 +233,12 @@ def stream_color(stream: EdgeStream, n: int, params: SparsifyParams, seed: int,
     observed max degree instead of the a-priori delta (costs n extra
     counter words).
     """
-    q = params.q
-    fam, ledger = _begin(stream, n, SharedPalette(n, q), params.s, seed)
+    fam, ledger = _begin(stream, n, SharedPalette(n, params.q), params.s, seed)
     if delta_from_stream:
         ledger.counter_words += n
 
     ends = stream.ends
-    pairs = ends[shared_edges(ends[:, 0], ends[:, 1], fam.sampled, q)]
+    pairs = ends[shared_edges(ends[:, 0], ends[:, 1], fam.sampled, params.q)]
     su, sv = pairs.T
     su[:], sv[:] = np.minimum(su, sv), np.maximum(su, sv)
     ledger.charge(np.broadcast_to(0, len(pairs)), space_cap)
@@ -248,21 +246,16 @@ def stream_color(stream: EdgeStream, n: int, params: SparsifyParams, seed: int,
 
     delta = int(np.bincount(ends.ravel(), minlength=n).max(initial=0)) \
         if delta_from_stream else params.delta_ref
-    # the stored pairs as a graph, counted over its CSR slots and cut down
-    # from its sorted edge arrays
+    # the offline reduction on the graph of the stored pairs, whose
+    # conflict graph alone goes on to the solver
     held = Graph(n, pairs)
-    counts = directed_counts(held.slot_rows(), held.indices, fam.sampled, q)
-    pruned = fam.sampled.keep(counts <= params.threshold(delta))
-    fam = PaletteFamily(fam.sampled, pruned, fam.universe)
-    us, vs = held.edge_arrays()
-    hit = shared_edges(us, vs, pruned, q)
-    sub = Graph(n, np.column_stack((us[hit], vs[hit])))
-    # only the conflict graph goes on to the solver
-    del held, us, vs, counts
-    if (pruned.lens == 0).any():
+    fam = prune(held, fam, params, delta_ref=delta)
+    conflict = build_conflict(held, fam)
+    del held
+    if (fam.pruned.lens == 0).any():
         return StreamResult(None, ledger, fam, stored, None,
                             error="a vertex lost every sampled color in pruning")
-    res = solve(sub, ListAssignment(pruned), policy=policy, seed=seed)
+    res = solve(conflict.graph, conflict.lists, policy=policy, seed=seed)
     return StreamResult(res.coloring, ledger, fam, stored, res,
                         error="" if res.success else "solver failed")
 

@@ -259,6 +259,36 @@ class TestGraphValidation:
                     assert u in g.neighbors(v).tolist()
 
 
+@st.composite
+def masked_graphs(draw, max_n=12):
+    """(a graph, one keep flag per edge, drawn or none, all or one kept)."""
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = Graph(n, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+    single = st.integers(0, g.m - 1).map(lambda i: np.arange(g.m) == i) if g.m else st.nothing()
+    mask = draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m).map(np.array)
+                | st.just(np.zeros(g.m)) | st.just(np.ones(g.m)) | single)
+    return g, mask.astype(bool)
+
+
+class TestKeep:
+    @FAST
+    @given(masked_graphs())
+    @example((Graph(0), np.zeros(0, dtype=bool)))
+    @example((Graph(2, [(0, 1)]), np.array([False])))
+    @example((Graph(2, [(0, 1)]), np.array([True])))
+    def test_matches_the_validating_constructor(self, inst):
+        g, mask = inst
+        us, vs = g.edge_arrays()
+        sub, want = g.keep(mask), Graph(g.n, np.column_stack((us[mask], vs[mask])))
+        assert (sub.n, sub.m) == (want.n, want.m)
+        arrays = [sub.indptr, sub.indices, *sub.edge_arrays()]
+        same(arrays, [want.indptr, want.indices, *want.edge_arrays()])
+        assert not any(a.flags.writeable for a in arrays)
+        # a mask that keeps every edge keeps the graph itself
+        assert (sub is g) == bool(mask.all())
+
+
 class TestGenerators:
     def test_triangle_free_instance(self):
         g = gen_locally_sparse(100, 3, 0, seed=7)

@@ -107,15 +107,13 @@ def _tails_from_indices(call) -> bool:
                                       for node in ast.walk(call.args[1]))
 
 
-def test_nibble_counts_over_csr_slots():
-    path = PACKAGE / "nibble.py"
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_counts_over_csr_slots(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = sorted(node.lineno for node in ast.walk(tree)
-                   if isinstance(node, ast.alias) and node.name == "conflict_counts"
-                   or isinstance(node, ast.Name) and node.id == "conflict_counts"
-                   or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                    and node.func.id == "directed_counts" and not _tails_from_indices(node))
-    assert lines == [], f"nibble.py counts over edge arrays on lines {lines}"
+    assert lines == [], f"{path.name} counts over edge arrays on lines {lines}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

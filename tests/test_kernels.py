@@ -60,7 +60,6 @@ from palettesparse.sparsify import (
     PaletteFamily,
     SharedPalette,
     build_conflict,
-    conflict_counts,
     directed_counts,
     manual_params,
     prune,
@@ -181,6 +180,18 @@ def ragged(draw):
 
 
 @st.composite
+def cuts(draw):
+    """(`ragged` rows, one keep flag per entry, drawn or none or all kept,
+    rows to spread, a row more than once too)."""
+    rows = draw(ragged())
+    size = sum(map(len, rows))
+    mask = draw(st.lists(st.booleans(), min_size=size, max_size=size)
+                | st.just([False] * size) | st.just([True] * size))
+    at = draw(st.lists(st.integers(0, len(rows) - 1), max_size=8)) if rows else []
+    return rows, mask, at
+
+
+@st.composite
 def searches(draw):
     """(`ragged` rows, calls of (row, id) lookups): ids held, repeated,
     just below, above and between the rows' values, at the ends of int64
@@ -225,14 +236,21 @@ class TestRows:
                 ListAssignment(rows)
 
     @FAST
-    @given(ragged(), st.data())
-    def test_keep_and_spread(self, rows, data):
+    @given(cuts())
+    @example(([], [], []))
+    @example(([[], [3, 1], []], [False, False], [1, 0]))
+    def test_keep_and_spread(self, cut):
+        rows, mask, at = cut
         got = Rows.of(rows)
-        mask = data.draw(st.lists(st.booleans(), min_size=got.values.size,
-                                  max_size=got.values.size))
-        assert got.keep(np.array(mask, dtype=bool)) == oracle_keep(rows, mask)
-        # the entries of any rows, a row more than once too, in turn
-        at = data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=8)) if rows else []
+        kept = got.keep(np.array(mask, dtype=bool))
+        want = oracle_keep(rows, mask)
+        assert kept == want
+        assert kept.indptr.tolist() == [0, *np.cumsum([len(row) for row in want]).tolist()]
+        assert kept.values.dtype == kept.indptr.dtype == np.int64
+        assert not (kept.values.flags.writeable or kept.indptr.flags.writeable)
+        # a mask that keeps every entry keeps the rows themselves
+        assert (kept is got) == all(mask)
+        # the entries of any rows, in turn
         bounds = got.indptr.tolist()
         assert got.spread(np.array(at, dtype=np.int64)).tolist() == \
             [i for v in at for i in range(bounds[v], bounds[v + 1])]
@@ -301,7 +319,8 @@ class TestRows:
         given_rows = Rows.of([row[::-1] for row in rows])
         us, vs = g.edge_arrays()
         with mock.patch.object(sparsify, "_TABLE_CELLS", cells):
-            pruned = given_rows.keep(conflict_counts(us, vs, given_rows, q) <= thr)
+            pruned = given_rows.keep(
+                directed_counts(g.slot_rows(), g.indices, given_rows, q) <= thr)
             hit = shared_edges(us, vs, given_rows, q)
         assert pruned == oracle_prune(g, rows, thr)
         assert list(zip(us[hit].tolist(), vs[hit].tolist())) == oracle_surviving_edges(g, rows)
@@ -478,6 +497,8 @@ class TestCanonicalCover:
 
 
 class TestConflictCounts:
+    """A graph's conflict counts are `directed_counts` over its CSR slots."""
+
     @FAST
     @given(instances(), PATHS, st.data())
     def test_matches_oracle(self, inst, cells, data):
@@ -485,33 +506,33 @@ class TestConflictCounts:
         # universe and for the same rows over far apart ids
         g, q, rows = inst
         far = renamed(rows, data.draw(far_ids(q)))
-        us, vs = g.edge_arrays()
+        heads = g.slot_rows()
         want = at_entries(oracle_conflict_counts(g, rows, q), rows)
         with mock.patch.object(sparsify, "_TABLE_CELLS", cells):
-            assert conflict_counts(us, vs, rows, q).tolist() == want
-            assert conflict_counts(us, vs, rows).tolist() == want
-            assert conflict_counts(us, vs, far).tolist() == want
+            assert directed_counts(heads, g.indices, rows, q).tolist() == want
+            assert directed_counts(heads, g.indices, rows).tolist() == want
+            assert directed_counts(heads, g.indices, far).tolist() == want
 
     @pytest.mark.parametrize("extra", [-1, 0, 1])
     def test_edge_counts_around_the_chunk(self, extra):
-        # one color per row: a chunk holds _CHUNK_KEYS endpoint keys, so
-        # _CHUNK_KEYS // 2 edges fill it exactly
+        # one color per row: a join chunk holds _CHUNK_KEYS slots, so
+        # _CHUNK_KEYS // 2 edges (twice as many slots) fill one exactly
         n = 257
         m = sparsify._CHUNK_KEYS // 2 + extra
         edges = [(u, v) for u in range(n) for v in range(u + 1, n)][:m]
         g = Graph(n, edges)
         rows = [(v % 2,) for v in range(n)]
-        us, vs = g.edge_arrays()
-        assert conflict_counts(us, vs, rows, 2).tolist() == \
-            at_entries(oracle_conflict_counts(g, rows, 2), rows)
+        want = at_entries(oracle_conflict_counts(g, rows, 2), rows)
+        for cells in (0, 2 ** 62):
+            with mock.patch.object(sparsify, "_TABLE_CELLS", cells):
+                assert directed_counts(g.slot_rows(), g.indices, rows, 2).tolist() == want
 
     def test_full_palette_counts_are_degrees(self):
         g = Graph(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
         rows = [tuple(range(4))] * 5
-        us, vs = g.edge_arrays()
         for cells in (0, 2 ** 62):
             with mock.patch.object(sparsify, "_TABLE_CELLS", cells):
-                counts = conflict_counts(us, vs, rows, 4)
+                counts = directed_counts(g.slot_rows(), g.indices, rows, 4)
             assert counts.tolist() == [g.degree(v) for v in range(5) for _ in range(4)]
 
 
@@ -527,7 +548,7 @@ class TestRepeatedIds:
         for cells in (0, 2 ** 62):
             with mock.patch.object(sparsify, "_TABLE_CELLS", cells):
                 assert directed_counts(heads, tails, self.ROWS).tolist() == [0, 0, 0]
-                assert conflict_counts(heads, tails, self.ROWS).tolist() == [0, 0, 0]
+                assert directed_counts(tails, heads, self.ROWS).tolist() == [0, 0, 0]
                 assert directed_counts(heads, tails, self.ROWS, 2).tolist() == [0, 0, 0]
                 assert shared_edges(heads, tails, self.ROWS).tolist() == [False]
 
@@ -557,7 +578,7 @@ class TestRepeatedIds:
         for cells in (0, 2 ** 62):
             with mock.patch.object(sparsify, "_TABLE_CELLS", cells):
                 assert directed_counts(heads, tails, rows).tolist() == [1, 0, 0]
-                assert conflict_counts(heads, tails, rows).tolist() == [1, 1, 1]
+                assert directed_counts(tails, heads, rows).tolist() == [0, 1, 1]
 
     @FAST
     @given(st.integers(1, 8), st.integers(1, 6), PATHS, st.data())
@@ -574,14 +595,13 @@ class TestRepeatedIds:
         sets = [tuple(sorted(set(row))) for row in rows]
         one = oracle_directed_counts(n, heads.tolist(), tails.tolist(), sets, q)
         other = oracle_directed_counts(n, tails.tolist(), heads.tolist(), sets, q)
-        want = at_entries(one, rows)
-        both = [x + y for x, y in zip(want, at_entries(other, rows))]
+        want, back = at_entries(one, rows), at_entries(other, rows)
         with mock.patch.object(sparsify, "_CHUNK_KEYS", 1), \
                 mock.patch.object(sparsify, "_TABLE_CELLS", cells):
             assert directed_counts(heads, tails, rows, q).tolist() == want
             assert directed_counts(heads, tails, far).tolist() == want
-            assert conflict_counts(heads, tails, rows, q).tolist() == both
-            assert conflict_counts(heads, tails, far).tolist() == both
+            assert directed_counts(tails, heads, rows, q).tolist() == back
+            assert directed_counts(tails, heads, far).tolist() == back
 
 
 class TestDirectedCounts:
@@ -603,15 +623,6 @@ class TestDirectedCounts:
                 mock.patch.object(sparsify, "_TABLE_CELLS", cells):
             assert directed_counts(heads, tails, rows, q).tolist() == want
             assert directed_counts(heads, tails, far).tolist() == want
-
-    @FAST
-    @given(instances(), PATHS)
-    def test_both_directions_sum_to_conflict_counts(self, inst, cells):
-        g, q, rows = inst
-        us, vs = g.edge_arrays()
-        with mock.patch.object(sparsify, "_TABLE_CELLS", cells):
-            both = directed_counts(us, vs, rows, q) + directed_counts(vs, us, rows, q)
-            assert both.tolist() == conflict_counts(us, vs, rows, q).tolist()
 
 
 class TestLanes:
@@ -671,7 +682,7 @@ class TestLanes:
         heads, tails = g.slot_rows(), g.indices
         assert heads.tolist() == [v for v in range(g.n) for _ in g.neighbors(v)]
         shuffle = np.random.default_rng(0).permutation(heads.size)
-        want = conflict_counts(*g.edge_arrays(), rows, 12).tolist()
+        want = at_entries(oracle_conflict_counts(g, rows, 12), rows)
         for h, t, sizes in ((heads, tails, [g.n]), (heads[shuffle], tails[shuffle],
                                                      [heads.size, g.n])):
             with mock.patch.object(sparsify, "stable_order", wraps=sparsify.stable_order) as spy:

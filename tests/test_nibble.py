@@ -385,6 +385,26 @@ class TestVerify:
             assert not res.ok and res.witness == (0, 1)
         assert verify_coloring(g, cov, PartialColoring({0: 1, 1: 4})).ok
 
+    @pytest.mark.parametrize("policy", ["greedy", "auto"])
+    def test_pairs_off_the_vertex_range_clash_across_no_edge(self, policy):
+        # pairs with an end outside 0..n-1 lie on no edge of g: they are
+        # neither clashes nor an index past the vertices
+        g = Graph(3, [(0, 1), (1, 2)])
+        off = {(0, 5): ((0, 1),), (-1, 1): ((7, 1),), (2, 9): ((2, 8),)}
+        cov = CorrespondenceCover(((0,), (1,), (2,)), off)
+        res = solve(g, cov, policy=policy, seed=0)
+        assert res.coloring.assignment == {0: 0, 1: 1, 2: 2}
+        assert verify_coloring(g, cov, res.coloring).ok
+        # an edge with two clashing pairs is its witness once, off-range
+        # and non-edge pairs on the same colors aside
+        clash = CorrespondenceCover(((0, 3), (1,), (2,)), {
+            **off, (0, 2): ((0, 2),), (1, 2): ((1, 2),), (0, 1): ((0, 1), (3, 1))})
+        phi = PartialColoring({2: 2, 1: 1, 0: 0})
+        assert verify_coloring(g, clash, phi).witness == (0, 1)
+        assert nibble._Instance(g, clash).clashing_edges(
+            np.arange(3), np.arange(3)) == [(0, 1), (1, 2)]
+        assert not solve(g, clash, policy=policy, seed=0).success
+
     def test_negative_color_ids_on_a_large_graph(self):
         rng = rng_for(19)
         g = random_graph(rng, 120, 0.6)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from palettesparse import querysim
 from palettesparse.cover import ListAssignment
 from palettesparse.graphcore import Graph, gen_bipartite, gen_locally_sparse, max_degree
-from palettesparse.nibble import verify_coloring
+from palettesparse.nibble import solve, verify_coloring
 from palettesparse.querysim import (
     QueryOracle,
     UnsupportedStrategy,
@@ -25,6 +25,8 @@ from palettesparse.sparsify import (
     SharedPalette,
     build_conflict,
     derive_params,
+    manual_params,
+    prune,
     sample_palettes,
 )
 
@@ -295,6 +297,29 @@ class TestEndToEnd:
                 palette = ListAssignment(tuple(tuple(range(params.q)) for _ in range(40)))
                 assert verify_coloring(g, palette, out.coloring).ok
         assert ok >= 6
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 16), st.sampled_from(["scan", "classes"]),
+           st.integers(1, 12).flatmap(lambda q: st.tuples(st.just(q), st.integers(1, q))),
+           st.sampled_from([0.5, 0.75, 1.0]), st.sampled_from([0.1, 0.3, 0.6]))
+    def test_tail_is_the_offline_reduction(self, seed, strategy, qs, below, p):
+        # pruning over the discovered edges alone prunes as over all edges,
+        # since an edge whose samples share no color counts for no entry;
+        # so the run solves what the offline reduction of its sample gives.
+        # A reference degree below the graph's prunes some colors or all.
+        g = random_graph(rng_for(seed), 20, p)
+        q, s = qs
+        params = manual_params(max(1, round(below * max_degree(g))), 0.1, 1.0, q=q, s=s)
+        out = end_to_end_query_color(QueryOracle(g), params, seed, strategy=strategy,
+                                     delta_hint=max_degree(g), policy="greedy")
+        fam = prune(g, sample_palettes(SharedPalette(g.n, q), params.s, seed), params)
+        if (fam.pruned.lens == 0).any():
+            assert out.solve_result is None and out.coloring is None
+            return
+        inst = build_conflict(g, fam)
+        want = solve(inst.graph, inst.lists, policy="greedy", seed=seed)
+        assert out.solve_result.path == want.path
+        assert out.coloring == want.coloring
 
     def test_class_size_moments(self):
         # |V_c| is Binomial(n, s/q): empirical mean within 3 sigma
