@@ -225,9 +225,29 @@ def max_degree(g: Graph) -> int:
     return int(g.degrees().max(initial=0))
 
 
-# wedges closed per chunk of the triangle counter: bounds its working
-# memory (a few arrays of this length) whatever the graph's size
+# index pairs per chunk of `run_pairs`: bounds the working memory of its
+# callers (a few arrays of this length) whatever the input's size
 _WEDGES_PER_CHUNK = 1 << 16
+
+
+def run_pairs(groups: np.ndarray):
+    """Every index pair i < j with groups[i] == groups[j] of the ascending
+    array `groups`, by i then j, as (i, j) index arrays a chunk at a time:
+    at most `_WEDGES_PER_CHUNK` pairs a chunk, unless one i alone has more."""
+    size = groups.size
+    starts = np.flatnonzero(run_starts(groups))
+    stops = np.append(starts, size)[1:]
+    # entry i pairs with each later entry of its run
+    per = np.repeat(stops, stops - starts) - np.arange(size) - 1
+    cum = np.cumsum(per)
+    lo = 0
+    while lo < size:
+        done = cum[lo] - per[lo]
+        hi = max(lo + 1, int(np.searchsorted(cum, done + _WEDGES_PER_CHUNK, side="right")))
+        k = per[lo:hi]
+        first = np.repeat(np.arange(lo, hi), k)
+        yield first, first + 1 + np.arange(first.size) - np.repeat(np.cumsum(k) - k, k)
+        lo = hi
 
 
 def _triangle_counts(n: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
@@ -236,8 +256,8 @@ def _triangle_counts(n: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
 
     Each edge points away from its endpoint of smaller (degree, id), so
     every triangle is exactly one wedge of two out-edges of its lowest
-    vertex; wedges are expanded a chunk at a time and closed by a binary
-    search of the sorted keys us*n + vs.
+    vertex; wedges are the `run_pairs` of the out-edges' sources, closed a
+    chunk at a time by a binary search of the sorted keys us*n + vs.
     """
     deg = np.bincount(us, minlength=n) + np.bincount(vs, minlength=n)
     rank = np.empty(n, dtype=np.int64)
@@ -246,25 +266,13 @@ def _triangle_counts(n: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     keys = us * n + vs
     # out-edges by source, each out-list ascending (as in Graph)
     src, dst = np.divmod(np.sort(np.where(flip, vs * n + us, keys)), n)
-    # out-edge i makes a wedge with each later out-edge of its source
-    per = np.cumsum(np.bincount(src, minlength=n))[src] - np.arange(len(src)) - 1
-    cum = np.cumsum(per)
     dst_row = dst * n
     counts = np.zeros(n, dtype=np.int64)
-    lo = 0
-    while lo < len(src):
-        done = int(cum[lo] - per[lo])
-        hi = max(lo + 1, int(np.searchsorted(cum, done + _WEDGES_PER_CHUNK, side="right")))
-        k = per[lo:hi]
-        total = int(cum[hi - 1]) - done
-        if total:
-            first = np.repeat(np.arange(lo, hi), k)
-            second = first + 1 + np.arange(total) - np.repeat(np.cumsum(k) - k, k)
-            w = dst_row[first] + dst[second]
-            at = np.flatnonzero(keys[np.minimum(np.searchsorted(keys, w), len(keys) - 1)] == w)
-            tri = (src[first[at]], dst[first[at]], dst[second[at]])
-            counts += np.bincount(np.concatenate(tri), minlength=n)
-        lo = hi
+    for first, second in run_pairs(src):
+        w = dst_row[first] + dst[second]
+        at = np.flatnonzero(keys[np.minimum(np.searchsorted(keys, w), len(keys) - 1)] == w)
+        tri = (src[first[at]], dst[first[at]], dst[second[at]])
+        counts += np.bincount(np.concatenate(tri), minlength=n)
     return counts
 
 

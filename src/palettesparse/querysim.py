@@ -2,35 +2,34 @@
 
 The oracle answers three query types about a hidden graph: the degree of a
 vertex, the i-th neighbor of a vertex, and whether a pair is an edge;
-`degrees` and `neighbor_prefixes` ask many of the first two at once and
-count each one they stand for. A plan is fixed before any answer is read.
+`degrees`, `neighbor_prefixes` and `pairs` ask many at once and count
+each one they stand for. A plan is fixed before any answer is read.
 Two conflict-discovery strategies are provided: a neighbor scan (all
 degrees, then every neighbor slot, so exactly n + 2m queries get issued)
 and color classes (every pair of vertices sharing a sampled color,
 deduplicated, so every conflict edge is found because a conflicting edge
-lies inside some class). The auto strategy executes whichever of the two
-exact costs is smaller. The discovered edges then go through the offline
-reduction of `sparsify` (`prune`, then `build_conflict`) as a graph of
-their own, so pruning counts over them only.
+lies inside some class), enumerated by `graphcore.run_pairs`. The auto strategy executes whichever of the two exact costs
+is smaller, building the class union only until it reaches the scan's.
+The discovered edges then go through the offline reduction of `sparsify`
+(`prune`, then `build_conflict`) as a graph of their own, so pruning
+counts over them only.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
-from .cover import ListAssignment
-from .graphcore import Graph, distinct
+from .cover import ListAssignment, Rows
+from .graphcore import Graph, distinct, first_seen, run_pairs, stable_order
 from .nibble import PartialColoring, SolveResult, solve
 from .sparsify import (
     ConflictInstance,
     PaletteFamily,
     SharedPalette,
     SparsifyParams,
-    _packed_masks,
     build_conflict,
     prune,
     sample_palettes,
@@ -53,10 +52,12 @@ class UnsupportedStrategy(ValueError):
 
 
 class QueryOracle:
-    """Sole access point to the hidden graph; counts every issued query."""
+    """Sole access point to the hidden graph; counts every issued query.
+    An out-of-range vertex or slot raises ValueError and is not counted."""
 
     def __init__(self, g: Graph):
         self._g = g
+        self._rows = Rows(g.indices, g.indptr)
         self.degree_queries = 0
         self.neighbor_queries = 0
         self.pair_queries = 0
@@ -65,7 +66,12 @@ class QueryOracle:
     def n(self) -> int:
         return self._g.n
 
+    def _check(self, *ids) -> None:
+        if any(np.size(a) and (np.min(a) < 0 or np.max(a) >= self.n) for a in ids):
+            raise ValueError(f"vertex ids must lie in 0..{self.n - 1}")
+
     def degree(self, v: int) -> int:
+        self._check(v)
         self.degree_queries += 1
         return self._g.degree(v)
 
@@ -75,6 +81,8 @@ class QueryOracle:
         return self._g.degrees()
 
     def neighbor(self, v: int, i: int) -> int:
+        if not (0 <= v < self.n and 0 <= i < self._g.degree(v)):
+            raise ValueError(f"no neighbor slot {i} of vertex {v}")
         self.neighbor_queries += 1
         return int(self._g.neighbors(v)[i])
 
@@ -91,8 +99,18 @@ class QueryOracle:
         return owner, g.indices[g.indptr[owner] + slot]
 
     def pair(self, u: int, v: int) -> bool:
+        self._check(u, v)
         self.pair_queries += 1
         return self._g.has_edge(u, v)
+
+    def pairs(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """Bool mask: (us[i], vs[i]) is an edge, for 1-D id arrays of one
+        length: len(us) pair queries, one binary search of the CSR rows."""
+        if np.ndim(us) != 1 or np.shape(us) != np.shape(vs):
+            raise ValueError("need two 1-D vertex id arrays of one length")
+        self._check(us, vs)
+        self.pair_queries += us.size
+        return self._rows.holds(us, vs)
 
     @property
     def total_queries(self) -> int:
@@ -107,30 +125,28 @@ class QueryOracle:
         }
 
 
-def _pair_union_size(masks: np.ndarray) -> int:
-    """Exact number of vertex pairs sharing at least one sampled color,
-    without materializing the pairs."""
-    n, words = masks.shape
-    total = 0
-    for u in range(n - 1):
-        # OR over the word columns of the AND with row u
-        hit = masks[u + 1 :, 0] & masks[u, 0]
-        for w in range(1, words):
-            hit |= masks[u + 1 :, w] & masks[u, w]
-        total += int(np.count_nonzero(hit))
-    return total
-
-
-def _pair_union(fam: PaletteFamily) -> np.ndarray:
-    """Deduplicated within-class pairs, ordered by color then lexicographic
-    first occurrence."""
-    classes: dict[int, list[int]] = {}
-    for v, row in enumerate(fam.sampled):
-        for c in row:
-            classes.setdefault(c, []).append(v)
-    # a dict keeps the first occurrence of each pair, in insertion order
-    pairs = dict.fromkeys(p for c in sorted(classes) for p in combinations(classes[c], 2))
-    return np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
+def _pair_union(fam: PaletteFamily, limit: int | None = None) -> np.ndarray | None:
+    """The distinct keys u*n + v (u < v) of the pairs within the color
+    classes V_c = {v : c in S(v)}, first occurrences by color, then
+    lexicographically; None once more than `limit` are distinct. Each chunk
+    of `run_pairs` over the entries by (color, vertex) is deduplicated and
+    cut to the keys that no earlier chunk held."""
+    n, colors = fam.n, fam.sampled.values
+    order = stable_order(colors)
+    members = fam.sampled.owner[order]
+    # the keys found so far, ascending, above a sentinel no key reaches
+    seen = np.array([np.iinfo(np.int64).max])
+    found = [np.zeros(0, dtype=np.int64)]
+    for first, second in run_pairs(colors[order]):
+        chunk = members[first] * n + members[second]
+        keys, at = first_seen(chunk)
+        pos = np.searchsorted(seen, keys)
+        fresh = seen[pos] != keys
+        if limit is not None and seen.size - 1 + np.count_nonzero(fresh) > limit:
+            return None
+        found.append(chunk[np.sort(at[fresh])])
+        seen = np.insert(seen, pos[fresh], keys[fresh])
+    return np.concatenate(found)
 
 
 @dataclass(frozen=True)
@@ -139,8 +155,8 @@ class QueryPlan:
     strategy, hints) only. `pairs` is None for the neighbor scan, whose
     slots are implicit: n degree queries, then per vertex the neighbor
     slots 0..delta_hint-1 of which only the first deg(v) are issued.
-    `cost_classes` is the exact class cost, or None when no plan step
-    needed it (scan, or auto decided by the largest class alone)."""
+    `cost_classes` is the exact class cost, or None for any scan (auto
+    stops counting classes once they reach the scan cost)."""
 
     strategy: str
     n: int
@@ -168,11 +184,14 @@ def plan_queries(n: int, fam: PaletteFamily, strategy: str,
     membership classes are only well defined for a common palette). auto:
     compares the exact class cost against the exact scan cost n + 2m when
     m_hint is given (falling back to the n + n*delta_hint bound otherwise)
-    and plans the cheaper one (ties: scan). The Theta(n^2) exact class count
-    runs only when the scan cost lies between max_c and sum_c of C(|V_c|, 2).
+    and plans the cheaper one (ties: scan), building no pair when the
+    largest class's C(|V_c|, 2) reaches the scan cost and otherwise no more
+    of the union than the scan cost, a chunk at a time (no Theta(n^2) step).
     """
     if strategy not in ("scan", "classes", "auto"):
         raise ValueError(f"unknown strategy {strategy!r}")
+    if n != fam.n:
+        raise ValueError(f"family has {fam.n} vertices, but n is {n}")
     if strategy != "scan" and fam.universe is None:
         raise UnsupportedStrategy(
             "color-class planning requires sampling from the shared palette; "
@@ -189,14 +208,13 @@ def plan_queries(n: int, fam: PaletteFamily, strategy: str,
         if delta_hint is None and m_hint is None:
             raise ValueError("auto strategy needs delta_hint or m_hint")
         sizes = np.bincount(fam.sampled.values, minlength=fam.universe)
-        per_class = sizes * (sizes - 1) // 2
-        if cost_scan <= per_class.max(initial=0):
+        if cost_scan <= (sizes * (sizes - 1) // 2).max(initial=0):
             return QueryPlan("scan", n, delta_hint, None, cost_scan, None)
-        if cost_scan <= per_class.sum():
-            cost_classes = _pair_union_size(_packed_masks(fam.sampled, fam.universe))
-            if cost_scan <= cost_classes:
-                return QueryPlan("scan", n, delta_hint, None, cost_scan, cost_classes)
-    pairs = _pair_union(fam)
+    # auto: a union of cost_scan pairs or more loses the tie to the scan
+    keys = _pair_union(fam, None if strategy == "classes" else cost_scan - 1)
+    if keys is None:
+        return QueryPlan("scan", n, delta_hint, None, cost_scan, None)
+    pairs = np.column_stack(np.divmod(keys, max(n, 1)))
     return QueryPlan("classes", n, delta_hint, pairs, cost_scan, len(pairs))
 
 
@@ -207,8 +225,9 @@ def execute_plan(oracle: QueryOracle, plan: QueryPlan, fam: PaletteFamily):
     queried pairs; for the class strategy that is all of them, since a
     conflicting edge shares a color and therefore lies inside a class.
     """
-    before = oracle.total_queries
-    n = plan.n
+    if plan.n != oracle.n:
+        raise ValueError(f"oracle has {oracle.n} vertices, but the plan's n is {plan.n}")
+    before, n = oracle.total_queries, plan.n
     if plan.strategy == "scan":
         degrees = oracle.degrees()
         slots = degrees if plan.delta_hint is None else np.minimum(degrees, plan.delta_hint)
@@ -223,7 +242,7 @@ def execute_plan(oracle: QueryOracle, plan: QueryPlan, fam: PaletteFamily):
         hit = shared_edges(us, vs, fam.sampled, fam.universe)
         conflict = np.column_stack((us[hit], vs[hit]))
     else:
-        conflict = {(u, v) for u, v in plan.pairs.tolist() if oracle.pair(u, v)}
+        conflict = plan.pairs[oracle.pairs(*plan.pairs.T)]
     issued = oracle.total_queries - before
     inst = ConflictInstance(Graph(n, conflict), lists=ListAssignment(fam.sampled))
     return inst, issued

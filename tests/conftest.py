@@ -367,6 +367,19 @@ def oracle_cover_stream_records(g: Graph, cov: CorrespondenceCover, permute_seed
     return records
 
 
+def oracle_pair_union(fam) -> list[tuple[int, int]]:
+    """The vertex pairs (u, v), u < v, sharing a sampled color of `fam`,
+    each once, where the color classes first list it: classes by color,
+    each class's pairs lexicographic (a dict of `itertools.combinations`)."""
+    classes: dict[int, list[int]] = {}
+    for v, row in enumerate(fam.sampled):
+        for c in row:
+            classes.setdefault(c, []).append(v)
+    # a dict keeps the first occurrence of each pair, in insertion order
+    return list(dict.fromkeys(p for c in sorted(classes)
+                              for p in itertools.combinations(classes[c], 2)))
+
+
 def oracle_sorted_rows(rows) -> tuple[tuple[int, ...], ...]:
     """Every row sorted, as a tuple of tuples."""
     return tuple(tuple(sorted(row)) for row in rows)

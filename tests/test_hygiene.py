@@ -11,7 +11,11 @@ survival of packed bit masks ORs their word columns, 1-D, instead.
 `nibble` holds a `Graph` wherever it counts list entries, so it counts
 over the graph's CSR slots, whose heads ascend and need no sort. No
 module reads a stream's `records`: those tuples are a view for callers
-and oracles, and the package's own passes read the stream's arrays.
+and oracles, and the package's own passes read the stream's arrays. No
+module calls a per-call `.pair(` or `.neighbor(` query or
+`itertools.combinations`: the package's passes issue batched queries and
+expand pairs a bounded chunk at a time (`graphcore.run_pairs`), and the
+per-call methods stay as the tests' reference for the batches.
 """
 
 import ast
@@ -122,3 +126,19 @@ def test_no_module_reads_records(path):
     lines = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr == "records"]
     assert lines == [], f"{path.name} reads .records on lines {lines}"
+
+
+def _per_call_pairs(node) -> bool:
+    """A per-call `.pair(`/`.neighbor(` query, or any use of `combinations`."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        return node.func.attr in ("pair", "neighbor")
+    return (isinstance(node, ast.Attribute) and node.attr == "combinations") or \
+        (isinstance(node, ast.Name) and node.id == "combinations") or \
+        (isinstance(node, ast.alias) and node.name == "combinations")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_passes_issue_batched_queries(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = sorted(getattr(node, "lineno", 0) for node in ast.walk(tree) if _per_call_pairs(node))
+    assert lines == [], f"{path.name} queries or pairs one at a time on lines {lines}"

@@ -1,20 +1,20 @@
-import itertools
 import math
 from collections import Counter
 from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import random_graph, rng_for
-from hypothesis import given, settings
+from conftest import oracle_pair_union, random_graph, rng_for
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from palettesparse import querysim
+from palettesparse import graphcore, querysim
 from palettesparse.cover import ListAssignment
 from palettesparse.graphcore import Graph, gen_bipartite, gen_locally_sparse, max_degree
 from palettesparse.nibble import solve, verify_coloring
 from palettesparse.querysim import (
     QueryOracle,
+    QueryPlan,
     UnsupportedStrategy,
     end_to_end_query_color,
     execute_plan,
@@ -35,17 +35,29 @@ def params_for(delta, n, q, s):
     return derive_params(delta, n, 1, 0.5, 0.1, 1.0).with_overrides(q=q, s=s)
 
 
-def oracle_pair_union(fam, n):
-    """Deduplicated within-class pairs, recomputed by direct enumeration."""
-    seen = set()
-    classes = {}
-    for v, row in enumerate(fam.sampled):
-        for c in row:
-            classes.setdefault(c, []).append(v)
-    for members in classes.values():
-        for u, v in itertools.combinations(members, 2):
-            seen.add((u, v))
-    return seen
+def check_plans_against_the_union_oracle(fam, hint):
+    """The classes plan lists `oracle_pair_union`'s pairs in its order, and
+    auto, with the scan cost at the exact class cost and one either side,
+    picks the cheaper (ties: scan); the union stops past its limit."""
+    n = fam.n
+    want = oracle_pair_union(fam)
+    exact = len(want)
+    plan = plan_queries(n, fam, "classes", delta_hint=hint)
+    assert list(map(tuple, plan.pairs.tolist())) == want and plan.cost_classes == exact
+    keys = [u * n + v for u, v in want]
+    for cost in (exact - 1, exact, exact + 1):
+        if cost >= 0:
+            got = querysim._pair_union(fam, cost)
+            assert (None if exact > cost else keys) == (got if got is None else got.tolist())
+        if cost < n or (cost - n) % 2:
+            continue  # no edge count makes this scan cost
+        auto = plan_queries(n, fam, "auto", hint, m_hint=(cost - n) // 2)
+        assert auto.cost_scan == cost
+        if cost <= exact:
+            assert auto == QueryPlan("scan", n, hint, None, cost, None)
+        else:
+            assert (auto.strategy, auto.cost_classes) == ("classes", exact)
+            assert auto.fingerprint() == plan.fingerprint()
 
 
 class BlindOracle:
@@ -53,6 +65,7 @@ class BlindOracle:
 
     def __init__(self, g):
         self.oracle = QueryOracle(g)
+        self.n = g.n
         self.degrees, self.neighbor_prefixes = self.oracle.degrees, self.oracle.neighbor_prefixes
 
     @property
@@ -74,7 +87,7 @@ class TestPlan:
             n = int(rng.integers(5, 40))
             fam = sample_palettes(SharedPalette(n, 9), 3, seed=trial)
             plan = plan_queries(n, fam, "classes", delta_hint=None)
-            want = oracle_pair_union(fam, n)
+            want = set(oracle_pair_union(fam))
             got = {tuple(sorted(p)) for p in plan.pairs.tolist()}
             assert got == want and plan.cost_classes == len(want)
 
@@ -87,12 +100,34 @@ class TestPlan:
 
     @pytest.mark.parametrize("q", [1, 63, 64, 65, 128, 129])
     def test_exact_class_cost_across_word_boundaries(self, q):
-        # the plan's exact class cost ORs the words of the packed masks
+        # palettes of these sizes once straddled the 64-bit words of a
+        # packed-mask class count; the union must not care
         for trial in range(3):
             fam = sample_palettes(SharedPalette(30, q), min(q, 2), seed=trial)
-            plan = plan_queries(30, fam, "classes", delta_hint=None)
-            assert querysim._pair_union_size(querysim._packed_masks(fam.sampled, q)) == \
-                len(oracle_pair_union(fam, 30)) == plan.cost_classes
+            check_plans_against_the_union_oracle(fam, hint=None)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 12),
+           st.integers(1, 8).flatmap(lambda q: st.tuples(st.just(q), st.integers(1, q))),
+           st.integers(0, 2 ** 16), st.sampled_from([1, 2, 3, 7, 1 << 16]),
+           st.none() | st.integers(0, 12))
+    @example(0, (1, 1), 0, 1, None)
+    @example(2, (1, 1), 0, 1, 0)
+    @example(3, (8, 1), 0, 1, 2)  # at least five empty classes
+    @example(12, (3, 3), 0, 7, 3)
+    def test_plans_match_the_union_oracle(self, n, qs, seed, chunk, hint):
+        # small chunks split one class's pairs over several chunks, so a
+        # key can repeat one of an earlier chunk of the same or another class
+        q, s = qs
+        fam = sample_palettes(SharedPalette(n, q), s, seed)
+        with mock.patch.object(graphcore, "_WEDGES_PER_CHUNK", chunk):
+            check_plans_against_the_union_oracle(fam, hint)
+
+    def test_plan_rejects_a_family_of_another_size(self):
+        fam = sample_palettes(SharedPalette(5, 4), 2, seed=0)
+        for n, strategy in ((3, "classes"), (3, "scan"), (6, "auto")):
+            with pytest.raises(ValueError, match=f"family has 5 vertices, but n is {n}"):
+                plan_queries(n, fam, strategy, delta_hint=2)
 
     def test_classes_unsupported_for_per_vertex_lists(self):
         fam = PaletteFamily(((1, 2), (3, 4)))  # no shared universe
@@ -115,8 +150,9 @@ class TestPlan:
         assert a.fingerprint() == b.fingerprint()
 
     def test_class_size_bounds_decide_auto_like_the_exact_count(self):
-        # below max_c C(|V_c|, 2) and above sum_c C(|V_c|, 2) the scan cost
-        # decides without the exact count; in between the exact count runs
+        # a scan cost at most max_c C(|V_c|, 2) decides for the scan without
+        # building a pair; above it the union runs, and a scan it picks
+        # records no class cost
         rng = rng_for(9)
         decided = Counter()
         for trial in range(25):
@@ -126,7 +162,7 @@ class TestPlan:
             sizes = Counter(c for row in fam.sampled for c in row).values()
             low = max(math.comb(k, 2) for k in sizes)
             high = sum(math.comb(k, 2) for k in sizes)
-            exact = len(oracle_pair_union(fam, n))
+            exact = len(oracle_pair_union(fam))
             hint = int(rng.integers(0, n))
             for cost in {low - 1, low, low + 1, exact, exact + 1, high, high + 1}:
                 m = (cost - n) // 2
@@ -134,18 +170,16 @@ class TestPlan:
                     continue
                 want = "scan" if n + 2 * m <= exact else "classes"
                 ref = plan_queries(n, fam, want, hint)
-                if low < n + 2 * m <= high:
-                    plan = plan_queries(n, fam, "auto", hint, m_hint=m)
-                    assert plan.cost_classes == exact
-                else:
-                    with mock.patch.object(querysim, "_pair_union_size",
-                                           side_effect=AssertionError):
+                if n + 2 * m <= low:
+                    with mock.patch.object(querysim, "_pair_union", side_effect=AssertionError):
                         plan = plan_queries(n, fam, "auto", hint, m_hint=m)
-                    decided[plan.strategy] += 1
-                    assert plan.cost_classes == (None if want == "scan" else exact)
+                else:
+                    plan = plan_queries(n, fam, "auto", hint, m_hint=m)
+                decided[n + 2 * m <= low, plan.strategy] += 1
+                assert plan.cost_classes == (None if want == "scan" else exact)
                 assert plan.strategy == want
                 assert plan.fingerprint() == ref.fingerprint()
-        assert decided["scan"] and decided["classes"]
+        assert decided[True, "scan"] and decided[False, "scan"] and decided[False, "classes"]
 
     def test_plan_independent_of_hidden_graph(self):
         # same palettes, two very different hidden graphs: byte-identical plan
@@ -214,6 +248,48 @@ class TestExecute:
         assert set(inst.graph.edges()) == read
         assert blind.oracle.counts() == ref.counts() and issued == ref.total_queries
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 10), st.data())
+    def test_batched_pairs_count_and_answer_like_per_call_loop(self, n, data):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        g = Graph(n, data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+        ids = st.integers(0, n - 1)
+        asked = data.draw(st.lists(st.tuples(ids, ids)))
+        loop, batched = QueryOracle(g), QueryOracle(g)
+        expected = [loop.pair(u, v) for u, v in asked]
+        us, vs = np.array(asked, dtype=np.int64).reshape(-1, 2).T
+        assert batched.pairs(us, vs).tolist() == expected
+        assert batched.counts() == loop.counts()
+
+    def test_per_call_queries_reject_out_of_range_arguments(self):
+        oracle = QueryOracle(Graph(3, [(0, 1), (1, 2)]))
+        bad = [
+            lambda: oracle.degree(-1), lambda: oracle.degree(3),
+            lambda: oracle.neighbor(1, -1), lambda: oracle.neighbor(0, 5),
+            lambda: oracle.neighbor(0, 1), lambda: oracle.neighbor(-1, 0),
+            lambda: oracle.neighbor(3, 0),
+            lambda: oracle.pair(-1, 0), lambda: oracle.pair(0, 3),
+            lambda: oracle.pairs(np.array([0, -1]), np.array([1, 2])),
+            lambda: oracle.pairs(np.array([0, 1]), np.array([1, 3])),
+            lambda: oracle.pairs(np.array([0, 1]), np.array([1])),
+        ]
+        for ask in bad:
+            with pytest.raises(ValueError):
+                ask()
+        assert oracle.total_queries == 0
+        assert (oracle.degree(1), oracle.neighbor(1, 1), oracle.pair(2, 1)) == (2, 2, True)
+        assert oracle.counts() == {"degree": 1, "neighbor": 1, "pair": 1, "total": 3}
+
+    def test_execute_rejects_a_plan_of_another_size(self):
+        fam = sample_palettes(SharedPalette(5, 4), 2, seed=0)
+        for strategy in ("scan", "classes"):
+            plan = plan_queries(5, fam, strategy, delta_hint=2)
+            for n in (3, 6):
+                oracle = QueryOracle(Graph(n, [(0, 1)]))
+                with pytest.raises(ValueError, match=f"oracle has {n} vertices, but the plan's n is 5"):
+                    execute_plan(oracle, plan, fam)
+                assert oracle.total_queries == 0
+
     def test_neighbor_prefixes_reject_slots_beyond_the_degree(self):
         oracle = QueryOracle(Graph(3, [(0, 1)]))
         with pytest.raises(ValueError):
@@ -226,7 +302,7 @@ class TestExecute:
         plan = plan_queries(30, fam, "classes", delta_hint=None)
         oracle = QueryOracle(g)
         _, issued = execute_plan(oracle, plan, fam)
-        assert issued == len(oracle_pair_union(fam, 30))
+        assert issued == len(oracle_pair_union(fam))
         assert oracle.pair_queries == issued
 
     def test_discovery_equals_offline_conflicts_both_strategies(self):
