@@ -202,7 +202,13 @@ class Rows(Sequence):
             inside = colors[offset] == ids
         want = at * span + offset
         pos = np.minimum(np.searchsorted(keys, want), keys.size - 1)
-        return np.where(inside & (keys[pos] == want), pos, -1)
+        found = keys[pos] == want
+        found &= inside
+        # pos where found, else -1, by arithmetic (faster than np.where)
+        pos += 1
+        pos *= found
+        pos -= 1
+        return pos
 
     def holds(self, at: np.ndarray, ids: np.ndarray) -> np.ndarray:
         """Bool mask: row at[i] holds id ids[i] (see `find`)."""

@@ -126,7 +126,9 @@ def check_pairs(n: int, ends: np.ndarray) -> tuple[np.ndarray, tuple[int, int] |
     if not bad.any():
         return keys, None
     i = int(bad.argmax())
-    return keys, (i, int(first[np.searchsorted(keys, pair_keys[i])]) if repeat[i] else -1)
+    # a pair with an id out of range can share an earlier edge's key
+    again = repeat[i] and 0 <= lo[i] and hi[i] < n
+    return keys, (i, int(first[np.searchsorted(keys, pair_keys[i])]) if again else -1)
 
 
 class Graph:
@@ -232,22 +234,45 @@ _WEDGES_PER_CHUNK = 1 << 16
 
 def run_pairs(groups: np.ndarray):
     """Every index pair i < j with groups[i] == groups[j] of the ascending
-    array `groups`, by i then j, as (i, j) index arrays a chunk at a time:
-    at most `_WEDGES_PER_CHUNK` pairs a chunk, unless one i alone has more."""
+    array `groups`, by i then j, as an iterator of (i, j) index arrays a
+    chunk at a time: at most `_WEDGES_PER_CHUNK` pairs a chunk, unless one
+    i alone has more. The pair counts (one word per entry) are made at the
+    call, not when the iterator is first read."""
     size = groups.size
     starts = np.flatnonzero(run_starts(groups))
     stops = np.append(starts, size)[1:]
-    # entry i pairs with each later entry of its run
-    per = np.repeat(stops, stops - starts) - np.arange(size) - 1
-    cum = np.cumsum(per)
-    lo = 0
-    while lo < size:
-        done = cum[lo] - per[lo]
-        hi = max(lo + 1, int(np.searchsorted(cum, done + _WEDGES_PER_CHUNK, side="right")))
-        k = per[lo:hi]
-        first = np.repeat(np.arange(lo, hi), k)
-        yield first, first + 1 + np.arange(first.size) - np.repeat(np.cumsum(k) - k, k)
-        lo = hi
+    # before[i]: the pairs of the entries before i; entry i pairs with
+    # each later entry of its run
+    before = np.zeros(size + 1, dtype=np.int64)
+    before[1:] = np.repeat(stops, stops - starts)
+    before[1:] -= np.arange(1, size + 1)
+    np.cumsum(before, out=before)
+
+    def chunks():
+        lo = 0
+        while lo < size:
+            hi = int(np.searchsorted(before, before[lo] + _WEDGES_PER_CHUNK, side="right")) - 1
+            hi = max(lo + 1, hi)
+            at = np.arange(lo, hi)
+            per = np.diff(before[lo:hi + 1])
+            first = np.repeat(at, per)
+            # entry i's pairs are i + 1, i + 2, ...: the chunk's pair
+            # number less the chunk's pairs before i's, plus i + 1
+            second = np.arange(first.size)
+            second -= np.repeat(before[lo:hi] - before[lo] - at - 1, per)
+            yield first, second
+            lo = hi
+
+    return chunks()
+
+
+# flags per edge in `_triangle_counts`' prefilter: each vertex has the
+# least power of two >= this * m / n of them (and at least 8), so that
+# about 1/16 of them are set
+_FLAGS_PER_EDGE = 16
+
+# the uint8 with only bit i set, at i
+_BIT = np.left_shift(np.uint8(1), np.arange(8, dtype=np.uint8))
 
 
 def _triangle_counts(n: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
@@ -258,20 +283,46 @@ def _triangle_counts(n: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     every triangle is exactly one wedge of two out-edges of its lowest
     vertex; wedges are the `run_pairs` of the out-edges' sources, closed a
     chunk at a time by a binary search of the sorted keys us*n + vs.
+    Most wedges are open, and a bit table rules most of those out before
+    the search: each vertex has B flags, and edge (u, v), u < v, sets flag
+    v mod B of u, so a wedge (a, b), a < b, cannot close while flag b mod B
+    of a is clear. B is a power of two from m/n, so the table is O(m) bytes.
     """
+    width = 8  # B
+    while width * n < _FLAGS_PER_EDGE * us.size:
+        width *= 2
+    # flag i of vertex u is bit i mod 8 of byte (u * width + i) // 8
+    flags = np.zeros(n * width // 8, dtype=np.uint8)
+    at = us * width
+    at += vs & (width - 1)
+    np.bitwise_or.at(flags, at >> 3, _BIT.take(at & 7))
+    del at
     deg = np.bincount(us, minlength=n) + np.bincount(vs, minlength=n)
     rank = np.empty(n, dtype=np.int64)
     rank[stable_order(deg)] = np.arange(n)
-    flip = rank[us] > rank[vs]
     keys = us * n + vs
-    # out-edges by source, each out-list ascending (as in Graph)
-    src, dst = np.divmod(np.sort(np.where(flip, vs * n + us, keys)), n)
-    dst_row = dst * n
+    # out-edges by source, each out-list ascending (as in Graph): the key
+    # v*n + u = u*n + v + (v - u)(n - 1) where the edge points from v
+    out = vs - us
+    out *= rank[us] > rank[vs]
+    out *= n - 1
+    out += keys
+    out.sort()
+    src, dst = np.divmod(out, n)
+    del out
+    wedges = run_pairs(src)  # its counts before dst_flag: a lower peak
+    dst_flag = dst * width
     counts = np.zeros(n, dtype=np.int64)
-    for first, second in run_pairs(src):
-        w = dst_row[first] + dst[second]
-        at = np.flatnonzero(keys[np.minimum(np.searchsorted(keys, w), len(keys) - 1)] == w)
-        tri = (src[first[at]], dst[first[at]], dst[second[at]])
+    for first, second in wedges:
+        at = dst.take(second)
+        at &= width - 1
+        at += dst_flag.take(first)
+        maybe = np.flatnonzero(flags.take(at >> 3) & _BIT.take(at & 7))
+        first, second = first.take(maybe), second.take(maybe)
+        a, b = dst.take(first), dst.take(second)
+        w = a * n + b
+        shut = np.flatnonzero(keys[np.minimum(np.searchsorted(keys, w), len(keys) - 1)] == w)
+        tri = (src.take(first.take(shut)), a.take(shut), b.take(shut))
         counts += np.bincount(np.concatenate(tri), minlength=n)
     return counts
 

@@ -238,7 +238,8 @@ def stream_color(stream: EdgeStream, n: int, params: SparsifyParams, seed: int,
         ledger.counter_words += n
 
     ends = stream.ends
-    pairs = ends[shared_edges(ends[:, 0], ends[:, 1], fam.sampled, params.q)]
+    hit = shared_edges(ends[:, 0], ends[:, 1], fam.sampled, params.q)
+    pairs = ends.take(np.flatnonzero(hit), axis=0)
     su, sv = pairs.T
     su[:], sv[:] = np.minimum(su, sv), np.maximum(su, sv)
     ledger.charge(np.broadcast_to(0, len(pairs)), space_cap)

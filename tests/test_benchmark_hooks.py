@@ -48,3 +48,18 @@ def test_tiny_workload_is_correct(perfbench, workload):
     run, _ = perfbench
     result, detail = run.run_workload(workload, "tiny", 0, 0.0, True)
     assert result["correct"] and detail["fingerprint_ok"]
+
+
+@pytest.mark.parametrize("loads, flagged", [((0.2, 0.9), False), ((0.2, 1.3), True)])
+def test_ab_pairs_reports_the_highest_start_load(monkeypatch, capsys, loads, flagged):
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "tools"))
+    import ab_pairs
+
+    def run(load, value):
+        return {"correct": True, "sha": "x", "load": load, "metrics": {"setup_s": value}}
+
+    pairs = [(run(loads[0], 1.0), run(0.1, 0.9)), (run(0.3, 1.1), run(loads[1], 0.8))]
+    ab_pairs.report("w", [{"name": "setup_s", "better": "lower"}], pairs)
+    out = capsys.readouterr().out
+    assert f"base {max(loads[0], 0.3):.2f}, change {max(loads[1], 0.1):.2f}" in out
+    assert ("LOADED" in out) == flagged

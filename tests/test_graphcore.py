@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from palettesparse import graphcore
+from palettesparse.cover import ListAssignment, cover_from_lists, cover_sparsity
 from palettesparse.graphcore import (
     GenerationError,
     Graph,
@@ -166,14 +168,58 @@ class TestLocalSparsity:
         assert got == oracle_neighborhood_edges(g)
 
     @FAST
-    @given(st.integers(0, 12), st.integers(1, 5), st.data())
-    def test_agrees_across_wedge_chunks(self, n, budget, data):
+    @given(st.integers(0, 12), st.integers(1, 5), st.sampled_from([0, 16]), st.data())
+    def test_agrees_across_wedge_chunks(self, n, budget, factor, data):
+        # factor 0 leaves 8 flags a vertex, so the flags of v and v + 8 collide
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
         g = Graph(n, edges)
-        with mock.patch.object(graphcore, "_WEDGES_PER_CHUNK", budget):
+        with mock.patch.object(graphcore, "_WEDGES_PER_CHUNK", budget), \
+                mock.patch.object(graphcore, "_FLAGS_PER_EDGE", factor):
             got = local_sparsity(g).per_vertex_neighborhood_edges
         assert list(got) == oracle_neighborhood_edges(g)
+
+    @pytest.mark.parametrize("factor", [0, 16])
+    def test_agrees_with_a_saturated_hub(self, factor):
+        # vertex 0 is adjacent to all, so every one of its flags is set and
+        # each wedge with lower end 0 goes on to the search
+        rng = rng_for(23)
+        n = 300
+        us, vs = random_graph(rng, n, 0.02).edge_arrays()
+        keys = distinct(np.concatenate((np.arange(1, n), us * n + vs)))
+        g = Graph(n, np.column_stack(np.divmod(keys, n)))
+        assert g.degree(0) == n - 1 and g.m > 1000
+        with mock.patch.object(graphcore, "_FLAGS_PER_EDGE", factor):
+            got = list(local_sparsity(g).per_vertex_neighborhood_edges)
+        assert got == oracle_neighborhood_edges(g)
+
+    @pytest.mark.parametrize("g", [Graph(0), Graph(1), Graph(2), Graph(2, [(0, 1)]), Graph(9),
+                                   K(3), K(5), K(9), K(17)], ids=repr)
+    def test_small_edgeless_and_complete_graphs(self, g):
+        assert list(local_sparsity(g).per_vertex_neighborhood_edges) == \
+            oracle_neighborhood_edges(g)
+
+    def test_canonical_cover_keeps_the_graphs_sparsity(self):
+        # identical lists make the cover graph 3 disjoint copies of g
+        g = gen_locally_sparse(80, 10, 4, seed=2)
+        cov = cover_from_lists(g, ListAssignment(((0, 1, 2),) * g.n))
+        assert cover_sparsity(cov) == local_sparsity(g).k_star == max(oracle_neighborhood_edges(g))
+
+    def test_memory_is_linear_in_the_edges_beside_a_hub(self):
+        # a flag table sized from the max degree (3,999) would take 32 MB
+        rng = rng_for(29)
+        n = 4000
+        pairs = rng.integers(0, n, size=(40000, 2))
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        keys = distinct(np.concatenate((np.arange(1, n), pairs.min(1) * n + pairs.max(1))))
+        g = Graph(n, np.column_stack(np.divmod(keys, n)))
+        tracemalloc.start()
+        try:
+            local_sparsity(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200 * g.m
 
     def test_agrees_on_dense_graph(self):
         rng = rng_for(17)
@@ -209,6 +255,7 @@ class TestGraphValidation:
     @example(3, [(0, 1), (0, 2), (0, 2)], True, True)
     @example(3, [(0, 1), (1, 1), (1, 2)], True, True)
     @example(3, [(0, 1), (1, 2), (1, 3)], True, True)
+    @example(3, [(0, 1), (-1, 4)], False, False)
     def test_matches_naive_validator(self, n, pairs, as_array, ascending):
         # pairs in ascending key order min*n + max skip the sort, but an
         # out-of-range id, a self-loop or an adjacent repeat is still named

@@ -14,7 +14,11 @@ For every end-to-end metric of BENCHMARK.json (read from BASE's tree, with
 its direction), it prints each side's median and quartiles, the change of
 the median, the pairs the change won, and whether the median gap exceeds
 BASE's interquartile range. It also counts the runs that reported an
-incorrect result and the pairs whose `seeds_sha256` differ. Only the
+incorrect result and the pairs whose `seeds_sha256` differ, and per side
+the highest 1-minute load average at the start of a run (perfbench's
+`loadavg_1m`), flagging the workload when a run started above
+`QUIET_LOAD`: pairs do not cancel load from other processes on the same
+cores, so such a report may show gaps on untouched code. Only the
 standard library is used; nothing is written into the repository, and the
 exports are removed at the end unless `--keep` is given.
 """
@@ -31,6 +35,10 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+
+# back-to-back runs alone hold the 1-minute load average just under 1, so a
+# run that starts above this shared its cores with another busy process
+QUIET_LOAD = 1.0
 
 
 def export(rev: str, repo: str, into: str) -> str:
@@ -54,6 +62,7 @@ def run(tree: str, workload: str, seed: int, seconds: float) -> dict:
         raise SystemExit(f"{workload} in {tree} printed no result (exit {out.returncode})")
     detail, result = json.loads(lines[-2])["detail"], json.loads(lines[-1])
     return {"correct": result["correct"], "sha": detail["seeds_sha256"],
+            "load": detail["loadavg_1m"][0],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
 
 
@@ -70,6 +79,10 @@ def report(workload: str, spec: list[dict], pairs: list[tuple[dict, dict]]) -> N
     wrong = sum(not r["correct"] for pair in pairs for r in pair)
     same = sum(a["sha"] == b["sha"] for a, b in pairs)
     print(f"  incorrect runs: {wrong}; pairs with equal seeds_sha256: {same}/{len(pairs)}")
+    base_load, change_load = (max(pair[side]["load"] for pair in pairs) for side in (0, 1))
+    print(f"  highest loadavg_1m at a run's start: base {base_load:.2f}, change {change_load:.2f}"
+          + (f"  LOADED: above {QUIET_LOAD}, gaps may be other processes' load"
+             if max(base_load, change_load) > QUIET_LOAD else ""))
     print(f"  {'metric':20s} {'base median [q1, q3]':>30s} {'change median [q1, q3]':>30s}"
           f" {'change':>8s} {'won':>6s}  gap > base IQR")
     for m in spec:
