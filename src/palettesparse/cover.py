@@ -99,25 +99,30 @@ class Rows(Sequence):
             rows = tuple(rows)
         lens = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
         values = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(lens.sum()))
-        out = cls(values, _offsets(lens))
-        owner = out.owner
-        if ((values[1:] < values[:-1]) & (owner[1:] == owner[:-1])).any():
-            # one sort by (row, id) puts every row in order
-            out = cls(values[np.lexsort((values, owner))], out.indptr)
-        return out
+        return cls(values, _offsets(lens)).ascending()
 
-    def again(self) -> np.ndarray:
-        """Bool mask of the entries equal to the entry before in their row
-        (a row holding an id twice holds the copies next to each other)."""
-        again = np.empty(self.values.size, dtype=bool)
-        np.equal(self.values[1:], self.values[:-1], out=again[1:])
-        again[self.indptr[:-1][self.indptr[:-1] < again.size]] = False  # each row's first
-        return again
+    def ascending(self) -> "Rows":
+        """The rows, each sorted: `self` when no row descends."""
+        if not self.steps(np.less).any():
+            return self
+        # one sort by (row, id) puts every row in order
+        return Rows(self.values[np.lexsort((self.values, self.owner))], self.indptr)
+
+    def steps(self, op) -> np.ndarray:
+        """Bool mask of the entries e with op(e, the entry before) in their
+        row, for a comparison ufunc `op`; False at each row's first entry.
+        With `np.equal`, the repeats (an ascending row holding an id twice
+        holds the copies next to each other)."""
+        step = np.empty(self.values.size, dtype=bool)
+        op(self.values[1:], self.values[:-1], out=step[1:])
+        step[self.indptr[:-1][self.indptr[:-1] < step.size]] = False  # each row's first
+        return step
 
     def repeats(self) -> np.ndarray:
         """Bool mask of the rows holding some id twice."""
         twice = np.zeros(len(self), dtype=bool)
-        twice[np.searchsorted(self.indptr, np.flatnonzero(self.again()), side="right") - 1] = True
+        again = np.flatnonzero(self.steps(np.equal))
+        twice[np.searchsorted(self.indptr, again, side="right") - 1] = True
         return twice
 
     def first_repeat(self) -> int | None:
@@ -225,15 +230,19 @@ class Rows(Sequence):
 
 @dataclass(frozen=True)
 class ListAssignment:
-    """Per-vertex color lists, as `Rows`; duplicates within a list are forbidden."""
+    """Per-vertex color lists, as `Rows`, each sorted (a hand-built `Rows`
+    too); duplicates within a list are forbidden."""
 
     lists: Rows
 
     def __post_init__(self):
         rows = Rows.of(self.lists)
-        v = rows.first_repeat()
-        if v is not None:
-            raise CoverError(f"duplicate color in list of vertex {v}")
+        # one comparison clears rows that strictly ascend, as most do
+        if rows.steps(np.less_equal).any():
+            rows = rows.ascending()
+            v = rows.first_repeat()
+            if v is not None:
+                raise CoverError(f"duplicate color in list of vertex {v}")
         object.__setattr__(self, "lists", rows)
 
     @property

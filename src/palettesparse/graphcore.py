@@ -15,9 +15,10 @@ skipped when the keys already ascend, as edge lists mostly do.
 A graph is *k-locally-sparse* when every vertex neighborhood induces at most
 k edges (triangle-free graphs are the k = 0 case). `local_sparsity` reports
 the exact per-vertex neighborhood edge counts, which are per-vertex triangle
-counts, from one degree-ordered wedge count in O(n + m) memory, and the
-generators guarantee their output by auditing rather than by construction
-alone.
+counts, from one degree-ordered wedge count in O(n + m) memory, at most
+once per graph (the report is kept on it). The generators guarantee their
+output by auditing rather than by construction alone, and hand the report
+over with the graph.
 """
 
 from __future__ import annotations
@@ -138,7 +139,7 @@ class Graph:
     are read-only, so a graph is safe to share.
     """
 
-    __slots__ = ("n", "m", "indptr", "indices", "_us", "_vs")
+    __slots__ = ("n", "m", "indptr", "indices", "_us", "_vs", "_sparsity")
 
     def __init__(self, n: int, edges=()):
         """`edges`: an (m, 2) int array or an iterable of (u, v) pairs, in
@@ -170,6 +171,7 @@ class Graph:
         self.indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(np.concatenate((us, vs)), minlength=n), out=self.indptr[1:])
         self._us, self._vs = us, vs
+        self._sparsity = None  # the `local_sparsity` report, once counted
         for a in (self.indptr, self.indices, us, vs):
             a.flags.writeable = False
         return self
@@ -241,11 +243,14 @@ def run_pairs(groups: np.ndarray):
     size = groups.size
     starts = np.flatnonzero(run_starts(groups))
     stops = np.append(starts, size)[1:]
-    # before[i]: the pairs of the entries before i; entry i pairs with
-    # each later entry of its run
-    before = np.zeros(size + 1, dtype=np.int64)
-    before[1:] = np.repeat(stops, stops - starts)
-    before[1:] -= np.arange(1, size + 1)
+    # before[i]: the pairs of the entries before i; entry i pairs with the
+    # stop - i - 1 later entries of its run, one fewer than the entry
+    # before it unless it starts a run: two running sums of those steps,
+    # in place, with no other temporary of the input's length
+    before = np.full(size + 1, -1, dtype=np.int64)
+    before[0] = 0
+    before[starts + 1] = stops - starts - 1
+    np.cumsum(before, out=before)
     np.cumsum(before, out=before)
 
     def chunks():
@@ -271,6 +276,10 @@ def run_pairs(groups: np.ndarray):
 # about 1/16 of them are set
 _FLAGS_PER_EDGE = 16
 
+# `_triangle_counts` holds ids, ranks and flag numbers, all below n * B,
+# as int32 words when n * B is below this, else as int64
+_INT32_BELOW = 2 ** 31
+
 # the uint8 with only bit i set, at i
 _BIT = np.left_shift(np.uint8(1), np.arange(8, dtype=np.uint8))
 
@@ -291,36 +300,36 @@ def _triangle_counts(n: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     width = 8  # B
     while width * n < _FLAGS_PER_EDGE * us.size:
         width *= 2
+    small = np.int32 if n * width < _INT32_BELOW else np.int64
     # flag i of vertex u is bit i mod 8 of byte (u * width + i) // 8
     flags = np.zeros(n * width // 8, dtype=np.uint8)
-    at = us * width
+    at = us.astype(small) * width
     at += vs & (width - 1)
     np.bitwise_or.at(flags, at >> 3, _BIT.take(at & 7))
     del at
     deg = np.bincount(us, minlength=n) + np.bincount(vs, minlength=n)
-    rank = np.empty(n, dtype=np.int64)
+    rank = np.empty(n, dtype=small)
     rank[stable_order(deg)] = np.arange(n)
     keys = us * n + vs
     # out-edges by source, each out-list ascending (as in Graph): the key
     # v*n + u = u*n + v + (v - u)(n - 1) where the edge points from v
     out = vs - us
-    out *= rank[us] > rank[vs]
+    out *= rank[us] > rank[vs]  # not `take`, which copies read-only indices
     out *= n - 1
     out += keys
     out.sort()
-    src, dst = np.divmod(out, n)
+    src, dst = np.empty(out.size, dtype=small), np.empty(out.size, dtype=small)
+    np.divmod(out, n, out=(src, dst))
     del out
-    wedges = run_pairs(src)  # its counts before dst_flag: a lower peak
-    dst_flag = dst * width
     counts = np.zeros(n, dtype=np.int64)
-    for first, second in wedges:
-        at = dst.take(second)
-        at &= width - 1
-        at += dst_flag.take(first)
+    for first, second in run_pairs(src):
+        # wedge (a, b) can close only if flag a * width + b mod width is set
+        at = dst.take(first) * width
+        at += dst.take(second) & (width - 1)
         maybe = np.flatnonzero(flags.take(at >> 3) & _BIT.take(at & 7))
         first, second = first.take(maybe), second.take(maybe)
         a, b = dst.take(first), dst.take(second)
-        w = a * n + b
+        w = a.astype(np.int64) * n + b
         shut = np.flatnonzero(keys[np.minimum(np.searchsorted(keys, w), len(keys) - 1)] == w)
         tri = (src.take(first.take(shut)), a.take(shut), b.take(shut))
         counts += np.bincount(np.concatenate(tri), minlength=n)
@@ -331,9 +340,13 @@ def local_sparsity(g: Graph) -> SparsityReport:
     """Count, for every vertex, the edges inside its neighborhood.
 
     An edge (a, b) lies inside N(v) exactly when (v, a, b) is a triangle, so
-    the counts equal per-vertex triangle counts.
+    the counts equal per-vertex triangle counts. They are counted once per
+    graph: g is immutable, so the report is kept on it and returned by every
+    later call (a generator hands over the report it already has).
     """
-    return _sparsity_report(g, _triangle_counts(g.n, *g.edge_arrays()))
+    if g._sparsity is None:
+        g._sparsity = _sparsity_report(g, _triangle_counts(g.n, *g.edge_arrays()))
+    return g._sparsity
 
 
 def _sparsity_report(g: Graph, tri: np.ndarray) -> SparsityReport:
@@ -432,6 +445,7 @@ def gen_locally_sparse(n: int, target_delta: int, k: int, seed: int,
         edges, tri = _repair_sparsity(n, _degree_capped_pairing(n, target_delta, rng), k)
         g = Graph(n, edges)
         report = local_sparsity(g) if tri is None else _sparsity_report(g, tri)
+        g._sparsity = report
         if report.k_star <= k and report.max_degree <= target_delta:
             return g
     raise GenerationError(
@@ -444,7 +458,11 @@ def gen_bipartite(n: int, target_delta: int, seed: int) -> Graph:
 
     Bipartite graphs have edgeless neighborhoods (k_star = 0), which makes
     them the cheap source of large sparse test instances where the
-    delete-repair generator would be too slow. Audited like the others.
+    delete-repair generator would be too slow. The output is checked, not
+    assumed, in O(m): every edge must join [0, n // 2) to [n // 2, n), and
+    a graph with all its edges across one bipartition has no odd cycle, so
+    no triangle; that report, with the checked max degree, is kept on the
+    graph for `local_sparsity`.
     """
     if n < 2:
         raise GenerationError(f"need n >= 2, got {n}")
@@ -457,9 +475,13 @@ def gen_bipartite(n: int, target_delta: int, seed: int) -> Graph:
     rng.shuffle(right)
     take = min(len(left), len(right))
     g = Graph(n, np.stack(np.divmod(distinct(left[:take] * n + right[:take]), n), axis=1))
-    report = local_sparsity(g)
-    if report.k_star or report.max_degree > target_delta:
-        raise GenerationError(f"audit failed: k_star={report.k_star}, max degree {report.max_degree}")
+    us, vs = g.edge_arrays()  # u < v on every edge
+    if not us.max(initial=-1) < half <= vs.min(initial=n):
+        raise GenerationError("audit failed: an edge does not cross the bipartition")
+    report = _sparsity_report(g, np.zeros(n, dtype=np.int64))
+    if report.max_degree > target_delta:
+        raise GenerationError(f"audit failed: max degree {report.max_degree}")
+    g._sparsity = report
     return g
 
 

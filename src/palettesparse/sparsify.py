@@ -347,7 +347,7 @@ def directed_counts(heads, tails, rows, universe: int | None = None) -> np.ndarr
     if not table:
         # the join finds one entry per id both rows hold: rows join with
         # repeated ids cut, and each copy takes the count of the first
-        first = ~rows.again()
+        first = ~rows.steps(np.equal)
         cut = rows.keep(first)
         counts = np.zeros(cut.values.size, dtype=np.int64)
         for _, a in _joined(heads, tails, cut):

@@ -2,15 +2,29 @@
 
 Oracles here are deliberately naive (pair enumeration, exhaustive product
 search) so they stay independent of the library's optimized code paths.
+
+Hypothesis runs under the "tier1" settings profile unless the environment
+variable HYPOTHESIS_PROFILE names another: "tier1" draws the same examples
+on every run, so a run of unchanged code cannot fail on a counterexample
+that it happened to draw fresh; "explore" draws new examples each run, for
+searching by hand (pin what it finds with `@example`). A test's own
+`max_examples` and `deadline` settings apply under both.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import os
 
 import numpy as np
+from hypothesis import settings
 from hypothesis import strategies as st
+
+# loaded here, before the test modules build their settings from it
+settings.register_profile("tier1", derandomize=True)
+settings.register_profile("explore", derandomize=False)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
 
 from palettesparse._rng import TAG_LLL, TAG_PALETTE, TAG_PERMUTE, substream
 from palettesparse.cover import CorrespondenceCover, CoverReport, ListAssignment, random_cover

@@ -18,6 +18,7 @@ from palettesparse.cover import (
     CorrespondenceCover,
     CoverError,
     ListAssignment,
+    Rows,
     color_degrees,
     cover_from_lists,
     cover_sparsity,
@@ -27,7 +28,7 @@ from palettesparse.cover import (
     validate_cover,
 )
 from palettesparse.graphcore import Graph, local_sparsity, max_degree
-from palettesparse.nibble import _Instance
+from palettesparse.nibble import PartialColoring, _Instance, solve, verify_coloring
 
 
 def edge_graph():
@@ -216,6 +217,37 @@ class TestListAssignment:
     def test_sorted_normalization(self):
         la = ListAssignment(((3, 1, 2),))
         assert la.lists[0] == (1, 2, 3)
+
+    # hand-built `Rows` whose rows descend: the lists are sorted too, so
+    # no membership search or repeat check reads them out of order
+
+    def test_descending_rows_are_sorted(self):
+        rows = Rows(np.array([5, 3, 3, 5, 9]), np.array([0, 2, 4, 4, 5]))
+        assert ListAssignment(rows).lists == ((3, 5), (3, 5), (), (9,))
+        ascending = Rows(np.array([3, 5, 1]), np.array([0, 2, 3]))
+        assert ListAssignment(ascending).lists is ascending
+
+    def test_descending_lists_of_a_triangle_are_colorable(self):
+        rows = Rows(np.array([2, 1, 0] * 3), np.array([0, 3, 6, 9]))
+        res = solve(Graph(3, [(0, 1), (1, 2), (0, 2)]), ListAssignment(rows), seed=0)
+        assert res.coloring is not None
+        assert sorted(res.coloring.assignment.values()) == [0, 1, 2]
+
+    def test_proper_coloring_of_descending_lists_verifies(self):
+        lists = ListAssignment(Rows(np.array([5, 3, 3, 5]), np.array([0, 2, 4])))
+        assert verify_coloring(edge_graph(), lists, PartialColoring({0: 3, 1: 5})).ok
+
+    def test_repeat_apart_from_its_copy_rejected(self):
+        with pytest.raises(CoverError, match="^duplicate color in list of vertex 1$"):
+            ListAssignment(Rows(np.array([1, 2, 3, 5, 3]), np.array([0, 2, 5])))
+
+    def test_cover_of_descending_lists_keeps_every_pair(self):
+        rng = rng_for(41)
+        g = random_graph(rng, 30, 0.3)
+        lists = random_lists(rng, g.n, 12, 5)
+        flipped = Rows(np.concatenate([row[::-1] for row in lists.lists]), lists.lists.indptr)
+        assert cover_from_lists(g, ListAssignment(flipped)).matchings == \
+            cover_from_lists(g, lists).matchings
 
 
 class TestCoverFile:

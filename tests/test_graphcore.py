@@ -14,7 +14,6 @@ from palettesparse.graphcore import (
     GenerationError,
     Graph,
     GraphError,
-    SparsityReport,
     check_pairs,
     distinct,
     first_seen,
@@ -124,6 +123,11 @@ def K(n):
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
+def fresh(g):
+    """A new `Graph` of g's edges, with no report kept: its audit runs the kernel."""
+    return Graph(g.n, np.column_stack(g.edge_arrays()))
+
+
 def cycle(n):
     return Graph(n, [(i, (i + 1) % n) for i in range(n - 1)] + [(0, n - 1)])
 
@@ -162,20 +166,23 @@ class TestLocalSparsity:
 
     def test_agrees_on_large_bipartite_graph(self):
         # many wedge chunks, none of them closed
-        g = gen_bipartite(440, 140, seed=3)
+        g = fresh(gen_bipartite(440, 140, seed=3))
         assert g.m > 20000
         got = list(local_sparsity(g).per_vertex_neighborhood_edges)
         assert got == oracle_neighborhood_edges(g)
 
     @FAST
-    @given(st.integers(0, 12), st.integers(1, 5), st.sampled_from([0, 16]), st.data())
-    def test_agrees_across_wedge_chunks(self, n, budget, factor, data):
-        # factor 0 leaves 8 flags a vertex, so the flags of v and v + 8 collide
+    @given(st.integers(0, 12), st.integers(1, 5), st.sampled_from([0, 16]),
+           st.sampled_from([0, 2 ** 31]), st.data())
+    def test_agrees_across_wedge_chunks(self, n, budget, factor, words, data):
+        # factor 0 leaves 8 flags a vertex, so the flags of v and v + 8
+        # collide; words 0 holds the ids as int64, as past 2**31 flags
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
         g = Graph(n, edges)
         with mock.patch.object(graphcore, "_WEDGES_PER_CHUNK", budget), \
-                mock.patch.object(graphcore, "_FLAGS_PER_EDGE", factor):
+                mock.patch.object(graphcore, "_FLAGS_PER_EDGE", factor), \
+                mock.patch.object(graphcore, "_INT32_BELOW", words):
             got = local_sparsity(g).per_vertex_neighborhood_edges
         assert list(got) == oracle_neighborhood_edges(g)
 
@@ -220,6 +227,39 @@ class TestLocalSparsity:
         finally:
             tracemalloc.stop()
         assert peak < 200 * g.m
+
+    def test_memory_is_at_most_40_bytes_an_edge(self):
+        g = fresh(gen_bipartite(20000, 32, seed=1))
+        tracemalloc.start()
+        try:
+            local_sparsity(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * g.m
+
+    def test_counted_once_per_graph(self):
+        g = random_graph(rng_for(31), 40, 0.3)
+        with mock.patch.object(graphcore, "_triangle_counts",
+                               wraps=graphcore._triangle_counts) as tri:
+            first = local_sparsity(g)
+            assert local_sparsity(g) is first
+        assert tri.call_count == 1
+        assert list(first.per_vertex_neighborhood_edges) == oracle_neighborhood_edges(g)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_cut_audits_its_own_edges(self, seed):
+        rng = rng_for(seed)
+        g = random_graph(rng, 14, 0.6)
+        whole = local_sparsity(g)
+        mask = rng.random(g.m) < 0.5
+        mask[0] = False
+        sub = g.keep(mask)
+        assert list(local_sparsity(sub).per_vertex_neighborhood_edges) == \
+            oracle_neighborhood_edges(sub)
+        # a mask that keeps every edge returns the graph and its report
+        assert g.keep(np.ones(g.m, dtype=bool)) is g
+        assert local_sparsity(g.keep(np.ones(g.m, dtype=bool))) is whole
 
     def test_agrees_on_dense_graph(self):
         rng = rng_for(17)
@@ -398,10 +438,34 @@ class TestGenerators:
         assert rep.max_degree <= 12
 
     def test_bipartite_audit_failure_raises(self, monkeypatch):
-        monkeypatch.setattr(graphcore, "local_sparsity",
-                            lambda g: SparsityReport(1, 3, (1,) * g.n))
-        with pytest.raises(GenerationError, match="k_star=1"):
-            gen_bipartite(20, 3, seed=0)
+        # the pairing's keys u * n + v, with edges forced in
+        real = graphcore.distinct
+        for extra, message in [
+            ((0 * 20 + 1,), "an edge does not cross the bipartition"),  # (0, 1): left half
+            ((12 * 20 + 19,), "an edge does not cross the bipartition"),  # (12, 19): right half
+            (tuple(range(10, 20)), "max degree 10"),  # (0, v) for every right v
+        ]:
+            monkeypatch.setattr(graphcore, "distinct",
+                                lambda keys, extra=extra: real(np.append(keys, extra)))
+            with pytest.raises(GenerationError, match=f"^audit failed: {message}$"):
+                gen_bipartite(20, 3, seed=0)
+
+    @FAST
+    @given(st.integers(1, 40), st.integers(0, 8), st.integers(0, 6), st.integers(0, 2 ** 16),
+           st.booleans())
+    def test_handed_over_report_is_the_audit(self, n, delta, k, seed, bipartite):
+        if bipartite:
+            n, delta = max(n, 2), min(delta, max(n, 2) // 2)
+            g = gen_bipartite(n, delta, seed)
+        else:
+            g = gen_locally_sparse(n, min(delta, n - 1), k, seed)
+        with mock.patch.object(graphcore, "_triangle_counts",
+                               wraps=graphcore._triangle_counts) as tri:
+            kept = local_sparsity(g)
+        assert tri.call_count == 0
+        h = fresh(g)
+        assert kept == graphcore._sparsity_report(h, graphcore._triangle_counts(h.n, *h.edge_arrays()))
+        assert list(kept.per_vertex_neighborhood_edges) == oracle_neighborhood_edges(g)
 
 
 class TestGraphFile:
