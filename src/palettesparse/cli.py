@@ -213,16 +213,11 @@ def _build_instance(cfg: RunConfig):
 
 def _offline_seed(g: Graph, params: SparsifyParams, obj, cfg: RunConfig,
                   seed: int) -> tuple:
-    if isinstance(obj, CorrespondenceCover):
-        fam = sample_palettes(obj.lists, params.s, seed)
-        fam = prune(obj, fam, params)
-        conflict = build_conflict(g, fam, cover=obj)
-        target = conflict.cover
-    else:
-        palette = SharedPalette(g.n, params.q) if obj is None else obj.lists
-        fam = prune(g, sample_palettes(palette, params.s, seed), params)
-        conflict = build_conflict(g, fam)
-        target = conflict.lists
+    cover = obj if isinstance(obj, CorrespondenceCover) else None
+    palette = SharedPalette(g.n, params.q) if obj is None else obj.lists
+    fam = prune(cover or g, sample_palettes(palette, params.s, seed), params)
+    conflict = build_conflict(g, fam, cover=cover)
+    target = conflict.cover or conflict.lists
     if (fam.active().lens == 0).any():
         return None, conflict.graph.m, None, "a vertex lost every sampled color", target
     res = solve(conflict.graph, target, policy=cfg.policy, seed=seed)
@@ -455,12 +450,8 @@ def _cmd_sparsify(args) -> int:
     g = load_graph(args.graph)
     cov = _load_valid_cover(args.cover, g) if args.cover else None
     params = _graph_params(g, args)
-    if cov is not None:
-        fam = sample_palettes(cov.lists, params.s, args.seed)
-        fam = prune(cov, fam, params)
-    else:
-        fam = sample_palettes(SharedPalette(g.n, params.q), params.s, args.seed)
-        fam = prune(g, fam, params)
+    palette = SharedPalette(g.n, params.q) if cov is None else cov.lists
+    fam = prune(cov or g, sample_palettes(palette, params.s, args.seed), params)
     out = open(args.out, "w") if args.out else sys.stdout
     try:
         for v in range(g.n):

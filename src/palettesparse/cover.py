@@ -397,28 +397,32 @@ def restrict_cover(cov: CorrespondenceCover, rows, vertices=None):
     `rows[v]` is a subset of v's list; a pair stays when both its colors
     stay, in order, and an edge when one of its pairs does. With a bool
     mask `vertices`, only the marked vertices stay, renumbered in order.
+    The cover itself is returned when `rows` is its lists holding every color.
     """
     a = cov.arrays
     rows = Rows.of(rows)
-    ranks = a.rank(rows.values)
+    ranks = a.lists if rows is cov.lists else a.rank(rows.values)
     if vertices is not None:
         on = np.repeat(vertices, rows.lens)
         rows, ranks = Rows(rows.values[on], _offsets(rows.lens[vertices])), ranks[on]
     keep = np.zeros(a.colors.size, dtype=bool)
     keep[ranks] = True
-    at = np.flatnonzero(keep[a.ra] & keep[a.rb])
-    eu, ev = a.eu.take(at), a.ev.take(at)
-    if vertices is not None:
-        stay = np.flatnonzero(vertices[eu] & vertices[ev])
-        new_id = np.cumsum(vertices) - 1
-        at, eu, ev = at[stay], new_id[eu[stay]], new_id[ev[stay]]
-    # each kept color's new rank; the others are never read
-    kept = np.flatnonzero(keep)
-    new_rank = np.empty(a.colors.size, dtype=np.int64)
-    new_rank[kept] = np.arange(kept.size)
-    sub = CorrespondenceCover._of(rows, CoverArrays(
-        a.colors.take(kept), eu, ev, new_rank.take(a.ra.take(at)), new_rank.take(a.rb.take(at)),
-        new_rank.take(ranks), rows.lens), cov._source)
+    if rows is cov.lists and keep.all():
+        sub, eu, ev = cov, a.eu, a.ev
+    else:
+        at = np.flatnonzero(keep[a.ra] & keep[a.rb])
+        eu, ev = a.eu.take(at), a.ev.take(at)
+        if vertices is not None:
+            stay = np.flatnonzero(vertices[eu] & vertices[ev])
+            new_id = np.cumsum(vertices) - 1
+            at, eu, ev = at[stay], new_id[eu[stay]], new_id[ev[stay]]
+        # each kept color's new rank; the others are never read
+        kept = np.flatnonzero(keep)
+        new_rank = np.empty(a.colors.size, dtype=np.int64)
+        new_rank[kept] = np.arange(kept.size)
+        sub = CorrespondenceCover._of(rows, CoverArrays(
+            a.colors.take(kept), eu, ev, new_rank.take(a.ra.take(at)),
+            new_rank.take(a.rb.take(at)), new_rank.take(ranks), rows.lens), cov._source)
     first = np.flatnonzero(_edge_starts(eu, ev))
     return sub, np.column_stack((eu.take(first), ev.take(first)))
 
@@ -492,10 +496,7 @@ def validate_cover(g: Graph, cov: CorrespondenceCover) -> CoverReport:
     eu, ev, ra, rb = a.eu, a.ev, a.ra, a.rb
     starts = _edge_starts(eu, ev)
     edge = np.cumsum(starts) - 1
-    u0, v0 = eu[starts], ev[starts]
-    real = (u0 >= 0) & (u0 < g.n) & (v0 >= 0) & (v0 < g.n)
-    real[real] = Rows(g.indices, g.indptr).holds(u0[real], v0[real])
-    real = real[edge]
+    real = (g.edge_index(eu[starts], ev[starts]) >= 0)[edge]
     inside = real & ((ra == rb) | ((own[ra] >= 0) & (own[ra] == own[rb])))
     held = real & holds(eu, ra) & holds(ev, rb)
     twice = np.zeros(eu.size, dtype=bool)
@@ -606,6 +607,8 @@ def load_cover(path) -> CorrespondenceCover:
         if len(header) != 2:
             raise CoverError("expected header 'n q_total'")
         n, q_total = parse_ints(header, CoverError)
+        if n < 0:
+            raise CoverError(f"negative vertex count: {n}")
         lists = []
         for _ in range(n):
             line = fh.readline()

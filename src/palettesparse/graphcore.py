@@ -204,6 +204,18 @@ class Graph:
         i = int(row.searchsorted(v))
         return i < row.size and int(row[i]) == v
 
+    def edge_index(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """The index in `edges()` of the edge (us[i], vs[i]) of int64 ids, either
+        way round, or -1 if g has none: one search of keys made per nonempty call."""
+        if not (us.size and self.m):
+            return np.full(us.size, -1, dtype=np.int64)
+        lo, hi = np.minimum(us, vs), np.maximum(us, vs)
+        want = lo * self.n + hi
+        keys = self._us * self.n + self._vs
+        at = np.minimum(np.searchsorted(keys, want), self.m - 1)
+        at[(keys[at] != want) | (lo < 0) | (hi >= self.n)] = -1
+        return at
+
     def edges(self):
         """Iterate over each edge once as (u, v) with u < v, lexicographically."""
         return zip(self._us.tolist(), self._vs.tolist())

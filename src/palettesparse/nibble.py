@@ -42,7 +42,7 @@ from .cover import (
     picked_counts,
     restrict_cover,
 )
-from .graphcore import Graph, ranked, run_starts, stable_order
+from .graphcore import Graph, distinct, ranked, run_starts, stable_order
 from .sparsify import _dense, directed_counts
 
 __all__ = [
@@ -183,19 +183,17 @@ class _Instance:
         """The edges of g, in `g.edges()` order, whose two ends carry
         clashing colors when the vertices `at` (int64, in range) carry the
         colors `ids`."""
-        if self.cover is not None:
-            a = self.cover.arrays
-            hit = clashing_pairs(self.cover, at, ids)
-            us, vs = a.eu[hit], a.ev[hit]
-            # a pair declared on a non-edge of g clashes across no edge
-            real = Rows(self.g.indices, self.g.indptr).holds(us, vs)
-            return sorted(set(zip(us[real].tolist(), vs[real].tolist())))
-        colored = np.zeros(self.g.n, dtype=bool)
-        colored[at] = True
-        color = np.zeros(self.g.n, dtype=np.int64)
-        color[at] = ids
         us, vs = self.g.edge_arrays()
-        bad = colored[us] & colored[vs] & (color[us] == color[vs])
+        if self.cover is not None:
+            hit = clashing_pairs(self.cover, at, ids)
+            # a pair declared on a non-edge of g clashes across no edge
+            edge = self.g.edge_index(self.cover.arrays.eu[hit], self.cover.arrays.ev[hit])
+            bad = distinct(edge[edge >= 0])
+        else:
+            colored = np.zeros(self.g.n, dtype=bool)
+            color = np.zeros(self.g.n, dtype=np.int64)
+            colored[at], color[at] = True, ids
+            bad = colored[us] & colored[vs] & (color[us] == color[vs])
         return list(zip(us[bad].tolist(), vs[bad].tolist()))
 
     @cached_property

@@ -10,14 +10,14 @@ the original instance, which is the whole point of the reduction.
 
 Sampled and pruned palettes are `Rows`. The offline, streaming and query
 models all run `prune` and `build_conflict` on the `Graph` of the edges
-they see (all, stored or discovered), over two numpy kernels on `Rows` of
-any ids that the list greedy shares: `directed_counts` gives one count per
-list entry over a graph's CSR slots, and `shared_edges` one survival flag
-per edge, by which the conflict graph is cut (`Graph.keep`); how they count
-(by n x q matrices or a join, see `_TABLE_CELLS`) is theirs alone. Covers
-go through the cover kernels of `cover`, which read the cover's pair
-arrays: `restrict_cover` for the samples and the conflict instance,
-`color_degrees` for pruning.
+they see (all, stored or discovered) and its cover, if any, and the
+conflict graph is cut from that graph (`Graph.keep`). Lists go through two
+numpy kernels on `Rows` of any ids, shared with the list greedy:
+`directed_counts`, one count per list entry over a graph's CSR slots, and
+`shared_edges`, one survival flag per edge; how they count (n x q matrices
+or a join, see `_TABLE_CELLS`) is theirs alone. Covers go through the
+kernels of `cover` over their pair arrays: `restrict_cover` for the
+samples and the conflict cover, `color_degrees` for pruning.
 
 All logarithms are natural. Thresholds are compared with <= against the
 real-valued bound ("at most"), never rounded.
@@ -90,10 +90,6 @@ class SparsifyParams:
     def threshold(self, delta_ref) -> float:
         """The pruning threshold (1 + gamma')*s*delta_ref/q."""
         return (1.0 + self.gamma_prime) * self.s * delta_ref / self.q
-
-    @property
-    def prune_threshold(self) -> float:
-        return self.threshold(self.delta_ref)
 
     @property
     def degenerate(self) -> bool:
@@ -436,11 +432,14 @@ def build_conflict(g: Graph, fam: PaletteFamily,
 
     Plain/list case: edge uv survives iff the active palettes share a color.
     Cover case: edge uv survives iff its matching restricted to the active
-    palettes is nonempty; the restricted cover rides along.
+    palettes is nonempty; the restricted cover rides along, and a pair on a
+    non-edge of g, which clashes across no edge, adds none.
     """
     active = fam.active()
     if cover is None:
         sub = g.keep(shared_edges(*g.edge_arrays(), active, fam.universe))
         return ConflictInstance(sub, lists=ListAssignment(active))
     sub, edges = restrict_cover(cover, active)
-    return ConflictInstance(Graph(g.n, edges), cover=sub)
+    kept = np.zeros(g.m + 1, dtype=bool)  # one flag per edge; the -1 of a non-edge sets the last
+    kept[g.edge_index(*edges.T)] = True
+    return ConflictInstance(g.keep(kept[:-1]), cover=sub)

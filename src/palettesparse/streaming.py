@@ -2,38 +2,29 @@
 
 Palettes are sampled before the first edge arrives. An edge is stored
 exactly when the endpoint samples can collide (for covers: when its
-matching restricted to the samples is nonempty), pruning happens after the
-stream, and the retained conflict instance goes to the solver. Streams
-are held as arrays (endpoints and, for covers, pairs), and retention is
-array operations over all records: one `shared_edges` call, or for covers
-a search of the samples (`Rows.find`) per pair color and one bincount of
-the kept pairs per record. One closed-form ledger, `SpaceLedger.charge`,
-serves both. A plain stream runs the offline reduction, `sparsify.prune`
-and `sparsify.build_conflict`, on one `Graph` of its stored edges: its
-counters are sums over them. A cover stream's kept pairs form a cover
-whose `color_degrees` are the counters, and `restrict_cover` cuts it down
-to the pruned samples. The ledger uses a concrete word model: one word
-per id or counter, two words per stored edge, two per stored matching
-pair, n*s words for palettes and for counters.
+matching restricted to the samples is nonempty). Streams are held as
+arrays (endpoints and, for covers, pairs); retention is one `shared_edges`
+call, or for covers one search of the samples (`Rows.find`) per pair color
+and a bincount of the kept pairs per record, and one closed-form ledger,
+`SpaceLedger.charge`, serves both. After the pass, both run the offline
+reduction, `sparsify.prune` and `sparsify.build_conflict`, on the `Graph`
+of the stored edges (and the cover of the kept pairs), and solve. The
+ledger's word model: one word per id or counter, two per stored edge, two
+per stored matching pair, n*s words for palettes and for counters.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sized
 from dataclasses import dataclass
 from itertools import chain
+from numbers import Integral
 
 import numpy as np
 
 from ._rng import TAG_PERMUTE, substream
-from .cover import (
-    CorrespondenceCover,
-    CoverArrays,
-    Rows,
-    color_degrees,
-    cover_rows,
-    restrict_cover,
-)
-from .graphcore import Graph, check_pairs, ranked, stable_order
+from .cover import CorrespondenceCover, CoverArrays, Rows
+from .graphcore import Graph, check_pairs, ranked, run_starts, stable_order
 from .nibble import PartialColoring, SolveResult, solve
 from .sparsify import (
     PaletteFamily,
@@ -104,6 +95,14 @@ def _shuffled(m: int, permute_seed: int | None) -> np.ndarray:
     return order
 
 
+def _is_record(rec) -> bool:
+    """Whether rec is (u, v) or (u, v, pairs) of integer ids, two in a pair."""
+    def ids(xs, k: int) -> bool:
+        return isinstance(xs, Sized) and len(xs) == k and all(isinstance(x, Integral) for x in xs)
+    return ids(rec, 2) or (isinstance(rec, Sized) and len(rec) == 3 and ids(rec[:2], 2)
+                           and isinstance(rec[2], Sized) and all(ids(p, 2) for p in rec[2]))
+
+
 class EdgeStream:
     """A single forward pass over edge records, in a fixed order.
 
@@ -119,11 +118,16 @@ class EdgeStream:
 
     def __init__(self, n: int, records=(), lists=None):
         """`records`: a sequence of record tuples, or the plain records as
-        an (r, 2) int array."""
-        if isinstance(records, np.ndarray):
-            ends, matchings = records.astype(np.int64).reshape(-1, 2), ()
+        an (r, 2) int array; any other array is read as a sequence."""
+        if isinstance(records, np.ndarray) and records.dtype.kind in "iu" \
+                and records.shape[1:] == (2,):
+            ends, matchings = records.astype(np.int64), ()
         else:
-            records = tuple(records)
+            records = records.tolist() if isinstance(records, np.ndarray) else tuple(records)
+            bad = next((i for i, rec in enumerate(records) if not _is_record(rec)), None)
+            if bad is not None:
+                raise ValueError(f"stream record {bad} {records[bad]!r} is not (u, v) or "
+                                 "(u, v, pairs) of integer ids")
             ends = np.fromiter(chain.from_iterable(rec[:2] for rec in records),
                                dtype=np.int64, count=2 * len(records)).reshape(-1, 2)
             matchings = [rec[2] if len(rec) > 2 else () for rec in records]
@@ -178,19 +182,15 @@ class EdgeStream:
         cover's pairs on it in `cov.arrays` order (none off a cover edge),
         shuffled as `from_graph` shuffles them."""
         order = _shuffled(g.m, permute_seed)
-        us, vs = g.edge_arrays()
         a = cov.arrays
-        # each pair's edge among g's, whose keys u * n + v ascend; a pair on
-        # no edge of g is dropped
-        keys, want = us * g.n + vs, a.eu * g.n + a.ev
-        edge = np.searchsorted(keys, want)
-        on = (a.eu >= 0) & (a.eu < a.ev) & (a.ev < g.n) & (edge < g.m)
-        on[on] = keys[edge[on]] == want[on]
+        # each pair's edge among g's; a pair on no edge of g is dropped
+        edge = g.edge_index(a.eu, a.ev)
+        on = edge >= 0
         record = np.argsort(order)[edge[on]]
         # grouped by record, each record's pairs in arrays order
         sort = stable_order(record)
         by = np.flatnonzero(on)[sort]
-        return cls.__new__(cls)._hold(g.n, np.column_stack((us, vs))[order], cov.lists,
+        return cls.__new__(cls)._hold(g.n, np.column_stack(g.edge_arrays())[order], cov.lists,
                                       record[sort], a.colors[np.column_stack((a.ra[by], a.rb[by]))])
 
 
@@ -247,16 +247,21 @@ def stream_color(stream: EdgeStream, n: int, params: SparsifyParams, seed: int,
 
     delta = int(np.bincount(ends.ravel(), minlength=n).max(initial=0)) \
         if delta_from_stream else params.delta_ref
-    # the offline reduction on the graph of the stored pairs, whose
-    # conflict graph alone goes on to the solver
-    held = Graph(n, pairs)
-    fam = prune(held, fam, params, delta_ref=delta)
-    conflict = build_conflict(held, fam)
+    return _reduce(pairs, None, fam, params, delta, ledger, stored, policy, seed)
+
+
+def _reduce(ends: np.ndarray, cover: CorrespondenceCover | None, fam: PaletteFamily,
+            params: SparsifyParams, delta: int, ledger, stored, policy: str, seed: int):
+    """Prune the graph of the stored `ends`, or the kept pairs' cover, at
+    `delta`, keep the conflict instance and free the held graph, then solve."""
+    held = Graph(fam.n, ends)
+    fam = prune(cover or held, fam, params, delta_ref=delta)
+    conflict = build_conflict(held, fam, cover=cover)
     del held
     if (fam.pruned.lens == 0).any():
         return StreamResult(None, ledger, fam, stored, None,
                             error="a vertex lost every sampled color in pruning")
-    res = solve(conflict.graph, conflict.lists, policy=policy, seed=seed)
+    res = solve(conflict.graph, conflict.cover or conflict.lists, policy=policy, seed=seed)
     return StreamResult(res.coloring, ledger, fam, stored, res,
                         error="" if res.success else "solver failed")
 
@@ -281,32 +286,23 @@ def stream_color_correspondence(stream: EdgeStream, n: int,
     bt = sampled.find(stream.ends[record[kept], 1], pairs[kept, 1])
     kept, bt = kept[bt >= 0], bt[bt >= 0]
     record, at = record[kept], np.column_stack((at[kept], bt))
-    per_record = np.bincount(record, minlength=len(stream.ends))
-    held_records = np.flatnonzero(per_record)
-    ledger.charge(per_record[held_records], space_cap)
+    first = run_starts(record)  # where each stored record's run of pairs starts
+    ledger.charge(np.diff(np.flatnonzero(np.append(first, True))), space_cap)
 
     # stored as u < v, the pairs turned round with their record
     ends = stream.ends[record]
     turn = ends[:, 0] > ends[:, 1]
     ends[turn], at[turn] = ends[turn, ::-1], at[turn, ::-1]
-    stored = EdgeStream.__new__(EdgeStream)._hold(
-        n, np.sort(stream.ends[held_records], axis=1), sampled,
-        np.cumsum(per_record > 0)[record] - 1, sampled.values[at])
-    # the held cover's arrays, as the dict constructor builds them: edges
-    # in stream order, each edge's pairs sorted
+    stored = EdgeStream.__new__(EdgeStream)._hold(n, ends[first], sampled, np.cumsum(first) - 1,
+                                                  sampled.values[at])
+    # the held cover's arrays, as the dict constructor builds them: records in
+    # stream order, each one's pairs sorted (not sorted again if they come so)
     colors, ranks = ranked(sampled.values)
     ra, rb = ranks[at[:, 0]], ranks[at[:, 1]]
-    order = stable_order(ra * colors.size + rb)
+    key = ra * colors.size + rb
+    sort = not ((record[1:] > record[:-1]) | (key[1:] >= key[:-1])).all()
+    order = stable_order(key) if sort else np.arange(key.size)
     order = order[stable_order(record[order])]
     held = CorrespondenceCover._of(sampled, CoverArrays(
         colors, ends[order, 0], ends[order, 1], ra[order], rb[order], ranks, sampled.lens))
-    pruned = cover_rows(held, color_degrees(held) <= params.prune_threshold)
-    fam = PaletteFamily(fam.sampled, pruned, fam.universe)
-    cov, edges = restrict_cover(held, pruned)
-    sub = Graph(n, edges)
-    if (pruned.lens == 0).any():
-        return StreamResult(None, ledger, fam, stored, None,
-                            error="a vertex lost every sampled color in pruning")
-    res = solve(sub, cov, policy=policy, seed=seed)
-    return StreamResult(res.coloring, ledger, fam, stored, res,
-                        error="" if res.success else "solver failed")
+    return _reduce(stored.ends, held, fam, params, params.delta_ref, ledger, stored, policy, seed)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from conftest import (
@@ -271,4 +273,12 @@ class TestCoverFile:
         path = tmp_path / "c.txt"
         path.write_text("2 5\n0 1\n2 3\n")
         with pytest.raises(CoverError):
+            load_cover(path)
+
+    @pytest.mark.parametrize("text, n", [("-1 0\n", -1), ("-2 0\n0 1 0\n", -2)])
+    def test_rejects_a_negative_vertex_count(self, tmp_path, text, n):
+        # once an empty cover, then an n = 0 cover with a matching line
+        path = tmp_path / "c.txt"
+        path.write_text(text)
+        with pytest.raises(CoverError, match=f"^{re.escape(f'negative vertex count: {n}')}$"):
             load_cover(path)

@@ -376,6 +376,44 @@ class TestKeep:
         assert (sub is g) == bool(mask.all())
 
 
+@st.composite
+def edge_lookups(draw, max_n=6):
+    """(a graph on at most max_n vertices, the edgeless and empty ones too,
+    and (u, v) lookups: edges either way round, self-loops, ids just past
+    both ends of 0..n-1 and anywhere in int64, where u*n + v wraps)."""
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = Graph(n, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+    ids = st.integers(-2, n + 1) | st.integers(-2 ** 63, 2 ** 63 - 1)
+    return g, draw(st.lists(st.tuples(ids, ids) | st.sampled_from(pairs or [(0, 0)]),
+                            max_size=12))
+
+
+class TestEdgeIndex:
+    @FAST
+    @given(edge_lookups())
+    @example((Graph(0), []))
+    @example((Graph(0), [(0, 0), (-1, 0)]))
+    @example((Graph(3, [(1, 2)]), [(0, 5), (5, 0), (2, 1), (1, 1), (1, 2)]))
+    def test_matches_a_set_oracle(self, inst):
+        # (0, 5) on 3 vertices has the key 0*3 + 5 of the edge (1, 2)
+        g, lookups = inst
+        index = {e: i for i, e in enumerate(g.edges())}
+        want = [index.get((min(u, v), max(u, v)), -1) for u, v in lookups]
+        us = np.array([u for u, _ in lookups], dtype=np.int64)
+        vs = np.array([v for _, v in lookups], dtype=np.int64)
+        got = g.edge_index(us, vs)
+        assert got.dtype == np.int64 and got.tolist() == want
+
+    def test_empty_lookup_reads_no_edges(self):
+        # the edge arrays are read only for a lookup of some edge: with
+        # them gone, an empty lookup still answers
+        g = gen_bipartite(200, 8, seed=1)
+        g._us = g._vs = None
+        none = np.zeros(0, dtype=np.int64)
+        assert g.edge_index(none, none).tolist() == []
+
+
 class TestGenerators:
     def test_triangle_free_instance(self):
         g = gen_locally_sparse(100, 3, 0, seed=7)

@@ -15,7 +15,10 @@ and oracles, and the package's own passes read the stream's arrays. No
 module calls a per-call `.pair(` or `.neighbor(` query or
 `itertools.combinations`: the package's passes issue batched queries and
 expand pairs a bounded chunk at a time (`graphcore.run_pairs`), and the
-per-call methods stay as the tests' reference for the batches.
+per-call methods stay as the tests' reference for the batches. The
+stream and query models reduce what they saw only through
+`sparsify.prune` and `sparsify.build_conflict`: `streaming` and
+`querysim` call none of the kernels beneath them.
 """
 
 import ast
@@ -142,3 +145,17 @@ def test_passes_issue_batched_queries(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = sorted(getattr(node, "lineno", 0) for node in ast.walk(tree) if _per_call_pairs(node))
     assert lines == [], f"{path.name} queries or pairs one at a time on lines {lines}"
+
+
+# the kernels beneath `prune`/`build_conflict`, which the models do not call
+REDUCTION_KERNELS = {"restrict_cover", "cover_rows", "color_degrees", "directed_counts"}
+
+
+@pytest.mark.parametrize("name", ["streaming.py", "querysim.py"])
+def test_models_reduce_through_prune_and_build_conflict(name):
+    path = PACKAGE / name
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+                   and getattr(node.func, "id", getattr(node.func, "attr", None))
+                   in REDUCTION_KERNELS)
+    assert lines == [], f"{name} calls a reduction kernel on lines {lines}"

@@ -17,6 +17,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from conftest import (
+    broken_covers,
     oracle_color_neighbors,
     oracle_conflict_counts,
     oracle_cover_clash,
@@ -388,6 +389,31 @@ class TestCoverKernels:
             assert list(conflict.cover.matchings.items()) == items
 
     @FAST
+    @given(st.booleans().flatmap(lambda valid: covers(valid=valid)) | broken_covers())
+    def test_restriction_to_the_cover_lists(self, inst):
+        # the cover itself when its lists hold every color of its pairs,
+        # and the same cover as a cut by a copy of its lists either way
+        g, cov = inst
+        sub, edges = restrict_cover(cov, cov.lists)
+        cut, want = restrict_cover(cov, Rows(cov.lists.values.copy(), cov.lists.indptr.copy()))
+        assert (sub is cov) == (set(cov.arrays.colors.tolist()) <= set(cov.lists.values.tolist()))
+        assert sub.lists == cut.lists
+        for name in ("colors", "eu", "ev", "ra", "rb", "lists", "lens"):
+            assert np.array_equal(getattr(sub.arrays, name), getattr(cut.arrays, name))
+        assert np.array_equal(edges, want)
+
+    @FAST
+    @given(broken_covers(), st.data())
+    def test_conflict_graph_is_cut_from_g(self, inst, data):
+        # the edges of the cut cover that are edges of g: pairs on non-edges
+        # of g, which clash across no edge, add none
+        g, cov = inst
+        rows = data.draw(subrows(cov.lists))
+        carried = set(map(tuple, restrict_cover(cov, rows)[1].tolist()))
+        conflict = build_conflict(g, PaletteFamily(tuple(rows)), cover=cov)
+        assert list(conflict.graph.edges()) == [e for e in g.edges() if e in carried]
+
+    @FAST
     @given(st.booleans().flatmap(lambda valid: covers(valid=valid)), st.data())
     def test_verify_first_witness(self, inst, data):
         g, cov = inst
@@ -452,19 +478,36 @@ class TestCoverKernels:
         cap = base + data.draw(st.integers(-1, peak - base + 1))
         _, _, message = oracle_cover_stream_retention(stream.records, fam.sampled, base, cap)
 
-        with mock.patch.object(streaming, "restrict_cover", wraps=restrict_cover) as spy:
+        made = []
+
+        def conflict(*args, **kwargs):
+            made.append(build_conflict(*args, **kwargs))
+            return made[-1]
+
+        with mock.patch.object(streaming, "build_conflict", side_effect=conflict) as spy:
             out = stream_color_correspondence(stream, g.n, params, seed, policy="greedy")
         assert list(out.stored) == stored
         assert out.ledger.peak_words == peak
         assert out.family.pruned == prune(cov, fam, params, delta_ref=params.delta_ref).pruned
         offline = build_conflict(g, fam, cover=cov)
         assert {(u, v) for u, v, _ in stored} == set(offline.graph.edges())
-        # the held cover is the one the dict constructor builds
-        held = spy.call_args[0][0]
+        # the held cover handed to build_conflict is the one the dict
+        # constructor builds, and the conflict instance is the offline one
+        # of the stored edges and that cover
+        held = spy.call_args.kwargs["cover"]
         want = CorrespondenceCover(fam.sampled, {(u, v): pairs for u, v, pairs in stored})
         assert held.lists == want.lists
         for name in ("colors", "eu", "ev", "ra", "rb", "lists", "lens"):
             assert np.array_equal(getattr(held.arrays, name), getattr(want.arrays, name))
+        expect = build_conflict(Graph(g.n, [(u, v) for u, v, _ in stored]), out.family,
+                                cover=want)
+        (got,) = made
+        for name in ("indptr", "indices"):
+            assert np.array_equal(getattr(got.graph, name), getattr(expect.graph, name))
+        assert got.cover.lists == expect.cover.lists
+        for name in ("colors", "eu", "ev", "ra", "rb", "lists", "lens"):
+            assert np.array_equal(getattr(got.cover.arrays, name),
+                                  getattr(expect.cover.arrays, name))
         if message:
             with pytest.raises(SpaceCapExceeded) as err:
                 stream_color_correspondence(stream, g.n, params, seed, space_cap=cap,

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from conftest import random_cover_for, random_graph, rng_for
 
-from palettesparse.cover import ListAssignment, cover_from_lists
+from palettesparse.cover import (
+    CorrespondenceCover,
+    ListAssignment,
+    cover_from_lists,
+    validate_cover,
+)
 from palettesparse.graphcore import Graph, gen_locally_sparse
 from palettesparse.nibble import solve, verify_coloring
 from palettesparse.sparsify import (
@@ -56,7 +61,7 @@ class TestDeriveParams:
 
     def test_threshold_formula(self):
         p = derive_params(128, 5000, 1, 0.5, 0.1, 1.0).with_overrides(q=129, s=18)
-        assert p.prune_threshold == pytest.approx(
+        assert p.threshold(p.delta_ref) == pytest.approx(
             (1 + 1.0 / 3.3) * 18 * 128 / 129, rel=1e-15
         )
 
@@ -194,6 +199,20 @@ class TestBuildConflict:
         fam2 = PaletteFamily(((0,), (2,)))  # both are color '1'
         inst2 = build_conflict(g, fam2, cover=cov)
         assert inst2.graph.m == 1
+
+    @pytest.mark.parametrize("off", [{(1, 2): ((2, 4),)}, {(1, 5): ((2, 4),)}])
+    def test_cover_conflict_graph_is_cut_from_g(self, off):
+        # a pair on the non-edge (1, 2), or on (1, 5) past the vertex range,
+        # clashes across no edge (and validate_cover rejects the cover), so
+        # it adds no edge to the conflict graph; the cover keeps it
+        g = Graph(3, [(0, 1)])
+        lists = ((0, 1), (2, 3), (4, 5))
+        cov = CorrespondenceCover(lists, {(0, 1): ((0, 2),), **off})
+        assert not validate_cover(g, cov).ok
+        inst = build_conflict(g, PaletteFamily(lists), cover=cov)
+        assert list(inst.graph.edges()) == [(0, 1)]
+        assert inst.cover.matchings == cov.matchings
+        assert verify_coloring(inst.graph, inst.cover, solve(inst.graph, inst.cover).coloring).ok
 
     def test_conflict_probability_matches_enumeration(self):
         # pre-prune, an edge conflicts with probability 1 - C(q-s,s)/C(q,s)

@@ -1,12 +1,15 @@
 import re
 import sys
 import tracemalloc
+from unittest import mock
 
+import numpy as np
 import pytest
 from conftest import random_graph, rng_for
 
+from palettesparse import streaming
 from palettesparse._rng import TAG_PERMUTE, substream
-from palettesparse.cover import ListAssignment, Rows, cover_from_lists
+from palettesparse.cover import CorrespondenceCover, ListAssignment, Rows, cover_from_lists
 from palettesparse.graphcore import Graph, gen_bipartite, gen_locally_sparse
 from palettesparse.nibble import verify_coloring
 from palettesparse.sparsify import (
@@ -192,6 +195,31 @@ class TestCorrespondenceStreaming:
             ))
             assert verify_coloring(g, pulled, mapped).ok
 
+    def test_held_cover_sorts_each_records_pairs(self):
+        # pairs that come unsorted, one record turned round: with every
+        # color sampled, the cover handed to build_conflict is the one the
+        # dict constructor builds from the records
+        lists = ((0, 1, 2), (3, 4, 5), (6, 7, 8))
+        records = ((0, 1, ((2, 5), (0, 3), (1, 4))), (2, 1, ((8, 3), (6, 5), (7, 4))))
+        with mock.patch.object(streaming, "build_conflict", wraps=build_conflict) as spy:
+            stream_color_correspondence(EdgeStream(3, records, lists), 3,
+                                        params_for(2, 3, 3, 3), seed=0)
+        held = spy.call_args.kwargs["cover"]
+        want = CorrespondenceCover(lists, {(u, v): pairs for u, v, pairs in records})
+        assert list(held.matchings.items()) == list(want.matchings.items())
+        for name in ("colors", "eu", "ev", "ra", "rb", "lists", "lens"):
+            assert np.array_equal(getattr(held.arrays, name), getattr(want.arrays, name))
+
+    def test_cover_prunes_at_the_a_priori_delta(self):
+        # color 1 has two correspondents on the path 0-1-2; at the a-priori
+        # delta 1 the threshold is 1 + gamma' < 2, so it goes, although the
+        # held cover's own max color degree (2) would keep it
+        records = ((0, 1, ((0, 1),)), (1, 2, ((1, 2),)))
+        out = stream_color_correspondence(EdgeStream(3, records, ((0,), (1,), (2,))), 3,
+                                          manual_params(1, 0.1, 1.0, q=1, s=1), seed=0)
+        assert out.family.pruned == ((0,), (), (2,))
+        assert out.error == "a vertex lost every sampled color in pruning"
+
     def test_matching_words_capped_by_sample_size(self):
         g = random_graph(rng_for(9), 20, 0.4)
         full = ListAssignment(tuple(tuple(range(6)) for _ in range(g.n)))
@@ -216,6 +244,25 @@ class TestCorrespondenceStreaming:
         lists = ((0, 1), (2, 3), (4, 5)) if len(records[0]) > 2 else None
         with pytest.raises(ValueError, match=re.escape(witness)):
             stream_color(EdgeStream(3, records, lists), 3, params_for(2, 3, 4, 4), seed=0)
+
+    @pytest.mark.parametrize("records, witness", [
+        (((0.5, 1),), "record 0 (0.5, 1)"),
+        (np.array([[0, 1], [2, 0.5]]), "record 0 [0.0, 1.0]"),
+        (((0, 1), (2,)), "record 1 (2,)"),
+        (((0, 1, (), 7),), "record 0 (0, 1, (), 7)"),
+        (((0, 1, 5),), "record 0 (0, 1, 5)"),
+        (np.array([0, 1]), "record 0 0"),
+        (np.array([[0, 1, 2]]), "record 0 [0, 1, 2]"),
+        (((0, 1, ((0, 2, 3),)),), "record 0 (0, 1, ((0, 2, 3),))"),
+        (((0, 1), (1, 2, ((2, 4.0),))), "record 1 (1, 2, ((2, 4.0),))"),
+        ((("01", 2),), "record 0 ('01', 2)"),
+    ])
+    def test_in_memory_stream_rejects_malformed_records(self, records, witness):
+        # ids that are not integers, and records or pairs of the wrong
+        # size; vertex v owns the colors 2v, 2v + 1
+        message = f"stream {witness} is not (u, v) or (u, v, pairs) of integer ids"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            EdgeStream(3, records, ((0, 1), (2, 3), (4, 5)))
 
     def test_requires_cover_lists(self):
         g = Graph(2, [(0, 1)])
