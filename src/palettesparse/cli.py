@@ -380,27 +380,6 @@ def _write_outputs(result: SweepResult, colorings: dict[int, dict]) -> None:
             fh.write("\n")
 
 
-def sweep_success_vs_s(config: RunConfig, s_values) -> dict:
-    """Hold q fixed, vary s, and report the success rate per s.
-
-    The monotone-trend flag is informational: success rates are expected,
-    not guaranteed, to be nondecreasing in s.
-    """
-    table = []
-    for s in s_values:
-        cfg = RunConfig.from_dict({**config.to_dict(), "s_override": int(s),
-                                   "out_dir": None})
-        res = run(cfg)
-        agg = res.aggregates()
-        table.append({"s": int(s), "success_rate": agg["success_rate"],
-                      "runs": agg["runs"]})
-    rates = [t["success_rate"] for t in table]
-    return {
-        "table": table,
-        "monotone_nondecreasing": all(a <= b + 1e-12 for a, b in zip(rates, rates[1:])),
-    }
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 

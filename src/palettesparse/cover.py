@@ -34,7 +34,7 @@ from itertools import chain
 import numpy as np
 
 from ._rng import TAG_COVER, substream
-from .graphcore import Graph, distinct, first_seen, local_sparsity, parse_ints, ranked, stable_order
+from .graphcore import Graph, distinct, local_sparsity, parse_ints, ranked, stable_order
 
 __all__ = [
     "CoverError",
@@ -52,9 +52,11 @@ __all__ = [
     "restrict_cover",
     "clashing_pairs",
     "random_cover",
-    "save_cover",
     "load_cover",
 ]
+
+# int64 entries of `random_cover`'s draw block (0.5 MB), whatever the edge count
+_DRAW_BLOCK = 1 << 16
 
 
 class CoverError(ValueError):
@@ -355,6 +357,32 @@ class CorrespondenceCover:
         return {(u, v): tuple(pairs[lo:hi]) for u, v, lo, hi in
                 zip(a.eu[first].tolist(), a.ev[first].tolist(), bounds, bounds[1:])}
 
+    @cached_property
+    def _owners(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(own, placed, doubtful): own[r], the first vertex whose list holds
+        rank r (-1 for none); the pairs whose colors one entry each holds, at
+        their own ends; the pairs in range with a color two entries hold."""
+        a = self.arrays
+        own = np.full(a.colors.size, self.n, dtype=np.int64)
+        # the rows come in order, so a rank's least owner is its first
+        np.minimum.at(own, a.lists, self.lists.owner)
+        own[own == self.n] = -1
+        shared = np.bincount(a.lists, minlength=a.colors.size) > 1
+        either = shared[a.ra] | shared[a.rb]
+        # eu <= ev, so eu >= 0 keeps the -1 of an unheld color from matching
+        placed = (own[a.ra] == a.eu) & (own[a.rb] == a.ev) & (a.eu >= 0) & ~either
+        return own, placed, np.flatnonzero(either & (a.eu >= 0) & (a.ev < self.n))
+
+    def _held(self, rows: Rows, keep: np.ndarray) -> np.ndarray:
+        """Bool mask of the pairs (a, b) on uv with a in rows[u] and b in rows[v],
+        for rows that cut each list and hold the ranks `keep` marks."""
+        a = self.arrays
+        _, placed, doubtful = self._owners
+        held = placed & keep[a.ra] & keep[a.rb]
+        held[doubtful] = rows.holds(a.eu[doubtful], a.colors[a.ra[doubtful]]) & \
+            rows.holds(a.ev[doubtful], a.colors[a.rb[doubtful]])
+        return held
+
     def max_color_degree(self) -> int:
         """The largest color degree, counted once per cover."""
         if self._max_degree is None:
@@ -394,25 +422,28 @@ def picked_counts(cov: CorrespondenceCover, picked: np.ndarray) -> np.ndarray:
 def restrict_cover(cov: CorrespondenceCover, rows, vertices=None):
     """(the cover cut down to `rows`, its edges as an (e, 2) array).
 
-    `rows[v]` is a subset of v's list; a pair stays when both its colors
-    stay, in order, and an edge when one of its pairs does. With a bool
-    mask `vertices`, only the marked vertices stay, renumbered in order.
-    The cover itself is returned when `rows` is its lists holding every color.
+    `rows[v]` is a subset of v's list; a pair on uv stays when rows[u]
+    holds its color at u and rows[v] its color at v, and an edge when one
+    of its pairs does. With a bool mask `vertices`, only the marked
+    vertices stay, renumbered in order. The cover itself is returned when
+    `rows` is its lists and they hold every pair at its own ends.
     """
     a = cov.arrays
     rows = Rows.of(rows)
     ranks = a.lists if rows is cov.lists else a.rank(rows.values)
-    if vertices is not None:
-        on = np.repeat(vertices, rows.lens)
-        rows, ranks = Rows(rows.values[on], _offsets(rows.lens[vertices])), ranks[on]
     keep = np.zeros(a.colors.size, dtype=bool)
     keep[ranks] = True
-    if rows is cov.lists and keep.all():
+    held = cov._held(rows, keep)
+    if vertices is None and rows is cov.lists and held.all():
         sub, eu, ev = cov, a.eu, a.ev
     else:
-        at = np.flatnonzero(keep[a.ra] & keep[a.rb])
+        at = np.flatnonzero(held)
         eu, ev = a.eu.take(at), a.ev.take(at)
         if vertices is not None:
+            on = np.repeat(vertices, rows.lens)
+            rows, ranks = Rows(rows.values[on], _offsets(rows.lens[vertices])), ranks[on]
+            keep[:] = False
+            keep[ranks] = True
             stay = np.flatnonzero(vertices[eu] & vertices[ev])
             new_id = np.cumsum(vertices) - 1
             at, eu, ev = at[stay], new_id[eu[stay]], new_id[ev[stay]]
@@ -472,13 +503,8 @@ def validate_cover(g: Graph, cov: CorrespondenceCover) -> CoverReport:
         row = lists[v]
         c = next(x for x, y in zip(row, row[1:]) if x == y)
         witness.append(f"color {c} appears twice in the list of vertex {v}")
-    # each rank's first owner (-1 for a color of no list), and the ranks
-    # that more than one entry holds
+    own = cov._owners[0]
     rows = lists.owner
-    held, first = first_seen(a.lists)
-    own = np.full(a.colors.size, -1, dtype=np.int64)
-    own[held] = rows[first]
-    shared = np.bincount(a.lists, minlength=a.colors.size) > 1
     second = rows != own[a.lists]
     if second.any():
         i = int(second.argmax())
@@ -486,19 +512,12 @@ def validate_cover(g: Graph, cov: CorrespondenceCover) -> CoverReport:
                        f"{int(own[a.lists[i]])} and {int(rows[i])}")
     cc1 = not witness
 
-    def holds(at: np.ndarray, r: np.ndarray) -> np.ndarray:
-        # the first owner holds the color; another vertex only a shared one
-        out = own[r] == at
-        check = np.flatnonzero(shared[r] & ~out & (at >= 0) & (at < cov.n))
-        out[check] = lists.holds(at[check], a.colors[r[check]])
-        return out
-
     eu, ev, ra, rb = a.eu, a.ev, a.ra, a.rb
     starts = _edge_starts(eu, ev)
     edge = np.cumsum(starts) - 1
     real = (g.edge_index(eu[starts], ev[starts]) >= 0)[edge]
     inside = real & ((ra == rb) | ((own[ra] >= 0) & (own[ra] == own[rb])))
-    held = real & holds(eu, ra) & holds(ev, rb)
+    held = real & cov._held(lists, own >= 0)
     twice = np.zeros(eu.size, dtype=bool)
     used = np.flatnonzero(held)
     for side in (ra, rb):
@@ -566,39 +585,41 @@ def random_cover(g: Graph, list_size: int, density: float, seed: int) -> Corresp
     processed in lexicographic order from a single stream: each draws its
     pair count t from a binomial and, when t > 0, pairs the first t places
     of one permutation of u's block with those of a second one of v's.
+
+    One `permuted(axis=1)` of the edge's two rows of a block tiled with
+    0..list_size-1 draws what two `permutation` calls would. Edges are not
+    batched further: numpy shuffles by masked rejection, which `_rng.bounded`
+    does not replay, and each binomial takes a whole 64-bit word, so an
+    edge's draws depend on the rejections of the edges before it.
     """
     rng = substream(seed, TAG_COVER)
+    binomial, permuted = rng.binomial, rng.permuted
     ids = np.arange(g.n * list_size)
     lists = Rows(ids, _offsets(np.full(g.n, list_size)))
-    per_edge = []
-    left, right = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for _ in range(g.m):
-        t = int(rng.binomial(list_size, density))
-        per_edge.append(t)
-        if t:
-            left.append(rng.permutation(list_size)[:t])
-            right.append(rng.permutation(list_size)[:t])
+    places = np.arange(list_size)
+    step = max(1, _DRAW_BLOCK // max(2 * list_size, 1))
+    tile = np.empty((min(step, g.m), 2, list_size), dtype=np.int64)
+    per_edge, chosen = [np.zeros(0, dtype=np.int64)], [np.zeros((0, 2), dtype=np.int64)]
+    for lo in range(0, g.m, step):
+        block = tile[:g.m - lo]
+        block[...] = places
+        counts = []
+        for pair in block:
+            counts.append(binomial(list_size, density))
+            if counts[-1]:
+                permuted(pair, axis=1, out=pair)
+        per_edge.append(np.array(counts, dtype=np.int64))
+        # the first t places of both rows of every edge, as (u's, v's) pairs
+        chosen.append(block.transpose(0, 2, 1)[places < per_edge[-1][:, None]])
     us, vs = g.edge_arrays()
-    per_edge = np.array(per_edge, dtype=np.int64)
+    per_edge = np.concatenate(per_edge)
     eu, ev = np.repeat(us, per_edge), np.repeat(vs, per_edge)
-    a, b = np.concatenate(left), np.concatenate(right)
+    a, b = np.concatenate(chosen).T
     # each edge's pairs by u's color, as the dict constructor sorts them
     order = np.lexsort((a, np.repeat(np.arange(g.m), per_edge)))
     arrays = CoverArrays(ids, eu, ev, eu * list_size + a[order], ev * list_size + b[order],
                          ids, lists.lens)
     return CorrespondenceCover._of(lists, arrays)
-
-
-def save_cover(cov: CorrespondenceCover, path) -> None:
-    """Text format: 'n q_total', one list line per vertex, then per edge
-    'u v p' followed by p 'c c_prime' pairs on the same line."""
-    with open(path, "w") as fh:
-        fh.write(f"{cov.n} {cov.num_colors}\n")
-        for row in cov.lists:
-            fh.write(" ".join(str(c) for c in row) + "\n")
-        for (u, v), pairs in sorted(cov.matchings.items()):
-            flat = " ".join(f"{a} {b}" for a, b in pairs)
-            fh.write(f"{u} {v} {len(pairs)}" + (f" {flat}" if flat else "") + "\n")
 
 
 def load_cover(path) -> CorrespondenceCover:

@@ -117,20 +117,15 @@ class EdgeStream:
     """
 
     def __init__(self, n: int, records=(), lists=None):
-        """`records`: a sequence of record tuples, or the plain records as
-        an (r, 2) int array; any other array is read as a sequence."""
-        if isinstance(records, np.ndarray) and records.dtype.kind in "iu" \
-                and records.shape[1:] == (2,):
-            ends, matchings = records.astype(np.int64), ()
-        else:
-            records = records.tolist() if isinstance(records, np.ndarray) else tuple(records)
-            bad = next((i for i, rec in enumerate(records) if not _is_record(rec)), None)
-            if bad is not None:
-                raise ValueError(f"stream record {bad} {records[bad]!r} is not (u, v) or "
-                                 "(u, v, pairs) of integer ids")
-            ends = np.fromiter(chain.from_iterable(rec[:2] for rec in records),
-                               dtype=np.int64, count=2 * len(records)).reshape(-1, 2)
-            matchings = [rec[2] if len(rec) > 2 else () for rec in records]
+        """`records`: a sequence of record tuples; an array is read as one."""
+        records = records.tolist() if isinstance(records, np.ndarray) else tuple(records)
+        bad = next((i for i, rec in enumerate(records) if not _is_record(rec)), None)
+        if bad is not None:
+            raise ValueError(f"stream record {bad} {records[bad]!r} is not (u, v) or "
+                             "(u, v, pairs) of integer ids")
+        ends = np.fromiter(chain.from_iterable(rec[:2] for rec in records),
+                           dtype=np.int64, count=2 * len(records)).reshape(-1, 2)
+        matchings = [rec[2] if len(rec) > 2 else () for rec in records]
         if lists is None and any(matchings):
             raise ValueError("cover records need the stream's cover lists")
         triples = [(i, *pair) for i, pairs in enumerate(matchings) for pair in pairs]
@@ -173,7 +168,10 @@ class EdgeStream:
 
     @classmethod
     def from_graph(cls, g: Graph, permute_seed: int | None = None) -> "EdgeStream":
-        return cls(g.n, np.column_stack(g.edge_arrays())[_shuffled(g.m, permute_seed)])
+        """g's edges (u, v), u < v, shuffled by `permute_seed`; not checked again."""
+        ends = np.column_stack(g.edge_arrays())[_shuffled(g.m, permute_seed)]
+        return cls.__new__(cls)._hold(g.n, ends, None, np.zeros(0, dtype=np.int64),
+                                      np.zeros((0, 2), dtype=np.int64))
 
     @classmethod
     def from_cover(cls, g: Graph, cov: CorrespondenceCover,

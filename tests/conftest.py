@@ -26,8 +26,16 @@ settings.register_profile("tier1", derandomize=True)
 settings.register_profile("explore", derandomize=False)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
 
-from palettesparse._rng import TAG_LLL, TAG_PALETTE, TAG_PERMUTE, substream
-from palettesparse.cover import CorrespondenceCover, CoverReport, ListAssignment, random_cover
+from palettesparse.cli import RunConfig, run
+from palettesparse._rng import TAG_COVER, TAG_LLL, TAG_PALETTE, TAG_PERMUTE, substream
+from palettesparse.cover import (
+    CorrespondenceCover,
+    CoverArrays,
+    CoverReport,
+    ListAssignment,
+    Rows,
+    random_cover,
+)
 from palettesparse.graphcore import Graph
 from palettesparse.nibble import BudgetExceeded, PartialColoring
 from palettesparse.sparsify import SharedPalette
@@ -68,6 +76,40 @@ def random_cover_for(rng, g: Graph, list_size: int, density: float) -> Correspon
             for a, b in zip(left, right)
         )
     return CorrespondenceCover(lists, matchings)
+
+
+def save_cover(cov: CorrespondenceCover, path) -> None:
+    """Write `cov` in `load_cover`'s text format: 'n q_total', one list line
+    per vertex, then per edge 'u v p' followed by p 'c c_prime' pairs on
+    the same line."""
+    with open(path, "w") as fh:
+        fh.write(f"{cov.n} {cov.num_colors}\n")
+        for row in cov.lists:
+            fh.write(" ".join(str(c) for c in row) + "\n")
+        for (u, v), pairs in sorted(cov.matchings.items()):
+            flat = " ".join(f"{a} {b}" for a, b in pairs)
+            fh.write(f"{u} {v} {len(pairs)}" + (f" {flat}" if flat else "") + "\n")
+
+
+def sweep_success_vs_s(config, s_values) -> dict:
+    """Hold q fixed, vary s, and report the success rate per s of
+    `cli.run` on `config`.
+
+    The monotone-trend flag is informational: success rates are expected,
+    not guaranteed, to be nondecreasing in s.
+    """
+    table = []
+    for s in s_values:
+        cfg = RunConfig.from_dict({**config.to_dict(), "s_override": int(s),
+                                   "out_dir": None})
+        agg = run(cfg).aggregates()
+        table.append({"s": int(s), "success_rate": agg["success_rate"],
+                      "runs": agg["runs"]})
+    rates = [t["success_rate"] for t in table]
+    return {
+        "table": table,
+        "monotone_nondecreasing": all(a <= b + 1e-12 for a, b in zip(rates, rates[1:])),
+    }
 
 
 @st.composite
@@ -179,6 +221,31 @@ def oracle_color_neighbors(cov: CorrespondenceCover) -> dict[int, list[int]]:
             nbrs.setdefault(a, []).append(b)
             nbrs.setdefault(b, []).append(a)
     return nbrs
+
+
+def oracle_random_cover(g: Graph, list_size: int, density: float, seed: int):
+    """(cover, generator after the draws) of `random_cover`, one edge at a
+    time in `edges()` order: a binomial pair count t and, when t > 0, two
+    `permutation(list_size)` calls, whose first t places pair up; each
+    edge's pairs sorted by u's color."""
+    rng = substream(seed, TAG_COVER)
+    per_edge, left, right = [], [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for _ in range(g.m):
+        t = int(rng.binomial(list_size, density))
+        per_edge.append(t)
+        if t:
+            left.append(rng.permutation(list_size)[:t])
+            right.append(rng.permutation(list_size)[:t])
+    us, vs = g.edge_arrays()
+    per_edge = np.array(per_edge, dtype=np.int64)
+    eu, ev = np.repeat(us, per_edge), np.repeat(vs, per_edge)
+    a, b = np.concatenate(left), np.concatenate(right)
+    order = np.lexsort((a, np.repeat(np.arange(g.m), per_edge)))
+    ids = np.arange(g.n * list_size)
+    lists = Rows(ids, np.arange(g.n + 1) * list_size)
+    arrays = CoverArrays(ids, eu, ev, eu * list_size + a[order], ev * list_size + b[order],
+                         ids, lists.lens)
+    return CorrespondenceCover._of(lists, arrays), rng
 
 
 def oracle_cover_from_lists(g: Graph, l: ListAssignment) -> CorrespondenceCover:

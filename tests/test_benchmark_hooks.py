@@ -7,8 +7,10 @@ names and every tiny workload end to end, fingerprint included. Run from
 the repository root, as perfbench/run.py expects.
 """
 
+import json
 import os
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -63,3 +65,35 @@ def test_ab_pairs_reports_the_highest_start_load(monkeypatch, capsys, loads, fla
     out = capsys.readouterr().out
     assert f"base {max(loads[0], 0.3):.2f}, change {max(loads[1], 0.1):.2f}" in out
     assert ("LOADED" in out) == flagged
+
+
+def test_ab_pairs_sets_each_env_for_both_sides(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "tools"))
+    import ab_pairs
+
+    bench = {"workloads": [{"name": "w"}], "end_to_end": [{"name": "setup_s", "better": "lower"}]}
+
+    def export(rev, repo, into):
+        tree = tmp_path / rev
+        tree.mkdir()
+        (tree / "BENCHMARK.json").write_text(json.dumps(bench))
+        return str(tree)
+
+    envs = []
+
+    def fake_process(cmd, cwd=None, env=None, **kwargs):
+        if cmd[0] == "git":  # the repository's root
+            return SimpleNamespace(returncode=0, stdout=str(tmp_path))
+        envs.append((os.path.basename(cwd), env.get("A"), env.get("B"), env.get("PATH")))
+        lines = [{"detail": {"seeds_sha256": "x", "loadavg_1m": [0.1, 0.1]}},
+                 {"correct": True, "metrics": {"setup_s": {"value": 1.0}}}]
+        return SimpleNamespace(returncode=0, stdout="\n".join(map(json.dumps, lines)))
+
+    monkeypatch.setattr(ab_pairs, "export", export)
+    monkeypatch.setattr(ab_pairs.subprocess, "run", fake_process)
+    assert ab_pairs.main(["base", "change", "--pairs", "2", "--env", "A=1",
+                          "--env", "B=x=y"]) == 0
+    path = os.environ.get("PATH")
+    assert sorted(envs) == [("base", "1", "x=y", path)] * 2 + [("change", "1", "x=y", path)] * 2
+    with pytest.raises(SystemExit):
+        ab_pairs.main(["base", "change", "--env", "A"])

@@ -4,15 +4,15 @@ import subprocess
 import sys
 
 import pytest
+from conftest import save_cover, sweep_success_vs_s
 
 from palettesparse import cli
-from palettesparse.cli import ConfigError, RunConfig, main, run, sweep_success_vs_s
+from palettesparse.cli import ConfigError, RunConfig, main, run
 from palettesparse.cover import (
     CorrespondenceCover,
     ListAssignment,
     cover_from_lists,
     random_cover,
-    save_cover,
 )
 from palettesparse.graphcore import Graph, gen_locally_sparse, save_graph
 from palettesparse.nibble import verify_coloring

@@ -1,4 +1,5 @@
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,16 +7,21 @@ from conftest import (
     broken_covers,
     oracle_cover_colorings,
     oracle_list_colorings,
+    oracle_random_cover,
     oracle_validate_cover,
     random_covers,
     random_cover_for,
     random_graph,
     random_lists,
     rng_for,
+    save_cover,
 )
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from palettesparse import cover
+from palettesparse._rng import substream
 from palettesparse.cover import (
     CorrespondenceCover,
     CoverError,
@@ -26,7 +32,6 @@ from palettesparse.cover import (
     cover_sparsity,
     load_cover,
     random_cover,
-    save_cover,
     validate_cover,
 )
 from palettesparse.graphcore import Graph, local_sparsity, max_degree
@@ -111,6 +116,68 @@ class TestRank:
         for bad in lacking:
             with pytest.raises(CoverError, match=f"color {bad} is not a color"):
                 arrays.rank(np.array([ids[0], bad]))
+
+
+class TestRandomCover:
+    """`random_cover` against the per-edge loop it replays: the same seven
+    arrays and the generator left in the same state."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10), st.floats(0.0, 1.0), st.integers(0, 2 ** 16),
+           st.integers(0, 8) | st.sampled_from([64, 100]),
+           st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0, 0.4, 0.6]),
+           st.integers(0, 2 ** 16), st.sampled_from([cover._DRAW_BLOCK, 1, 5, 16]))
+    # m = 0 on n <= 2, and one edge
+    @example(0, 0.5, 0, 3, 0.5, 1, cover._DRAW_BLOCK)
+    @example(1, 0.5, 0, 3, 0.5, 1, cover._DRAW_BLOCK)
+    @example(2, 0.0, 0, 3, 0.5, 1, cover._DRAW_BLOCK)
+    @example(2, 1.0, 0, 3, 0.5, 1, cover._DRAW_BLOCK)
+    # one color per list; no pairs and a full matching
+    @example(6, 0.6, 1, 1, 0.5, 2, cover._DRAW_BLOCK)
+    @example(6, 0.6, 1, 4, 0.0, 2, cover._DRAW_BLOCK)
+    @example(6, 0.6, 1, 4, 1.0, 2, cover._DRAW_BLOCK)
+    # numpy's 1 - p branch, and its BTPE branch (list_size * min(p, 1 - p) > 30)
+    @example(6, 0.6, 1, 8, 0.7, 2, cover._DRAW_BLOCK)
+    @example(6, 0.6, 1, 100, 0.4, 2, cover._DRAW_BLOCK)
+    @example(6, 0.6, 1, 100, 0.6, 2, cover._DRAW_BLOCK)
+    # many blocks of edges: one edge a block, and two
+    @example(10, 0.6, 1, 5, 0.5, 2, 1)
+    @example(10, 0.6, 1, 4, 0.5, 2, 16)
+    def test_replays_the_per_edge_loop(self, n, p, graph_seed, list_size, density, seed, block):
+        g = random_graph(rng_for(graph_seed), n, p)
+        made = []
+
+        def spy(*key):
+            made.append(substream(*key))
+            return made[-1]
+
+        with mock.patch.object(cover, "substream", spy), \
+                mock.patch.object(cover, "_DRAW_BLOCK", block):
+            got = random_cover(g, list_size, density, seed)
+        want, rng = oracle_random_cover(g, list_size, density, seed)
+        assert got.lists == want.lists
+        for name in ("colors", "eu", "ev", "ra", "rb", "lists", "lens"):
+            a, b = getattr(got.arrays, name), getattr(want.arrays, name)
+            assert a.dtype == b.dtype and a.tolist() == b.tolist(), name
+        assert made[0].bit_generator.state == rng.bit_generator.state
+
+    def test_draw_block_does_not_grow_with_the_edges(self):
+        # the (edges, 2, list_size) tile that is shuffled in place is sized
+        # by _DRAW_BLOCK whatever m is, so 16 times the edges draw in it
+        tiles = []
+        real_empty = np.empty
+
+        def spy(shape, *args, **kwargs):
+            out = real_empty(shape, *args, **kwargs)
+            if out.ndim == 3:
+                tiles.append(out.nbytes)
+            return out
+
+        for m in (5000, 80000):
+            g = Graph(m + 1, [(0, v) for v in range(1, m + 1)])
+            with mock.patch.object(cover.np, "empty", spy):
+                random_cover(g, 8, 0.05, seed=0)
+        assert tiles == [8 * cover._DRAW_BLOCK] * 2
 
 
 class TestCoverFromLists:

@@ -367,8 +367,10 @@ class TestCoverKernels:
             cov, rows, (1.0 + params.gamma_prime) * params.s * d_ref / params.q)
 
     @FAST
-    @given(st.booleans().flatmap(lambda valid: covers(valid=valid)), st.data())
+    @given(st.booleans().flatmap(lambda valid: covers(valid=valid)) | broken_covers(), st.data())
     def test_restriction(self, inst, data):
+        # a pair stays only where its colors stay at its own ends, so on a
+        # broken cover a pair using a color of another vertex's list is cut
         g, cov = inst
         rows = data.draw(subrows(cov.lists))
         keep = None
@@ -385,18 +387,28 @@ class TestCoverKernels:
             assert getattr(sub.arrays, name).tolist() == getattr(rebuilt, name).tolist()
         if keep is None:
             conflict = build_conflict(g, PaletteFamily(tuple(rows)), cover=cov)
-            assert list(conflict.graph.edges()) == sorted(want)
+            assert list(conflict.graph.edges()) == sorted(e for e in want if g.has_edge(*e))
             assert list(conflict.cover.matchings.items()) == items
+
+    def test_pair_off_its_own_ends_is_cut(self):
+        # color 0 is vertex 0's only, so the pair (0, 0) on (0, 1) can never
+        # clash and is cut, although color 0 stays in the rows
+        cov = CorrespondenceCover([(0,), (1,)], {(0, 1): [(0, 0), (0, 1)]})
+        for rows in (cov.lists, [(0,), (1,)]):
+            sub, edges = restrict_cover(cov, rows)
+            assert sub is not cov
+            assert sub.matchings == {(0, 1): ((0, 1),)} and edges.tolist() == [[0, 1]]
 
     @FAST
     @given(st.booleans().flatmap(lambda valid: covers(valid=valid)) | broken_covers())
     def test_restriction_to_the_cover_lists(self, inst):
-        # the cover itself when its lists hold every color of its pairs,
+        # the cover itself when its lists hold every pair at its own ends,
         # and the same cover as a cut by a copy of its lists either way
         g, cov = inst
         sub, edges = restrict_cover(cov, cov.lists)
         cut, want = restrict_cover(cov, Rows(cov.lists.values.copy(), cov.lists.indptr.copy()))
-        assert (sub is cov) == (set(cov.arrays.colors.tolist()) <= set(cov.lists.values.tolist()))
+        every_pair_held = oracle_restrict_cover(cov, cov.lists)[1] == list(cov.matchings.items())
+        assert (sub is cov) == every_pair_held
         assert sub.lists == cut.lists
         for name in ("colors", "eu", "ev", "ra", "rb", "lists", "lens"):
             assert np.array_equal(getattr(sub.arrays, name), getattr(cut.arrays, name))

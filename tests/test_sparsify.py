@@ -200,18 +200,21 @@ class TestBuildConflict:
         inst2 = build_conflict(g, fam2, cover=cov)
         assert inst2.graph.m == 1
 
-    @pytest.mark.parametrize("off", [{(1, 2): ((2, 4),)}, {(1, 5): ((2, 4),)}])
-    def test_cover_conflict_graph_is_cut_from_g(self, off):
+    @pytest.mark.parametrize("off, kept", [({(1, 2): ((2, 4),)}, True),
+                                           ({(1, 5): ((2, 4),)}, False)])
+    def test_cover_conflict_graph_is_cut_from_g(self, off, kept):
         # a pair on the non-edge (1, 2), or on (1, 5) past the vertex range,
         # clashes across no edge (and validate_cover rejects the cover), so
-        # it adds no edge to the conflict graph; the cover keeps it
+        # it adds no edge to the conflict graph; the cover keeps it only
+        # where its colors sit at its own ends, so not at vertex 5
         g = Graph(3, [(0, 1)])
         lists = ((0, 1), (2, 3), (4, 5))
         cov = CorrespondenceCover(lists, {(0, 1): ((0, 2),), **off})
         assert not validate_cover(g, cov).ok
         inst = build_conflict(g, PaletteFamily(lists), cover=cov)
         assert list(inst.graph.edges()) == [(0, 1)]
-        assert inst.cover.matchings == cov.matchings
+        assert inst.cover.matchings == ({(0, 1): ((0, 2),), **off} if kept
+                                        else {(0, 1): ((0, 2),)})
         assert verify_coloring(inst.graph, inst.cover, solve(inst.graph, inst.cover).coloring).ok
 
     def test_conflict_probability_matches_enumeration(self):

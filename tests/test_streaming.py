@@ -85,6 +85,25 @@ class TestStreamArrays:
         assert EdgeStream.from_graph(g, permute_seed).records == tuple(records)
         assert EdgeStream.from_graph(g).records == tuple(g.edges())
 
+    @pytest.mark.parametrize("permute_seed", [None, 3])
+    @pytest.mark.parametrize("g", [Graph(4, []), gen_locally_sparse(40, 5, 10, seed=2)],
+                             ids=["m=0", "m>0"])
+    def test_from_graph_is_the_checked_stream_of_its_records(self, g, permute_seed):
+        # built without a second edge check, and equal to the validating
+        # constructor's stream of the same shuffled records
+        records = list(g.edges())
+        if permute_seed is not None:
+            substream(permute_seed, TAG_PERMUTE).shuffle(records)
+        with mock.patch.object(streaming, "check_pairs",
+                               side_effect=AssertionError("edges checked again")):
+            got = EdgeStream.from_graph(g, permute_seed)
+        want = EdgeStream(g.n, records)
+        assert (got.n, got.lists) == (want.n, want.lists)
+        for name in ("ends", "pair_record", "pairs"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.shape, a.dtype, a.flags.writeable) == (b.shape, b.dtype, b.flags.writeable)
+            assert np.array_equal(a, b), name
+
     def test_stream_and_pass_memory_are_arrays(self):
         # m ~ 10^5: the stream holds its (m, 2) ends array and no record
         # tuples (56 bytes each before their ints, 3.5 times the ends); the

@@ -18,9 +18,12 @@ incorrect result and the pairs whose `seeds_sha256` differ, and per side
 the highest 1-minute load average at the start of a run (perfbench's
 `loadavg_1m`), flagging the workload when a run started above
 `QUIET_LOAD`: pairs do not cancel load from other processes on the same
-cores, so such a report may show gaps on untouched code. Only the
-standard library is used; nothing is written into the repository, and the
-exports are removed at the end unless `--keep` is given.
+cores, so such a report may show gaps on untouched code. Each `--env
+NAME=VALUE` is set for the runs of both sides, for example
+`--env MALLOC_MMAP_THRESHOLD_=131072` to fix glibc's mmap threshold before
+reading a `peak_rss_mb` gap. Only the standard library is used; nothing is
+written into the repository, and the exports are removed at the end unless
+`--keep` is given.
 """
 
 from __future__ import annotations
@@ -52,11 +55,12 @@ def export(rev: str, repo: str, into: str) -> str:
     return tree
 
 
-def run(tree: str, workload: str, seed: int, seconds: float) -> dict:
-    """One perfbench process in `tree`: its result and detail lines."""
+def run(tree: str, workload: str, seed: int, seconds: float, env: dict[str, str]) -> dict:
+    """One perfbench process in `tree`, with `env` added to the environment:
+    its result and detail lines."""
     out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-                         cwd=tree, stdout=subprocess.PIPE, text=True)
+                         cwd=tree, stdout=subprocess.PIPE, text=True, env={**os.environ, **env})
     lines = out.stdout.strip().splitlines()
     if len(lines) < 2:
         raise SystemExit(f"{workload} in {tree} printed no result (exit {out.returncode})")
@@ -106,8 +110,16 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=16.0)
     ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--env", action="append", default=[], metavar="NAME=VALUE",
+                    help="an environment variable for both sides' runs (repeatable)")
     ap.add_argument("--keep", action="store_true", help="keep the exported trees")
     args = ap.parse_args(argv)
+    env = {}
+    for item in args.env:
+        name, eq, value = item.partition("=")
+        if not (name and eq):
+            ap.error(f"--env takes NAME=VALUE, not {item!r}")
+        env[name] = value
     repo = subprocess.run(["git", "rev-parse", "--show-toplevel"], check=True, text=True,
                           cwd=os.path.dirname(os.path.abspath(__file__)),
                           stdout=subprocess.PIPE).stdout.strip()
@@ -121,13 +133,14 @@ def main(argv=None) -> int:
         for i in range(args.pairs):
             for w in workloads:
                 order = (0, 1) if i % 2 == 0 else (1, 0)
-                got = {side: run(trees[side], w, args.seed, args.seconds) for side in order}
+                got = {side: run(trees[side], w, args.seed, args.seconds, env) for side in order}
                 runs[w].append((got[0], got[1]))
                 first = bench["end_to_end"][0]["name"]
                 print(f"pair {i + 1}/{args.pairs} {w}: " + "  ".join(
                     f"{('base', 'change')[side]} {first} {got[side]['metrics'][first]:.4g}"
                     for side in order), flush=True)
-        print(f"\nbase {args.base}, change {args.change}")
+        print(f"\nbase {args.base}, change {args.change}"
+              + "".join(f", {name}={value}" for name, value in env.items()))
         for w in workloads:
             report(w, bench["end_to_end"], runs[w])
     finally:
