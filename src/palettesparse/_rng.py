@@ -118,20 +118,40 @@ def choice_rows(rng: np.random.Generator, lens, s: int) -> np.ndarray:
             continue
         k = lens[at]
         tail = np.flatnonzero((k > _TAIL_K) & (s > k // _TAIL_RATIO))
-        # bounds in stream order; a bound of 1 draws nothing
-        bounds = np.empty((at.size, 2 * s - 1), dtype=np.uint64)
-        np.add(np.arange(s, dtype=np.uint64), (k - s + 1).astype(np.uint64)[:, None],
-               out=bounds[:, :s])
-        bounds[:, s:] = np.arange(s, 1, -1, dtype=np.uint64)
-        # a tail row draws Floyd's bounds in reverse order and no shuffle
-        bounds[tail, :s] = bounds[tail, s - 1::-1]
-        bounds[tail, s:] = 1
+        bounds = _bounds(k, s)
+        if tail.size:
+            # a tail row draws Floyd's bounds in reverse order and no shuffle
+            bounds[tail, :s] = bounds[tail, s - 1::-1]
+            bounds[tail, s:] = 1
         vals = bounded(rng, bounds.ravel()).reshape(bounds.shape)[:, :s]
         vals[tail] = vals[tail, ::-1]
         rows = _floyd(vals, k - s)
         rows.sort(axis=1)
         block[at] = rows
     return block
+
+
+def _bounds(k: np.ndarray, s: int) -> np.ndarray:
+    """The uint64 (g, 2s-1) block of the bounds that Floyd's branch draws
+    for rows of k[i] > s positions, in stream order: k-s+1 .. k, then the
+    shuffle's s .. 2 (a bound of 1 draws nothing). The row of the least k
+    is written once and doubled by slice copies; only the rows of a larger
+    k add their offset, as a 2-D write that numpy runs row by row."""
+    g, w = k.size, 2 * s - 1
+    least = int(k.min())
+    flat = np.empty(g * w, dtype=np.uint64)
+    flat[:s] = np.arange(least - s + 1, least + 1, dtype=np.uint64)
+    flat[s:w] = np.arange(s, 1, -1, dtype=np.uint64)
+    done = w
+    while done < flat.size:
+        step = min(done, flat.size - done)
+        flat[done:done + step] = flat[:step]
+        done += step
+    bounds = flat.reshape(g, w)
+    up = np.flatnonzero(k > least)
+    if up.size:
+        bounds[up, :s] += (k.take(up) - least).astype(np.uint64)[:, None]
+    return bounds
 
 
 def _roots(to: np.ndarray, at: np.ndarray) -> np.ndarray:

@@ -34,7 +34,7 @@ from itertools import chain
 import numpy as np
 
 from ._rng import TAG_COVER, substream
-from .graphcore import Graph, distinct, local_sparsity, parse_ints, ranked, stable_order
+from .graphcore import Graph, distinct, local_sparsity, parse_ints, ranked, split, stable_order
 
 __all__ = [
     "CoverError",
@@ -574,7 +574,7 @@ def cover_sparsity(cov: CorrespondenceCover) -> int:
     a = cov.arrays
     c = a.colors.size
     keys = distinct(np.minimum(a.ra, a.rb) * c + np.maximum(a.ra, a.rb))
-    h = Graph(c, np.column_stack(np.divmod(keys, max(c, 1))))
+    h = Graph(c, np.column_stack(split(keys, max(c, 1))))
     return local_sparsity(h).k_star
 
 

@@ -5,7 +5,8 @@ neighbor rows `indices`, plus the lexicographic edge arrays. It is built
 from an edge array or any iterable of pairs in one vectorized pass
 (`check_pairs` validates ids, self-loops and repeats) and holds O(n + m)
 words; accessors are views and binary searches, not loops. A subgraph is
-cut from its parent's edge arrays (`keep`) and not validated again.
+cut from its parent's CSR rows through the parent's slot table (`keep`),
+with no sort, and not validated again.
 
 Every dedupe and stable order in the package is `distinct`, `first_seen`,
 `ranked` or `stable_order`: `np.unique`'s and a stable `np.argsort`'s
@@ -55,7 +56,7 @@ class GenerationError(RuntimeError):
 def _sorted(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(the 1-D int keys ascending, the stable order that sorts them): as
     they are when they ascend, else one `np.sort` of (key - min) * N + index
-    for N int64 keys, split by one divmod, or a stable argsort past int64."""
+    for N int64 keys, split by `split`, or a stable argsort past int64."""
     size = keys.size
     if (keys[1:] >= keys[:-1]).all():
         return keys, np.arange(size)
@@ -68,9 +69,19 @@ def _sorted(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     packed *= size
     packed += np.arange(size)
     packed.sort()
-    ordered, order = np.divmod(packed, size)
+    ordered, order = split(packed, size)
     ordered += lo
     return ordered, order
+
+
+def split(keys: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """`np.divmod(keys, d)` of int keys and an int d >= 1: one floor
+    division, then a multiply-subtract in place, which numpy runs faster
+    than `np.divmod` or `%` on int64 (about twice as fast on 71k keys)."""
+    hi = keys // d
+    lo = hi * d
+    np.subtract(keys, lo, out=lo)
+    return hi, lo
 
 
 def run_starts(ordered: np.ndarray) -> np.ndarray:
@@ -136,10 +147,12 @@ class Graph:
     """Undirected simple graph on vertex ids 0..n-1 in CSR form: `indptr`
     (n + 1 offsets) and `indices` (2m ids, each row ascending), plus the
     edges as lexicographic (u, v) arrays with u < v. Immutable: the arrays
-    are read-only, so a graph is safe to share.
+    are read-only, so a graph is safe to share, and the tables derived
+    from them (`slot_rows`, `slot_edge`, the `local_sparsity` report) are
+    made at most once and kept on it.
     """
 
-    __slots__ = ("n", "m", "indptr", "indices", "_us", "_vs", "_sparsity")
+    __slots__ = ("n", "m", "indptr", "indices", "_us", "_vs", "_sparsity", "_rows", "_edge")
 
     def __init__(self, n: int, edges=()):
         """`edges`: an (m, 2) int array or an iterable of (u, v) pairs, in
@@ -159,31 +172,50 @@ class Graph:
             if u == v:
                 raise GraphError(f"self-loop at {u}")
             raise GraphError(f"duplicate edge {(min(u, v), max(u, v))}")
-        self._hold(n, keys, *np.divmod(keys, max(n, 1)))
+        self._hold(n, keys, *split(keys, max(n, 1)))
 
     def _hold(self, n: int, keys: np.ndarray, us: np.ndarray, vs: np.ndarray) -> "Graph":
         """The CSR rows of the lexicographic edges (us, vs), u < v, with keys
         u*n + v: the arrays are taken as they are, not validated."""
-        self.n, self.m = n, keys.size
         # the keys head*n + tail of both directions, sorted, are the rows in
-        # turn, each ascending; the u -> v half already is `keys`
-        self.indices = np.sort(np.concatenate((vs * n + us, keys))) % max(n, 1)
-        self.indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(np.concatenate((us, vs)), minlength=n), out=self.indptr[1:])
-        self._us, self._vs = us, vs
+        # turn, each ascending; the u -> v half already is `keys`. Their
+        # tails are `split`'s remainder, taken in place so that one 2m-word
+        # temporary is alive beside them, as with `%`
+        indices = np.sort(np.concatenate((vs * n + us, keys)))
+        indices -= indices // max(n, 1) * max(n, 1)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(np.concatenate((us, vs)), minlength=n), out=indptr[1:])
+        return self._set(n, indptr, indices, us, vs)
+
+    def _set(self, n: int, indptr, indices, us, vs) -> "Graph":
+        """Take the CSR arrays and the edge arrays as they are, read-only."""
+        self.n, self.m = n, us.size
+        self.indptr, self.indices, self._us, self._vs = indptr, indices, us, vs
         self._sparsity = None  # the `local_sparsity` report, once counted
-        for a in (self.indptr, self.indices, us, vs):
+        self._rows = self._edge = None  # `slot_rows`, `slot_edge`, once made
+        for a in (indptr, indices, us, vs):
             a.flags.writeable = False
         return self
 
     def keep(self, mask: np.ndarray) -> "Graph":
         """The subgraph of the edges that the bool mask `mask` marks, one
-        flag per edge in `edges()` order: `self` when it marks them all."""
+        flag per edge in `edges()` order: `self` when it marks them all.
+        Its rows are this graph's rows with the slots of the other edges
+        cut out (`slot_edge`), which still ascend, and its row offsets are
+        this graph's less the slots cut before each row: O(m), no sort."""
         if mask.all():
             return self
-        kept = np.flatnonzero(mask)
-        us, vs = self._us.take(kept), self._vs.take(kept)
-        return Graph.__new__(Graph)._hold(self.n, us * self.n + vs, us, vs)
+        n, cut = self.n, ~mask
+        # each row loses the slots of its cut edges, and so do the offsets
+        # of the rows after it
+        lost = np.bincount(self._us.compress(cut), minlength=n)
+        lost += np.bincount(self._vs.compress(cut), minlength=n)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(lost, out=indptr[1:])
+        np.subtract(self.indptr, indptr, out=indptr)
+        slots = mask.take(self.slot_edge())
+        return Graph.__new__(Graph)._set(n, indptr, self.indices.compress(slots),
+                                         self._us.compress(mask), self._vs.compress(mask))
 
     def degree(self, v: int) -> int:
         return int(self.indptr[v + 1] - self.indptr[v])
@@ -191,9 +223,44 @@ class Graph:
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 
-    def slot_rows(self) -> np.ndarray:
-        """The vertex whose CSR row holds each slot of `indices` (ascending)."""
-        return np.repeat(np.arange(self.n), self.degrees())
+    def slot_rows(self, keep: bool = True) -> np.ndarray:
+        """The vertex whose CSR row holds each slot of `indices` (ascending),
+        read-only and kept on the graph, unless `keep` is False: a caller
+        that drops the table early then makes it (if the graph holds none)
+        without the graph holding its 2m words for as long as it lives."""
+        rows = self._rows
+        if rows is None:
+            rows = np.repeat(np.arange(self.n), self.degrees())
+            rows.flags.writeable = False
+            if keep:
+                self._rows = rows
+        return rows
+
+    def slot_edge(self) -> np.ndarray:
+        """The index in `edges()` of the edge at each CSR slot, read-only
+        and kept on the graph. A row holds its smaller neighbours first: the
+        slots to larger ones (`indices > slot_rows()`) hold the edges
+        0..m-1 in turn, and the other slots the edges stably ordered by v,
+        so the table is one `stable_order` of the vs and two scatters."""
+        if self._edge is None:
+            n, m, us, vs = self.n, self.m, self._us, self._vs
+            # edge e = (u, v) sits in row u after the edges (x, u) and the
+            # edges (u, y) before it: at e + (the edges with v <= u)
+            ahead = np.arange(m)
+            ahead += np.cumsum(np.bincount(vs, minlength=n)).take(us)
+            # the r-th edge by v sits in row v after the edges (x, y) with
+            # y < v, the first r of them, and the edges with u < v
+            v_order, by_v = _sorted(vs)
+            below = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(us, minlength=n), out=below[1:])
+            behind = np.arange(m)
+            behind += below.take(v_order)
+            table = np.empty(2 * m, dtype=np.int64)
+            table[ahead] = np.arange(m)
+            table[behind] = by_v
+            table.flags.writeable = False
+            self._edge = table
+        return self._edge
 
     def neighbors(self, v: int) -> np.ndarray:
         """Read-only ascending view of the neighbors of v."""
@@ -381,7 +448,7 @@ def _degree_capped_pairing(n: int, delta: int, rng) -> np.ndarray:
     a, b = stubs[:half], stubs[half:]
     keep = a != b
     keys = distinct(np.minimum(a, b)[keep] * n + np.maximum(a, b)[keep])
-    return np.stack(np.divmod(keys, n), axis=1)
+    return np.stack(split(keys, n), axis=1)
 
 
 def _repair_sparsity(n: int, edges: np.ndarray, k: int):
@@ -486,7 +553,7 @@ def gen_bipartite(n: int, target_delta: int, seed: int) -> Graph:
     right = np.repeat(np.arange(half, n, dtype=np.int64), target_delta)
     rng.shuffle(right)
     take = min(len(left), len(right))
-    g = Graph(n, np.stack(np.divmod(distinct(left[:take] * n + right[:take]), n), axis=1))
+    g = Graph(n, np.stack(split(distinct(left[:take] * n + right[:take]), n), axis=1))
     us, vs = g.edge_arrays()  # u < v on every edge
     if not us.max(initial=-1) < half <= vs.min(initial=n):
         raise GenerationError("audit failed: an edge does not cross the bipartition")

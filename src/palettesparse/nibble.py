@@ -136,19 +136,28 @@ class _Instance:
         s the CSR slot of x in w's row, and head the rank of its color at x;
         so the partners of w's color across s are the heads of one run of
         keys. The ranks are dense already, so keys that would not fit in
-        int64 leave nothing to fall back on (`Rows.find` falls back on the
-        ranks of its values, found once per `Rows`)."""
+        int64 leave nothing to fall back on. A run's two slots are read by
+        its edge's index (`Graph.edge_index`) from the inverse of
+        `Graph.slot_edge`: edge e's slot in the row of its smaller end at
+        2e, and in the other row at 2e + 1."""
         a, g = self.cover.arrays, self.g
         span = a.colors.size
         if 2 * g.m * span >= 2 ** 63:
             raise InstanceTooLarge(f"{2 * g.m} slots x {span} colors overflow the pair keys")
-        # one slot lookup per run of pairs on one edge, each way round
         first = np.flatnonzero(_edge_starts(a.eu, a.ev))
-        tails = np.concatenate((a.eu[first], a.ev[first]))
-        heads = np.concatenate((a.ev[first], a.eu[first]))
-        slot = np.full(tails.size, -1, dtype=np.int64)
-        ok = (tails >= 0) & (tails < g.n) & (heads >= 0) & (heads < g.n)
-        slot[ok] = Rows(g.indices, g.indptr).find(tails[ok], heads[ok])
+        eu, ev = a.eu.take(first), a.ev.take(first)
+        edge = g.edge_index(eu, ev)
+        on = np.flatnonzero(edge >= 0)
+        slot_of = np.empty(2 * g.m, dtype=np.int64)
+        slot_of[2 * g.slot_edge() + (g.indices < g.slot_rows())] = np.arange(2 * g.m)
+        # one slot per run of pairs on one edge, each way round: read from
+        # eu, the slot in eu's row, which is the second of e's when eu > ev
+        at = 2 * edge.take(on)
+        at += eu.take(on) > ev.take(on)
+        slot = np.full(2 * first.size, -1, dtype=np.int64)
+        slot[on] = slot_of.take(at)
+        at ^= 1
+        slot[first.size + on] = slot_of.take(at)
         run = np.diff(np.append(first, a.eu.size))
         slot = np.repeat(slot, np.concatenate((run, run)))
         on = slot >= 0
@@ -786,7 +795,9 @@ def _greedy_lists(g: Graph, rows: Rows):
     order, all of it when they settle; `_greedy_walk` colors the rest
     vertex by vertex."""
     n, lens = g.n, rows.lens
-    row = g.slot_rows()
+    # g is most often a conflict graph made for this call: its slot rows
+    # are not kept on it, so that `del row` below frees them
+    row = g.slot_rows(keep=False)
     # the ids ranked once, for both kernels, the rounds and the walk
     ids, codes = ranked(rows.values)
     q = ids.size

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cover import ListAssignment, Rows
-from .graphcore import Graph, distinct, first_seen, run_pairs, stable_order
+from .graphcore import Graph, distinct, first_seen, run_pairs, split, stable_order
 from .nibble import PartialColoring, SolveResult, solve
 from .sparsify import (
     ConflictInstance,
@@ -214,7 +214,7 @@ def plan_queries(n: int, fam: PaletteFamily, strategy: str,
     keys = _pair_union(fam, None if strategy == "classes" else cost_scan - 1)
     if keys is None:
         return QueryPlan("scan", n, delta_hint, None, cost_scan, None)
-    pairs = np.column_stack(np.divmod(keys, max(n, 1)))
+    pairs = np.column_stack(split(keys, max(n, 1)))
     return QueryPlan("classes", n, delta_hint, pairs, cost_scan, len(pairs))
 
 
@@ -238,7 +238,7 @@ def execute_plan(oracle: QueryOracle, plan: QueryPlan, fam: PaletteFamily):
             us, vs = owner[lower], other[lower]
         else:
             ends = np.sort(np.stack((owner, other)), axis=0)
-            us, vs = np.divmod(distinct(ends[0] * n + ends[1]), n)
+            us, vs = split(distinct(ends[0] * n + ends[1]), n)
         hit = shared_edges(us, vs, fam.sampled, fam.universe)
         conflict = np.column_stack((us[hit], vs[hit]))
     else:

@@ -350,10 +350,12 @@ def directed_counts(heads, tails, rows, universe: int | None = None) -> np.ndarr
             counts += np.bincount(a, minlength=counts.size)
         return counts if cut is rows else counts[np.cumsum(first) - 1]
     n, owner, whole = len(rows), rows.owner, _whole(rows, q)
-    every = whole.all()
-    counts = np.bincount(heads if every else heads[whole[tails]], minlength=n)[owner]
-    if every:
-        return counts
+    if whole.all():
+        return np.bincount(heads, minlength=n)[owner]
+    if whole.any():
+        counts = np.bincount(heads.compress(whole.take(tails)), minlength=n)[owner]
+    else:
+        counts = np.zeros(owner.size, dtype=np.int64)
     cell = np.multiply(owner, q, out=owner)  # each entry's cell of an n x q
     cell += rows.values                      # matrix, in place of its owner
     member = np.zeros((n, q), dtype=np.uint8)

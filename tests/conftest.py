@@ -491,6 +491,34 @@ def oracle_find(rows, at, ids) -> list[int]:
     return [start[v] + rows[v].index(c) if c in rows[v] else -1 for v, c in zip(at, ids)]
 
 
+def oracle_slot_edge(g: Graph) -> list[int]:
+    """The `edges()` index of the edge at each CSR slot, row by row, from a
+    dict of the edge list."""
+    index = {e: i for i, e in enumerate(g.edges())}
+    return [index[(min(x, y), max(x, y))] for x in range(g.n) for y in g.neighbors(x).tolist()]
+
+
+def oracle_instance_pairs(g: Graph, a: CoverArrays) -> tuple[np.ndarray, np.ndarray, int]:
+    """`nibble._Instance.pairs` of the pair arrays `a` on g, with each pair
+    run's CSR slot found by a binary search of g's rows (`Rows.find`), each
+    way round, for the runs whose ends both lie in 0..n-1."""
+    span = a.colors.size
+    starts = np.ones(a.eu.size, dtype=bool)
+    starts[1:] = (a.eu[1:] != a.eu[:-1]) | (a.ev[1:] != a.ev[:-1])
+    first = np.flatnonzero(starts)
+    tails = np.concatenate((a.eu[first], a.ev[first]))
+    heads = np.concatenate((a.ev[first], a.eu[first]))
+    slot = np.full(tails.size, -1, dtype=np.int64)
+    ok = (tails >= 0) & (tails < g.n) & (heads >= 0) & (heads < g.n)
+    slot[ok] = Rows(g.indices, g.indptr).find(tails[ok], heads[ok])
+    run = np.diff(np.append(first, a.eu.size))
+    slot = np.repeat(slot, np.concatenate((run, run)))
+    on = slot >= 0
+    keys = slot[on] * span + np.concatenate((a.ra, a.rb))[on]
+    order = np.argsort(keys, kind="stable")
+    return keys[order], np.concatenate((a.rb, a.ra))[on][order], span
+
+
 def oracle_membership_witness(rows, phi) -> tuple | None:
     """The first (v,) outside 0..len(rows)-1 or (v, c) with c not in row v,
     in the order of the dict `phi`, by a loop over it."""

@@ -57,14 +57,17 @@ def test_ab_pairs_reports_the_highest_start_load(monkeypatch, capsys, loads, fla
     monkeypatch.syspath_prepend(os.path.join(ROOT, "tools"))
     import ab_pairs
 
-    def run(load, value):
-        return {"correct": True, "sha": "x", "load": load, "metrics": {"setup_s": value}}
+    def run(load, value, faults):
+        return {"correct": True, "sha": "x", "load": load, "faults": faults,
+                "metrics": {"setup_s": value}}
 
-    pairs = [(run(loads[0], 1.0), run(0.1, 0.9)), (run(0.3, 1.1), run(loads[1], 0.8))]
+    pairs = [(run(loads[0], 1.0, 100), run(0.1, 0.9, 7)),
+             (run(0.3, 1.1, 300), run(loads[1], 0.8, 9))]
     ab_pairs.report("w", [{"name": "setup_s", "better": "lower"}], pairs)
     out = capsys.readouterr().out
     assert f"base {max(loads[0], 0.3):.2f}, change {max(loads[1], 0.1):.2f}" in out
     assert ("LOADED" in out) == flagged
+    assert "median minor page faults per run: base 200, change 8" in out
 
 
 def test_ab_pairs_sets_each_env_for_both_sides(monkeypatch, tmp_path):

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import oracle_neighborhood_edges, random_graph, rng_for
+from conftest import oracle_neighborhood_edges, oracle_slot_edge, random_graph, rng_for
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +24,7 @@ from palettesparse.graphcore import (
     max_degree,
     ranked,
     save_graph,
+    split,
     stable_order,
 )
 
@@ -117,6 +118,17 @@ class TestSortHelpers:
         keys = np.array([1, 0, 2, 1], dtype=np.int64)
         ids, rank = ranked(keys)
         assert rank is keys and ids.tolist() == [0, 1, 2]
+
+
+class TestSplit:
+    @FAST
+    @given(KEYS, st.integers(1, 3) | st.integers(1, 2 ** 62))
+    @example(np.array([-7, -1, 0, 1, 7], dtype=np.int64), 1)
+    @example(np.array([-2 ** 63, 2 ** 63 - 1, -3, 3], dtype=np.int64), 3)
+    def test_matches_divmod(self, keys, d):
+        # negative keys floor, as in numpy; near -2^63 the product wraps,
+        # and the remainder, which lies in 0..d-1, comes out right anyway
+        same(split(keys, d), np.divmod(keys, d))
 
 
 def K(n):
@@ -374,6 +386,56 @@ class TestKeep:
         assert not any(a.flags.writeable for a in arrays)
         # a mask that keeps every edge keeps the graph itself
         assert (sub is g) == bool(mask.all())
+
+    @FAST
+    @given(masked_graphs(), st.integers(0, 2 ** 16), st.floats(0.0, 1.0))
+    # isolated vertices at both ends and inside, then every edge cut; and
+    # n = 2, its one edge kept and then cut
+    @example((Graph(6, [(1, 4), (2, 4), (1, 3)]), np.array([True, False, True])), 0, 0.0)
+    @example((Graph(2, [(0, 1)]), np.array([True])), 0, 0.0)
+    def test_a_keep_of_a_keep(self, inst, seed, p):
+        g, mask = inst
+        sub = g.keep(mask)
+        again = np.random.default_rng(seed).random(sub.m) < p
+        us, vs = sub.edge_arrays()
+        got, want = sub.keep(again), Graph(g.n, np.column_stack((us[again], vs[again])))
+        same([got.indptr, got.indices, *got.edge_arrays()],
+             [want.indptr, want.indices, *want.edge_arrays()])
+        assert got.slot_edge().tolist() == oracle_slot_edge(want)
+
+    def test_sorts_nothing(self):
+        g = gen_locally_sparse(300, 12, 20, seed=4)
+        mask = np.random.default_rng(0).random(g.m) < 0.7
+        g.slot_edge()
+        with mock.patch.object(np, "sort", side_effect=AssertionError("sorted")), \
+                mock.patch.object(np, "argsort", side_effect=AssertionError("sorted")):
+            sub = g.keep(mask)
+        assert sub.m == int(mask.sum())
+
+
+class TestSlotTables:
+    @FAST
+    @given(masked_graphs())
+    @example((Graph(0), np.zeros(0, dtype=bool)))
+    @example((Graph(1), np.zeros(0, dtype=bool)))
+    @example((Graph(5, [(0, 4), (1, 4), (3, 4), (0, 1)]), np.array([True, False, True, True])))
+    def test_slot_edge_matches_the_edge_list(self, inst):
+        g, mask = inst
+        for h in (g, g.keep(mask)):
+            table = h.slot_edge()
+            assert table.dtype == np.int64 and not table.flags.writeable
+            assert table.tolist() == oracle_slot_edge(h)
+            # the slots to larger neighbours hold the edges in order
+            ahead = h.indices > h.slot_rows()
+            assert table[ahead].tolist() == list(range(h.m))
+            assert h.slot_edge() is table
+
+    def test_slot_rows_are_kept_unless_asked_not_to(self):
+        g = cycle(5)
+        loose = g.slot_rows(keep=False)
+        assert loose.tolist() == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4] and not loose.flags.writeable
+        kept = g.slot_rows()
+        assert kept is not loose and g.slot_rows() is kept and g.slot_rows(keep=False) is kept
 
 
 @st.composite

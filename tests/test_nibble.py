@@ -11,6 +11,7 @@ from conftest import (
     oracle_finish_lll,
     oracle_greedy_cover,
     oracle_greedy_walk,
+    oracle_instance_pairs,
     random_covers,
     random_cover_for,
     random_graph,
@@ -22,7 +23,9 @@ from hypothesis import strategies as st
 
 from palettesparse.cover import (
     CorrespondenceCover,
+    CoverArrays,
     ListAssignment,
+    Rows,
     cover_from_lists,
     cover_sparsity,
     random_cover,
@@ -623,6 +626,51 @@ def outcome(call):
         return call()
     except (BudgetExceeded, PreconditionViolation) as e:
         return type(e), str(e)
+
+
+@st.composite
+def pair_runs(draw, max_n=7):
+    """(graph, cover) whose pair arrays are built by hand: runs of pairs on
+    edges either way round (eu > ev too, which no cover builder makes), on
+    non-edges, on one vertex twice and with ends out of 0..n-1."""
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = Graph(n, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+    span = draw(st.integers(1, 5))
+    ends = st.sampled_from(pairs).flatmap(lambda e: st.sampled_from([e, e[::-1]])) if pairs \
+        else st.nothing()
+    ids = st.integers(-2, n + 1)
+    runs = draw(st.lists(st.tuples(ends | st.tuples(ids, ids), st.integers(1, 3)), max_size=8))
+    eu = np.array([u for (u, _), k in runs for _ in range(k)], dtype=np.int64)
+    ev = np.array([v for (_, v), k in runs for _ in range(k)], dtype=np.int64)
+    rank = st.lists(st.integers(0, span - 1), min_size=eu.size, max_size=eu.size)
+    ra, rb = (np.array(draw(rank), dtype=np.int64) for _ in range(2))
+    none = np.zeros(0, dtype=np.int64)
+    arrays = CoverArrays(np.arange(span), eu, ev, ra, rb, none, np.zeros(n, dtype=np.int64))
+    return g, CorrespondenceCover._of(Rows(none, np.zeros(n + 1, dtype=np.int64)), arrays)
+
+
+class TestPairSlots:
+    """`_Instance.pairs` reads each pair run's CSR slots by edge index from
+    the graph's slot table; the oracle finds them by a search of the rows."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_covers() | broken_covers() | pair_runs())
+    @example((Graph(3, [(0, 1), (1, 2)]), CorrespondenceCover(
+        ((0,), (1,), (2,)), {(0, 5): ((0, 1),), (-1, 1): ((7, 1),), (2, 1): ((2, 1),)})))
+    def test_match_a_search_of_the_rows(self, inst):
+        g, cov = inst
+        got = nibble._Instance(g, cov).pairs
+        want = oracle_instance_pairs(g, cov.arrays)
+        assert got[2] == want[2]
+        assert got[0].tolist() == want[0].tolist() and got[1].tolist() == want[1].tolist()
+
+    def test_build_no_search_of_the_rows(self, monkeypatch):
+        g = gen_locally_sparse(60, 6, 6, seed=2)
+        cov = random_cover(g, 8, 0.3, seed=1)
+        monkeypatch.setattr(Rows, "find", lambda *a: pytest.fail("pairs searched a Rows"))
+        keys, heads, span = nibble._Instance(g, cov).pairs
+        assert keys.size == heads.size == 2 * cov.arrays.eu.size and span == 8 * g.n
 
 
 class TestCoverSolverAgainstOracles:

@@ -164,6 +164,9 @@ class TestSamplePalettes:
 
 @FAST
 @given(mixed_rows(), st.integers(0, 2 ** 32), st.sampled_from([None, 2, 1]))
+# one chunk of Floyd rows longer and shorter than the first, tail rows and
+# whole rows: the bounds block adds each longer row's offset
+@example(([250, 10001, 202, 201, 10050, 9999, 30000, 203, 201, 10001], 201), 11, None)
 def test_choice_rows_on_mixed_rows_from_a_pending_word(case, seed, rows_per_chunk):
     # rows_per_chunk None puts every row in one chunk
     lens, s = case
@@ -176,6 +179,18 @@ def test_choice_rows_on_mixed_rows_from_a_pending_word(case, seed, rows_per_chun
             for k in lens]
     assert block.tolist() == want
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@FAST
+@given(st.integers(1, 40).flatmap(lambda s: st.tuples(
+    st.lists(st.integers(s + 1, s + 90) | st.integers(10001, 10100), min_size=1, max_size=9),
+    st.just(s))))
+def test_bounds_block_is_floyd_then_the_shuffle_per_row(case):
+    # the least length's row doubled, plus each longer row's offset
+    lens, s = case
+    got = _rng._bounds(np.array(lens, dtype=np.int64), s)
+    want = [list(range(k - s + 1, k + 1)) + list(range(s, 1, -1)) for k in lens]
+    assert got.dtype == np.uint64 and got.tolist() == want
 
 
 def test_choice_rows_leaves_the_stream_after_the_last_choice():

@@ -18,7 +18,12 @@ incorrect result and the pairs whose `seeds_sha256` differ, and per side
 the highest 1-minute load average at the start of a run (perfbench's
 `loadavg_1m`), flagging the workload when a run started above
 `QUIET_LOAD`: pairs do not cancel load from other processes on the same
-cores, so such a report may show gaps on untouched code. Each `--env
+cores, so such a report may show gaps on untouched code. It prints each
+side's median minor page faults per run (the `ru_minflt` of the finished
+run, read with `getrusage(RUSAGE_CHILDREN)` before and after it): seed
+times move with how often glibc returns freed heap to the kernel and
+faults it in again, so a fault gap flags a timing gap that may come from
+the heap's layout rather than from the code. Each `--env
 NAME=VALUE` is set for the runs of both sides, for example
 `--env MALLOC_MMAP_THRESHOLD_=131072` to fix glibc's mmap threshold before
 reading a `peak_rss_mb` gap. Only the standard library is used; nothing is
@@ -32,6 +37,7 @@ import argparse
 import io
 import json
 import os
+import resource
 import shutil
 import statistics
 import subprocess
@@ -57,16 +63,18 @@ def export(rev: str, repo: str, into: str) -> str:
 
 def run(tree: str, workload: str, seed: int, seconds: float, env: dict[str, str]) -> dict:
     """One perfbench process in `tree`, with `env` added to the environment:
-    its result and detail lines."""
+    its result and detail lines, and the minor page faults it took."""
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
                          cwd=tree, stdout=subprocess.PIPE, text=True, env={**os.environ, **env})
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     lines = out.stdout.strip().splitlines()
     if len(lines) < 2:
         raise SystemExit(f"{workload} in {tree} printed no result (exit {out.returncode})")
     detail, result = json.loads(lines[-2])["detail"], json.loads(lines[-1])
     return {"correct": result["correct"], "sha": detail["seeds_sha256"],
-            "load": detail["loadavg_1m"][0],
+            "load": detail["loadavg_1m"][0], "faults": faults,
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
 
 
@@ -87,6 +95,9 @@ def report(workload: str, spec: list[dict], pairs: list[tuple[dict, dict]]) -> N
     print(f"  highest loadavg_1m at a run's start: base {base_load:.2f}, change {change_load:.2f}"
           + (f"  LOADED: above {QUIET_LOAD}, gaps may be other processes' load"
              if max(base_load, change_load) > QUIET_LOAD else ""))
+    base_faults, change_faults = (statistics.median(pair[side]["faults"] for pair in pairs)
+                                  for side in (0, 1))
+    print(f"  median minor page faults per run: base {base_faults:.0f}, change {change_faults:.0f}")
     print(f"  {'metric':20s} {'base median [q1, q3]':>30s} {'change median [q1, q3]':>30s}"
           f" {'change':>8s} {'won':>6s}  gap > base IQR")
     for m in spec:
