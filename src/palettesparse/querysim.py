@@ -12,7 +12,9 @@ lies inside some class), enumerated by `graphcore.run_pairs`. The auto strategy 
 is smaller, building the class union only until it reaches the scan's.
 The discovered edges then go through the offline reduction of `sparsify`
 (`prune`, then `build_conflict`) as a graph of their own, so pruning
-counts over them only.
+counts over them only. A scan that reads every row whole checks its
+answers once and builds that graph from their ascending keys; when every
+edge read is kept, the answered rows are its CSR rows, with no sort.
 """
 
 from __future__ import annotations
@@ -53,7 +55,8 @@ class UnsupportedStrategy(ValueError):
 
 class QueryOracle:
     """Sole access point to the hidden graph; counts every issued query.
-    An out-of-range vertex or slot raises ValueError and is not counted."""
+    A vertex id or slot count that is not an integer or out of range
+    raises ValueError and is not counted."""
 
     def __init__(self, g: Graph):
         self._g = g
@@ -67,8 +70,11 @@ class QueryOracle:
         return self._g.n
 
     def _check(self, *ids) -> None:
-        if any(np.size(a) and (np.min(a) < 0 or np.max(a) >= self.n) for a in ids):
-            raise ValueError(f"vertex ids must lie in 0..{self.n - 1}")
+        for a in map(np.asarray, ids):
+            if a.size and a.dtype.kind not in "iu":
+                raise ValueError(f"vertex ids must be integers, not {a.dtype}")
+            if a.size and (a.min() < 0 or a.max() >= self.n):
+                raise ValueError(f"vertex ids must lie in 0..{self.n - 1}")
 
     def degree(self, v: int) -> int:
         self._check(v)
@@ -81,7 +87,8 @@ class QueryOracle:
         return self._g.degrees()
 
     def neighbor(self, v: int, i: int) -> int:
-        if not (0 <= v < self.n and 0 <= i < self._g.degree(v)):
+        self._check(v)
+        if np.asarray(i).dtype.kind not in "iu" or not 0 <= i < self._g.degree(v):
             raise ValueError(f"no neighbor slot {i} of vertex {v}")
         self.neighbor_queries += 1
         return int(self._g.neighbors(v)[i])
@@ -89,12 +96,17 @@ class QueryOracle:
     def neighbor_prefixes(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Neighbor slots 0..k[v]-1 of every vertex v, for 0 <= k[v] <= deg(v),
         as (owner, neighbor) arrays in vertex then slot order: sum(k)
-        neighbor queries."""
-        g, k = self._g, np.asarray(k, dtype=np.int64)
-        if k.shape != (g.n,) or (k < 0).any() or (k > g.degrees()).any():
+        neighbor queries. Whole rows (k = deg) are the CSR rows as they
+        are, read-only."""
+        g, k, degrees = self._g, np.asarray(k), self._g.degrees()
+        if k.size and k.dtype.kind not in "iu":
+            raise ValueError(f"slot counts must be integers, not {k.dtype}")
+        if k.shape != (g.n,) or (k < 0).any() or (k > degrees).any():
             raise ValueError("need one slot count per vertex, each within 0..deg(v)")
         self.neighbor_queries += int(k.sum())
         owner = np.repeat(np.arange(g.n), k)
+        if (k == degrees).all():
+            return owner, g.indices
         slot = np.arange(owner.size) - (np.cumsum(k) - k)[owner]
         return owner, g.indices[g.indptr[owner] + slot]
 
@@ -106,7 +118,8 @@ class QueryOracle:
     def pairs(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Bool mask: (us[i], vs[i]) is an edge, for 1-D id arrays of one
         length: len(us) pair queries, one binary search of the CSR rows."""
-        if np.ndim(us) != 1 or np.shape(us) != np.shape(vs):
+        us, vs = np.asarray(us), np.asarray(vs)
+        if us.ndim != 1 or us.shape != vs.shape:
             raise ValueError("need two 1-D vertex id arrays of one length")
         self._check(us, vs)
         self.pair_queries += us.size
@@ -218,6 +231,48 @@ def plan_queries(n: int, fam: PaletteFamily, strategy: str,
     return QueryPlan("classes", n, delta_hint, pairs, cost_scan, len(pairs))
 
 
+def _lower_keys(n: int, owner: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """The keys owner*n + other of the owner < other slots of whole rows
+    (owner, other) read in vertex then slot order, which ascend. Answers
+    that cannot be a simple graph's rows raise ValueError: an id out of
+    range, a self-loop, a row that does not strictly ascend, or an edge
+    read from one end only (the owner > other slots turned round, sorted,
+    are not the owner < other ones)."""
+    if owner.size and (min(owner.min(), other.min()) < 0 or max(owner.max(), other.max()) >= n):
+        raise ValueError(f"scan answers hold a vertex id outside 0..{n - 1}")
+    if (owner == other).any():
+        raise ValueError("scan answers hold a self-loop")
+    key = owner * n + other
+    if not (key[1:] > key[:-1]).all():
+        raise ValueError("scan answers hold a row that does not strictly ascend")
+    upper = owner > other
+    turned = other.compress(upper) * n
+    turned += owner.compress(upper)
+    turned.sort()
+    keys = key.compress(~upper)
+    if turned.size != keys.size or not (turned == keys).all():
+        raise ValueError("scan answers read some edge from one end only")
+    return keys
+
+
+def _read_rows(n: int, owner: np.ndarray, other: np.ndarray, fam: PaletteFamily) -> Graph:
+    """The conflict graph of a scan that read every row whole, (owner,
+    other) in vertex then slot order, checked by `_lower_keys`. Its edges
+    are the owner < other slots whose ends share a sampled color. When
+    every edge is kept, the answers are its CSR rows as they came, not
+    copied; else its rows are built from the kept keys (`Graph._hold`)."""
+    # checked in a call of its own, so that the checks' 2m-word temporaries
+    # are freed before `shared_edges` runs
+    keys = _lower_keys(n, owner, other)
+    us, vs = split(keys, max(n, 1))
+    hit = shared_edges(us, vs, fam.sampled, fam.universe)
+    if not hit.all():
+        return Graph.__new__(Graph)._hold(n, keys.compress(hit), us.compress(hit), vs.compress(hit))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner, minlength=n), out=indptr[1:])
+    return Graph.__new__(Graph)._set(n, indptr, other, us, vs)
+
+
 def execute_plan(oracle: QueryOracle, plan: QueryPlan, fam: PaletteFamily):
     """Issue the plan and return (conflict instance, issued query count).
 
@@ -233,19 +288,16 @@ def execute_plan(oracle: QueryOracle, plan: QueryPlan, fam: PaletteFamily):
         slots = degrees if plan.delta_hint is None else np.minimum(degrees, plan.delta_hint)
         owner, other = oracle.neighbor_prefixes(slots)
         if (slots == degrees).all():
-            # every edge was read from both ends, so once with owner < other
-            lower = owner < other
-            us, vs = owner[lower], other[lower]
+            found = _read_rows(n, owner, other, fam)
         else:
             ends = np.sort(np.stack((owner, other)), axis=0)
             us, vs = split(distinct(ends[0] * n + ends[1]), n)
-        hit = shared_edges(us, vs, fam.sampled, fam.universe)
-        conflict = np.column_stack((us[hit], vs[hit]))
+            hit = shared_edges(us, vs, fam.sampled, fam.universe)
+            found = Graph(n, np.column_stack((us[hit], vs[hit])))
     else:
-        conflict = plan.pairs[oracle.pairs(*plan.pairs.T)]
+        found = Graph(n, plan.pairs[oracle.pairs(*plan.pairs.T)])
     issued = oracle.total_queries - before
-    inst = ConflictInstance(Graph(n, conflict), lists=ListAssignment(fam.sampled))
-    return inst, issued
+    return ConflictInstance(found, lists=ListAssignment(fam.sampled)), issued
 
 
 @dataclass

@@ -8,9 +8,10 @@ call, or for covers one search of the samples (`Rows.find`) per pair color
 and a bincount of the kept pairs per record, and one closed-form ledger,
 `SpaceLedger.charge`, serves both. After the pass, both run the offline
 reduction, `sparsify.prune` and `sparsify.build_conflict`, on the `Graph`
-of the stored edges (and the cover of the kept pairs), and solve. The
-ledger's word model: one word per id or counter, two per stored edge, two
-per stored matching pair, n*s words for palettes and for counters.
+of the stored edges, built from their sorted keys (and the cover of the
+kept pairs), and solve. The ledger's word model: one word per id or
+counter, two per stored edge, two per stored matching pair, n*s words for
+palettes and for counters.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from ._rng import TAG_PERMUTE, substream
 from .cover import CorrespondenceCover, CoverArrays, Rows
-from .graphcore import Graph, check_pairs, ranked, run_starts, stable_order
+from .graphcore import Graph, check_pairs, ranked, run_starts, split, stable_order
 from .nibble import PartialColoring, SolveResult, solve
 from .sparsify import (
     PaletteFamily,
@@ -251,8 +252,14 @@ def stream_color(stream: EdgeStream, n: int, params: SparsifyParams, seed: int,
 def _reduce(ends: np.ndarray, cover: CorrespondenceCover | None, fam: PaletteFamily,
             params: SparsifyParams, delta: int, ledger, stored, policy: str, seed: int):
     """Prune the graph of the stored `ends`, or the kept pairs' cover, at
-    `delta`, keep the conflict instance and free the held graph, then solve."""
-    held = Graph(fam.n, ends)
+    `delta`, keep the conflict instance and free the held graph, then solve.
+    The stored ends are distinct edges u < v of a checked stream, so the
+    held graph is built from their sorted keys u*n + v, not checked again."""
+    n = fam.n
+    keys = ends[:, 0] * n
+    keys += ends[:, 1]
+    keys.sort()
+    held = Graph.__new__(Graph)._hold(n, keys, *split(keys, max(n, 1)))
     fam = prune(cover or held, fam, params, delta_ref=delta)
     conflict = build_conflict(held, fam, cover=cover)
     del held

@@ -100,3 +100,47 @@ def test_ab_pairs_sets_each_env_for_both_sides(monkeypatch, tmp_path):
     assert sorted(envs) == [("base", "1", "x=y", path)] * 2 + [("change", "1", "x=y", path)] * 2
     with pytest.raises(SystemExit):
         ab_pairs.main(["base", "change", "--env", "A"])
+
+
+def test_ab_pairs_trace_reports_the_per_layer_metrics(monkeypatch, tmp_path, capsys):
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "tools"))
+    import ab_pairs
+
+    bench = {"workloads": [{"name": "w"}],
+             "end_to_end": [{"name": "setup_s", "better": "lower"}],
+             "per_layer": [{"name": "graphcore.graph_build_s", "better": "lower"},
+                           {"name": "nibble.stage_success_ratio", "better": "higher"}]}
+
+    def export(rev, repo, into):
+        tree = tmp_path / rev
+        tree.mkdir()
+        (tree / "BENCHMARK.json").write_text(json.dumps(bench))
+        return str(tree)
+
+    traced = []
+
+    def fake_process(cmd, cwd=None, env=None, **kwargs):
+        if cmd[0] == "git":  # the repository's root
+            return SimpleNamespace(returncode=0, stdout=str(tmp_path))
+        traced.append(cmd[cmd.index("--trace") + 1])
+        build = 0.5 if os.path.basename(cwd) == "base" else 0.0
+        layers = {"graphcore.graph_build_s": build, "querysim.execute_s": 1.0 + build,
+                  "graphcore.m": 10, "self_s": {"querysim": 1.0}}
+        if os.path.basename(cwd) == "base":
+            layers["graphcore.only_base_s"] = 1.0
+        lines = [{"detail": {"seeds_sha256": "x", "loadavg_1m": [0.1, 0.1], "layers": layers}},
+                 {"correct": True, "metrics": {"graphcore.graph_build_s": {"value": build},
+                                               "nibble.stage_success_ratio": {"value": 1.0}}}]
+        return SimpleNamespace(returncode=0, stdout="\n".join(map(json.dumps, lines)))
+
+    monkeypatch.setattr(ab_pairs, "export", export)
+    monkeypatch.setattr(ab_pairs.subprocess, "run", fake_process)
+    assert ab_pairs.main(["base", "change", "--pairs", "2", "--trace"]) == 0
+    assert traced == ["1"] * 4
+    rows = {line.split()[0]: line.split() for line in capsys.readouterr().out.splitlines()
+            if line.startswith("  ") and "[" in line and "base" not in line}
+    # the per-layer metrics, then the span times that every run reports
+    assert list(rows) == ["graphcore.graph_build_s", "nibble.stage_success_ratio",
+                          "querysim.execute_s"]
+    assert rows["graphcore.graph_build_s"][1] == "0.5" and rows["graphcore.graph_build_s"][4] == "0"
+    assert rows["querysim.execute_s"][7:9] == ["-33.3%", "2/2"]

@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 from unittest import mock
 
@@ -58,6 +59,30 @@ def check_plans_against_the_union_oracle(fam, hint):
         else:
             assert (auto.strategy, auto.cost_classes) == ("classes", exact)
             assert auto.fingerprint() == plan.fingerprint()
+
+
+@st.composite
+def scan_cases(draw):
+    """(graph, q, s, sampling seed): s from 1 up to q, where every edge is kept."""
+    n = draw(st.integers(0, 10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    q = draw(st.integers(1, 40))
+    return Graph(n, edges), q, draw(st.integers(1, q)), draw(st.integers(0, 2 ** 16))
+
+
+class RowsOracle:
+    """Answers a scan with the given rows, whatever they hold, as a duck-typed oracle."""
+
+    def __init__(self, rows):
+        self.n, self.rows, self.total_queries = len(rows), rows, 0
+
+    def degrees(self):
+        return np.array([len(row) for row in self.rows], dtype=np.int64)
+
+    def neighbor_prefixes(self, k):
+        return (np.repeat(np.arange(self.n), k),
+                np.array([x for row in self.rows for x in row], dtype=np.int64))
 
 
 class BlindOracle:
@@ -247,6 +272,90 @@ class TestExecute:
         read = {(min(u, v), max(u, v)) for u, v in zip(owners.tolist(), found.tolist())}
         assert set(inst.graph.edges()) == read
         assert blind.oracle.counts() == ref.counts() and issued == ref.total_queries
+
+    @settings(max_examples=80, deadline=None)
+    @given(scan_cases())
+    @example((Graph(0), 3, 1, 0))
+    @example((Graph(2, [(0, 1)]), 5, 5, 1))
+    @example((Graph(2), 4, 2, 2))
+    @example((Graph(10, [(u, v) for u in range(10) for v in range(u + 1, 10)]), 40, 1, 3))
+    def test_whole_row_scan_keeps_the_read_rows(self, case):
+        # the found graph is the validated Graph of the conflict edges read,
+        # array for array, for the same queries
+        g, q, s, seed = case
+        n = g.n
+        fam = sample_palettes(SharedPalette(n, q), s, seed=seed)
+        oracle = QueryOracle(g)
+        inst, issued = execute_plan(oracle, plan_queries(n, fam, "scan", delta_hint=n), fam)
+        read = [(u, v) for u, v in g.edges() if set(fam.sampled[u]) & set(fam.sampled[v])]
+        want = Graph(n, read)
+        for got, expected in ((inst.graph.indptr, want.indptr),
+                              (inst.graph.indices, want.indices),
+                              *zip(inst.graph.edge_arrays(), want.edge_arrays())):
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        assert issued == n + 2 * g.m
+        assert oracle.counts() == {"degree": n, "neighbor": 2 * g.m, "pair": 0, "total": issued}
+
+    def test_whole_row_scan_seed_builds_no_graph_from_pairs(self):
+        # q = s keeps every edge read; neither the found graph nor its
+        # conflict graph goes through the validating constructor
+        g = gen_bipartite(300, 8, seed=2)
+        params = derive_params(8, 300, 1, 0.5, 0.1, 0.05)
+        assert params.q == params.s
+        with mock.patch.object(Graph, "__init__", side_effect=AssertionError("Graph(n, pairs)")):
+            out = end_to_end_query_color(QueryOracle(g), params, 0, strategy="auto",
+                                         delta_hint=max_degree(g), m_hint=g.m)
+        assert out.plan.strategy == "scan" and out.queries == g.n + 2 * g.m
+        palette = ListAssignment(tuple(tuple(range(params.q)) for _ in range(g.n)))
+        assert out.success and verify_coloring(g, palette, out.coloring).ok
+
+    @pytest.mark.parametrize("rows, witness", [
+        (((1,), (2, 0), (1,)), "scan answers hold a row that does not strictly ascend"),
+        (((1,), (0, 0, 2), (1,)), "scan answers hold a row that does not strictly ascend"),
+        (((1,), (0, 3), (1,)), "scan answers hold a vertex id outside 0..2"),
+        (((1,), (-1, 0, 2), (1,)), "scan answers hold a vertex id outside 0..2"),
+        (((1,), (0, 1, 2), (1,)), "scan answers hold a self-loop"),
+        (((1,), (0,), (1,)), "scan answers read some edge from one end only"),
+        # as many owner < other as owner > other slots, but 0 is in row 3 and not in row 1
+        (((1,), (2,), (1,), (0,)), "scan answers read some edge from one end only"),
+    ])
+    def test_whole_row_scan_rejects_answers_that_are_no_graphs_rows(self, rows, witness):
+        # the path 0-1-2 is ((1,), (0, 2), (1,)), with empty rows after it
+        # for more vertices; each answer breaks one condition
+        n = len(rows)
+        fam = sample_palettes(SharedPalette(n, 2), 2, seed=0)
+        plan = plan_queries(n, fam, "scan", delta_hint=n)
+        path = RowsOracle(((1,), (0, 2), (1,)) + ((),) * (n - 3))
+        assert execute_plan(path, plan, fam)[0].graph.m == 2
+        with pytest.raises(ValueError, match=f"^{re.escape(witness)}$"):
+            execute_plan(RowsOracle(rows), plan, fam)
+
+    def test_whole_rows_are_read_only(self):
+        g = Graph(3, [(0, 1), (1, 2)])
+        oracle = QueryOracle(g)
+        owners, found = oracle.neighbor_prefixes(oracle.degrees())
+        assert found.tolist() == [1, 0, 2, 1]
+        with pytest.raises(ValueError, match="read-only"):
+            found[0] = 2
+        assert g.indices.tolist() == [1, 0, 2, 1]
+
+    @pytest.mark.parametrize("ask, witness", [
+        (lambda o: o.pairs(np.array([0.0]), np.array([1.0])), "vertex ids must be integers, not float64"),
+        (lambda o: o.pairs(np.array([0.5]), np.array([1.0])), "vertex ids must be integers, not float64"),
+        (lambda o: o.pairs(np.array([0]), np.array([True])), "vertex ids must be integers, not bool"),
+        (lambda o: o.pair(True, 1), "vertex ids must be integers, not bool"),
+        (lambda o: o.degree(1.0), "vertex ids must be integers, not float64"),
+        (lambda o: o.neighbor(True, 0), "vertex ids must be integers, not bool"),
+        (lambda o: o.neighbor(1, 0.0), "no neighbor slot 0.0 of vertex 1"),
+        (lambda o: o.neighbor_prefixes(np.array([1.5, 1, 1])), "slot counts must be integers, not float64"),
+        (lambda o: o.neighbor_prefixes(np.array([True, True, False])), "slot counts must be integers, not bool"),
+    ], ids=["pairs-whole-floats", "pairs-half", "pairs-bools", "pair-bool", "degree-float",
+            "neighbor-bool", "neighbor-float-slot", "prefixes-floats", "prefixes-bools"])
+    def test_queries_reject_ids_and_counts_that_are_not_integers(self, ask, witness):
+        oracle = QueryOracle(Graph(3, [(0, 1), (1, 2)]))
+        with pytest.raises(ValueError, match=f"^{re.escape(witness)}$"):
+            ask(oracle)
+        assert oracle.total_queries == 0
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 10), st.data())

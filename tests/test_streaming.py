@@ -229,6 +229,31 @@ class TestCorrespondenceStreaming:
         for name in ("colors", "eu", "ev", "ra", "rb", "lists", "lens"):
             assert np.array_equal(getattr(held.arrays, name), getattr(want.arrays, name))
 
+    @pytest.mark.parametrize("kind", ["plain", "cover"])
+    @pytest.mark.parametrize("capped", [False, True])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_held_graph_is_the_graph_of_the_stored_edges(self, kind, capped, seed):
+        # the stored edges come in stream order; the held graph, built from
+        # their sorted keys, is the validated Graph of them array for array
+        g = random_graph(rng_for(seed), 24, 0.3)
+        params = params_for(8, g.n, 6, 3)
+        if kind == "plain":
+            stream, color = EdgeStream.from_graph(g, permute_seed=seed), stream_color
+        else:
+            full = ListAssignment(tuple(tuple(range(6)) for _ in range(g.n)))
+            stream = EdgeStream.from_cover(g, cover_from_lists(g, full), permute_seed=seed)
+            color = stream_color_correspondence
+        cap = color(stream, g.n, params, seed=seed).ledger.peak_words if capped else None
+        with mock.patch.object(streaming, "build_conflict", wraps=build_conflict) as spy:
+            out = color(stream, g.n, params, seed=seed, space_cap=cap)
+        held = spy.call_args.args[0]
+        ends = out.stored.values.reshape(-1, 2) if kind == "plain" else out.stored.ends
+        want = Graph(g.n, ends)
+        assert held.m == len(ends) > 0
+        for got, expected in ((held.indptr, want.indptr), (held.indices, want.indices),
+                              *zip(held.edge_arrays(), want.edge_arrays())):
+            assert np.array_equal(got, expected)
+
     def test_cover_prunes_at_the_a_priori_delta(self):
         # color 1 has two correspondents on the path 0-1-2; at the a-priori
         # delta 1 the threshold is 1 + gamma' < 2, so it goes, although the

@@ -26,9 +26,13 @@ faults it in again, so a fault gap flags a timing gap that may come from
 the heap's layout rather than from the code. Each `--env
 NAME=VALUE` is set for the runs of both sides, for example
 `--env MALLOC_MMAP_THRESHOLD_=131072` to fix glibc's mmap threshold before
-reading a `peak_rss_mb` gap. Only the standard library is used; nothing is
-written into the repository, and the exports are removed at the end unless
-`--keep` is given.
+reading a `peak_rss_mb` gap. With `--trace`, every run is perfbench's
+`--trace 1` run, and the table holds BENCHMARK.json's per-layer metrics
+in place of the end-to-end ones, then every other span time (`*_s`, lower
+is better) of the run's layer table that all runs report, such as
+`querysim.execute_s`: it shows in which layer a gap sits. Only the
+standard library is used; nothing is written into the repository, and
+the exports are removed at the end unless `--keep` is given.
 """
 
 from __future__ import annotations
@@ -61,21 +65,26 @@ def export(rev: str, repo: str, into: str) -> str:
     return tree
 
 
-def run(tree: str, workload: str, seed: int, seconds: float, env: dict[str, str]) -> dict:
+def run(tree: str, workload: str, seed: int, seconds: float, env: dict[str, str],
+        trace: bool = False) -> dict:
     """One perfbench process in `tree`, with `env` added to the environment:
-    its result and detail lines, and the minor page faults it took."""
+    its result and detail lines, and the minor page faults it took. A
+    traced run's metrics also hold the span times of its layer table."""
     faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                          "--seed", str(seed), "--seconds", str(seconds),
+                          "--trace", str(int(trace))],
                          cwd=tree, stdout=subprocess.PIPE, text=True, env={**os.environ, **env})
     faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     lines = out.stdout.strip().splitlines()
     if len(lines) < 2:
         raise SystemExit(f"{workload} in {tree} printed no result (exit {out.returncode})")
     detail, result = json.loads(lines[-2])["detail"], json.loads(lines[-1])
+    spans = {k: v for k, v in detail.get("layers", {}).items()
+             if k.endswith("_s") and isinstance(v, (int, float))}
     return {"correct": result["correct"], "sha": detail["seeds_sha256"],
             "load": detail["loadavg_1m"][0], "faults": faults,
-            "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+            "metrics": {**spans, **{k: v["value"] for k, v in result["metrics"].items()}}}
 
 
 def spread(xs: list[float]) -> tuple[float, float, float]:
@@ -84,6 +93,14 @@ def spread(xs: list[float]) -> tuple[float, float, float]:
         return xs[0], xs[0], xs[0]
     q1, q2, q3 = statistics.quantiles(xs, n=4)
     return q1, q2, q3
+
+
+def with_spans(spec: list[dict], pairs: list[tuple[dict, dict]]) -> list[dict]:
+    """`spec`, then the other span times that every run of both sides
+    reports (only traced runs report any)."""
+    names = set.intersection(*(set(r["metrics"]) for pair in pairs for r in pair))
+    names -= {m["name"] for m in spec}
+    return spec + [{"name": name, "better": "lower"} for name in sorted(names)]
 
 
 def report(workload: str, spec: list[dict], pairs: list[tuple[dict, dict]]) -> None:
@@ -98,7 +115,7 @@ def report(workload: str, spec: list[dict], pairs: list[tuple[dict, dict]]) -> N
     base_faults, change_faults = (statistics.median(pair[side]["faults"] for pair in pairs)
                                   for side in (0, 1))
     print(f"  median minor page faults per run: base {base_faults:.0f}, change {change_faults:.0f}")
-    print(f"  {'metric':20s} {'base median [q1, q3]':>30s} {'change median [q1, q3]':>30s}"
+    print(f"  {'metric':26s} {'base median [q1, q3]':>30s} {'change median [q1, q3]':>30s}"
           f" {'change':>8s} {'won':>6s}  gap > base IQR")
     for m in spec:
         name, sign = m["name"], 1 if m["better"] == "higher" else -1
@@ -108,7 +125,7 @@ def report(workload: str, spec: list[dict], pairs: list[tuple[dict, dict]]) -> N
         n1, n2, n3 = spread(new)
         won = sum(sign * (y - x) > 0 for x, y in zip(base, new))
         rel = (n2 - b2) / b2 * 100 if b2 else 0.0
-        print(f"  {name:20s} {b2:12.5g} [{b1:.5g}, {b3:.5g}] {n2:12.5g} [{n1:.5g}, {n3:.5g}]"
+        print(f"  {name:26s} {b2:12.5g} [{b1:.5g}, {b3:.5g}] {n2:12.5g} [{n1:.5g}, {n3:.5g}]"
               f" {rel:+7.1f}% {won:3d}/{len(pairs):<2d}  {abs(n2 - b2) > b3 - b1}")
 
 
@@ -123,6 +140,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--env", action="append", default=[], metavar="NAME=VALUE",
                     help="an environment variable for both sides' runs (repeatable)")
+    ap.add_argument("--trace", action="store_true",
+                    help="run perfbench traced and report the per-layer metrics")
     ap.add_argument("--keep", action="store_true", help="keep the exported trees")
     args = ap.parse_args(argv)
     env = {}
@@ -140,20 +159,22 @@ def main(argv=None) -> int:
         with open(os.path.join(trees[0], "BENCHMARK.json")) as fh:
             bench = json.load(fh)
         workloads = args.workload or [w["name"] for w in bench["workloads"]]
+        spec = bench["per_layer" if args.trace else "end_to_end"]
+        first = spec[0]["name"]
         runs = {w: [] for w in workloads}
         for i in range(args.pairs):
             for w in workloads:
                 order = (0, 1) if i % 2 == 0 else (1, 0)
-                got = {side: run(trees[side], w, args.seed, args.seconds, env) for side in order}
+                got = {side: run(trees[side], w, args.seed, args.seconds, env, args.trace)
+                       for side in order}
                 runs[w].append((got[0], got[1]))
-                first = bench["end_to_end"][0]["name"]
                 print(f"pair {i + 1}/{args.pairs} {w}: " + "  ".join(
                     f"{('base', 'change')[side]} {first} {got[side]['metrics'][first]:.4g}"
                     for side in order), flush=True)
         print(f"\nbase {args.base}, change {args.change}"
               + "".join(f", {name}={value}" for name, value in env.items()))
         for w in workloads:
-            report(w, bench["end_to_end"], runs[w])
+            report(w, with_spans(spec, runs[w]), runs[w])
     finally:
         if args.keep:
             print(f"exports kept in {scratch}")
