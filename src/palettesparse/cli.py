@@ -40,13 +40,13 @@ from .graphcore import (
     max_degree,
     save_graph,
 )
-from .nibble import solve, verify_coloring
+from .nibble import _reduce, solve, verify_coloring
 from .querysim import QueryOracle, UnsupportedStrategy, end_to_end_query_color
 from .sparsify import (
     InvalidParameters,
+    PaletteTooSmall,
     SharedPalette,
     SparsifyParams,
-    build_conflict,
     derive_params,
     manual_params,
     prune,
@@ -211,20 +211,17 @@ def _build_instance(cfg: RunConfig):
     return g, params, cov
 
 
-def _offline_seed(g: Graph, params: SparsifyParams, obj, cfg: RunConfig,
-                  seed: int) -> tuple:
+def _offline_seed(g: Graph, params: SparsifyParams, obj, cfg: RunConfig, seed: int) -> tuple:
+    """(conflict edges, SolveResult or None, error) of one offline seed."""
     cover = obj if isinstance(obj, CorrespondenceCover) else None
     palette = SharedPalette(g.n, params.q) if obj is None else obj.lists
-    fam = prune(cover or g, sample_palettes(palette, params.s, seed), params)
-    conflict = build_conflict(g, fam, cover=cover)
-    target = conflict.cover or conflict.lists
-    if (fam.active().lens == 0).any():
-        return None, conflict.graph.m, None, "a vertex lost every sampled color", target
-    res = solve(conflict.graph, target, policy=cfg.policy, seed=seed)
-    err = "" if res.success else "; ".join(
+    _, conflict, res = _reduce(g, sample_palettes(palette, params.s, seed), params,
+                               cover=cover, policy=cfg.policy, seed=seed)
+    if res is None:
+        return conflict.graph.m, None, "a vertex lost every sampled color"
+    return conflict.graph.m, res, "" if res.success else "; ".join(
         f"{s.name}: {s.reason}" for s in res.stages if s.attempted
     )
-    return res.coloring, conflict.graph.m, res, err, target
 
 
 def _stream_pass(g: Graph, obj, permute_seed):
@@ -242,29 +239,19 @@ def _run_seed(g: Graph, params: SparsifyParams, obj, streamed, config: RunConfig
     """One end-to-end run; returns (row, verified assignment or None).
     `streamed` is `_stream_pass`'s pair in a stream-model sweep."""
     t0 = time.perf_counter()
-    coloring = None
-    resource = None
-    conflict_edges = 0
-    path = ""
-    error = ""
+    res = resource = names = None
+    conflict_edges, error = 0, ""
     try:
         if config.model == "offline":
-            coloring, conflict_edges, res, error, _ = _offline_seed(
-                g, params, obj, config, seed
-            )
-            path = res.path if res is not None else ""
+            conflict_edges, res, error = _offline_seed(g, params, obj, config, seed)
         elif config.model == "stream":
             stream_pass, cov = streamed
             out = stream_pass(params, seed, policy=config.policy)
-            coloring = out.coloring
-            resource = out.ledger.peak_words
+            res, error, resource = out.solve_result, out.error, out.ledger.peak_words
             conflict_edges = len(out.stored)
-            path = out.solve_result.path if out.solve_result else ""
-            error = out.error
-            if cov is not obj and coloring is not None:
-                # the lists stream as their canonical cover, whose coloring
-                # uses cover ids; map back to names
-                coloring = _pullback(coloring, cov)
+            # the lists stream as their canonical cover, whose coloring uses
+            # cover ids; map back to names
+            names = cov if cov is not obj else None
         else:
             if obj is not None:
                 raise UnsupportedStrategy(
@@ -276,14 +263,13 @@ def _run_seed(g: Graph, params: SparsifyParams, obj, streamed, config: RunConfig
                 oracle, params, seed, strategy=config.strategy,
                 delta_hint=max_degree(g), m_hint=g.m, policy=config.policy,
             )
-            coloring = out.coloring
-            resource = out.queries
-            path = out.solve_result.path if out.solve_result else ""
-            error = out.error
+            res, error, resource = out.solve_result, out.error, out.queries
     except (UnsupportedStrategy, InvalidParameters) as e:
         error = str(e)
-        coloring = None
 
+    coloring = res.coloring if res is not None else None
+    if names is not None and coloring is not None:
+        coloring = _pullback(coloring, names)
     success = False
     if coloring is not None:
         check = _full_verify(g, params, obj, coloring)
@@ -297,7 +283,7 @@ def _run_seed(g: Graph, params: SparsifyParams, obj, streamed, config: RunConfig
         s=params.s,
         conflict_edges=conflict_edges,
         resource=resource,
-        solver_path=path,
+        solver_path=res.path if res is not None else "",
         error=error,
         wall_time=time.perf_counter() - t0,
     )
@@ -608,8 +594,9 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 3
-    except (GraphError, CoverError, OSError) as e:
-        # a missing or malformed graph or cover file, or a file that cannot be opened
+    except (GraphError, CoverError, PaletteTooSmall, OSError) as e:
+        # a missing or malformed graph or cover file, a cover whose lists are
+        # shorter than the sample size, or a file that cannot be opened
         print(f"error: {e}", file=sys.stderr)
         return 3
 

@@ -43,7 +43,7 @@ from .cover import (
     restrict_cover,
 )
 from .graphcore import Graph, distinct, ranked, run_starts, stable_order
-from .sparsify import _dense, directed_counts
+from .sparsify import PaletteFamily, SparsifyParams, _dense, build_conflict, directed_counts, prune
 
 __all__ = [
     "PartialColoring",
@@ -1110,3 +1110,19 @@ def solve(g: Graph, obj, policy: str = "auto", seed: int = 0, *,
                 else f"node budget {_BACKTRACK_CAP} exhausted"
             )
     return result
+
+
+def _reduce(g: Graph, fam: PaletteFamily, params: SparsifyParams, *,
+            cover: CorrespondenceCover | None = None, delta_ref: int | None = None,
+            policy: str = "auto", seed: int = 0):
+    """The pipeline after sampling, in every model: prune `fam` on g (or
+    `cover`), keep the conflict instance, release g, and solve it unless a
+    pruned palette is empty. Returns (pruned family, conflict instance,
+    SolveResult or None); the callers word the failures."""
+    fam = prune(cover or g, fam, params, delta_ref=delta_ref)
+    conflict = build_conflict(g, fam, cover=cover)
+    del g
+    if (fam.pruned.lens == 0).any():
+        return fam, conflict, None
+    return fam, conflict, solve(conflict.graph, conflict.cover or conflict.lists,
+                                policy=policy, seed=seed)

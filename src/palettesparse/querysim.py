@@ -8,13 +8,15 @@ Two conflict-discovery strategies are provided: a neighbor scan (all
 degrees, then every neighbor slot, so exactly n + 2m queries get issued)
 and color classes (every pair of vertices sharing a sampled color,
 deduplicated, so every conflict edge is found because a conflicting edge
-lies inside some class), enumerated by `graphcore.run_pairs`. The auto strategy executes whichever of the two exact costs
-is smaller, building the class union only until it reaches the scan's.
-The discovered edges then go through the offline reduction of `sparsify`
-(`prune`, then `build_conflict`) as a graph of their own, so pruning
-counts over them only. A scan that reads every row whole checks its
-answers once and builds that graph from their ascending keys; when every
-edge read is kept, the answered rows are its CSR rows, with no sort.
+lies inside some class), enumerated by `graphcore.run_pairs`. The auto
+strategy executes whichever of the two exact costs is smaller, building
+the class union only until it reaches the scan's. The discovered edges
+then go, as a graph of their own, through the reduction tail that all
+three models share (`nibble._reduce`: `prune`, `build_conflict`,
+`solve`), so pruning counts over them only. A scan that reads every row
+whole checks its answers once and builds that graph from their ascending
+keys; when every edge read is kept, the answered rows are its CSR rows,
+with no sort.
 """
 
 from __future__ import annotations
@@ -26,14 +28,12 @@ import numpy as np
 
 from .cover import ListAssignment, Rows
 from .graphcore import Graph, distinct, first_seen, run_pairs, split, stable_order
-from .nibble import PartialColoring, SolveResult, solve
+from .nibble import PartialColoring, SolveResult, _reduce
 from .sparsify import (
     ConflictInstance,
     PaletteFamily,
     SharedPalette,
     SparsifyParams,
-    build_conflict,
-    prune,
     sample_palettes,
     shared_edges,
 )
@@ -328,11 +328,9 @@ def end_to_end_query_color(oracle: QueryOracle, params: SparsifyParams, seed: in
     plan = plan_queries(n, fam, strategy, delta_hint, m_hint=m_hint)
     found, issued = execute_plan(oracle, plan, fam)
 
-    fam = prune(found.graph, fam, params)
-    if (fam.pruned.lens == 0).any():
+    _, _, res = _reduce(found.graph, fam, params, policy=policy, seed=seed)
+    if res is None:
         return QueryRunResult(None, issued, plan, None,
                               error="a vertex lost every sampled color in pruning")
-    conflict = build_conflict(found.graph, fam)
-    res = solve(conflict.graph, conflict.lists, policy=policy, seed=seed)
     return QueryRunResult(res.coloring, issued, plan, res,
                           error="" if res.success else "solver failed")

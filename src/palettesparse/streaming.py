@@ -6,12 +6,12 @@ matching restricted to the samples is nonempty). Streams are held as
 arrays (endpoints and, for covers, pairs); retention is one `shared_edges`
 call, or for covers one search of the samples (`Rows.find`) per pair color
 and a bincount of the kept pairs per record, and one closed-form ledger,
-`SpaceLedger.charge`, serves both. After the pass, both run the offline
-reduction, `sparsify.prune` and `sparsify.build_conflict`, on the `Graph`
+`SpaceLedger.charge`, serves both. After the pass, both hand the `Graph`
 of the stored edges, built from their sorted keys (and the cover of the
-kept pairs), and solve. The ledger's word model: one word per id or
-counter, two per stored edge, two per stored matching pair, n*s words for
-palettes and for counters.
+kept pairs), to the reduction tail that all three models share
+(`nibble._reduce`: `prune`, `build_conflict`, `solve`). The ledger's
+word model: one word per id or counter, two per stored edge, two per
+stored matching pair, n*s words for palettes and for counters.
 """
 
 from __future__ import annotations
@@ -26,13 +26,11 @@ import numpy as np
 from ._rng import TAG_PERMUTE, substream
 from .cover import CorrespondenceCover, CoverArrays, Rows
 from .graphcore import Graph, check_pairs, ranked, run_starts, split, stable_order
-from .nibble import PartialColoring, SolveResult, solve
+from .nibble import PartialColoring, SolveResult, _reduce
 from .sparsify import (
     PaletteFamily,
     SharedPalette,
     SparsifyParams,
-    build_conflict,
-    prune,
     sample_palettes,
     shared_edges,
 )
@@ -246,27 +244,25 @@ def stream_color(stream: EdgeStream, n: int, params: SparsifyParams, seed: int,
 
     delta = int(np.bincount(ends.ravel(), minlength=n).max(initial=0)) \
         if delta_from_stream else params.delta_ref
-    return _reduce(pairs, None, fam, params, delta, ledger, stored, policy, seed)
+    return _finish(pairs, None, fam, params, delta, ledger, stored, policy, seed)
 
 
-def _reduce(ends: np.ndarray, cover: CorrespondenceCover | None, fam: PaletteFamily,
+def _finish(ends: np.ndarray, cover: CorrespondenceCover | None, fam: PaletteFamily,
             params: SparsifyParams, delta: int, ledger, stored, policy: str, seed: int):
-    """Prune the graph of the stored `ends`, or the kept pairs' cover, at
-    `delta`, keep the conflict instance and free the held graph, then solve.
-    The stored ends are distinct edges u < v of a checked stream, so the
-    held graph is built from their sorted keys u*n + v, not checked again."""
+    """Run the reduction tail (`nibble._reduce`) at `delta` on the graph of
+    the stored `ends`, or the kept pairs' cover. The stored ends are
+    distinct edges u < v of a checked stream, so the held graph is built
+    from their sorted keys u*n + v, not checked again, and handed over
+    inline: only the tail holds it, and frees it before solving."""
     n = fam.n
     keys = ends[:, 0] * n
     keys += ends[:, 1]
     keys.sort()
-    held = Graph.__new__(Graph)._hold(n, keys, *split(keys, max(n, 1)))
-    fam = prune(cover or held, fam, params, delta_ref=delta)
-    conflict = build_conflict(held, fam, cover=cover)
-    del held
-    if (fam.pruned.lens == 0).any():
+    fam, _, res = _reduce(Graph.__new__(Graph)._hold(n, keys, *split(keys, max(n, 1))), fam,
+                          params, cover=cover, delta_ref=delta, policy=policy, seed=seed)
+    if res is None:
         return StreamResult(None, ledger, fam, stored, None,
                             error="a vertex lost every sampled color in pruning")
-    res = solve(conflict.graph, conflict.cover or conflict.lists, policy=policy, seed=seed)
     return StreamResult(res.coloring, ledger, fam, stored, res,
                         error="" if res.success else "solver failed")
 
@@ -310,4 +306,4 @@ def stream_color_correspondence(stream: EdgeStream, n: int,
     order = order[stable_order(record[order])]
     held = CorrespondenceCover._of(sampled, CoverArrays(
         colors, ends[order, 0], ends[order, 1], ra[order], rb[order], ranks, sampled.lens))
-    return _reduce(stored.ends, held, fam, params, params.delta_ref, ledger, stored, policy, seed)
+    return _finish(stored.ends, held, fam, params, params.delta_ref, ledger, stored, policy, seed)

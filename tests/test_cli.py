@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import subprocess
@@ -14,10 +15,16 @@ from palettesparse.cover import (
     cover_from_lists,
     random_cover,
 )
-from palettesparse.graphcore import Graph, gen_locally_sparse, save_graph
+from palettesparse.graphcore import Graph, gen_bipartite, gen_locally_sparse, save_graph
 from palettesparse.nibble import verify_coloring
 from palettesparse.nibble import PartialColoring
-from palettesparse.sparsify import manual_params
+from palettesparse.sparsify import (
+    SharedPalette,
+    build_conflict,
+    manual_params,
+    prune,
+    sample_palettes,
+)
 
 
 def base_config(**over):
@@ -277,6 +284,39 @@ class TestCliCommands:
         assert main([command, "--graph", str(gpath), "--cover", str(cpath)]) == 3
         assert "color matched twice on edge (0, 1): pair (0, 5)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, model, s", [("sparsify", None, 27), ("stream", None, 27),
+                                                   ("sweep", "offline", 4), ("sweep", "stream", 4)])
+    def test_cover_shorter_than_the_sample_exits_3(self, tmp_path, capsys, command, model, s):
+        # a valid 3-color cover, sampled at the derived s = q = 27 or at s = 4
+        g = gen_bipartite(40, 4, 1)
+        gpath, cpath = tmp_path / "g.txt", tmp_path / "c.txt"
+        save_graph(g, gpath)
+        save_cover(random_cover(g, 3, 0.5, seed=0), cpath)
+        if command == "sweep":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({
+                "instance": {"kind": "gen-bipartite", "n": 40, "delta": 4, "seed": 1},
+                "pipeline": "cover", "model": model, "cover_size": 3, "s_override": s,
+                "seeds": [0, 1], "out_dir": str(tmp_path / "out")}))
+            args = ["sweep", "--config", str(cfg)]
+        else:
+            args = [command, "--graph", str(gpath), "--cover", str(cpath)]
+        assert main(args) == 3
+        assert capsys.readouterr().err == f"error: palette of vertex 0 has 3 colors, need {s}\n"
+
+    def test_query_sweep_of_a_short_cover_writes_unsupported_rows(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "instance": {"kind": "gen-bipartite", "n": 40, "delta": 4, "seed": 1},
+            "pipeline": "cover", "model": "query", "cover_size": 3, "s_override": 4,
+            "seeds": [0, 1], "out_dir": str(out)}))
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        reason = ("query model supports the shared global palette only; "
+                  "list and cover pipelines are unsupported")
+        assert (out / "sweep.csv").read_text().splitlines()[1:] == \
+            [f"{seed},0,27,4,0,,,{reason}" for seed in (0, 1)]
+
     def test_stream_and_queries_commands(self, tmp_path):
         g = gen_locally_sparse(25, 4, 1, seed=3)
         gpath = tmp_path / "g.txt"
@@ -306,3 +346,91 @@ class TestCliCommands:
         bad.write_text(json.dumps({"schema": "nope/0", "instance": {}, "seeds": [1]}))
         out = self._run("sweep", "--config", str(bad))
         assert out.returncode == 3
+
+
+class TestSweepContract:
+    """`sweep.csv` and the coloring files are a contract: every model,
+    pipeline and failure mode writes the same bytes for the same config."""
+
+    # q, s, epsilon: every palette empties, every solver stage fails, success
+    REGIMES = {"empty": (20, 1, 0.05), "fail": (4, 3, 1.0), "success": (10, 4, 1.0)}
+
+    # sha256 over the coloring files by name, then sweep.csv: name, NUL, bytes
+    DIGESTS = {
+        "offline plain empty": "c6d1b49f6dfa9fa51961d9f224d8750cf0ccdf9c7264335f10b04125f030d949",
+        "offline plain fail": "05deaa319cf2ada5f3970f608f080a75f4e982a513e60b6eb956185c27eb4517",
+        "offline plain success": "3e3335b34d3c36de8e6284cea3cf07528de3ffd4c0766f10cc4500c480c9e4a1",
+        "offline list empty": "c6d1b49f6dfa9fa51961d9f224d8750cf0ccdf9c7264335f10b04125f030d949",
+        "offline list fail": "326f34687aa6f39b296f43787abbafb53ee2588492ab9e5632dcc04ac25d11ab",
+        "offline list success": "ec8fa5b6a381a5c6b2f2509ff64d1f372551fc5bc8655c0000abab4d95b79e39",
+        "offline cover empty": "c6d1b49f6dfa9fa51961d9f224d8750cf0ccdf9c7264335f10b04125f030d949",
+        "offline cover fail": "8eb7d6c606c7d2b36caa77a80bda35a9a6d8e75d669f1cc035c31c7d0484f1e2",
+        "offline cover success": "14d06ddadbcfa84f2fdc3f1082e1df077139bad93df7d1203b4244c984eabb2d",
+        "stream plain empty": "866e5a1bb540ff29eefd198464ef8e5cbb1af82fd2afe78647ed4e6bc4cdd142",
+        "stream plain fail": "da4d15d598cd9fcd5984af78281cff0aaa108a967a5201c035bb8ae8c3a53486",
+        "stream plain success": "f00a68b8a02eda95a5c216b6b5fee73abc79b855d948654d29bb52d9e14a3e8c",
+        "stream list empty": "d216d1bea7e97a413ccd502762fe83710067f557a710a52b88aa818aad86b80a",
+        "stream list fail": "90d133629688e796447e25dc2fd301190f20f724f400426cec49a804aae9c621",
+        "stream list success": "eed706d55f840e51e4c87fd2c027f6498ab57b6133442b85c0e98f2975e09fa2",
+        "stream cover empty": "fb19032f671b20633a00e1a8bd79fe2f23d8dd5e3a7b2509f87f4e13dd7ff0cd",
+        "stream cover fail": "ddc63554c0c015a5a44438e462a03e7d9764f34d9378f7e8074c9b7477273edf",
+        "stream cover success": "7f925632cd2200fa66aebf8219552795f12792353afc1df125398047a3e9c3b4",
+        "query plain empty": "b3b163f956c069f359d4023b13aebedef87e2c103f8107922e22e8bed9108206",
+        "query plain fail": "19bc1b19da8bf6bfdc45914b50d8c5c124bed7eae43580f1e1f71a545f4528cd",
+        "query plain success": "f39bc1fff111b68037d48d2ea7291833b7980bc0c58af760bf2ba290dda992c9",
+        "query list empty": "aa3fb85c50223bc53b996743e1c0a8c87b149cc64a943107c3f26600b1686144",
+        "query list fail": "3a4fdafc25247a8a150cb7f17ae43ebdf20dec17ec4c133269967b3b4a2dad54",
+        "query list success": "ebef8e8f53b5938eb8a306f4c397d4060dc1dd62eca59cbd431dd2eaa26188c6",
+        "query cover empty": "aa3fb85c50223bc53b996743e1c0a8c87b149cc64a943107c3f26600b1686144",
+        "query cover fail": "3a4fdafc25247a8a150cb7f17ae43ebdf20dec17ec4c133269967b3b4a2dad54",
+        "query cover success": "ebef8e8f53b5938eb8a306f4c397d4060dc1dd62eca59cbd431dd2eaa26188c6",
+    }
+
+    @staticmethod
+    def sweep(model, pipeline, q, s, epsilon, out_dir=None, seeds=range(6)):
+        return run(RunConfig.from_dict({
+            "instance": {"kind": "gen-bipartite", "n": 60, "delta": 6, "seed": 1},
+            "pipeline": pipeline, "model": model, "epsilon": epsilon,
+            "q_override": q, "s_override": s, "seeds": list(seeds), "permute_seed": 3,
+            "out_dir": None if out_dir is None else str(out_dir),
+        }))
+
+    @pytest.mark.parametrize("model", ["offline", "stream", "query"])
+    @pytest.mark.parametrize("pipeline", ["plain", "list", "cover"])
+    @pytest.mark.parametrize("regime", list(REGIMES))
+    def test_golden_outputs(self, tmp_path, model, pipeline, regime):
+        self.sweep(model, pipeline, *self.REGIMES[regime], out_dir=tmp_path)
+        files = [*sorted(p.name for p in tmp_path.glob("coloring_seed*.json")), "sweep.csv"]
+        h = hashlib.sha256()
+        for name in files:
+            h.update(name.encode() + b"\0" + (tmp_path / name).read_bytes())
+        assert h.hexdigest() == self.DIGESTS[f"{model} {pipeline} {regime}"]
+
+    def test_error_strings(self):
+        # at q = 6, s = 3 seed 2 empties a palette, and seeds 0, 1 and 4 get
+        # through pruning but every solver stage fails
+        stages = ("greedy: stuck at vertex {}; nibble: schedule did not terminate within "
+                  "96 rounds; lll: precondition failed: max color degree 3 exceeds min list "
+                  "size 1 / 8.0; backtracking: instance too large for backtracking (n=60)")
+        lost = "a vertex lost every sampled color"
+        want = {
+            "offline": [stages.format(32), stages.format(29), lost, "", stages.format(54), ""],
+            "stream": ["solver failed"] * 2 + [f"{lost} in pruning", "", "solver failed", ""],
+        }
+        want["query"] = want["stream"]
+        for model, errors in want.items():
+            rows = self.sweep(model, "plain", 6, 3, 1.0).rows
+            assert [r.error for r in rows] == errors
+            assert [r.success for r in rows] == [not e for e in errors]
+
+    def test_offline_empty_rows_count_the_conflict_edges(self):
+        # a seed whose pruning empties a palette still reports m' of its
+        # conflict graph
+        g = gen_bipartite(60, 6, 1)
+        params = manual_params(6, 0.1, 1.0, q=6, s=3)
+        fam = prune(g, sample_palettes(SharedPalette(g.n, 6), 3, 2), params)
+        assert (fam.pruned.lens == 0).any()
+        m_prime = build_conflict(g, fam).graph.m
+        (row,) = self.sweep("offline", "plain", 6, 3, 1.0, seeds=[2]).rows
+        assert row.error == "a vertex lost every sampled color"
+        assert row.conflict_edges == m_prime == 68

@@ -15,10 +15,12 @@ and oracles, and the package's own passes read the stream's arrays. No
 module calls a per-call `.pair(` or `.neighbor(` query or
 `itertools.combinations`: the package's passes issue batched queries and
 expand pairs a bounded chunk at a time (`graphcore.run_pairs`), and the
-per-call methods stay as the tests' reference for the batches. The
-stream and query models reduce what they saw only through
-`sparsify.prune` and `sparsify.build_conflict`: `streaming` and
-`querysim` call none of the kernels beneath them.
+per-call methods stay as the tests' reference for the batches. All three
+models reduce what they saw through one tail, `nibble._reduce`, the only
+caller of `build_conflict`: `streaming` and `querysim` call none of
+`prune`, `build_conflict`, `solve` or the kernels beneath them, and in
+`cli` only the `sparsify` and `solve` subcommands call `prune` and
+`solve` directly.
 """
 
 import ast
@@ -147,15 +149,38 @@ def test_passes_issue_batched_queries(path):
     assert lines == [], f"{path.name} queries or pairs one at a time on lines {lines}"
 
 
+def _calls(path, names) -> set:
+    """(enclosing top-level definition, or None at module level, callee)
+    for each call in path's module of a function or method in `names`."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if callee in names:
+                    found.add((getattr(top, "name", None), callee))
+    return found
+
+
 # the kernels beneath `prune`/`build_conflict`, which the models do not call
 REDUCTION_KERNELS = {"restrict_cover", "cover_rows", "color_degrees", "directed_counts"}
 
 
 @pytest.mark.parametrize("name", ["streaming.py", "querysim.py"])
 def test_models_reduce_through_prune_and_build_conflict(name):
-    path = PACKAGE / name
-    tree = ast.parse(path.read_text(), filename=str(path))
-    lines = sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
-                   and getattr(node.func, "id", getattr(node.func, "attr", None))
-                   in REDUCTION_KERNELS)
-    assert lines == [], f"{name} calls a reduction kernel on lines {lines}"
+    assert _calls(PACKAGE / name, REDUCTION_KERNELS) == set()
+
+
+def test_the_tail_alone_builds_conflict_instances():
+    callers = {(path.name, *call) for path in MODULES for call in _calls(path, {"build_conflict"})}
+    assert callers == {("nibble.py", "_reduce", "build_conflict")}
+
+
+@pytest.mark.parametrize("name, direct", [
+    ("streaming.py", set()),
+    ("querysim.py", set()),
+    ("cli.py", {("_cmd_sparsify", "prune"), ("_cmd_solve", "solve")}),
+])
+def test_models_prune_and_solve_through_the_tail(name, direct):
+    assert _calls(PACKAGE / name, {"prune", "build_conflict", "solve"}) == direct

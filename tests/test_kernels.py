@@ -43,7 +43,7 @@ from conftest import (
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from palettesparse import sparsify, streaming
+from palettesparse import nibble, sparsify
 from palettesparse.cover import (
     CorrespondenceCover,
     CoverError,
@@ -496,7 +496,7 @@ class TestCoverKernels:
             made.append(build_conflict(*args, **kwargs))
             return made[-1]
 
-        with mock.patch.object(streaming, "build_conflict", side_effect=conflict) as spy:
+        with mock.patch.object(nibble, "build_conflict", side_effect=conflict) as spy:
             out = stream_color_correspondence(stream, g.n, params, seed, policy="greedy")
         assert list(out.stored) == stored
         assert out.ledger.peak_words == peak

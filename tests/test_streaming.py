@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from conftest import random_graph, rng_for
 
-from palettesparse import streaming
+from palettesparse import nibble, streaming
 from palettesparse._rng import TAG_PERMUTE, substream
 from palettesparse.cover import CorrespondenceCover, ListAssignment, Rows, cover_from_lists
 from palettesparse.graphcore import Graph, gen_bipartite, gen_locally_sparse
@@ -220,7 +220,7 @@ class TestCorrespondenceStreaming:
         # dict constructor builds from the records
         lists = ((0, 1, 2), (3, 4, 5), (6, 7, 8))
         records = ((0, 1, ((2, 5), (0, 3), (1, 4))), (2, 1, ((8, 3), (6, 5), (7, 4))))
-        with mock.patch.object(streaming, "build_conflict", wraps=build_conflict) as spy:
+        with mock.patch.object(nibble, "build_conflict", wraps=build_conflict) as spy:
             stream_color_correspondence(EdgeStream(3, records, lists), 3,
                                         params_for(2, 3, 3, 3), seed=0)
         held = spy.call_args.kwargs["cover"]
@@ -244,7 +244,7 @@ class TestCorrespondenceStreaming:
             stream = EdgeStream.from_cover(g, cover_from_lists(g, full), permute_seed=seed)
             color = stream_color_correspondence
         cap = color(stream, g.n, params, seed=seed).ledger.peak_words if capped else None
-        with mock.patch.object(streaming, "build_conflict", wraps=build_conflict) as spy:
+        with mock.patch.object(nibble, "build_conflict", wraps=build_conflict) as spy:
             out = color(stream, g.n, params, seed=seed, space_cap=cap)
         held = spy.call_args.args[0]
         ends = out.stored.values.reshape(-1, 2) if kind == "plain" else out.stored.ends
