@@ -264,7 +264,7 @@ def _run_seed(g: Graph, params: SparsifyParams, obj, streamed, config: RunConfig
                 delta_hint=max_degree(g), m_hint=g.m, policy=config.policy,
             )
             res, error, resource = out.solve_result, out.error, out.queries
-    except (UnsupportedStrategy, InvalidParameters) as e:
+    except UnsupportedStrategy as e:
         error = str(e)
 
     coloring = res.coloring if res is not None else None
@@ -542,44 +542,36 @@ def main(argv=None) -> int:
     p.add_argument("--cover", required=True)
     p.set_defaults(func=_cmd_verify_cover)
 
-    p = sub.add_parser("sparsify", help="sample and prune palettes")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--gamma", type=float, default=0.1)
-    p.add_argument("--epsilon", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=0)
+    graph = argparse.ArgumentParser(add_help=False)
+    graph.add_argument("--graph", required=True)
+    graph.add_argument("--seed", type=int, default=0)
+    closed_form = argparse.ArgumentParser(add_help=False)
+    closed_form.add_argument("--alpha", type=float, default=0.5)
+    closed_form.add_argument("--gamma", type=float, default=0.1)
+    closed_form.add_argument("--epsilon", type=float, default=0.05)
+
+    p = sub.add_parser("sparsify", help="sample and prune palettes", parents=[graph, closed_form])
     p.add_argument("--cover")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_sparsify)
 
-    p = sub.add_parser("solve", help="solve a list or cover instance")
-    p.add_argument("--graph", required=True)
+    p = sub.add_parser("solve", help="solve a list or cover instance", parents=[graph])
     p.add_argument("--lists")
     p.add_argument("--cover")
     p.add_argument("--policy", default="auto",
                    choices=["auto", "greedy", "nibble", "lll"])
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--report")
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("stream", help="single-pass streaming pipeline")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--gamma", type=float, default=0.1)
-    p.add_argument("--epsilon", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=0)
+    p = sub.add_parser("stream", help="single-pass streaming pipeline",
+                       parents=[graph, closed_form])
     p.add_argument("--permute-seed", type=int, default=None)
     p.add_argument("--cover")
     p.add_argument("--ledger")
     p.set_defaults(func=_cmd_stream)
 
-    p = sub.add_parser("queries", help="non-adaptive query pipeline")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--gamma", type=float, default=0.1)
-    p.add_argument("--epsilon", type=float, default=0.05)
+    p = sub.add_parser("queries", help="non-adaptive query pipeline", parents=[graph, closed_form])
     p.add_argument("--strategy", default="auto", choices=["auto", "scan", "classes"])
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_queries)
 
@@ -591,7 +583,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as e:
+    except (ConfigError, InvalidParameters) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 3
     except (GraphError, CoverError, PaletteTooSmall, OSError) as e:

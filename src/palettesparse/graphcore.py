@@ -147,12 +147,13 @@ class Graph:
     """Undirected simple graph on vertex ids 0..n-1 in CSR form: `indptr`
     (n + 1 offsets) and `indices` (2m ids, each row ascending), plus the
     edges as lexicographic (u, v) arrays with u < v. Immutable: the arrays
-    are read-only, so a graph is safe to share, and the tables derived
-    from them (`slot_rows`, `slot_edge`, the `local_sparsity` report) are
-    made at most once and kept on it.
+    are read-only, so a graph is safe to share. Two things derived from
+    them are made at most once and kept on it: the `local_sparsity` report
+    and one CSR table, `slot_edge` (2m words), which every `keep` cut
+    reads. `slot_rows` is made afresh on each call.
     """
 
-    __slots__ = ("n", "m", "indptr", "indices", "_us", "_vs", "_sparsity", "_rows", "_edge")
+    __slots__ = ("n", "m", "indptr", "indices", "_us", "_vs", "_sparsity", "_edge")
 
     def __init__(self, n: int, edges=()):
         """`edges`: an (m, 2) int array or an iterable of (u, v) pairs, in
@@ -192,7 +193,7 @@ class Graph:
         self.n, self.m = n, us.size
         self.indptr, self.indices, self._us, self._vs = indptr, indices, us, vs
         self._sparsity = None  # the `local_sparsity` report, once counted
-        self._rows = self._edge = None  # `slot_rows`, `slot_edge`, once made
+        self._edge = None  # `slot_edge`, once made
         for a in (indptr, indices, us, vs):
             a.flags.writeable = False
         return self
@@ -223,18 +224,10 @@ class Graph:
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 
-    def slot_rows(self, keep: bool = True) -> np.ndarray:
+    def slot_rows(self) -> np.ndarray:
         """The vertex whose CSR row holds each slot of `indices` (ascending),
-        read-only and kept on the graph, unless `keep` is False: a caller
-        that drops the table early then makes it (if the graph holds none)
-        without the graph holding its 2m words for as long as it lives."""
-        rows = self._rows
-        if rows is None:
-            rows = np.repeat(np.arange(self.n), self.degrees())
-            rows.flags.writeable = False
-            if keep:
-                self._rows = rows
-        return rows
+        a new array on each call: the graph does not keep its 2m words."""
+        return np.repeat(np.arange(self.n), self.degrees())
 
     def slot_edge(self) -> np.ndarray:
         """The index in `edges()` of the edge at each CSR slot, read-only

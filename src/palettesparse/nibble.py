@@ -149,7 +149,7 @@ class _Instance:
         edge = g.edge_index(eu, ev)
         on = np.flatnonzero(edge >= 0)
         slot_of = np.empty(2 * g.m, dtype=np.int64)
-        slot_of[2 * g.slot_edge() + (g.indices < g.slot_rows())] = np.arange(2 * g.m)
+        slot_of[2 * g.slot_edge() + (g.indices < self.slot_row)] = np.arange(2 * g.m)
         # one slot per run of pairs on one edge, each way round: read from
         # eu, the slot in eu's row, which is the second of e's when eu > ev
         at = 2 * edge.take(on)
@@ -167,7 +167,7 @@ class _Instance:
 
     @cached_property
     def slot_row(self) -> np.ndarray:
-        """The vertex whose CSR row holds each slot of g."""
+        """The vertex whose CSR row holds each slot of g, made once per instance."""
         return self.g.slot_rows()
 
     def clashes(self, slots: np.ndarray, col: np.ndarray) -> np.ndarray:
@@ -795,9 +795,8 @@ def _greedy_lists(g: Graph, rows: Rows):
     order, all of it when they settle; `_greedy_walk` colors the rest
     vertex by vertex."""
     n, lens = g.n, rows.lens
-    # g is most often a conflict graph made for this call: its slot rows
-    # are not kept on it, so that `del row` below frees them
-    row = g.slot_rows(keep=False)
+    # the graph does not keep its slot rows, so `del row` below frees them
+    row = g.slot_rows()
     # the ids ranked once, for both kernels, the rounds and the walk
     ids, codes = ranked(rows.values)
     q = ids.size

@@ -304,6 +304,28 @@ class TestCliCommands:
         assert main(args) == 3
         assert capsys.readouterr().err == f"error: palette of vertex 0 has 3 colors, need {s}\n"
 
+    @pytest.mark.parametrize("command, over, witness", [
+        # derived params, then both q and s given (`manual_params`)
+        ("sweep", {"epsilon": -1}, "need alpha,gamma in (0,1) and epsilon > 0, got 0.5, 0.1, -1"),
+        ("sweep", {"gamma": 1.5, "q_override": 6, "s_override": 4},
+         "need gamma in (0,1) and epsilon > 0, got 1.5, 0.05"),
+        *((command, None, "need alpha,gamma in (0,1) and epsilon > 0, got 0.5, 0.1, 0.0")
+          for command in ("stream", "sparsify", "queries")),
+    ], ids=["sweep-derived", "sweep-manual", "stream", "sparsify", "queries"])
+    def test_invalid_parameters_exit_3(self, tmp_path, capsys, command, over, witness):
+        gpath, out = tmp_path / "g.txt", tmp_path / "out"
+        save_graph(gen_bipartite(40, 4, 1), gpath)
+        if command == "sweep":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"instance": {"kind": "file", "path": str(gpath)},
+                                       "seeds": [0], "out_dir": str(out), **over}))
+            args = ["sweep", "--config", str(cfg)]
+        else:
+            args = [command, "--graph", str(gpath), "--epsilon", "0"]
+        assert main(args) == 3
+        assert capsys.readouterr().err == f"config error: {witness}\n"
+        assert not out.exists()
+
     def test_query_sweep_of_a_short_cover_writes_unsupported_rows(self, tmp_path, capsys):
         out = tmp_path / "out"
         cfg = tmp_path / "cfg.json"

@@ -27,6 +27,14 @@ from palettesparse.graphcore import (
     split,
     stable_order,
 )
+from palettesparse.nibble import solve
+from palettesparse.sparsify import (
+    SharedPalette,
+    build_conflict,
+    manual_params,
+    prune,
+    sample_palettes,
+)
 
 
 FAST = settings(max_examples=80, deadline=None)
@@ -430,12 +438,26 @@ class TestSlotTables:
             assert table[ahead].tolist() == list(range(h.m))
             assert h.slot_edge() is table
 
-    def test_slot_rows_are_kept_unless_asked_not_to(self):
+    def test_slot_rows_are_made_per_call_and_not_kept(self):
         g = cycle(5)
-        loose = g.slot_rows(keep=False)
-        assert loose.tolist() == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4] and not loose.flags.writeable
-        kept = g.slot_rows()
-        assert kept is not loose and g.slot_rows() is kept and g.slot_rows(keep=False) is kept
+        rows = g.slot_rows()
+        assert rows.tolist() == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4]
+        again = g.slot_rows()
+        assert again is not rows and again.tolist() == rows.tolist()
+        # a graph pruned, cut and solved on over several seeds holds slot_edge
+        # and no 2m-word table of its slot rows
+        g = gen_locally_sparse(300, 12, 20, seed=4)
+        params = manual_params(max_degree(g), 0.1, 1.0, 20, 4)
+        for seed in range(4):
+            fam = prune(g, sample_palettes(SharedPalette(g.n, 20), 4, seed), params)
+            conflict = build_conflict(g, fam)
+            assert conflict.graph.m < g.m
+            solve(conflict.graph, conflict.lists, seed=seed)
+        rows = g.slot_rows()
+        held = [getattr(g, name) for name in Graph.__slots__]
+        assert not any(isinstance(a, np.ndarray) and a.shape == rows.shape
+                       and (a == rows).all() for a in held)
+        assert g.slot_edge() is g.slot_edge()
 
 
 @st.composite
