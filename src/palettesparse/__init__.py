@@ -43,7 +43,6 @@ from .nibble import (
     StageRecord,
     VerifyResult,
     WcpParams,
-    brute_force,
     build_schedule,
     finish_lll,
     greedy_color,

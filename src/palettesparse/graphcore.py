@@ -214,7 +214,8 @@ class Graph:
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(lost, out=indptr[1:])
         np.subtract(self.indptr, indptr, out=indptr)
-        slots = mask.take(self.slot_edge())
+        # `[]` reads the read-only table in place, where `take` copies it
+        slots = mask[self.slot_edge()]
         return Graph.__new__(Graph)._set(n, indptr, self.indices.compress(slots),
                                          self._us.compress(mask), self._vs.compress(mask))
 
@@ -240,14 +241,14 @@ class Graph:
             # edge e = (u, v) sits in row u after the edges (x, u) and the
             # edges (u, y) before it: at e + (the edges with v <= u)
             ahead = np.arange(m)
-            ahead += np.cumsum(np.bincount(vs, minlength=n)).take(us)
+            ahead += np.cumsum(np.bincount(vs, minlength=n))[us]
             # the r-th edge by v sits in row v after the edges (x, y) with
             # y < v, the first r of them, and the edges with u < v
             v_order, by_v = _sorted(vs)
             below = np.zeros(n + 1, dtype=np.int64)
             np.cumsum(np.bincount(us, minlength=n), out=below[1:])
             behind = np.arange(m)
-            behind += below.take(v_order)
+            behind += below[v_order]
             table = np.empty(2 * m, dtype=np.int64)
             table[ahead] = np.arange(m)
             table[behind] = by_v
@@ -566,11 +567,15 @@ def save_graph(g: Graph, path) -> None:
 
 
 def parse_ints(tokens: list[str], error: type[Exception]) -> list[int]:
-    """The tokens of one file line as ints; `error` names the line if one is not."""
+    """The tokens of one file line as ints that int64 holds; `error` names
+    the line if one is not."""
     try:
-        return [int(t) for t in tokens]
+        ints = [int(t) for t in tokens]
     except ValueError:
         raise error(f"non-integer token in line {' '.join(tokens)!r}") from None
+    if ints and (min(ints) < -2 ** 63 or max(ints) >= 2 ** 63):
+        raise error(f"integer outside int64 in line {' '.join(tokens)!r}")
+    return ints
 
 
 def load_graph(path) -> Graph:

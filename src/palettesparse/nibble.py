@@ -61,7 +61,6 @@ __all__ = [
     "LllResult",
     "BudgetExceeded",
     "finish_lll",
-    "brute_force",
     "InstanceTooLarge",
     "greedy_color",
     "StageRecord",
@@ -215,7 +214,7 @@ class _Instance:
     def max_color_degree(self) -> int:
         if self.cover is not None:
             return self.cover.max_color_degree()
-        return int(directed_counts(self.slot_row, self.g.indices, self.lists).max(initial=0))
+        return int(directed_counts(self.g.indptr, self.g.indices, self.lists).max(initial=0))
 
 
 def _as_instance(g: Graph, obj) -> _Instance:
@@ -566,7 +565,7 @@ def finish_lll(g: Graph, obj, seed: int, *, threshold: float = _LLL_THRESHOLD,
 
 
 # ---------------------------------------------------------------------------
-# exhaustive search (oracle) and bounded backtracking
+# bounded backtracking
 
 
 def _dfs_color(inst: _Instance, node_cap: int | None):
@@ -636,18 +635,6 @@ def _dfs_color(inst: _Instance, node_cap: int | None):
             assignment = {v: int(colors[c]) for v, c in assignment.items()}
         return PartialColoring(dict(sorted(assignment.items()))), True
     return None, complete
-
-
-def brute_force(g: Graph, obj, *, max_n: int = 20):
-    """Exhaustive search with pruning; exact. Returns a total proper
-    coloring or None when the instance is uncolorable. Guarded to n <= max_n."""
-    if g.n > max_n:
-        raise InstanceTooLarge(f"brute force guarded to n <= {max_n}, got {g.n}")
-    inst = _as_instance(g, obj)
-    coloring, complete = _dfs_color(inst, None)
-    if not complete:
-        raise InvariantViolation("unbounded search stopped before exhausting the instance")
-    return coloring
 
 
 # ---------------------------------------------------------------------------
@@ -786,17 +773,16 @@ def _greedy_lists(g: Graph, rows: Rows):
     twice in a row; `_greedy_generic` is its cover twin. Greedy stops at
     its first stuck vertex, so v's uncolored neighbours at its turn are the
     later ones, and every score is one `directed_counts` over the CSR slots
-    to them. v's candidates are its list sorted by (score, place in the
-    row), and v takes the first one that none of its earlier neighbours
-    holds: first-fit on the ids' ranks.
+    to them, still grouped by row, so their offsets are all it needs to
+    know each slot's head. v's candidates are its list sorted by (score,
+    place in the row), and v takes the first one that none of its earlier
+    neighbours holds: first-fit on the ids' ranks.
 
     While `sparsify._dense`'s n x q bound holds, settling rounds
     (`_greedy_rounds`) find greedy's colors for a leading part of the
     order, all of it when they settle; `_greedy_walk` colors the rest
     vertex by vertex."""
     n, lens = g.n, rows.lens
-    # the graph does not keep its slot rows, so `del row` below frees them
-    row = g.slot_rows()
     # the ids ranked once, for both kernels, the rounds and the walk
     ids, codes = ranked(rows.values)
     q = ids.size
@@ -807,14 +793,16 @@ def _greedy_lists(g: Graph, rows: Rows):
         maxc = g.degrees()
     else:
         maxc = np.full(n, -1, dtype=np.int64)
-        np.maximum.at(maxc, dense.owner, directed_counts(row, g.indices, dense, q))
+        np.maximum.at(maxc, dense.owner, directed_counts(g.indptr, g.indices, dense, q))
     order = stable_order(-maxc)
     pos = np.empty_like(order)
     pos[order] = np.arange(n)
-    # the CSR slots to later neighbours (the scores'); the rest, kept as
+    # the CSR slots to later neighbours (the scores'), found by comparing
+    # positions in the narrowest type that holds them; the rest, kept as
     # rows, are each vertex's earlier neighbours
-    later = pos[g.indices] > pos[row]
-    del row
+    place = pos.astype(np.min_scalar_type(n))
+    later = place[g.indices] > np.repeat(place, g.degrees())
+    del place
     back = np.flatnonzero(~later)
     earlier = Rows(g.indices[back], np.searchsorted(back, g.indptr))
     del back
@@ -822,9 +810,9 @@ def _greedy_lists(g: Graph, rows: Rows):
     if not shared:
         # each list's entries by (score, place in the row), lists in vertex
         # order: one stable sort of the (vertex, score) keys, built in place
-        ahead = np.repeat(np.arange(n), g.degrees() - earlier.lens)
-        score = directed_counts(ahead, g.indices.compress(later), dense, q)
-        del ahead, later
+        score = directed_counts(_offsets(g.degrees() - earlier.lens),
+                                g.indices.compress(later), dense, q)
+        del later
         key = dense.owner
         key *= score.max(initial=0) + 1
         key += score

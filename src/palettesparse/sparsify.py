@@ -13,7 +13,8 @@ models all run `prune` and `build_conflict` on the `Graph` of the edges
 they see (all, stored or discovered) and its cover, if any, and the
 conflict graph is cut from that graph (`Graph.keep`). Lists go through two
 numpy kernels on `Rows` of any ids, shared with the list greedy:
-`directed_counts`, one count per list entry over a graph's CSR slots, and
+`directed_counts`, one count per list entry over a graph's CSR rows (its
+row offsets and slots, so no head id per slot is made), and
 `shared_edges`, one survival flag per edge; how they count (n x q matrices
 or a join, see `_TABLE_CELLS`) is theirs alone. Covers go through the
 kernels of `cover` over their pair arrays: `restrict_cover` for the
@@ -273,20 +274,19 @@ def _dense(rows, universe: int | None, pairs: int):
     return rows, q, len(rows) * q <= _TABLE_CELLS * (flat.size + pairs)
 
 
-def _lanes(heads, tails, member: np.ndarray) -> np.ndarray:
-    """acc[h] = the sum of member[tails[i]] over the i with heads[i] = h.
-    With the pairs grouped by head (sorted unless the heads ascend, as CSR
-    slots do) and the heads ranked by descending pair count, round j adds
-    the j-th tail of every head with more than j pairs as one prefix slice,
-    until no more heads are left than rounds have run; each then takes one
-    row sum, so a star costs O(sqrt(pairs)) numpy calls, not its degree.
-    acc is uint8, uint16 or int64, the first that holds every head's count."""
+def _lanes(offsets, tails, member: np.ndarray) -> np.ndarray:
+    """acc[h] = the sum of member[t] over the tails t of head h, the pairs
+    offsets[h]:offsets[h + 1] of `tails`. With the heads ranked by
+    descending pair count, round j adds the j-th tail of every head with
+    more than j pairs as one prefix slice, until no more heads are left
+    than rounds have run; each then takes one row sum, so a star costs
+    O(sqrt(pairs)) numpy calls, not its degree. The only sort is that
+    rank, n long. acc is uint8, uint16 or int64, the first that holds
+    every head's count."""
     n, q = member.shape
-    per = np.bincount(heads, minlength=n)
-    if not (heads[1:] >= heads[:-1]).all():
-        tails = tails[stable_order(heads)]
+    per = np.diff(offsets)
     rank = stable_order(-per)
-    base, per = (np.cumsum(per) - per)[rank], per[rank]
+    base, per = offsets[rank], per[rank]
     top = int(per[0])
     acc = np.zeros((n, q), np.uint8 if top < 2 ** 8 else np.uint16 if top < 2 ** 16 else np.int64)
     # longer[j] heads, the first ranks, have more than j pairs
@@ -310,16 +310,17 @@ def _packed_masks(rows: Rows, q: int) -> np.ndarray:
     return np.packbits(member, axis=1, bitorder="little").view("<u8")
 
 
-def _joined(heads, tails, rows: Rows):
-    """Per chunk of pairs, (i, a) for every id that rows heads[i] and
-    tails[i] share, a its entry in the head row: each entry of the tail
-    row is looked up there with `Rows.find`."""
+def _joined(tails, rows: Rows, heads):
+    """Per chunk of pairs, (i, a) for every id that pair i's two rows share,
+    a its entry in the head row, heads(lo, hi) the heads of pairs lo..hi-1:
+    each entry of the tail row is looked up there with `Rows.find`."""
     lens = rows.lens
     step = max(1, max(_CHUNK_KEYS, rows.values.size) // max(1, int(lens.max(initial=0))))
-    for lo in range(0, heads.size, step):
+    for lo in range(0, tails.size, step):
         at = tails[lo : lo + step]
-        i = np.repeat(np.arange(lo, lo + at.size), lens[at])
-        a = rows.find(heads[i], rows.values[rows.spread(at)])
+        i = np.repeat(np.arange(at.size), lens[at])
+        a = rows.find(heads(lo, lo + at.size)[i], rows.values[rows.spread(at)])
+        i += lo
         yield i[a >= 0], a[a >= 0]
 
 
@@ -332,37 +333,36 @@ def _whole(rows: Rows, q: int) -> np.ndarray:
     return whole
 
 
-def directed_counts(heads, tails, rows, universe: int | None = None) -> np.ndarray:
-    """For every entry (h, c) of `rows`, in entry order, the number of i
-    with heads[i] = h and c in rows[tails[i]], for int64 arrays (heads,
-    tails). `universe` is q when the ids are colors of 0..q-1 (else None).
-    Counts add by `_lanes` over the uint8 n x q `member` (row v marks
-    rows[v]) or come from the join (see `_dense`). A whole-palette tail row
-    adds its head's degree instead; when every row is whole, that is all."""
-    rows, q, table = _dense(rows, universe, heads.size)
+def directed_counts(offsets, tails, rows, universe: int | None = None) -> np.ndarray:
+    """For every entry (h, c) of `rows`, in entry order, the number of
+    tails t of h with c in rows[t]: the tails of head h are
+    tails[offsets[h]:offsets[h + 1]], as a graph's CSR rows are
+    (`g.indptr`, `g.indices`), for int64 `tails` and n + 1 `offsets`.
+    `universe` is q when the ids are colors of 0..q-1 (else None). Counts
+    add by `_lanes` over the uint8 n x q `member` (row v marks rows[v]) or
+    come from the join (see `_dense`). When every row is a whole palette,
+    each count is its head's pair count."""
+    rows, q, table = _dense(rows, universe, tails.size)
     if not table:
         # the join finds one entry per id both rows hold: rows join with
         # repeated ids cut, and each copy takes the count of the first
         first = ~rows.steps(np.equal)
         cut = rows.keep(first)
         counts = np.zeros(cut.values.size, dtype=np.int64)
-        for _, a in _joined(heads, tails, cut):
+
+        def heads(lo, hi):  # pair i's head is the last row whose offset is <= i
+            return np.searchsorted(offsets, np.arange(lo, hi), "right") - 1
+        for _, a in _joined(tails, cut, heads):
             counts += np.bincount(a, minlength=counts.size)
         return counts if cut is rows else counts[np.cumsum(first) - 1]
-    n, owner, whole = len(rows), rows.owner, _whole(rows, q)
-    if whole.all():
-        return np.bincount(heads, minlength=n)[owner]
-    if whole.any():
-        counts = np.bincount(heads.compress(whole.take(tails)), minlength=n)[owner]
-    else:
-        counts = np.zeros(owner.size, dtype=np.int64)
+    n, owner = len(rows), rows.owner
+    if _whole(rows, q).all():
+        return np.diff(offsets)[owner]
     cell = np.multiply(owner, q, out=owner)  # each entry's cell of an n x q
     cell += rows.values                      # matrix, in place of its owner
     member = np.zeros((n, q), dtype=np.uint8)
     member.ravel()[cell] = 1
-    member[whole] = 0
-    counts += _lanes(heads, tails, member).ravel().take(cell)
-    return counts
+    return _lanes(offsets, tails, member).ravel().take(cell).astype(np.int64)
 
 
 def shared_edges(us, vs, rows, universe: int | None = None) -> np.ndarray:
@@ -376,7 +376,7 @@ def shared_edges(us, vs, rows, universe: int | None = None) -> np.ndarray:
         return np.ones(us.size, dtype=bool)
     hit = np.zeros(us.size, dtype=bool)
     if not table:
-        for i, _ in _joined(us, vs, rows):
+        for i, _ in _joined(vs, rows, lambda lo, hi: us[lo:hi]):
             hit[i] = True
         return hit
     masks = _packed_masks(rows, q)
@@ -402,7 +402,7 @@ def prune(subject, fam: PaletteFamily, params: SparsifyParams,
     """
     if isinstance(subject, Graph):
         thr = params.threshold(params.delta_ref if delta_ref is None else delta_ref)
-        counts = directed_counts(subject.slot_rows(), subject.indices, fam.sampled, fam.universe)
+        counts = directed_counts(subject.indptr, subject.indices, fam.sampled, fam.universe)
         return PaletteFamily(fam.sampled, fam.sampled.keep(counts <= thr), fam.universe)
     if isinstance(subject, CorrespondenceCover):
         thr = params.threshold(subject.max_color_degree() if delta_ref is None else delta_ref)

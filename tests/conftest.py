@@ -36,6 +36,7 @@ from palettesparse.cover import (
     Rows,
     random_cover,
 )
+from palettesparse import nibble
 from palettesparse.graphcore import Graph
 from palettesparse.nibble import BudgetExceeded, PartialColoring
 from palettesparse.sparsify import SharedPalette
@@ -282,6 +283,18 @@ def oracle_sample_palettes(palettes, s: int, seed: int) -> tuple[tuple[int, ...]
     return tuple(out)
 
 
+def brute_force(g: Graph, obj, *, max_n: int = 20):
+    """Exhaustive search with pruning (`nibble._dfs_color` without a node
+    cap); exact. Returns a total proper coloring or None when the instance
+    is uncolorable. Guarded to n <= max_n."""
+    if g.n > max_n:
+        raise nibble.InstanceTooLarge(f"brute force guarded to n <= {max_n}, got {g.n}")
+    coloring, complete = nibble._dfs_color(nibble._as_instance(g, obj), None)
+    if not complete:
+        raise nibble.InvariantViolation("unbounded search stopped before exhausting the instance")
+    return coloring
+
+
 def oracle_colorable(g: Graph, obj) -> bool:
     if isinstance(obj, CorrespondenceCover):
         return bool(oracle_cover_colorings(g, obj))
@@ -307,6 +320,16 @@ def oracle_directed_counts(n: int, heads, tails, rows, q: int) -> list[list[int]
         for c in rows[t]:
             table[h][c] += 1
     return table
+
+
+def grouped_pairs(n: int, heads, tails) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (heads[i], tails[i]) as `directed_counts` takes them: n + 1
+    row offsets and the tails grouped by head, each head's in their given
+    order."""
+    heads, tails = np.asarray(heads, dtype=np.int64), np.asarray(tails, dtype=np.int64)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(heads, minlength=n), out=offsets[1:])
+    return offsets, tails[np.argsort(heads, kind="stable")]
 
 
 def oracle_prune(g: Graph, rows, thr: float) -> tuple[tuple[int, ...], ...]:

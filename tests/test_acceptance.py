@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from conftest import random_cover_for, random_graph, random_lists, rng_for
+from conftest import brute_force, random_cover_for, random_graph, random_lists, rng_for
 
 from palettesparse.cli import RunConfig, run
 from palettesparse.cover import ListAssignment, random_cover
@@ -25,7 +25,6 @@ from palettesparse.graphcore import (
 )
 from palettesparse.nibble import (
     WcpParams,
-    brute_force,
     build_schedule,
     finish_lll,
     solve,

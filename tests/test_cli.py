@@ -218,6 +218,22 @@ class TestCliCommands:
         assert main(["solve", "--graph", str(gpath), "--lists", str(lists)]) == 3
         assert witness in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, body, message", [
+        ("--lists", "3\n0\n1\n99999999999999999999\n",
+         "config error: lists file {path}: row 2 holds a color id outside int64\n"),
+        ("--cover", "3 3\n0\n1\n99999999999999999999\n",
+         "error: integer outside int64 in line '99999999999999999999'\n"),
+        ("--cover", "3 3\n0\n1\n2\n0 1 1 0 -99999999999999999999\n",
+         "error: integer outside int64 in line '0 1 1 0 -99999999999999999999'\n"),
+    ])
+    def test_solve_rejects_an_id_outside_int64(self, tmp_path, capsys, flag, body, message):
+        # numpy cannot hold the id: the loader names its row or line
+        gpath, path = tmp_path / "g.txt", tmp_path / "ids.txt"
+        save_graph(Graph(3, [(0, 1), (1, 2)]), gpath)
+        path.write_text(body)
+        assert main(["solve", "--graph", str(gpath), flag, str(path)]) == 3
+        assert capsys.readouterr().err == message.format(path=path)
+
     def test_verify_cover_command(self, tmp_path):
         g = gen_locally_sparse(12, 3, 1, seed=5)
         gpath = tmp_path / "g.txt"

@@ -9,7 +9,10 @@ draws stays in one place. Only the `graphcore` sort helpers call
 takes their one-sort path. No `.any` or `.all` reduces along an `axis`:
 survival of packed bit masks ORs their word columns, 1-D, instead.
 `nibble` holds a `Graph` wherever it counts list entries, so it counts
-over the graph's CSR slots, whose heads ascend and need no sort. No
+over the graph's CSR slots, which its row offsets group by head. Only a
+solver instance's `slot_row` makes a graph's per-slot rows
+(`Graph.slot_rows`), for the cover pairs, `clashes` and the finisher that
+read them: pruning and the list greedy go by the row offsets. No
 module reads a stream's `records`: those tuples are a view for callers
 and oracles, and the package's own passes read the stream's arrays. No
 module calls a per-call `.pair(` or `.neighbor(` query or
@@ -123,6 +126,30 @@ def test_counts_over_csr_slots(path):
                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                    and node.func.id == "directed_counts" and not _tails_from_indices(node))
     assert lines == [], f"{path.name} counts over edge arrays on lines {lines}"
+
+
+def _callers(path, name) -> set:
+    """(enclosing class or None, enclosing function, or None at class or
+    module level) for each call of a method `name` in path's module."""
+    found = set()
+
+    def visit(node, cls, fn):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == name:
+            found.add((cls, fn))
+        if isinstance(node, ast.ClassDef):
+            cls, fn = node.name, None
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls, fn)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), None, None)
+    return found
+
+
+def test_only_a_solver_instance_makes_slot_rows():
+    callers = {(path.name, *call) for path in MODULES for call in _callers(path, "slot_rows")}
+    assert callers == {("nibble.py", "_Instance", "slot_row")}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

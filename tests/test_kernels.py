@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from conftest import (
     broken_covers,
+    grouped_pairs,
     oracle_color_neighbors,
     oracle_conflict_counts,
     oracle_cover_clash,
@@ -321,7 +322,7 @@ class TestRows:
         us, vs = g.edge_arrays()
         with mock.patch.object(sparsify, "_TABLE_CELLS", cells):
             pruned = given_rows.keep(
-                directed_counts(g.slot_rows(), g.indices, given_rows, q) <= thr)
+                directed_counts(g.indptr, g.indices, given_rows, q) <= thr)
             hit = shared_edges(us, vs, given_rows, q)
         assert pruned == oracle_prune(g, rows, thr)
         assert list(zip(us[hit].tolist(), vs[hit].tolist())) == oracle_surviving_edges(g, rows)
@@ -561,12 +562,11 @@ class TestConflictCounts:
         # universe and for the same rows over far apart ids
         g, q, rows = inst
         far = renamed(rows, data.draw(far_ids(q)))
-        heads = g.slot_rows()
         want = at_entries(oracle_conflict_counts(g, rows, q), rows)
         with mock.patch.object(sparsify, "_TABLE_CELLS", cells):
-            assert directed_counts(heads, g.indices, rows, q).tolist() == want
-            assert directed_counts(heads, g.indices, rows).tolist() == want
-            assert directed_counts(heads, g.indices, far).tolist() == want
+            assert directed_counts(g.indptr, g.indices, rows, q).tolist() == want
+            assert directed_counts(g.indptr, g.indices, rows).tolist() == want
+            assert directed_counts(g.indptr, g.indices, far).tolist() == want
 
     @pytest.mark.parametrize("extra", [-1, 0, 1])
     def test_edge_counts_around_the_chunk(self, extra):
@@ -580,14 +580,14 @@ class TestConflictCounts:
         want = at_entries(oracle_conflict_counts(g, rows, 2), rows)
         for cells in (0, 2 ** 62):
             with mock.patch.object(sparsify, "_TABLE_CELLS", cells):
-                assert directed_counts(g.slot_rows(), g.indices, rows, 2).tolist() == want
+                assert directed_counts(g.indptr, g.indices, rows, 2).tolist() == want
 
     def test_full_palette_counts_are_degrees(self):
         g = Graph(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
         rows = [tuple(range(4))] * 5
         for cells in (0, 2 ** 62):
             with mock.patch.object(sparsify, "_TABLE_CELLS", cells):
-                counts = directed_counts(g.slot_rows(), g.indices, rows, 4)
+                counts = directed_counts(g.indptr, g.indices, rows, 4)
             assert counts.tolist() == [g.degree(v) for v in range(5) for _ in range(4)]
 
 
@@ -600,11 +600,12 @@ class TestRepeatedIds:
 
     def test_counts_and_survival_on_both_paths(self):
         heads, tails = np.array([0]), np.array([1])
+        one, other = grouped_pairs(2, heads, tails), grouped_pairs(2, tails, heads)
         for cells in (0, 2 ** 62):
             with mock.patch.object(sparsify, "_TABLE_CELLS", cells):
-                assert directed_counts(heads, tails, self.ROWS).tolist() == [0, 0, 0]
-                assert directed_counts(tails, heads, self.ROWS).tolist() == [0, 0, 0]
-                assert directed_counts(heads, tails, self.ROWS, 2).tolist() == [0, 0, 0]
+                assert directed_counts(*one, self.ROWS).tolist() == [0, 0, 0]
+                assert directed_counts(*other, self.ROWS).tolist() == [0, 0, 0]
+                assert directed_counts(*one, self.ROWS, 2).tolist() == [0, 0, 0]
                 assert shared_edges(heads, tails, self.ROWS).tolist() == [False]
 
     @FAST
@@ -622,7 +623,7 @@ class TestRepeatedIds:
         sets = [tuple(sorted(set(row))) for row in rows]
         want = at_entries(oracle_directed_counts(n, heads.tolist(), tails.tolist(), sets, q), rows)
         with mock.patch.object(sparsify, "_TABLE_CELLS", 2 ** 62):
-            assert directed_counts(heads, tails, rows, q).tolist() == want
+            assert directed_counts(*grouped_pairs(n, heads, tails), rows, q).tolist() == want
 
 
     def test_join_counts_an_id_once_per_tail_row(self):
@@ -632,8 +633,8 @@ class TestRepeatedIds:
         heads, tails = np.array([0]), np.array([1])
         for cells in (0, 2 ** 62):
             with mock.patch.object(sparsify, "_TABLE_CELLS", cells):
-                assert directed_counts(heads, tails, rows).tolist() == [1, 0, 0]
-                assert directed_counts(tails, heads, rows).tolist() == [0, 1, 1]
+                assert directed_counts(*grouped_pairs(2, heads, tails), rows).tolist() == [1, 0, 0]
+                assert directed_counts(*grouped_pairs(2, tails, heads), rows).tolist() == [0, 1, 1]
 
     @FAST
     @given(st.integers(1, 8), st.integers(1, 6), PATHS, st.data())
@@ -651,12 +652,13 @@ class TestRepeatedIds:
         one = oracle_directed_counts(n, heads.tolist(), tails.tolist(), sets, q)
         other = oracle_directed_counts(n, tails.tolist(), heads.tolist(), sets, q)
         want, back = at_entries(one, rows), at_entries(other, rows)
+        forth, rev = grouped_pairs(n, heads, tails), grouped_pairs(n, tails, heads)
         with mock.patch.object(sparsify, "_CHUNK_KEYS", 1), \
                 mock.patch.object(sparsify, "_TABLE_CELLS", cells):
-            assert directed_counts(heads, tails, rows, q).tolist() == want
-            assert directed_counts(heads, tails, far).tolist() == want
-            assert directed_counts(tails, heads, rows, q).tolist() == back
-            assert directed_counts(tails, heads, far).tolist() == back
+            assert directed_counts(*forth, rows, q).tolist() == want
+            assert directed_counts(*forth, far).tolist() == want
+            assert directed_counts(*rev, rows, q).tolist() == back
+            assert directed_counts(*rev, far).tolist() == back
 
 
 class TestDirectedCounts:
@@ -674,10 +676,11 @@ class TestDirectedCounts:
         tails = np.array([t for _, t in pairs], dtype=np.int64)
         want = at_entries(oracle_directed_counts(n, heads.tolist(), tails.tolist(), rows, q),
                           rows)
+        grouped = grouped_pairs(n, heads, tails)
         with mock.patch.object(sparsify, "_CHUNK_KEYS", 1), \
                 mock.patch.object(sparsify, "_TABLE_CELLS", cells):
-            assert directed_counts(heads, tails, rows, q).tolist() == want
-            assert directed_counts(heads, tails, far).tolist() == want
+            assert directed_counts(*grouped, rows, q).tolist() == want
+            assert directed_counts(*grouped, far).tolist() == want
 
 
 class TestLanes:
@@ -702,7 +705,7 @@ class TestLanes:
         want = at_entries(oracle_directed_counts(n, heads.tolist(), tails.tolist(), rows, q),
                           rows)
         with mock.patch.object(sparsify, "_TABLE_CELLS", 2 ** 62):
-            assert directed_counts(heads, tails, rows, q).tolist() == want
+            assert directed_counts(*grouped_pairs(n, heads, tails), rows, q).tolist() == want
 
     @settings(max_examples=12, deadline=None)
     @given(st.sampled_from([255, 256, 65535, 65536]), st.integers(3, 5), st.booleans(),
@@ -725,34 +728,34 @@ class TestLanes:
         want = at_entries(oracle_directed_counts(n, heads.tolist(), tails.tolist(), rows, q),
                           rows)
         with mock.patch.object(sparsify, "_TABLE_CELLS", 2 ** 62):
-            assert directed_counts(heads, tails, rows, q).tolist() == want
+            assert directed_counts(*grouped_pairs(n, heads, tails), rows, q).tolist() == want
         assert want[0] == count
 
-    def test_ascending_heads_are_not_sorted(self):
-        # CSR slots ascend by row: the only order the lanes ask for is the
-        # heads' rank by pair count, n long; shuffled heads are grouped by
-        # one more, as long as the pairs
+    def test_the_lanes_sort_nothing_longer_than_n(self):
+        # the pairs come grouped by their row offsets: the only order the
+        # lanes ask for is the heads' rank by pair count, n long, whatever
+        # the order of the tails within a row
         g = gen_bipartite(200, 6, seed=3)
         rows = sample_palettes(SharedPalette(g.n, 12), 5, seed=1).sampled
-        heads, tails = g.slot_rows(), g.indices
-        assert heads.tolist() == [v for v in range(g.n) for _ in g.neighbors(v)]
-        shuffle = np.random.default_rng(0).permutation(heads.size)
+        within = np.concatenate([np.random.default_rng(v).permutation(g.neighbors(v))
+                                 for v in range(g.n)])
         want = at_entries(oracle_conflict_counts(g, rows, 12), rows)
-        for h, t, sizes in ((heads, tails, [g.n]), (heads[shuffle], tails[shuffle],
-                                                     [heads.size, g.n])):
-            with mock.patch.object(sparsify, "stable_order", wraps=sparsify.stable_order) as spy:
-                assert directed_counts(h, t, rows, 12).tolist() == want
-            assert [call.args[0].size for call in spy.call_args_list] == sizes
+        for tails in (g.indices, within):
+            with mock.patch.object(sparsify, "stable_order", wraps=sparsify.stable_order) as spy, \
+                    mock.patch.object(np, "sort", wraps=np.sort) as sort, \
+                    mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
+                assert directed_counts(g.indptr, tails, rows, 12).tolist() == want
+            assert [call.args[0].size for call in spy.call_args_list] == [g.n]
+            assert sort.call_args_list == argsort.call_args_list == []
 
     def test_csr_counts_peak_below_the_table(self):
         # n = 2*10^4, 480,000 entries: the bincount table these lanes
         # replaced peaked at 28.6 MB here, past four int64 words per entry
         g = gen_bipartite(20_000, 16, seed=1)
         rows = sample_palettes(SharedPalette(g.n, 33), 24, seed=0).sampled
-        heads = g.slot_rows()
         tracemalloc.start()
         try:
-            directed_counts(heads, g.indices, rows, 33)
+            directed_counts(g.indptr, g.indices, rows, 33)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

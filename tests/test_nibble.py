@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from conftest import (
     broken_covers,
+    brute_force,
     oracle_color_neighbors,
     oracle_colorable,
     oracle_cover_colorings,
@@ -40,7 +41,6 @@ from palettesparse.nibble import (
     PreconditionViolation,
     ScheduleError,
     WcpParams,
-    brute_force,
     build_schedule,
     finish_lll,
     greedy_color,
