@@ -329,7 +329,8 @@ def _pullback(coloring, cov: CorrespondenceCover):
 @lru_cache(maxsize=1)
 def _full_palette(n: int, q: int) -> ListAssignment:
     """range(q) at each of n vertices: built once per instance in a
-    process, so its search keys are built once too, not once per seed."""
+    process, so the n·q tile and its `ListAssignment` check are paid once,
+    not once per seed."""
     return ListAssignment(Rows(np.tile(np.arange(q), n), np.arange(0, n * q + 1, q)))
 
 

@@ -30,6 +30,7 @@ from collections.abc import Sequence, Sized
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from numbers import Integral
 
 import numpy as np
 
@@ -63,6 +64,11 @@ class CoverError(ValueError):
     pass
 
 
+def is_id_pair(xs) -> bool:
+    """Whether xs is a sized pair of integer ids."""
+    return isinstance(xs, Sized) and len(xs) == 2 and all(isinstance(x, Integral) for x in xs)
+
+
 def _offsets(lens: np.ndarray) -> np.ndarray:
     """Row offsets (n + 1 of them) of rows with lengths `lens`."""
     indptr = np.zeros(lens.size + 1, dtype=np.int64)
@@ -79,16 +85,15 @@ class Rows(Sequence):
     the kernels read `values`, `lens` and `owner` instead.
     """
 
-    __slots__ = ("values", "indptr", "_search")
+    __slots__ = ("values", "indptr")
 
     def __init__(self, values: np.ndarray, indptr: np.ndarray):
         """Takes the int64 arrays as they are: each row must be ascending."""
         self.values, self.indptr = values, indptr
-        self._search = None
         values.flags.writeable = indptr.flags.writeable = False
 
     def __reduce__(self):
-        # the search keys are rebuilt where they are used, not shipped
+        # through __init__, so an unpickled Rows is read-only too
         return Rows, (self.values, self.indptr)
 
     @classmethod
@@ -169,53 +174,44 @@ class Rows(Sequence):
         kept = np.flatnonzero(mask)
         return Rows(self.values.take(kept), np.searchsorted(kept, self.indptr))
 
-    def _keys(self):
-        """The search keys, built on the first search and kept: (keys, lo,
-        hi, colors). keys[i] = owner[i] * span + offset[i] ascends with the
-        entries. Normally offset is the value minus lo, for lo and hi the
-        least and greatest value, span = hi - lo + 1 and colors is None;
-        when span * n would overflow int64, offset is the value's rank among
-        colors, the ascending distinct values, and span is their number."""
-        if self._search is None:
-            values = self.values
-            lo, hi = int(values.min()), int(values.max())
-            span, colors = hi - lo + 1, None
-            if span * len(self) < 2 ** 63:
-                offset = values - lo
-            else:
-                colors, offset = ranked(values)
-                span = colors.size
-            keys = self.owner * span
-            keys += offset
-            self._search = keys, lo, hi, colors
-        return self._search
-
     def find(self, at: np.ndarray, ids: np.ndarray) -> np.ndarray:
         """The entry index of id ids[i] in row at[i] (its first, if the row
-        holds it twice), or -1 where the row lacks it. One binary search of
-        the rows' (row, id) keys, built once per `Rows` (`_keys`): O(k log E)
-        for k lookups into E entries."""
-        if not (self.values.size and len(ids)):
-            return np.full(len(ids), -1, dtype=np.int64)
-        keys, lo, hi, colors = self._keys()
-        if colors is None:
-            span = hi - lo + 1
-            inside = (ids >= lo) & (ids <= hi)
-            # an id outside [lo, hi] wraps here and is masked below
-            offset = ids - lo
-        else:
-            span = colors.size
-            offset = np.minimum(np.searchsorted(colors, ids), span - 1)
-            inside = colors[offset] == ids
-        want = at * span + offset
-        pos = np.minimum(np.searchsorted(keys, want), keys.size - 1)
-        found = keys[pos] == want
-        found &= inside
-        # pos where found, else -1, by arithmetic (faster than np.where)
-        pos += 1
-        pos *= found
-        pos -= 1
-        return pos
+        holds it twice), or -1 where the row lacks it. Each lookup searches
+        its own row, from one entry before it, by steps of halving powers of
+        two while the probed entry is below the id (a probe past the row
+        reads its last entry): O(k log L) for k lookups into rows of at most
+        L entries, in k-long arrays."""
+        # first: the first entry not known to be below the id; last: the
+        # row's last entry (the one before the row, when it is empty)
+        first, last = self.indptr.take(at), self.indptr[1:].take(at)
+        probe = np.subtract(last, first)
+        width = int(probe.max(initial=0))
+        if not width:
+            return np.full(ids.size, -1, dtype=np.int64)
+        last -= 1
+        got, below = np.empty(ids.size, dtype=self.values.dtype), np.empty(ids.size, dtype=bool)
+        step = 1 << width.bit_length() >> 1
+        while step:
+            np.add(first, step - 1, out=probe)
+            np.minimum(probe, last, out=probe)
+            # "clip" does not buffer `got`; an empty first row's probe -1 reads entry 0
+            self.values.take(probe, out=got, mode="clip")
+            np.less(got, ids, out=below)
+            # first = probe + 1 where below, by a max, as probe + 1 >= first >= 0
+            # (faster than np.copyto with where=); no step of an empty row moves it
+            probe += 1
+            probe *= below
+            np.maximum(first, probe, out=first)
+            step >>= 1
+        np.minimum(first, last, out=probe)
+        self.values.take(probe, out=got, mode="clip")
+        found = np.equal(got, ids, out=below)
+        found &= first <= last
+        # first where found, else -1, by arithmetic (faster than np.where)
+        first += 1
+        first *= found
+        first -= 1
+        return first
 
     def holds(self, at: np.ndarray, ids: np.ndarray) -> np.ndarray:
         """Bool mask: row at[i] holds id ids[i] (see `find`)."""
@@ -302,12 +298,17 @@ class CorrespondenceCover:
     def __init__(self, lists, matchings, source_color=None):
         """From a dict of pairs per edge: an edge keyed (v, u) is turned
         round, each edge's pairs are sorted, and the dict is encoded as
-        arrays at once and not kept. `source_color` maps a cover color id
-        back to the original color name, when the cover was built from a
-        list assignment."""
+        arrays at once and not kept; a key or pair that is not two integer
+        ids raises `CoverError`. `source_color` maps a cover color id back
+        to the original color name, when the cover was built from a list
+        assignment."""
         lists = Rows.of(lists)
         norm: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for (u, v), pairs in matchings.items():
+        for edge, pairs in matchings.items():
+            if not (is_id_pair(edge) and isinstance(pairs, Sized) and all(map(is_id_pair, pairs))):
+                raise CoverError(f"matching {edge!r}: {pairs!r} is not an edge (u, v) with (a, b) "
+                                 "pairs, all integer ids")
+            u, v = edge
             if u > v:
                 u, v, pairs = v, u, [(b, a) for a, b in pairs]
             norm[(u, v)] = sorted(pairs)

@@ -236,11 +236,10 @@ def verify_coloring(g: Graph, obj, phi: PartialColoring) -> VerifyResult:
     """Check list membership and non-conflict across every edge.
 
     Blank vertices are fine (a partial coloring verifies vacuously on its
-    blank part). Membership is one binary search of the lists' (vertex,
-    color) keys (`Rows.holds`), which the lists build on their first
-    search and keep; the witness is the first bad entry of `phi` in its
-    order. Runs in O(k log E + n + m) for k colored vertices and E list
-    entries, plus O(E) the first time the lists are searched.
+    blank part). Membership is one search of each colored vertex's own
+    list (`Rows.holds`); the witness is the first bad entry of `phi` in its
+    order. Runs in O(k log L + n + m) for k colored vertices and lists of
+    at most L entries.
     """
     inst = _as_instance(g, obj)
     at = np.fromiter(phi.assignment, dtype=np.int64, count=len(phi))

@@ -117,7 +117,8 @@ class QueryOracle:
 
     def pairs(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Bool mask: (us[i], vs[i]) is an edge, for 1-D id arrays of one
-        length: len(us) pair queries, one binary search of the CSR rows."""
+        length: len(us) pair queries, each a search of row us[i] of the CSR
+        rows (`Rows.holds`)."""
         us, vs = np.asarray(us), np.asarray(vs)
         if us.ndim != 1 or us.shape != vs.shape:
             raise ValueError("need two 1-D vertex id arrays of one length")

@@ -19,12 +19,11 @@ from __future__ import annotations
 from collections.abc import Sized
 from dataclasses import dataclass
 from itertools import chain
-from numbers import Integral
 
 import numpy as np
 
 from ._rng import TAG_PERMUTE, substream
-from .cover import CorrespondenceCover, CoverArrays, Rows
+from .cover import CorrespondenceCover, CoverArrays, Rows, is_id_pair
 from .graphcore import Graph, check_pairs, ranked, run_starts, split, stable_order
 from .nibble import PartialColoring, SolveResult, _reduce
 from .sparsify import (
@@ -96,10 +95,8 @@ def _shuffled(m: int, permute_seed: int | None) -> np.ndarray:
 
 def _is_record(rec) -> bool:
     """Whether rec is (u, v) or (u, v, pairs) of integer ids, two in a pair."""
-    def ids(xs, k: int) -> bool:
-        return isinstance(xs, Sized) and len(xs) == k and all(isinstance(x, Integral) for x in xs)
-    return ids(rec, 2) or (isinstance(rec, Sized) and len(rec) == 3 and ids(rec[:2], 2)
-                           and isinstance(rec[2], Sized) and all(ids(p, 2) for p in rec[2]))
+    return is_id_pair(rec) or (isinstance(rec, Sized) and len(rec) == 3 and is_id_pair(rec[:2])
+                               and isinstance(rec[2], Sized) and all(map(is_id_pair, rec[2])))
 
 
 class EdgeStream:

@@ -120,8 +120,8 @@ class TestRun:
         assert len(calls) == 1 and len(res.rows) == 3
 
     def test_plain_seeds_verify_against_one_palette(self):
-        # the range(q) palette, and so its search keys, is built once for
-        # all the seeds of a plain sweep; reasons keep their text
+        # the range(q) palette is built and checked once for all the seeds
+        # of a plain sweep; reasons keep their text
         cli._full_palette.cache_clear()
         res = run(base_config())
         info = cli._full_palette.cache_info()

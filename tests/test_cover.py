@@ -95,6 +95,31 @@ class TestValidateCover:
         assert validate_cover(g, cov) == oracle_validate_cover(g, cov)
 
 
+class TestMalformedMatchings:
+    """The dict constructor names the edge whose key or pairs are not two
+    integer ids each, instead of misreading or truncating them."""
+
+    @pytest.mark.parametrize("edge, pairs", [
+        ((0, 1), ((0, 1, 2), (3, 4))),  # read as the pairs (0, 1), (2, 3)
+        ((1, 0), ((0, 1, 2), (3, 4))),  # "too many values to unpack" when turned
+        ((0, 1), ((0.5, 1),)),  # truncated to (0, 1)
+        ((0, 1), ((0, 2), 3)),
+        ((0, 1), 5),
+        ((0,), ((0, 1),)),
+        ((0, 1.0), ((0, 2),)),
+    ])
+    def test_rejects_naming_the_edge(self, edge, pairs):
+        message = f"matching {edge!r}: {pairs!r} is not an edge (u, v) with (a, b) pairs, all " \
+            "integer ids"
+        with pytest.raises(CoverError, match=f"^{re.escape(message)}$"):
+            CorrespondenceCover([(0, 1), (2, 3)], {edge: pairs})
+
+    def test_takes_numpy_ids(self):
+        pairs = [(3, 0), (np.int64(2), 1)]
+        cov = CorrespondenceCover([(0, 1), (2, 3)], {(np.int32(1), 0): pairs})
+        assert cov.matchings == {(0, 1): ((0, 3), (1, 2))}
+
+
 class TestRank:
     """`CoverArrays.rank` takes ids 0..C-1 as their own ranks and searches
     any other colors; both raise on an id the cover lacks."""

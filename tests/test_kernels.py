@@ -193,12 +193,23 @@ def cuts(draw):
     return rows, mask, at
 
 
+# row lengths on both sides of powers of two, so a search's first step and
+# its clamp to the row's last entry meet every case
+_WIDTHS = (1, 2, 3, 4, 7, 8, 9, 16, 17)
+# one row of each width, ids 0, 2, 4, ...
+_LADDER = [list(range(0, 2 * k, 2)) for k in _WIDTHS]
+
+
 @st.composite
 def searches(draw):
-    """(`ragged` rows, calls of (row, id) lookups): ids held, repeated,
-    just below, above and between the rows' values, at the ends of int64
-    or anywhere."""
-    rows = draw(ragged())
+    """(rows, calls of (row, id) lookups): `ragged` rows, or rows of
+    `_WIDTHS` lengths, repeats and empty rows among them; ids held,
+    repeated, just below, above and between the rows' values, at the ends
+    of int64 or anywhere."""
+    ids = st.integers(-20, 20) | st.integers(-2 ** 63, 2 ** 63 - 1)
+    wide = st.sampled_from((0, *_WIDTHS)).flatmap(
+        lambda k: st.lists(ids, min_size=k, max_size=k))
+    rows = draw(ragged() | st.lists(wide, max_size=5))
     values = sorted({c for row in rows for c in row})
     near = [c + d for c in values for d in (-1, 1) if -2 ** 63 <= c + d < 2 ** 63]
     ids = st.sampled_from(values + near + [-2 ** 63, 2 ** 63 - 1]) | \
@@ -273,14 +284,19 @@ class TestRows:
     @given(searches())
     @example(([], [[]]))
     @example(([[], []], [[(0, 5), (1, -(2 ** 63))]]))
-    # one row spanning all of int64: the keys fall back on the ranks
+    # one row spanning all of int64, searched at both ends and in between
     @example(([[-(2 ** 63), 2 ** 63 - 1, 0, 0]],
               [[(0, 0), (0, 1), (0, 2 ** 63 - 1)], [(0, -(2 ** 63)), (0, -1)]]))
     @example(([[2 ** 40, -(2 ** 40), 2 ** 40], [7]],
               [[(0, 2 ** 40), (1, 7), (1, 2 ** 40)], [(1, 8), (0, -(2 ** 40) - 1)]]))
+    # every width, each row searched below, at and above every entry
+    @example((_LADDER, [[(v, c) for v, row in enumerate(_LADDER) for c in range(-1, 2 * len(row))]]))
+    # an empty row first and last: its search must not read a neighbour
+    @example(([[], [0] * 9, [], [1, 1, 2]], [[(0, 0), (2, 0), (2, 2), (1, 0), (3, 1), (3, 2)]]))
     def test_find_and_holds_match_the_loop(self, search):
         # every call on one Rows, then again after a pickle round trip (the
-        # sweep's process pool pickles the instance), which ships no keys
+        # sweep's process pool pickles the instance), which gives an equal,
+        # read-only Rows
         rows, calls = search
         got = Rows.of(rows)
 
@@ -296,10 +312,30 @@ class TestRows:
         check(got)
         again = pickle.loads(pickle.dumps(got))
         assert again == got and pickle.dumps(again) == fresh
+        assert not (again.values.flags.writeable or again.indptr.flags.writeable)
         check(again)
 
+    def test_rows_keep_no_search_state(self):
+        assert Rows.__slots__ == ("values", "indptr")
+
+    def test_find_allocates_per_lookup_only(self):
+        # 2,500 lookups into 2,500 rows of 128 ids, the stream-sparse palette
+        n, q = 2500, 128
+        rows = Rows(np.tile(np.arange(q), n), np.arange(0, n * q + 1, q))
+        at = np.arange(n)
+        ids = np.random.default_rng(0).integers(-8, q + 8, n)
+        tracemalloc.start()
+        try:
+            found = rows.find(at, ids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert found.tolist() == [v * q + c if 0 <= c < q else -1 for v, c in enumerate(ids.tolist())]
+        assert peak < 64 * n
+
     def test_second_verify_allocates_under_a_megabyte(self):
-        # the 2,500 x 128 palette's search keys (2.5 MB) are built once
+        # a verify searches the colored vertices' rows alone: nothing the
+        # size of the 2,500 x 128 palette (2.5 MB as int64) is built
         n, q = 2500, 128
         g = Graph(n, [(v, v + 1) for v in range(n - 1)])
         full = ListAssignment(Rows(np.tile(np.arange(q), n), np.arange(0, n * q + 1, q)))
