@@ -16,6 +16,12 @@ next output u to floor(u*r / 2**32), unless (u*r) mod 2**32 < 2**32 mod r
 `Generator.choice(k, s, replace=False)` per row on those draws. Both leave
 the generator where the per-call draws would, so this module is the only
 one that reads or writes the generator's raw stream and state.
+`bounded` replays the raw stream, not one `Generator.integers(bounds)` call,
+for speed alone: under numpy 2.4.6 that call gives the same draws and state
+(checked on 200 bound arrays, with a pending half-word and bounds of 1 and
+2**32), but on a 43,500-bound `choice_rows` block (1,500 rows, s = 15) it
+took 1.06 ms with int64 bounds and 5.2 ms with `_bounds`' uint64 ones,
+against 0.52 ms for `bounded` (2-vCPU VM, min of 5 runs of 20 calls).
 """
 
 from __future__ import annotations

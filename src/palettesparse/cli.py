@@ -520,12 +520,8 @@ def _load_lists(path, n: int) -> ListAssignment:
         raise ConfigError(f"lists file {path}: row {min(len(rows), n)} is "
                           + ("missing" if len(rows) < n else "one too many"))
     try:
-        ids = tuple(tuple(map(int, r.split())) for r in rows[:n])
-        for v, row in enumerate(ids):
-            if row and (min(row) < -2 ** 63 or max(row) >= 2 ** 63):
-                raise ConfigError(f"row {v} holds a color id outside int64")
-        return ListAssignment(ids)
-    except ValueError as e:  # a non-integer or too wide id, or CoverError naming the vertex
+        return ListAssignment(tuple(tuple(map(int, r.split())) for r in rows[:n]))
+    except ValueError as e:  # a non-integer id, or Rows or CoverError naming the row or vertex
         raise ConfigError(f"lists file {path}: {e}") from None
 
 

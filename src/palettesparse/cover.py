@@ -65,8 +65,9 @@ class CoverError(ValueError):
 
 
 def is_id_pair(xs) -> bool:
-    """Whether xs is a sized pair of integer ids."""
-    return isinstance(xs, Sized) and len(xs) == 2 and all(isinstance(x, Integral) for x in xs)
+    """Whether xs is a sized pair of integer ids that int64 holds."""
+    return isinstance(xs, Sized) and len(xs) == 2 and \
+        all(isinstance(x, Integral) and -2 ** 63 <= x < 2 ** 63 for x in xs)
 
 
 def _offsets(lens: np.ndarray) -> np.ndarray:
@@ -99,13 +100,19 @@ class Rows(Sequence):
     @classmethod
     def of(cls, rows) -> "Rows":
         """Rows from any sequence of iterables of ids, each row sorted; a
-        `Rows` is returned as it is. Repeated ids stay (see `first_repeat`)."""
+        `Rows` is returned as it is. Repeated ids stay (see `first_repeat`).
+        ValueError names the first row holding an id that int64 does not."""
         if isinstance(rows, Rows):
             return rows
         if not isinstance(rows, Sized):
             rows = tuple(rows)
         lens = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-        values = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(lens.sum()))
+        try:
+            values = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(lens.sum()))
+        except OverflowError:
+            v = next(v for v, row in enumerate(rows)
+                     if not all(-2 ** 63 <= x < 2 ** 63 for x in row))
+            raise ValueError(f"row {v} holds an id outside int64") from None
         return cls(values, _offsets(lens)).ascending()
 
     def ascending(self) -> "Rows":
@@ -293,7 +300,7 @@ class CorrespondenceCover:
     and then diagnosed by `validate_cover`.
     """
 
-    _max_degree = None
+    _degrees = None
 
     def __init__(self, lists, matchings, source_color=None):
         """From a dict of pairs per edge: an edge keyed (v, u) is turned
@@ -385,10 +392,8 @@ class CorrespondenceCover:
         return held
 
     def max_color_degree(self) -> int:
-        """The largest color degree, counted once per cover."""
-        if self._max_degree is None:
-            self._max_degree = int(color_degrees(self).max(initial=0))
-        return self._max_degree
+        """The largest color degree, read from the cover's one count."""
+        return int(color_degrees(self).max(initial=0))
 
     def __repr__(self):
         return f"CorrespondenceCover(n={self.n}, colors={self.num_colors})"
@@ -402,9 +407,13 @@ def _edge_starts(eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
 
 
 def color_degrees(cov: CorrespondenceCover) -> np.ndarray:
-    """Cover-graph degree of every color, by rank."""
-    a = cov.arrays
-    return np.bincount(np.concatenate((a.ra, a.rb)), minlength=a.colors.size)
+    """Cover-graph degree of every color, by rank: counted once per cover and
+    kept on it, read-only, as `local_sparsity` keeps its report on a `Graph`."""
+    if cov._degrees is None:
+        a = cov.arrays
+        cov._degrees = np.bincount(np.concatenate((a.ra, a.rb)), minlength=a.colors.size)
+        cov._degrees.flags.writeable = False
+    return cov._degrees
 
 
 def cover_rows(cov: CorrespondenceCover, keep: np.ndarray) -> Rows:

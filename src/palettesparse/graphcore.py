@@ -497,8 +497,11 @@ def _repair_sparsity(n: int, edges: np.ndarray, k: int):
     return np.array(sorted(alive), dtype=np.int64).reshape(-1, 2), None
 
 
-def gen_locally_sparse(n: int, target_delta: int, k: int, seed: int,
-                       *, max_attempts: int = 20) -> Graph:
+# draws of `gen_locally_sparse` before it gives up
+_GEN_ATTEMPTS = 20
+
+
+def gen_locally_sparse(n: int, target_delta: int, k: int, seed: int) -> Graph:
     """Random graph with max degree <= target_delta and k_star <= k.
 
     Strategy: degree-capped random pairing, then delete edges out of
@@ -514,7 +517,7 @@ def gen_locally_sparse(n: int, target_delta: int, k: int, seed: int,
     if k < 0:
         raise GenerationError(f"need k >= 0, got {k}")
     rng = substream(seed, TAG_GEN)
-    for _ in range(max_attempts):
+    for _ in range(_GEN_ATTEMPTS):
         edges, tri = _repair_sparsity(n, _degree_capped_pairing(n, target_delta, rng), k)
         g = Graph(n, edges)
         report = local_sparsity(g) if tri is None else _sparsity_report(g, tri)
@@ -522,7 +525,7 @@ def gen_locally_sparse(n: int, target_delta: int, k: int, seed: int,
         if report.k_star <= k and report.max_degree <= target_delta:
             return g
     raise GenerationError(
-        f"could not generate (n={n}, delta={target_delta}, k={k}) in {max_attempts} attempts"
+        f"could not generate (n={n}, delta={target_delta}, k={k}) in {_GEN_ATTEMPTS} attempts"
     )
 
 

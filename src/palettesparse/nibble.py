@@ -310,7 +310,7 @@ class RoundStats:
     activated_ids: tuple[int, ...] = ()
 
 
-def wcp_round(g: Graph, cov: CorrespondenceCover, p: WcpParams, seed: int):
+def wcp_round(cov: CorrespondenceCover, p: WcpParams, seed: int):
     """Run one nibble round and return (coloring, next lists, stats).
 
     Steps: (1) activate each cover color independently with probability
@@ -322,7 +322,8 @@ def wcp_round(g: Graph, cov: CorrespondenceCover, p: WcpParams, seed: int):
     are the kept colors with at most 2*d_next kept-and-blank correspondents.
 
     Requires every color degree <= 2*d (else the equalizer probability
-    leaves [0, 1]).
+    leaves [0, 1]). The nibble stage checks the other hypotheses once, before
+    round 0: every later round's follow from the conclusions before it.
     """
     a = cov.arrays
     colors, N = a.colors, a.colors.size
@@ -887,57 +888,53 @@ def _child_seed(seed: int, *key: int) -> int:
     return int(np.random.SeedSequence(seed, spawn_key=(TAG_SOLVE, *key)).generate_state(1)[0])
 
 
-def _average_too_large(cov: CorrespondenceCover, ell: float, d: float,
-                       beta: float) -> np.ndarray:
-    """Per vertex: its list's average color degree exceeds
-    (2 - (1 - beta)*ell/|L(v)|)*d; false for empty lists."""
+def _against_scales(cov: CorrespondenceCover, ell: float, d: float, beta: float):
+    """(max color degree, too large, too small, too heavy) of `cov` at the
+    scales ell, d, beta, the last three as vertex masks: |L(v)| above
+    (1 + beta)*ell, below (1 - beta)*ell/2, and a nonempty list's average
+    color degree above (2 - (1 - beta)*ell/|L(v)|)*d. None grows with beta."""
     a = cov.arrays
     sums = np.bincount(cov.lists.owner, minlength=cov.n,
                        weights=color_degrees(cov)[a.lists])
     lv = np.maximum(a.lens, 1)
-    return (a.lens > 0) & (sums / lv > (2.0 - (1.0 - beta) * ell / lv) * d + 1e-9)
+    heavy = (a.lens > 0) & (sums / lv > (2.0 - (1.0 - beta) * ell / lv) * d + 1e-9)
+    return (cov.max_color_degree(), a.lens > (1.0 + beta) * ell,
+            a.lens < (1.0 - beta) * ell / 2.0, heavy)
 
 
 def _round_hypotheses(cov: CorrespondenceCover, p: WcpParams) -> str | None:
-    """Check the per-round structural hypotheses; return a reason on failure.
+    """Check a round's structural hypotheses on its cover; reason on failure.
 
-    Local sparsity is not rechecked: each round's cover graph is an induced
-    subgraph of the previous one, so the bound measured at stage start can
-    only improve.
+    Local sparsity is not rechecked: the cover graph is an induced subgraph
+    of the one audited at stage start, so it can only have improved.
     """
-    dmax = cov.max_color_degree()
+    dmax, large, small, heavy = _against_scales(cov, p.ell, p.d, p.beta)
     if dmax > 2.0 * p.d:
         return f"max color degree {dmax} > 2*d = {2 * p.d:.4g}"
-    lens = cov.arrays.lens
-    band = ~(((1.0 - p.beta) * p.ell / 2.0 <= lens) & (lens <= (1.0 + p.beta) * p.ell))
-    heavy = _average_too_large(cov, p.ell, p.d, p.beta)
-    bad = np.flatnonzero(band | heavy)
+    bad = np.flatnonzero(large | small | heavy)
     if bad.size:
         v = int(bad[0])
-        if band[v]:
-            return f"list size {int(lens[v])} of vertex {v} outside the allowed band"
+        if large[v] or small[v]:
+            return f"list size {int(cov.arrays.lens[v])} of vertex {v} outside the allowed band"
         return f"average color degree of vertex {v} too large"
     return None
 
 
-def _round_conclusions(nxt: CorrespondenceCover, names: np.ndarray, ell_n: float,
-                       d_n: float, beta_n: float) -> str | None:
+def _round_conclusions(nxt: CorrespondenceCover, names: np.ndarray, p: WcpParams) -> str | None:
     """Check the next round's cover, on the blank vertices whose ids are
-    `names`, against the next-round scales; reason on failure.
+    `names`, against the round's next scales; reason on failure.
 
     Sparsity is omitted: the next cover graph is an induced subgraph, so it
     inherits the bound.
     """
-    lens = nxt.arrays.lens
-    large = lens > (1.0 + beta_n) * ell_n
-    small = lens < (1.0 - beta_n) * ell_n / 2.0
+    dmax, large, small, heavy = _against_scales(nxt, p.ell_next, p.d_next, p.beta_next)
     bad = np.flatnonzero(large | small)
     if bad.size:
         v = int(bad[0])
         return f"next list of vertex {int(names[v])} too {'large' if large[v] else 'small'}"
-    if nxt.max_color_degree() > 2.0 * d_n:
+    if dmax > 2.0 * p.d_next:
         return "next cover max degree too large"
-    heavy = np.flatnonzero(_average_too_large(nxt, ell_n, d_n, beta_n))
+    heavy = np.flatnonzero(heavy)
     if heavy.size:
         return f"next average color degree of vertex {int(names[heavy[0]])} too large"
     return None
@@ -951,7 +948,15 @@ _BACKTRACK_MAX_N = 30
 
 def _nibble_stage(g: Graph, inst: _Instance, seed: int, schedule_gamma: float,
                   schedule_epsilon: float, record: StageRecord):
-    """Stage (b): schedule, rounds with re-validation and retries, finisher."""
+    """Stage (b): schedule, rounds with re-validation and retries, finisher.
+
+    The round hypotheses are checked once, on the trimmed starting cover:
+    round i + 1 starts from the cover that round i's conclusions passed, at
+    the same ell and d and a beta no smaller (`build_schedule` makes
+    beta_{i+1} >= beta_next), and no test of `_against_scales` fails more
+    vertices as beta grows. The rounds build no graph: the finisher's is
+    built once, from the last committed cover's edges (g if none commits).
+    """
     cov = inst.as_cover
     d0 = cov.max_color_degree()
     k0 = max(1, cover_sparsity(cov))
@@ -978,53 +983,47 @@ def _nibble_stage(g: Graph, inst: _Instance, seed: int, schedule_gamma: float,
     # trim every list to the starting scale (smallest ids kept)
     slot = np.arange(lens.sum()) - np.repeat(cov.lists.indptr[:-1], lens)
     cur_cov, _ = restrict_cover(cov, cov.lists.keep(slot < ell_t))
-    cur_g = g
-    orig_of = list(range(g.n))
+    # each current vertex's id in g, and the last committed round's edges
+    orig_of, edges = np.arange(g.n), None
     assignment: dict[int, int] = {}
-    rounds_run = 0
+    record.stats["rounds"] = 0
     for i in range(sched.i_star):
-        if cur_g.n == 0:
+        if cur_cov.n == 0:
             break
         # jump to the finisher as soon as its precondition already holds
         if cur_cov.lists.lens.min() >= _LLL_THRESHOLD * max(1, cur_cov.max_color_degree()):
             break
         p = sched.round_params(i)
-        reason = _round_hypotheses(cur_cov, p)
+        reason = None if i else _round_hypotheses(cur_cov, p)
         if reason is not None:
-            record.reason = f"round {i} hypotheses failed: {reason}"
-            record.stats["rounds"] = rounds_run
+            record.reason = f"round 0 hypotheses failed: {reason}"
             return None
-        committed = False
         for r in range(_RETRIES):
-            phi, nxt, stats = wcp_round(cur_g, cur_cov, p, _child_seed(seed, i, r))
-            blank = np.ones(cur_g.n, dtype=bool)
-            blank[list(phi.assignment)] = False
+            phi, nxt, _ = wcp_round(cur_cov, p, _child_seed(seed, i, r))
+            colored = list(phi.assignment)
+            blank = np.ones(cur_cov.n, dtype=bool)
+            blank[colored] = False
             names = np.flatnonzero(blank)
-            next_cov, edges = restrict_cover(cur_cov, nxt, blank)
-            reason = _round_conclusions(next_cov, names, p.ell_next, p.d_next, p.beta_next)
+            next_cov, next_edges = restrict_cover(cur_cov, nxt, blank)
+            reason = _round_conclusions(next_cov, names, p)
             if reason is None:
-                committed = True
                 break
-        if not committed:
+        else:
             record.reason = f"round {i} conclusions failed after {_RETRIES} tries: {reason}"
-            record.stats["rounds"] = rounds_run
             return None
-        rounds_run += 1
-        for v, c in phi.assignment.items():
-            assignment[orig_of[v]] = c
-        orig_of = [orig_of[v] for v in names.tolist()]
-        cur_g = Graph(len(orig_of), edges)
-        cur_cov = next_cov
-    record.stats["rounds"] = rounds_run
-    if cur_g.n:
+        record.stats["rounds"] += 1
+        assignment.update(zip(orig_of[colored].tolist(), phi.assignment.values()))
+        orig_of, cur_cov, edges = orig_of[names], next_cov, next_edges
+    if cur_cov.n:
+        cur_g = g if edges is None else Graph(cur_cov.n, edges)
         try:
             fin = finish_lll(cur_g, cur_cov, _child_seed(seed, 1 << 20))
         except PreconditionViolation as e:
             record.reason = f"finisher precondition failed after rounds: {e}"
             return None
         record.stats["resamples"] = fin.resamples
-        for v, c in fin.coloring.assignment.items():
-            assignment[orig_of[v]] = c
+        done = fin.coloring.assignment
+        assignment.update(zip(orig_of[list(done)].tolist(), done.values()))
     if inst.cover is None:  # pull cover colors back to list colors
         src = cov.source_color
         assignment = {v: src[c] for v, c in assignment.items()}

@@ -18,7 +18,9 @@ row offsets and slots, so no head id per slot is made), and
 `shared_edges`, one survival flag per edge; how they count (n x q matrices
 or a join, see `_TABLE_CELLS`) is theirs alone. Covers go through the
 kernels of `cover` over their pair arrays: `restrict_cover` for the
-samples and the conflict cover, `color_degrees` for pruning.
+samples and the conflict cover, `color_degrees` for pruning. A cover's
+color degrees are counted once and kept on it, so the reference degree
+(`max_color_degree`) and the solver's stages read the same count.
 
 All logarithms are natural. Thresholds are compared with <= against the
 real-valued bound ("at most"), never rounded.

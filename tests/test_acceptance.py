@@ -237,7 +237,7 @@ def test_c04_equalizer_keep_exactness(capsys):
         p = WcpParams.from_basics(eta=0.9, ell=5.0, d=d, beta=0.1)
         hits = {c: 0 for c in np.unique(cov.lists.values).tolist()}
         for t in range(trials):
-            _, _, st = wcp_round(g, cov, p, seed=base + t)
+            _, _, st = wcp_round(cov, p, seed=base + t)
             for c in st.kept_ids:
                 hits[c] += 1
         sigma = math.sqrt(p.keep * (1 - p.keep) / trials)

@@ -220,7 +220,7 @@ class TestCliCommands:
 
     @pytest.mark.parametrize("flag, body, message", [
         ("--lists", "3\n0\n1\n99999999999999999999\n",
-         "config error: lists file {path}: row 2 holds a color id outside int64\n"),
+         "config error: lists file {path}: row 2 holds an id outside int64\n"),
         ("--cover", "3 3\n0\n1\n99999999999999999999\n",
          "error: integer outside int64 in line '99999999999999999999'\n"),
         ("--cover", "3 3\n0\n1\n2\n0 1 1 0 -99999999999999999999\n",

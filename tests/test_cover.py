@@ -107,12 +107,19 @@ class TestMalformedMatchings:
         ((0, 1), 5),
         ((0,), ((0, 1),)),
         ((0, 1.0), ((0, 2),)),
+        ((0, 1), ((2 ** 70, 2),)),  # ids outside int64
+        ((0, 2 ** 70), ((0, 2),)),
+        ((0, 1), ((0, -2 ** 63 - 1),)),
     ])
     def test_rejects_naming_the_edge(self, edge, pairs):
         message = f"matching {edge!r}: {pairs!r} is not an edge (u, v) with (a, b) pairs, all " \
             "integer ids"
         with pytest.raises(CoverError, match=f"^{re.escape(message)}$"):
             CorrespondenceCover([(0, 1), (2, 3)], {edge: pairs})
+
+    def test_rejects_a_list_id_outside_int64_naming_its_row(self):
+        with pytest.raises(ValueError, match="^row 1 holds an id outside int64$"):
+            CorrespondenceCover([(0, 1), (2, 2 ** 70)], {})
 
     def test_takes_numpy_ids(self):
         pairs = [(3, 0), (np.int64(2), 1)]
@@ -275,6 +282,9 @@ class TestCDegrees:
         assert dict(zip(cov.arrays.colors.tolist(), color_degrees(cov).tolist())) == \
             {1: 1, 2: 0, 3: 1, 4: 0}
         assert _Instance(g, cov).max_color_degree() == 1
+        # counted once and kept on the cover, read-only
+        assert color_degrees(cov) is color_degrees(cov)
+        assert not color_degrees(cov).flags.writeable
 
 
 class TestCoverSparsity:
@@ -307,6 +317,21 @@ class TestListAssignment:
     def test_duplicates_rejected(self):
         with pytest.raises(CoverError):
             ListAssignment(((1, 1),))
+
+    @pytest.mark.parametrize("rows, v", [
+        ([(0, 2 ** 70)], 0),
+        ([(1,), (2 ** 64,)], 1),
+        ([(0,), (), (-2 ** 63 - 1, 0)], 2),
+    ])
+    def test_ids_outside_int64_rejected_naming_the_row(self, rows, v):
+        message = f"^row {v} holds an id outside int64$"
+        with pytest.raises(ValueError, match=message):
+            ListAssignment(rows)
+        with pytest.raises(ValueError, match=message):
+            Rows.of(rows)
+
+    def test_int64_ends_kept(self):
+        assert Rows.of([(2 ** 63 - 1, -2 ** 63)]) == [(-2 ** 63, 2 ** 63 - 1)]
 
     def test_sorted_normalization(self):
         la = ListAssignment(((3, 1, 2),))

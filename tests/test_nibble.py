@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from unittest import mock
 
@@ -111,7 +112,7 @@ class TestWcpRound:
     def test_eta_zero_keeps_everything_colors_nothing(self):
         g, cov = self._instance()
         p = WcpParams.from_basics(eta=0.0, ell=5.0, d=float(cov.max_color_degree()))
-        phi, nxt, st = wcp_round(g, cov, p, seed=3)
+        phi, nxt, st = wcp_round(cov, p, seed=3)
         assert len(phi) == 0
         assert st.kept == cov.num_colors
         assert all(nxt[v] == cov.lists[v] for v in range(g.n))
@@ -120,7 +121,7 @@ class TestWcpRound:
         g = Graph(6, [(0, 1), (2, 3), (4, 5)])
         cov = CorrespondenceCover([tuple(range(4 * v, 4 * v + 4)) for v in range(6)], {})
         p = WcpParams.from_basics(eta=2.0, ell=4.0, d=1.0)
-        phi, nxt, st = wcp_round(g, cov, p, seed=5)
+        phi, nxt, st = wcp_round(cov, p, seed=5)
         act = set(st.activated_ids)
         kept = set(st.kept_ids)
         for v in range(6):
@@ -136,7 +137,7 @@ class TestWcpRound:
         p = WcpParams.from_basics(eta=0.6, ell=5.0, d=d, beta=0.1)
         nbrs = oracle_color_neighbors(cov)
         for seed in range(25):
-            phi, nxt, st = wcp_round(g, cov, p, seed=seed)
+            phi, nxt, st = wcp_round(cov, p, seed=seed)
             act, kept = set(st.activated_ids), set(st.kept_ids)
             blanks = set(range(g.n)) - set(phi.assignment)
             in_u = {c for v in blanks for c in cov.lists[v]}
@@ -158,24 +159,23 @@ class TestWcpRound:
         # a clash check that disagrees with the matchings: the round keeps
         # colors by the matchings, and the check reads the declared pairs
         # through `clashing_pairs`, here reporting every pair as clashing
-        g = Graph(2, [(0, 1)])
         cov = CorrespondenceCover([(0, 1, 2, 3), (4, 5, 6, 7)], {(0, 1): ((0, 4),)})
         p = WcpParams.from_basics(eta=2.0, ell=4.0, d=1.0)
-        seed = next(t for t in range(200) if len(wcp_round(g, cov, p, seed=t)[0]) == 2)
+        seed = next(t for t in range(200) if len(wcp_round(cov, p, seed=t)[0]) == 2)
 
         def every_pair(cov, at, ids):
             return np.arange(cov.arrays.eu.size)
 
         with mock.patch.object(nibble, "clashing_pairs", every_pair):
             with pytest.raises(InvariantViolation):
-                wcp_round(g, cov, p, seed=seed)
+                wcp_round(cov, p, seed=seed)
 
     def test_precondition_violation(self):
-        g, cov = self._instance(13)
+        _, cov = self._instance(13)
         d_small = (cov.max_color_degree() - 1) / 2.0
         p = WcpParams.from_basics(eta=0.5, ell=5.0, d=max(0.1, d_small))
         with pytest.raises(PreconditionViolation):
-            wcp_round(g, cov, p, seed=1)
+            wcp_round(cov, p, seed=1)
 
     def test_keep_frequency_matches_probability(self):
         # survival probability is equalized to exactly keep for every color
@@ -186,7 +186,7 @@ class TestWcpRound:
         trials = 4000
         hits = {c: 0 for c in np.unique(cov.lists.values).tolist()}
         for t in range(trials):
-            _, _, st = wcp_round(g, cov, p, seed=50_000 + t)
+            _, _, st = wcp_round(cov, p, seed=50_000 + t)
             for c in st.kept_ids:
                 hits[c] += 1
         sigma = math.sqrt(p.keep * (1 - p.keep) / trials)
@@ -770,12 +770,7 @@ class TestSolve:
         # engineered so the schedule is admissible at desk scale: bipartite
         # graph (cover sparsity 1), lists comfortably above the starting
         # scale 5.2*d/ln(d)
-        rng = rng_for(5)
-        g = gen_bipartite(80, 16, seed=3)
-        lists = ListAssignment(tuple(
-            tuple(sorted(rng.choice(50, size=28, replace=False).tolist()))
-            for _ in range(80)
-        ))
+        g, lists = admitted_instance()
         res = solve(g, lists, policy="nibble", seed=2,
                     schedule_gamma=0.3, schedule_epsilon=1.0)
         assert res.success, res.stages[0].reason
@@ -801,3 +796,127 @@ class TestSolve:
             res = solve(g, obj, seed=trial)
             if res.success:
                 assert verify_coloring(g, obj, res.coloring).ok
+
+
+def nibble_lists(seed, n, palette, size):
+    """Sorted lists of `size` distinct ids from range(palette), one draw per vertex in turn."""
+    rng = rng_for(seed)
+    draw = rng.choice
+    return ListAssignment(tuple(tuple(sorted(draw(palette, size=size, replace=False).tolist()))
+                                for _ in range(n)))
+
+
+def admitted_instance():
+    """`test_policy_nibble_full_run`'s instance, which the schedule at
+    gamma=0.3, epsilon=1.0 admits and runs for hundreds of rounds."""
+    return gen_bipartite(80, 16, seed=3), nibble_lists(5, 80, 50, 28)
+
+
+class TestNibbleStage:
+    """One exact reason, with its stats, for every way the nibble stage stops."""
+
+    def stage(self, g, lists, seed=0, gamma=0.1, epsilon=0.3):
+        res = solve(g, lists, policy="nibble", seed=seed, schedule_gamma=gamma,
+                    schedule_epsilon=epsilon)
+        rec = res.stages[0]
+        assert res.success == rec.succeeded == (rec.reason == "")
+        return rec.reason, rec.stats
+
+    def test_degree_scale_incompatible_with_sparsity(self):
+        assert self.stage(Graph(2, [(0, 1)]), ListAssignment(((1, 2), (1, 2)))) == \
+            ("degree scale d=1 incompatible with sparsity k=1", {})
+
+    def test_schedule_rejected(self):
+        assert self.stage(cycle(4), ListAssignment(((1, 2, 3),) * 4), epsilon=1.0) == \
+            ("schedule rejected: epsilon=1.0 too large for gamma=0.1", {})
+
+    def test_schedule_did_not_terminate(self):
+        assert self.stage(cycle(4), ListAssignment(((1, 2, 3),) * 4)) == \
+            ("schedule did not terminate within 0 rounds", {})
+
+    def test_lists_smaller_than_the_starting_scale(self):
+        g, _ = admitted_instance()
+        assert self.stage(g, nibble_lists(5, 80, 50, 10), gamma=0.3, epsilon=1.0) == \
+            ("lists smaller than the schedule's starting scale 20.01", {})
+
+    def test_round_zero_hypotheses_failed(self):
+        # the trimmed starting cover meets the schedule's round 0 scales by
+        # construction, so a schedule with a quarter of the degree scale
+        # stands in for a cover that does not
+        build = nibble.build_schedule
+        g, lists = admitted_instance()
+        with mock.patch.object(nibble, "build_schedule",
+                               lambda *a: dataclasses.replace(build(*a), dd=build(*a).dd / 4)):
+            assert self.stage(g, lists, seed=2, gamma=0.3, epsilon=1.0) == \
+                ("round 0 hypotheses failed: max color degree 14 > 2*d = 7", {"rounds": 0})
+
+    def test_round_conclusions_failed(self):
+        # with every beta 0 the list band is [ell/2, ell], which round 0's
+        # conclusions meet and round 1's do not, on any of the tries
+        build = nibble.build_schedule
+        g, lists = admitted_instance()
+        with mock.patch.object(nibble, "build_schedule",
+                               lambda *a: dataclasses.replace(build(*a), beta=0 * build(*a).beta)):
+            assert self.stage(g, lists, seed=2, gamma=0.3, epsilon=1.0) == \
+                ("round 1 conclusions failed after 20 tries: next list of vertex 0 too large",
+                 {"rounds": 1})
+
+    def test_finisher_precondition_failed_after_rounds(self):
+        reason, stats = self.stage(gen_bipartite(12, 5, seed=92), nibble_lists(92, 12, 77, 41),
+                                   seed=92, gamma=0.3, epsilon=1.0)
+        assert (reason, stats) == ("finisher precondition failed after rounds: "
+                                   "some vertex has an empty list", {"rounds": 223})
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.floats(2.0, 2000.0), k=st.integers(1, 40), gamma=st.floats(0.05, 0.9),
+           epsilon=st.floats(0.2, 1.0))
+    @example(d=14.0, k=1, gamma=0.3, epsilon=1.0)
+    @example(d=16.0, k=1, gamma=0.1, epsilon=0.3)
+    def test_each_round_starts_where_the_last_one_ends(self, d, k, gamma, epsilon):
+        # round i + 1's scales are round i's next scales, with a beta no
+        # smaller: so a cover that passed round i's conclusions passes round
+        # i + 1's hypotheses, which the stage checks only for round 0
+        try:
+            sched = build_schedule(d, k, gamma, epsilon)
+        except ScheduleError:
+            return
+        for i in range(sched.ell.size - 1):
+            p, q = sched.round_params(i), sched.round_params(i + 1)
+            assert (q.ell, q.d) == (p.ell_next, p.d_next)
+            assert q.beta >= p.beta_next
+
+    def test_one_check_one_count_and_one_graph(self, monkeypatch):
+        # an admitted run of hundreds of rounds checks the round hypotheses
+        # once, counts each cover's color degrees at most once (every read
+        # of a cover gets the same array) and builds one graph, the finisher's
+        from palettesparse import cover as cover_mod
+
+        checks, reads, graphs = [], [], []
+        hypotheses, degrees, build = nibble._round_hypotheses, cover_mod.color_degrees, Graph
+
+        def check(cov, p):
+            checks.append(p)
+            return hypotheses(cov, p)
+
+        def count(cov):
+            reads.append((cov, degrees(cov)))
+            return reads[-1][1]
+
+        def graph(*args):
+            graphs.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(nibble, "_round_hypotheses", check)
+        monkeypatch.setattr(nibble, "Graph", graph)
+        for mod in (cover_mod, nibble, sparsify):
+            monkeypatch.setattr(mod, "color_degrees", count)
+        g, lists = admitted_instance()
+        assert self.stage(g, lists, seed=2, gamma=0.3, epsilon=1.0) == \
+            ("", {"rounds": 417, "resamples": 0})
+        assert len(checks) == 1
+        assert len(graphs) <= 1
+        per_cover = {}
+        for cov, deg in reads:
+            per_cover.setdefault(id(cov), set()).add(id(deg))
+        assert len(per_cover) > 417
+        assert all(len(arrays) == 1 for arrays in per_cover.values())

@@ -300,6 +300,9 @@ class TestCorrespondenceStreaming:
         (((0, 1, ((0, 2, 3),)),), "record 0 (0, 1, ((0, 2, 3),))"),
         (((0, 1), (1, 2, ((2, 4.0),))), "record 1 (1, 2, ((2, 4.0),))"),
         ((("01", 2),), "record 0 ('01', 2)"),
+        (((0, 2 ** 70),), f"record 0 (0, {2 ** 70})"),  # ids outside int64
+        (((0, 1, ((2 ** 70, 2),)),), f"record 0 (0, 1, (({2 ** 70}, 2),))"),
+        (((0, 1), (-2 ** 63 - 1, 2)), f"record 1 ({-2 ** 63 - 1}, 2)"),
     ])
     def test_in_memory_stream_rejects_malformed_records(self, records, witness):
         # ids that are not integers, and records or pairs of the wrong
