@@ -35,7 +35,7 @@ from numbers import Integral
 import numpy as np
 
 from ._rng import TAG_COVER, substream
-from .graphcore import Graph, distinct, local_sparsity, parse_ints, ranked, split, stable_order
+from .graphcore import Graph, _triangle_counts, distinct, parse_ints, ranked, split, stable_order
 
 __all__ = [
     "CoverError",
@@ -580,12 +580,14 @@ def cover_from_lists(g: Graph, l: ListAssignment) -> CorrespondenceCover:
 
 
 def cover_sparsity(cov: CorrespondenceCover) -> int:
-    """k_star of the cover graph: max edges inside a cover-color neighborhood."""
+    """k_star of the cover graph: max edges inside a cover-color neighborhood,
+    from `graphcore._triangle_counts` on its distinct sorted edge keys (a
+    self-matched pair is no edge); no `Graph` is built."""
     a = cov.arrays
     c = a.colors.size
-    keys = distinct(np.minimum(a.ra, a.rb) * c + np.maximum(a.ra, a.rb))
-    h = Graph(c, np.column_stack(split(keys, max(c, 1))))
-    return local_sparsity(h).k_star
+    lo, hi = np.minimum(a.ra, a.rb), np.maximum(a.ra, a.rb)
+    keys = distinct((lo * c + hi)[lo < hi])
+    return int(_triangle_counts(c, *split(keys, max(c, 1))).max(initial=0))
 
 
 def random_cover(g: Graph, list_size: int, density: float, seed: int) -> CorrespondenceCover:
@@ -657,8 +659,8 @@ def load_cover(path) -> CorrespondenceCover:
             if len(parts) != 3 + 2 * p:
                 raise CoverError(f"matching line claims {p} pairs: {line!r}")
             pairs = [(parts[3 + 2 * i], parts[4 + 2 * i]) for i in range(p)]
-            if (u, v) in matchings:
-                raise CoverError(f"duplicate matching line for edge ({u}, {v})")
+            if (u, v) in matchings or (v, u) in matchings:
+                raise CoverError(f"duplicate matching line for edge {(min(u, v), max(u, v))}")
             matchings[(u, v)] = tuple(pairs)
     cov = CorrespondenceCover(lists, matchings)
     if cov.num_colors != q_total:

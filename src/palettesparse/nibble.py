@@ -204,13 +204,6 @@ class _Instance:
             bad = colored[us] & colored[vs] & (color[us] == color[vs])
         return list(zip(us[bad].tolist(), vs[bad].tolist()))
 
-    @cached_property
-    def as_cover(self) -> CorrespondenceCover:
-        """The cover, or the canonical cover of the lists, built at most once."""
-        if self.cover is not None:
-            return self.cover
-        return cover_from_lists(self.g, ListAssignment(self.lists))
-
     def max_color_degree(self) -> int:
         if self.cover is not None:
             return self.cover.max_color_degree()
@@ -921,7 +914,7 @@ def _round_hypotheses(cov: CorrespondenceCover, p: WcpParams) -> str | None:
 
 
 def _round_conclusions(nxt: CorrespondenceCover, names: np.ndarray, p: WcpParams) -> str | None:
-    """Check the next round's cover, on the blank vertices whose ids are
+    """Check the next round's cover, whose vertices are g's vertices
     `names`, against the round's next scales; reason on failure.
 
     Sparsity is omitted: the next cover graph is an induced subgraph, so it
@@ -950,14 +943,18 @@ def _nibble_stage(g: Graph, inst: _Instance, seed: int, schedule_gamma: float,
                   schedule_epsilon: float, record: StageRecord):
     """Stage (b): schedule, rounds with re-validation and retries, finisher.
 
-    The round hypotheses are checked once, on the trimmed starting cover:
-    round i + 1 starts from the cover that round i's conclusions passed, at
-    the same ell and d and a beta no smaller (`build_schedule` makes
-    beta_{i+1} >= beta_next), and no test of `_against_scales` fails more
-    vertices as beta grows. The rounds build no graph: the finisher's is
-    built once, from the last committed cover's edges (g if none commits).
+    Lists run on their canonical cover. The round hypotheses are checked
+    once, on the trimmed starting cover: round i + 1 starts from the cover
+    that round i's conclusions passed, at the same ell and d and a beta no
+    smaller (`build_schedule` makes beta_{i+1} >= beta_next), and no test of
+    `_against_scales` fails more vertices as beta grows. The rounds stop as
+    soon as the finisher's precondition is settled: an empty list fails it
+    for good (lists only shrink), lists of _LLL_THRESHOLD * max(1, d) meet
+    it, and with no vertex left there is nothing to finish. The rounds
+    build no graph: the finisher's is built once, from the last committed
+    cover's edges (g if none commits).
     """
-    cov = inst.as_cover
+    cov = inst.cover if inst.cover is not None else cover_from_lists(g, ListAssignment(inst.lists))
     d0 = cov.max_color_degree()
     k0 = max(1, cover_sparsity(cov))
     if d0 < 2 or d0 <= math.sqrt(k0):
@@ -988,10 +985,8 @@ def _nibble_stage(g: Graph, inst: _Instance, seed: int, schedule_gamma: float,
     assignment: dict[int, int] = {}
     record.stats["rounds"] = 0
     for i in range(sched.i_star):
-        if cur_cov.n == 0:
-            break
-        # jump to the finisher as soon as its precondition already holds
-        if cur_cov.lists.lens.min() >= _LLL_THRESHOLD * max(1, cur_cov.max_color_degree()):
+        least = cur_cov.lists.lens.min() if cur_cov.n else 0
+        if not least or least >= _LLL_THRESHOLD * max(1, cur_cov.max_color_degree()):
             break
         p = sched.round_params(i)
         reason = None if i else _round_hypotheses(cur_cov, p)
@@ -1003,7 +998,7 @@ def _nibble_stage(g: Graph, inst: _Instance, seed: int, schedule_gamma: float,
             colored = list(phi.assignment)
             blank = np.ones(cur_cov.n, dtype=bool)
             blank[colored] = False
-            names = np.flatnonzero(blank)
+            names = orig_of[blank]
             next_cov, next_edges = restrict_cover(cur_cov, nxt, blank)
             reason = _round_conclusions(next_cov, names, p)
             if reason is None:
@@ -1013,7 +1008,7 @@ def _nibble_stage(g: Graph, inst: _Instance, seed: int, schedule_gamma: float,
             return None
         record.stats["rounds"] += 1
         assignment.update(zip(orig_of[colored].tolist(), phi.assignment.values()))
-        orig_of, cur_cov, edges = orig_of[names], next_cov, next_edges
+        orig_of, cur_cov, edges = names, next_cov, next_edges
     if cur_cov.n:
         cur_g = g if edges is None else Graph(cur_cov.n, edges)
         try:

@@ -433,11 +433,12 @@ def oracle_cover_clash(g: Graph, cov: CorrespondenceCover, assignment) -> tuple 
 
 
 def oracle_cover_graph(cov: CorrespondenceCover) -> Graph:
-    """The cover graph on the colors, renumbered by ascending id."""
+    """The cover graph on the colors, renumbered by ascending id; a color
+    matched to itself is no edge of it."""
     nbrs = oracle_color_neighbors(cov)
     index = {c: i for i, c in enumerate(sorted(nbrs))}
     edges = {(min(index[a], index[b]), max(index[a], index[b]))
-             for a, bs in nbrs.items() for b in bs}
+             for a, bs in nbrs.items() for b in bs if a != b}
     return Graph(len(index), sorted(edges))
 
 

@@ -254,6 +254,15 @@ class TestCliCommands:
         assert "CC1 partition: FAIL" in out.stdout
         assert "color 1 appears twice in the list of vertex 0" in out.stdout
 
+    def test_verify_cover_rejects_an_edge_given_twice_turned_round(self, tmp_path, capsys):
+        gpath, cpath = tmp_path / "g.txt", tmp_path / "c.txt"
+        gpath.write_text("2 1\n0 1\n")
+        cpath.write_text("2 4\n0 2\n1 3\n0 1 1 0 1\n1 0 1 3 2\n")
+        assert main(["verify-cover", "--graph", str(gpath), "--cover", str(cpath)]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: duplicate matching line for edge (0, 1)\n"
+
     BAD_INPUTS = {
         "self-loop": ("graph", "2 1\n0 0\n", "edges must satisfy u < v, got 0 0"),
         "missing-graph": ("graph", None, "No such file"),

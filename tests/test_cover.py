@@ -392,6 +392,29 @@ class TestCoverFile:
         with pytest.raises(CoverError):
             load_cover(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "expected header 'n q_total'"),
+        ("2\n", "expected header 'n q_total'"),
+        ("2 x\n", "non-integer token in line '2 x'"),
+        ("2 4\n0 1\n", "truncated list section"),
+        ("2 4\n0 1\n2 x\n", "non-integer token in line '2 x'"),
+        ("2 4\n0 1\n2 3\n0 1 1 0 2x\n", "non-integer token in line '0 1 1 0 2x'"),
+        ("2 4\n0 1\n2 99999999999999999999\n",
+         "integer outside int64 in line '2 99999999999999999999'"),
+        ("2 4\n0 1\n2 3\n0 1\n", "bad matching line: '0 1\\n'"),
+        ("2 4\n0 1\n2 3\n0 1 2 0 2\n", "matching line claims 2 pairs: '0 1 2 0 2\\n'"),
+        ("2 4\n0 1\n2 3\n0 1 -1\n", "matching line claims -1 pairs: '0 1 -1\\n'"),
+        ("2 4\n0 2\n1 3\n0 1 1 0 1\n0 1 1 2 3\n", "duplicate matching line for edge (0, 1)"),
+        ("2 4\n0 2\n1 3\n0 1 1 0 1\n1 0 1 3 2\n", "duplicate matching line for edge (0, 1)"),
+        ("2 5\n0 1\n2 3\n", "header claims 5 colors, lists carry 4"),
+    ])
+    def test_each_bad_input_names_its_fault(self, tmp_path, text, message):
+        # the second duplicate turns the edge round, and is a duplicate all the same
+        path = tmp_path / "c.txt"
+        path.write_text(text)
+        with pytest.raises(CoverError, match=f"^{re.escape(message)}$"):
+            load_cover(path)
+
     @pytest.mark.parametrize("text, n", [("-1 0\n", -1), ("-2 0\n0 1 0\n", -2)])
     def test_rejects_a_negative_vertex_count(self, tmp_path, text, n):
         # once an empty cover, then an n = 0 cover with a matching line

@@ -476,11 +476,22 @@ class TestCoverKernels:
         assert res.witness == want
 
     @FAST
-    @given(covers())
+    @given(st.one_of(covers(), broken_covers()))
     def test_cover_sparsity(self, inst):
         _, cov = inst
         assert cover_sparsity(cov) == max(oracle_neighborhood_edges(oracle_cover_graph(cov)),
                                           default=0)
+
+    def test_cover_sparsity_builds_no_graph(self, monkeypatch):
+        # two triangles share the edge (1, 2): two edges inside N(1) and N(2)
+        g = Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
+        cov = cover_from_lists(g, ListAssignment(((1, 2),) * 4))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Graph was built")
+
+        monkeypatch.setattr(Graph, "__init__", refuse)
+        assert cover_sparsity(cov) == 2
 
     @FAST
     @given(st.booleans().flatmap(lambda valid: covers(max_n=8, min_list=1, valid=valid)),

@@ -861,11 +861,46 @@ class TestNibbleStage:
                 ("round 1 conclusions failed after 20 tries: next list of vertex 0 too large",
                  {"rounds": 1})
 
+    def test_round_conclusions_name_the_vertex_in_g(self, monkeypatch):
+        # from round 1 on, every conclusions check flags the next cover's
+        # last vertex: a vertex renumbered by the rounds before, whose id in
+        # g its colors give (the canonical cover's ids are list entries)
+        g, lists = admitted_instance()
+        scales, ells, flagged = nibble._against_scales, set(), []
+
+        def flag_last(cov, ell, d, beta):
+            dmax, large, small, heavy = scales(cov, ell, d, beta)
+            ells.add(ell)  # round 0's hypotheses, round 0's conclusions, ...
+            if len(ells) > 2 and cov.lists.lens[-1]:
+                large[-1] = True
+                flagged.append((cov.n - 1, int(lists.lists.owner[cov.lists.values[-1]])))
+            return dmax, large, small, heavy
+
+        monkeypatch.setattr(nibble, "_against_scales", flag_last)
+        reason, stats = self.stage(g, lists, seed=2, gamma=0.3, epsilon=1.0)
+        # the last try's next cover has 77 vertices: g's 78 and 79 are colored
+        assert flagged[-1] == (76, 77)
+        assert (reason, stats) == ("round 1 conclusions failed after 20 tries: "
+                                   "next list of vertex 77 too large", {"rounds": 1})
+
     def test_finisher_precondition_failed_after_rounds(self):
         reason, stats = self.stage(gen_bipartite(12, 5, seed=92), nibble_lists(92, 12, 77, 41),
                                    seed=92, gamma=0.3, epsilon=1.0)
         assert (reason, stats) == ("finisher precondition failed after rounds: "
-                                   "some vertex has an empty list", {"rounds": 223})
+                                   "some vertex has an empty list", {"rounds": 140})
+
+    @settings(max_examples=60, deadline=None)
+    @given(inst=broken_covers(), policy=st.sampled_from(["nibble", "auto"]))
+    @example(inst=(Graph(2, [(0, 1)]), CorrespondenceCover([(1, 2), (1, 3)], {(0, 1): ((1, 1),)})),
+             policy="nibble")
+    def test_broken_covers_get_a_stage_outcome(self, inst, policy):
+        # a self-matched pair is no edge of the cover graph, so admission
+        # audits the cover as given and never raises
+        g, cov = inst
+        res = solve(g, cov, policy=policy, seed=0)
+        assert all(s.succeeded or s.reason for s in res.stages if s.attempted)
+        if res.success:
+            assert verify_coloring(g, cov, res.coloring).ok
 
     @settings(max_examples=40, deadline=None)
     @given(d=st.floats(2.0, 2000.0), k=st.integers(1, 40), gamma=st.floats(0.05, 0.9),

@@ -264,6 +264,17 @@ class TestCorrespondenceStreaming:
         assert out.family.pruned == ((0,), (), (2,))
         assert out.error == "a vertex lost every sampled color in pruning"
 
+    @pytest.mark.parametrize("record", [
+        (0, 1, ((2, 12), (0, 10), (1, 11))),
+        (1, 0, ((12, 2), (10, 0), (11, 1))),
+    ])
+    def test_stored_record_keeps_its_pairs_in_record_order(self, record):
+        # s = 3 samples every color, so every pair stays; the stored record
+        # is turned to u < v with its pairs, which keep the record's order
+        out = stream_color_correspondence(EdgeStream(2, (record,), ((0, 1, 2), (10, 11, 12))),
+                                          2, manual_params(1, 0.1, 1.0, q=3, s=3), seed=0)
+        assert out.stored.records == ((0, 1, ((2, 12), (0, 10), (1, 11))),)
+
     def test_matching_words_capped_by_sample_size(self):
         g = random_graph(rng_for(9), 20, 0.4)
         full = ListAssignment(tuple(tuple(range(6)) for _ in range(g.n)))
