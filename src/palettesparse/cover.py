@@ -18,7 +18,8 @@ underlying graph.
 Cover colors a and b clash across uv exactly when (a, b) is one of uv's
 declared pairs. `CorrespondenceCover.arrays` holds those pairs as flat
 int64 arrays, in `matchings` order: each pair's edge (u < v) and the ranks
-of its colors among the cover's ascending distinct color ids. Every cover
+of its colors among the ascending distinct color ids of the cover it was
+cut from (its own, for an uncut cover). Every cover
 path runs on the kernels below over them (degrees, correspondents among
 picked colors, restriction, kept rows, clashes); they sit here, not beside
 the list kernels in `sparsify`, because `sparsify` imports this module.
@@ -260,8 +261,10 @@ class CoverArrays:
     """The matched pairs of a cover as flat int64 arrays, in `matchings`
     order: pair i joins color rank ra[i] at eu[i] to rank rb[i] at ev[i],
     eu[i] < ev[i]. `colors` holds the ascending distinct ids of the lists
-    and the pairs, so a color's rank is its index there; `lists` and `lens`
-    are the lists as ranks, concatenated, and their lengths."""
+    and the pairs of the uncut cover, so a color's rank is its index there;
+    a cut (`restrict_cover`) shares that array and its ranks, so it may
+    hold ids that no list or pair of the cut holds. `lists` is the lists
+    as ranks, concatenated."""
 
     colors: np.ndarray
     eu: np.ndarray
@@ -269,7 +272,6 @@ class CoverArrays:
     ra: np.ndarray
     rb: np.ndarray
     lists: np.ndarray
-    lens: np.ndarray
 
     def rank(self, ids) -> np.ndarray:
         """Ranks of the color ids `ids`; CoverError names one the cover lacks.
@@ -306,9 +308,9 @@ class CorrespondenceCover:
         """From a dict of pairs per edge: an edge keyed (v, u) is turned
         round, each edge's pairs are sorted, and the dict is encoded as
         arrays at once and not kept; a key or pair that is not two integer
-        ids raises `CoverError`. `source_color` maps a cover color id back
-        to the original color name, when the cover was built from a list
-        assignment."""
+        ids, or an edge keyed both ways round, raises `CoverError`.
+        `source_color` maps a cover color id back to the original color
+        name, when the cover was built from a list assignment."""
         lists = Rows.of(lists)
         norm: dict[tuple[int, int], list[tuple[int, int]]] = {}
         for edge, pairs in matchings.items():
@@ -318,6 +320,8 @@ class CorrespondenceCover:
             u, v = edge
             if u > v:
                 u, v, pairs = v, u, [(b, a) for a, b in pairs]
+            if (u, v) in norm:
+                raise CoverError(f"duplicate matching for edge {(u, v)}")
             norm[(u, v)] = sorted(pairs)
         per_edge = np.fromiter(map(len, norm.values()), dtype=np.int64, count=len(norm))
         ends = np.fromiter(chain.from_iterable(norm), dtype=np.int64,
@@ -329,7 +333,7 @@ class CorrespondenceCover:
         self.lists, self._source = lists, source_color
         self.arrays = CoverArrays(colors, np.repeat(ends[:, 0], per_edge),
                                   np.repeat(ends[:, 1], per_edge), ranks[flat.size::2],
-                                  ranks[flat.size + 1::2], ranks[:flat.size], lists.lens)
+                                  ranks[flat.size + 1::2], ranks[:flat.size])
 
     @classmethod
     def _of(cls, lists: Rows, arrays: CoverArrays, source=None) -> "CorrespondenceCover":
@@ -435,8 +439,10 @@ def restrict_cover(cov: CorrespondenceCover, rows, vertices=None):
     `rows[v]` is a subset of v's list; a pair on uv stays when rows[u]
     holds its color at u and rows[v] its color at v, and an edge when one
     of its pairs does. With a bool mask `vertices`, only the marked
-    vertices stay, renumbered in order. The cover itself is returned when
-    `rows` is its lists and they hold every pair at its own ends.
+    vertices stay, renumbered in order. The colors are not renumbered:
+    the cut shares the cover's `colors` array and keeps its pairs' and
+    entries' ranks. The cover itself is returned when `rows` is its lists
+    and they hold every pair at its own ends.
     """
     a = cov.arrays
     rows = Rows.of(rows)
@@ -452,18 +458,11 @@ def restrict_cover(cov: CorrespondenceCover, rows, vertices=None):
         if vertices is not None:
             on = np.repeat(vertices, rows.lens)
             rows, ranks = Rows(rows.values[on], _offsets(rows.lens[vertices])), ranks[on]
-            keep[:] = False
-            keep[ranks] = True
             stay = np.flatnonzero(vertices[eu] & vertices[ev])
             new_id = np.cumsum(vertices) - 1
             at, eu, ev = at[stay], new_id[eu[stay]], new_id[ev[stay]]
-        # each kept color's new rank; the others are never read
-        kept = np.flatnonzero(keep)
-        new_rank = np.empty(a.colors.size, dtype=np.int64)
-        new_rank[kept] = np.arange(kept.size)
         sub = CorrespondenceCover._of(rows, CoverArrays(
-            a.colors.take(kept), eu, ev, new_rank.take(a.ra.take(at)),
-            new_rank.take(a.rb.take(at)), new_rank.take(ranks), rows.lens), cov._source)
+            a.colors, eu, ev, a.ra.take(at), a.rb.take(at), ranks), cov._source)
     first = np.flatnonzero(_edge_starts(eu, ev))
     return sub, np.column_stack((eu.take(first), ev.take(first)))
 
@@ -574,8 +573,7 @@ def cover_from_lists(g: Graph, l: ListAssignment) -> CorrespondenceCover:
     ev = np.repeat(vs, per_edge)
     rb = rows.find(ev, names[ra])
     hit = rb >= 0
-    arrays = CoverArrays(ids, np.repeat(us, per_edge)[hit], ev[hit], ra[hit], rb[hit], ids,
-                         rows.lens)
+    arrays = CoverArrays(ids, np.repeat(us, per_edge)[hit], ev[hit], ra[hit], rb[hit], ids)
     return CorrespondenceCover._of(Rows(ids, rows.indptr), arrays, names)
 
 
@@ -629,8 +627,7 @@ def random_cover(g: Graph, list_size: int, density: float, seed: int) -> Corresp
     a, b = np.concatenate(chosen).T
     # each edge's pairs by u's color, as the dict constructor sorts them
     order = np.lexsort((a, np.repeat(np.arange(g.m), per_edge)))
-    arrays = CoverArrays(ids, eu, ev, eu * list_size + a[order], ev * list_size + b[order],
-                         ids, lists.lens)
+    arrays = CoverArrays(ids, eu, ev, eu * list_size + a[order], ev * list_size + b[order], ids)
     return CorrespondenceCover._of(lists, arrays)
 
 

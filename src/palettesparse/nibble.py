@@ -112,9 +112,9 @@ class _Instance:
     List mode: colors clash across an edge iff they are equal.
     Cover mode: colors a, b clash across uv iff (a, b) is a declared pair of uv.
     `codes` holds every list entry as the solver compares it: its rank among
-    the cover's colors, or its id. The cover stages read `pairs`, built once
-    from `CorrespondenceCover.arrays`; a pair on a non-edge of g clashes
-    across no edge and is left out of it.
+    the cover's colors (`CoverArrays.colors`), or its id. The cover stages
+    read `pairs`, built once from `CorrespondenceCover.arrays`; a pair on a
+    non-edge of g clashes across no edge and is left out of it.
     """
 
     def __init__(self, g: Graph, obj):
@@ -135,28 +135,21 @@ class _Instance:
         s the CSR slot of x in w's row, and head the rank of its color at x;
         so the partners of w's color across s are the heads of one run of
         keys. The ranks are dense already, so keys that would not fit in
-        int64 leave nothing to fall back on. A run's two slots are read by
-        its edge's index (`Graph.edge_index`) from the inverse of
-        `Graph.slot_edge`: edge e's slot in the row of its smaller end at
-        2e, and in the other row at 2e + 1."""
+        int64 leave nothing to fall back on. A run's two slots, one per
+        direction, are its head's entries in its tail's CSR row, found by
+        one search of the asked rows (`Rows.find` over g's rows); a run
+        with an end outside 0..n-1, or on a non-edge, has none."""
         a, g = self.cover.arrays, self.g
         span = a.colors.size
         if 2 * g.m * span >= 2 ** 63:
             raise InstanceTooLarge(f"{2 * g.m} slots x {span} colors overflow the pair keys")
         first = np.flatnonzero(_edge_starts(a.eu, a.ev))
-        eu, ev = a.eu.take(first), a.ev.take(first)
-        edge = g.edge_index(eu, ev)
-        on = np.flatnonzero(edge >= 0)
-        slot_of = np.empty(2 * g.m, dtype=np.int64)
-        slot_of[2 * g.slot_edge() + (g.indices < self.slot_row)] = np.arange(2 * g.m)
-        # one slot per run of pairs on one edge, each way round: read from
-        # eu, the slot in eu's row, which is the second of e's when eu > ev
-        at = 2 * edge.take(on)
-        at += eu.take(on) > ev.take(on)
-        slot = np.full(2 * first.size, -1, dtype=np.int64)
-        slot[on] = slot_of.take(at)
-        at ^= 1
-        slot[first.size + on] = slot_of.take(at)
+        # one slot per run of pairs on one edge, each way round
+        tail = np.concatenate((a.eu.take(first), a.ev.take(first)))
+        head = np.concatenate((a.ev.take(first), a.eu.take(first)))
+        on = (tail >= 0) & (tail < g.n)
+        slot = np.full(tail.size, -1, dtype=np.int64)
+        slot[on] = Rows(g.indices, g.indptr).find(tail[on], head[on])
         run = np.diff(np.append(first, a.eu.size))
         slot = np.repeat(slot, np.concatenate((run, run)))
         on = slot >= 0
@@ -294,13 +287,16 @@ class WcpParams:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RoundStats:
+    """A round's counts, and the ids of its kept and activated colors as
+    read-only ascending int64 arrays."""
+
     activated: int
     kept: int
     colored: int
-    kept_ids: tuple[int, ...] = ()
-    activated_ids: tuple[int, ...] = ()
+    kept_ids: np.ndarray
+    activated_ids: np.ndarray
 
 
 def wcp_round(cov: CorrespondenceCover, p: WcpParams, seed: int):
@@ -317,22 +313,26 @@ def wcp_round(cov: CorrespondenceCover, p: WcpParams, seed: int):
     Requires every color degree <= 2*d (else the equalizer probability
     leaves [0, 1]). The nibble stage checks the other hypotheses once, before
     round 0: every later round's follow from the conclusions before it.
+    The draws are over the colors that the lists or pairs hold, ascending
+    by id: a cut shares its cover's `colors`, which may hold others.
     """
     a = cov.arrays
     colors, N = a.colors, a.colors.size
     deg = color_degrees(cov)
-    if N and deg.max() > 2.0 * p.d:
-        c_bad = int(colors[int(deg.argmax())])
-        raise PreconditionViolation(
-            f"color {c_bad} has degree {int(deg.max())} > 2*d = {2.0 * p.d}"
-        )
+    if cov.max_color_degree() > 2.0 * p.d:
+        raise PreconditionViolation(f"color {int(colors[deg.argmax()])} has degree "
+                                    f"{cov.max_color_degree()} > 2*d = {2.0 * p.d}")
 
     rng = substream(seed, TAG_WCP)
-    # draw order: activations then equalizers, both over colors ascending by id
-    act = rng.random(N) < (p.eta / p.ell)
+    held = np.zeros(N, dtype=bool)
+    held[a.lists] = held[a.ra] = held[a.rb] = True
+    drawn = np.flatnonzero(held)
+    # draw order: activations then equalizers, both over the held colors
+    act, eq = np.zeros(N, dtype=bool), np.zeros(N, dtype=bool)
+    act[drawn] = rng.random(drawn.size) < (p.eta / p.ell)
     lp = math.log1p(-p.eta / p.ell) if p.eta > 0 else 0.0
-    eq_prob = np.exp((2.0 * p.d - deg) * lp) if p.eta > 0 else np.ones(N)
-    eq = rng.random(N) < eq_prob
+    eq_prob = np.exp((2.0 * p.d - deg[drawn]) * lp) if p.eta > 0 else 1.0
+    eq[drawn] = rng.random(drawn.size) < eq_prob
     kept = eq & (picked_counts(cov, act) == 0)
 
     # each vertex takes its smallest activated kept color; lists are sorted
@@ -341,7 +341,7 @@ def wcp_round(cov: CorrespondenceCover, p: WcpParams, seed: int):
     phi = PartialColoring(dict(zip(np.flatnonzero(has).tolist(),
                                    holds.values[holds.indptr[:-1][has]].tolist())))
     in_u = np.zeros(N, dtype=bool)  # the colors of blank vertices
-    in_u[a.lists] = np.repeat(~has, a.lens)
+    in_u[a.lists] = np.repeat(~has, cov.lists.lens)
     cnt = picked_counts(cov, kept & in_u)
     next_lists = cover_rows(cov, kept & (cnt <= 2.0 * p.d_next))
 
@@ -353,10 +353,9 @@ def wcp_round(cov: CorrespondenceCover, p: WcpParams, seed: int):
         clash = (int(colors[a.ra[i]]), int(colors[a.rb[i]]))
         raise InvariantViolation(f"nibble round colored edge {(u, v)} with clashing {clash}")
 
-    stats = RoundStats(
-        int(act.sum()), int(kept.sum()), len(phi.assignment),
-        tuple(colors[kept].tolist()), tuple(colors[act].tolist()),
-    )
+    kept_ids, act_ids = colors[kept], colors[act]
+    kept_ids.flags.writeable = act_ids.flags.writeable = False
+    stats = RoundStats(int(act.sum()), int(kept.sum()), len(phi.assignment), kept_ids, act_ids)
     return phi, next_lists, stats
 
 
@@ -886,13 +885,13 @@ def _against_scales(cov: CorrespondenceCover, ell: float, d: float, beta: float)
     scales ell, d, beta, the last three as vertex masks: |L(v)| above
     (1 + beta)*ell, below (1 - beta)*ell/2, and a nonempty list's average
     color degree above (2 - (1 - beta)*ell/|L(v)|)*d. None grows with beta."""
-    a = cov.arrays
+    lens = cov.lists.lens
     sums = np.bincount(cov.lists.owner, minlength=cov.n,
-                       weights=color_degrees(cov)[a.lists])
-    lv = np.maximum(a.lens, 1)
-    heavy = (a.lens > 0) & (sums / lv > (2.0 - (1.0 - beta) * ell / lv) * d + 1e-9)
-    return (cov.max_color_degree(), a.lens > (1.0 + beta) * ell,
-            a.lens < (1.0 - beta) * ell / 2.0, heavy)
+                       weights=color_degrees(cov)[cov.arrays.lists])
+    lv = np.maximum(lens, 1)
+    heavy = (lens > 0) & (sums / lv > (2.0 - (1.0 - beta) * ell / lv) * d + 1e-9)
+    return (cov.max_color_degree(), lens > (1.0 + beta) * ell,
+            lens < (1.0 - beta) * ell / 2.0, heavy)
 
 
 def _round_hypotheses(cov: CorrespondenceCover, p: WcpParams) -> str | None:
@@ -908,7 +907,7 @@ def _round_hypotheses(cov: CorrespondenceCover, p: WcpParams) -> str | None:
     if bad.size:
         v = int(bad[0])
         if large[v] or small[v]:
-            return f"list size {int(cov.arrays.lens[v])} of vertex {v} outside the allowed band"
+            return f"list size {int(cov.lists.lens[v])} of vertex {v} outside the allowed band"
         return f"average color degree of vertex {v} too large"
     return None
 

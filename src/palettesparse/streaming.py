@@ -302,5 +302,5 @@ def stream_color_correspondence(stream: EdgeStream, n: int,
     order = stable_order(key) if sort else np.arange(key.size)
     order = order[stable_order(record[order])]
     held = CorrespondenceCover._of(sampled, CoverArrays(
-        colors, ends[order, 0], ends[order, 1], ra[order], rb[order], ranks, sampled.lens))
+        colors, ends[order, 0], ends[order, 1], ra[order], rb[order], ranks))
     return _finish(stored.ends, held, fam, params, params.delta_ref, ledger, stored, policy, seed)

@@ -244,8 +244,7 @@ def oracle_random_cover(g: Graph, list_size: int, density: float, seed: int):
     order = np.lexsort((a, np.repeat(np.arange(g.m), per_edge)))
     ids = np.arange(g.n * list_size)
     lists = Rows(ids, np.arange(g.n + 1) * list_size)
-    arrays = CoverArrays(ids, eu, ev, eu * list_size + a[order], ev * list_size + b[order],
-                         ids, lists.lens)
+    arrays = CoverArrays(ids, eu, ev, eu * list_size + a[order], ev * list_size + b[order], ids)
     return CorrespondenceCover._of(lists, arrays), rng
 
 

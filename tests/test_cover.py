@@ -117,6 +117,14 @@ class TestMalformedMatchings:
         with pytest.raises(CoverError, match=f"^{re.escape(message)}$"):
             CorrespondenceCover([(0, 1), (2, 3)], {edge: pairs})
 
+    @pytest.mark.parametrize("matchings", [
+        {(0, 1): ((0, 1),), (1, 0): ((3, 2),)},
+        {(1, 0): ((3, 2),), (0, 1): ((0, 1),)},
+    ])
+    def test_rejects_an_edge_keyed_both_ways_round(self, matchings):
+        with pytest.raises(CoverError, match=r"^duplicate matching for edge \(0, 1\)$"):
+            CorrespondenceCover([(0, 2), (1, 3)], matchings)
+
     def test_rejects_a_list_id_outside_int64_naming_its_row(self):
         with pytest.raises(ValueError, match="^row 1 holds an id outside int64$"):
             CorrespondenceCover([(0, 1), (2, 2 ** 70)], {})
@@ -188,7 +196,7 @@ class TestRandomCover:
             got = random_cover(g, list_size, density, seed)
         want, rng = oracle_random_cover(g, list_size, density, seed)
         assert got.lists == want.lists
-        for name in ("colors", "eu", "ev", "ra", "rb", "lists", "lens"):
+        for name in ("colors", "eu", "ev", "ra", "rb", "lists"):
             a, b = getattr(got.arrays, name), getattr(want.arrays, name)
             assert a.dtype == b.dtype and a.tolist() == b.tolist(), name
         assert made[0].bit_generator.state == rng.bit_generator.state

@@ -40,6 +40,7 @@ from conftest import (
     oracle_stream_ledger,
     oracle_stream_retention,
     oracle_surviving_edges,
+    random_covers,
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -57,7 +58,14 @@ from palettesparse.cover import (
     restrict_cover,
 )
 from palettesparse.graphcore import Graph, gen_bipartite
-from palettesparse.nibble import PartialColoring, _Instance, verify_coloring
+from palettesparse.nibble import (
+    PartialColoring,
+    PreconditionViolation,
+    WcpParams,
+    _Instance,
+    verify_coloring,
+    wcp_round,
+)
 from palettesparse.sparsify import (
     PaletteFamily,
     SharedPalette,
@@ -169,6 +177,27 @@ def covers(**kwargs):
 def subrows(draw, rows):
     """A subset of every row, in the row's order."""
     return [tuple(c for c in row if draw(st.booleans())) for row in rows]
+
+
+@st.composite
+def cut_of(draw, cov):
+    """(rows, vertex mask or None) for a `restrict_cover` of `cov`."""
+    rows = draw(subrows(cov.lists))
+    if not draw(st.booleans()):
+        return rows, None
+    return rows, np.array(draw(st.lists(st.booleans(), min_size=cov.n, max_size=cov.n)),
+                          dtype=bool)
+
+
+def round_of(cov, p, seed):
+    """`wcp_round`'s coloring, next lists and stats as plain values, or the
+    text of the PreconditionViolation it raises."""
+    try:
+        phi, nxt, st = wcp_round(cov, p, seed)
+    except PreconditionViolation as e:
+        return str(e)
+    return phi.assignment, tuple(nxt), (st.activated, st.kept, st.colored,
+                                        st.kept_ids.tolist(), st.activated_ids.tolist())
 
 
 @st.composite
@@ -418,14 +447,51 @@ class TestCoverKernels:
         assert sub.lists == lists
         assert list(sub.matchings.items()) == items
         assert list(map(tuple, edges.tolist())) == want
-        # the arrays it was built from are the ones its matchings give
-        rebuilt = CorrespondenceCover(sub.lists, sub.matchings).arrays
-        for name in ("colors", "eu", "ev", "ra", "rb", "lists", "lens"):
-            assert getattr(sub.arrays, name).tolist() == getattr(rebuilt, name).tolist()
+        # the arrays it was built from are the ones its matchings give, as
+        # ids: the cut keeps its cover's ranks, the rebuilt cover ranks anew
+        def ids(a):
+            ranks = (a.ra, a.rb, a.lists)
+            return [a.eu.tolist(), a.ev.tolist()] + [a.colors[r].tolist() for r in ranks]
+        assert sub.arrays.colors is cov.arrays.colors
+        assert ids(sub.arrays) == ids(CorrespondenceCover(sub.lists, sub.matchings).arrays)
         if keep is None:
             conflict = build_conflict(g, PaletteFamily(tuple(rows)), cover=cov)
             assert list(conflict.graph.edges()) == sorted(e for e in want if g.has_edge(*e))
             assert list(conflict.cover.matchings.items()) == items
+
+    @FAST
+    @given(random_covers() | broken_covers(), st.data())
+    def test_a_cut_of_a_cut_is_a_cut_of_the_root(self, inst, data):
+        _, cov = inst
+        rows, keep = data.draw(cut_of(cov))
+        sub, _ = restrict_cover(cov, rows, keep)
+        rows, keep2 = data.draw(cut_of(sub))
+        got, edges = restrict_cover(sub, rows, keep2)
+        # in one step: the second rows on the vertices that both masks keep
+        on = np.flatnonzero(np.ones(cov.n, dtype=bool) if keep is None else keep)
+        both, composed = np.zeros(cov.n, dtype=bool), [()] * cov.n
+        both[on] = True if keep2 is None else keep2
+        for v, row in zip(on.tolist(), rows):
+            composed[v] = row
+        want, want_edges = restrict_cover(cov, composed, both)
+        assert got.arrays.colors is cov.arrays.colors and got._source is cov._source
+        assert got.lists == want.lists and np.array_equal(edges, want_edges)
+        for name in ("colors", "eu", "ev", "ra", "rb", "lists"):
+            assert np.array_equal(getattr(got.arrays, name), getattr(want.arrays, name))
+
+    @FAST
+    @given(random_covers() | broken_covers(), st.data())
+    def test_a_round_on_a_cut_is_the_round_on_its_dict_rebuild(self, inst, data):
+        # the cut's colors hold ids that none of its lists or pairs holds;
+        # the rebuilt cover's hold only its own, ranked anew
+        _, cov = inst
+        sub, _ = restrict_cover(cov, *data.draw(cut_of(cov)))
+        ell = data.draw(st.floats(1.0, 8.0))
+        p = WcpParams.from_basics(data.draw(st.floats(0.0, 0.99)) * ell, ell,
+                                  data.draw(st.floats(0.0, 12.0)))
+        seed = data.draw(st.integers(0, 2 ** 16))
+        assert round_of(sub, p, seed) == \
+            round_of(CorrespondenceCover(sub.lists, sub.matchings), p, seed)
 
     def test_pair_off_its_own_ends_is_cut(self):
         # color 0 is vertex 0's only, so the pair (0, 0) on (0, 1) can never
@@ -447,7 +513,7 @@ class TestCoverKernels:
         every_pair_held = oracle_restrict_cover(cov, cov.lists)[1] == list(cov.matchings.items())
         assert (sub is cov) == every_pair_held
         assert sub.lists == cut.lists
-        for name in ("colors", "eu", "ev", "ra", "rb", "lists", "lens"):
+        for name in ("colors", "eu", "ev", "ra", "rb", "lists"):
             assert np.array_equal(getattr(sub.arrays, name), getattr(cut.arrays, name))
         assert np.array_equal(edges, want)
 
@@ -557,7 +623,7 @@ class TestCoverKernels:
         held = spy.call_args.kwargs["cover"]
         want = CorrespondenceCover(fam.sampled, {(u, v): pairs for u, v, pairs in stored})
         assert held.lists == want.lists
-        for name in ("colors", "eu", "ev", "ra", "rb", "lists", "lens"):
+        for name in ("colors", "eu", "ev", "ra", "rb", "lists"):
             assert np.array_equal(getattr(held.arrays, name), getattr(want.arrays, name))
         expect = build_conflict(Graph(g.n, [(u, v) for u, v, _ in stored]), out.family,
                                 cover=want)
@@ -565,7 +631,7 @@ class TestCoverKernels:
         for name in ("indptr", "indices"):
             assert np.array_equal(getattr(got.graph, name), getattr(expect.graph, name))
         assert got.cover.lists == expect.cover.lists
-        for name in ("colors", "eu", "ev", "ra", "rb", "lists", "lens"):
+        for name in ("colors", "eu", "ev", "ra", "rb", "lists"):
             assert np.array_equal(getattr(got.cover.arrays, name),
                                   getattr(expect.cover.arrays, name))
         if message:
@@ -584,7 +650,7 @@ class TestCanonicalCover:
         lists = ListAssignment([data.draw(st.sets(st.sampled_from(pool))) for _ in range(g.n)])
         got, want = cover_from_lists(g, lists), oracle_cover_from_lists(g, lists)
         assert got.lists == want.lists
-        for name in ("colors", "eu", "ev", "ra", "rb", "lists", "lens"):
+        for name in ("colors", "eu", "ev", "ra", "rb", "lists"):
             assert getattr(got.arrays, name).tolist() == getattr(want.arrays, name).tolist()
         assert list(got.matchings.items()) == list(want.matchings.items())
         assert got.source_color == want.source_color

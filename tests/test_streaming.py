@@ -226,7 +226,7 @@ class TestCorrespondenceStreaming:
         held = spy.call_args.kwargs["cover"]
         want = CorrespondenceCover(lists, {(u, v): pairs for u, v, pairs in records})
         assert list(held.matchings.items()) == list(want.matchings.items())
-        for name in ("colors", "eu", "ev", "ra", "rb", "lists", "lens"):
+        for name in ("colors", "eu", "ev", "ra", "rb", "lists"):
             assert np.array_equal(getattr(held.arrays, name), getattr(want.arrays, name))
 
     @pytest.mark.parametrize("kind", ["plain", "cover"])
