@@ -16,6 +16,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .cover import (
     validate_cover,
 )
 from .graphcore import (
+    GenerationError,
     Graph,
     GraphError,
     gen_bipartite,
@@ -40,7 +42,7 @@ from .graphcore import (
     max_degree,
     save_graph,
 )
-from .nibble import _reduce, solve, verify_coloring
+from .nibble import PartialColoring, _reduce, solve, verify_coloring
 from .querysim import QueryOracle, UnsupportedStrategy, end_to_end_query_color
 from .sparsify import (
     InvalidParameters,
@@ -62,6 +64,22 @@ CSV_COLUMNS = ["seed", "success", "q", "s", "conflict_edges", "resource",
 
 class ConfigError(ValueError):
     pass
+
+
+# the accepted values of each string field of a config
+_CHOICES = {"pipeline": ("plain", "list", "cover"), "model": ("offline", "stream", "query"),
+            "policy": ("auto", "greedy", "nibble", "lll"), "strategy": ("auto", "scan", "classes")}
+
+
+def _nonnegative_int(x) -> bool:
+    """Whether x is a nonnegative integer (a bool is not)."""
+    return isinstance(x, Integral) and not isinstance(x, bool) and x >= 0
+
+
+def _check(ok, message: str, x) -> None:
+    """ConfigError "`message`, got x" unless `ok`."""
+    if not ok:
+        raise ConfigError(f"{message}, got {x!r}")
 
 
 @dataclass
@@ -89,6 +107,9 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
+        """The config of a JSON object; ConfigError names the first field of
+        the wrong type or value."""
+        _check(isinstance(d, dict), "config must be a JSON object", d)
         d = dict(d)
         schema = d.pop("schema", SCHEMA)
         if schema != SCHEMA:
@@ -97,12 +118,21 @@ class RunConfig:
             cfg = cls(**d, schema=schema)
         except TypeError as e:
             raise ConfigError(str(e)) from None
-        if cfg.pipeline not in ("plain", "list", "cover"):
-            raise ConfigError(f"unknown pipeline {cfg.pipeline!r}")
-        if cfg.model not in ("offline", "stream", "query"):
-            raise ConfigError(f"unknown model {cfg.model!r}")
-        if not cfg.seeds:
-            raise ConfigError("seeds must be nonempty")
+        _check(isinstance(cfg.instance, dict), "instance must be a JSON object", cfg.instance)
+        for name, choices in _CHOICES.items():
+            x = getattr(cfg, name)
+            _check(x in choices, f"{name} must be one of {', '.join(choices)}", x)
+        for name in ("instance_seed", "q_override", "s_override", "permute_seed", "list_universe",
+                     "cover_size"):  # all but instance_seed may be null
+            x = getattr(cfg, name)
+            _check(_nonnegative_int(x) or x is None and name != "instance_seed",
+                   f"{name} must be a nonnegative integer", x)
+        for name in ("alpha", "gamma", "epsilon", "cover_density"):
+            x = getattr(cfg, name)
+            _check(isinstance(x, Real) and not isinstance(x, bool), f"{name} must be a number", x)
+        _check(isinstance(cfg.seeds, list) and cfg.seeds and all(map(_nonnegative_int, cfg.seeds)),
+               "seeds must be a nonempty list of nonnegative integers", cfg.seeds)
+        _check(0 <= cfg.cover_density <= 1, "cover_density must be in [0, 1]", cfg.cover_density)
         return cfg
 
     @classmethod
@@ -169,6 +199,9 @@ def _build_instance(cfg: RunConfig):
     """Materialize (graph, params, lists-or-cover) from the config."""
     spec = cfg.instance
     kind = spec.get("kind", "gen")
+    for name in ("n", "delta", "k", "seed"):
+        x = spec.get(name, 0)
+        _check(_nonnegative_int(x), f"instance {name} must be a nonnegative integer", x)
     try:
         if kind == "gen":
             g = gen_locally_sparse(spec["n"], spec["delta"], spec["k"],
@@ -181,17 +214,13 @@ def _build_instance(cfg: RunConfig):
             raise ConfigError(f"unknown instance kind {kind!r}")
     except KeyError as e:
         raise ConfigError(f"instance spec missing field {e}") from None
-    delta = max(1, max_degree(g))
-    k_audit = max(1, local_sparsity(g).k_star)
-    k = spec.get("k", k_audit)
     if cfg.q_override is not None and cfg.s_override is not None:
         # fully prescribed palette; skip the closed form, which desk-scale
         # instances outside the supported sparsity range would reject
-        params = manual_params(delta, cfg.gamma, cfg.epsilon,
+        params = manual_params(max(1, max_degree(g)), cfg.gamma, cfg.epsilon,
                                cfg.q_override, cfg.s_override)
     else:
-        params = derive_params(delta, max(2, g.n), max(1, k), cfg.alpha,
-                               cfg.gamma, cfg.epsilon)
+        params = _graph_params(g, cfg, spec.get("k"))
         if cfg.q_override is not None or cfg.s_override is not None:
             params = params.with_overrides(q=cfg.q_override, s=cfg.s_override)
 
@@ -225,33 +254,30 @@ def _offline_seed(g: Graph, params: SparsifyParams, obj, cfg: RunConfig, seed: i
 
 
 def _stream_pass(g: Graph, obj, permute_seed):
-    """(the stream pass over g's edges with the lists or cover `obj`, a function
-    of (params, seed), the cover streamed or None): a sweep builds them once."""
+    """The stream pass over g's edges with the lists or cover `obj`, a function
+    of (params, seed) that a sweep builds once. Lists stream as their canonical
+    cover, so its colorings use cover ids: list entries, named by the values."""
     if obj is None:
-        return partial(stream_color, EdgeStream.from_graph(g, permute_seed), g.n), None
+        return partial(stream_color, EdgeStream.from_graph(g, permute_seed), g.n)
     cov = obj if isinstance(obj, CorrespondenceCover) else cover_from_lists(g, obj)
-    stream = EdgeStream.from_cover(g, cov, permute_seed)
-    return partial(stream_color_correspondence, stream, g.n), cov
+    return partial(stream_color_correspondence, EdgeStream.from_cover(g, cov, permute_seed), g.n)
 
 
 def _run_seed(g: Graph, params: SparsifyParams, obj, streamed, config: RunConfig,
               seed: int):
     """One end-to-end run; returns (row, verified assignment or None).
-    `streamed` is `_stream_pass`'s pair in a stream-model sweep."""
+    `streamed` is `_stream_pass`'s function in a stream-model sweep; with
+    lists, its coloring's cover ids are pulled back through the lists' values."""
     t0 = time.perf_counter()
-    res = resource = names = None
+    res = resource = None
     conflict_edges, error = 0, ""
     try:
         if config.model == "offline":
             conflict_edges, res, error = _offline_seed(g, params, obj, config, seed)
         elif config.model == "stream":
-            stream_pass, cov = streamed
-            out = stream_pass(params, seed, policy=config.policy)
+            out = streamed(params, seed, policy=config.policy)
             res, error, resource = out.solve_result, out.error, out.ledger.peak_words
             conflict_edges = len(out.stored)
-            # the lists stream as their canonical cover, whose coloring uses
-            # cover ids; map back to names
-            names = cov if cov is not obj else None
         else:
             if obj is not None:
                 raise UnsupportedStrategy(
@@ -268,8 +294,9 @@ def _run_seed(g: Graph, params: SparsifyParams, obj, streamed, config: RunConfig
         error = str(e)
 
     coloring = res.coloring if res is not None else None
-    if names is not None and coloring is not None:
-        coloring = _pullback(coloring, names)
+    if coloring is not None and config.model == "stream" and isinstance(obj, ListAssignment):
+        a = coloring.assignment
+        coloring = PartialColoring(dict(zip(a, obj.lists.values[list(a.values())].tolist())))
     success = False
     if coloring is not None:
         check = _full_verify(g, params, obj, coloring)
@@ -300,15 +327,14 @@ def run(config: RunConfig, workers: int = 1) -> SweepResult:
     """
     g, params, obj = _build_instance(config)
     streamed = _stream_pass(g, obj, config.permute_seed) if config.model == "stream" else None
+    run_seed = partial(_run_seed, g, params, obj, streamed, config)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                partial(_run_seed, g, params, obj, streamed, config), config.seeds
-            ))
+            results = list(pool.map(run_seed, config.seeds))
     else:
-        results = [_run_seed(g, params, obj, streamed, config, seed) for seed in config.seeds]
+        results = list(map(run_seed, config.seeds))
     rows = [row for row, _ in results]
     colorings = {
         row.seed: assignment for row, assignment in results if assignment is not None
@@ -317,13 +343,6 @@ def run(config: RunConfig, workers: int = 1) -> SweepResult:
     if config.out_dir:
         _write_outputs(result, colorings)
     return result
-
-
-def _pullback(coloring, cov: CorrespondenceCover):
-    from .nibble import PartialColoring
-
-    src = cov.source_color
-    return PartialColoring({v: src[c] for v, c in coloring.assignment.items()})
 
 
 @lru_cache(maxsize=1)
@@ -404,11 +423,12 @@ def _load_valid_cover(path, g: Graph) -> CorrespondenceCover:
     return cov
 
 
-def _graph_params(g: Graph, args) -> SparsifyParams:
+def _graph_params(g: Graph, args, k=None) -> SparsifyParams:
     """The closed-form params of g: delta its max degree and k its audited
-    local sparsity (both at least 1), alpha, gamma and epsilon from `args`."""
+    local sparsity, or `k` when given (both at least 1), alpha, gamma and
+    epsilon from `args` (a namespace or a `RunConfig`)."""
     delta = max(1, max_degree(g))
-    k = max(1, local_sparsity(g).k_star)
+    k = max(1, local_sparsity(g).k_star if k is None else k)
     return derive_params(delta, max(2, g.n), k, args.alpha, args.gamma, args.epsilon)
 
 
@@ -465,7 +485,7 @@ def _cmd_stream(args) -> int:
     g = load_graph(args.graph)
     cov = _load_valid_cover(args.cover, g) if args.cover else None
     params = _graph_params(g, args)
-    out = _stream_pass(g, cov, args.permute_seed)[0](params, args.seed)
+    out = _stream_pass(g, cov, args.permute_seed)(params, args.seed)
     if args.ledger:
         with open(args.ledger, "w", newline="") as fh:
             w = csv.writer(fh, lineterminator="\n")
@@ -559,8 +579,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("solve", help="solve a list or cover instance", parents=[graph])
     p.add_argument("--lists")
     p.add_argument("--cover")
-    p.add_argument("--policy", default="auto",
-                   choices=["auto", "greedy", "nibble", "lll"])
+    p.add_argument("--policy", default="auto", choices=_CHOICES["policy"])
     p.add_argument("--report")
     p.set_defaults(func=_cmd_solve)
 
@@ -572,7 +591,7 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_stream)
 
     p = sub.add_parser("queries", help="non-adaptive query pipeline", parents=[graph, closed_form])
-    p.add_argument("--strategy", default="auto", choices=["auto", "scan", "classes"])
+    p.add_argument("--strategy", default="auto", choices=_CHOICES["strategy"])
     p.add_argument("--out")
     p.set_defaults(func=_cmd_queries)
 
@@ -587,9 +606,10 @@ def main(argv=None) -> int:
     except (ConfigError, InvalidParameters) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 3
-    except (GraphError, CoverError, PaletteTooSmall, OSError) as e:
-        # a missing or malformed graph or cover file, a cover whose lists are
-        # shorter than the sample size, or a file that cannot be opened
+    except (GraphError, GenerationError, CoverError, PaletteTooSmall, OSError) as e:
+        # a missing or malformed graph or cover file, a generator asked for
+        # what it cannot make, a cover whose lists are shorter than the
+        # sample size, or a file that cannot be opened
         print(f"error: {e}", file=sys.stderr)
         return 3
 

@@ -36,7 +36,8 @@ from numbers import Integral
 import numpy as np
 
 from ._rng import TAG_COVER, substream
-from .graphcore import Graph, _triangle_counts, distinct, parse_ints, ranked, split, stable_order
+from .graphcore import (Graph, _offsets, _triangle_counts, distinct, parse_ints, ranked, split,
+                        stable_order)
 
 __all__ = [
     "CoverError",
@@ -69,13 +70,6 @@ def is_id_pair(xs) -> bool:
     """Whether xs is a sized pair of integer ids that int64 holds."""
     return isinstance(xs, Sized) and len(xs) == 2 and \
         all(isinstance(x, Integral) and -2 ** 63 <= x < 2 ** 63 for x in xs)
-
-
-def _offsets(lens: np.ndarray) -> np.ndarray:
-    """Row offsets (n + 1 of them) of rows with lengths `lens`."""
-    indptr = np.zeros(lens.size + 1, dtype=np.int64)
-    np.cumsum(lens, out=indptr[1:])
-    return indptr
 
 
 class Rows(Sequence):
@@ -299,18 +293,18 @@ class CorrespondenceCover:
     them. `matchings` maps each edge (u, v) with u < v that has a pair to
     its (color-of-u, color-of-v) pairs, as a view of the arrays made when it
     is read. Construction is permissive so that invalid covers can be built
-    and then diagnosed by `validate_cover`.
+    and then diagnosed by `validate_cover`. A cover keeps no color names:
+    the canonical cover of a list assignment numbers its colors by list
+    entry (`cover_from_lists`), so its lists' values name them.
     """
 
     _degrees = None
 
-    def __init__(self, lists, matchings, source_color=None):
+    def __init__(self, lists, matchings):
         """From a dict of pairs per edge: an edge keyed (v, u) is turned
         round, each edge's pairs are sorted, and the dict is encoded as
         arrays at once and not kept; a key or pair that is not two integer
-        ids, or an edge keyed both ways round, raises `CoverError`.
-        `source_color` maps a cover color id back to the original color
-        name, when the cover was built from a list assignment."""
+        ids, or an edge keyed both ways round, raises `CoverError`."""
         lists = Rows.of(lists)
         norm: dict[tuple[int, int], list[tuple[int, int]]] = {}
         for edge, pairs in matchings.items():
@@ -330,27 +324,18 @@ class CorrespondenceCover:
                             dtype=np.int64, count=2 * int(per_edge.sum()))
         flat = lists.values
         colors, ranks = ranked(np.concatenate((flat, pairs)))
-        self.lists, self._source = lists, source_color
+        self.lists = lists
         self.arrays = CoverArrays(colors, np.repeat(ends[:, 0], per_edge),
                                   np.repeat(ends[:, 1], per_edge), ranks[flat.size::2],
                                   ranks[flat.size + 1::2], ranks[:flat.size])
 
     @classmethod
-    def _of(cls, lists: Rows, arrays: CoverArrays, source=None) -> "CorrespondenceCover":
+    def _of(cls, lists: Rows, arrays: CoverArrays) -> "CorrespondenceCover":
         """The cover with these lists and pair arrays, taken as they are:
-        the constructor of every builder that makes the arrays itself.
-        `source` is a `source_color` dict, or an int64 array holding the
-        name of cover id c at index c."""
+        the constructor of every builder that makes the arrays itself."""
         cov = cls.__new__(cls)
-        cov.lists, cov.arrays, cov._source = lists, arrays, source
+        cov.lists, cov.arrays = lists, arrays
         return cov
-
-    @cached_property
-    def source_color(self) -> dict[int, int] | None:
-        """Cover color id -> original color name, for a cover built from a
-        list assignment (else None); made from the names when first read."""
-        src = self._source
-        return dict(enumerate(src.tolist())) if isinstance(src, np.ndarray) else src
 
     @property
     def n(self) -> int:
@@ -462,7 +447,7 @@ def restrict_cover(cov: CorrespondenceCover, rows, vertices=None):
             new_id = np.cumsum(vertices) - 1
             at, eu, ev = at[stay], new_id[eu[stay]], new_id[ev[stay]]
         sub = CorrespondenceCover._of(rows, CoverArrays(
-            a.colors, eu, ev, a.ra.take(at), a.rb.take(at), ranks), cov._source)
+            a.colors, eu, ev, a.ra.take(at), a.rb.take(at), ranks))
     first = np.flatnonzero(_edge_starts(eu, ev))
     return sub, np.column_stack((eu.take(first), ev.take(first)))
 
@@ -557,9 +542,9 @@ def cover_from_lists(g: Graph, l: ListAssignment) -> CorrespondenceCover:
     """Canonical embedding of a list assignment: same-named colors on
     adjacent vertices correspond. Proper colorings pull back both ways.
 
-    The cover ids are the list entries in row-major order, and `source_color`
-    maps each back to its name; that dict is made only when it is first
-    read. One join of (vertex, name) keys over the edges: every entry of
+    The cover ids are the list entries in row-major order, so cover id c
+    is named `l.lists.values[c]`, and a coloring pulls back through that
+    array. One join of (vertex, name) keys over the edges: every entry of
     u's list is looked up in v's (`Rows.find`), so the pairs come in edge
     order and, on each edge, by name.
     """
@@ -574,7 +559,7 @@ def cover_from_lists(g: Graph, l: ListAssignment) -> CorrespondenceCover:
     rb = rows.find(ev, names[ra])
     hit = rb >= 0
     arrays = CoverArrays(ids, np.repeat(us, per_edge)[hit], ev[hit], ra[hit], rb[hit], ids)
-    return CorrespondenceCover._of(Rows(ids, rows.indptr), arrays, names)
+    return CorrespondenceCover._of(Rows(ids, rows.indptr), arrays)
 
 
 def cover_sparsity(cov: CorrespondenceCover) -> int:

@@ -53,6 +53,13 @@ class GenerationError(RuntimeError):
     """Generator could not meet the requested (delta, k) within its attempts."""
 
 
+def _offsets(lens: np.ndarray) -> np.ndarray:
+    """Row offsets (n + 1 of them) of rows with lengths `lens`."""
+    indptr = np.zeros(lens.size + 1, dtype=np.int64)
+    np.cumsum(lens, out=indptr[1:])
+    return indptr
+
+
 def _sorted(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(the 1-D int keys ascending, the stable order that sorts them): as
     they are when they ascend, else one `np.sort` of (key - min) * N + index
@@ -184,8 +191,7 @@ class Graph:
         # temporary is alive beside them, as with `%`
         indices = np.sort(np.concatenate((vs * n + us, keys)))
         indices -= indices // max(n, 1) * max(n, 1)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(np.concatenate((us, vs)), minlength=n), out=indptr[1:])
+        indptr = _offsets(np.bincount(np.concatenate((us, vs)), minlength=n))
         return self._set(n, indptr, indices, us, vs)
 
     def _set(self, n: int, indptr, indices, us, vs) -> "Graph":
@@ -211,8 +217,7 @@ class Graph:
         # of the rows after it
         lost = np.bincount(self._us.compress(cut), minlength=n)
         lost += np.bincount(self._vs.compress(cut), minlength=n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(lost, out=indptr[1:])
+        indptr = _offsets(lost)
         np.subtract(self.indptr, indptr, out=indptr)
         # `[]` reads the read-only table in place, where `take` copies it
         slots = mask[self.slot_edge()]
@@ -245,10 +250,8 @@ class Graph:
             # the r-th edge by v sits in row v after the edges (x, y) with
             # y < v, the first r of them, and the edges with u < v
             v_order, by_v = _sorted(vs)
-            below = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(np.bincount(us, minlength=n), out=below[1:])
             behind = np.arange(m)
-            behind += below[v_order]
+            behind += _offsets(np.bincount(us, minlength=n))[v_order]
             table = np.empty(2 * m, dtype=np.int64)
             table[ahead] = np.arange(m)
             table[behind] = by_v
@@ -289,13 +292,14 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparsityReport:
-    """Exact neighborhood edge counts; a graph is k-locally-sparse iff k_star <= k."""
+    """Exact neighborhood edge counts, per vertex as a read-only int64 array;
+    a graph is k-locally-sparse iff k_star <= k."""
 
     k_star: int
     max_degree: int
-    per_vertex_neighborhood_edges: tuple[int, ...]
+    per_vertex_neighborhood_edges: np.ndarray
 
 
 def max_degree(g: Graph) -> int:
@@ -423,9 +427,9 @@ def local_sparsity(g: Graph) -> SparsityReport:
 
 
 def _sparsity_report(g: Graph, tri: np.ndarray) -> SparsityReport:
-    """The report of g, whose per-vertex triangle counts are `tri`."""
-    per = tuple(tri.tolist())
-    return SparsityReport(max(per, default=0), max_degree(g), per)
+    """The report of g, whose per-vertex int64 triangle counts `tri` it keeps."""
+    tri.flags.writeable = False
+    return SparsityReport(int(tri.max(initial=0)), max_degree(g), tri)
 
 
 def _degree_capped_pairing(n: int, delta: int, rng) -> np.ndarray:
@@ -538,7 +542,8 @@ def gen_bipartite(n: int, target_delta: int, seed: int) -> Graph:
     assumed, in O(m): every edge must join [0, n // 2) to [n // 2, n), and
     a graph with all its edges across one bipartition has no odd cycle, so
     no triangle; that report, with the checked max degree, is kept on the
-    graph for `local_sparsity`.
+    graph for `local_sparsity`, its zero counts a broadcast view that holds
+    no n-word array.
     """
     if n < 2:
         raise GenerationError(f"need n >= 2, got {n}")
@@ -554,7 +559,7 @@ def gen_bipartite(n: int, target_delta: int, seed: int) -> Graph:
     us, vs = g.edge_arrays()  # u < v on every edge
     if not us.max(initial=-1) < half <= vs.min(initial=n):
         raise GenerationError("audit failed: an edge does not cross the bipartition")
-    report = _sparsity_report(g, np.zeros(n, dtype=np.int64))
+    report = _sparsity_report(g, np.broadcast_to(np.int64(0), n))
     if report.max_degree > target_delta:
         raise GenerationError(f"audit failed: max degree {report.max_degree}")
     g._sparsity = report

@@ -33,7 +33,6 @@ from .cover import (
     ListAssignment,
     Rows,
     _edge_starts,
-    _offsets,
     clashing_pairs,
     color_degrees,
     cover_from_lists,
@@ -42,7 +41,7 @@ from .cover import (
     picked_counts,
     restrict_cover,
 )
-from .graphcore import Graph, distinct, ranked, run_starts, stable_order
+from .graphcore import Graph, _offsets, distinct, ranked, run_starts, stable_order
 from .sparsify import PaletteFamily, SparsifyParams, _dense, build_conflict, directed_counts, prune
 
 __all__ = [
@@ -1018,9 +1017,8 @@ def _nibble_stage(g: Graph, inst: _Instance, seed: int, schedule_gamma: float,
         record.stats["resamples"] = fin.resamples
         done = fin.coloring.assignment
         assignment.update(zip(orig_of[list(done)].tolist(), done.values()))
-    if inst.cover is None:  # pull cover colors back to list colors
-        src = cov.source_color
-        assignment = {v: src[c] for v, c in assignment.items()}
+    if inst.cover is None:  # cover id c is list entry c: pull back to its name
+        assignment = dict(zip(assignment, inst.lists.values[list(assignment.values())].tolist()))
     return PartialColoring(dict(sorted(assignment.items())))
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cover import ListAssignment, Rows
-from .graphcore import Graph, distinct, first_seen, run_pairs, split, stable_order
+from .graphcore import Graph, _offsets, distinct, first_seen, run_pairs, split, stable_order
 from .nibble import PartialColoring, SolveResult, _reduce
 from .sparsify import (
     ConflictInstance,
@@ -269,9 +269,7 @@ def _read_rows(n: int, owner: np.ndarray, other: np.ndarray, fam: PaletteFamily)
     hit = shared_edges(us, vs, fam.sampled, fam.universe)
     if not hit.all():
         return Graph.__new__(Graph)._hold(n, keys.compress(hit), us.compress(hit), vs.compress(hit))
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(owner, minlength=n), out=indptr[1:])
-    return Graph.__new__(Graph)._set(n, indptr, other, us, vs)
+    return Graph.__new__(Graph)._set(n, _offsets(np.bincount(owner, minlength=n)), other, us, vs)
 
 
 def execute_plan(oracle: QueryOracle, plan: QueryPlan, fam: PaletteFamily):

@@ -252,7 +252,6 @@ def oracle_cover_from_lists(g: Graph, l: ListAssignment) -> CorrespondenceCover:
     """The canonical cover by a loop over the edges: ids are the list
     entries in row-major order, and each edge pairs the ids of its shared
     names in ascending name order."""
-    names = [c for row in l.lists for c in row]
     index, nxt = [], 0
     for row in l.lists:
         index.append({c: nxt + i for i, c in enumerate(row)})
@@ -263,7 +262,7 @@ def oracle_cover_from_lists(g: Graph, l: ListAssignment) -> CorrespondenceCover:
         shared = sorted(index[u].keys() & index[v].keys())
         if shared:
             matchings[(u, v)] = tuple((index[u][c], index[v][c]) for c in shared)
-    return CorrespondenceCover(lists, matchings, source_color=dict(enumerate(names)))
+    return CorrespondenceCover(lists, matchings)
 
 
 def oracle_sample_palettes(palettes, s: int, seed: int) -> tuple[tuple[int, ...], ...]:

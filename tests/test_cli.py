@@ -3,6 +3,7 @@ import itertools
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from conftest import save_cover, sweep_success_vs_s
@@ -56,6 +57,60 @@ class TestRunConfig:
         cfg = base_config()
         again = RunConfig.from_dict(cfg.to_dict())
         assert again.to_dict() == cfg.to_dict()
+
+    ILL_TYPED = {
+        "policy": ({"policy": "bogus"},
+                   "policy must be one of auto, greedy, nibble, lll, got 'bogus'"),
+        "strategy": ({"strategy": "bogus", "model": "query"},
+                     "strategy must be one of auto, scan, classes, got 'bogus'"),
+        "seed-float": ({"seeds": [0.5]},
+                       "seeds must be a nonempty list of nonnegative integers, got [0.5]"),
+        "seeds-string": ({"seeds": "01"},
+                         "seeds must be a nonempty list of nonnegative integers, got '01'"),
+        "seed-bool": ({"seeds": [True]},
+                      "seeds must be a nonempty list of nonnegative integers, got [True]"),
+        "seed-negative": ({"seeds": [-1]},
+                          "seeds must be a nonempty list of nonnegative integers, got [-1]"),
+        "seeds-empty": ({"seeds": []},
+                        "seeds must be a nonempty list of nonnegative integers, got []"),
+        "permute-seed": ({"permute_seed": "x"},
+                         "permute_seed must be a nonnegative integer, got 'x'"),
+        "instance-seed-null": ({"instance_seed": None},
+                               "instance_seed must be a nonnegative integer, got None"),
+        "alpha": ({"alpha": "0.5"}, "alpha must be a number, got '0.5'"),
+        "q-override": ({"q_override": 5.5}, "q_override must be a nonnegative integer, got 5.5"),
+        "cover-density": ({"cover_density": 2.0, "pipeline": "cover"},
+                          "cover_density must be in [0, 1], got 2.0"),
+        "instance-string": ({"instance": "gen"}, "instance must be a JSON object, got 'gen'"),
+        "instance-n": ({"instance": {"kind": "gen", "n": "20", "delta": 5, "k": 2}},
+                       "instance n must be a nonnegative integer, got '20'"),
+    }
+
+    @pytest.mark.parametrize("over, message", ILL_TYPED.values(), ids=ILL_TYPED.keys())
+    def test_ill_typed_field_rejected(self, over, message):
+        # instance fields are checked when the instance is built, by `run`
+        with pytest.raises(ConfigError) as err:
+            run(base_config(**over))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("config, message", [
+        ([1, 2], "config must be a JSON object, got [1, 2]"),
+        ({"instance": {"kind": "gen", "n": 20, "delta": 4, "k": 1}, "policy": "bogus"},
+         "policy must be one of auto, greedy, nibble, lll, got 'bogus'"),
+        ({"instance": {"kind": "gen", "n": 20, "delta": 4, "k": 1}, "seeds": [0.5]},
+         "seeds must be a nonempty list of nonnegative integers, got [0.5]"),
+    ], ids=["top-level", "policy", "seeds"])
+    def test_sweep_of_an_ill_typed_config_exits_3(self, tmp_path, capsys, config, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["sweep", "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_sweep_of_an_instance_the_generator_cannot_make_exits_3(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"instance": {"kind": "gen", "n": 0, "delta": 4, "k": 1}}))
+        assert main(["sweep", "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err == "error: need n >= 1, got 0\n"
 
 
 class TestRun:
@@ -118,6 +173,27 @@ class TestRun:
         res = run(base_config(model="stream", pipeline="list", seeds=[0, 1, 2],
                               q_override=None, s_override=4))
         assert len(calls) == 1 and len(res.rows) == 3
+
+    def test_list_stream_seed_pulls_back_with_no_per_entry_table(self):
+        # 2·10⁵ list entries (q = 100 at 2,000 vertices) from a universe so
+        # wide that the stream holds few pairs: the seed's own arrays are
+        # small, and the pull-back reads the lists' values where they are.
+        # A dict over the entries takes about 130 B each (27.5 MB here)
+        cfg = RunConfig.from_dict({
+            "instance": {"kind": "gen-bipartite", "n": 2000, "delta": 4, "seed": 1},
+            "pipeline": "list", "model": "stream", "q_override": 100, "s_override": 4,
+            "list_universe": 10 ** 6, "seeds": [0]})
+        g, params, lists = cli._build_instance(cfg)
+        assert lists.lists.values.size == 2 * 10 ** 5
+        streamed = cli._stream_pass(g, lists, cfg.permute_seed)
+        tracemalloc.start()
+        try:
+            row, assignment = cli._run_seed(g, params, lists, streamed, cfg, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert row.success and verify_coloring(g, lists, PartialColoring(assignment)).ok
+        assert peak < 40 * lists.lists.values.size
 
     def test_plain_seeds_verify_against_one_palette(self):
         # the range(q) palette is built and checked once for all the seeds

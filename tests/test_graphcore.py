@@ -162,12 +162,14 @@ class TestLocalSparsity:
     def test_k4(self):
         rep = local_sparsity(K(4))
         assert rep.k_star == 3
-        assert rep.per_vertex_neighborhood_edges == (3, 3, 3, 3)
+        assert rep.per_vertex_neighborhood_edges.tolist() == [3, 3, 3, 3]
+        per = rep.per_vertex_neighborhood_edges
+        assert per.dtype == np.int64 and not per.flags.writeable
 
     def test_empty(self):
         rep = local_sparsity(Graph(4))
         assert rep.k_star == 0
-        assert rep.per_vertex_neighborhood_edges == (0, 0, 0, 0)
+        assert rep.per_vertex_neighborhood_edges.tolist() == [0, 0, 0, 0]
 
     def test_k_star_is_max_of_per_vertex(self):
         rng = rng_for(11)
@@ -545,7 +547,7 @@ class TestGenerators:
             g = gen_locally_sparse(60, 8, k, seed=3)
         assert tri.call_count == counts
         assert reports[-1] == local_sparsity(g)
-        assert reports[-1].per_vertex_neighborhood_edges == tuple(oracle_neighborhood_edges(g))
+        assert reports[-1].per_vertex_neighborhood_edges.tolist() == oracle_neighborhood_edges(g)
 
     def test_infeasible_rejected(self):
         with pytest.raises(GenerationError):
@@ -558,6 +560,8 @@ class TestGenerators:
         rep = local_sparsity(g)
         assert rep.k_star == 0
         assert rep.max_degree <= 12
+        per = rep.per_vertex_neighborhood_edges
+        assert per.tolist() == [0] * 200 and per.dtype == np.int64 and not per.flags.writeable
 
     def test_bipartite_audit_failure_raises(self, monkeypatch):
         # the pairing's keys u * n + v, with edges forced in
@@ -586,8 +590,10 @@ class TestGenerators:
             kept = local_sparsity(g)
         assert tri.call_count == 0
         h = fresh(g)
-        assert kept == graphcore._sparsity_report(h, graphcore._triangle_counts(h.n, *h.edge_arrays()))
-        assert list(kept.per_vertex_neighborhood_edges) == oracle_neighborhood_edges(g)
+        want = graphcore._sparsity_report(h, graphcore._triangle_counts(h.n, *h.edge_arrays()))
+        assert (kept.k_star, kept.max_degree) == (want.k_star, want.max_degree)
+        assert kept.per_vertex_neighborhood_edges.tolist() == \
+            want.per_vertex_neighborhood_edges.tolist() == oracle_neighborhood_edges(g)
 
 
 class TestGraphFile:

@@ -474,7 +474,7 @@ class TestCoverKernels:
         for v, row in zip(on.tolist(), rows):
             composed[v] = row
         want, want_edges = restrict_cover(cov, composed, both)
-        assert got.arrays.colors is cov.arrays.colors and got._source is cov._source
+        assert got.arrays.colors is cov.arrays.colors
         assert got.lists == want.lists and np.array_equal(edges, want_edges)
         for name in ("colors", "eu", "ev", "ra", "rb", "lists"):
             assert np.array_equal(getattr(got.arrays, name), getattr(want.arrays, name))
@@ -653,7 +653,6 @@ class TestCanonicalCover:
         for name in ("colors", "eu", "ev", "ra", "rb", "lists"):
             assert getattr(got.arrays, name).tolist() == getattr(want.arrays, name).tolist()
         assert list(got.matchings.items()) == list(want.matchings.items())
-        assert got.source_color == want.source_color
 
     @FAST
     @given(instances(), PATHS)

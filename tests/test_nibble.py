@@ -63,11 +63,12 @@ from palettesparse.streaming import EdgeStream, stream_color
 
 def reference_greedy(g, lists):
     """`oracle_greedy_cover` on the canonical cover of a list instance, with
-    the coloring pulled back to color names: the reference for list greedy."""
-    cov = cover_from_lists(g, lists)
-    coloring, stuck = oracle_greedy_cover(g, cov)
+    the coloring pulled back to color names (cover id c is list entry c):
+    the reference for list greedy."""
+    coloring, stuck = oracle_greedy_cover(g, cover_from_lists(g, lists))
     if coloring is not None:
-        coloring = PartialColoring({v: cov.source_color[c] for v, c in coloring.assignment.items()})
+        names = lists.lists.values.tolist()
+        coloring = PartialColoring({v: names[c] for v, c in coloring.assignment.items()})
     return coloring, stuck
 
 

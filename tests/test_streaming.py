@@ -205,11 +205,13 @@ class TestCorrespondenceStreaming:
         if corr.success:
             from palettesparse.nibble import PartialColoring
 
+            # cover id c is list entry c, named by the lists' values
+            names = full.lists.values.tolist()
             mapped = PartialColoring(
-                {v: cov.source_color[c] for v, c in corr.coloring.assignment.items()}
+                {v: names[c] for v, c in corr.coloring.assignment.items()}
             )
             pulled = ListAssignment(tuple(
-                tuple(sorted(cov.source_color[c] for c in row))
+                tuple(sorted(names[c] for c in row))
                 for row in corr.family.pruned
             ))
             assert verify_coloring(g, pulled, mapped).ok
