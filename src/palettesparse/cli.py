@@ -122,11 +122,15 @@ class RunConfig:
         for name, choices in _CHOICES.items():
             x = getattr(cfg, name)
             _check(x in choices, f"{name} must be one of {', '.join(choices)}", x)
-        for name in ("instance_seed", "q_override", "s_override", "permute_seed", "list_universe",
-                     "cover_size"):  # all but instance_seed may be null
-            x = getattr(cfg, name)
+        for name in ("instance_seed", "q_override", "s_override", "permute_seed"):
+            x = getattr(cfg, name)  # all but instance_seed may be null
             _check(_nonnegative_int(x) or x is None and name != "instance_seed",
                    f"{name} must be a nonnegative integer", x)
+        for name in ("list_universe", "cover_size"):  # null is the default size
+            x = getattr(cfg, name)
+            _check(x is None or _nonnegative_int(x) and x > 0, f"{name} must be a positive integer", x)
+        _check(cfg.out_dir is None or isinstance(cfg.out_dir, str), "out_dir must be a string or null",
+               cfg.out_dir)
         for name in ("alpha", "gamma", "epsilon", "cover_density"):
             x = getattr(cfg, name)
             _check(isinstance(x, Real) and not isinstance(x, bool), f"{name} must be a number", x)
@@ -209,6 +213,7 @@ def _build_instance(cfg: RunConfig):
         elif kind == "gen-bipartite":
             g = gen_bipartite(spec["n"], spec["delta"], spec.get("seed", 0))
         elif kind == "file":
+            _check(isinstance(spec["path"], str), "instance path must be a string", spec["path"])
             g = load_graph(spec["path"])
         else:
             raise ConfigError(f"unknown instance kind {kind!r}")
@@ -229,13 +234,13 @@ def _build_instance(cfg: RunConfig):
     if cfg.pipeline == "list":
         # each vertex's list: the q ids one rng.choice(universe, q,
         # replace=False) per vertex picks, drawn for all vertices at once
-        universe, q = cfg.list_universe or 2 * params.q, params.q
+        universe, q = 2 * params.q if cfg.list_universe is None else cfg.list_universe, params.q
         if universe < q:
             raise ConfigError(f"list universe {universe} is smaller than the list size {q}")
         rng = substream(cfg.instance_seed, TAG_COVER, 99)
         block = choice_rows(rng, np.broadcast_to(np.int64(universe), g.n), q)
         return g, params, ListAssignment(Rows(block.ravel(), np.arange(0, g.n * q + 1, q)))
-    size = cfg.cover_size or params.q
+    size = params.q if cfg.cover_size is None else cfg.cover_size
     cov = random_cover(g, size, cfg.cover_density, cfg.instance_seed)
     return g, params, cov
 

@@ -368,9 +368,7 @@ class ParamSchedule:
 
     i_star is the first index where d_i <= ell_i / _RATIO_STOP (None when the
     iteration cap was exhausted first, which is the expected outcome at
-    small d). `relations` reports which of the three structural relations
-    hold numerically: ratio monotone from round 1 (R1), the list lower
-    bound (R2), and termination within the cap (R3).
+    small d).
     """
 
     d: float
@@ -388,7 +386,6 @@ class ParamSchedule:
     beta: np.ndarray
     i_star: int | None
     i_star_bound: int
-    relations: dict[str, bool]
 
     @property
     def terminated(self) -> bool:
@@ -461,24 +458,12 @@ def build_schedule(d: float, k: float, gamma: float, epsilon: float) -> ParamSch
         dd.append(p.d_next)
         beta.append(max((1.0 + 36.0 * eta) * beta[i], dd[i + 1] ** (-x)))
 
-    ell_a = np.array(ell)
-    dd_a = np.array(dd)
-    ratios = dd_a / ell_a
-    tol = 1e-12
-    r1 = bool(len(ratios) < 2 or (
-        np.all(ratios[1:] <= ratios[1] * (1 + tol))
-        and ratios[1] <= bigL / big_c * (1 + tol)
-    ))
-    lower = d * (d / math.sqrt(k)) ** (-4.0 / (big_c - 7.0 * epsilon / 8.0))
-    r2 = bool(np.all(ell_a >= lower * (1 - tol)))
-    r3 = i_star is not None
     return ParamSchedule(
         d=float(d), k=float(k), gamma=gamma, epsilon=epsilon,
         gamma_prime=gamma_prime, big_c=big_c, mu=mu, eta=eta,
-        ell=ell_a, dd=dd_a,
+        ell=np.array(ell), dd=np.array(dd),
         keep=np.array(keep), uncolor=np.array(uncolor), beta=np.array(beta),
         i_star=i_star, i_star_bound=i_star_bound,
-        relations={"R1": r1, "R2": r2, "R3": r3},
     )
 
 

@@ -15,8 +15,11 @@ conflict graph is cut from that graph (`Graph.keep`). Lists go through two
 numpy kernels on `Rows` of any ids, shared with the list greedy:
 `directed_counts`, one count per list entry over a graph's CSR rows (its
 row offsets and slots, so no head id per slot is made), and
-`shared_edges`, one survival flag per edge; how they count (n x q matrices
-or a join, see `_TABLE_CELLS`) is theirs alone. Covers go through the
+`shared_edges`, one survival flag per edge; how they count (n x q matrices,
+a matrix product or a join, see `_TABLE_CELLS`) is theirs alone. Both
+skip what an exact bound settles: `prune` counts only heads whose degree
+passes the threshold, and `shared_edges` keeps every pair of rows that
+each hold over half the ids. Covers go through the
 kernels of `cover` over their pair arrays: `restrict_cover` for the
 samples and the conflict cover, `color_degrees` for pruning. A cover's
 color degrees are counted once and kept on it, so the reference degree
@@ -43,7 +46,7 @@ from .cover import (
     cover_rows,
     restrict_cover,
 )
-from .graphcore import Graph, ranked, stable_order
+from .graphcore import Graph, _offsets, ranked, stable_order
 
 __all__ = [
     "InvalidParameters",
@@ -244,10 +247,11 @@ def sample_palettes(palettes, s: int, seed: int) -> PaletteFamily:
 
 # Two paths answer every list kernel, chosen by size. While an n x q matrix
 # holds at most _TABLE_CELLS cells per list entry or pair, counts add uint8
-# membership rows (`_lanes`) and survival is an AND of packed bit masks: on
-# an offline-baseline sample (n=1,500, m=35k, s=15, one Xeon core) the join
-# takes about 85 ms against 2-3 ms for the counts and 35 ms against 0.4 ms
-# for survival. Past that bound each entry of one end's row is looked up in
+# membership rows (`_lanes`) or, on dense graphs, multiply float32 matrices
+# (`_product`, see _PRODUCT_SHARE), and survival is an AND of packed bit
+# masks: on an offline-baseline sample (n=1,500, m=35k, s=15, one Xeon
+# core) the join takes about 85 ms against 2-3 ms for the counts and 35 ms
+# against 0.4 ms for survival. Past that bound each entry of one end's row is looked up in
 # the other's (`Rows.find`), in memory linear in the entries and pairs. The
 # lanes add q bytes per pair where the bincount table they replaced added s
 # keys: on gen_bipartite(2500, 32), s = 8, they win 4x at q/s = 2, 3.4x at
@@ -257,6 +261,21 @@ def sample_palettes(palettes, s: int, seed: int) -> PaletteFamily:
 # table is gone rather than kept as a second path. The list greedy's settling
 # rounds (`nibble._greedy_rounds`, n x (q + 2) marks) run under the same bound.
 _TABLE_CELLS = 64
+
+# The table path's counts come from one float32 matrix product (`_product`)
+# when the pairs fill at least this share of the n x n adjacency, and from
+# `_lanes` below it: both cost about q per cell, the product's cell being
+# one of the n^2 and the lanes' one of the pairs. Measured on one Xeon VM
+# with two OpenBLAS threads, product / lanes on the sampled rows of
+# gen_bipartite: 0.15 at the paper rung's 0.23 (n = 10^4, q = 2930), 0.5-1.1
+# at 0.09 (n = 4000 and 10^4, q = 64 to 2048), 0.6-5 at 0.056-0.074, 1.7-3
+# at 0.048, 2 at 0.024 (q = 2048) and 17 at the c08 rung's 0.025 (n = 5000,
+# q = 129).
+_PRODUCT_SHARE = 0.1
+
+# adjacency cells per block of the product: 2**22 (16 MB); on the paper
+# rung 2**20 takes 4.6 s, 2**22 2.7 s and 2**24 3.1 s
+_BLOCK_CELLS = 1 << 22
 
 # keys per chunk of the join and of survival: 2**16 (0.5 MB), or more when
 # the rows are larger, so each chunk's pass over them is paid for by its keys
@@ -304,6 +323,31 @@ def _lanes(offsets, tails, member: np.ndarray) -> np.ndarray:
     return out
 
 
+def _product(offsets, tails, cell: np.ndarray, indptr: np.ndarray, q: int) -> np.ndarray:
+    """The counts of `directed_counts` at the entries' `cell`s of an n x q
+    matrix, n = indptr.size - 1, by blocks of B = _BLOCK_CELLS // n heads:
+    each block's float32 adjacency (row h adds 1 per pair of head h, so a
+    repeated tail counts twice) times the n x q float32 membership matrix.
+    Every partial sum is an integer at most its head's pair count, so the
+    product is exact while each head has fewer than 2**24 pairs. Memory:
+    4nq bytes for the membership plus 4B(n + q) bytes for a block and its
+    product, and the block's pair indices."""
+    n = indptr.size - 1
+    member = np.zeros((n, q), dtype=np.float32)
+    member.ravel()[cell] = 1
+    counts = np.empty(cell.size, dtype=np.int64)
+    step = max(1, _BLOCK_CELLS // n)
+    for lo in range(0, n, step):
+        hi = min(n, lo + step)
+        adj = np.zeros((hi - lo, n), dtype=np.float32)
+        at = np.repeat(np.arange(0, adj.size, n), np.diff(offsets[lo : hi + 1]))
+        at += tails[offsets[lo] : offsets[hi]]
+        np.add.at(adj.ravel(), at, np.float32(1))
+        a, b = indptr[lo], indptr[hi]
+        counts[a:b] = (adj @ member).ravel().take(cell[a:b] - lo * q)
+    return counts
+
+
 def _packed_masks(rows: Rows, q: int) -> np.ndarray:
     """Color rows over 0..q-1 as packed uint64 rows; c is bit c & 63 of word c >> 6."""
     words = max(1, (q + 63) // 64)
@@ -341,9 +385,13 @@ def directed_counts(offsets, tails, rows, universe: int | None = None) -> np.nda
     tails[offsets[h]:offsets[h + 1]], as a graph's CSR rows are
     (`g.indptr`, `g.indices`), for int64 `tails` and n + 1 `offsets`.
     `universe` is q when the ids are colors of 0..q-1 (else None). Counts
-    add by `_lanes` over the uint8 n x q `member` (row v marks rows[v]) or
-    come from the join (see `_dense`). When every row is a whole palette,
-    each count is its head's pair count."""
+    come from the join when the n x q matrices do not fit (see `_dense`).
+    When they do, and every row is a whole palette, each count is its
+    head's pair count; otherwise they come from one float32 product of the
+    adjacency with the membership matrix when the pairs fill at least
+    `_PRODUCT_SHARE` of the n x n adjacency and no head has 2**24 pairs
+    (exact, in 4nq bytes plus a block, see `_product`), else they add by
+    `_lanes` over the uint8 n x q `member` (row v marks rows[v])."""
     rows, q, table = _dense(rows, universe, tails.size)
     if not table:
         # the join finds one entry per id both rows hold: rows join with
@@ -362,19 +410,23 @@ def directed_counts(offsets, tails, rows, universe: int | None = None) -> np.nda
         return np.diff(offsets)[owner]
     cell = np.multiply(owner, q, out=owner)  # each entry's cell of an n x q
     cell += rows.values                      # matrix, in place of its owner
+    if tails.size >= _PRODUCT_SHARE * n * n and np.diff(offsets).max() < 2 ** 24:
+        return _product(offsets, tails, cell, rows.indptr, q)
     member = np.zeros((n, q), dtype=np.uint8)
     member.ravel()[cell] = 1
     return _lanes(offsets, tails, member).ravel().take(cell).astype(np.int64)
 
 
 def shared_edges(us, vs, rows, universe: int | None = None) -> np.ndarray:
-    """Bool mask of the pairs (us[i], vs[i]) whose rows share an id. On
-    the table path a pair survives when the OR over the 64-bit words of
-    the AND of its two bit masks is nonzero, one 1-D gather of a word
-    column per end and word, a chunk of pairs at a time."""
+    """Bool mask of the pairs (us[i], vs[i]) whose rows share an id. When
+    every row holds more than q/2 distinct ids of the q, every pair does,
+    by pigeonhole (whole rows are the special case), and nothing is
+    compared. On the table path a pair survives when the OR over the
+    64-bit words of the AND of its two bit masks is nonzero, one 1-D
+    gather of a word column per end and word, a chunk of pairs at a time."""
     rows, q, table = _dense(rows, universe, us.size)
-    if q and _whole(rows, q).all():
-        # any two whole rows share every id
+    if 2 * rows.lens.min(initial=q) > q and not rows.repeats().any():
+        # two rows of more than q/2 distinct ids of q share one
         return np.ones(us.size, dtype=bool)
     hit = np.zeros(us.size, dtype=bool)
     if not table:
@@ -401,10 +453,20 @@ def prune(subject, fam: PaletteFamily, params: SparsifyParams,
     the count is the number of sampled colors corresponding to c, and the
     reference degree defaults to the cover's measured max color degree.
     Keeps a color exactly when its count is <= the real-valued threshold.
+    A graph count is at most its head's degree, so only the CSR rows of
+    heads whose degree exceeds the threshold are counted, and when there
+    are none, `pruned` is `sampled` itself and nothing is counted.
     """
     if isinstance(subject, Graph):
         thr = params.threshold(params.delta_ref if delta_ref is None else delta_ref)
-        counts = directed_counts(subject.indptr, subject.indices, fam.sampled, fam.universe)
+        deg = subject.degrees()
+        fail = deg > thr
+        if not fail.any():
+            return PaletteFamily(fam.sampled, fam.sampled, fam.universe)
+        # every head fails on most sparse inputs, and their slots are a view
+        slots = slice(None) if fail.all() else np.repeat(fail, deg)
+        counts = directed_counts(_offsets(deg * fail), subject.indices[slots],
+                                 fam.sampled, fam.universe)
         return PaletteFamily(fam.sampled, fam.sampled.keep(counts <= thr), fam.universe)
     if isinstance(subject, CorrespondenceCover):
         thr = params.threshold(subject.max_color_degree() if delta_ref is None else delta_ref)

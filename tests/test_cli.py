@@ -84,6 +84,15 @@ class TestRunConfig:
         "instance-string": ({"instance": "gen"}, "instance must be a JSON object, got 'gen'"),
         "instance-n": ({"instance": {"kind": "gen", "n": "20", "delta": 5, "k": 2}},
                        "instance n must be a nonnegative integer, got '20'"),
+        "out-dir": ({"out_dir": 5}, "out_dir must be a string or null, got 5"),
+        "instance-path": ({"instance": {"kind": "file", "path": 5}},
+                          "instance path must be a string, got 5"),
+        "cover-size-zero": ({"cover_size": 0, "pipeline": "cover"},
+                            "cover_size must be a positive integer, got 0"),
+        "list-universe-zero": ({"list_universe": 0, "pipeline": "list"},
+                               "list_universe must be a positive integer, got 0"),
+        "list-universe-negative": ({"list_universe": -3, "pipeline": "list"},
+                                   "list_universe must be a positive integer, got -3"),
     }
 
     @pytest.mark.parametrize("over, message", ILL_TYPED.values(), ids=ILL_TYPED.keys())
@@ -99,7 +108,12 @@ class TestRunConfig:
          "policy must be one of auto, greedy, nibble, lll, got 'bogus'"),
         ({"instance": {"kind": "gen", "n": 20, "delta": 4, "k": 1}, "seeds": [0.5]},
          "seeds must be a nonempty list of nonnegative integers, got [0.5]"),
-    ], ids=["top-level", "policy", "seeds"])
+        ({"instance": {"kind": "gen", "n": 20, "delta": 4, "k": 1}, "out_dir": 5},
+         "out_dir must be a string or null, got 5"),
+        ({"instance": {"kind": "file", "path": 5}}, "instance path must be a string, got 5"),
+        ({"instance": {"kind": "gen", "n": 20, "delta": 4, "k": 1}, "pipeline": "cover",
+          "cover_size": 0}, "cover_size must be a positive integer, got 0"),
+    ], ids=["top-level", "policy", "seeds", "out-dir", "instance-path", "cover-size-zero"])
     def test_sweep_of_an_ill_typed_config_exits_3(self, tmp_path, capsys, config, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))

@@ -117,6 +117,10 @@ def instances(draw, max_q=10):
 # one through the n x q table
 PATHS = st.sampled_from([0, 2 ** 62])
 
+# the product share: 0 sends every table count through the matrix product,
+# infinity through the lanes
+SHARES = st.sampled_from([0.0, float("inf")])
+
 
 @st.composite
 def far_ids(draw, q):
@@ -874,6 +878,76 @@ class TestLanes:
         assert peak < 4 * 8 * rows.values.size
 
 
+class TestProduct:
+    """The float32 matrix product that counts on dense graphs
+    (`sparsify._product`) against the oracle, on both sides of
+    `_PRODUCT_SHARE` and with blocks of one head to all of them."""
+
+    @FAST
+    @given(st.integers(1, 8), st.integers(1, 6), SHARES, st.data())
+    def test_matches_oracle(self, n, q, share, data):
+        # rows with repeated ids and empty ones; pairs with repeated tails
+        # and a hub, grouped by head in any order within a head
+        row = st.lists(st.integers(0, q - 1), max_size=q + 1).map(sorted).map(tuple)
+        rows = [data.draw(row) for _ in range(n)]
+        ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        pairs = data.draw(st.lists(ends, max_size=30))
+        hub = data.draw(st.integers(0, n - 1))
+        pairs += [(hub, t) for t in data.draw(st.lists(st.integers(0, n - 1), max_size=40))]
+        heads = np.array([h for h, _ in pairs], dtype=np.int64)
+        tails = np.array([t for _, t in pairs], dtype=np.int64)
+        sets = [tuple(sorted(set(row))) for row in rows]
+        want = at_entries(oracle_directed_counts(n, heads.tolist(), tails.tolist(), sets, q), rows)
+        block = data.draw(st.integers(1, 3 * n))
+        with mock.patch.object(sparsify, "_TABLE_CELLS", 2 ** 62), \
+                mock.patch.object(sparsify, "_PRODUCT_SHARE", share), \
+                mock.patch.object(sparsify, "_BLOCK_CELLS", block):
+            assert directed_counts(*grouped_pairs(n, heads, tails), rows, q).tolist() == want
+
+    @pytest.mark.parametrize("block", [1, 4, 5, 9, 1 << 22])
+    def test_repeated_tail_and_empty_row(self, block):
+        # head 0 has tail 2 twice, row 1 is empty, row 3 holds 0 twice;
+        # blocks of one head (1, 4 and 5 cells), of two (9) and of all
+        rows = [(0, 1), (), (1, 2), (0, 0, 2)]
+        pairs = [(0, 2), (0, 2), (0, 1), (0, 3), (1, 0), (1, 3), (2, 0), (3, 2), (3, 3)]
+        heads = np.array([h for h, _ in pairs], dtype=np.int64)
+        tails = np.array([t for _, t in pairs], dtype=np.int64)
+        sets = [tuple(sorted(set(row))) for row in rows]
+        want = at_entries(oracle_directed_counts(4, heads.tolist(), tails.tolist(), sets, 3), rows)
+        assert want == [1, 2, 1, 0, 1, 1, 2]
+        for share, product in ((0.0, True), (float("inf"), False)):
+            with mock.patch.object(sparsify, "_PRODUCT_SHARE", share), \
+                    mock.patch.object(sparsify, "_BLOCK_CELLS", block), \
+                    mock.patch.object(sparsify, "_product", wraps=sparsify._product) as spy:
+                counts = directed_counts(*grouped_pairs(4, heads, tails), rows, 3)
+            assert counts.tolist() == want and counts.dtype == np.int64
+            assert spy.called == product
+
+    def test_switch_at_the_share(self):
+        # 12 pairs among n = 4 heads fill 12/16 of the adjacency: the
+        # product runs at a share of 12/16 and the lanes one step above
+        g = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+        rows = [(0,), (0, 1), (1,), (0, 1)]
+        want = at_entries(oracle_conflict_counts(g, rows, 2), rows)
+        for share, product in ((0.75, True), (0.8125, False)):
+            with mock.patch.object(sparsify, "_PRODUCT_SHARE", share), \
+                    mock.patch.object(sparsify, "_product", wraps=sparsify._product) as spy:
+                assert directed_counts(g.indptr, g.indices, rows, 2).tolist() == want
+            assert spy.called == product
+
+    def test_dense_sample_takes_the_product(self):
+        # a graph past the share by default, counted both ways
+        g = gen_bipartite(120, 20, seed=2)
+        assert g.indices.size >= sparsify._PRODUCT_SHARE * g.n ** 2
+        rows = sample_palettes(SharedPalette(g.n, 40), 15, seed=3).sampled
+        want = at_entries(oracle_conflict_counts(g, rows, 40), rows)
+        with mock.patch.object(sparsify, "_product", wraps=sparsify._product) as spy:
+            assert directed_counts(g.indptr, g.indices, rows, 40).tolist() == want
+        assert spy.called
+        with mock.patch.object(sparsify, "_PRODUCT_SHARE", float("inf")):
+            assert directed_counts(g.indptr, g.indices, rows, 40).tolist() == want
+
+
 class TestPruneByCounts:
     @FAST
     @given(instances(), st.floats(-1.0, 12.0), PATHS)
@@ -899,6 +973,64 @@ class TestPruneByCounts:
         thr = (1.0 + params.gamma_prime) * params.s * d_ref / params.q
         assert out.pruned == oracle_prune(g, rows, thr)
         assert list(conflict.graph.edges()) == oracle_surviving_edges(g, out.pruned)
+
+    # gamma' = 1.5**2 / (3 * 1.5) = 0.5, so the threshold 1.5 * 4 * d / 6 is d
+    EXACT = manual_params(6, 0.5, 1.5, q=6, s=4)
+
+    @pytest.mark.parametrize("cells", [0, 2 ** 62])
+    @pytest.mark.parametrize("share", [0.0, float("inf")])
+    def test_heads_below_at_and_above_the_threshold(self, cells, share):
+        # vertex 0 has degree 4 > 3, vertex 5 degree 3 = the threshold and
+        # the rest less; every row holds 0, so a head's count of 0 is its
+        # degree. Only vertex 0's CSR row is counted
+        assert self.EXACT.threshold(3) == 3.0
+        g = Graph(10, [(0, 1), (0, 2), (0, 3), (0, 4), (5, 6), (5, 7), (5, 8), (8, 9)])
+        rows = [(0, 1), (0,), (0, 2), (0, 1), (0,), (0, 2, 3), (0, 3), (0, 1), (0, 1, 2), (0,)]
+        with mock.patch.object(sparsify, "_TABLE_CELLS", cells), \
+                mock.patch.object(sparsify, "_PRODUCT_SHARE", share), \
+                mock.patch.object(sparsify, "directed_counts",
+                                  wraps=sparsify.directed_counts) as spy:
+            out = prune(g, PaletteFamily(tuple(rows), universe=4), self.EXACT, delta_ref=3)
+        assert out.pruned == oracle_prune(g, rows, 3.0)
+        assert out.pruned[0] == (1,) and out.pruned[5] == (0, 2, 3)
+        offsets, tails = spy.call_args.args[:2]
+        assert np.diff(offsets).tolist() == [4] + [0] * 9
+        assert tails.tolist() == [1, 2, 3, 4]
+
+    @FAST
+    @given(instances(), st.integers(0, 12), PATHS, SHARES)
+    def test_integer_thresholds_match_oracle(self, inst, d_ref, cells, share):
+        # counts that land on the threshold itself are kept
+        g, q, rows = inst
+        with mock.patch.object(sparsify, "_TABLE_CELLS", cells), \
+                mock.patch.object(sparsify, "_PRODUCT_SHARE", share):
+            out = prune(g, PaletteFamily(tuple(rows), universe=q), self.EXACT, delta_ref=d_ref)
+        assert out.pruned == oracle_prune(g, rows, float(d_ref))
+
+    def test_every_head_failing_counts_the_slots_in_place(self):
+        # a 5-cycle at threshold 1: every degree is 2 > 1, so the counts
+        # read g's CSR slots themselves, not a copy
+        g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+        rows = [(0, 1), (1,), (0, 1), (0, 2), (1, 2)]
+        with mock.patch.object(sparsify, "directed_counts",
+                               wraps=sparsify.directed_counts) as spy:
+            out = prune(g, PaletteFamily(tuple(rows), universe=3), self.EXACT, delta_ref=1)
+        assert out.pruned == oracle_prune(g, rows, 1.0)
+        offsets, tails = spy.call_args.args[:2]
+        assert offsets.tolist() == g.indptr.tolist() and np.shares_memory(tails, g.indices)
+
+    @pytest.mark.parametrize("d_ref", [4, 5])
+    def test_no_head_can_fail_counts_nothing(self, d_ref):
+        # the largest degree is 4, at or below the threshold d_ref: every
+        # color stays and nothing is counted
+        g = Graph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (4, 5)])
+        fam = sample_palettes(SharedPalette(g.n, 6), 4, seed=1)
+        with mock.patch.object(sparsify, "directed_counts",
+                               wraps=sparsify.directed_counts) as spy:
+            out = prune(g, fam, self.EXACT, delta_ref=d_ref)
+        assert out.pruned is out.sampled is fam.sampled
+        assert out.pruned == oracle_prune(g, fam.sampled, float(d_ref))
+        assert not spy.called
 
 
 class TestSurvivingEdges:
@@ -960,6 +1092,37 @@ class TestSurvivingEdges:
                     hit = shared_edges(us, vs, rows, q)
                 assert list(zip(us[hit].tolist(), vs[hit].tolist())) == want
                 assert masks.called == (cells > 0 and rows[1] != whole)
+
+    @pytest.mark.parametrize("cells", [0, 2 ** 62])
+    def test_pigeonhole_needs_distinct_ids(self, cells):
+        # every row holds 3 > 4 / 2 entries, but rows 0 and 1 hold two ids
+        # each, 0 twice and 3 twice, and share none: the pairs are compared.
+        # Without the repeats every pair survives and nothing is compared
+        g = Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
+        us, vs = g.edge_arrays()
+        for rows in ([(0, 0, 1), (2, 3, 3), (0, 1, 2), (1, 2, 3)],
+                     [(0, 1, 2), (1, 2, 3), (0, 2, 3), (0, 1, 3)]):
+            want = oracle_surviving_edges(g, rows)
+            with mock.patch.object(sparsify, "_TABLE_CELLS", cells), \
+                    mock.patch.object(sparsify, "_packed_masks",
+                                      wraps=sparsify._packed_masks) as masks, \
+                    mock.patch.object(sparsify, "_joined", wraps=sparsify._joined) as joined:
+                for hit in (shared_edges(us, vs, rows, 4), shared_edges(us, vs, rows)):
+                    assert list(zip(us[hit].tolist(), vs[hit].tolist())) == want
+            assert (masks.called or joined.called) == (rows[0] == (0, 0, 1))
+        assert len(want) == g.m
+
+    @FAST
+    @given(graphs(), st.integers(1, 8), PATHS, st.data())
+    def test_rows_over_half_the_ids_match_oracle(self, g, q, cells, data):
+        # rows of more than q/2 entries, some holding an id twice
+        row = st.lists(st.integers(0, q - 1), min_size=q // 2 + 1, max_size=q + 1)
+        rows = [tuple(sorted(data.draw(row))) for _ in range(g.n)]
+        us, vs = g.edge_arrays()
+        want = oracle_surviving_edges(g, rows)
+        with mock.patch.object(sparsify, "_TABLE_CELLS", cells):
+            for hit in (shared_edges(us, vs, rows, q), shared_edges(us, vs, rows)):
+                assert list(zip(us[hit].tolist(), vs[hit].tolist())) == want
 
     def test_edgeless_graph(self):
         g = Graph(3)

@@ -281,10 +281,13 @@ def main(argv=None) -> int:
     if args.child:
         print(json.dumps(child(args.child)))
         return 0
+    # the rungs run in the caller's environment: importing perfbench's run
+    # for the provenance sets its BLAS and OpenMP pools to one thread
+    env = dict(os.environ)
     report = {"provenance": provenance(), "rungs": []}
     for name in args.rung or list(RUNGS):
         done = subprocess.run([sys.executable, os.path.abspath(__file__), "--child", name],
-                              cwd=ROOT, stdout=subprocess.PIPE, text=True, check=True)
+                              cwd=ROOT, env=env, stdout=subprocess.PIPE, text=True, check=True)
         row = json.loads(done.stdout.strip().splitlines()[-1])
         print(f"{name}: {row['wall_s']} s, {row['maxrss_mb']} MB, {row['sha256'][:16]}",
               file=sys.stderr, flush=True)
