@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -134,6 +135,7 @@ class RunConfig:
         for name in ("alpha", "gamma", "epsilon", "cover_density"):
             x = getattr(cfg, name)
             _check(isinstance(x, Real) and not isinstance(x, bool), f"{name} must be a number", x)
+            _check(abs(x) < math.inf, f"{name} must be a finite number", x)
         _check(isinstance(cfg.seeds, list) and cfg.seeds and all(map(_nonnegative_int, cfg.seeds)),
                "seeds must be a nonempty list of nonnegative integers", cfg.seeds)
         _check(0 <= cfg.cover_density <= 1, "cover_density must be in [0, 1]", cfg.cover_density)

@@ -617,62 +617,13 @@ def _dfs_color(inst: _Instance, node_cap: int | None):
 # greedy stage
 
 
-def _greedy_generic(inst: _Instance):
-    """The greedy rule of `greedy_color` on a cover instance, in the shape
-    of `_greedy_lists`: the uncolored neighbours at v's turn are the later
-    ones, so an entry's score is the number of later neighbours its color
-    has a partner at, one bincount over the forward runs of `pairs`. Each
-    list, sorted by (score, color), is walked first-fit; a vertex that takes
-    an entry blocks that color's partners at its later neighbours. Entries
-    stand for their id's first entry in the list, so an id held twice acts
-    once."""
-    g, a, lists = inst.g, inst.cover.arrays, inst.lists
-    owner = lists.owner
-    maxcdeg = np.zeros(g.n, dtype=np.int64)
-    np.maximum.at(maxcdeg, owner, color_degrees(inst.cover)[a.lists])
-    order = stable_order(-maxcdeg)
-    pos = np.empty_like(order)
-    pos[order] = np.arange(g.n)
-    keys, heads, span = inst.pairs
-    slot = keys // span
-    tail, head = inst.slot_row[slot], g.indices[slot]
-    later = pos[head] > pos[tail]
-    keys, slot = keys[later], slot[later]
-    # the entries of each forward pair's colors at its tail and head (an
-    # id's first entry in a list), -1 where the list lacks the color
-    ranks = Rows(a.lists, lists.indptr)
-    entry = ranks.find(tail[later], keys - slot * span)
-    blocks = ranks.find(head[later], heads[later])
-    # each entry's first entry with the same rank in its list
-    new = run_starts(owner * a.colors.size + a.lists)
-    first = np.maximum.accumulate(np.where(new, np.arange(a.lists.size), 0))
-    score = np.bincount(entry[run_starts(keys) & (entry >= 0)], minlength=a.lists.size)[first]
-    cands = memoryview(first[np.lexsort((a.lists, score, owner))])
-    c_start = lists.indptr.tolist()
-    # the partner entries each entry blocks at later neighbours
-    keep = (entry >= 0) & (blocks >= 0)
-    blocks = memoryview(blocks[keep][stable_order(entry[keep])])
-    b_start = _offsets(np.bincount(entry[keep], minlength=a.lists.size)).tolist()
-    blocked = bytearray(a.lists.size)
-    col = [0] * g.n
-    for v in order.tolist():
-        for e in cands[c_start[v] : c_start[v + 1]]:
-            if not blocked[e]:
-                col[v] = e
-                break
-        else:
-            return None, v
-        for b in blocks[b_start[e] : b_start[e + 1]]:
-            blocked[b] = 1
-    return PartialColoring(dict(enumerate(lists.values[col].tolist()))), None
-
-
-def _greedy_rounds(pos, earlier: Rows, cands, indptr, q: int):
+def _greedy_rounds(pos, earlier: Rows, pairs, cands, indptr, q: int):
     """(each vertex's code, how many leading places of the order hold
-    greedy's codes) of the list greedy in settling rounds. Round 0 gives
-    every vertex its first candidate; each later round gives every vertex
-    its first candidate that no earlier neighbour's code of the round
-    before blocks (code q: no color).
+    greedy's codes) of greedy in settling rounds. Round 0 gives every
+    vertex its first candidate; each later round gives every vertex its
+    first candidate that the codes of the round before do not block at it
+    (code q: no color). What blocks a code at v is read from `earlier`
+    and `pairs` as in `_greedy_walk`.
 
     After a round, every vertex up to the earliest one, in the order,
     whose code changed holds greedy's code: the first wrong vertex has an
@@ -680,13 +631,14 @@ def _greedy_rounds(pos, earlier: Rows, cands, indptr, q: int):
     vertex does. Rounds go on while fewer codes change than in the round
     before, at most n.bit_length() of them.
 
-    A vertex with b earlier neighbours takes one of its first b + 1
-    candidates, so a round reads only those windows, padded to the widest
-    with copies of their last candidate, plus a sink place. A bool
-    n x (q + 2) matrix marks the codes each vertex's earlier neighbours
-    hold: column q, no color, is marked from the start (empty lists read
-    it), and column q + 1, the sink's, never is. Each window reads its
-    marks, and its first unmarked place is one `argmin` along the rows."""
+    A vertex with b entries in `earlier` has at most b codes blocked, so
+    it takes one of its first b + 1 candidates, and a round reads only
+    those windows, padded to the widest with copies of their last
+    candidate, plus a sink place. A bool n x (q + 2) matrix marks the
+    codes blocked at each vertex: column q, no color, is marked from the
+    start (empty lists read it), and column q + 1, the sink's, never is.
+    Each window reads its marks, and its first unmarked place is one
+    `argmin` along the rows."""
     n, span = pos.size, q + 2
     lens, head = np.diff(indptr), earlier.values
     width = np.minimum(lens, earlier.lens + 1)
@@ -699,8 +651,11 @@ def _greedy_rounds(pos, earlier: Rows, cands, indptr, q: int):
     cell[:, w] = q + 1
     vbase = np.arange(0, n * span, span)
     cell += vbase[:, None]
-    # a back slot's cell is its vertex's row plus its earlier neighbour's code
+    # the cell an entry of `earlier` marks is its vertex's row plus the
+    # code it blocks: its earlier vertex's code, or its pair's code
     base = np.repeat(vbase, earlier.lens)
+    if pairs is not None:
+        need, base = pairs[0], base + pairs[1]
     key = np.empty_like(base)
     mark0 = np.zeros((n, span), dtype=bool)
     mark0[:, q] = True
@@ -712,8 +667,11 @@ def _greedy_rounds(pos, earlier: Rows, cands, indptr, q: int):
         np.copyto(mark, mark0)
         # every index is in range; "wrap" lets take write `out` unbuffered
         np.take(col, head, out=key, mode="wrap")
-        key += base
-        mark.ravel()[key] = True
+        if pairs is None:
+            key += base
+            mark.ravel()[key] = True
+        else:
+            mark.ravel()[base[key == need]] = True
         np.take(mark, cell, out=hit, mode="wrap")
         new = cell.ravel()[window + hit.argmin(1)]
         new -= vbase
@@ -726,15 +684,23 @@ def _greedy_rounds(pos, earlier: Rows, cands, indptr, q: int):
     return col, int(pos[diff].min()) + 1 if changed else n
 
 
-def _greedy_walk(vertices, col: list, earlier: Rows, cands, indptr):
+def _greedy_walk(vertices, col: list, earlier: Rows, pairs, cands, indptr):
     """First-fit over `vertices` in turn: v takes its first candidate that
-    none of its earlier neighbours' `col` holds. Returns the first vertex
-    left with none, or None."""
+    no code in `col` blocks. Row v of `earlier` holds earlier vertices u;
+    with `pairs` None (lists) each blocks its own code col[u], else (covers)
+    entry i blocks code pairs[1][i] at v while col[u] is pairs[0][i].
+    Returns the first vertex left with none, or None."""
     # memoryviews hand out each int as it is read, so no list of m ints is built
     cands, c_start = memoryview(cands), indptr.tolist()
     heads, start = memoryview(earlier.values), earlier.indptr.tolist()
+    if pairs is not None:
+        need, code = map(memoryview, pairs)
     for v in vertices:
-        blocked = {col[u] for u in heads[start[v] : start[v + 1]]}
+        lo, hi = start[v], start[v + 1]
+        if pairs is None:
+            blocked = {col[u] for u in heads[lo:hi]}
+        else:
+            blocked = {c for u, f, c in zip(heads[lo:hi], need[lo:hi], code[lo:hi]) if col[u] == f}
         for c in cands[c_start[v] : c_start[v + 1]]:
             if c not in blocked:
                 col[v] = c
@@ -744,83 +710,114 @@ def _greedy_walk(vertices, col: list, earlier: Rows, cands, indptr):
     return None
 
 
-def _greedy_lists(g: Graph, rows: Rows):
-    """The greedy rule of `greedy_color` on list `Rows` of any ids, no id
-    twice in a row; `_greedy_generic` is its cover twin. Greedy stops at
-    its first stuck vertex, so v's uncolored neighbours at its turn are the
-    later ones, and every score is one `directed_counts` over the CSR slots
-    to them, still grouped by row, so their offsets are all it needs to
-    know each slot's head. v's candidates are its list sorted by (score,
-    place in the row), and v takes the first one that none of its earlier
-    neighbours holds: first-fit on the ids' ranks.
+def greedy_color(g: Graph, obj):
+    """Greedy in descending max-c-degree order, picking the available color
+    conflicting with the fewest uncolored neighbors (ties: smallest color).
+    Returns (coloring | None, stuck vertex | None).
+
+    Both instance kinds run one routine over codes: a list entry's code is
+    its id's rank among the lists' ids, a cover entry's its place in its
+    own list (an id held twice acts once, at its first place). Greedy
+    stops at its first stuck vertex, so v's uncolored neighbours at its
+    turn are the later ones. An entry's score is how many of them its
+    color clashes at; v's candidates are its codes sorted by (score,
+    code), and v takes the first one not blocked at v. Three things depend
+    on the kind:
+
+    - the max c-degree, which orders the vertices: `directed_counts` for
+      lists, `color_degrees` for covers;
+    - the scores: `directed_counts` over the CSR slots to later
+      neighbours, or one bincount over the forward runs of
+      `_Instance.pairs`;
+    - what blocks a code at v: an earlier neighbour holding it, or a pair
+      into v from an earlier end u that holds the pair's code at u.
 
     While `sparsify._dense`'s n x q bound holds, settling rounds
-    (`_greedy_rounds`) find greedy's colors for a leading part of the
+    (`_greedy_rounds`) find greedy's codes for a leading part of the
     order, all of it when they settle; `_greedy_walk` colors the rest
     vertex by vertex."""
-    n, lens = g.n, rows.lens
-    # the ids ranked once, for both kernels, the rounds and the walk
-    ids, codes = ranked(rows.values)
-    q = ids.size
-    dense = Rows(codes, rows.indptr)
-    shared = q and (lens == q).all() and (codes.reshape(n, -1) == np.arange(q)).all()
+    inst = _as_instance(g, obj)
+    n, cov = g.n, inst.cover
+    if cov is None:
+        # the ids ranked once, for both kernels, the rounds and the walk
+        names, codes = ranked(inst.lists.values)
+        rows, q, first = Rows(codes, inst.lists.indptr), names.size, 0
+        shared = q and (rows.lens == q).all() and (codes.reshape(n, -1) == np.arange(q)).all()
+    else:
+        # each list's colors as ranks, an id held twice cut to its first
+        ranks = Rows(cov.arrays.lists, inst.lists.indptr)
+        once = ~ranks.steps(np.equal)
+        ranks, names = ranks.keep(once), inst.lists.values[once]
+        first = ranks.indptr[:-1]
+        codes = np.arange(names.size) - np.repeat(first, ranks.lens)
+        rows, q, shared = Rows(codes, ranks.indptr), int(ranks.lens.max(initial=0)), False
     if shared:
         # max c-degree is the degree, and every score ties
         maxc = g.degrees()
     else:
-        maxc = np.full(n, -1, dtype=np.int64)
-        np.maximum.at(maxc, dense.owner, directed_counts(g.indptr, g.indices, dense, q))
+        # an empty list counts 0: a vertex is stuck only when its list is
+        # empty or some color of it has c-degree >= 1, so where the empty
+        # lists fall among the 0s moves no coloring and no stuck vertex
+        maxc = np.zeros(n, dtype=np.int64)
+        np.maximum.at(maxc, rows.owner, directed_counts(g.indptr, g.indices, rows, q)
+                      if cov is None else color_degrees(cov)[ranks.values])
     order = stable_order(-maxc)
     pos = np.empty_like(order)
     pos[order] = np.arange(n)
-    # the CSR slots to later neighbours (the scores'), found by comparing
-    # positions in the narrowest type that holds them; the rest, kept as
-    # rows, are each vertex's earlier neighbours
-    place = pos.astype(np.min_scalar_type(n))
-    later = place[g.indices] > np.repeat(place, g.degrees())
-    del place
-    back = np.flatnonzero(~later)
-    earlier = Rows(g.indices[back], np.searchsorted(back, g.indptr))
-    del back
+    if cov is None:
+        # the CSR slots to later neighbours (the scores'), found by
+        # comparing positions in the narrowest type that holds them; the
+        # rest, kept as rows, are each vertex's earlier neighbours
+        place = pos.astype(np.min_scalar_type(n))
+        later = place[g.indices] > np.repeat(place, g.degrees())
+        del place
+        back = np.flatnonzero(~later)
+        earlier, pairs = Rows(g.indices[back], np.searchsorted(back, g.indptr)), None
+        del back
+        if not shared:
+            score = directed_counts(_offsets(g.degrees() - earlier.lens),
+                                    g.indices.compress(later), rows, q)
+        del later
+    else:
+        # the pairs from an earlier end u to a later end v, and the
+        # entries of their colors at u and at v (-1: the list lacks it)
+        keys, heads, span = inst.pairs
+        slot = keys // span
+        tail, head = inst.slot_row[slot], g.indices[slot]
+        later = pos[head] > pos[tail]
+        keys, slot, tail, head = keys[later], slot[later], tail[later], head[later]
+        at_u = ranks.find(tail, keys - slot * span)
+        at_v = ranks.find(head, heads[later])
+        score = np.bincount(at_u[run_starts(keys) & (at_u >= 0)], minlength=names.size)
+        # the pairs with both entries, as rows by v of their ends u
+        keep = np.flatnonzero((at_u >= 0) & (at_v >= 0))
+        into = head[keep]
+        keep = keep[stable_order(into)]
+        earlier = Rows(tail[keep], _offsets(np.bincount(into, minlength=n)))
+        pairs = codes[at_u[keep]], codes[at_v[keep]]
     cands = codes
     if not shared:
-        # each list's entries by (score, place in the row), lists in vertex
-        # order: one stable sort of the (vertex, score) keys, built in place
-        score = directed_counts(_offsets(g.degrees() - earlier.lens),
-                                g.indices.compress(later), dense, q)
-        del later
-        key = dense.owner
+        # each list's entries by (score, code), lists in vertex order: one
+        # stable sort of the (vertex, score) keys, built in place
+        key = rows.owner
         key *= score.max(initial=0) + 1
         key += score
         del score
         cands = codes[stable_order(key)]
         del key
     col, settled = np.full(n, q), 0
-    if q and _dense(dense, q, g.indices.size)[2]:
-        col, settled = _greedy_rounds(pos, earlier, cands, rows.indptr, q)
+    if q and _dense(rows, q, g.indices.size)[2]:
+        col, settled = _greedy_rounds(pos, earlier, pairs, cands, rows.indptr, q)
     # greedy is stuck at the first vertex the rounds settle without a color
     uncolored = np.flatnonzero(col[order[:settled]] == q)
     if uncolored.size:
         return None, int(order[uncolored[0]])
     if settled < n:
         col = col.tolist()
-        stuck = _greedy_walk(order[settled:].tolist(), col, earlier, cands, rows.indptr)
+        stuck = _greedy_walk(order[settled:].tolist(), col, earlier, pairs, cands, rows.indptr)
         if stuck is not None:
             return None, stuck
-    return PartialColoring(dict(enumerate(ids[col].tolist()))), None
-
-
-def greedy_color(g: Graph, obj):
-    """Greedy in descending max-c-degree order, picking the available color
-    conflicting with the fewest uncolored neighbors (ties: smallest color).
-    Returns (coloring | None, stuck vertex | None).
-
-    A cover runs `_greedy_generic` over its pair index (`_Instance.pairs`),
-    lists run `_greedy_lists` on their ids' ranks, in settling rounds."""
-    inst = _as_instance(g, obj)
-    if inst.cover is not None:
-        return _greedy_generic(inst)
-    return _greedy_lists(g, inst.lists)
+    return PartialColoring(dict(enumerate(names[np.add(col, first)].tolist()))), None
 
 
 # ---------------------------------------------------------------------------

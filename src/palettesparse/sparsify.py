@@ -122,9 +122,9 @@ def derive_params(delta: int, n: int, k: int, alpha: float, gamma: float,
         raise InvalidParameters(f"need delta >= 1 and n >= 1, got delta={delta}, n={n}")
     if k < 1:
         raise InvalidParameters(f"need k >= 1 (use k=1 for triangle-free audits), got {k}")
-    if not (0.0 < alpha < 1.0) or not (0.0 < gamma < 1.0) or epsilon <= 0.0:
+    if not (0.0 < alpha < 1.0) or not (0.0 < gamma < 1.0) or not 0.0 < epsilon < math.inf:
         raise InvalidParameters(
-            f"need alpha,gamma in (0,1) and epsilon > 0, got {alpha}, {gamma}, {epsilon}"
+            f"need alpha,gamma in (0,1) and finite epsilon > 0, got {alpha}, {gamma}, {epsilon}"
         )
     ratio = delta ** alpha / math.sqrt(k)
     if ratio <= 1.0:
@@ -162,8 +162,8 @@ def manual_params(delta: int, gamma: float, epsilon: float, q: int,
     """
     if q < 1 or s < 1:
         raise InvalidParameters(f"need q >= 1 and s >= 1, got q={q}, s={s}")
-    if not (0.0 < gamma < 1.0) or epsilon <= 0.0:
-        raise InvalidParameters(f"need gamma in (0,1) and epsilon > 0, got {gamma}, {epsilon}")
+    if not (0.0 < gamma < 1.0) or not 0.0 < epsilon < math.inf:
+        raise InvalidParameters(f"need gamma in (0,1) and finite epsilon > 0, got {gamma}, {epsilon}")
     gamma_prime = epsilon ** 2 / (3.0 * (1.0 + gamma))
     return SparsifyParams(
         q=q,
@@ -258,8 +258,9 @@ def sample_palettes(palettes, s: int, seed: int) -> PaletteFamily:
 # 16 and 2.2x at 32, and lose 1.8x at 64 and 3x at 128. No workload or
 # acceptance test reaches q/s > 32, nor does `derive_params` at alpha = 0.5,
 # gamma = 0.1, epsilon <= 1 for delta < n, delta <= 1000 (q/s <= 31), so the
-# table is gone rather than kept as a second path. The list greedy's settling
-# rounds (`nibble._greedy_rounds`, n x (q + 2) marks) run under the same bound.
+# table is gone rather than kept as a second path. Greedy's settling rounds
+# (`nibble._greedy_rounds`, n x (q + 2) marks, q the ids of a list instance or
+# the longest list of a cover) run under the same bound, on lists and covers.
 _TABLE_CELLS = 64
 
 # The table path's counts come from one float32 matrix product (`_product`)

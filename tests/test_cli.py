@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -93,6 +94,10 @@ class TestRunConfig:
                                "list_universe must be a positive integer, got 0"),
         "list-universe-negative": ({"list_universe": -3, "pipeline": "list"},
                                    "list_universe must be a positive integer, got -3"),
+        "epsilon-nan": ({"epsilon": math.nan}, "epsilon must be a finite number, got nan"),
+        "gamma-inf": ({"gamma": math.inf}, "gamma must be a finite number, got inf"),
+        "cover-density-nan": ({"cover_density": math.nan, "pipeline": "cover"},
+                              "cover_density must be a finite number, got nan"),
     }
 
     @pytest.mark.parametrize("over, message", ILL_TYPED.values(), ids=ILL_TYPED.keys())
@@ -113,7 +118,13 @@ class TestRunConfig:
         ({"instance": {"kind": "file", "path": 5}}, "instance path must be a string, got 5"),
         ({"instance": {"kind": "gen", "n": 20, "delta": 4, "k": 1}, "pipeline": "cover",
           "cover_size": 0}, "cover_size must be a positive integer, got 0"),
-    ], ids=["top-level", "policy", "seeds", "out-dir", "instance-path", "cover-size-zero"])
+        # Python's json reads NaN and Infinity, and json.dumps writes them
+        ({"instance": {"kind": "gen", "n": 20, "delta": 4, "k": 1}, "epsilon": math.nan},
+         "epsilon must be a finite number, got nan"),
+        ({"instance": {"kind": "gen", "n": 20, "delta": 4, "k": 1}, "epsilon": math.inf},
+         "epsilon must be a finite number, got inf"),
+    ], ids=["top-level", "policy", "seeds", "out-dir", "instance-path", "cover-size-zero",
+            "epsilon-nan", "epsilon-inf"])
     def test_sweep_of_an_ill_typed_config_exits_3(self, tmp_path, capsys, config, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
@@ -421,10 +432,11 @@ class TestCliCommands:
 
     @pytest.mark.parametrize("command, over, witness", [
         # derived params, then both q and s given (`manual_params`)
-        ("sweep", {"epsilon": -1}, "need alpha,gamma in (0,1) and epsilon > 0, got 0.5, 0.1, -1"),
+        ("sweep", {"epsilon": -1},
+         "need alpha,gamma in (0,1) and finite epsilon > 0, got 0.5, 0.1, -1"),
         ("sweep", {"gamma": 1.5, "q_override": 6, "s_override": 4},
-         "need gamma in (0,1) and epsilon > 0, got 1.5, 0.05"),
-        *((command, None, "need alpha,gamma in (0,1) and epsilon > 0, got 0.5, 0.1, 0.0")
+         "need gamma in (0,1) and finite epsilon > 0, got 1.5, 0.05"),
+        *((command, None, "need alpha,gamma in (0,1) and finite epsilon > 0, got 0.5, 0.1, 0.0")
           for command in ("stream", "sparsify", "queries")),
     ], ids=["sweep-derived", "sweep-manual", "stream", "sparsify", "queries"])
     def test_invalid_parameters_exit_3(self, tmp_path, capsys, command, over, witness):
@@ -440,6 +452,15 @@ class TestCliCommands:
         assert main(args) == 3
         assert capsys.readouterr().err == f"config error: {witness}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["stream", "sparsify", "queries"])
+    @pytest.mark.parametrize("epsilon", ["nan", "inf"])
+    def test_non_finite_epsilon_exits_3(self, tmp_path, capsys, command, epsilon):
+        gpath = tmp_path / "g.txt"
+        save_graph(gen_bipartite(40, 4, 1), gpath)
+        assert main([command, "--graph", str(gpath), "--epsilon", epsilon]) == 3
+        assert capsys.readouterr().err == "config error: need alpha,gamma in (0,1) and finite " \
+            f"epsilon > 0, got 0.5, 0.1, {epsilon}\n"
 
     def test_query_sweep_of_a_short_cover_writes_unsupported_rows(self, tmp_path, capsys):
         out = tmp_path / "out"

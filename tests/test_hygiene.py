@@ -11,9 +11,10 @@ survival of packed bit masks ORs their word columns, 1-D, instead.
 `nibble` holds a `Graph` wherever it counts list entries, so it counts
 over the graph's CSR slots, which its row offsets group by head. Only a
 solver instance's `slot_row` makes a graph's per-slot rows
-(`Graph.slot_rows`), for `clashes`, the finisher and the cover greedy
-that read them: pruning, the list greedy and the cover pairs, which find
-their slots by a search of the rows, go by the row offsets. No
+(`Graph.slot_rows`), for `clashes`, the finisher and greedy on a cover
+(its pairs' two ends) that read them: pruning, greedy on lists and the
+cover pairs, which find their slots by a search of the rows, go by the
+row offsets. No
 module reads a stream's `records`: those tuples are a view for callers
 and oracles, and the package's own passes read the stream's arrays. No
 module calls a per-call `.pair(` or `.neighbor(` query or

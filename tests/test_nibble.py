@@ -510,17 +510,50 @@ class TestGreedy:
         assert peak < 6 * 8 * lists.lists.values.size
 
     def test_paths_agree(self):
+        # the ids 0..8 are their own ranks, so the list codes are the ids;
+        # the canonical cover runs the same rounds on codes that are places
         rng = rng_for(23)
         for _ in range(15):
             n = int(rng.integers(5, 40))
             g = random_graph(rng, n, 0.3)
             lists = random_lists(rng, n, 9, 4)
             generic = reference_greedy(g, lists)
-            # the list core, called directly on the small ids 0..8
-            plain = nibble._greedy_lists(g, lists.lists)
-            assert (generic[0] is None) == (plain[0] is None)
+            plain = greedy_color(g, lists)
+            cov = greedy_color(g, cover_from_lists(g, lists))
+            assert generic[1] == plain[1] == cov[1]
             if generic[0] is not None:
                 assert generic[0].assignment == plain[0].assignment
+                names = lists.lists.values
+                assert {v: int(names[c]) for v, c in cov[0].assignment.items()} == \
+                    plain[0].assignment
+
+    def test_rounds_settle_a_prefix_of_the_path_cover(self):
+        # the canonical cover of the path: the rounds stop with a prefix
+        # settled and the walk colors the rest, as on its lists
+        g, lists = PATH
+        cov = cover_from_lists(g, lists)
+        with mock.patch.object(nibble, "_greedy_walk", wraps=nibble._greedy_walk) as walk:
+            coloring, stuck = greedy_color(g, cov)
+        assert stuck is None
+        assert coloring.assignment == oracle_greedy_cover(g, cov)[0].assignment
+        assert walk.call_count == 1 and 0 < len(walk.call_args.args[0]) < g.n
+
+    def test_rounds_settle_a_conflict_cover(self):
+        # cover-finish's conflict covers (64 colors, density 0.05, s = 48):
+        # the rounds settle the whole order and the walk is not called
+        g = gen_bipartite(1000, 8, seed=4)
+        cov = random_cover(g, 64, 0.05, seed=0)
+        params = manual_params(8, 0.1, 0.05, q=64, s=48)
+        for seed in range(2):
+            fam = prune(cov, sample_palettes(cov.lists, params.s, seed), params)
+            conflict = build_conflict(g, fam, cover=cov)
+            with mock.patch.object(nibble, "_greedy_walk", wraps=nibble._greedy_walk) as walk:
+                got = greedy_color(conflict.graph, conflict.cover)
+            assert walk.call_count == 0
+            want = oracle_greedy_cover(conflict.graph, conflict.cover)
+            assert got[1] == want[1] is None
+            assert got[0].assignment == want[0].assignment
+            assert verify_coloring(g, cov, got[0]).ok
 
     def test_list_instances_with_any_ids_match_the_reference(self):
         # greedy_color ranks list ids before the vectorized path; ranking
@@ -601,7 +634,7 @@ class TestGreedy:
             q = int(rng.integers(3, 8))
             lists = ListAssignment((tuple(range(q)),) * n)
             # one shared row: no per-entry scores, each row is its own candidate order
-            a = nibble._greedy_lists(g, lists.lists)
+            a = greedy_color(g, lists)
             b = reference_greedy(g, lists)
             if a[0] is None:
                 assert b[0] is None
@@ -609,8 +642,8 @@ class TestGreedy:
                 assert a[0].assignment == b[0].assignment
             # an isolated vertex with another list comes last in the order
             # and sends the same instance through the scored candidates
-            rows = ListAssignment(tuple(lists.lists) + ((-1,),)).lists
-            c = nibble._greedy_lists(Graph(n + 1, list(g.edges())), rows)
+            rows = ListAssignment(tuple(lists.lists) + ((-1,),))
+            c = greedy_color(Graph(n + 1, list(g.edges())), rows)
             assert c[1] == a[1]
             if a[0] is not None:
                 assert c[0].assignment == {**a[0].assignment, n: -1}
@@ -686,11 +719,15 @@ class TestCoverSolverAgainstOracles:
             want = (want[0].assignment, want[1])
         assert got == want
 
-    @settings(max_examples=150, deadline=None)
-    @given(random_covers() | broken_covers())
-    def test_greedy(self, inst):
+    @settings(max_examples=200, deadline=None)
+    @given(random_covers() | broken_covers(), st.sampled_from([0, 2 ** 62]))
+    def test_greedy(self, inst, cells):
+        # with the n x q bound at 0 the walk colors every vertex; huge, the
+        # settling rounds run on every cover with a color
         g, cov = inst
-        got, want = greedy_color(g, cov), oracle_greedy_cover(g, cov)
+        with mock.patch.object(sparsify, "_TABLE_CELLS", cells):
+            got = greedy_color(g, cov)
+        want = oracle_greedy_cover(g, cov)
         assert got[1] == want[1]
         assert (got[0] and got[0].assignment) == (want[0] and want[0].assignment)
 

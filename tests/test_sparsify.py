@@ -19,6 +19,7 @@ from palettesparse.sparsify import (
     SharedPalette,
     build_conflict,
     derive_params,
+    manual_params,
     prune,
     sample_palettes,
 )
@@ -49,6 +50,24 @@ class TestDeriveParams:
     def test_k_below_one_rejected(self):
         with pytest.raises(InvalidParameters):
             derive_params(10, 100, 0, 0.5, 0.1, 0.05)
+
+    @pytest.mark.parametrize("alpha, gamma, epsilon", [
+        (0.5, 0.1, math.nan), (0.5, 0.1, math.inf), (0.5, 0.1, -math.inf), (0.5, math.nan, 0.05),
+        (math.inf, 0.1, 0.05), (10 ** 400, 0.1, 0.05)])
+    def test_non_finite_constants_rejected(self, alpha, gamma, epsilon):
+        # a NaN epsilon passed `epsilon <= 0`, and an infinite one overflowed ceil
+        with pytest.raises(InvalidParameters) as err:
+            derive_params(16, 100, 1, alpha, gamma, epsilon)
+        assert str(err.value) == \
+            f"need alpha,gamma in (0,1) and finite epsilon > 0, got {alpha}, {gamma}, {epsilon}"
+
+    @pytest.mark.parametrize("gamma, epsilon", [(0.1, math.nan), (0.1, math.inf), (math.nan, 1.0)])
+    def test_manual_non_finite_constants_rejected(self, gamma, epsilon):
+        # a NaN epsilon made the prune threshold NaN
+        with pytest.raises(InvalidParameters) as err:
+            manual_params(16, gamma, epsilon, 17, 8)
+        assert str(err.value) == \
+            f"need gamma in (0,1) and finite epsilon > 0, got {gamma}, {epsilon}"
 
     def test_out_of_range_k_warns_not_rejects(self):
         with pytest.warns(UserWarning):

@@ -139,7 +139,7 @@ def offline(g, params, seed, audit=True):
         ps.local_sparsity(g)
     fam = ps.sample_palettes(ps.SharedPalette(g.n, params.q), params.s, seed)
     fam = ps.prune(g, fam, params)
-    if any(len(row) == 0 for row in fam.pruned):
+    if (fam.pruned.lens == 0).any():
         return [{"path": None, "error": "a vertex lost every sampled color"}]
     inst = ps.build_conflict(g, fam)
     res = ps.solve(inst.graph, inst.lists, seed=seed)
