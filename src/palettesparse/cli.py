@@ -302,8 +302,8 @@ def _run_seed(g: Graph, params: SparsifyParams, obj, streamed, config: RunConfig
 
     coloring = res.coloring if res is not None else None
     if coloring is not None and config.model == "stream" and isinstance(obj, ListAssignment):
-        a = coloring.assignment
-        coloring = PartialColoring(dict(zip(a, obj.lists.values[list(a.values())].tolist())))
+        at, ids = coloring.arrays()
+        coloring = PartialColoring.from_arrays(at, obj.lists.values[ids])
     success = False
     if coloring is not None:
         check = _full_verify(g, params, obj, coloring)

@@ -78,14 +78,16 @@ class Rows(Sequence):
 
     `rows[v]` and iteration give tuples made on demand, and `==` compares
     with any sequence of rows, so a `Rows` reads like a tuple of tuples;
-    the kernels read `values`, `lens` and `owner` instead.
+    the kernels read `values`, `lens` and `owner` instead. The one fact
+    kept is `strict`, learnt once: the arrays cannot change under it.
     """
 
-    __slots__ = ("values", "indptr")
+    __slots__ = ("values", "indptr", "_strict")
 
-    def __init__(self, values: np.ndarray, indptr: np.ndarray):
-        """Takes the int64 arrays as they are: each row must be ascending."""
-        self.values, self.indptr = values, indptr
+    def __init__(self, values: np.ndarray, indptr: np.ndarray, strict: bool | None = None):
+        """Takes the int64 arrays as they are: each row must be ascending.
+        `strict` is what `strict` reads, when the caller knows it."""
+        self.values, self.indptr, self._strict = values, indptr, strict
         values.flags.writeable = indptr.flags.writeable = False
 
     def __reduce__(self):
@@ -117,6 +119,14 @@ class Rows(Sequence):
         # one sort by (row, id) puts every row in order
         return Rows(self.values[np.lexsort((self.values, self.owner))], self.indptr)
 
+    @property
+    def strict(self) -> bool:
+        """Whether every row strictly ascends, so no row holds an id twice:
+        one pass over the entries, on the first read."""
+        if self._strict is None:
+            self._strict = not self.steps(np.less_equal).any()
+        return self._strict
+
     def steps(self, op) -> np.ndarray:
         """Bool mask of the entries e with op(e, the entry before) in their
         row, for a comparison ufunc `op`; False at each row's first entry.
@@ -127,17 +137,11 @@ class Rows(Sequence):
         step[self.indptr[:-1][self.indptr[:-1] < step.size]] = False  # each row's first
         return step
 
-    def repeats(self) -> np.ndarray:
-        """Bool mask of the rows holding some id twice."""
-        twice = np.zeros(len(self), dtype=bool)
-        again = np.flatnonzero(self.steps(np.equal))
-        twice[np.searchsorted(self.indptr, again, side="right") - 1] = True
-        return twice
-
     def first_repeat(self) -> int | None:
-        """The first row holding an id twice, or None."""
-        twice = self.repeats()
-        return int(twice.argmax()) if twice.any() else None
+        """The first row holding an id twice, or None: the last row that
+        starts at or before the first repeat."""
+        again = np.flatnonzero(self.steps(np.equal))
+        return int(np.searchsorted(self.indptr, again[0], side="right")) - 1 if again.size else None
 
     def __len__(self) -> int:
         return self.indptr.size - 1
@@ -174,7 +178,9 @@ class Rows(Sequence):
         if mask.all():
             return self
         kept = np.flatnonzero(mask)
-        return Rows(self.values.take(kept), np.searchsorted(kept, self.indptr))
+        # a cut of strict rows is strict; of others, it may be either
+        strict = self._strict or None
+        return Rows(self.values.take(kept), np.searchsorted(kept, self.indptr), strict)
 
     def find(self, at: np.ndarray, ids: np.ndarray) -> np.ndarray:
         """The entry index of id ids[i] in row at[i] (its first, if the row
@@ -237,8 +243,8 @@ class ListAssignment:
 
     def __post_init__(self):
         rows = Rows.of(self.lists)
-        # one comparison clears rows that strictly ascend, as most do
-        if rows.steps(np.less_equal).any():
+        # `strict` clears rows that strictly ascend, as most do
+        if not rows.strict:
             rows = rows.ascending()
             v = rows.first_repeat()
             if v is not None:

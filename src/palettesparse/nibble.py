@@ -24,6 +24,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -88,17 +89,65 @@ class ScheduleError(ValueError):
     pass
 
 
-@dataclass
 class PartialColoring:
-    """Vertex -> color map; vertices absent from the map are blank."""
+    """Vertex -> color map; vertices absent from the map are blank.
 
-    assignment: dict[int, int] = field(default_factory=dict)
+    Built from a dict, which it keeps as given, or by `from_arrays` from
+    int64 (vertex, color) arrays, as the solver's stages build it. The
+    library's passes read `arrays()`; `assignment`, the mapping, is for
+    callers, and an array-built coloring makes it once, read-only, on the
+    first read, so the two cannot disagree.
+    """
+
+    def __init__(self, assignment: dict[int, int] | None = None):
+        self._assignment, self._arrays = {} if assignment is None else assignment, None
+
+    @classmethod
+    def from_arrays(cls, at, ids) -> "PartialColoring":
+        """Vertex at[i] takes color ids[i], the vertices distinct; int64
+        arrays are taken as they are and made read-only. ValueError when
+        they are not two 1-D arrays of one length."""
+        at, ids = np.asarray(at, np.int64), np.asarray(ids, np.int64)
+        if at.ndim != 1 or at.shape != ids.shape:
+            raise ValueError(f"need 1-D arrays of one length, got shapes {at.shape}, {ids.shape}")
+        at.flags.writeable = ids.flags.writeable = False
+        phi = cls.__new__(cls)
+        phi._assignment, phi._arrays = None, (at, ids)
+        return phi
+
+    def __reduce__(self):
+        # the read-only mapping does not pickle; what it is made from does
+        if self._arrays is None:
+            return PartialColoring, (self._assignment,)
+        return PartialColoring.from_arrays, self._arrays
+
+    @property
+    def assignment(self):
+        if self._assignment is None:
+            at, ids = self._arrays
+            self._assignment = MappingProxyType(dict(zip(at.tolist(), ids.tolist())))
+        return self._assignment
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(vertices, colors) as int64 arrays, in the mapping's order; a
+        dict-built coloring makes them on each call."""
+        a = self._assignment
+        return self._arrays or (np.fromiter(a, dtype=np.int64, count=len(a)),
+                                np.fromiter(a.values(), dtype=np.int64, count=len(a)))
 
     def is_total(self, n: int) -> bool:
-        return len(self.assignment) == n
+        return len(self) == n
 
     def __len__(self) -> int:
-        return len(self.assignment)
+        return len(self._assignment) if self._arrays is None else self._arrays[0].size
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PartialColoring):
+            return NotImplemented
+        return self.assignment == other.assignment
+
+    def __repr__(self):
+        return f"PartialColoring(assignment={dict(self.assignment)!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -223,12 +272,12 @@ def verify_coloring(g: Graph, obj, phi: PartialColoring) -> VerifyResult:
     Blank vertices are fine (a partial coloring verifies vacuously on its
     blank part). Membership is one search of each colored vertex's own
     list (`Rows.holds`); the witness is the first bad entry of `phi` in its
-    order. Runs in O(k log L + n + m) for k colored vertices and lists of
-    at most L entries.
+    order. It reads `phi.arrays()`, so an array-built coloring is checked
+    as built. Runs in O(k log L + n + m) for k colored vertices and lists
+    of at most L entries.
     """
     inst = _as_instance(g, obj)
-    at = np.fromiter(phi.assignment, dtype=np.int64, count=len(phi))
-    ids = np.fromiter(phi.assignment.values(), dtype=np.int64, count=len(phi))
+    at, ids = phi.arrays()
     outside = (at < 0) | (at >= g.n)
     missing = outside.copy()
     missing[~outside] = ~inst.lists.holds(at[~outside], ids[~outside])
@@ -337,15 +386,14 @@ def wcp_round(cov: CorrespondenceCover, p: WcpParams, seed: int):
     # each vertex takes its smallest activated kept color; lists are sorted
     holds = cover_rows(cov, act & kept)
     has = holds.lens > 0
-    phi = PartialColoring(dict(zip(np.flatnonzero(has).tolist(),
-                                   holds.values[holds.indptr[:-1][has]].tolist())))
+    phi = PartialColoring.from_arrays(np.flatnonzero(has), holds.values[holds.indptr[:-1][has]])
     in_u = np.zeros(N, dtype=bool)  # the colors of blank vertices
     in_u[a.lists] = np.repeat(~has, cov.lists.lens)
     cnt = picked_counts(cov, kept & in_u)
     next_lists = cover_rows(cov, kept & (cnt <= 2.0 * p.d_next))
 
     # two corresponding colors cannot both be kept, so the round is proper
-    bad = clashing_pairs(cov, list(phi.assignment), list(phi.assignment.values()))
+    bad = clashing_pairs(cov, *phi.arrays())
     if bad.size:
         i = bad[0]
         u, v = int(a.eu[i]), int(a.ev[i])
@@ -354,7 +402,7 @@ def wcp_round(cov: CorrespondenceCover, p: WcpParams, seed: int):
 
     kept_ids, act_ids = colors[kept], colors[act]
     kept_ids.flags.writeable = act_ids.flags.writeable = False
-    stats = RoundStats(int(act.sum()), int(kept.sum()), len(phi.assignment), kept_ids, act_ids)
+    stats = RoundStats(int(act.sum()), int(kept.sum()), len(phi), kept_ids, act_ids)
     return phi, next_lists, stats
 
 
@@ -537,7 +585,7 @@ def finish_lll(g: Graph, obj, seed: int, *, threshold: float = _LLL_THRESHOLD,
         slots = slots[inst.clashes(slots, col)]
         for w, x, s in zip(row[slots].tolist(), g.indices[slots].tolist(), slots.tolist()):
             heapq.heappush(heap, (min(w, x), max(w, x), s))
-    return LllResult(PartialColoring(dict(enumerate(lists.values[pick].tolist()))), resamples)
+    return LllResult(PartialColoring.from_arrays(np.arange(g.n), lists.values[pick]), resamples)
 
 
 # ---------------------------------------------------------------------------
@@ -716,8 +764,9 @@ def greedy_color(g: Graph, obj):
     Returns (coloring | None, stuck vertex | None).
 
     Both instance kinds run one routine over codes: a list entry's code is
-    its id's rank among the lists' ids, a cover entry's its place in its
-    own list (an id held twice acts once, at its first place). Greedy
+    its id's rank among the lists' ids (id - lo, with nothing ranked, when
+    every list is the palette lo..lo + w - 1), a cover entry's its place
+    in its own list (an id held twice acts once, at its first place). Greedy
     stops at its first stuck vertex, so v's uncolored neighbours at its
     turn are the later ones. An entry's score is how many of them its
     color clashes at; v's candidates are its codes sorted by (score,
@@ -739,10 +788,20 @@ def greedy_color(g: Graph, obj):
     inst = _as_instance(g, obj)
     n, cov = g.n, inst.cover
     if cov is None:
-        # the ids ranked once, for both kernels, the rounds and the walk
-        names, codes = ranked(inst.lists.values)
-        rows, q, first = Rows(codes, inst.lists.indptr), names.size, 0
-        shared = q and (rows.lens == q).all() and (codes.reshape(n, -1) == np.arange(q)).all()
+        # strict rows of one width w whose ids span w values are each the
+        # palette lo..lo + w - 1, coded by id - lo; other lists have their
+        # ids ranked once, for both kernels, the rounds and the walk
+        lists, w = inst.lists, int(inst.lists.lens.max(initial=0))
+        lo = int(lists.values[0]) if w else 0
+        shared = w > 0 and lists.strict and lists.lens.min() == w and \
+            int(lists.values.min()) == lo and int(lists.values.max()) == lo + w - 1
+        if shared:
+            # no copy when lo = 0: a copy of the entries is fresh memory,
+            # faulted in on every call (85 more minor faults per query-scan seed)
+            names, codes = np.arange(lo, lo + w), lists.values - lo if lo else lists.values
+        else:
+            names, codes = ranked(lists.values)
+        rows, q, first = Rows(codes, lists.indptr), names.size, 0
     else:
         # each list's colors as ranks, an id held twice cut to its first
         ranks = Rows(cov.arrays.lists, inst.lists.indptr)
@@ -817,7 +876,7 @@ def greedy_color(g: Graph, obj):
         stuck = _greedy_walk(order[settled:].tolist(), col, earlier, pairs, cands, rows.indptr)
         if stuck is not None:
             return None, stuck
-    return PartialColoring(dict(enumerate(names[np.add(col, first)].tolist()))), None
+    return PartialColoring.from_arrays(np.arange(n), names[np.add(col, first)]), None
 
 
 # ---------------------------------------------------------------------------
@@ -960,9 +1019,10 @@ def _nibble_stage(g: Graph, inst: _Instance, seed: int, schedule_gamma: float,
     # trim every list to the starting scale (smallest ids kept)
     slot = np.arange(lens.sum()) - np.repeat(cov.lists.indptr[:-1], lens)
     cur_cov, _ = restrict_cover(cov, cov.lists.keep(slot < ell_t))
-    # each current vertex's id in g, and the last committed round's edges
+    # each current vertex's id in g, and the last committed round's edges;
+    # each vertex's cover id, once colored
     orig_of, edges = np.arange(g.n), None
-    assignment: dict[int, int] = {}
+    color, done = np.zeros(g.n, dtype=np.int64), np.zeros(g.n, dtype=bool)
     record.stats["rounds"] = 0
     for i in range(sched.i_star):
         least = cur_cov.lists.lens.min() if cur_cov.n else 0
@@ -975,7 +1035,7 @@ def _nibble_stage(g: Graph, inst: _Instance, seed: int, schedule_gamma: float,
             return None
         for r in range(_RETRIES):
             phi, nxt, _ = wcp_round(cur_cov, p, _child_seed(seed, i, r))
-            colored = list(phi.assignment)
+            colored, ids = phi.arrays()
             blank = np.ones(cur_cov.n, dtype=bool)
             blank[colored] = False
             names = orig_of[blank]
@@ -987,7 +1047,7 @@ def _nibble_stage(g: Graph, inst: _Instance, seed: int, schedule_gamma: float,
             record.reason = f"round {i} conclusions failed after {_RETRIES} tries: {reason}"
             return None
         record.stats["rounds"] += 1
-        assignment.update(zip(orig_of[colored].tolist(), phi.assignment.values()))
+        color[orig_of[colored]], done[orig_of[colored]] = ids, True
         orig_of, cur_cov, edges = names, next_cov, next_edges
     if cur_cov.n:
         cur_g = g if edges is None else Graph(cur_cov.n, edges)
@@ -997,11 +1057,12 @@ def _nibble_stage(g: Graph, inst: _Instance, seed: int, schedule_gamma: float,
             record.reason = f"finisher precondition failed after rounds: {e}"
             return None
         record.stats["resamples"] = fin.resamples
-        done = fin.coloring.assignment
-        assignment.update(zip(orig_of[list(done)].tolist(), done.values()))
-    if inst.cover is None:  # cover id c is list entry c: pull back to its name
-        assignment = dict(zip(assignment, inst.lists.values[list(assignment.values())].tolist()))
-    return PartialColoring(dict(sorted(assignment.items())))
+        at, ids = fin.coloring.arrays()
+        color[orig_of[at]], done[orig_of[at]] = ids, True
+    at = np.flatnonzero(done)
+    # lists: cover id c is list entry c, pulled back to its name
+    return PartialColoring.from_arrays(at, color[at] if inst.cover is not None else
+                                       inst.lists.values[color[at]])
 
 
 def solve(g: Graph, obj, policy: str = "auto", seed: int = 0, *,

@@ -115,13 +115,15 @@ def derive_params(delta: int, n: int, k: int, alpha: float, gamma: float,
     """Compute q = ceil(4(1+gamma+epsilon)*delta / ln(delta^alpha / sqrt(k)))
     and s = ceil(delta^alpha + big_c*sqrt(ln n)), capped at q.
 
-    Requires delta^alpha > sqrt(k) so the logarithm is positive. Warns (but
-    does not reject) when k falls outside [1, delta^(2*alpha*gamma)].
+    Requires finite delta, n, k >= 1 and delta^alpha > sqrt(k), so the
+    logarithm is positive. Warns (but does not reject) when k falls outside
+    [1, delta^(2*alpha*gamma)].
     """
-    if delta < 1 or n < 1:
-        raise InvalidParameters(f"need delta >= 1 and n >= 1, got delta={delta}, n={n}")
-    if k < 1:
-        raise InvalidParameters(f"need k >= 1 (use k=1 for triangle-free audits), got {k}")
+    # written so that NaN fails each test
+    if not (1 <= delta < math.inf and 1 <= n < math.inf):
+        raise InvalidParameters(f"need finite delta >= 1 and n >= 1, got delta={delta}, n={n}")
+    if not 1 <= k < math.inf:
+        raise InvalidParameters(f"need finite k >= 1 (use k=1 for triangle-free audits), got {k}")
     if not (0.0 < alpha < 1.0) or not (0.0 < gamma < 1.0) or not 0.0 < epsilon < math.inf:
         raise InvalidParameters(
             f"need alpha,gamma in (0,1) and finite epsilon > 0, got {alpha}, {gamma}, {epsilon}"
@@ -159,9 +161,12 @@ def manual_params(delta: int, gamma: float, epsilon: float, q: int,
 
     The slack constants still come from (gamma, epsilon); use this for
     regimes like (Delta+1, Theta(log n)) where the palette is prescribed.
+    q, s >= 1 and delta >= 0 must be finite.
     """
-    if q < 1 or s < 1:
-        raise InvalidParameters(f"need q >= 1 and s >= 1, got q={q}, s={s}")
+    # written so that NaN fails each test
+    if not (1 <= q < math.inf and 1 <= s < math.inf and 0 <= delta < math.inf):
+        raise InvalidParameters(f"need finite q >= 1, s >= 1 and delta >= 0, "
+                                f"got q={q}, s={s}, delta={delta}")
     if not (0.0 < gamma < 1.0) or not 0.0 < epsilon < math.inf:
         raise InvalidParameters(f"need gamma in (0,1) and finite epsilon > 0, got {gamma}, {epsilon}")
     gamma_prime = epsilon ** 2 / (3.0 * (1.0 + gamma))
@@ -222,11 +227,15 @@ def sample_palettes(palettes, s: int, seed: int) -> PaletteFamily:
     replayed for all vertices at once by `_rng.choice_rows` from the
     stream's 32-bit outputs and equal numpy's per-call draws, so the result
     is a deterministic function of (palettes, s, seed). `s` must be at
-    least 1 and no palette may be smaller than s.
+    least 1, a shared palette's n at least 0, and no palette may be
+    smaller than s. The samples are `Rows.strict` when the palette is
+    shared or its rows are known to be strict.
     """
     if s < 1:
         raise PaletteTooSmall(f"sample size must be >= 1, got {s}")
     if isinstance(palettes, SharedPalette):
+        if palettes.n < 0:
+            raise InvalidParameters(f"need n >= 0 vertices, got {palettes.n}")
         if palettes.q < s:
             raise PaletteTooSmall(f"palette has {palettes.q} colors, need {s}")
         n, universe = palettes.n, palettes.q
@@ -239,10 +248,12 @@ def sample_palettes(palettes, s: int, seed: int) -> PaletteFamily:
             v = int(short[0])
             raise PaletteTooSmall(f"palette of vertex {v} has {int(lens[v])} colors, need {s}")
     block = choice_rows(substream(seed, TAG_PALETTE), lens, s)
+    # the positions ascend, distinct, so the samples of 0..q-1 or of strict rows are strict
+    strict = universe is not None or palettes._strict or None
     if universe is None:
         block += palettes.indptr[:-1, None]
         block = palettes.values.take(block)
-    return PaletteFamily(Rows(block.ravel(), np.arange(0, n * s + 1, s)), universe=universe)
+    return PaletteFamily(Rows(block.ravel(), np.arange(0, n * s + 1, s), strict), universe=universe)
 
 
 # Two paths answer every list kernel, chosen by size. While an n x q matrix
@@ -292,7 +303,8 @@ def _dense(rows, universe: int | None, pairs: int):
     flat, q = rows.values, universe
     if q is None:
         colors, ranks = ranked(flat)
-        rows, q = Rows(ranks, rows.indptr), colors.size
+        # ranks keep the ids' order, so the rows keep their `strict`
+        rows, q = Rows(ranks, rows.indptr, rows._strict), colors.size
     return rows, q, len(rows) * q <= _TABLE_CELLS * (flat.size + pairs)
 
 
@@ -371,15 +383,6 @@ def _joined(tails, rows: Rows, heads):
         yield i[a >= 0], a[a >= 0]
 
 
-def _whole(rows: Rows, q: int) -> np.ndarray:
-    """Bool mask of the rows over 0..q-1 that hold all q ids: q entries, no
-    id twice."""
-    whole = rows.lens == q
-    if whole.any():
-        whole &= ~rows.repeats()
-    return whole
-
-
 def directed_counts(offsets, tails, rows, universe: int | None = None) -> np.ndarray:
     """For every entry (h, c) of `rows`, in entry order, the number of
     tails t of h with c in rows[t]: the tails of head h are
@@ -387,8 +390,8 @@ def directed_counts(offsets, tails, rows, universe: int | None = None) -> np.nda
     (`g.indptr`, `g.indices`), for int64 `tails` and n + 1 `offsets`.
     `universe` is q when the ids are colors of 0..q-1 (else None). Counts
     come from the join when the n x q matrices do not fit (see `_dense`).
-    When they do, and every row is a whole palette, each count is its
-    head's pair count; otherwise they come from one float32 product of the
+    When they do, and every row is a whole palette (q entries, `strict`),
+    each count is its head's pair count; otherwise they come from one float32 product of the
     adjacency with the membership matrix when the pairs fill at least
     `_PRODUCT_SHARE` of the n x n adjacency and no head has 2**24 pairs
     (exact, in 4nq bytes plus a block, see `_product`), else they add by
@@ -407,7 +410,7 @@ def directed_counts(offsets, tails, rows, universe: int | None = None) -> np.nda
             counts += np.bincount(a, minlength=counts.size)
         return counts if cut is rows else counts[np.cumsum(first) - 1]
     n, owner = len(rows), rows.owner
-    if _whole(rows, q).all():
+    if (rows.lens == q).all() and rows.strict:
         return np.diff(offsets)[owner]
     cell = np.multiply(owner, q, out=owner)  # each entry's cell of an n x q
     cell += rows.values                      # matrix, in place of its owner
@@ -426,7 +429,7 @@ def shared_edges(us, vs, rows, universe: int | None = None) -> np.ndarray:
     64-bit words of the AND of its two bit masks is nonzero, one 1-D
     gather of a word column per end and word, a chunk of pairs at a time."""
     rows, q, table = _dense(rows, universe, us.size)
-    if 2 * rows.lens.min(initial=q) > q and not rows.repeats().any():
+    if 2 * rows.lens.min(initial=q) > q and rows.strict:
         # two rows of more than q/2 distinct ids of q share one
         return np.ones(us.size, dtype=bool)
     hit = np.zeros(us.size, dtype=bool)

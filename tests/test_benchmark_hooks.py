@@ -3,8 +3,10 @@
 perfbench/ traces the package from outside by rebinding the functions and
 methods that `spans.TRACED` names, and runs workloads through the public
 API. A rename in the package would break it silently, so this checks the
-names and every tiny workload end to end, fingerprint included. Run from
-the repository root, as perfbench/run.py expects.
+names and every tiny workload end to end, fingerprint included, and that
+a corrupted coloring fails the benchmark's audit (perfbench/smoke.py's
+liveness check). Run from the repository root, as perfbench/run.py
+expects.
 """
 
 import json
@@ -50,6 +52,23 @@ def test_tiny_workload_is_correct(perfbench, workload):
     run, _ = perfbench
     result, detail = run.run_workload(workload, "tiny", 0, 0.0, True)
     assert result["correct"] and detail["fingerprint_ok"]
+
+
+@pytest.mark.parametrize("workload", ["offline-baseline", "stream-sparse", "query-scan",
+                                      "cover-finish"])
+def test_a_corrupted_coloring_fails_the_audit(perfbench, workload):
+    # perfbench/smoke.py's liveness check: a hand-built coloring with one
+    # bad vertex is counted as failed and breaks the fingerprint
+    run, _ = perfbench
+    import smoke
+
+    undo = smoke.corrupting(smoke.WORKLOADS[workload])
+    try:
+        result, detail = run.run_workload(workload, "tiny", 0, 0.0, False)
+    finally:
+        undo()
+    assert not result["correct"] and result["failed"] == result["attempted"]
+    assert not detail["fingerprint_ok"]
 
 
 @pytest.mark.parametrize("loads, flagged", [((0.2, 0.9), False), ((0.2, 1.3), True)])

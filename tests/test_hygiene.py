@@ -25,7 +25,12 @@ models reduce what they saw through one tail, `nibble._reduce`, the only
 caller of `build_conflict`: `streaming` and `querysim` call none of
 `prune`, `build_conflict`, `solve` or the kernels beneath them, and in
 `cli` only the `sparsify` and `solve` subcommands call `prune` and
-`solve` directly.
+`solve` directly. Only `Rows.strict` runs the strict-ascent pass
+(`.steps(np.less_equal)`), so whether rows hold an id twice is learnt once
+per `Rows` and passed on, not recomputed by each layer. Inside the
+package only `cli` reads a coloring's `.assignment`, for its output: every
+library pass reads the coloring's `arrays()`, so no mapping is built on
+the way from a solver stage to a verification.
 """
 
 import ast
@@ -130,13 +135,16 @@ def test_counts_over_csr_slots(path):
     assert lines == [], f"{path.name} counts over edge arrays on lines {lines}"
 
 
-def _callers(path, name) -> set:
+def _callers(path, name, arg=None) -> set:
     """(enclosing class or None, enclosing function, or None at class or
-    module level) for each call of a method `name` in path's module."""
+    module level) for each call of a method `name` in path's module; with
+    `arg`, only the calls passing an argument `arg` or `x.arg`."""
     found = set()
 
     def visit(node, cls, fn):
-        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == name:
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == name and \
+                (arg is None or any(getattr(a, "attr", getattr(a, "id", None)) == arg
+                                    for a in node.args)):
             found.add((cls, fn))
         if isinstance(node, ast.ClassDef):
             cls, fn = node.name, None
@@ -213,3 +221,22 @@ def test_the_tail_alone_builds_conflict_instances():
 ])
 def test_models_prune_and_solve_through_the_tail(name, direct):
     assert _calls(PACKAGE / name, {"prune", "build_conflict", "solve"}) == direct
+
+
+def test_only_rows_strict_runs_the_strict_pass():
+    callers = {(path.name, *call) for path in MODULES
+               for call in _callers(path, "steps", "less_equal")}
+    assert callers == {("cover.py", "Rows", "strict")}
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "cli.py"],
+                         ids=lambda p: p.name)
+def test_only_cli_reads_a_colorings_assignment(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    inside = {id(node) for top in ast.walk(tree)
+              if isinstance(top, ast.ClassDef) and top.name == "PartialColoring"
+              for node in ast.walk(top)}
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "assignment"
+             and id(node) not in inside]
+    assert lines == [], f"{path.name} reads a coloring's .assignment on lines {lines}"

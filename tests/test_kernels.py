@@ -314,6 +314,40 @@ class TestRows:
         assert res.witness == want
 
     @FAST
+    @given(graphs(), st.data())
+    def test_array_and_dict_built_colorings_agree(self, g, data):
+        # out-of-range vertices and ids missing from a list give witnesses,
+        # in phi's order, the same for both
+        pool = data.draw(st.lists(st.integers(-2 ** 40, 2 ** 40), min_size=1, max_size=6,
+                                  unique=True))
+        lists = ListAssignment([data.draw(st.sets(st.sampled_from(pool))) for _ in range(g.n)])
+        phi = data.draw(st.dictionaries(st.integers(-2, g.n + 1), st.sampled_from(pool),
+                                        max_size=g.n + 2))
+        by_dict = PartialColoring(phi)
+        by_arrays = PartialColoring.from_arrays(np.array(list(phi), dtype=np.int64),
+                                                np.array(list(phi.values()), dtype=np.int64))
+        assert by_arrays == by_dict and by_dict == by_arrays
+        assert len(by_arrays) == len(by_dict) == len(phi)
+        assert by_arrays.is_total(g.n) == by_dict.is_total(g.n)
+        assert repr(by_arrays) == repr(by_dict) == f"PartialColoring(assignment={phi!r})"
+        for phi_as in (by_dict, by_arrays):
+            assert [a.tolist() for a in phi_as.arrays()] == [list(phi), list(phi.values())]
+            assert list(phi_as.assignment.items()) == list(phi.items())
+        for obj in (lists, cover_from_lists(g, lists)):
+            assert verify_coloring(g, obj, by_arrays) == verify_coloring(g, obj, by_dict)
+        # the mapping and the arrays of an array-built coloring are
+        # read-only, and it pickles as it was built, the mapping made or not
+        with pytest.raises(TypeError):
+            by_arrays.assignment[0] = pool[0]
+        assert not any(a.flags.writeable for a in by_arrays.arrays())
+        with pytest.raises(ValueError, match=r"got shapes \(\d+,\), \(\d+,\)$"):
+            PartialColoring.from_arrays(np.arange(len(phi) + 1), by_arrays.arrays()[1])
+        for phi_as in (by_dict, by_arrays, PartialColoring.from_arrays(*by_arrays.arrays())):
+            again = pickle.loads(pickle.dumps(phi_as))
+            assert again == by_dict and repr(again) == repr(by_dict)
+            assert [a.tolist() for a in again.arrays()] == [list(phi), list(phi.values())]
+
+    @FAST
     @given(searches())
     @example(([], [[]]))
     @example(([[], []], [[(0, 5), (1, -(2 ** 63))]]))
@@ -348,8 +382,30 @@ class TestRows:
         assert not (again.values.flags.writeable or again.indptr.flags.writeable)
         check(again)
 
+    @FAST
+    @given(cuts(), st.booleans(), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+    # a cut of rows holding an id twice that leaves one copy is strict
+    @example(([[1, 1, 2], [3]], [True, False, True, True], []), True, 2, 0)
+    # a sample of strict-unknown rows that takes both copies of an id
+    @example(([[4, 4], [4, 4]], [True, True, True, True], []), True, 2, 0)
+    def test_strict_is_one_strict_steps_pass(self, cut, learnt, s, seed):
+        # every constructor that passes `strict` on, from rows whose own
+        # fact is learnt first or not at all; `ragged` rows repeat ids
+        rows, mask, _ = cut
+        base = Rows.of(rows)
+        if learnt:
+            assert isinstance(base.strict, bool)
+        made = [base.keep(np.array(mask, dtype=bool)), sparsify._dense(base, None, 0)[0],
+                Rows.of([tuple(reversed(row)) for row in rows]),
+                sample_palettes(SharedPalette(len(rows), s + 1), s, seed).sampled]
+        if rows and min(map(len, rows)) >= s:
+            made.append(sample_palettes(base, s, seed).sampled)
+        for got in [*made, base]:
+            assert got.strict == (not got.steps(np.less_equal).any())
+
     def test_rows_keep_no_search_state(self):
-        assert Rows.__slots__ == ("values", "indptr")
+        # the arrays and the one fact learnt from them, `strict`
+        assert Rows.__slots__ == ("values", "indptr", "_strict")
 
     def test_find_allocates_per_lookup_only(self):
         # 2,500 lookups into 2,500 rows of 128 ids, the stream-sparse palette

@@ -441,7 +441,53 @@ def list_instances(draw):
     return Graph(n, edges), ListAssignment(rows)
 
 
+def unchecked_lists(rows) -> ListAssignment:
+    """A `ListAssignment` of `rows` built past its check, so that a row may
+    hold an id twice."""
+    lists = object.__new__(ListAssignment)
+    object.__setattr__(lists, "lists", Rows.of(rows))
+    return lists
+
+
+# (the list of every vertex, of q >= 3 entries; whether greedy ranks its
+# ids) of each list kind: only whole palettes lo..lo + q - 1 skip ranking
+PALETTE_KINDS = {
+    "0..q-1": (lambda q: tuple(range(q)), False),
+    "lo..hi": (lambda q: tuple(range(7, 7 + q)), False),
+    "gaps": (lambda q: tuple(range(-5, 3 * q - 5, 3)), True),
+    # q entries spanning q ids, one of them twice: not strict
+    "repeat": (lambda q: (0, 0, *range(2, q)), True),
+}
+
+
+@st.composite
+def palette_instances(draw):
+    """(graph of 1..9 vertices, every list the same row of a PALETTE_KINDS
+    kind, the kind, the table bound): the rounds assume distinct codes,
+    which `ListAssignment` guarantees, so a row with a repeat is walked."""
+    n = draw(st.integers(1, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    kind = draw(st.sampled_from(sorted(PALETTE_KINDS)))
+    row = PALETTE_KINDS[kind][0](draw(st.integers(3, 6)))
+    cells = draw(st.sampled_from([0] if kind == "repeat" else [0, 2 ** 62]))
+    return Graph(n, edges), (row,) * n, kind, cells
+
+
 class TestGreedy:
+    @settings(max_examples=150, deadline=None)
+    @given(palette_instances())
+    def test_whole_palettes_match_the_walk(self, inst):
+        g, rows, kind, cells = inst
+        lists = unchecked_lists(rows) if kind == "repeat" else ListAssignment(rows)
+        with mock.patch.object(sparsify, "_TABLE_CELLS", cells), \
+                mock.patch.object(nibble, "ranked", wraps=nibble.ranked) as ranked:
+            got = greedy_color(g, lists)
+        want = oracle_greedy_walk(g, rows)
+        assert got[1] == want[1]
+        assert (got[0] and got[0].assignment) == (want[0] and want[0].assignment)
+        assert ranked.called == PALETTE_KINDS[kind][1]
+
     @settings(max_examples=150, deadline=None)
     @given(list_instances())
     def test_matches_the_cover_reference(self, inst):
@@ -465,6 +511,9 @@ class TestGreedy:
     # walk's suffix
     @example(PATH_STUCK_AT_THE_END, 2 ** 62)
     @example(PATH, 0)
+    # strict rows of one width, each spanning it, that are not one palette:
+    # row 0 does not start at the least id
+    @example((Graph(2, [(0, 1)]), ListAssignment(((1, 2), (0, 1)))), 2 ** 62)
     def test_matches_the_walk(self, inst, cells):
         # with the n x q bound at 0 no round runs and the walk colors every
         # vertex; huge, the rounds run on every instance with an id

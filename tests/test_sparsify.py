@@ -69,6 +69,30 @@ class TestDeriveParams:
         assert str(err.value) == \
             f"need gamma in (0,1) and finite epsilon > 0, got {gamma}, {epsilon}"
 
+    @pytest.mark.parametrize("delta, n, k, message", [
+        (16, 100, math.nan, "need finite k >= 1 (use k=1 for triangle-free audits), got nan"),
+        (16, 100, math.inf, "need finite k >= 1 (use k=1 for triangle-free audits), got inf"),
+        (math.inf, 100, 1, "need finite delta >= 1 and n >= 1, got delta=inf, n=100"),
+        (math.nan, 100, 1, "need finite delta >= 1 and n >= 1, got delta=nan, n=100"),
+        (16, math.inf, 1, "need finite delta >= 1 and n >= 1, got delta=16, n=inf"),
+        (16, math.nan, 1, "need finite delta >= 1 and n >= 1, got delta=16, n=nan")])
+    def test_non_finite_sizes_rejected(self, delta, n, k, message):
+        # these raised ValueError or OverflowError from ceil, or (n = NaN)
+        # gave s = 4 without a word
+        with pytest.raises(InvalidParameters) as err:
+            derive_params(delta, n, k, 0.5, 0.1, 0.05)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("delta, q, s", [
+        (math.nan, 17, 8), (math.inf, 17, 8), (-1, 17, 8), (16, math.inf, 8), (16, math.nan, 8),
+        (16, 17, math.nan), (16, 17, math.inf), (16, 0, 8)])
+    def test_manual_non_finite_or_negative_sizes_rejected(self, delta, q, s):
+        # a NaN delta made the prune threshold NaN; q = inf and s = NaN passed
+        with pytest.raises(InvalidParameters) as err:
+            manual_params(delta, 0.1, 1.0, q, s)
+        assert str(err.value) == \
+            f"need finite q >= 1, s >= 1 and delta >= 0, got q={q}, s={s}, delta={delta}"
+
     def test_out_of_range_k_warns_not_rejects(self):
         with pytest.warns(UserWarning):
             p = derive_params(100, 100, 50, 0.9, 0.1, 0.05)
@@ -93,6 +117,13 @@ class TestSamplePalettes:
     def test_s_zero_rejected(self):
         with pytest.raises(PaletteTooSmall):
             sample_palettes(SharedPalette(4, 5), 0, seed=0)
+
+    def test_negative_vertex_count_rejected(self):
+        # numpy raised "all elements of broadcast shape must be non-negative"
+        with pytest.raises(InvalidParameters) as err:
+            sample_palettes(SharedPalette(-1, 5), 1, seed=1)
+        assert str(err.value) == "need n >= 0 vertices, got -1"
+        assert sample_palettes(SharedPalette(0, 5), 1, seed=1).sampled == ()
 
     def test_palette_too_small_rejected(self):
         with pytest.raises(PaletteTooSmall):
