@@ -79,7 +79,6 @@ from .streaming import (
     SpaceLedger,
     StreamResult,
     stream_color,
-    stream_color_correspondence,
 )
 
 __version__ = "0.1.0"

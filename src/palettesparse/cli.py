@@ -55,7 +55,7 @@ from .sparsify import (
     prune,
     sample_palettes,
 )
-from .streaming import EdgeStream, stream_color, stream_color_correspondence
+from .streaming import EdgeStream, stream_color
 
 SCHEMA = "palette-sparse/1"
 
@@ -267,7 +267,7 @@ def _stream_pass(g: Graph, obj, permute_seed):
     if obj is None:
         return partial(stream_color, EdgeStream.from_graph(g, permute_seed), g.n)
     cov = obj if isinstance(obj, CorrespondenceCover) else cover_from_lists(g, obj)
-    return partial(stream_color_correspondence, EdgeStream.from_cover(g, cov, permute_seed), g.n)
+    return partial(stream_color, EdgeStream.from_cover(g, cov, permute_seed), g.n)
 
 
 def _run_seed(g: Graph, params: SparsifyParams, obj, streamed, config: RunConfig,

@@ -790,8 +790,10 @@ def greedy_color(g: Graph, obj):
     if cov is None:
         # strict rows of one width w whose ids span w values are each the
         # palette lo..lo + w - 1, coded by id - lo; other lists have their
-        # ids ranked once, for both kernels, the rounds and the walk
-        lists, w = inst.lists, int(inst.lists.lens.max(initial=0))
+        # ids ranked once, for both kernels, the rounds and the walk, after
+        # an id held twice is cut to its first place, as on a cover
+        lists = inst.lists if inst.lists.strict else inst.lists.keep(~inst.lists.steps(np.equal))
+        w = int(lists.lens.max(initial=0))
         lo = int(lists.values[0]) if w else 0
         shared = w > 0 and lists.strict and lists.lens.min() == w and \
             int(lists.values.min()) == lo and int(lists.values.max()) == lo + w - 1

@@ -3,15 +3,18 @@
 Palettes are sampled before the first edge arrives. An edge is stored
 exactly when the endpoint samples can collide (for covers: when its
 matching restricted to the samples is nonempty). Streams are held as
-arrays (endpoints and, for covers, pairs); retention is one `shared_edges`
-call, or for covers one search of the samples (`Rows.find`) per pair color
-and a bincount of the kept pairs per record, and one closed-form ledger,
-`SpaceLedger.charge`, serves both. After the pass, both hand the `Graph`
-of the stored edges, built from their sorted keys (and the cover of the
-kept pairs), to the reduction tail that all three models share
-(`nibble._reduce`: `prune`, `build_conflict`, `solve`). The ledger's
-word model: one word per id or counter, two per stored edge, two per
-stored matching pair, n*s words for palettes and for counters.
+arrays: endpoints and, for a cover stream, the `CorrespondenceCover` of
+its records' pairs, built with the stream. One pass serves both kinds:
+its retention is one call of a survival kernel that `build_conflict`
+uses, `shared_edges` on the endpoint samples or `restrict_cover` of the
+stream's cover to them, and one closed-form ledger, `SpaceLedger.charge`,
+charges the stored records. The pass calls nothing else beneath the
+tail: after it, the `Graph` of the stored edges, built from their sorted
+keys (and for a cover stream the cut, the held cover), goes to the
+reduction tail that all three models share (`nibble._reduce`: `prune`,
+`build_conflict`, `solve`). The ledger's word model: one word per id or
+counter, two per stored edge, two per stored matching pair, n*s words
+for palettes and for counters.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from itertools import chain
 import numpy as np
 
 from ._rng import TAG_PERMUTE, substream
-from .cover import CorrespondenceCover, CoverArrays, Rows, is_id_pair
-from .graphcore import Graph, check_pairs, ranked, run_starts, split, stable_order
+from .cover import CorrespondenceCover, CoverArrays, Rows, _edge_starts, is_id_pair, restrict_cover
+from .graphcore import Graph, check_pairs, ranked, split, stable_order
 from .nibble import PartialColoring, SolveResult, _reduce
 from .sparsify import (
     PaletteFamily,
@@ -40,7 +43,6 @@ __all__ = [
     "SpaceCapExceeded",
     "StreamResult",
     "stream_color",
-    "stream_color_correspondence",
 ]
 
 
@@ -107,13 +109,18 @@ class EdgeStream:
     Each edge appears exactly once between two distinct vertices of
     0..n-1: the first record breaking this is rejected, naming it and, for
     a repeat, the earlier record of the same edge. The stream holds
-    read-only arrays: `ends`, the records' (r, 2) endpoints, and `pairs`,
-    the (p, 2) color ids of their pairs in stream order, each oriented as
-    its record, which `pair_record` gives. Iteration makes the tuples.
+    read-only arrays: `ends`, the records' (r, 2) endpoints, and
+    `pair_record`, the record of each pair. A cover stream holds `cover`,
+    the `CorrespondenceCover` on `lists` of every record's pairs, records
+    in stream order and each one's pairs in its own order, turned with
+    their record to u < v; a plain stream's `cover` is None. `pairs`, the
+    pairs' (p, 2) color ids, each oriented as its record, and iteration
+    make their output anew from these.
     """
 
     def __init__(self, n: int, records=(), lists=None):
-        """`records`: a sequence of record tuples; an array is read as one."""
+        """`records`: a sequence of record tuples; an array is read as one.
+        The lists' ids and the pairs' ids are ranked together once."""
         records = records.tolist() if isinstance(records, np.ndarray) else tuple(records)
         bad = next((i for i, rec in enumerate(records) if not _is_record(rec)), None)
         if bad is not None:
@@ -124,9 +131,6 @@ class EdgeStream:
         matchings = [rec[2] if len(rec) > 2 else () for rec in records]
         if lists is None and any(matchings):
             raise ValueError("cover records need the stream's cover lists")
-        triples = [(i, *pair) for i, pairs in enumerate(matchings) for pair in pairs]
-        flat = np.array(triples, dtype=np.int64).reshape(len(triples), 3)
-        self._hold(n, ends, lists, flat[:, 0], flat[:, 1:])
         bad = check_pairs(n, ends)[1]
         if bad is not None:
             u, v = ends[bad[0]].tolist()
@@ -137,14 +141,42 @@ class EdgeStream:
             else:
                 what = f"repeats the edge of record {bad[1]}"
             raise ValueError(f"stream record {bad[0]} ({u}, {v}) {what}")
+        triples = [(i, *pair) for i, pairs in enumerate(matchings) for pair in pairs]
+        flat = np.array(triples, dtype=np.int64).reshape(len(triples), 3)
+        cover = None
+        if lists is not None:
+            lists = Rows.of(lists)
+            k = lists.values.size
+            colors, ranks = ranked(np.concatenate((lists.values, flat[:, 1:].ravel())))
+            # each pair turned with its record to u < v
+            uv, ab = ends[flat[:, 0]], ranks[k:].reshape(-1, 2)
+            turn = uv[:, 0] > uv[:, 1]
+            uv[turn], ab[turn] = uv[turn, ::-1], ab[turn, ::-1]
+            cover = CorrespondenceCover._of(lists, CoverArrays(colors, *uv.T.copy(),
+                                                               *ab.T.copy(), ranks[:k]))
+        self._hold(n, ends, flat[:, 0], cover)
 
-    def _hold(self, n, ends, lists, pair_record, pairs) -> "EdgeStream":
-        """Takes the arrays as they are: the array builders' constructor."""
-        for a in (ends, pair_record, pairs):
-            a.flags.writeable = False
-        self.n, self.ends, self.lists = n, ends, lists
-        self.pair_record, self.pairs = pair_record, pairs
+    def _hold(self, n, ends, pair_record, cover) -> "EdgeStream":
+        """Takes the arrays and cover as they are: the array builders' constructor."""
+        ends.flags.writeable = pair_record.flags.writeable = False
+        self.n, self.ends, self.pair_record, self.cover = n, ends, pair_record, cover
         return self
+
+    @property
+    def lists(self) -> Rows | None:
+        return None if self.cover is None else self.cover.lists
+
+    @property
+    def pairs(self) -> np.ndarray:
+        """The (p, 2) color ids of the pairs in stream order, each oriented
+        as its record."""
+        if self.cover is None:
+            return np.zeros((0, 2), dtype=np.int64)
+        a = self.cover.arrays
+        pairs = a.colors[np.column_stack((a.ra, a.rb))]
+        turn = self.ends[self.pair_record, 0] > self.ends[self.pair_record, 1]
+        pairs[turn] = pairs[turn, ::-1]
+        return pairs
 
     def __len__(self) -> int:
         return len(self.ends)
@@ -152,7 +184,7 @@ class EdgeStream:
     def __iter__(self):
         """The records in turn, as tuples made anew."""
         ends = self.ends.tolist()
-        if self.lists is None:
+        if self.cover is None:
             return map(tuple, ends)
         pairs = list(map(tuple, self.pairs.tolist()))
         bounds = np.searchsorted(self.pair_record, np.arange(len(ends) + 1)).tolist()
@@ -166,15 +198,15 @@ class EdgeStream:
     def from_graph(cls, g: Graph, permute_seed: int | None = None) -> "EdgeStream":
         """g's edges (u, v), u < v, shuffled by `permute_seed`; not checked again."""
         ends = np.column_stack(g.edge_arrays())[_shuffled(g.m, permute_seed)]
-        return cls.__new__(cls)._hold(g.n, ends, None, np.zeros(0, dtype=np.int64),
-                                      np.zeros((0, 2), dtype=np.int64))
+        return cls.__new__(cls)._hold(g.n, ends, np.zeros(0, dtype=np.int64), None)
 
     @classmethod
     def from_cover(cls, g: Graph, cov: CorrespondenceCover,
                    permute_seed: int | None = None) -> "EdgeStream":
         """The records (u, v, pairs) of g's edges, u < v, each with the
         cover's pairs on it in `cov.arrays` order (none off a cover edge),
-        shuffled as `from_graph` shuffles them."""
+        shuffled as `from_graph` shuffles them. The stream's cover shares
+        `cov`'s lists, colors and list ranks, so nothing is ranked."""
         order = _shuffled(g.m, permute_seed)
         a = cov.arrays
         # each pair's edge among g's; a pair on no edge of g is dropped
@@ -184,14 +216,17 @@ class EdgeStream:
         # grouped by record, each record's pairs in arrays order
         sort = stable_order(record)
         by = np.flatnonzero(on)[sort]
-        return cls.__new__(cls)._hold(g.n, np.column_stack(g.edge_arrays())[order], cov.lists,
-                                      record[sort], a.colors[np.column_stack((a.ra[by], a.rb[by]))])
+        cover = CorrespondenceCover._of(cov.lists, CoverArrays(
+            a.colors, a.eu[by], a.ev[by], a.ra[by], a.rb[by], a.lists))
+        return cls.__new__(cls)._hold(g.n, np.column_stack(g.edge_arrays())[order],
+                                      record[sort], cover)
 
 
 @dataclass
 class StreamResult:
     """`stored` holds the stored edges in stream order, u < v: a `Rows` of
-    (u, v) pairs, or a cover stream of the (u, v, kept pairs) records."""
+    (u, v) pairs, or a cover stream of the (u, v, kept pairs) records,
+    whose cover is the held cover."""
 
     coloring: PartialColoring | None
     ledger: SpaceLedger
@@ -205,55 +240,53 @@ class StreamResult:
         return self.coloring is not None
 
 
-def _begin(stream: EdgeStream, n: int, palettes, s: int, seed: int):
-    """(the s-samples of `palettes`, a ledger charging them and the
-    counters) for a pass over `stream`, whose n vertices are checked."""
-    if stream.n != n:
-        raise ValueError(f"stream has {stream.n} vertices, but n is {n}")
-    if stream.lists is not None and len(stream.lists) != n:
-        raise ValueError(f"stream's cover lists have {len(stream.lists)} rows, but n is {n}")
-    return sample_palettes(palettes, s, seed), SpaceLedger(palette_words=n * s, counter_words=n * s)
-
-
 def stream_color(stream: EdgeStream, n: int, params: SparsifyParams, seed: int,
                  *, space_cap: int | None = None, policy: str = "auto",
                  delta_from_stream: bool = False) -> StreamResult:
-    """One pass over a plain edge stream; q-coloring from sampled palettes.
+    """One pass over an edge stream; q-coloring from sampled palettes.
 
-    Stores an edge iff the endpoint samples intersect; counts, per sampled
-    (v, c), the neighbors whose sample also holds c; prunes after the
-    stream at (1+gamma')*s*delta/q; solves the retained instance. With
-    `delta_from_stream` the pruning threshold is recomputed from the
-    observed max degree instead of the a-priori delta (costs n extra
-    counter words).
+    A plain stream samples the shared palette 0..q-1 and stores an edge
+    iff the endpoint samples intersect; a cover stream samples its cover
+    lists and stores a record iff one of its pairs has both colors
+    sampled, with those pairs: the held cover is the stream's cover cut
+    down to the samples. Counts, per sampled (v, c), the conflicts of c;
+    prunes after the stream at (1+gamma')*s*delta/q; solves the retained
+    instance. With `delta_from_stream` the pruning threshold is recomputed
+    from the observed max degree instead of the a-priori delta (costs n
+    extra counter words).
     """
-    fam, ledger = _begin(stream, n, SharedPalette(n, params.q), params.s, seed)
-    if delta_from_stream:
-        ledger.counter_words += n
+    cover = stream.cover
+    if stream.n != n:
+        raise ValueError(f"stream has {stream.n} vertices, but n is {n}")
+    if cover is not None and len(cover.lists) != n:
+        raise ValueError(f"stream's cover lists have {len(cover.lists)} rows, but n is {n}")
+    fam = sample_palettes(SharedPalette(n, params.q) if cover is None else cover.lists,
+                          params.s, seed)
+    ledger = SpaceLedger(palette_words=n * params.s,
+                         counter_words=n * params.s + (n if delta_from_stream else 0))
 
     ends = stream.ends
-    hit = shared_edges(ends[:, 0], ends[:, 1], fam.sampled, params.q)
-    pairs = ends.take(np.flatnonzero(hit), axis=0)
-    su, sv = pairs.T
-    su[:], sv[:] = np.minimum(su, sv), np.maximum(su, sv)
-    ledger.charge(np.broadcast_to(0, len(pairs)), space_cap)
-    stored = Rows(pairs.ravel(), np.arange(0, pairs.size + 1, 2))
+    if cover is None:
+        hit = shared_edges(ends[:, 0], ends[:, 1], fam.sampled, params.q)
+        kept = ends.take(np.flatnonzero(hit), axis=0)
+        su, sv = kept.T
+        su[:], sv[:] = np.minimum(su, sv), np.maximum(su, sv)
+        ledger.charge(np.broadcast_to(0, len(kept)), space_cap)
+        stored = Rows(kept.ravel(), np.arange(0, kept.size + 1, 2))
+    else:
+        # the cut's edges are the stored records, u < v, each one's pairs a run
+        cover, kept = restrict_cover(cover, fam.sampled)
+        first = _edge_starts(cover.arrays.eu, cover.arrays.ev)
+        ledger.charge(np.diff(np.flatnonzero(np.append(first, True))), space_cap)
+        stored = EdgeStream.__new__(EdgeStream)._hold(n, kept, np.cumsum(first) - 1, cover)
 
     delta = int(np.bincount(ends.ravel(), minlength=n).max(initial=0)) \
         if delta_from_stream else params.delta_ref
-    return _finish(pairs, None, fam, params, delta, ledger, stored, policy, seed)
-
-
-def _finish(ends: np.ndarray, cover: CorrespondenceCover | None, fam: PaletteFamily,
-            params: SparsifyParams, delta: int, ledger, stored, policy: str, seed: int):
-    """Run the reduction tail (`nibble._reduce`) at `delta` on the graph of
-    the stored `ends`, or the kept pairs' cover. The stored ends are
-    distinct edges u < v of a checked stream, so the held graph is built
-    from their sorted keys u*n + v, not checked again, and handed over
-    inline: only the tail holds it, and frees it before solving."""
-    n = fam.n
-    keys = ends[:, 0] * n
-    keys += ends[:, 1]
+    # the stored edges are distinct edges u < v of a checked stream, so the
+    # held graph is built from their sorted keys u*n + v, not checked again,
+    # and handed over inline: only the tail holds it, and frees it before solving
+    keys = kept[:, 0] * n
+    keys += kept[:, 1]
     keys.sort()
     fam, _, res = _reduce(Graph.__new__(Graph)._hold(n, keys, *split(keys, max(n, 1))), fam,
                           params, cover=cover, delta_ref=delta, policy=policy, seed=seed)
@@ -262,45 +295,3 @@ def _finish(ends: np.ndarray, cover: CorrespondenceCover | None, fam: PaletteFam
                             error="a vertex lost every sampled color in pruning")
     return StreamResult(res.coloring, ledger, fam, stored, res,
                         error="" if res.success else "solver failed")
-
-
-def stream_color_correspondence(stream: EdgeStream, n: int,
-                                params: SparsifyParams, seed: int,
-                                *, space_cap: int | None = None,
-                                policy: str = "auto") -> StreamResult:
-    """Correspondence variant: records carry matchings, retention keeps the
-    pairs restricted to the samples, and pruning uses per-color degrees of
-    the sampled cover subgraph."""
-    if stream.lists is None:
-        raise ValueError("correspondence streaming needs the stream's cover lists")
-    fam, ledger = _begin(stream, n, stream.lists, params.s, seed)
-
-    # a pair stays when both its colors are sampled at their ends: one
-    # search of the samples for its first color, and for the second where
-    # the first stays; a record is stored when one of its pairs stays
-    record, pairs, sampled = stream.pair_record, stream.pairs, fam.sampled
-    at = sampled.find(stream.ends[record, 0], pairs[:, 0])
-    kept = np.flatnonzero(at >= 0)
-    bt = sampled.find(stream.ends[record[kept], 1], pairs[kept, 1])
-    kept, bt = kept[bt >= 0], bt[bt >= 0]
-    record, at = record[kept], np.column_stack((at[kept], bt))
-    first = run_starts(record)  # where each stored record's run of pairs starts
-    ledger.charge(np.diff(np.flatnonzero(np.append(first, True))), space_cap)
-
-    # stored as u < v, the pairs turned round with their record
-    ends = stream.ends[record]
-    turn = ends[:, 0] > ends[:, 1]
-    ends[turn], at[turn] = ends[turn, ::-1], at[turn, ::-1]
-    stored = EdgeStream.__new__(EdgeStream)._hold(n, ends[first], sampled, np.cumsum(first) - 1,
-                                                  sampled.values[at])
-    # the held cover's arrays, as the dict constructor builds them: records in
-    # stream order, each one's pairs sorted (not sorted again if they come so)
-    colors, ranks = ranked(sampled.values)
-    ra, rb = ranks[at[:, 0]], ranks[at[:, 1]]
-    key = ra * colors.size + rb
-    sort = not ((record[1:] > record[:-1]) | (key[1:] >= key[:-1])).all()
-    order = stable_order(key) if sort else np.arange(key.size)
-    order = order[stable_order(record[order])]
-    held = CorrespondenceCover._of(sampled, CoverArrays(
-        colors, ends[order, 0], ends[order, 1], ra[order], rb[order], ranks))
-    return _finish(stored.ends, held, fam, params, params.delta_ref, ledger, stored, policy, seed)

@@ -23,9 +23,11 @@ expand pairs a bounded chunk at a time (`graphcore.run_pairs`), and the
 per-call methods stay as the tests' reference for the batches. All three
 models reduce what they saw through one tail, `nibble._reduce`, the only
 caller of `build_conflict`: `streaming` and `querysim` call none of
-`prune`, `build_conflict`, `solve` or the kernels beneath them, and in
-`cli` only the `sparsify` and `solve` subcommands call `prune` and
-`solve` directly. Only `Rows.strict` runs the strict-ascent pass
+`prune`, `build_conflict`, `solve` or the kernels beneath them, save
+that the stream's retention of a cover stream is `restrict_cover`, the
+survival kernel `build_conflict` cuts its cover with, and `streaming`
+searches no rows (`.find(`). In `cli` only the `sparsify` and `solve`
+subcommands call `prune` and `solve` directly. Only `Rows.strict` runs the strict-ascent pass
 (`.steps(np.less_equal)`), so whether rows hold an id twice is learnt once
 per `Rows` and passed on, not recomputed by each layer. Inside the
 package only `cli` reads a coloring's `.assignment`, for its output: every
@@ -204,9 +206,16 @@ def _calls(path, names) -> set:
 REDUCTION_KERNELS = {"restrict_cover", "cover_rows", "color_degrees", "directed_counts"}
 
 
-@pytest.mark.parametrize("name", ["streaming.py", "querysim.py"])
-def test_models_reduce_through_prune_and_build_conflict(name):
-    assert _calls(PACKAGE / name, REDUCTION_KERNELS) == set()
+@pytest.mark.parametrize("name, direct", [
+    ("streaming.py", {("stream_color", "restrict_cover")}),
+    ("querysim.py", set()),
+], ids=["streaming.py", "querysim.py"])
+def test_models_reduce_through_prune_and_build_conflict(name, direct):
+    assert _calls(PACKAGE / name, REDUCTION_KERNELS) == direct
+
+
+def test_stream_retention_searches_no_rows():
+    assert _callers(PACKAGE / "streaming.py", "find") == set()
 
 
 def test_the_tail_alone_builds_conflict_instances():

@@ -80,10 +80,21 @@ from palettesparse.streaming import (
     EdgeStream,
     SpaceCapExceeded,
     stream_color,
-    stream_color_correspondence,
 )
 
 FAST = settings(max_examples=60, deadline=None)
+
+
+def sorted_matchings(cov):
+    """The cover's matchings, each edge's pairs sorted, as the dict constructor keeps them."""
+    return {edge: tuple(sorted(pairs)) for edge, pairs in cov.matchings.items()}
+
+
+def pair_ids(cov):
+    """The cover's pairs in order, as (u, v, color at u, color at v) ids."""
+    a = cov.arrays
+    return list(zip(a.eu.tolist(), a.ev.tolist(), a.colors[a.ra].tolist(),
+                    a.colors[a.rb].tolist()))
 
 
 @st.composite
@@ -633,6 +644,34 @@ class TestCoverKernels:
         assert len(stream) == sub.m and stream.lists == cov.lists
 
     @FAST
+    @given(st.booleans().flatmap(lambda valid: covers(max_n=8, min_list=1, valid=valid)),
+           st.data())
+    def test_tuple_built_cover_stream(self, inst, data):
+        # records turned round, pairs reversed, pairs on colors outside the
+        # lists and empty records: the stream's cover holds each record's
+        # pairs, turned to u < v, as the dict constructor's cover does
+        g, cov = inst
+        records = []
+        for (u, v, pairs) in EdgeStream.from_cover(g, cov, data.draw(st.integers(0, 100))):
+            edit = data.draw(st.sampled_from(["keep", "drop", "reverse", "outside"]))
+            if edit == "drop":
+                pairs = ()
+            elif edit == "reverse":
+                pairs = pairs[::-1]
+            elif edit == "outside":
+                pairs += ((2 ** 41, cov.lists[v][0]), (cov.lists[u][-1], -2 ** 41))
+            records.append((v, u, tuple((b, a) for a, b in pairs)) if data.draw(st.booleans())
+                           else (u, v, pairs))
+        stream = EdgeStream(g.n, tuple(records), lists=cov.lists)
+        assert stream.records == tuple(records)
+        want = CorrespondenceCover(cov.lists, {(u, v): pairs for u, v, pairs in records})
+        assert stream.lists == cov.lists
+        assert sorted_matchings(stream.cover) == want.matchings
+        # from_cover's stream holds the pairs of the tuple-built stream of its records
+        built = EdgeStream.from_cover(g, cov, data.draw(st.integers(0, 100)))
+        assert pair_ids(built.cover) == pair_ids(EdgeStream(g.n, built.records, cov.lists).cover)
+
+    @FAST
     # n <= 2, and lists long enough for several kept pairs on an edge
     @given(covers(max_n=2, min_list=1) | covers(max_n=7, min_list=1)
            | covers(max_n=6, min_list=3), st.data())
@@ -671,33 +710,33 @@ class TestCoverKernels:
             return made[-1]
 
         with mock.patch.object(nibble, "build_conflict", side_effect=conflict) as spy:
-            out = stream_color_correspondence(stream, g.n, params, seed, policy="greedy")
+            out = stream_color(stream, g.n, params, seed, policy="greedy")
         assert list(out.stored) == stored
         assert out.ledger.peak_words == peak
         assert out.family.pruned == prune(cov, fam, params, delta_ref=params.delta_ref).pruned
         offline = build_conflict(g, fam, cover=cov)
         assert {(u, v) for u, v, _ in stored} == set(offline.graph.edges())
-        # the held cover handed to build_conflict is the one the dict
-        # constructor builds, and the conflict instance is the offline one
-        # of the stored edges and that cover
+        # the held cover handed to build_conflict is the stream's cover cut
+        # down to the samples; it and the conflict instance hold the pairs
+        # that the dict constructor's cover of the stored records and the
+        # offline instance of the stored edges and that cover hold
         held = spy.call_args.kwargs["cover"]
-        want = CorrespondenceCover(fam.sampled, {(u, v): pairs for u, v, pairs in stored})
-        assert held.lists == want.lists
+        cut, _ = restrict_cover(stream.cover, fam.sampled)
+        assert held.lists == cut.lists
         for name in ("colors", "eu", "ev", "ra", "rb", "lists"):
-            assert np.array_equal(getattr(held.arrays, name), getattr(want.arrays, name))
+            assert np.array_equal(getattr(held.arrays, name), getattr(cut.arrays, name))
+        want = CorrespondenceCover(fam.sampled, {(u, v): pairs for u, v, pairs in stored})
         expect = build_conflict(Graph(g.n, [(u, v) for u, v, _ in stored]), out.family,
                                 cover=want)
         (got,) = made
         for name in ("indptr", "indices"):
             assert np.array_equal(getattr(got.graph, name), getattr(expect.graph, name))
         assert got.cover.lists == expect.cover.lists
-        for name in ("colors", "eu", "ev", "ra", "rb", "lists"):
-            assert np.array_equal(getattr(got.cover.arrays, name),
-                                  getattr(expect.cover.arrays, name))
+        assert sorted_matchings(held) == want.matchings
+        assert sorted_matchings(got.cover) == expect.cover.matchings
         if message:
             with pytest.raises(SpaceCapExceeded) as err:
-                stream_color_correspondence(stream, g.n, params, seed, space_cap=cap,
-                                            policy="greedy")
+                stream_color(stream, g.n, params, seed, space_cap=cap, policy="greedy")
             assert str(err.value) == message
 
 

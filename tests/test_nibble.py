@@ -449,6 +449,17 @@ def unchecked_lists(rows) -> ListAssignment:
     return lists
 
 
+@st.composite
+def repeat_instances(draw):
+    """(graph of 1..8 vertices, rows of 1..4 ids from 0..3 that may hold
+    an id twice), for `unchecked_lists`."""
+    n = draw(st.integers(1, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    row = st.lists(st.integers(0, 3), min_size=1, max_size=4).map(sorted).map(tuple)
+    return Graph(n, edges), tuple(draw(row) for _ in range(n))
+
+
 # (the list of every vertex, of q >= 3 entries; whether greedy ranks its
 # ids) of each list kind: only whole palettes lo..lo + q - 1 skip ranking
 PALETTE_KINDS = {
@@ -521,6 +532,20 @@ class TestGreedy:
         want = oracle_greedy_walk(g, lists.lists)
         with mock.patch.object(sparsify, "_TABLE_CELLS", cells):
             got = greedy_color(g, lists)
+        assert got[1] == want[1]
+        assert (got[0] and got[0].assignment) == (want[0] and want[0].assignment)
+
+    @settings(max_examples=200, deadline=None)
+    @given(repeat_instances(), st.sampled_from([0, 2 ** 62]))
+    # both copies of a blocked id filled the rounds' window and left vertex
+    # 3 uncolored, where the walk colors all six
+    @example((Graph(6, [(0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (2, 4), (2, 5)]),
+              ((0, 1, 1, 2), (0, 2, 2), (1, 1, 2, 3), (0, 0, 1, 2), (3,), (0, 2))), 2 ** 62)
+    def test_rows_with_repeats_match_the_walk(self, inst, cells):
+        g, rows = inst
+        with mock.patch.object(sparsify, "_TABLE_CELLS", cells):
+            got = greedy_color(g, unchecked_lists(rows))
+        want = oracle_greedy_walk(g, rows)
         assert got[1] == want[1]
         assert (got[0] and got[0].assignment) == (want[0] and want[0].assignment)
 

@@ -9,7 +9,13 @@ from conftest import random_graph, rng_for
 
 from palettesparse import nibble, streaming
 from palettesparse._rng import TAG_PERMUTE, substream
-from palettesparse.cover import CorrespondenceCover, ListAssignment, Rows, cover_from_lists
+from palettesparse.cover import (
+    CorrespondenceCover,
+    ListAssignment,
+    Rows,
+    cover_from_lists,
+    restrict_cover,
+)
 from palettesparse.graphcore import Graph, gen_bipartite, gen_locally_sparse
 from palettesparse.nibble import verify_coloring
 from palettesparse.sparsify import (
@@ -17,13 +23,13 @@ from palettesparse.sparsify import (
     build_conflict,
     derive_params,
     manual_params,
+    prune,
     sample_palettes,
 )
 from palettesparse.streaming import (
     EdgeStream,
     SpaceCapExceeded,
     stream_color,
-    stream_color_correspondence,
 )
 
 
@@ -182,7 +188,7 @@ class TestCorrespondenceStreaming:
             [tuple(range(3 * v, 3 * v + 3)) for v in range(4)], {}
         )
         params = params_for(2, 4, 3, 2)
-        out = stream_color_correspondence(
+        out = stream_color(
             EdgeStream.from_cover(g, cov), 4, params, seed=1
         )
         assert out.ledger.stored_edges == 0 and out.ledger.matching_words == 0
@@ -198,7 +204,7 @@ class TestCorrespondenceStreaming:
         plain = stream_color(EdgeStream.from_graph(g), g.n, params, seed=5)
         full = ListAssignment(tuple(tuple(range(q)) for _ in range(g.n)))
         cov = cover_from_lists(g, full)
-        corr = stream_color_correspondence(
+        corr = stream_color(
             EdgeStream.from_cover(g, cov), g.n, params, seed=5
         )
         assert {(u, v) for u, v in plain.stored} == {(u, v) for u, v, _ in corr.stored}
@@ -216,20 +222,25 @@ class TestCorrespondenceStreaming:
             ))
             assert verify_coloring(g, pulled, mapped).ok
 
-    def test_held_cover_sorts_each_records_pairs(self):
+    def test_held_cover_is_the_stream_covers_cut(self):
         # pairs that come unsorted, one record turned round: with every
-        # color sampled, the cover handed to build_conflict is the one the
-        # dict constructor builds from the records
+        # color sampled, the cover handed to build_conflict is the stream's
+        # cover cut down to the samples, each record's pairs in record
+        # order, and holds the matchings the dict constructor builds
         lists = ((0, 1, 2), (3, 4, 5), (6, 7, 8))
         records = ((0, 1, ((2, 5), (0, 3), (1, 4))), (2, 1, ((8, 3), (6, 5), (7, 4))))
+        stream = EdgeStream(3, records, lists)
         with mock.patch.object(nibble, "build_conflict", wraps=build_conflict) as spy:
-            stream_color_correspondence(EdgeStream(3, records, lists), 3,
-                                        params_for(2, 3, 3, 3), seed=0)
+            out = stream_color(stream, 3, params_for(2, 3, 3, 3), seed=0)
         held = spy.call_args.kwargs["cover"]
-        want = CorrespondenceCover(lists, {(u, v): pairs for u, v, pairs in records})
-        assert list(held.matchings.items()) == list(want.matchings.items())
+        cut, _ = restrict_cover(stream.cover, out.family.sampled)
+        assert held.lists == cut.lists
         for name in ("colors", "eu", "ev", "ra", "rb", "lists"):
-            assert np.array_equal(getattr(held.arrays, name), getattr(want.arrays, name))
+            assert np.array_equal(getattr(held.arrays, name), getattr(cut.arrays, name))
+        want = CorrespondenceCover(lists, {(u, v): pairs for u, v, pairs in records})
+        assert {e: tuple(sorted(p)) for e, p in held.matchings.items()} == want.matchings
+        assert held.matchings == {(0, 1): ((2, 5), (0, 3), (1, 4)),
+                                  (1, 2): ((3, 8), (5, 6), (4, 7))}
 
     @pytest.mark.parametrize("kind", ["plain", "cover"])
     @pytest.mark.parametrize("capped", [False, True])
@@ -240,14 +251,13 @@ class TestCorrespondenceStreaming:
         g = random_graph(rng_for(seed), 24, 0.3)
         params = params_for(8, g.n, 6, 3)
         if kind == "plain":
-            stream, color = EdgeStream.from_graph(g, permute_seed=seed), stream_color
+            stream = EdgeStream.from_graph(g, permute_seed=seed)
         else:
             full = ListAssignment(tuple(tuple(range(6)) for _ in range(g.n)))
             stream = EdgeStream.from_cover(g, cover_from_lists(g, full), permute_seed=seed)
-            color = stream_color_correspondence
-        cap = color(stream, g.n, params, seed=seed).ledger.peak_words if capped else None
+        cap = stream_color(stream, g.n, params, seed=seed).ledger.peak_words if capped else None
         with mock.patch.object(nibble, "build_conflict", wraps=build_conflict) as spy:
-            out = color(stream, g.n, params, seed=seed, space_cap=cap)
+            out = stream_color(stream, g.n, params, seed=seed, space_cap=cap)
         held = spy.call_args.args[0]
         ends = out.stored.values.reshape(-1, 2) if kind == "plain" else out.stored.ends
         want = Graph(g.n, ends)
@@ -261,8 +271,8 @@ class TestCorrespondenceStreaming:
         # delta 1 the threshold is 1 + gamma' < 2, so it goes, although the
         # held cover's own max color degree (2) would keep it
         records = ((0, 1, ((0, 1),)), (1, 2, ((1, 2),)))
-        out = stream_color_correspondence(EdgeStream(3, records, ((0,), (1,), (2,))), 3,
-                                          manual_params(1, 0.1, 1.0, q=1, s=1), seed=0)
+        out = stream_color(EdgeStream(3, records, ((0,), (1,), (2,))), 3,
+                           manual_params(1, 0.1, 1.0, q=1, s=1), seed=0)
         assert out.family.pruned == ((0,), (), (2,))
         assert out.error == "a vertex lost every sampled color in pruning"
 
@@ -273,16 +283,31 @@ class TestCorrespondenceStreaming:
     def test_stored_record_keeps_its_pairs_in_record_order(self, record):
         # s = 3 samples every color, so every pair stays; the stored record
         # is turned to u < v with its pairs, which keep the record's order
-        out = stream_color_correspondence(EdgeStream(2, (record,), ((0, 1, 2), (10, 11, 12))),
-                                          2, manual_params(1, 0.1, 1.0, q=3, s=3), seed=0)
+        out = stream_color(EdgeStream(2, (record,), ((0, 1, 2), (10, 11, 12))),
+                           2, manual_params(1, 0.1, 1.0, q=3, s=3), seed=0)
         assert out.stored.records == ((0, 1, ((2, 12), (0, 10), (1, 11))),)
+
+    def test_cover_delta_from_stream(self):
+        # the observed max degree, not the a-priori delta 4, sets the
+        # threshold, for n more counter words
+        g = random_graph(rng_for(3), 30, 0.3)
+        cov = cover_from_lists(g, ListAssignment(tuple(tuple(range(6)) for _ in range(g.n))))
+        params = params_for(4, g.n, 6, 3)
+        stream = EdgeStream.from_cover(g, cov, permute_seed=1)
+        base = stream_color(stream, g.n, params, seed=4)
+        out = stream_color(stream, g.n, params, seed=4, delta_from_stream=True)
+        assert out.ledger.counter_words == base.ledger.counter_words + g.n
+        fam = sample_palettes(cov.lists, params.s, 4)
+        delta = int(g.degrees().max())
+        assert out.family.pruned == prune(cov, fam, params, delta_ref=delta).pruned
+        assert out.family.pruned != base.family.pruned
 
     def test_matching_words_capped_by_sample_size(self):
         g = random_graph(rng_for(9), 20, 0.4)
         full = ListAssignment(tuple(tuple(range(6)) for _ in range(g.n)))
         cov = cover_from_lists(g, full)
         params = params_for(10, 20, 6, 3)
-        out = stream_color_correspondence(
+        out = stream_color(
             EdgeStream.from_cover(g, cov), g.n, params, seed=3
         )
         for u, v, pairs in out.stored:
@@ -325,10 +350,6 @@ class TestCorrespondenceStreaming:
             EdgeStream(3, records, ((0, 1), (2, 3), (4, 5)))
 
     def test_requires_cover_lists(self):
-        g = Graph(2, [(0, 1)])
-        params = params_for(4, 2, 3, 2)
-        with pytest.raises(ValueError):
-            stream_color_correspondence(EdgeStream.from_graph(g), 2, params, seed=0)
         with pytest.raises(ValueError, match="cover records need the stream's cover lists"):
             EdgeStream(2, ((0, 1, ((0, 2),)),))
 
@@ -345,11 +366,10 @@ class TestCorrespondenceStreaming:
         # (vertex v owning the colors 2v, 2v + 1)
         edges = ((0, 1), (1, 2), (3, 4), (4, 5))
         if rows is None:
-            stream, runs = EdgeStream(6, edges), (stream_color,)
+            stream = EdgeStream(6, edges)
         else:
             records = ((0, 1, ((0, 2),)),) + tuple((u, v, ()) for u, v in edges[1:])
             lists = tuple((2 * v, 2 * v + 1) for v in range(rows))
-            stream, runs = EdgeStream(6, records, lists), (stream_color, stream_color_correspondence)
-        for run in runs:
-            with pytest.raises(ValueError, match=re.escape(witness)):
-                run(stream, n, params_for(2, n, 4, 2), seed=0)
+            stream = EdgeStream(6, records, lists)
+        with pytest.raises(ValueError, match=re.escape(witness)):
+            stream_color(stream, n, params_for(2, n, 4, 2), seed=0)

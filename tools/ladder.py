@@ -71,7 +71,6 @@ LAYERS = {
     "sparsify.prune": "prune",
     "sparsify.build_conflict": "conflict build",
     "streaming.stream_color": "stream pass",
-    "streaming.stream_color_correspondence": "stream pass",
     "querysim.plan_queries": "query plan",
     "querysim.execute_plan": "query execute",
     "nibble.solve": "solve",
@@ -172,8 +171,7 @@ def rung_lists(lay):
     cov = ps.cover_from_lists(g, lists)
     with lay.layer("cover stream build"):
         stream = ps.EdgeStream.from_cover(g, cov)
-    out = ps.stream_color_correspondence(stream, g.n, ps.manual_params(16, 0.1, 1.0, 17, 8),
-                                         seed=1)
+    out = ps.stream_color(stream, g.n, ps.manual_params(16, 0.1, 1.0, 17, 8), seed=1)
     parts = [solved(out.solve_result), solved(ps.solve(g, lists, seed=0))]
     parts[0]["stored"] = len(out.stored)
     rc = ps.random_cover(g, 17, 0.05, 1)
