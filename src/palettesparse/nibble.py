@@ -31,6 +31,7 @@ import numpy as np
 from ._rng import TAG_LLL, TAG_SOLVE, TAG_WCP, bounded, substream
 from .cover import (
     CorrespondenceCover,
+    CoverArrays,
     ListAssignment,
     Rows,
     _edge_starts,
@@ -348,15 +349,22 @@ class RoundStats:
 
 
 def wcp_round(cov: CorrespondenceCover, p: WcpParams, seed: int):
-    """Run one nibble round and return (coloring, next lists, stats).
+    """Run one nibble round and return (coloring, next cover, stats).
 
     Steps: (1) activate each cover color independently with probability
     eta/ell; (2) give each color an equalizing coin flip with probability
     keep / (1 - eta/ell)^deg(c), so survival probability is exactly keep;
     (3) keep colors that survive their flip and have no activated
     correspondent; (4) color each vertex with its smallest activated kept
-    color, if any; (5) collect the colors of blank vertices; (6) next lists
-    are the kept colors with at most 2*d_next kept-and-blank correspondents.
+    color, if any; (5) collect the colors of blank vertices; (6) the next
+    cover's colors are the kept colors with at most 2*d_next kept-and-blank
+    correspondents, on the blank vertices: a vertex this round colors gets
+    an empty row, and a pair stays when both its colors and both its ends do.
+
+    The next cover keeps `cov.n` vertices, their ids and `colors`. On a
+    cover whose lists hold every pair at its own ends (every output of
+    `restrict_cover`), it is `restrict_cover(cov, next lists, blank)` with
+    the vertex ids kept, so the rounds chained from one cut never cut again.
 
     Requires every color degree <= 2*d (else the equalizer probability
     leaves [0, 1]). The nibble stage checks the other hypotheses once, before
@@ -387,10 +395,17 @@ def wcp_round(cov: CorrespondenceCover, p: WcpParams, seed: int):
     holds = cover_rows(cov, act & kept)
     has = holds.lens > 0
     phi = PartialColoring.from_arrays(np.flatnonzero(has), holds.values[holds.indptr[:-1][has]])
-    in_u = np.zeros(N, dtype=bool)  # the colors of blank vertices
-    in_u[a.lists] = np.repeat(~has, cov.lists.lens)
-    cnt = picked_counts(cov, kept & in_u)
-    next_lists = cover_rows(cov, kept & (cnt <= 2.0 * p.d_next))
+    # the colors of blank vertices, and their entries
+    in_u = np.zeros(N, dtype=bool)
+    in_u[a.lists] = blank = np.repeat(~has, cov.lists.lens)
+    stay = kept & (picked_counts(cov, kept & in_u) <= 2.0 * p.d_next)
+    entries = stay[a.lists] & blank
+    # ends past n - 1 read free[n], no vertex's; as eu <= ev, only eu can be < 0
+    free = np.append(~has, False)
+    on = np.flatnonzero(stay[a.ra] & stay[a.rb] & free.take(a.eu, mode="clip")
+                        & free.take(a.ev, mode="clip") & (a.eu >= 0))
+    nxt = CorrespondenceCover._of(cov.lists.keep(entries), CoverArrays(
+        colors, a.eu.take(on), a.ev.take(on), a.ra.take(on), a.rb.take(on), a.lists[entries]))
 
     # two corresponding colors cannot both be kept, so the round is proper
     bad = clashing_pairs(cov, *phi.arrays())
@@ -403,7 +418,7 @@ def wcp_round(cov: CorrespondenceCover, p: WcpParams, seed: int):
     kept_ids, act_ids = colors[kept], colors[act]
     kept_ids.flags.writeable = act_ids.flags.writeable = False
     stats = RoundStats(int(act.sum()), int(kept.sum()), len(phi), kept_ids, act_ids)
-    return phi, next_lists, stats
+    return phi, nxt, stats
 
 
 # ---------------------------------------------------------------------------
@@ -954,23 +969,24 @@ def _round_hypotheses(cov: CorrespondenceCover, p: WcpParams) -> str | None:
     return None
 
 
-def _round_conclusions(nxt: CorrespondenceCover, names: np.ndarray, p: WcpParams) -> str | None:
-    """Check the next round's cover, whose vertices are g's vertices
-    `names`, against the round's next scales; reason on failure.
+def _round_conclusions(nxt: CorrespondenceCover, blank: np.ndarray, p: WcpParams) -> str | None:
+    """Check the next round's cover against the round's next scales, on the
+    vertices the bool mask `blank` marks (a colored vertex's empty row is
+    no list), each named by its own id; reason on failure.
 
     Sparsity is omitted: the next cover graph is an induced subgraph, so it
     inherits the bound.
     """
     dmax, large, small, heavy = _against_scales(nxt, p.ell_next, p.d_next, p.beta_next)
-    bad = np.flatnonzero(large | small)
+    bad = np.flatnonzero((large | small) & blank)
     if bad.size:
         v = int(bad[0])
-        return f"next list of vertex {int(names[v])} too {'large' if large[v] else 'small'}"
+        return f"next list of vertex {v} too {'large' if large[v] else 'small'}"
     if dmax > 2.0 * p.d_next:
         return "next cover max degree too large"
     heavy = np.flatnonzero(heavy)
     if heavy.size:
-        return f"next average color degree of vertex {int(names[heavy[0]])} too large"
+        return f"next average color degree of vertex {int(heavy[0])} too large"
     return None
 
 
@@ -991,9 +1007,10 @@ def _nibble_stage(g: Graph, inst: _Instance, seed: int, schedule_gamma: float,
     `_against_scales` fails more vertices as beta grows. The rounds stop as
     soon as the finisher's precondition is settled: an empty list fails it
     for good (lists only shrink), lists of _LLL_THRESHOLD * max(1, d) meet
-    it, and with no vertex left there is nothing to finish. The rounds
-    build no graph: the finisher's is built once, from the last committed
-    cover's edges (g if none commits).
+    it, and with no vertex left there is nothing to finish. Each round runs
+    on g's vertex ids, from the cover the round before returned, and builds
+    no graph: the one vertex cut is the finisher's instance, the uncolored
+    vertices of the last cover, with its graph built from the cut's edges.
     """
     cov = inst.cover if inst.cover is not None else cover_from_lists(g, ListAssignment(inst.lists))
     d0 = cov.max_color_degree()
@@ -1020,51 +1037,45 @@ def _nibble_stage(g: Graph, inst: _Instance, seed: int, schedule_gamma: float,
         return None
     # trim every list to the starting scale (smallest ids kept)
     slot = np.arange(lens.sum()) - np.repeat(cov.lists.indptr[:-1], lens)
-    cur_cov, _ = restrict_cover(cov, cov.lists.keep(slot < ell_t))
-    # each current vertex's id in g, and the last committed round's edges;
-    # each vertex's cover id, once colored
-    orig_of, edges = np.arange(g.n), None
+    cov, _ = restrict_cover(cov, cov.lists.keep(slot < ell_t))
+    # the colored vertices, and each one's cover id
     color, done = np.zeros(g.n, dtype=np.int64), np.zeros(g.n, dtype=bool)
     record.stats["rounds"] = 0
     for i in range(sched.i_star):
-        least = cur_cov.lists.lens.min() if cur_cov.n else 0
-        if not least or least >= _LLL_THRESHOLD * max(1, cur_cov.max_color_degree()):
+        least = 0 if done.all() else cov.lists.lens[~done].min()
+        if not least or least >= _LLL_THRESHOLD * max(1, cov.max_color_degree()):
             break
         p = sched.round_params(i)
-        reason = None if i else _round_hypotheses(cur_cov, p)
+        reason = None if i else _round_hypotheses(cov, p)
         if reason is not None:
             record.reason = f"round 0 hypotheses failed: {reason}"
             return None
         for r in range(_RETRIES):
-            phi, nxt, _ = wcp_round(cur_cov, p, _child_seed(seed, i, r))
+            phi, nxt, _ = wcp_round(cov, p, _child_seed(seed, i, r))
             colored, ids = phi.arrays()
-            blank = np.ones(cur_cov.n, dtype=bool)
+            blank = ~done
             blank[colored] = False
-            names = orig_of[blank]
-            next_cov, next_edges = restrict_cover(cur_cov, nxt, blank)
-            reason = _round_conclusions(next_cov, names, p)
+            reason = _round_conclusions(nxt, blank, p)
             if reason is None:
                 break
         else:
             record.reason = f"round {i} conclusions failed after {_RETRIES} tries: {reason}"
             return None
         record.stats["rounds"] += 1
-        color[orig_of[colored]], done[orig_of[colored]] = ids, True
-        orig_of, cur_cov, edges = names, next_cov, next_edges
-    if cur_cov.n:
-        cur_g = g if edges is None else Graph(cur_cov.n, edges)
+        color[colored], done, cov = ids, ~blank, nxt
+    if not done.all():
+        sub, edges = restrict_cover(cov, cov.lists, ~done)
         try:
-            fin = finish_lll(cur_g, cur_cov, _child_seed(seed, 1 << 20))
+            fin = finish_lll(Graph(sub.n, edges), sub, _child_seed(seed, 1 << 20))
         except PreconditionViolation as e:
             record.reason = f"finisher precondition failed after rounds: {e}"
             return None
         record.stats["resamples"] = fin.resamples
-        at, ids = fin.coloring.arrays()
-        color[orig_of[at]], done[orig_of[at]] = ids, True
-    at = np.flatnonzero(done)
+        # the finisher colors every vertex of the cut, in order
+        color[~done] = fin.coloring.arrays()[1]
     # lists: cover id c is list entry c, pulled back to its name
-    return PartialColoring.from_arrays(at, color[at] if inst.cover is not None else
-                                       inst.lists.values[color[at]])
+    return PartialColoring.from_arrays(np.arange(g.n), color if inst.cover is not None else
+                                       inst.lists.values[color])
 
 
 def solve(g: Graph, obj, policy: str = "auto", seed: int = 0, *,

@@ -27,9 +27,12 @@ caller of `build_conflict`: `streaming` and `querysim` call none of
 that the stream's retention of a cover stream is `restrict_cover`, the
 survival kernel `build_conflict` cuts its cover with, and `streaming`
 searches no rows (`.find(`). In `cli` only the `sparsify` and `solve`
-subcommands call `prune` and `solve` directly. Only `Rows.strict` runs the strict-ascent pass
-(`.steps(np.less_equal)`), so whether rows hold an id twice is learnt once
-per `Rows` and passed on, not recomputed by each layer. Inside the
+subcommands call `prune` and `solve` directly. In `nibble` only the
+nibble stage cuts a cover (`restrict_cover`), once before its rounds and
+once for its finisher: a round returns its next cover itself. Only
+`Rows.strict` runs the strict-ascent pass (`.steps(np.less_equal)`), so
+whether rows hold an id twice is learnt once per `Rows` and passed on,
+not recomputed by each layer. Inside the
 package only `cli` reads a coloring's `.assignment`, for its output: every
 library pass reads the coloring's `arrays()`, so no mapping is built on
 the way from a solver stage to a verification.
@@ -212,6 +215,12 @@ REDUCTION_KERNELS = {"restrict_cover", "cover_rows", "color_degrees", "directed_
 ], ids=["streaming.py", "querysim.py"])
 def test_models_reduce_through_prune_and_build_conflict(name, direct):
     assert _calls(PACKAGE / name, REDUCTION_KERNELS) == direct
+
+
+def test_nibble_cuts_its_cover_only_around_the_rounds():
+    # the trim before the rounds and the finisher's cut: each round returns
+    # its next cover in g's vertex ids, so no round cuts one
+    assert _calls(PACKAGE / "nibble.py", {"restrict_cover"}) == {("_nibble_stage", "restrict_cover")}
 
 
 def test_stream_retention_searches_no_rows():

@@ -205,14 +205,14 @@ def cut_of(draw, cov):
 
 
 def round_of(cov, p, seed):
-    """`wcp_round`'s coloring, next lists and stats as plain values, or the
-    text of the PreconditionViolation it raises."""
+    """`wcp_round`'s coloring, next cover's lists and pairs, and stats as
+    plain values, or the text of the PreconditionViolation it raises."""
     try:
         phi, nxt, st = wcp_round(cov, p, seed)
     except PreconditionViolation as e:
         return str(e)
-    return phi.assignment, tuple(nxt), (st.activated, st.kept, st.colored,
-                                        st.kept_ids.tolist(), st.activated_ids.tolist())
+    return phi.assignment, tuple(nxt.lists), nxt.matchings, (
+        st.activated, st.kept, st.colored, st.kept_ids.tolist(), st.activated_ids.tolist())
 
 
 @st.composite
@@ -563,6 +563,33 @@ class TestCoverKernels:
         seed = data.draw(st.integers(0, 2 ** 16))
         assert round_of(sub, p, seed) == \
             round_of(CorrespondenceCover(sub.lists, sub.matchings), p, seed)
+
+    @FAST
+    @given(random_covers() | broken_covers(), st.data())
+    def test_a_round_cuts_its_cover_as_restrict_cover_does(self, inst, data):
+        # on a cut, the round's next cover is the cut of its lists to its
+        # next rows and its blank vertices, with the vertex ids kept; the
+        # cut is of the whole lists or of drawn rows, and each draw runs
+        # eight seeds, as a colored vertex seldom keeps both colors of a pair
+        _, cov = inst
+        sub, _ = restrict_cover(cov, *data.draw(st.just((cov.lists, None)) | cut_of(cov)))
+        ell = data.draw(st.floats(1.0, 8.0))
+        d = sub.max_color_degree() / 2 + data.draw(st.floats(0.0, 4.0))
+        p = WcpParams.from_basics(data.draw(st.floats(0.0, 0.99)) * ell, ell, d)
+        base = data.draw(st.integers(0, 2 ** 16))
+        for seed in range(base, base + 8):
+            phi, nxt, _ = wcp_round(sub, p, seed)
+            blank = np.ones(sub.n, dtype=bool)
+            blank[list(phi.assignment)] = False
+            lists, items, _ = oracle_restrict_cover(sub, nxt.lists, keep_vertex=blank)
+            g_id = np.flatnonzero(blank).tolist()
+            assert nxt.n == sub.n and nxt.arrays.colors is sub.arrays.colors
+            assert [nxt.lists[v] for v in g_id] == list(lists)
+            assert list(nxt.matchings.items()) == [((g_id[u], g_id[v]), pairs)
+                                                   for (u, v), pairs in items]
+            # a colored vertex has an empty row and no pair
+            ends = {v for edge in nxt.matchings for v in edge}
+            assert all(not nxt.lists[v] and v not in ends for v in phi.assignment)
 
     def test_pair_off_its_own_ends_is_cut(self):
         # color 0 is vertex 0's only, so the pair (0, 0) on (0, 1) can never

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 import math
 from unittest import mock
 
@@ -116,7 +118,7 @@ class TestWcpRound:
         phi, nxt, st = wcp_round(cov, p, seed=3)
         assert len(phi) == 0
         assert st.kept == cov.num_colors
-        assert all(nxt[v] == cov.lists[v] for v in range(g.n))
+        assert all(nxt.lists[v] == cov.lists[v] for v in range(g.n))
 
     def test_empty_matchings_color_all_holders(self):
         g = Graph(6, [(0, 1), (2, 3), (4, 5)])
@@ -144,13 +146,13 @@ class TestWcpRound:
             in_u = {c for v in blanks for c in cov.lists[v]}
             for v in range(g.n):
                 lst = set(cov.lists[v])
-                assert set(nxt[v]) <= kept & lst <= lst
+                assert set(nxt.lists[v]) <= kept & lst <= lst
                 cand = sorted(c for c in cov.lists[v] if c in act and c in kept)
                 if cand:
                     assert phi.assignment[v] == cand[0]
                 else:
                     assert v not in phi.assignment
-                for c in nxt[v]:
+                for c in nxt.lists[v]:
                     load = sum(1 for c2 in nbrs.get(c, ()) if c2 in kept and c2 in in_u)
                     assert load <= 2 * p.d_next
             # no two kept colors correspond when both endpoints got colored
@@ -970,25 +972,42 @@ class TestNibbleStage:
 
     def test_round_conclusions_name_the_vertex_in_g(self, monkeypatch):
         # from round 1 on, every conclusions check flags the next cover's
-        # last vertex: a vertex renumbered by the rounds before, whose id in
-        # g its colors give (the canonical cover's ids are list entries)
+        # last uncolored vertex, the last with a nonempty row; its colors
+        # give its id in g (the canonical cover's ids are list entries)
         g, lists = admitted_instance()
         scales, ells, flagged = nibble._against_scales, set(), []
 
         def flag_last(cov, ell, d, beta):
             dmax, large, small, heavy = scales(cov, ell, d, beta)
             ells.add(ell)  # round 0's hypotheses, round 0's conclusions, ...
-            if len(ells) > 2 and cov.lists.lens[-1]:
-                large[-1] = True
-                flagged.append((cov.n - 1, int(lists.lists.owner[cov.lists.values[-1]])))
+            if len(ells) > 2:
+                v = int(np.flatnonzero(cov.lists.lens)[-1])
+                large[v] = True
+                flagged.append((v, int(lists.lists.owner[cov.lists[v][0]])))
             return dmax, large, small, heavy
 
         monkeypatch.setattr(nibble, "_against_scales", flag_last)
         reason, stats = self.stage(g, lists, seed=2, gamma=0.3, epsilon=1.0)
-        # the last try's next cover has 77 vertices: g's 78 and 79 are colored
-        assert flagged[-1] == (76, 77)
+        # on the last try, g's 78 and 79 are colored
+        assert flagged[-1] == (77, 77)
         assert (reason, stats) == ("round 1 conclusions failed after 20 tries: "
                                    "next list of vertex 77 too large", {"rounds": 1})
+
+    @pytest.mark.parametrize("seed, stats, digest", [
+        (2, {"rounds": 417, "resamples": 0}, "bc658ede861b29de"),
+        (3, {"rounds": 417, "resamples": 0}, "6dc0012e70e61901"),
+        (4, {"rounds": 238}, "2e8964db870f5ecd"),
+    ])
+    def test_admitted_successes_are_pinned(self, seed, stats, digest):
+        # the one admitted instance that the stage colors: its rounds, its
+        # finisher's resamples (none when the rounds color every vertex)
+        # and a digest of its coloring
+        g, lists = admitted_instance()
+        res = solve(g, lists, policy="nibble", seed=seed, schedule_gamma=0.3,
+                    schedule_epsilon=1.0)
+        got = json.dumps(sorted(res.coloring.assignment.items())).encode()
+        assert (res.stages[0].reason, res.stages[0].stats) == ("", stats)
+        assert hashlib.sha256(got).hexdigest()[:16] == digest
 
     def test_finisher_precondition_failed_after_rounds(self):
         reason, stats = self.stage(gen_bipartite(12, 5, seed=92), nibble_lists(92, 12, 77, 41),
@@ -1030,11 +1049,13 @@ class TestNibbleStage:
     def test_one_check_one_count_and_one_graph(self, monkeypatch):
         # an admitted run of hundreds of rounds checks the round hypotheses
         # once, counts each cover's color degrees at most once (every read
-        # of a cover gets the same array) and builds one graph, the finisher's
+        # of a cover gets the same array), builds one graph, the finisher's,
+        # and cuts its cover twice
         from palettesparse import cover as cover_mod
 
-        checks, reads, graphs = [], [], []
+        checks, reads, graphs, cuts = [], [], [], []
         hypotheses, degrees, build = nibble._round_hypotheses, cover_mod.color_degrees, Graph
+        restrict = nibble.restrict_cover
 
         def check(cov, p):
             checks.append(p)
@@ -1048,8 +1069,13 @@ class TestNibbleStage:
             graphs.append(args)
             return build(*args)
 
+        def cut(*args):
+            cuts.append(args)
+            return restrict(*args)
+
         monkeypatch.setattr(nibble, "_round_hypotheses", check)
         monkeypatch.setattr(nibble, "Graph", graph)
+        monkeypatch.setattr(nibble, "restrict_cover", cut)
         for mod in (cover_mod, nibble, sparsify):
             monkeypatch.setattr(mod, "color_degrees", count)
         g, lists = admitted_instance()
@@ -1057,6 +1083,8 @@ class TestNibbleStage:
             ("", {"rounds": 417, "resamples": 0})
         assert len(checks) == 1
         assert len(graphs) <= 1
+        # the trim and the finisher's cut: the rounds cut no cover
+        assert len(cuts) == 2
         per_cover = {}
         for cov, deg in reads:
             per_cover.setdefault(id(cov), set()).add(id(deg))
