@@ -36,6 +36,8 @@ from .graphcore import (
     GenerationError,
     Graph,
     GraphError,
+    _Ints,
+    _offsets,
     gen_bipartite,
     gen_locally_sparse,
     load_graph,
@@ -539,16 +541,23 @@ def _cmd_sweep(args) -> int:
 def _load_lists(path, n: int) -> ListAssignment:
     """Read a lists file for an n-vertex graph: a line 'n', then one row of
     distinct integer color ids per vertex; ConfigError names the bad row."""
-    with open(path) as fh:
-        head, *rows = fh.read().splitlines() or [""]
-    if head.strip() != str(n):
+    f = _Ints(path)
+    rows = f.counts.size - 1
+    if f.line(0).strip() != str(n):
         raise ConfigError(f"lists file {path}: first line must be the vertex count {n}")
-    if len(rows) < n or any(r.strip() for r in rows[n:]):
-        raise ConfigError(f"lists file {path}: row {min(len(rows), n)} is "
-                          + ("missing" if len(rows) < n else "one too many"))
+    if rows < n or f.counts[1 + n:].any():
+        raise ConfigError(f"lists file {path}: row {min(rows, n)} is "
+                          + ("missing" if rows < n else "one too many"))
+    if f.junk <= rows:  # its first bad token, named as `int` names one
+        token = next((t for t in f.line(f.junk).split()
+                      if not (t.isascii() and t[t[:1] in "+-":].isdigit())), f.line(f.junk))
+        raise ConfigError(f"lists file {path}: invalid literal for int() with base 10: "
+                          f"{token!r:.200}")
+    if f.wide <= rows:
+        raise ConfigError(f"lists file {path}: row {f.wide - 1} holds an id outside int64")
     try:
-        return ListAssignment(tuple(tuple(map(int, r.split())) for r in rows[:n]))
-    except ValueError as e:  # a non-integer id, or Rows or CoverError naming the row or vertex
+        return ListAssignment(Rows(f.values[1:], _offsets(f.counts[1:1 + n])))
+    except CoverError as e:  # a row that holds a color twice
         raise ConfigError(f"lists file {path}: {e}") from None
 
 

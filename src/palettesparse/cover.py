@@ -23,6 +23,9 @@ cut from (its own, for an uncut cover). Every cover
 path runs on the kernels below over them (degrees, correspondents among
 picked colors, restriction, kept rows, clashes); they sit here, not beside
 the list kernels in `sparsify`, because `sparsify` imports this module.
+The dict constructor and `load_cover` encode their pairs by one
+`CorrespondenceCover._encode`: each edge turned to u < v with its pairs
+sorted, a repeated edge rejected, and the ids ranked once.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from numbers import Integral
 import numpy as np
 
 from ._rng import TAG_COVER, substream
-from .graphcore import (Graph, _offsets, _triangle_counts, distinct, parse_ints, ranked, split,
+from .graphcore import (Graph, _Ints, _offsets, _triangle_counts, distinct, ranked, split,
                         stable_order)
 
 __all__ = [
@@ -155,8 +158,11 @@ class Rows(Sequence):
         """The row of every entry."""
         return np.repeat(np.arange(len(self)), self.lens)
 
-    def __getitem__(self, v) -> tuple[int, ...]:
+    def __getitem__(self, v):
+        """Row v as a tuple; for a slice, the tuple of its rows' tuples."""
         v = range(len(self))[v]
+        if isinstance(v, range):
+            return tuple(map(self.__getitem__, v))
         lo, hi = self.indptr[v : v + 2].tolist()
         return tuple(self.values[lo:hi].tolist())
 
@@ -307,33 +313,40 @@ class CorrespondenceCover:
     _degrees = None
 
     def __init__(self, lists, matchings):
-        """From a dict of pairs per edge: an edge keyed (v, u) is turned
-        round, each edge's pairs are sorted, and the dict is encoded as
-        arrays at once and not kept; a key or pair that is not two integer
-        ids, or an edge keyed both ways round, raises `CoverError`."""
+        """From a dict of pairs per edge, encoded at once as `_encode` encodes
+        them and not kept; a key or pair that is not two integer ids, or an
+        edge keyed both ways round, raises `CoverError`."""
         lists = Rows.of(lists)
-        norm: dict[tuple[int, int], list[tuple[int, int]]] = {}
         for edge, pairs in matchings.items():
             if not (is_id_pair(edge) and isinstance(pairs, Sized) and all(map(is_id_pair, pairs))):
                 raise CoverError(f"matching {edge!r}: {pairs!r} is not an edge (u, v) with (a, b) "
                                  "pairs, all integer ids")
-            u, v = edge
-            if u > v:
-                u, v, pairs = v, u, [(b, a) for a, b in pairs]
-            if (u, v) in norm:
-                raise CoverError(f"duplicate matching for edge {(u, v)}")
-            norm[(u, v)] = sorted(pairs)
-        per_edge = np.fromiter(map(len, norm.values()), dtype=np.int64, count=len(norm))
-        ends = np.fromiter(chain.from_iterable(norm), dtype=np.int64,
-                           count=2 * per_edge.size).reshape(-1, 2)
-        pairs = np.fromiter(chain.from_iterable(chain.from_iterable(norm.values())),
-                            dtype=np.int64, count=2 * int(per_edge.sum()))
+        ends = np.array([*matchings], dtype=np.int64).reshape(-1, 2)
+        ab = np.array([ab for pairs in matchings.values() for ab in pairs], dtype=np.int64)
+        cov = self._encode(lists, *ends.T, np.fromiter(map(len, matchings.values()), np.int64),
+                           *ab.reshape(-1, 2).T, "duplicate matching for edge")
+        self.lists, self.arrays = cov.lists, cov.arrays
+
+    @classmethod
+    def _encode(cls, lists: Rows, us, vs, per_edge, a, b, repeat: str) -> "CorrespondenceCover":
+        """The cover of `lists` whose edge (us[e], vs[e]) holds the next
+        per_edge[e] pairs, each joining color a at us[e] to b at vs[e]: the
+        edge is turned round when us[e] > vs[e], and its pairs are sorted. An
+        edge that an earlier one repeats, either way round, raises CoverError
+        `repeat` naming it."""
+        lo, hi = np.minimum(us, vs), np.maximum(us, vs)
+        order = np.lexsort((hi, lo))
+        again = order[1:][(lo[order[1:]] == lo[order[:-1]]) & (hi[order[1:]] == hi[order[:-1]])]
+        if again.size:
+            raise CoverError(f"{repeat} {(int(lo[again.min()]), int(hi[again.min()]))}")
+        turn = np.repeat(us > vs, per_edge)
+        a, b = np.where(turn, b, a), np.where(turn, a, b)
+        order = np.lexsort((b, a, np.repeat(np.arange(us.size), per_edge)))
         flat = lists.values
-        colors, ranks = ranked(np.concatenate((flat, pairs)))
-        self.lists = lists
-        self.arrays = CoverArrays(colors, np.repeat(ends[:, 0], per_edge),
-                                  np.repeat(ends[:, 1], per_edge), ranks[flat.size::2],
-                                  ranks[flat.size + 1::2], ranks[:flat.size])
+        colors, ranks = ranked(np.concatenate((flat, a[order], b[order])))
+        ra, rb = np.split(ranks[flat.size:], 2)
+        return cls._of(lists, CoverArrays(colors, np.repeat(lo, per_edge), np.repeat(hi, per_edge),
+                                          ra, rb, ranks[:flat.size]))
 
     @classmethod
     def _of(cls, lists: Rows, arrays: CoverArrays) -> "CorrespondenceCover":
@@ -623,34 +636,35 @@ def random_cover(g: Graph, list_size: int, density: float, seed: int) -> Corresp
 
 
 def load_cover(path) -> CorrespondenceCover:
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise CoverError("expected header 'n q_total'")
-        n, q_total = parse_ints(header, CoverError)
-        if n < 0:
-            raise CoverError(f"negative vertex count: {n}")
-        lists = []
-        for _ in range(n):
-            line = fh.readline()
-            if line == "":
-                raise CoverError("truncated list section")
-            lists.append(tuple(parse_ints(line.split(), CoverError)))
-        matchings = {}
-        for line in fh:
-            if not line.strip():
-                continue
-            parts = parse_ints(line.split(), CoverError)
-            if len(parts) < 3:
-                raise CoverError(f"bad matching line: {line!r}")
-            u, v, p = parts[0], parts[1], parts[2]
-            if len(parts) != 3 + 2 * p:
-                raise CoverError(f"matching line claims {p} pairs: {line!r}")
-            pairs = [(parts[3 + 2 * i], parts[4 + 2 * i]) for i in range(p)]
-            if (u, v) in matchings or (v, u) in matchings:
-                raise CoverError(f"duplicate matching line for edge {(min(u, v), max(u, v))}")
-            matchings[(u, v)] = tuple(pairs)
-    cov = CorrespondenceCover(lists, matchings)
+    """Read the format 'n q_total', one line of color ids per vertex, then
+    'u v p a1 b1 ... ap bp' lines of matched pairs (blank lines skipped),
+    rejecting any violation: the first bad line is named, as a loop over the
+    lines in turn would name it. The cover equals the dict constructor's."""
+    f = _Ints(path)
+    counts, values = f.counts, f.values
+    n, q_total = f.header(CoverError, "'n q_total'")
+    if n < 0:
+        raise CoverError(f"negative vertex count: {n}")
+    f.check(1 + n, CoverError)
+    if counts.size < 1 + n:
+        raise CoverError("truncated list section")
+    first = _offsets(counts)
+    rows = 1 + n + np.flatnonzero(counts[1 + n:])  # the matching lines
+    c, at = counts[rows], first[rows]
+    u, v, p = (values.take(at + k, mode="clip") for k in range(3))
+    # the lines before the first of other than 3 + 2p tokens or with a bad token
+    short = np.flatnonzero((c < 3) | (c % 2 == 0) | (p != (c - 3) // 2))[:1].tolist()
+    k = min(short + [int(np.searchsorted(rows, min(f.junk, f.wide)))])
+    ab = values[np.arange(2 * int(p[:k].sum())) + np.repeat(at[:k] + 3 - _offsets(2 * p[:k])[:-1],
+                                                             2 * p[:k])]
+    lists = Rows(values[2:first[1 + n]].copy(), _offsets(counts[1:1 + n])).ascending()
+    cov = CorrespondenceCover._encode(lists, u[:k], v[:k], p[:k], *ab.reshape(-1, 2).T,
+                                      "duplicate matching line for edge")
+    if k < rows.size:  # no line before it repeats an edge
+        f.check(rows[k] + 1, CoverError)
+        line = f.line(rows[k], 1)
+        raise CoverError(f"bad matching line: {line!r}" if c[k] < 3 else
+                         f"matching line claims {p[k]} pairs: {line!r}")
     if cov.num_colors != q_total:
         raise CoverError(f"header claims {q_total} colors, lists carry {cov.num_colors}")
     return cov

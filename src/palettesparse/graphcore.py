@@ -13,6 +13,11 @@ Every dedupe and stable order in the package is `distinct`, `first_seen`,
 answers from one `np.sort` (of key-index packs when an order is needed),
 skipped when the keys already ascend, as edge lists mostly do.
 
+Graph, cover and lists files are read by `_Ints`, one pass of array
+operations over a file's bytes that finds the first line holding a bad
+token; `load_graph`, `cover.load_cover` and `cli._load_lists` check their
+formats with masks over its token values and per-line token counts.
+
 A graph is *k-locally-sparse* when every vertex neighborhood induces at most
 k edges (triangle-free graphs are the k = 0 case). `local_sparsity` reports
 the exact per-vertex neighborhood edge counts, which are per-vertex triangle
@@ -568,43 +573,99 @@ def gen_bipartite(n: int, target_delta: int, seed: int) -> Graph:
 
 def save_graph(g: Graph, path) -> None:
     """Write the text format: first line 'n m', then one 'u v' line per edge, u < v."""
+    body = "%d %d\n" * g.m % tuple(np.column_stack(g.edge_arrays()).ravel().tolist())
     with open(path, "w") as fh:
-        fh.write(f"{g.n} {g.m}\n")
-        for u, v in g.edges():
-            fh.write(f"{u} {v}\n")
+        fh.write(f"{g.n} {g.m}\n{body}")
 
 
-def parse_ints(tokens: list[str], error: type[Exception]) -> list[int]:
-    """The tokens of one file line as ints that int64 holds; `error` names
-    the line if one is not."""
-    try:
-        ints = [int(t) for t in tokens]
-    except ValueError:
-        raise error(f"non-integer token in line {' '.join(tokens)!r}") from None
-    if ints and (min(ints) < -2 ** 63 or max(ints) >= 2 ** 63):
-        raise error(f"integer outside int64 in line {' '.join(tokens)!r}")
-    return ints
+# the bytes of a file that holds no bad token: digits and the ASCII
+# whitespace that splits tokens (`bytes.split`'s)
+_DIGITS_AND_BLANKS = b"0123456789 \t\n\v\f\r"
+
+
+class _Ints:
+    """The integer tokens of a text file's lines, read by one pass of array
+    operations over its bytes. Lines break where universal newlines break
+    them; tokens are split at ASCII whitespace; a token is an integer when
+    it is an optional sign and ASCII digits.
+
+    `values` holds each token's int64 value (any value, for a bad token),
+    `counts` each line's token count and `breaks` the offset in `text` (the
+    file, "\r\n" and a lone "\r" read as "\n") of each line's "\n", or of
+    the file's end for an unended last line. `junk` is the first line that
+    holds a token that is not an integer and `wide` the first that holds one
+    outside int64, or the line count. Only a file holding some byte other
+    than digits and whitespace is searched for bad bytes, read as "0" for
+    `values`; only a token of 19 bytes or more is read again, by `int`.
+    """
+
+    def __init__(self, path):
+        with open(path, "rb") as fh:
+            text = fh.read()
+        if b"\r" in text:
+            text = text.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        # an unended last line (an empty file's empty line too) is read as if ended
+        body = text if text.endswith(b"\n") else text + b"\n"
+        data = np.frombuffer(body, dtype=np.uint8)
+        blank = np.concatenate(([True], (data - 9 < 5) | (data == 32)))  # byte i - 1 is blank
+        start = blank[:-1] > blank[1:]  # the first byte of each token
+        # the first bad byte: a token byte that is neither a digit nor a sign
+        # that starts its token before a digit
+        at = data.size
+        if text.translate(None, _DIGITS_AND_BLANKS):
+            digit = np.append(data - 48 < 10, False)
+            bad = ~(digit[:-1] | blank[1:] | start & digit[1:] & ((data == 43) | (data == 45)))
+            if bad.any():
+                at, body = int(bad.argmax()), np.where(bad, 48, data).tobytes()
+        marks = np.flatnonzero(start | (data == 10))  # the token starts and line ends, in turn
+        del blank, start
+        ends = np.flatnonzero(data.take(marks) == 10)
+        # a token outside int64 spans 19 bytes or more: `int` reads each token
+        # whose next mark lies 19 bytes or more after its start
+        long = np.flatnonzero(marks[1:] - marks[:-1] >= 19).tolist()
+        wide = next((i for i in long if data[marks[i]] != 10 and
+                     not -2 ** 63 <= int(body[marks[i]:marks[i + 1]].split()[0]) < 2 ** 63),
+                    marks.size)
+        self.text, self.counts, self.breaks = text, np.diff(ends, prepend=-1) - 1, marks[ends]
+        self.values = np.fromstring(body, dtype=np.int64, count=marks.size - ends.size, sep=" ")
+        self.junk = int(np.searchsorted(self.breaks, at))
+        self.wide = int(np.searchsorted(ends, wide))
+
+    def line(self, i: int, end: int = 0) -> str:
+        """Line i, with its "\n" (if it has one) when end = 1; a byte that is not UTF-8 escaped."""
+        lo = int(self.breaks[i - 1]) + 1 if i else 0
+        return self.text[lo:int(self.breaks[i]) + end].decode(errors="backslashreplace")
+
+    def check(self, stop: int, error: type[Exception]) -> None:
+        """`error` naming the first line before `stop` that holds a bad token, if one does."""
+        i = min(self.junk, self.wide)
+        if i < min(stop, self.counts.size):
+            kind = "non-integer token" if i == self.junk else "integer outside int64"
+            raise error(f"{kind} in line {' '.join(self.line(i).split())!r}")
+
+    def header(self, error: type[Exception], names: str) -> list[int]:
+        """The two integers of line 0; `error` if it holds other tokens."""
+        if self.counts[0] != 2:
+            raise error(f"expected header {names}")
+        self.check(1, error)
+        return self.values[:2].tolist()
 
 
 def load_graph(path) -> Graph:
-    """Read the 'n m' / 'u v' format, rejecting any violation."""
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise GraphError("expected header 'n m'")
-        n, m = parse_ints(header, GraphError)
-        edges = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise GraphError(f"bad edge line: {line!r}")
-            u, v = parse_ints(parts, GraphError)
-            if u >= v:
-                raise GraphError(f"edges must satisfy u < v, got {u} {v}")
-            edges.append((u, v))
-    if len(edges) != m:
-        raise GraphError(f"header claims {m} edges, file has {len(edges)}")
-    return Graph(n, edges)
+    """Read the 'n m' / 'u v' format, rejecting any violation: the first bad
+    line is named, as a loop over the lines in turn would name it."""
+    f = _Ints(path)
+    n, m = f.header(GraphError, "'n m'")
+    # the first line of other than 0 or 2 tokens or with a bad token; the edges before it
+    odd = np.flatnonzero((f.counts | 2) != 2)[:1].tolist()
+    stop = min(odd + [f.junk, f.wide])
+    ends = f.values[2:int(f.counts[:stop].sum())].reshape(-1, 2)
+    back = np.flatnonzero(ends[:, 0] >= ends[:, 1])
+    if back.size:
+        raise GraphError("edges must satisfy u < v, got {} {}".format(*ends[back[0]].tolist()))
+    if stop in odd:
+        raise GraphError(f"bad edge line: {f.line(stop).strip()!r}")
+    f.check(f.counts.size, GraphError)
+    if len(ends) != m:
+        raise GraphError(f"header claims {m} edges, file has {len(ends)}")
+    return Graph(n, ends)

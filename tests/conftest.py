@@ -26,18 +26,19 @@ settings.register_profile("tier1", derandomize=True)
 settings.register_profile("explore", derandomize=False)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
 
-from palettesparse.cli import RunConfig, run
+from palettesparse.cli import ConfigError, RunConfig, run
 from palettesparse._rng import TAG_COVER, TAG_LLL, TAG_PALETTE, TAG_PERMUTE, substream
 from palettesparse.cover import (
     CorrespondenceCover,
     CoverArrays,
+    CoverError,
     CoverReport,
     ListAssignment,
     Rows,
     random_cover,
 )
 from palettesparse import nibble
-from palettesparse.graphcore import Graph
+from palettesparse.graphcore import Graph, GraphError
 from palettesparse.nibble import BudgetExceeded, PartialColoring
 from palettesparse.sparsify import SharedPalette
 
@@ -90,6 +91,92 @@ def save_cover(cov: CorrespondenceCover, path) -> None:
         for (u, v), pairs in sorted(cov.matchings.items()):
             flat = " ".join(f"{a} {b}" for a, b in pairs)
             fh.write(f"{u} {v} {len(pairs)}" + (f" {flat}" if flat else "") + "\n")
+
+
+def oracle_parse_ints(tokens: list[str], error: type[Exception]) -> list[int]:
+    """The tokens of one file line as ints that int64 holds; `error` names
+    the line if one is not."""
+    try:
+        ints = [int(t) for t in tokens]
+    except ValueError:
+        raise error(f"non-integer token in line {' '.join(tokens)!r}") from None
+    if ints and (min(ints) < -2 ** 63 or max(ints) >= 2 ** 63):
+        raise error(f"integer outside int64 in line {' '.join(tokens)!r}")
+    return ints
+
+
+def oracle_load_graph(path) -> Graph:
+    """Read the 'n m' / 'u v' format, rejecting any violation."""
+    with open(path) as fh:
+        header = fh.readline().split()
+        if len(header) != 2:
+            raise GraphError("expected header 'n m'")
+        n, m = oracle_parse_ints(header, GraphError)
+        edges = []
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise GraphError(f"bad edge line: {line!r}")
+            u, v = oracle_parse_ints(parts, GraphError)
+            if u >= v:
+                raise GraphError(f"edges must satisfy u < v, got {u} {v}")
+            edges.append((u, v))
+    if len(edges) != m:
+        raise GraphError(f"header claims {m} edges, file has {len(edges)}")
+    return Graph(n, edges)
+
+
+def oracle_load_cover(path) -> CorrespondenceCover:
+    with open(path) as fh:
+        header = fh.readline().split()
+        if len(header) != 2:
+            raise CoverError("expected header 'n q_total'")
+        n, q_total = oracle_parse_ints(header, CoverError)
+        if n < 0:
+            raise CoverError(f"negative vertex count: {n}")
+        lists = []
+        for _ in range(n):
+            line = fh.readline()
+            if line == "":
+                raise CoverError("truncated list section")
+            lists.append(tuple(oracle_parse_ints(line.split(), CoverError)))
+        matchings = {}
+        for line in fh:
+            if not line.strip():
+                continue
+            parts = oracle_parse_ints(line.split(), CoverError)
+            if len(parts) < 3:
+                raise CoverError(f"bad matching line: {line!r}")
+            u, v, p = parts[0], parts[1], parts[2]
+            if len(parts) != 3 + 2 * p:
+                raise CoverError(f"matching line claims {p} pairs: {line!r}")
+            pairs = [(parts[3 + 2 * i], parts[4 + 2 * i]) for i in range(p)]
+            if (u, v) in matchings or (v, u) in matchings:
+                raise CoverError(f"duplicate matching line for edge {(min(u, v), max(u, v))}")
+            matchings[(u, v)] = tuple(pairs)
+    cov = CorrespondenceCover(lists, matchings)
+    if cov.num_colors != q_total:
+        raise CoverError(f"header claims {q_total} colors, lists carry {cov.num_colors}")
+    return cov
+
+
+def oracle_load_lists(path, n: int) -> ListAssignment:
+    """Read a lists file for an n-vertex graph: a line 'n', then one row of
+    distinct integer color ids per vertex; ConfigError names the bad row."""
+    with open(path) as fh:
+        head, *rows = fh.read().splitlines() or [""]
+    if head.strip() != str(n):
+        raise ConfigError(f"lists file {path}: first line must be the vertex count {n}")
+    if len(rows) < n or any(r.strip() for r in rows[n:]):
+        raise ConfigError(f"lists file {path}: row {min(len(rows), n)} is "
+                          + ("missing" if len(rows) < n else "one too many"))
+    try:
+        return ListAssignment(tuple(tuple(map(int, r.split())) for r in rows[:n]))
+    except ValueError as e:  # a non-integer id, or Rows or CoverError naming the row or vertex
+        raise ConfigError(f"lists file {path}: {e}") from None
 
 
 def sweep_success_vs_s(config, s_values) -> dict:

@@ -120,6 +120,7 @@ class TestMalformedMatchings:
     @pytest.mark.parametrize("matchings", [
         {(0, 1): ((0, 1),), (1, 0): ((3, 2),)},
         {(1, 0): ((3, 2),), (0, 1): ((0, 1),)},
+        {(1, 0): ((3, 2),), (np.int32(0), np.int32(1)): ((0, 1),)},  # named by Python ints
     ])
     def test_rejects_an_edge_keyed_both_ways_round(self, matchings):
         with pytest.raises(CoverError, match=r"^duplicate matching for edge \(0, 1\)$"):

@@ -623,3 +623,26 @@ class TestGraphFile:
         path.write_text("3\n")
         with pytest.raises(GraphError):
             load_graph(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "expected header 'n m'"),
+        ("2 1\n0 x", "non-integer token in line '0 x'"),
+        ("2 1\n0 99999999999999999999", "integer outside int64 in line '0 99999999999999999999'"),
+        ("2 1\n0 1 2", "bad edge line: '0 1 2'"),
+        ("2 1\n1 0", "edges must satisfy u < v, got 1 0"),
+        ("3 2\n0 1", "header claims 2 edges, file has 1"),
+        ("2 1\n0 5", "vertex id out of range: (0, 5)"),
+        ("3 2\n0 1\n0 1", "duplicate edge (0, 1)"),
+        ("-1 0", "negative vertex count: -1"),
+    ])
+    def test_each_bad_input_names_its_fault(self, tmp_path, text, message):
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+            load_graph(path)
+
+    def test_save_graph_writes_one_line_per_edge(self, tmp_path):
+        g = gen_locally_sparse(25, 4, 1, seed=3)
+        save_graph(g, tmp_path / "g.txt")
+        assert (tmp_path / "g.txt").read_text() == \
+            f"{g.n} {g.m}\n" + "".join(f"{u} {v}\n" for u, v in g.edges())

@@ -35,7 +35,12 @@ whether rows hold an id twice is learnt once per `Rows` and passed on,
 not recomputed by each layer. Inside the
 package only `cli` reads a coloring's `.assignment`, for its output: every
 library pass reads the coloring's `arrays()`, so no mapping is built on
-the way from a solver stage to a verification.
+the way from a solver stage to a verification. Only the one integer
+reader, `graphcore._Ints`, splits a file into lines, and it does so with
+array masks: nothing in the package calls `readline`, `readlines` or
+`splitlines`, splits text at a line break, or iterates an open file, so
+the graph, cover and lists files are read by one pass and no line loop
+comes back.
 """
 
 import ast
@@ -258,3 +263,54 @@ def test_only_cli_reads_a_colorings_assignment(path):
              if isinstance(node, ast.Attribute) and node.attr == "assignment"
              and id(node) not in inside]
     assert lines == [], f"{path.name} reads a coloring's .assignment on lines {lines}"
+
+
+# the methods that split text or a file into lines
+LINE_SPLITTERS = {"readline", "readlines", "splitlines"}
+
+
+def _line_loops(path) -> list[int]:
+    """The lines of path's module that split a file or its text into lines:
+    a call of a method of `LINE_SPLITTERS`, a `split` at a line break, or a
+    loop over a name bound to `open(...)`, outside `graphcore._Ints`."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    inside = {id(node) for top in tree.body if path.name == "graphcore.py"
+              and isinstance(top, ast.ClassDef) and top.name == "_Ints" for node in ast.walk(top)}
+    def opens(expr) -> bool:
+        return any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open"
+                   for node in ast.walk(expr))
+
+    opened = {item.optional_vars.id for node in ast.walk(tree) if isinstance(node, ast.With)
+              for item in node.items
+              if isinstance(item.optional_vars, ast.Name) and opens(item.context_expr)}
+    opened |= {target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+               and opens(node.value) for target in node.targets if isinstance(target, ast.Name)}
+    lines = []
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and (
+                node.func.attr in LINE_SPLITTERS or node.func.attr in ("split", "rsplit") and any(
+                    isinstance(a, ast.Constant) and isinstance(a.value, (str, bytes))
+                    and a.value in ("\n", b"\n", "\r\n", b"\r\n") for a in node.args)):
+            lines.append(node.lineno)
+        if isinstance(node, (ast.For, ast.comprehension)) and isinstance(node.iter, ast.Name) \
+                and node.iter.id in opened:
+            lines.append(getattr(node, "lineno", node.iter.lineno))
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_reader_splits_files_into_lines(path):
+    assert _line_loops(path) == [], f"{path.name} splits a file into lines on these lines"
+
+
+def test_the_line_loop_rule_finds_the_old_loops():
+    # the three loops the reader replaced, kept as oracles: each is caught
+    conftest = Path(__file__).resolve().parent / "conftest.py"
+    tree = ast.parse(conftest.read_text())
+    spans = {top.name: range(top.lineno, top.end_lineno + 1) for top in tree.body
+             if isinstance(top, ast.FunctionDef)}
+    found = _line_loops(conftest)
+    for name in ("oracle_load_graph", "oracle_load_cover", "oracle_load_lists"):
+        assert any(line in spans[name] for line in found), name

@@ -270,6 +270,8 @@ class TestRows:
         got, want = Rows.of(rows), oracle_sorted_rows(rows)
         assert tuple(got) == want
         assert [got[v] for v in range(-len(rows), len(rows))] == list(want) * 2
+        for cut in (slice(0, 2), slice(None, None, -1), slice(1, None, 2), slice(5, 1)):
+            assert got[cut] == want[cut]
         assert got.lens.tolist() == [len(row) for row in rows]
         assert got.owner.tolist() == [v for v, row in enumerate(rows) for _ in row]
         assert got == want and want == got and got == Rows.of(want) and Rows.of(got) is got
@@ -279,6 +281,9 @@ class TestRows:
         assert (got == Rows.of(other)) == same
         with pytest.raises(IndexError):
             got[len(rows)]
+
+    def test_a_slice_is_the_tuple_of_its_rows(self):
+        assert Rows.of([(1, 2), (3,), (4, 5, 6)])[0:2] == ((1, 2), (3,))
 
     @FAST
     @given(ragged())

@@ -36,7 +36,11 @@ The rungs (2.5 to 3.5 minutes in all on a 2-vCPU Xeon VM, each under 2.4 GB):
   on `gen_bipartite(20000, 64, seed=1)` at `manual_params(64, 0.1, 1.0,
   q, s)`, (q, s) = (256, 8) and (1024, 2), sampling seed 1;
 - `paper`: the alpha = 3/4 regime, `gen_bipartite(10**4, 3162, seed=1)` at
-  `derive_params(3162, 10**4, 1, 0.75, 0.1, 0.3)` (q = 2930, s = 2444).
+  `derive_params(3162, 10**4, 1, 0.75, 0.1, 0.3)` (q = 2930, s = 2444);
+- `file-1e5`: the `bip-1e5` graph written by `save_graph` into a temporary
+  directory (its own `write` layer), read back by `load_graph` (`read`),
+  then one seed of the CLI's `_offline_seed`, as a sweep on a graph file
+  runs it, at `bip-1e5`'s params and sampling seed.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ import os
 import resource
 import subprocess
 import sys
+import tempfile
 import time
 
 ROOT = os.getcwd()
@@ -63,6 +68,8 @@ import palettesparse as ps  # noqa: E402
 LAYERS = {
     "graphcore.gen_bipartite": "generate",
     "graphcore.gen_locally_sparse": "generate",
+    "graphcore.save_graph": "write",
+    "graphcore.load_graph": "read",
     "graphcore.local_sparsity": "sparsity audit",
     "cover.cover_sparsity": "cover sparsity",
     "cover.cover_from_lists": "canonical cover",
@@ -205,6 +212,18 @@ def rung_paper(lay):
     return offline(g, ps.derive_params(3162, 10 ** 4, 1, 0.75, 0.1, 0.3), 1, audit=False)
 
 
+def rung_file(lay):
+    from palettesparse.cli import RunConfig, _offline_seed
+
+    g = ps.gen_bipartite(10 ** 5, 32, seed=1)
+    with tempfile.TemporaryDirectory() as tmp:
+        ps.save_graph(g, os.path.join(tmp, "g.txt"))
+        g = ps.load_graph(os.path.join(tmp, "g.txt"))
+    edges, res, error = _offline_seed(g, ps.manual_params(32, 0.1, 1.0, 33, 24), None,
+                                      RunConfig({}), 1)
+    return [dict(solved(res), conflict_edges=edges, error=error)]
+
+
 RUNGS = {
     "c08": rung_c08,
     "bip-1e5": rung_bip(10 ** 5, 24),
@@ -215,6 +234,7 @@ RUNGS = {
     "query-bracket": rung_query(256, 8),
     "query-classes": rung_query(1024, 2),
     "paper": rung_paper,
+    "file-1e5": rung_file,
 }
 
 
