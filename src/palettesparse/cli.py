@@ -528,7 +528,7 @@ def _cmd_queries(args) -> int:
 def _cmd_sweep(args) -> int:
     try:
         config = RunConfig.load(args.config)
-    except (ConfigError, OSError, json.JSONDecodeError) as e:
+    except (ConfigError, OSError, json.JSONDecodeError, UnicodeDecodeError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 3
     result = run(config, workers=args.workers)
@@ -622,11 +622,12 @@ def main(argv=None) -> int:
     except (ConfigError, InvalidParameters) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 3
-    except (GraphError, GenerationError, CoverError, PaletteTooSmall, OSError) as e:
+    except (GraphError, GenerationError, CoverError, PaletteTooSmall, OSError, MemoryError) as e:
         # a missing or malformed graph or cover file, a generator asked for
         # what it cannot make, a cover whose lists are shorter than the
-        # sample size, or a file that cannot be opened
-        print(f"error: {e}", file=sys.stderr)
+        # sample size, a file that cannot be opened, or an instance too
+        # large for memory (a bare MemoryError has no message)
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 3
 
 

@@ -25,7 +25,10 @@ picked colors, restriction, kept rows, clashes); they sit here, not beside
 the list kernels in `sparsify`, because `sparsify` imports this module.
 The dict constructor and `load_cover` encode their pairs by one
 `CorrespondenceCover._encode`: each edge turned to u < v with its pairs
-sorted, a repeated edge rejected, and the ids ranked once.
+sorted, a repeated edge rejected, and the ids ranked once. The one row
+join, `_joined`, sits beside `Rows.find` and `Rows.spread`, which it is
+built from: the canonical cover and the list kernels of `sparsify` run
+on it, a bounded chunk of pairs at a time.
 """
 
 from __future__ import annotations
@@ -63,6 +66,11 @@ __all__ = [
 
 # int64 entries of `random_cover`'s draw block (0.5 MB), whatever the edge count
 _DRAW_BLOCK = 1 << 16
+
+# keys per chunk of the row join (`_joined`): 2**16 (0.5 MB), or the rows'
+# entries when more, so each chunk's pass over them is paid for by its keys;
+# also the pairs per chunk of `sparsify.shared_edges`' table survival
+_CHUNK_KEYS = 1 << 16
 
 
 class CoverError(ValueError):
@@ -238,6 +246,23 @@ class Rows(Sequence):
 
     def __repr__(self):
         return f"Rows(n={len(self)}, entries={self.values.size})"
+
+
+def _joined(tails, rows: Rows, heads):
+    """The row join: per chunk of pairs, (i, t, h) for every id that pair
+    i's two rows share, t its entry in the tail row rows[tails[i]] and h
+    in the head row, heads(lo, hi) the heads of pairs lo..hi-1, in pair
+    order and, on a pair, in tail-row order. Each entry of the tail row is
+    looked up in the head row with `Rows.find`, at most about
+    max(`_CHUNK_KEYS`, the rows' entries) lookups a chunk."""
+    lens = rows.lens
+    step = max(_CHUNK_KEYS, rows.values.size) // max(1, int(lens.max(initial=0)))
+    for lo in range(0, tails.size, step):
+        at = tails[lo : lo + step]
+        i = np.repeat(np.arange(at.size), lens[at])
+        t = rows.spread(at)
+        h = rows.find(heads(lo, lo + at.size)[i], rows.values[t])
+        yield i[h >= 0] + lo, t[h >= 0], h[h >= 0]
 
 
 @dataclass(frozen=True)
@@ -563,22 +588,20 @@ def cover_from_lists(g: Graph, l: ListAssignment) -> CorrespondenceCover:
 
     The cover ids are the list entries in row-major order, so cover id c
     is named `l.lists.values[c]`, and a coloring pulls back through that
-    array. One join of (vertex, name) keys over the edges: every entry of
-    u's list is looked up in v's (`Rows.find`), so the pairs come in edge
-    order and, on each edge, by name.
+    array. The pairs are the row join's (`_joined`, which the list kernels
+    of `sparsify` share) over the edges u < v, chunk by chunk: every entry
+    of u's list is looked up in v's, so the pairs come in edge order and,
+    on each edge, by name, and a pair's two colors are the two entries.
     """
     if l.n != g.n:
         raise CoverError(f"list assignment has {l.n} vertices, graph has {g.n}")
-    rows, names = l.lists, l.lists.values
-    ids = np.arange(names.size)
+    ids = np.arange(l.lists.values.size)
     us, vs = g.edge_arrays()
-    per_edge = rows.lens[us]
-    ra = rows.spread(us)
-    ev = np.repeat(vs, per_edge)
-    rb = rows.find(ev, names[ra])
-    hit = rb >= 0
-    arrays = CoverArrays(ids, np.repeat(us, per_edge)[hit], ev[hit], ra[hit], rb[hit], ids)
-    return CorrespondenceCover._of(Rows(ids, rows.indptr), arrays)
+    # an empty chunk first, so that a graph with no edges has no pairs
+    i, ra, rb = map(np.concatenate, zip((np.zeros(0, dtype=np.int64),) * 3,
+                                        *_joined(us, l.lists, lambda lo, hi: vs[lo:hi])))
+    arrays = CoverArrays(ids, us.take(i), vs.take(i), ra, rb, ids)
+    return CorrespondenceCover._of(Rows(ids, l.lists.indptr), arrays)
 
 
 def cover_sparsity(cov: CorrespondenceCover) -> int:

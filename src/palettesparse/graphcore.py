@@ -170,8 +170,11 @@ class Graph:
     def __init__(self, n: int, edges=()):
         """`edges`: an (m, 2) int array or an iterable of (u, v) pairs, in
         any order; the first bad pair in input order is reported."""
-        if n < 0:
-            raise GraphError(f"negative vertex count: {n}")
+        # 3037000499 = isqrt(2**63 - 1): past it the edge key (n - 1)*n + n - 2
+        # (`check_pairs`, `_hold`) overflows int64
+        if not 0 <= n <= 3_037_000_499:
+            raise GraphError(f"negative vertex count: {n}" if n < 0 else
+                             f"vertex count {n} too large")
         ends = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
         if ends.size == 0:
             ends = np.zeros((0, 2), dtype=np.int64)

@@ -16,7 +16,8 @@ numpy kernels on `Rows` of any ids, shared with the list greedy:
 `directed_counts`, one count per list entry over a graph's CSR rows (its
 row offsets and slots, so no head id per slot is made), and
 `shared_edges`, one survival flag per edge; how they count (n x q matrices,
-a matrix product or a join, see `_TABLE_CELLS`) is theirs alone. Both
+a matrix product or the row join `cover._joined`, which the canonical
+cover shares, see `_TABLE_CELLS`) is theirs alone. Both
 skip what an exact bound settles: `prune` counts only heads whose degree
 passes the threshold, and `shared_edges` keeps every pair of rows that
 each hold over half the ids. Covers go through the
@@ -37,6 +38,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import cover as _cover  # the row join and its chunk, read when called
 from ._rng import TAG_PALETTE, choice_rows, substream
 from .cover import (
     CorrespondenceCover,
@@ -262,11 +264,12 @@ def sample_palettes(palettes, s: int, seed: int) -> PaletteFamily:
 # (`_product`, see _PRODUCT_SHARE), and survival is an AND of packed bit
 # masks: on an offline-baseline sample (n=1,500, m=35k, s=15, one Xeon
 # core) the join takes about 85 ms against 2-3 ms for the counts and 35 ms
-# against 0.4 ms for survival. Past that bound each entry of one end's row is looked up in
-# the other's (`Rows.find`), in memory linear in the entries and pairs. The
-# lanes add q bytes per pair where the bincount table they replaced added s
-# keys: on gen_bipartite(2500, 32), s = 8, they win 4x at q/s = 2, 3.4x at
-# 16 and 2.2x at 32, and lose 1.8x at 64 and 3x at 128. No workload or
+# against 0.4 ms for survival. Past that bound each entry of one end's row
+# is looked up in the other's by the row join (`cover._joined`), in memory
+# linear in the entries and pairs. The lanes add q bytes per pair where the
+# bincount table they replaced added s keys: on gen_bipartite(2500, 32),
+# s = 8, they win 4x at q/s = 2, 3.4x at 16 and 2.2x at 32, and lose 1.8x
+# at 64 and 3x at 128. No workload or
 # acceptance test reaches q/s > 32, nor does `derive_params` at alpha = 0.5,
 # gamma = 0.1, epsilon <= 1 for delta < n, delta <= 1000 (q/s <= 31), so the
 # table is gone rather than kept as a second path. Greedy's settling rounds
@@ -288,10 +291,6 @@ _PRODUCT_SHARE = 0.1
 # adjacency cells per block of the product: 2**22 (16 MB); on the paper
 # rung 2**20 takes 4.6 s, 2**22 2.7 s and 2**24 3.1 s
 _BLOCK_CELLS = 1 << 22
-
-# keys per chunk of the join and of survival: 2**16 (0.5 MB), or more when
-# the rows are larger, so each chunk's pass over them is paid for by its keys
-_CHUNK_KEYS = 1 << 16
 
 
 def _dense(rows, universe: int | None, pairs: int):
@@ -369,20 +368,6 @@ def _packed_masks(rows: Rows, q: int) -> np.ndarray:
     return np.packbits(member, axis=1, bitorder="little").view("<u8")
 
 
-def _joined(tails, rows: Rows, heads):
-    """Per chunk of pairs, (i, a) for every id that pair i's two rows share,
-    a its entry in the head row, heads(lo, hi) the heads of pairs lo..hi-1:
-    each entry of the tail row is looked up there with `Rows.find`."""
-    lens = rows.lens
-    step = max(1, max(_CHUNK_KEYS, rows.values.size) // max(1, int(lens.max(initial=0))))
-    for lo in range(0, tails.size, step):
-        at = tails[lo : lo + step]
-        i = np.repeat(np.arange(at.size), lens[at])
-        a = rows.find(heads(lo, lo + at.size)[i], rows.values[rows.spread(at)])
-        i += lo
-        yield i[a >= 0], a[a >= 0]
-
-
 def directed_counts(offsets, tails, rows, universe: int | None = None) -> np.ndarray:
     """For every entry (h, c) of `rows`, in entry order, the number of
     tails t of h with c in rows[t]: the tails of head h are
@@ -403,10 +388,9 @@ def directed_counts(offsets, tails, rows, universe: int | None = None) -> np.nda
         first = ~rows.steps(np.equal)
         cut = rows.keep(first)
         counts = np.zeros(cut.values.size, dtype=np.int64)
-
-        def heads(lo, hi):  # pair i's head is the last row whose offset is <= i
-            return np.searchsorted(offsets, np.arange(lo, hi), "right") - 1
-        for _, a in _joined(tails, cut, heads):
+        # pair i's head is the last row whose offset is <= i
+        for _, _, a in _cover._joined(tails, cut, lambda lo, hi: np.searchsorted(
+                offsets, np.arange(lo, hi), "right") - 1):
             counts += np.bincount(a, minlength=counts.size)
         return counts if cut is rows else counts[np.cumsum(first) - 1]
     n, owner = len(rows), rows.owner
@@ -434,16 +418,17 @@ def shared_edges(us, vs, rows, universe: int | None = None) -> np.ndarray:
         return np.ones(us.size, dtype=bool)
     hit = np.zeros(us.size, dtype=bool)
     if not table:
-        for i, _ in _joined(vs, rows, lambda lo, hi: us[lo:hi]):
+        for i, _, _ in _cover._joined(vs, rows, lambda lo, hi: us[lo:hi]):
             hit[i] = True
         return hit
     masks = _packed_masks(rows, q)
-    for lo in range(0, us.size, _CHUNK_KEYS):
-        u, v = us[lo : lo + _CHUNK_KEYS], vs[lo : lo + _CHUNK_KEYS]
+    step = _cover._CHUNK_KEYS
+    for lo in range(0, us.size, step):
+        u, v = us[lo : lo + step], vs[lo : lo + step]
         both = masks[:, 0][u] & masks[:, 0][v]
         for w in range(1, masks.shape[1]):
             both |= masks[:, w][u] & masks[:, w][v]
-        hit[lo : lo + _CHUNK_KEYS] = both != 0
+        hit[lo : lo + step] = both != 0
     return hit
 
 

@@ -209,8 +209,10 @@ class EdgeStream:
         `cov`'s lists, colors and list ranks, so nothing is ranked."""
         order = _shuffled(g.m, permute_seed)
         a = cov.arrays
-        # each pair's edge among g's; a pair on no edge of g is dropped
-        edge = g.edge_index(a.eu, a.ev)
+        # each pair's edge among g's, looked up once per run of pairs on one
+        # edge; a pair on no edge of g is dropped
+        first = _edge_starts(a.eu, a.ev)
+        edge = g.edge_index(a.eu[first], a.ev[first])[np.cumsum(first) - 1]
         on = edge >= 0
         record = np.argsort(order)[edge[on]]
         # grouped by record, each record's pairs in arrays order

@@ -400,6 +400,34 @@ class TestCliCommands:
         assert main(args) == 3
         assert witness in capsys.readouterr().err
 
+    @pytest.mark.parametrize("header", ["9223372036854775807 0", "9999999999999 0"])
+    def test_a_huge_vertex_count_exits_3(self, tmp_path, capsys, header):
+        # `Graph` rejects the header's n before it makes any n-sized array
+        path = tmp_path / "g.txt"
+        path.write_text(header + "\n")
+        assert main(["queries", "--graph", str(path)]) == 3
+        assert capsys.readouterr().err == f"error: vertex count {header.split()[0]} too large\n"
+
+    @pytest.mark.parametrize("error, message", [
+        (MemoryError("Unable to allocate 72.8 TiB"), "Unable to allocate 72.8 TiB"),
+        (MemoryError(), "MemoryError"),
+    ])
+    def test_running_out_of_memory_exits_3(self, tmp_path, capsys, monkeypatch, error,
+                                           message):
+        def load(path):
+            raise error
+
+        monkeypatch.setattr(cli, "load_graph", load)
+        assert main(["queries", "--graph", str(tmp_path / "g.txt")]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_a_config_that_is_not_utf8_exits_3(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"instance": {"kind": "file", "path": "g\xff.txt"}, "seeds": [0]}')
+        assert main(["sweep", "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err.startswith(
+            "config error: 'utf-8' codec can't decode byte 0xff in position ")
+
     @pytest.mark.parametrize("command", ["solve", "stream", "sparsify"])
     def test_invalid_cover_file_rejected(self, tmp_path, capsys, command):
         # color 0 is matched twice on edge (0, 1)
@@ -545,13 +573,13 @@ class TestSweepContract:
     }
 
     @staticmethod
-    def sweep(model, pipeline, q, s, epsilon, out_dir=None, seeds=range(6)):
+    def sweep(model, pipeline, q, s, epsilon, out_dir=None, seeds=range(6), workers=1):
         return run(RunConfig.from_dict({
             "instance": {"kind": "gen-bipartite", "n": 60, "delta": 6, "seed": 1},
             "pipeline": pipeline, "model": model, "epsilon": epsilon,
             "q_override": q, "s_override": s, "seeds": list(seeds), "permute_seed": 3,
             "out_dir": None if out_dir is None else str(out_dir),
-        }))
+        }), workers=workers)
 
     @pytest.mark.parametrize("model", ["offline", "stream", "query"])
     @pytest.mark.parametrize("pipeline", ["plain", "list", "cover"])
@@ -563,6 +591,25 @@ class TestSweepContract:
         for name in files:
             h.update(name.encode() + b"\0" + (tmp_path / name).read_bytes())
         assert h.hexdigest() == self.DIGESTS[f"{model} {pipeline} {regime}"]
+
+    @pytest.mark.parametrize("model, pipeline", [("offline", "list"), ("stream", "cover")])
+    def test_a_process_pool_writes_what_one_process_writes(self, tmp_path, model, pipeline):
+        # the seeds of the success regime, some of which color, run in one
+        # process and on a pool of two: the same files, and the same report
+        # rows once their wall times are left out
+        outs = [tmp_path / "one", tmp_path / "two"]
+        for out, workers in zip(outs, (1, 2)):
+            self.sweep(model, pipeline, *self.REGIMES["success"], out_dir=out, workers=workers)
+        one, two = outs
+        names = sorted(p.name for p in one.glob("coloring_seed*.json"))
+        assert names and names == sorted(p.name for p in two.glob("coloring_seed*.json"))
+        for name in ["sweep.csv", *names]:
+            assert (one / name).read_bytes() == (two / name).read_bytes(), name
+
+        def rows(out):
+            report = json.loads((out / "report.json").read_text())
+            return [{k: v for k, v in row.items() if k != "wall_time"} for row in report["rows"]]
+        assert rows(one) == rows(two)
 
     def test_error_strings(self):
         # at q = 6, s = 3 seed 2 empties a palette, and seeds 0, 1 and 4 get

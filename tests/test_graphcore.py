@@ -311,6 +311,15 @@ class TestGraphValidation:
         with pytest.raises(GraphError):
             Graph(3, [(0, 3)])
 
+    def test_vertex_count_is_bounded_by_the_edge_keys(self):
+        # the largest key, (n - 1)*n + n - 2, fits int64 at the bound and
+        # not past it; past it no array is made
+        bound = 3_037_000_499
+        assert (bound - 1) * bound + bound - 2 < 2 ** 63 <= bound * (bound + 1) + bound - 1
+        for n in (bound + 1, 2 ** 63 - 1, np.int64(2 ** 63 - 1)):
+            with pytest.raises(GraphError, match=f"^vertex count {n} too large$"):
+                Graph(n)
+
     @FAST
     @given(st.integers(0, 8), st.lists(st.tuples(st.integers(-2, 9), st.integers(-2, 9)),
                                        max_size=16), st.booleans(), st.booleans())
@@ -634,6 +643,7 @@ class TestGraphFile:
         ("2 1\n0 5", "vertex id out of range: (0, 5)"),
         ("3 2\n0 1\n0 1", "duplicate edge (0, 1)"),
         ("-1 0", "negative vertex count: -1"),
+        ("3037000500 0", "vertex count 3037000500 too large"),
     ])
     def test_each_bad_input_names_its_fault(self, tmp_path, text, message):
         path = tmp_path / "g.txt"

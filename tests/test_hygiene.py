@@ -32,7 +32,9 @@ nibble stage cuts a cover (`restrict_cover`), once before its rounds and
 once for its finisher: a round returns its next cover itself. Only
 `Rows.strict` runs the strict-ascent pass (`.steps(np.less_equal)`), so
 whether rows hold an id twice is learnt once per `Rows` and passed on,
-not recomputed by each layer. Inside the
+not recomputed by each layer. Only the row join, `cover._joined`, spreads
+rows into their entries (`Rows.spread`), so the package has one join of
+rows, run a bounded chunk of pairs at a time. Inside the
 package only `cli` reads a coloring's `.assignment`, for its output: every
 library pass reads the coloring's `arrays()`, so no mapping is built on
 the way from a solver stage to a verification. Only the one integer
@@ -244,6 +246,13 @@ def test_the_tail_alone_builds_conflict_instances():
 ])
 def test_models_prune_and_solve_through_the_tail(name, direct):
     assert _calls(PACKAGE / name, {"prune", "build_conflict", "solve"}) == direct
+
+
+def test_only_the_row_join_spreads_rows():
+    # the canonical cover and the list kernels join rows through `_joined`,
+    # so no second, unchunked join comes back
+    callers = {(path.name, *call) for path in MODULES for call in _callers(path, "spread")}
+    assert callers == {("cover.py", None, "_joined")}
 
 
 def test_only_rows_strict_runs_the_strict_pass():

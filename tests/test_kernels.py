@@ -45,7 +45,7 @@ from conftest import (
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from palettesparse import nibble, sparsify
+from palettesparse import cover, nibble, sparsify
 from palettesparse.cover import (
     CorrespondenceCover,
     CoverError,
@@ -83,6 +83,9 @@ from palettesparse.streaming import (
 )
 
 FAST = settings(max_examples=60, deadline=None)
+# the draws across join chunks: few of them share an id past a chunk's
+# boundary, and 60 derandomized examples can miss a broken boundary
+CHUNKS = settings(max_examples=200, deadline=None)
 
 
 def sorted_matchings(cov):
@@ -778,12 +781,17 @@ class TestCanonicalCover:
     @given(graphs(), st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=1, max_size=6,
                               unique=True), st.data())
     def test_join_matches_the_edge_loop(self, g, pool, data):
+        # once in one chunk, and once with _CHUNK_KEYS at 1, where a chunk
+        # holds entries // (the longest list) edges, so the edges span chunks
         lists = ListAssignment([data.draw(st.sets(st.sampled_from(pool))) for _ in range(g.n)])
-        got, want = cover_from_lists(g, lists), oracle_cover_from_lists(g, lists)
-        assert got.lists == want.lists
-        for name in ("colors", "eu", "ev", "ra", "rb", "lists"):
-            assert getattr(got.arrays, name).tolist() == getattr(want.arrays, name).tolist()
-        assert list(got.matchings.items()) == list(want.matchings.items())
+        want = oracle_cover_from_lists(g, lists)
+        for keys in (cover._CHUNK_KEYS, 1):
+            with mock.patch.object(cover, "_CHUNK_KEYS", keys):
+                got = cover_from_lists(g, lists)
+            assert got.lists == want.lists
+            for name in ("colors", "eu", "ev", "ra", "rb", "lists"):
+                assert getattr(got.arrays, name).tolist() == getattr(want.arrays, name).tolist()
+            assert list(got.matchings.items()) == list(want.matchings.items())
 
     @FAST
     @given(instances(), PATHS)
@@ -816,7 +824,7 @@ class TestConflictCounts:
         # one color per row: a join chunk holds _CHUNK_KEYS slots, so
         # _CHUNK_KEYS // 2 edges (twice as many slots) fill one exactly
         n = 257
-        m = sparsify._CHUNK_KEYS // 2 + extra
+        m = cover._CHUNK_KEYS // 2 + extra
         edges = [(u, v) for u in range(n) for v in range(u + 1, n)][:m]
         g = Graph(n, edges)
         rows = [(v % 2,) for v in range(n)]
@@ -896,7 +904,7 @@ class TestRepeatedIds:
         other = oracle_directed_counts(n, tails.tolist(), heads.tolist(), sets, q)
         want, back = at_entries(one, rows), at_entries(other, rows)
         forth, rev = grouped_pairs(n, heads, tails), grouped_pairs(n, tails, heads)
-        with mock.patch.object(sparsify, "_CHUNK_KEYS", 1), \
+        with mock.patch.object(cover, "_CHUNK_KEYS", 1), \
                 mock.patch.object(sparsify, "_TABLE_CELLS", cells):
             assert directed_counts(*forth, rows, q).tolist() == want
             assert directed_counts(*forth, far).tolist() == want
@@ -904,8 +912,28 @@ class TestRepeatedIds:
             assert directed_counts(*rev, far).tolist() == back
 
 
+def chunked_lists():
+    """(graph, rows) on which the join runs over many chunks, each with
+    shared ids: rows of 1-4 of 6 colors on a 60-vertex graph, so with the
+    chunk constant at 1 a chunk holds (entries // 4) of the 2m slots."""
+    g = gen_bipartite(60, 5, seed=2)
+    rng = np.random.default_rng(2)
+    return g, [tuple(sorted(rng.choice(6, rng.integers(1, 5), replace=False).tolist()))
+               for _ in range(g.n)]
+
+
 class TestDirectedCounts:
-    @FAST
+    @pytest.mark.parametrize("chunk_keys", [1, 1 << 16])
+    def test_join_chunks_match_the_oracle(self, chunk_keys):
+        # the drawn instances seldom share an id past a join chunk's boundary;
+        # here, with the constant at 1, the 2m slots fill eight chunks
+        g, rows = chunked_lists()
+        want = at_entries(oracle_conflict_counts(g, rows, 6), rows)
+        with mock.patch.object(cover, "_CHUNK_KEYS", chunk_keys), \
+                mock.patch.object(sparsify, "_TABLE_CELLS", 0):
+            assert directed_counts(g.indptr, g.indices, rows).tolist() == want
+
+    @CHUNKS
     @given(st.integers(1, 8), st.integers(1, 6), st.booleans(), PATHS, st.data())
     def test_matches_oracle_across_chunks(self, n, q, ragged, cells, data):
         # any pairs, repeats and self pairs included; with _CHUNK_KEYS at 1
@@ -920,7 +948,7 @@ class TestDirectedCounts:
         want = at_entries(oracle_directed_counts(n, heads.tolist(), tails.tolist(), rows, q),
                           rows)
         grouped = grouped_pairs(n, heads, tails)
-        with mock.patch.object(sparsify, "_CHUNK_KEYS", 1), \
+        with mock.patch.object(cover, "_CHUNK_KEYS", 1), \
                 mock.patch.object(sparsify, "_TABLE_CELLS", cells):
             assert directed_counts(*grouped, rows, q).tolist() == want
             assert directed_counts(*grouped, far).tolist() == want
@@ -1161,14 +1189,25 @@ class TestPruneByCounts:
 
 
 class TestSurvivingEdges:
-    @FAST
+    @pytest.mark.parametrize("chunk_keys", [1, 1 << 16])
+    def test_join_chunks_match_the_oracle(self, chunk_keys):
+        g, rows = chunked_lists()
+        us, vs = g.edge_arrays()
+        want = oracle_surviving_edges(g, rows)
+        with mock.patch.object(cover, "_CHUNK_KEYS", chunk_keys), \
+                mock.patch.object(sparsify, "_TABLE_CELLS", 0):
+            hit = shared_edges(us, vs, rows)
+        assert list(zip(us[hit].tolist(), vs[hit].tolist())) == want
+        assert 0 < len(want) < g.m
+
+    @CHUNKS
     @given(graphs(), st.integers(1, 200), st.integers(1, 8), PATHS, st.data())
     def test_matches_oracle(self, g, q, chunk_keys, cells, data):
         rows = data.draw(rows_over(g.n, q, True))
         far = renamed(rows, data.draw(far_ids(q)))
         us, vs = g.edge_arrays()
         want = oracle_surviving_edges(g, rows)
-        with mock.patch.object(sparsify, "_CHUNK_KEYS", chunk_keys), \
+        with mock.patch.object(cover, "_CHUNK_KEYS", chunk_keys), \
                 mock.patch.object(sparsify, "_TABLE_CELLS", cells):
             for hit in (shared_edges(us, vs, rows, q), shared_edges(us, vs, far)):
                 assert list(zip(us[hit].tolist(), vs[hit].tolist())) == want
@@ -1178,7 +1217,7 @@ class TestSurvivingEdges:
     def test_word_boundaries_around_the_chunk(self, q, extra):
         # q at the 64-bit word boundaries; m = 0 or one off a chunk of pairs
         n = 400
-        m = 0 if extra is None else sparsify._CHUNK_KEYS + extra
+        m = 0 if extra is None else cover._CHUNK_KEYS + extra
         g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)][:m])
         rng = np.random.default_rng(q)
         # rows of 0-3 colors, the top word's last color among them
@@ -1233,7 +1272,7 @@ class TestSurvivingEdges:
             with mock.patch.object(sparsify, "_TABLE_CELLS", cells), \
                     mock.patch.object(sparsify, "_packed_masks",
                                       wraps=sparsify._packed_masks) as masks, \
-                    mock.patch.object(sparsify, "_joined", wraps=sparsify._joined) as joined:
+                    mock.patch.object(cover, "_joined", wraps=cover._joined) as joined:
                 for hit in (shared_edges(us, vs, rows, 4), shared_edges(us, vs, rows)):
                     assert list(zip(us[hit].tolist(), vs[hit].tolist())) == want
             assert (masks.called or joined.called) == (rows[0] == (0, 0, 1))
