@@ -1,10 +1,10 @@
 """List assignments and correspondence covers, and the `Rows` they are held in.
 
-`Rows` is the one representation of per-vertex lists, palettes and stored
-stream edges across the package: flat int64 `values` plus `indptr` row
-offsets, each row ascending, the list counterpart of the CSR `Graph`.
-Kernels read the arrays; tuples of a row are made only when a caller
-indexes or iterates.
+`Rows` is the one representation of per-vertex lists and palettes
+across the package: flat int64 `values` plus `indptr` row offsets, each
+row ascending, the list counterpart of the CSR `Graph`. Kernels read
+the arrays; tuples of a row are made only when a caller indexes or
+iterates.
 
 A list assignment gives every vertex its own set of color names; colors with
 the same name clash across an edge. A correspondence cover generalizes this:
@@ -23,7 +23,8 @@ cut from (its own, for an uncut cover). Every cover
 path runs on the kernels below over them (degrees, correspondents among
 picked colors, restriction, kept rows, clashes); they sit here, not beside
 the list kernels in `sparsify`, because `sparsify` imports this module.
-The dict constructor and `load_cover` encode their pairs by one
+Every cover built from given ids, by the dict constructor, `load_cover`
+or a stream built from record tuples, is encoded by one
 `CorrespondenceCover._encode`: each edge turned to u < v with its pairs
 sorted, a repeated edge rejected, and the ids ranked once. The one row
 join, `_joined`, sits beside `Rows.find` and `Rows.spread`, which it is
@@ -42,8 +43,8 @@ from numbers import Integral
 import numpy as np
 
 from ._rng import TAG_COVER, substream
-from .graphcore import (Graph, _Ints, _offsets, _triangle_counts, distinct, ranked, split,
-                        stable_order)
+from .graphcore import (Graph, _Ints, _offsets, _triangle_counts, check_n, distinct, ranked,
+                        split, stable_order)
 
 __all__ = [
     "CoverError",
@@ -77,10 +78,14 @@ class CoverError(ValueError):
     pass
 
 
+def is_id(x) -> bool:
+    """Whether x is an integer id that int64 holds."""
+    return isinstance(x, Integral) and -2 ** 63 <= x < 2 ** 63
+
+
 def is_id_pair(xs) -> bool:
     """Whether xs is a sized pair of integer ids that int64 holds."""
-    return isinstance(xs, Sized) and len(xs) == 2 and \
-        all(isinstance(x, Integral) and -2 ** 63 <= x < 2 ** 63 for x in xs)
+    return isinstance(xs, Sized) and len(xs) == 2 and all(map(is_id, xs))
 
 
 class Rows(Sequence):
@@ -532,8 +537,10 @@ def validate_cover(g: Graph, cov: CorrespondenceCover) -> CoverReport:
     edges in `matchings` order, each either a matching on a non-edge or,
     pair by pair, a pair inside one list (CC2), leaving the lists or using a
     color an earlier pair on the edge used (CC3). A pair that leaves the
-    lists uses no color. Array operations over the entries and pairs.
+    lists uses no color. Array operations over the entries and pairs. A
+    cover of another vertex count than g's raises CoverError.
     """
+    check_n("cover", cov.n, g.n, CoverError)
     a, lists = cov.arrays, cov.lists
     witness = []
     v = lists.first_repeat()
@@ -593,8 +600,7 @@ def cover_from_lists(g: Graph, l: ListAssignment) -> CorrespondenceCover:
     of u's list is looked up in v's, so the pairs come in edge order and,
     on each edge, by name, and a pair's two colors are the two entries.
     """
-    if l.n != g.n:
-        raise CoverError(f"list assignment has {l.n} vertices, graph has {g.n}")
+    check_n("list assignment", l.n, g.n, CoverError)
     ids = np.arange(l.lists.values.size)
     us, vs = g.edge_arrays()
     # an empty chunk first, so that a graph with no edges has no pairs

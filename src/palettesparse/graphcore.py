@@ -135,12 +135,25 @@ def stable_order(keys: np.ndarray) -> np.ndarray:
     return _sorted(keys)[1]
 
 
+def check_n(what: str, k: int, n: int, error: type = ValueError) -> None:
+    """`error` "`what` has k vertices, but n is n" unless k == n: the one
+    wording of an input whose vertex count is not the graph's or the
+    caller's n."""
+    if k != n:
+        raise error(f"{what} has {k} vertices, but n is {n}")
+
+
 def check_pairs(n: int, ends: np.ndarray) -> tuple[np.ndarray, tuple[int, int] | None]:
     """(ascending distinct keys min*n + max of the int64 (m, 2) pairs `ends`,
     first bad pair in input order as (its index, index of the earlier pair
     of the same edge or -1), or None). A pair is bad when an id lies outside
     0..n-1, when it is a self-loop or when it repeats an earlier edge.
-    Pairs already in ascending key order are not sorted (`first_seen`)."""
+    Pairs already in ascending key order are not sorted (`first_seen`).
+    GraphError when n is negative or so large that the keys overflow."""
+    # 3037000499 = isqrt(2**63 - 1): past it the edge key (n - 1)*n + n - 2
+    # (here and in `Graph._hold`) overflows int64
+    if not 0 <= n <= 3_037_000_499:
+        raise GraphError(f"negative vertex count: {n}" if n < 0 else f"vertex count {n} too large")
     lo, hi = np.minimum(ends[:, 0], ends[:, 1]), np.maximum(ends[:, 0], ends[:, 1])
     pair_keys = lo * n + hi
     keys, first = first_seen(pair_keys)
@@ -170,11 +183,6 @@ class Graph:
     def __init__(self, n: int, edges=()):
         """`edges`: an (m, 2) int array or an iterable of (u, v) pairs, in
         any order; the first bad pair in input order is reported."""
-        # 3037000499 = isqrt(2**63 - 1): past it the edge key (n - 1)*n + n - 2
-        # (`check_pairs`, `_hold`) overflows int64
-        if not 0 <= n <= 3_037_000_499:
-            raise GraphError(f"negative vertex count: {n}" if n < 0 else
-                             f"vertex count {n} too large")
         ends = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
         if ends.size == 0:
             ends = np.zeros((0, 2), dtype=np.int64)

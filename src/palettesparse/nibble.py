@@ -40,10 +40,11 @@ from .cover import (
     cover_from_lists,
     cover_rows,
     cover_sparsity,
+    is_id,
     picked_counts,
     restrict_cover,
 )
-from .graphcore import Graph, _offsets, distinct, ranked, run_starts, stable_order
+from .graphcore import Graph, _offsets, check_n, distinct, ranked, run_starts, stable_order
 from .sparsify import PaletteFamily, SparsifyParams, _dense, build_conflict, directed_counts, prune
 
 __all__ = [
@@ -90,6 +91,19 @@ class ScheduleError(ValueError):
     pass
 
 
+def _id_array(xs, what: str) -> np.ndarray:
+    """xs as an int64 array, an int64 array as it is: the dtype test is the
+    only check then. Otherwise ValueError names the first entry that is
+    not an integer int64 holds; a bool or a float is not one."""
+    if isinstance(xs, np.ndarray) and xs.dtype == np.int64:
+        return xs
+    xs = np.asarray(xs, dtype=object)
+    for x in xs.flat:
+        if isinstance(x, bool) or not is_id(x):
+            raise ValueError(f"{what} {x!r} is not an integer id within int64")
+    return xs.astype(np.int64)
+
+
 class PartialColoring:
     """Vertex -> color map; vertices absent from the map are blank.
 
@@ -107,8 +121,8 @@ class PartialColoring:
     def from_arrays(cls, at, ids) -> "PartialColoring":
         """Vertex at[i] takes color ids[i], the vertices distinct; int64
         arrays are taken as they are and made read-only. ValueError when
-        they are not two 1-D arrays of one length."""
-        at, ids = np.asarray(at, np.int64), np.asarray(ids, np.int64)
+        they are not two 1-D arrays of one length of integer ids."""
+        at, ids = _id_array(at, "vertex"), _id_array(ids, "color")
         if at.ndim != 1 or at.shape != ids.shape:
             raise ValueError(f"need 1-D arrays of one length, got shapes {at.shape}, {ids.shape}")
         at.flags.writeable = ids.flags.writeable = False
@@ -131,10 +145,10 @@ class PartialColoring:
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(vertices, colors) as int64 arrays, in the mapping's order; a
-        dict-built coloring makes them on each call."""
+        dict-built coloring makes them on each call, and ValueError names a
+        vertex or color that is not an integer id within int64."""
         a = self._assignment
-        return self._arrays or (np.fromiter(a, dtype=np.int64, count=len(a)),
-                                np.fromiter(a.values(), dtype=np.int64, count=len(a)))
+        return self._arrays or (_id_array(list(a), "vertex"), _id_array(list(a.values()), "color"))
 
     def is_total(self, n: int) -> bool:
         return len(self) == n
@@ -170,9 +184,7 @@ class _Instance:
         if not isinstance(obj, (ListAssignment, CorrespondenceCover)):
             raise TypeError(f"expected ListAssignment or CorrespondenceCover, got {type(obj)!r}")
         self.cover = obj if isinstance(obj, CorrespondenceCover) else None
-        if obj.n != g.n:
-            kind = "list assignment" if self.cover is None else "cover"
-            raise ValueError(f"{kind} size does not match graph")
+        check_n("list assignment" if self.cover is None else "cover", obj.n, g.n)
         self.g, self.lists = g, obj.lists
         self.codes = obj.lists.values if self.cover is None else obj.arrays.lists
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cover import ListAssignment, Rows
-from .graphcore import Graph, _offsets, distinct, first_seen, run_pairs, split, stable_order
+from .graphcore import Graph, _offsets, check_n, distinct, first_seen, run_pairs, split, stable_order
 from .nibble import PartialColoring, SolveResult, _reduce
 from .sparsify import (
     ConflictInstance,
@@ -204,8 +204,7 @@ def plan_queries(n: int, fam: PaletteFamily, strategy: str,
     """
     if strategy not in ("scan", "classes", "auto"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    if n != fam.n:
-        raise ValueError(f"family has {fam.n} vertices, but n is {n}")
+    check_n("family", fam.n, n)
     if strategy != "scan" and fam.universe is None:
         raise UnsupportedStrategy(
             "color-class planning requires sampling from the shared palette; "

@@ -48,7 +48,7 @@ from .cover import (
     cover_rows,
     restrict_cover,
 )
-from .graphcore import Graph, _offsets, ranked, stable_order
+from .graphcore import Graph, _offsets, check_n, ranked, stable_order
 
 __all__ = [
     "InvalidParameters",
@@ -229,7 +229,8 @@ def sample_palettes(palettes, s: int, seed: int) -> PaletteFamily:
     replayed for all vertices at once by `_rng.choice_rows` from the
     stream's 32-bit outputs and equal numpy's per-call draws, so the result
     is a deterministic function of (palettes, s, seed). `s` must be at
-    least 1, a shared palette's n at least 0, and no palette may be
+    least 1, a shared palette's n at least 0 and its q at most 2**32, the
+    largest bound that one 32-bit output draws from, and no palette may be
     smaller than s. The samples are `Rows.strict` when the palette is
     shared or its rows are known to be strict.
     """
@@ -238,6 +239,8 @@ def sample_palettes(palettes, s: int, seed: int) -> PaletteFamily:
     if isinstance(palettes, SharedPalette):
         if palettes.n < 0:
             raise InvalidParameters(f"need n >= 0 vertices, got {palettes.n}")
+        if palettes.q > 1 << 32:
+            raise InvalidParameters(f"palette has {palettes.q} colors, over the draws' limit 2**32")
         if palettes.q < s:
             raise PaletteTooSmall(f"palette has {palettes.q} colors, need {s}")
         n, universe = palettes.n, palettes.q
@@ -446,6 +449,9 @@ def prune(subject, fam: PaletteFamily, params: SparsifyParams,
     heads whose degree exceeds the threshold are counted, and when there
     are none, `pruned` is `sampled` itself and nothing is counted.
     """
+    if not isinstance(subject, (Graph, CorrespondenceCover)):
+        raise TypeError(f"expected Graph or CorrespondenceCover, got {type(subject)!r}")
+    check_n("family", fam.n, subject.n)
     if isinstance(subject, Graph):
         thr = params.threshold(params.delta_ref if delta_ref is None else delta_ref)
         deg = subject.degrees()
@@ -457,14 +463,12 @@ def prune(subject, fam: PaletteFamily, params: SparsifyParams,
         counts = directed_counts(_offsets(deg * fail), subject.indices[slots],
                                  fam.sampled, fam.universe)
         return PaletteFamily(fam.sampled, fam.sampled.keep(counts <= thr), fam.universe)
-    if isinstance(subject, CorrespondenceCover):
-        thr = params.threshold(subject.max_color_degree() if delta_ref is None else delta_ref)
-        # a color's correspondents among the sampled colors are its
-        # correspondents in the cover cut down to the samples
-        sampled, _ = restrict_cover(subject, fam.sampled)
-        pruned = cover_rows(sampled, color_degrees(sampled) <= thr)
-        return PaletteFamily(fam.sampled, pruned, fam.universe)
-    raise TypeError(f"expected Graph or CorrespondenceCover, got {type(subject)!r}")
+    thr = params.threshold(subject.max_color_degree() if delta_ref is None else delta_ref)
+    # a color's correspondents among the sampled colors are its
+    # correspondents in the cover cut down to the samples
+    sampled, _ = restrict_cover(subject, fam.sampled)
+    pruned = cover_rows(sampled, color_degrees(sampled) <= thr)
+    return PaletteFamily(fam.sampled, pruned, fam.universe)
 
 
 @dataclass(frozen=True)
@@ -490,6 +494,7 @@ def build_conflict(g: Graph, fam: PaletteFamily,
     palettes is nonempty; the restricted cover rides along, and a pair on a
     non-edge of g, which clashes across no edge, adds none.
     """
+    check_n("family", fam.n, g.n)
     active = fam.active()
     if cover is None:
         sub = g.keep(shared_edges(*g.edge_arrays(), active, fam.universe))

@@ -21,13 +21,12 @@ from __future__ import annotations
 
 from collections.abc import Sized
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from ._rng import TAG_PERMUTE, substream
 from .cover import CorrespondenceCover, CoverArrays, Rows, _edge_starts, is_id_pair, restrict_cover
-from .graphcore import Graph, check_pairs, ranked, split, stable_order
+from .graphcore import Graph, check_n, check_pairs, split, stable_order
 from .nibble import PartialColoring, SolveResult, _reduce
 from .sparsify import (
     PaletteFamily,
@@ -112,22 +111,22 @@ class EdgeStream:
     read-only arrays: `ends`, the records' (r, 2) endpoints, and
     `pair_record`, the record of each pair. A cover stream holds `cover`,
     the `CorrespondenceCover` on `lists` of every record's pairs, records
-    in stream order and each one's pairs in its own order, turned with
-    their record to u < v; a plain stream's `cover` is None. `pairs`, the
-    pairs' (p, 2) color ids, each oriented as its record, and iteration
-    make their output anew from these.
+    in stream order, each one turned to u < v with its pairs sorted by the
+    color at u, then at v, as the dict constructor holds them; a plain
+    stream's `cover` is None. `pairs`, the pairs' (p, 2) color ids, each
+    oriented as its record, and iteration make their output anew from these.
     """
 
     def __init__(self, n: int, records=(), lists=None):
         """`records`: a sequence of record tuples; an array is read as one.
-        The lists' ids and the pairs' ids are ranked together once."""
+        The pairs are encoded as the dict constructor encodes them
+        (`CorrespondenceCover._encode`), a record's pairs being its edge's."""
         records = records.tolist() if isinstance(records, np.ndarray) else tuple(records)
         bad = next((i for i, rec in enumerate(records) if not _is_record(rec)), None)
         if bad is not None:
             raise ValueError(f"stream record {bad} {records[bad]!r} is not (u, v) or "
                              "(u, v, pairs) of integer ids")
-        ends = np.fromiter(chain.from_iterable(rec[:2] for rec in records),
-                           dtype=np.int64, count=2 * len(records)).reshape(-1, 2)
+        ends = np.array([rec[:2] for rec in records], dtype=np.int64).reshape(-1, 2)
         matchings = [rec[2] if len(rec) > 2 else () for rec in records]
         if lists is None and any(matchings):
             raise ValueError("cover records need the stream's cover lists")
@@ -141,20 +140,12 @@ class EdgeStream:
             else:
                 what = f"repeats the edge of record {bad[1]}"
             raise ValueError(f"stream record {bad[0]} ({u}, {v}) {what}")
-        triples = [(i, *pair) for i, pairs in enumerate(matchings) for pair in pairs]
-        flat = np.array(triples, dtype=np.int64).reshape(len(triples), 3)
-        cover = None
-        if lists is not None:
-            lists = Rows.of(lists)
-            k = lists.values.size
-            colors, ranks = ranked(np.concatenate((lists.values, flat[:, 1:].ravel())))
-            # each pair turned with its record to u < v
-            uv, ab = ends[flat[:, 0]], ranks[k:].reshape(-1, 2)
-            turn = uv[:, 0] > uv[:, 1]
-            uv[turn], ab[turn] = uv[turn, ::-1], ab[turn, ::-1]
-            cover = CorrespondenceCover._of(lists, CoverArrays(colors, *uv.T.copy(),
-                                                               *ab.T.copy(), ranks[:k]))
-        self._hold(n, ends, flat[:, 0], cover)
+        counts = np.fromiter(map(len, matchings), dtype=np.int64, count=len(records))
+        ab = np.array([pair for pairs in matchings for pair in pairs], dtype=np.int64)
+        # no record repeats an edge, so the encoder's repeat message never shows
+        cover = None if lists is None else CorrespondenceCover._encode(
+            Rows.of(lists), *ends.T, counts, *ab.reshape(-1, 2).T, "stream repeats the edge")
+        self._hold(n, ends, np.repeat(np.arange(len(records)), counts), cover)
 
     def _hold(self, n, ends, pair_record, cover) -> "EdgeStream":
         """Takes the arrays and cover as they are: the array builders' constructor."""
@@ -226,14 +217,14 @@ class EdgeStream:
 
 @dataclass
 class StreamResult:
-    """`stored` holds the stored edges in stream order, u < v: a `Rows` of
-    (u, v) pairs, or a cover stream of the (u, v, kept pairs) records,
-    whose cover is the held cover."""
+    """`stored` holds the stored edges in stream order, u < v, as a stream:
+    of the (u, v) records, or for a cover stream of the (u, v, kept pairs)
+    records, whose cover is the held cover."""
 
     coloring: PartialColoring | None
     ledger: SpaceLedger
     family: PaletteFamily
-    stored: Rows | EdgeStream
+    stored: EdgeStream
     solve_result: SolveResult | None
     error: str = ""
 
@@ -258,8 +249,7 @@ def stream_color(stream: EdgeStream, n: int, params: SparsifyParams, seed: int,
     extra counter words).
     """
     cover = stream.cover
-    if stream.n != n:
-        raise ValueError(f"stream has {stream.n} vertices, but n is {n}")
+    check_n("stream", stream.n, n)
     if cover is not None and len(cover.lists) != n:
         raise ValueError(f"stream's cover lists have {len(cover.lists)} rows, but n is {n}")
     fam = sample_palettes(SharedPalette(n, params.q) if cover is None else cover.lists,
@@ -267,20 +257,19 @@ def stream_color(stream: EdgeStream, n: int, params: SparsifyParams, seed: int,
     ledger = SpaceLedger(palette_words=n * params.s,
                          counter_words=n * params.s + (n if delta_from_stream else 0))
 
-    ends = stream.ends
+    # a plain stream's pair index is empty, and so is its stored stream's
+    ends, record = stream.ends, stream.pair_record
     if cover is None:
         hit = shared_edges(ends[:, 0], ends[:, 1], fam.sampled, params.q)
         kept = ends.take(np.flatnonzero(hit), axis=0)
         su, sv = kept.T
         su[:], sv[:] = np.minimum(su, sv), np.maximum(su, sv)
-        ledger.charge(np.broadcast_to(0, len(kept)), space_cap)
-        stored = Rows(kept.ravel(), np.arange(0, kept.size + 1, 2))
     else:
         # the cut's edges are the stored records, u < v, each one's pairs a run
         cover, kept = restrict_cover(cover, fam.sampled)
-        first = _edge_starts(cover.arrays.eu, cover.arrays.ev)
-        ledger.charge(np.diff(np.flatnonzero(np.append(first, True))), space_cap)
-        stored = EdgeStream.__new__(EdgeStream)._hold(n, kept, np.cumsum(first) - 1, cover)
+        record = np.cumsum(_edge_starts(cover.arrays.eu, cover.arrays.ev)) - 1
+    ledger.charge(np.bincount(record, minlength=len(kept)), space_cap)
+    stored = EdgeStream.__new__(EdgeStream)._hold(n, kept, record, cover)
 
     delta = int(np.bincount(ends.ravel(), minlength=n).max(initial=0)) \
         if delta_from_stream else params.delta_ref

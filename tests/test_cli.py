@@ -438,6 +438,26 @@ class TestCliCommands:
         assert main([command, "--graph", str(gpath), "--cover", str(cpath)]) == 3
         assert "color matched twice on edge (0, 1): pair (0, 5)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["verify-cover", "sparsify", "solve", "stream"])
+    def test_a_cover_of_another_vertex_count_exits_3(self, tmp_path, capsys, command):
+        # a valid 11-vertex cover with one pair on the edge (5, 10) of a
+        # 20-vertex graph: verify-cover passed it, solve and stream crashed
+        gpath, cpath = tmp_path / "g.txt", tmp_path / "c.txt"
+        save_graph(gen_bipartite(20, 3, 0), gpath)
+        save_cover(CorrespondenceCover([(v,) for v in range(11)], {(5, 10): ((5, 10),)}), cpath)
+        assert main([command, "--graph", str(gpath), "--cover", str(cpath)]) == 3
+        assert capsys.readouterr().err == "error: cover has 11 vertices, but n is 20\n"
+
+    def test_a_palette_past_the_draws_bound_exits_3(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"instance": {"kind": "gen", "n": 30, "delta": 5, "k": 2,
+                                                "seed": 1},
+                                   "q_override": 2 ** 33, "s_override": 2, "seeds": [0],
+                                   "out_dir": str(tmp_path / "out")}))
+        assert main(["sweep", "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err == \
+            "config error: palette has 8589934592 colors, over the draws' limit 2**32\n"
+
     @pytest.mark.parametrize("command, model, s", [("sparsify", None, 27), ("stream", None, 27),
                                                    ("sweep", "offline", 4), ("sweep", "stream", 4)])
     def test_cover_shorter_than_the_sample_exits_3(self, tmp_path, capsys, command, model, s):

@@ -53,6 +53,22 @@ class TestValidateCover:
         assert not rep.cc3_matchings and rep.cc1_partition
         assert rep.witness is not None
 
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("call, kind, error", [
+        (validate_cover, "cover", CoverError),
+        (cover_from_lists, "list assignment", CoverError),
+        (solve, "cover", ValueError),
+        (solve, "list assignment", ValueError),
+    ])
+    def test_an_instance_of_another_vertex_count_is_rejected(self, n, call, kind, error):
+        # a valid cover (or lists) of n vertices against the 2-vertex edge
+        # graph: validate_cover took it and crashed, every check words it alike
+        obj = CorrespondenceCover([(v,) for v in range(n)], {(0, n - 1): [(0, n - 1)]}
+                                  if n > 1 else {}) if kind == "cover" else \
+            ListAssignment([(0,)] * n)
+        with pytest.raises(error, match=f"^{kind} has {n} vertices, but n is 2$"):
+            call(edge_graph(), obj)
+
     def test_shared_color_id_is_cc1_violation(self):
         cov = CorrespondenceCover([(1, 2), (2, 4)], {})
         rep = validate_cover(edge_graph(), cov)

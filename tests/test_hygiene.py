@@ -34,7 +34,9 @@ once for its finisher: a round returns its next cover itself. Only
 whether rows hold an id twice is learnt once per `Rows` and passed on,
 not recomputed by each layer. Only the row join, `cover._joined`, spreads
 rows into their entries (`Rows.spread`), so the package has one join of
-rows, run a bounded chunk of pairs at a time. Inside the
+rows, run a bounded chunk of pairs at a time. Every cover built from given
+ids is encoded by `CorrespondenceCover._encode`: a stream built from
+record tuples neither ranks ids nor builds `CoverArrays` itself. Inside the
 package only `cli` reads a coloring's `.assignment`, for its output: every
 library pass reads the coloring's `arrays()`, so no mapping is built on
 the way from a solver stage to a verification. Only the one integer
@@ -149,12 +151,13 @@ def test_counts_over_csr_slots(path):
 
 def _callers(path, name, arg=None) -> set:
     """(enclosing class or None, enclosing function, or None at class or
-    module level) for each call of a method `name` in path's module; with
-    `arg`, only the calls passing an argument `arg` or `x.arg`."""
+    module level) for each call of a function or method `name` in path's
+    module; with `arg`, only the calls passing an argument `arg` or `x.arg`."""
     found = set()
 
     def visit(node, cls, fn):
-        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == name and \
+        if isinstance(node, ast.Call) and \
+                getattr(node.func, "attr", getattr(node.func, "id", None)) == name and \
                 (arg is None or any(getattr(a, "attr", getattr(a, "id", None)) == arg
                                     for a in node.args)):
             found.add((cls, fn))
@@ -253,6 +256,15 @@ def test_only_the_row_join_spreads_rows():
     # so no second, unchunked join comes back
     callers = {(path.name, *call) for path in MODULES for call in _callers(path, "spread")}
     assert callers == {("cover.py", None, "_joined")}
+
+
+def test_tuple_built_streams_encode_through_the_cover_encoder():
+    # a stream built from record tuples encodes its pairs as the dict
+    # constructor and `load_cover` do, so no second ranking of the ids or
+    # pair-array build comes back beside `CorrespondenceCover._encode`
+    path, init = PACKAGE / "streaming.py", ("EdgeStream", "__init__")
+    assert init in _callers(path, "_encode")
+    assert not any(init in _callers(path, name) for name in ("ranked", "CoverArrays"))
 
 
 def test_only_rows_strict_runs_the_strict_pass():

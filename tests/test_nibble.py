@@ -367,6 +367,32 @@ class TestVerify:
         assert not verify_coloring(g, cov, PartialColoring({0: 0, 1: 2})).ok
         assert verify_coloring(g, cov, PartialColoring({0: 0, 1: 3})).ok
 
+    @pytest.mark.parametrize("phi, message", [
+        ({0: 1.5}, "color 1.5"), ({0: 2 ** 70}, f"color {2 ** 70}"),
+        ({0: True}, "color True"), ({1.0: 1}, "vertex 1.0"), ({False: 1}, "vertex False"),
+    ])
+    def test_a_color_or_vertex_that_is_no_integer_id_is_rejected(self, phi, message):
+        # 1.5 was read as color 1 and passed; 2**70 raised OverflowError
+        g = Graph(2, [(0, 1)])
+        with pytest.raises(ValueError, match=f"^{message} is not an integer id within int64$"):
+            verify_coloring(g, ListAssignment(((1, 2), (1, 2))), PartialColoring(phi))
+
+    @pytest.mark.parametrize("at, ids, message", [
+        ([0.7], [1.9], "vertex 0.7"), ([0], np.array([1.0]), "color 1.0"),
+        ([0], [np.True_], "color np.True_"), ([0], [2 ** 63], f"color {2 ** 63}"),
+    ])
+    def test_from_arrays_takes_integer_ids_only(self, at, ids, message):
+        # [0.7], [1.9] became {0: 1}
+        with pytest.raises(ValueError, match=f"^{message} is not an integer id within int64$"):
+            PartialColoring.from_arrays(at, ids)
+        assert PartialColoring.from_arrays(np.array([0], np.int32), [np.uint8(1)]).assignment \
+            == {0: 1}
+
+    def test_from_arrays_takes_int64_arrays_as_they_are(self):
+        at, ids = np.arange(3), np.array([2, 0, 1])
+        phi = PartialColoring.from_arrays(at, ids)
+        assert all(a is b for a, b in zip(phi.arrays(), (at, ids)))
+
     def test_numpy_and_python_paths_agree(self):
         rng = rng_for(18)
         g = random_graph(rng, 120, 0.6)

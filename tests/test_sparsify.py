@@ -125,6 +125,13 @@ class TestSamplePalettes:
         assert str(err.value) == "need n >= 0 vertices, got -1"
         assert sample_palettes(SharedPalette(0, 5), 1, seed=1).sampled == ()
 
+    def test_a_palette_past_the_draws_bound_rejected(self):
+        # the replayed draws take bounds up to 2**32: numpy's one 32-bit output
+        assert sample_palettes(SharedPalette(3, 2 ** 32), 2, seed=0).sampled.values.max() < 2 ** 32
+        with pytest.raises(InvalidParameters) as err:
+            sample_palettes(SharedPalette(3, 2 ** 33), 2, seed=0)
+        assert str(err.value) == "palette has 8589934592 colors, over the draws' limit 2**32"
+
     def test_palette_too_small_rejected(self):
         with pytest.raises(PaletteTooSmall):
             sample_palettes(SharedPalette(4, 2), 3, seed=0)
@@ -224,6 +231,23 @@ class TestPrune:
             lost = [len(a) - len(b) for a, b in zip(out.sampled, out.pruned)]
             bad += sum(1 for x in lost if x > params.gamma_prime * params.s)
         assert bad / (seeds * g.n) <= 0.05
+
+
+class TestFamilySize:
+    @pytest.mark.parametrize("k", [30, 50])
+    @pytest.mark.parametrize("subject", ["graph", "cover"])
+    def test_a_family_of_another_size_is_rejected(self, k, subject):
+        # 30 rows on 40 vertices gave 30-row results, 50 rows an IndexError
+        g = gen_locally_sparse(40, 4, 1, seed=0)
+        cov = cover_from_lists(g, ListAssignment(((0, 1, 2),) * 40))
+        fam = sample_palettes(SharedPalette(k, 3) if subject == "graph" else cov.lists[:1] * k,
+                              2, seed=0)
+        params = manual_params(4, 0.1, 1.0, q=3, s=2)
+        message = f"^family has {k} vertices, but n is 40$"
+        with pytest.raises(ValueError, match=message):
+            prune(g if subject == "graph" else cov, fam, params)
+        with pytest.raises(ValueError, match=message):
+            build_conflict(g, fam, cover=None if subject == "graph" else cov)
 
 
 class TestBuildConflict:

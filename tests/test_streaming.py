@@ -12,7 +12,6 @@ from palettesparse._rng import TAG_PERMUTE, substream
 from palettesparse.cover import (
     CorrespondenceCover,
     ListAssignment,
-    Rows,
     cover_from_lists,
     restrict_cover,
 )
@@ -128,7 +127,8 @@ class TestStreamArrays:
         assert g.m > 99_000 and out.success
         assert held < 2 * ends_bytes < g.m * sys.getsizeof((g.n - 2, g.n - 1))
         assert peak < 16 * ends_bytes + 4 * block_bytes
-        assert isinstance(out.stored, Rows) and len(out.stored) == out.ledger.stored_edges
+        assert isinstance(out.stored, EdgeStream) and out.stored.cover is None
+        assert len(out.stored) == out.ledger.stored_edges
 
 
 class TestLedger:
@@ -225,8 +225,8 @@ class TestCorrespondenceStreaming:
     def test_held_cover_is_the_stream_covers_cut(self):
         # pairs that come unsorted, one record turned round: with every
         # color sampled, the cover handed to build_conflict is the stream's
-        # cover cut down to the samples, each record's pairs in record
-        # order, and holds the matchings the dict constructor builds
+        # cover cut down to the samples, each record's pairs sorted, and
+        # holds the matchings the dict constructor builds
         lists = ((0, 1, 2), (3, 4, 5), (6, 7, 8))
         records = ((0, 1, ((2, 5), (0, 3), (1, 4))), (2, 1, ((8, 3), (6, 5), (7, 4))))
         stream = EdgeStream(3, records, lists)
@@ -238,9 +238,9 @@ class TestCorrespondenceStreaming:
         for name in ("colors", "eu", "ev", "ra", "rb", "lists"):
             assert np.array_equal(getattr(held.arrays, name), getattr(cut.arrays, name))
         want = CorrespondenceCover(lists, {(u, v): pairs for u, v, pairs in records})
-        assert {e: tuple(sorted(p)) for e, p in held.matchings.items()} == want.matchings
-        assert held.matchings == {(0, 1): ((2, 5), (0, 3), (1, 4)),
-                                  (1, 2): ((3, 8), (5, 6), (4, 7))}
+        assert held.matchings == want.matchings
+        assert held.matchings == {(0, 1): ((0, 3), (1, 4), (2, 5)),
+                                  (1, 2): ((3, 8), (4, 7), (5, 6))}
 
     @pytest.mark.parametrize("kind", ["plain", "cover"])
     @pytest.mark.parametrize("capped", [False, True])
@@ -259,7 +259,7 @@ class TestCorrespondenceStreaming:
         with mock.patch.object(nibble, "build_conflict", wraps=build_conflict) as spy:
             out = stream_color(stream, g.n, params, seed=seed, space_cap=cap)
         held = spy.call_args.args[0]
-        ends = out.stored.values.reshape(-1, 2) if kind == "plain" else out.stored.ends
+        ends = out.stored.ends
         want = Graph(g.n, ends)
         assert held.m == len(ends) > 0
         for got, expected in ((held.indptr, want.indptr), (held.indices, want.indices),
@@ -280,12 +280,13 @@ class TestCorrespondenceStreaming:
         (0, 1, ((2, 12), (0, 10), (1, 11))),
         (1, 0, ((12, 2), (10, 0), (11, 1))),
     ])
-    def test_stored_record_keeps_its_pairs_in_record_order(self, record):
+    def test_stored_record_holds_its_pairs_sorted(self, record):
         # s = 3 samples every color, so every pair stays; the stored record
-        # is turned to u < v with its pairs, which keep the record's order
+        # is turned to u < v with its pairs, sorted as the dict constructor
+        # sorts them, whichever way round and in whatever order they came
         out = stream_color(EdgeStream(2, (record,), ((0, 1, 2), (10, 11, 12))),
                            2, manual_params(1, 0.1, 1.0, q=3, s=3), seed=0)
-        assert out.stored.records == ((0, 1, ((2, 12), (0, 10), (1, 11))),)
+        assert out.stored.records == ((0, 1, ((0, 10), (1, 11), (2, 12))),)
 
     def test_cover_delta_from_stream(self):
         # the observed max degree, not the a-priori delta 4, sets the
@@ -313,6 +314,18 @@ class TestCorrespondenceStreaming:
         for u, v, pairs in out.stored:
             assert len(pairs) <= params.s
         assert out.ledger.matching_words == 2 * sum(len(p) for _, _, p in out.stored)
+
+    @pytest.mark.parametrize("n, message", [
+        (-1, "negative vertex count: -1"),
+        (3_037_000_500, "vertex count 3037000500 too large"),
+        (2 ** 62, f"vertex count {2 ** 62} too large"),
+    ])
+    def test_a_vertex_count_past_graphs_bounds_is_rejected(self, n, message):
+        # past 3,037,000,499 the keys min*n + max overflow int64: at 2**62,
+        # 4*n + 5 wrapped to 5 and (4, 5) was called a repeat of (0, 5)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            EdgeStream(n, [(0, 5), (4, 5)])
+        assert len(EdgeStream(3_037_000_499, [(0, 5), (4, 5)])) == 2
 
     @pytest.mark.parametrize("records, witness", [
         (((0, 1), (1, 0), (1, 2)), "record 1 (1, 0) repeats the edge of record 0"),
